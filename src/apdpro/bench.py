@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from configparser import ConfigParser
@@ -208,13 +209,9 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     if mode == "oracle":
         return reference_solution(bundle, "oracle")
     cache = _cache_path(bundle, config.output_path)
-    if os.path.exists(cache):
-        with open(cache, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("identity") == bundle.identity:
-            x = np.asarray(data["x"], dtype=float)
-            y = np.asarray(data["y"], dtype=float)
-            return x, y, float(data["f"])
+    cached = _read_cache(cache, bundle.identity)
+    if cached is not None:
+        return cached
     try:
         x, y, f = reference_solution(bundle, "long-run", config.budget_iters, config.budget_epochs)
     except ReferenceUnconvergedError as exc:
@@ -227,9 +224,34 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
         "f": f,
         "kkt": float(kkt_residual(bundle.problem, x, y).max()),
     }
-    with open(cache, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    _write_cache(cache, payload)
     return x, y, f
+
+
+def _read_cache(path: str, identity: str):
+    """(x*, y*, f*) from a cache file, or None when it is missing, unreadable,
+    truncated or written for another instance."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and data.get("identity") == identity:
+            return np.asarray(data["x"], dtype=float), np.asarray(data["y"], dtype=float), float(data["f"])
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return None
+
+
+def _write_cache(path: str, payload: dict) -> None:
+    """Write the cache atomically: a temp file in the same directory, then os.replace,
+    so an interrupted run or a concurrent reader never sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def active_set_accuracy(x, x_ref, threshold: float = 1e-8, objective=None) -> float:
@@ -263,11 +285,17 @@ def compute_metrics(
     """Assemble one IterateRecord at the metric iterate (last or ergodic).
 
     ``reference`` is (x*, f*) or None; without it rel_gap and
-    active_set_acc stay None and serialize as empty CSV fields.
+    active_set_acc stay None and serialize as empty CSV fields. At the last
+    iterate, ``ri.g_last`` (when set) stands in for G(x_last).
     """
-    xm = ri.x_bar if metric == "ergodic" else ri.x_last
+    if metric == "ergodic":
+        xm, gm = ri.x_bar, None
+    else:
+        xm, gm = ri.x_last, ri.g_last
+    if gm is None:
+        gm = problem.g(xm)
     fv = problem.f(xm)
-    feas = float(np.linalg.norm(np.maximum(problem.g(xm), 0.0)))
+    feas = float(np.linalg.norm(np.maximum(gm, 0.0)))
     rel = acc = None
     if reference is not None:
         x_ref, f_ref = reference

@@ -73,6 +73,7 @@ class BlockNormObjective:
         object.__setattr__(self, "n", pos)
         object.__setattr__(self, "_starts", np.array([s for s, _ in blocks], dtype=np.intp))
         object.__setattr__(self, "_lengths", np.array([ln for _, ln in blocks], dtype=np.intp))
+        object.__setattr__(self, "_singletons", len(blocks) == pos)
 
     @property
     def num_blocks(self) -> int:
@@ -80,10 +81,14 @@ class BlockNormObjective:
 
     def block_norms(self, x: np.ndarray) -> np.ndarray:
         x = _vec(x, self.n, "x")
+        if self._singletons:  # bitwise equal to the reduceat below, and far cheaper
+            return np.sqrt(x * x)
         return np.sqrt(np.add.reduceat(x * x, self._starts))
 
     def expand(self, per_block: np.ndarray) -> np.ndarray:
-        """Broadcast a per-block array to coordinates."""
+        """Broadcast a per-block array to coordinates (the input itself for singleton blocks)."""
+        if self._singletons:
+            return np.asarray(per_block)
         return np.repeat(per_block, self._lengths)
 
     def value(self, x: np.ndarray) -> float:
@@ -97,9 +102,11 @@ class ConstrainedProblem:
     ``constraints`` maps x to the m constraint values G(x); ``jacobian`` maps
     x to the n-by-m matrix whose columns are the constraint gradients. The
     jacobian may be assembled from implicit matrix-vector products internally
-    but must return a dense array. ``L_X`` bounds the Jacobian's Lipschitz
-    modulus on the primal ball, ``L_G`` the constraint map's, and ``r`` lower
-    bounds the objective's subgradient norms at the optimum.
+    but must return a dense array. Both must be pure functions of x: the
+    solvers evaluate each at most once per point and reuse the result.
+    ``L_X`` bounds the Jacobian's Lipschitz modulus on the primal ball,
+    ``L_G`` the constraint map's, and ``r`` lower bounds the objective's
+    subgradient norms at the optimum.
     """
 
     n: int
@@ -239,23 +246,26 @@ def derive_constants(problem: ConstrainedProblem, ball: tuple[np.ndarray, float]
     )
 
 
-def kkt_residual(problem: ConstrainedProblem, x, y) -> KktResidual:
+def kkt_residual(problem: ConstrainedProblem, x, y, *, g=None, jac=None) -> KktResidual:
     """KKT diagnostics at (x, y); all four fields are zero exactly at a KKT point.
 
     Stationarity uses the per-block closed form: ||p_i x_(i)/||x_(i)|| + v_(i)||
     on nonzero blocks and max(0, ||v_(i)|| - p_i) on zero blocks, where
     v = grad G(x) y; the block distances are combined in Euclidean norm.
+    ``g`` and ``jac``, when given, must be G(x) and grad G(x) as returned by
+    ``problem.g`` and ``problem.jac``; they spare re-evaluating the oracle.
     """
     x = _vec(x, problem.n, "x")
     y = _vec(y, problem.m, "y")
     obj = problem.objective
-    v = problem.jac(x) @ y
+    v = (problem.jac(x) if jac is None else jac) @ y
     norms = obj.block_norms(x)
     nz = norms > 0
     scale = np.where(nz, obj.weights / np.where(nz, norms, 1.0), 0.0)
     wnorms = obj.block_norms(obj.expand(scale) * x + v)
     dist = np.where(nz, wnorms, np.maximum(0.0, wnorms - obj.weights))
-    g = problem.g(x)
+    if g is None:
+        g = problem.g(x)
     return KktResidual(
         stationarity=float(np.linalg.norm(dist)),
         complementarity=float(abs(y @ g)),
@@ -270,9 +280,13 @@ def jacobian_operator_norm(problem: ConstrainedProblem, x) -> float:
     Exact column norm for m = 1; power iteration on the m-by-m Gram matrix
     otherwise (tolerance 1e-8, at most 500 iterations, fixed seed).
     """
-    mat = problem.jac(_vec(x, problem.n, "x"))
-    if problem.m == 1:
+    return _operator_norm(problem.jac(_vec(x, problem.n, "x")), problem.m)
+
+
+def _operator_norm(mat: np.ndarray, m: int) -> float:
+    """Spectral norm of an n-by-m Jacobian already evaluated (see above)."""
+    if m == 1:
         return float(np.linalg.norm(mat[:, 0]))
     gram = mat.T @ mat
-    lam = power_iteration(lambda v: gram @ v, problem.m, tol=1e-8, maxiter=500, seed=0)
+    lam = power_iteration(lambda v: gram @ v, m, tol=1e-8, maxiter=500, seed=0)
     return float(np.sqrt(max(lam, 0.0)))

@@ -34,9 +34,11 @@ from typing import Callable
 import numpy as np
 
 from .estimator import RhoEstimate, h1, h2, rho_hat_recursion, rho_hat_update
+from .linalg import NumericalError
 from .problem import (
     ConstrainedProblem,
     ProblemConstants,
+    _operator_norm,
     _vec,
     jacobian_operator_norm,
     kkt_residual,
@@ -149,7 +151,12 @@ class IterateRecord:
 
 @dataclass
 class RecordInputs:
-    """What the engine hands to a recorder after each iteration."""
+    """What the engine hands to a recorder after each iteration.
+
+    ``g_last`` is G(x_last), already evaluated by the engine; recorders use
+    it instead of calling the constraint oracle again. None means unknown
+    (recorders then evaluate G themselves).
+    """
 
     iter: int
     epoch: int
@@ -160,6 +167,7 @@ class RecordInputs:
     tau: float
     sigma: float
     elapsed_s: float
+    g_last: np.ndarray | None = None
 
 
 @dataclass
@@ -352,12 +360,17 @@ class _Driver:
     # -- recording ---------------------------------------------------------
 
     def _default_record(self, ri: RecordInputs) -> IterateRecord:
-        xm = ri.x_bar if self.metric == "ergodic" else ri.x_last
+        if self.metric == "ergodic":
+            xm, gm = ri.x_bar, None
+        else:
+            xm, gm = ri.x_last, ri.g_last
         fv = self.prob.f(xm)
         gap = None
         if self.f_star is not None and self.f_star != 0.0:
             gap = abs(fv - self.f_star) / abs(self.f_star)
-        feas = float(np.linalg.norm(np.maximum(self.prob.g(xm), 0.0)))
+        if gm is None:
+            gm = self.prob.g(xm)
+        feas = float(np.linalg.norm(np.maximum(gm, 0.0)))
         return IterateRecord(
             iter=ri.iter,
             epoch=ri.epoch,
@@ -371,7 +384,8 @@ class _Driver:
             elapsed_s=ri.elapsed_s,
         )
 
-    def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
+    def _should_stop(self, rec: IterateRecord, ri: RecordInputs, jac_last: np.ndarray) -> bool:
+        """Tolerance test; ``jac_last`` is the Jacobian at ri.x_last, reused by the KKT test."""
         tol = self.cfg.tolerance
         if tol <= 0.0:
             return False
@@ -382,8 +396,9 @@ class _Driver:
             if rec.rel_gap is None:
                 return False
             return max(rec.rel_gap, rec.feas_violation) <= tol
-        xm = ri.x_bar if self.metric == "ergodic" else ri.x_last
-        return kkt_residual(self.prob, xm, ri.y).max() <= tol
+        if self.metric == "ergodic":
+            return kkt_residual(self.prob, ri.x_bar, ri.y).max() <= tol
+        return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=jac_last).max() <= tol
 
     def y_bar(self, st: SolverState) -> np.ndarray:
         return self.ybar_acc / st.T if st.T > 0 else st.y.copy()
@@ -416,6 +431,10 @@ class _Driver:
 
         budget_mode: None (fixed_budget/max_inner only), 'epoch'
         (terminate_iter refresh), or 'stage' (the multi-stage N rule).
+
+        G and its Jacobian are evaluated once per new iterate (gx, jx) and
+        shared by the dual extrapolation, the primal step, h1, the recorder
+        and the KKT stop test.
         """
         prob, c, cfg = self.prob, self.c, self.cfg
         ball = (c.ball_center, c.ball_radius)
@@ -423,6 +442,7 @@ class _Driver:
         n_budget = fixed_budget
         gx = prob.g(st.x)
         gx_prev = prob.g(st.x_prev)
+        jx = prob.jac(st.x)
         tau_prev = st.tau  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
         k = 0
         while k < max_inner and k < n_budget:
@@ -437,7 +457,7 @@ class _Driver:
             y_next = project_dual_set(st.y + sigma_k * z, slab)
 
             # Primal prox step.
-            grad = prob.jac(st.x) @ y_next
+            grad = jx @ y_next
             x_next = prox_f_over_ball(st.x - tau_k * grad, tau_k, prob.objective, ball)
 
             # Improve (evaluated at the pre-update iterates x_k, x_bar_k).
@@ -450,7 +470,7 @@ class _Driver:
                 else:  # "alg3"
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
-                gnx = jacobian_operator_norm(prob, st.x)
+                gnx = _operator_norm(jx, prob.m)
                 gnxb = jacobian_operator_norm(prob, st.x_bar)
                 h1v = h1(gnx, beta, prob.r, prob.L_X)
                 h2v = h2(gnxb, beta_bar, prob.r, prob.L_X, c.mu_lb)
@@ -505,6 +525,11 @@ class _Driver:
             # Shift the state.
             st.x_prev, st.x, st.x_bar, st.y = st.x, x_next, x_bar_next, y_next
             gx_prev, gx = gx, prob.g(x_next)
+            if not np.isfinite(gx).all():
+                raise NumericalError(
+                    f"non-finite constraint value G(x_{{k+1}}) at iteration {self.total_k + 1}"
+                )
+            jx = prob.jac(x_next)
             st.T += t_k
             st.t = t_k
             st.sigma_prev = sigma_k
@@ -525,11 +550,12 @@ class _Driver:
                     tau=tau_k,
                     sigma=sigma_k,
                     elapsed_s=time.perf_counter() - self.t0,
+                    g_last=gx,
                 )
                 rec = self.recorder(ri)
                 if rec is not None:
                     self.trace.append(rec)
-                    if self._should_stop(rec, ri):
+                    if self._should_stop(rec, ri, jx):
                         return "tolerance"
         return "schedule" if k >= n_budget else "cap"
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from apdpro import bench
 from apdpro.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -90,6 +91,17 @@ def test_compute_metrics_metric_switch(canonical):
     assert compute_metrics(problem, ri, metric="ergodic").objective == pytest.approx(0.5)
 
 
+def test_compute_metrics_uses_g_last_without_changing_the_record(canonical):
+    problem, _, x_star, _ = canonical
+    for x_last, x_bar in (([1.1], [0.5]), ([5.0], [3.5]), ([-0.3], [4.0])):
+        plain = _record_inputs(x_last, x_bar=x_bar)
+        given = _record_inputs(x_last, x_bar=x_bar, g_last=problem.g(np.asarray(x_last, dtype=float)))
+        for metric in ("last", "ergodic"):
+            for reference in (None, (x_star, 1.0)):
+                assert (compute_metrics(problem, given, metric, reference)
+                        == compute_metrics(problem, plain, metric, reference))
+
+
 def test_fmt_reproduces_floats_exactly():
     rng = np.random.default_rng(21)
     for v in rng.normal(scale=1e3, size=200):
@@ -163,6 +175,27 @@ def test_get_reference_long_run_cache_roundtrip(tmp_path):
     cache.write_text(json.dumps(payload), encoding="utf-8")
     x3, _, f3 = get_reference(bundle, config)
     assert np.allclose(x3, x1, atol=1e-9) and f3 == pytest.approx(f1, abs=1e-12)
+
+
+def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
+    path = write_edge_list(tmp_path / "p2t.txt", [(0, 1)])
+    spec = InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05)
+    bundle = build_instance(spec)
+    config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="rapdpro"),
+                              reference_mode="long-run")
+    x1, y1, f1 = get_reference(bundle, config)
+    (cache,) = [tmp_path / p for p in os.listdir(tmp_path) if p.startswith(".ref-")]
+    text = cache.read_text(encoding="utf-8")
+    calls = []
+    original = bench.reference_solution
+    monkeypatch.setattr(bench, "reference_solution", lambda *a: calls.append(a) or original(*a))
+    for broken in (text[: len(text) // 2], "", "[1, 2]", '{"identity": 3}'):
+        cache.write_text(broken, encoding="utf-8")
+        x2, y2, f2 = get_reference(bundle, config)
+        assert np.array_equal(x2, x1) and np.array_equal(y2, y1) and f2 == f1
+        assert json.loads(cache.read_text(encoding="utf-8"))["identity"] == bundle.identity
+    assert len(calls) == 4
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".ref-")] == [cache.name]
 
 
 def test_get_reference_unconverged_warns_and_returns_none(tmp_path):

@@ -67,6 +67,15 @@ def test_expand_broadcasts_per_block():
     assert np.array_equal(obj.expand(np.array([5.0, 7.0])), [5.0, 5.0, 7.0])
 
 
+def test_singleton_blocks_match_the_general_path_bitwise():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 500):
+        obj = BlockNormObjective(blocks=[(i, 1) for i in range(n)], weights=np.ones(n))
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        assert np.array_equal(obj.block_norms(x), np.sqrt(np.add.reduceat(x * x, np.arange(n))))
+        assert np.array_equal(obj.expand(x), np.repeat(x, np.ones(n, dtype=np.intp)))
+
+
 def test_lagrangian_value(canonical):
     problem, _, _, _ = canonical
     x, y = np.array([1.0]), np.array([0.3])
@@ -146,6 +155,18 @@ def test_kkt_residual_flags_violations(canonical):
     assert kkt_residual(problem, x_star, -y_star).dual_violation > 0.0
     # infeasible point: g(4) = 1 > 0
     assert kkt_residual(problem, np.array([4.0]), y_star).primal_violation > 0.0
+
+
+def test_kkt_residual_reuses_given_oracle_values(canonical):
+    rng = np.random.default_rng(8)
+    for problem in (canonical[0], _toy_problem(m=2)):
+        for _ in range(10):
+            x = rng.normal(size=problem.n)
+            y = rng.uniform(-0.5, 1.0, size=problem.m)
+            plain = kkt_residual(problem, x, y)
+            assert kkt_residual(problem, x, y, g=problem.g(x), jac=problem.jac(x)) == plain
+            assert kkt_residual(problem, x, y, g=problem.g(x)) == plain
+            assert kkt_residual(problem, x, y, jac=problem.jac(x)) == plain
 
 
 def test_kkt_stationarity_on_zero_block(canonical):

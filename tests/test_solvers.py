@@ -1,10 +1,14 @@
 """Solver loops: step-size engine, budgets, invariants, variant semantics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from apdpro.bench import InstanceSpec, build_instance, make_recorder
+from apdpro.linalg import NumericalError
+from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.solvers import (
     SolverConfig,
     apd_baseline,
@@ -17,6 +21,7 @@ from apdpro.solvers import (
     terminate_iter,
     _stage_budget,
 )
+from helpers import path_edges, write_edge_list
 
 SQRT2 = math.sqrt(2.0)
 
@@ -357,3 +362,76 @@ def test_msapd_forced_schedule_budgets(canonical):
     stage1 = next(sn for sn in snaps if sn.epoch == 1)
     assert stage1.tau == pytest.approx(tau0 / SQRT2, rel=1e-15)
     assert stage1.sigma == pytest.approx(sigma_tilde * SQRT2, rel=1e-15)
+
+
+# -- oracle reuse ----------------------------------------------------------------
+
+def _counted(problem, calls, nan_after=None):
+    """The problem with its constraint oracle counting calls into ``calls``."""
+    g, jac = problem.constraints, problem.jacobian
+
+    def constraints(x):
+        calls["g"] += 1
+        if nan_after is not None and calls["g"] > nan_after:
+            return np.full(problem.m, np.nan)
+        return g(x)
+
+    def jacobian(x):
+        calls["jac"] += 1
+        return jac(x)
+
+    return dataclasses.replace(problem, constraints=constraints, jacobian=jacobian)
+
+
+@pytest.fixture(scope="module")
+def small_graph(tmp_path_factory):
+    """A generated 30-node graph instance: a path plus random chords."""
+    rng = np.random.default_rng(5)
+    edges = path_edges(30) + [tuple(map(int, e)) for e in rng.integers(0, 30, size=(60, 2)) if e[0] != e[1]]
+    path = write_edge_list(tmp_path_factory.mktemp("graph") / "g30.txt", edges)
+    probe = build_ppr_problem(load_graph(path), alpha=0.2, b=-1e-12)
+    b = 0.5 * (probe.problem.g(probe.x_tilde)[0] - 1e-12)
+    bundle = build_instance(InstanceSpec(kind="graph", path=path, alpha=0.2, b=b))
+    return bundle.problem, bundle.constants
+
+
+def _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw):
+    """Oracle calls between consecutive iterations of one epoch (observer to observer)."""
+    calls = {"g": 0, "jac": 0}
+    counted = _counted(problem, calls)
+    cfg = SolverConfig(variant=variant, **kw)
+    recorder = make_recorder(counted, variant, cfg, None) if use_bench_recorder else None
+    marks = []
+    runner(counted, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), recorder=recorder,
+           observer=lambda sn: marks.append((sn.epoch, calls["g"] + calls["jac"])))
+    return [b - a for (ea, a), (eb, b) in zip(marks, marks[1:]) if ea == eb]
+
+
+@pytest.mark.parametrize("instance", ["canonical", "small_graph"])
+@pytest.mark.parametrize("use_bench_recorder", [False, True])
+@pytest.mark.parametrize("stop", ["none", "kkt"])
+def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request):
+    """G and J once at x_{k+1}, J once at x_bar_k (h2), and nothing more at the last iterate.
+
+    The ergodic-metric variants also evaluate G at x_bar_{k+1} for the record
+    (and G and J there for a KKT stop); no cached value exists at that point.
+    """
+    problem, constants = request.getfixturevalue(instance)[:2]
+    # A KKT target the runs never reach, so the stop test runs on every iteration.
+    kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0, tolerance_metric="kkt")
+    for variant, runner in (("apdpro", apdpro), ("rapdpro", rapdpro)):
+        per_iter = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
+        assert len(per_iter) > 20 and max(per_iter) <= 3, variant
+    if stop == "none":
+        per_iter = _calls_per_iteration(problem, constants, "msapd", msapd, use_bench_recorder, **kw)
+        assert len(per_iter) > 20 and max(per_iter) <= 4
+        per_iter = _calls_per_iteration(problem, constants, "apd", apd_baseline, use_bench_recorder, **kw)
+        assert len(per_iter) == 59 and set(per_iter) == {3}
+
+
+def test_non_finite_constraint_value_raises(canonical):
+    problem, constants, _, _ = canonical
+    counted = _counted(problem, {"g": 0, "jac": 0}, nan_after=5)
+    # Two calls at loop entry, then one per iteration: the sixth is G(x_4).
+    with pytest.raises(NumericalError, match=r"constraint value G\(x_\{k\+1\}\) at iteration 4"):
+        apdpro(counted, constants, SolverConfig(max_iters=50), np.zeros(1), np.zeros(1))
