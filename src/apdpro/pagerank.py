@@ -17,8 +17,10 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .linalg import cg_solve, power_iteration
+from .linalg import NumericalError, cg_solve
+from .linalg import power_iteration  # noqa: F401  (unused here; perfbench/tracing.py wraps this name)
 from .problem import BlockNormObjective, ConstrainedProblem, _vec
 
 __all__ = [
@@ -47,6 +49,75 @@ class Graph:
 
 
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
+_COMMENT_LINE = re.compile(r"^[ \t]*[#%].*$", re.MULTILINE)
+_MAX_ID_DIGITS = 18  # every id of at most 18 digits fits in int64
+
+
+def _parse_fast(text: str):
+    """Vectorized parse of a well-formed edge list: (ids, declared_n), or None.
+
+    ``ids`` holds u0, v0, u1, v1, ... Accepts only ASCII digits, spaces, tabs
+    and newlines outside comment lines, exactly two ids on every nonblank
+    line, and ids short enough for int64. Anything else returns None, and
+    the line scan decides.
+    """
+    declared_n = None
+    if "#" in text or "%" in text:
+        for m in _COMMENT_LINE.finditer(text):
+            d = _NODES_DIRECTIVE.match(m.group().strip())
+            if d:
+                declared_n = int(d.group(1))
+        text = _COMMENT_LINE.sub("", text)
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    newline = raw == ord("\n")
+    if not np.all(digit | newline | (raw == ord(" ")) | (raw == ord("\t"))):
+        return None
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    last = digit.copy()
+    last[:-1] &= ~digit[1:]
+    starts = np.flatnonzero(first)
+    if starts.size and np.max(np.flatnonzero(last) - starts) >= _MAX_ID_DIGITS:
+        return None
+    per_line = np.bincount(np.cumsum(newline)[starts])
+    if np.any((per_line != 0) & (per_line != 2)):
+        return None
+    ids = np.fromstring(text, dtype=np.int64, sep=" ") if starts.size else np.empty(0, np.int64)
+    if ids.size != starts.size:
+        return None
+    return ids, declared_n
+
+
+def _parse_lines(path, text: str):
+    """Line-by-line parse with the reference semantics: (ids, declared_n).
+
+    Raises ValueError naming the first malformed line.
+    """
+    declared_n = None
+    ids: list[int] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _NODES_DIRECTIVE.match(line)
+            if m:
+                declared_n = int(m.group(1))
+            continue
+        if line.startswith("%"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
+        ids += (u, v)
+    return np.array(ids, dtype=np.int64), declared_n
 
 
 def load_graph(path, format: str = "edge-list") -> Graph:
@@ -55,6 +126,11 @@ def load_graph(path, format: str = "edge-list") -> Graph:
     One edge per line "u v" with 0-based integer ids; '%' and '#' lines are
     comments except for the optional "# nodes N" directive; blank lines are
     skipped. Edges are symmetrized and deduplicated, self-loops dropped.
+
+    The file is read once and parsed with numpy; only input the vectorized
+    parse does not accept (a malformed line, a sign, an unusual whitespace
+    character) goes through a line-by-line scan, which reports the first
+    malformed line.
 
     Parameters
     ----------
@@ -74,46 +150,22 @@ def load_graph(path, format: str = "edge-list") -> Graph:
     """
     if format != "edge-list":
         raise ValueError(f"unsupported graph format {format!r}")
-    declared_n = None
-    edges: set[tuple[int, int]] = set()
-    max_id = -1
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _NODES_DIRECTIVE.match(line)
-                if m:
-                    declared_n = int(m.group(1))
-                continue
-            if line.startswith("%"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
-            max_id = max(max_id, u, v)
-            if u == v:
-                continue  # self-loop
-            edges.add((min(u, v), max(u, v)))
+        text = fh.read()
+    parsed = _parse_fast(text)
+    ids, declared_n = parsed if parsed is not None else _parse_lines(path, text)
+    max_id = int(ids.max()) if ids.size else -1
     n = declared_n if declared_n is not None else max_id + 1
     if n <= 0:
         raise ValueError(f"{path}: no nodes found")
     if max_id >= n:
         raise ValueError(f"{path}: node id {max_id} exceeds declared count {n}")
-    if edges:
-        ij = np.array(sorted(edges), dtype=np.intp)
-        rows = np.concatenate([ij[:, 0], ij[:, 1]])
-        cols = np.concatenate([ij[:, 1], ij[:, 0]])
-        adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    else:
-        adj = sp.csr_matrix((n, n))
+    u, v = ids[0::2], ids[1::2]
+    keep = u != v  # self-loops
+    rows = np.concatenate([u[keep], v[keep]])
+    cols = np.concatenate([v[keep], u[keep]])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    adj.data[:] = 1.0  # repeated edges were summed into one entry
     degrees = np.asarray(adj.sum(axis=1)).ravel()
     isolated = np.flatnonzero(degrees == 0)
     if isolated.size:
@@ -130,8 +182,10 @@ class PprInstance:
 
     ``qmatvec`` applies Q implicitly; ``q_lin`` is alpha * D^{-1/2} s, so the
     constraint is g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
-    ``lambda_min``/``lambda_max`` carry the conservative outward rounding
-    used for mu and L_X.
+    ``lambda_min`` is alpha exactly (the constraint's modulus mu) and
+    ``lambda_max`` an upper bound on the largest eigenvalue of Q (L_X): the
+    Lanczos Ritz value plus its residual norm, capped at 1. Together they
+    bracket x'Qx / ||x||^2 for every x.
     """
 
     problem: ConstrainedProblem | None
@@ -147,23 +201,47 @@ class PprInstance:
     graph: Graph | None = field(default=None, repr=False)
 
 
-def _spectral_raw(qmatvec, n):
-    lam_max = power_iteration(qmatvec, n, tol=1e-10, maxiter=100000, seed=0)
-    shifted = lambda x: lam_max * x - qmatvec(x)
-    spread = power_iteration(shifted, n, tol=1e-10, maxiter=100000, seed=0)
-    return lam_max - spread, lam_max
+_ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
+
+
+def _ritz_bound(qmatvec, n: int, which: str) -> float:
+    """An extreme eigenvalue of a symmetric operator by Lanczos, moved outward.
+
+    ``which`` is "LA" (largest; the result is an upper bound) or "SA"
+    (smallest; a lower bound). ``eigsh`` runs from a fixed seeded start, so
+    the result is the same on every call. For the returned Ritz pair
+    (theta, v), some eigenvalue lies within ||Qv - theta v|| / ||v|| of theta;
+    that eigenvalue is the extreme one once Lanczos has converged to the end
+    of the spectrum, so theta moved outward by that residual (plus a few
+    units of rounding in theta and the residual) bounds it.
+    """
+    if n == 1:  # ARPACK needs n >= 2; a 1-by-1 operator is its own eigenvalue
+        return float(qmatvec(np.ones(1))[0])
+    op = LinearOperator((n, n), matvec=qmatvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w, vecs = eigsh(op, k=1, which=which, v0=v0, tol=1e-10)
+    except ArpackNoConvergence:
+        raise NumericalError(f"Lanczos ({which}) did not converge on the {n}-by-{n} operator") from None
+    theta, v = float(w[0]), vecs[:, 0]
+    resid = float(np.linalg.norm(qmatvec(v) - theta * v) / np.linalg.norm(v))
+    slack = resid + _ROUNDING * max(1.0, abs(theta))
+    return theta + slack if which == "LA" else theta - slack
 
 
 def spectral_bounds(instance: PprInstance):
-    """Extreme eigenvalues of Q by power iteration, rounded outward.
+    """Certified bracket [lambda_min, lambda_max] of the spectrum of ``instance.qmatvec``.
 
-    lambda_max comes from power iteration on Q (deterministic seeded start,
-    tol 1e-10), lambda_min from power iteration on lambda_max*I - Q. The
-    returned pair is widened by 1e-8 relative (min down, max up) so that
-    x'Qx in [lambda_min ||x||^2, lambda_max ||x||^2] holds with certainty.
+    Both ends come from Lanczos (``scipy.sparse.linalg.eigsh`` with k = 1,
+    "SA" and "LA") on the operator, each moved outward by its Ritz residual
+    norm; once Lanczos has converged to the two ends of the spectrum,
+    x'Qx in [lambda_min ||x||^2, lambda_max ||x||^2] holds for every x. No
+    PageRank structure is assumed, so any symmetric operator works.
+    ``build_ppr_problem`` needs only the upper end: for a PageRank Q the
+    lower end is alpha exactly.
     """
-    lam_min, lam_max = _spectral_raw(instance.qmatvec, instance.n)
-    return lam_min * (1.0 - 1e-8), lam_max * (1.0 + 1e-8)
+    q, n = instance.qmatvec, instance.n
+    return _ritz_bound(q, n, "SA"), _ritz_bound(q, n, "LA")
 
 
 def _resolve_teleport(s, n: int) -> np.ndarray:
@@ -213,6 +291,15 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
 
     Notes
     -----
+    mu = lambda_min(Q) = alpha in closed form: D^{1/2} 1 is an eigenvector of
+    D^{-1/2} A D^{-1/2} for its largest eigenvalue 1 (Fountoulakis et al.,
+    "A variational perspective on local graph clustering", Math. Prog.
+    2019), which needs ``graph.degrees`` to be the adjacency's row sums.
+    The same fact gives lambda_max(Q) <= 1. L_X = lambda_max is the Lanczos
+    Ritz value of Q moved up by its residual norm and capped at 1, a
+    certified upper bound once Lanczos has found the top of the spectrum; no
+    power iteration runs.
+
     The strict point is the unconstrained minimizer of g (CG on
     Q x = alpha D^{-1/2} s, tol 1e-12), which maximizes the feasibility
     margin and hence the dual bound's denominator. L_G is the certified
@@ -234,9 +321,8 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         return x - half * (x + dinv_sqrt * (adj @ (dinv_sqrt * x)))
 
     q_lin = alpha * dinv_sqrt * s_vec
-    lam_min_raw, lam_max_raw = _spectral_raw(qmatvec, n)
-    lam_min = lam_min_raw * (1.0 - 1e-8)
-    lam_max = lam_max_raw * (1.0 + 1e-8)
+    lam_min = alpha  # exact, and lambda_max(Q) <= 1: see Notes
+    lam_max = min(1.0, _ritz_bound(qmatvec, n, "LA"))
     x_tilde = cg_solve(qmatvec, q_lin, tol=1e-12)
     g_tilde = float(0.5 * x_tilde @ qmatvec(x_tilde) - q_lin @ x_tilde - b)
     if g_tilde >= 0.0:

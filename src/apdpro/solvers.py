@@ -356,6 +356,17 @@ class _Driver:
         self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
         self.recorder = recorder if recorder is not None else self._default_record
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
+        # The oracle at the current iterate, kept across segments: G(_at) in
+        # _gx, and J(_at) in _jx once something needs it (None until then).
+        self._at: np.ndarray | None = None
+        self._gx: np.ndarray | None = None
+        self._jx: np.ndarray | None = None
+
+    def _jac(self) -> np.ndarray:
+        """J at the current iterate, evaluated on first use and then kept."""
+        if self._jx is None:
+            self._jx = self.prob.jac(self._at)
+        return self._jx
 
     # -- recording ---------------------------------------------------------
 
@@ -384,8 +395,8 @@ class _Driver:
             elapsed_s=ri.elapsed_s,
         )
 
-    def _should_stop(self, rec: IterateRecord, ri: RecordInputs, jac_last: np.ndarray) -> bool:
-        """Tolerance test; ``jac_last`` is the Jacobian at ri.x_last, reused by the KKT test."""
+    def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
+        """Tolerance test; the KKT test at ri.x_last reuses the cached G and J there."""
         tol = self.cfg.tolerance
         if tol <= 0.0:
             return False
@@ -398,7 +409,7 @@ class _Driver:
             return max(rec.rel_gap, rec.feas_violation) <= tol
         if self.metric == "ergodic":
             return kkt_residual(self.prob, ri.x_bar, ri.y).max() <= tol
-        return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=jac_last).max() <= tol
+        return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self._jac()).max() <= tol
 
     def y_bar(self, st: SolverState) -> np.ndarray:
         return self.ybar_acc / st.T if st.T > 0 else st.y.copy()
@@ -432,22 +443,29 @@ class _Driver:
         budget_mode: None (fixed_budget/max_inner only), 'epoch'
         (terminate_iter refresh), or 'stage' (the multi-stage N rule).
 
-        G and its Jacobian are evaluated once per new iterate (gx, jx) and
-        shared by the dual extrapolation, the primal step, h1, the recorder
-        and the KKT stop test.
+        G and its Jacobian are evaluated once per new iterate and shared by
+        the dual extrapolation, the primal step, h1, the recorder and the KKT
+        stop test; J only when one of them first needs it. The values at the
+        last iterate carry over to the next segment, which starts there.
         """
         prob, c, cfg = self.prob, self.c, self.cfg
         ball = (c.ball_center, c.ball_radius)
         est = st.rho_est
         n_budget = fixed_budget
-        gx = prob.g(st.x)
-        gx_prev = prob.g(st.x_prev)
-        jx = prob.jac(st.x)
+        if self._at is not st.x:  # a new start point (first segment, or a warm start)
+            self._at, self._gx, self._jx = st.x, prob.g(st.x), prob.jac(st.x)
+            for what, val in (("constraint value G(x)", self._gx), ("Jacobian J(x)", self._jx)):
+                if not np.isfinite(val).all():
+                    raise NumericalError(f"non-finite {what} at entry (iteration {self.total_k})")
+        gx = self._gx
+        # Every segment starts with x_prev a copy of x (fresh averages).
+        gx_prev = gx if np.array_equal(st.x_prev, st.x) else prob.g(st.x_prev)
         tau_prev = st.tau  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
         k = 0
         while k < max_inner and k < n_budget:
             tau_k, sigma_k = st.tau, st.sigma
             rho_k = est.rho
+            jx = self._jac()
 
             # Dual extrapolation and cut projection.
             ratio = st.sigma_prev / sigma_k
@@ -529,7 +547,7 @@ class _Driver:
                 raise NumericalError(
                     f"non-finite constraint value G(x_{{k+1}}) at iteration {self.total_k + 1}"
                 )
-            jx = prob.jac(x_next)
+            self._at, self._gx, self._jx = x_next, gx, None
             st.T += t_k
             st.t = t_k
             st.sigma_prev = sigma_k
@@ -555,7 +573,7 @@ class _Driver:
                 rec = self.recorder(ri)
                 if rec is not None:
                     self.trace.append(rec)
-                    if self._should_stop(rec, ri, jx):
+                    if self._should_stop(rec, ri):
                         return "tolerance"
         return "schedule" if k >= n_budget else "cap"
 

@@ -1,7 +1,13 @@
 """Graph loading, the quadratic-form constants, and the synthetic oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from apdpro.pagerank import (
     PprInstance,
@@ -28,6 +34,105 @@ def _random_connected_graph(rng, tmp_path, n, p=0.15, tag=""):
             if rng.random() < p:
                 edges.add((i, j))
     return load_graph(write_edge_list(tmp_path / f"rand{tag}.txt", sorted(edges)))
+
+
+def _reference_load(path):
+    """The set-based line loop the vectorized loader replaced.
+
+    Returns (n, adjacency, degrees, components); raises the loader's
+    ValueError for a malformed line, a declared count too small, or an
+    isolated node.
+    """
+    declared_n, edges, max_id = None, set(), -1
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if line.startswith("#"):
+                words = line[1:].split()
+                if len(words) == 2 and words[0] == "nodes" and words[1].isdigit():
+                    declared_n = int(words[1])
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 'u v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
+            if u < 0 or v < 0:
+                raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
+            max_id = max(max_id, u, v)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    n = declared_n if declared_n is not None else max_id + 1
+    if n <= 0:
+        raise ValueError(f"{path}: no nodes found")
+    if max_id >= n:
+        raise ValueError(f"{path}: node id {max_id} exceeds declared count {n}")
+    ij = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+    rows, cols = np.concatenate([ij[:, 0], ij[:, 1]]), np.concatenate([ij[:, 1], ij[:, 0]])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    isolated = np.flatnonzero(degrees == 0)
+    if isolated.size:
+        raise ValueError(f"{path}: isolated node(s) {isolated.tolist()[:10]}; every node needs degree >= 1")
+    return n, adj, degrees, connected_components(adj, directed=False, return_labels=False)
+
+
+_COMMENTS = ["", "   ", "# a comment", "% a comment", "#nodes", "# nodes x", "  \t# nodes 3 "]
+_SCAN_ONLY = ["+1 0", "1\u00a00", "\uff11 0", "0\x0c1"]  # valid, but not for the vectorized parse
+_MALFORMED = ["0 x", "1 2 3", "-1 2", "7", "0 1 # trailing"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: duplicates, reversed pairs, self-loops, odd spacing, comments, directives.
+
+    Some examples add a line only the line scan accepts (a '+' sign,
+    non-ASCII whitespace or digits) or one the loader must reject.
+    """
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=25))
+    if draw(st.integers(0, 4)):
+        edges += [(i, i + 1) for i in range(n - 1)]  # spanning path: most of these load
+    if edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=8))]
+    indents, seps = st.sampled_from(["", " ", "\t"]), st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = [f"{draw(indents)}{u}{draw(seps)}{v}" for u, v in edges]
+    lines += [f"# nodes {n + k}" for k in draw(st.lists(st.sampled_from([-1, 0, 0, 0, 1]), max_size=2))]
+    lines += draw(st.lists(st.sampled_from(_COMMENTS), max_size=4))
+    if not draw(st.integers(0, 3)):
+        lines.append(draw(st.sampled_from(_SCAN_ONLY)))
+    if not draw(st.integers(0, 5)):
+        lines.append(draw(st.sampled_from(_MALFORMED)))
+    lines = draw(st.permutations(lines))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=edge_list_texts())
+def test_load_graph_matches_the_set_based_reference(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "property.edges")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            n, adj, degrees, components = _reference_load(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_graph(path)
+            assert str(got.value) == str(exc)
+            return
+        g = load_graph(path)
+    assert g.n == n and g.components == components
+    assert np.array_equal(g.degrees, degrees) and g.degrees.dtype == degrees.dtype
+    for part in ("indptr", "indices", "data"):
+        mine, ref = getattr(g.adjacency, part), getattr(adj, part)
+        assert mine.dtype == ref.dtype and np.array_equal(mine, ref), part
 
 
 def test_load_graph_basic(tmp_path):
@@ -125,6 +230,30 @@ def test_bipartite_graph_attains_lambda_max_one(tmp_path):
     g_odd = load_graph(write_edge_list(tmp_path / "c5.txt", cycle_edges(5)))
     inst_odd = build_ppr_problem(g_odd, alpha=0.4, b=-1e-12)
     assert inst_odd.lambda_max < 1.0 - 1e-3
+
+
+def test_lambda_max_bounds_the_spectrum_of_a_generated_graph(tmp_path):
+    """A path on 300 nodes plus 4n random edges: power iteration stopped below lambda_max here."""
+    n, alpha = 300, 0.15
+    rng = np.random.default_rng(0)
+    edges = path_edges(n) + [tuple(map(int, e)) for e in rng.integers(0, n, size=(4 * n, 2))]
+    g = load_graph(write_edge_list(tmp_path / "gen300.txt", edges))
+    inst = build_ppr_problem(g, alpha, b=-1e-12)
+    top = np.linalg.eigvalsh(_dense_q(g, alpha))[-1]
+    assert top <= inst.lambda_max <= top * (1.0 + 1e-7)
+    assert inst.problem.L_X == inst.lambda_max
+    assert inst.lambda_min == alpha and inst.problem.mu[0] == alpha
+    assert build_ppr_problem(g, alpha, b=-1e-12).problem.L_X == inst.problem.L_X
+
+
+def test_spectral_bounds_of_diagonal_operators():
+    for diag in ([0.7], [0.3, 2.0], [2.0, 0.25, 1.5, 0.5, 1.0]):
+        d = np.array(diag)
+        inst = PprInstance(problem=None, alpha=0.5, b=0.0, s=np.ones(d.size) / d.size,
+                           q_lin=np.zeros(d.size), qmatvec=lambda x, d=d: d * x, n=d.size)
+        lam_min, lam_max = spectral_bounds(inst)
+        assert lam_min <= d.min() and lam_min == pytest.approx(d.min(), rel=1e-12)
+        assert lam_max >= d.max() and lam_max == pytest.approx(d.max(), rel=1e-12)
 
 
 def test_rayleigh_quotients_respect_the_bounds(tmp_path):

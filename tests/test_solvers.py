@@ -431,7 +431,41 @@ def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request)
 
 def test_non_finite_constraint_value_raises(canonical):
     problem, constants, _, _ = canonical
-    counted = _counted(problem, {"g": 0, "jac": 0}, nan_after=5)
-    # Two calls at loop entry, then one per iteration: the sixth is G(x_4).
+    counted = _counted(problem, {"g": 0, "jac": 0}, nan_after=4)
+    # One call at loop entry (x_prev = x_0 reuses it), then one per iteration: the fifth is G(x_4).
     with pytest.raises(NumericalError, match=r"constraint value G\(x_\{k\+1\}\) at iteration 4"):
         apdpro(counted, constants, SolverConfig(max_iters=50), np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("instance", ["canonical", "small_graph"])
+def test_restart_segments_reuse_the_oracle(instance, request):
+    """A restart starts its segment at the last iterate, whose G and J are already known.
+
+    Plain apd calls the oracle 3 times per iteration (G and J at x_{k+1}, G
+    at x_bar_{k+1} for the ergodic record) plus G and J once at x_0; the
+    nine restarts of apd_restart add nothing to that.
+    """
+    problem, constants = request.getfixturevalue(instance)[:2]
+    totals = {}
+    for variant in ("apd", "apd_restart"):
+        calls = {"g": 0, "jac": 0}
+        cfg = SolverConfig(variant=variant, max_iters=100, restart_period=10)
+        res = apd_baseline(_counted(problem, calls), constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
+        assert len(res.trace) == 100
+        totals[variant] = calls["g"] + calls["jac"]
+    assert totals["apd_restart"] == totals["apd"] <= 303
+
+
+@pytest.mark.parametrize("field, what", [("constraints", r"constraint value G\(x\)"), ("jacobian", r"Jacobian J\(x\)")])
+def test_non_finite_oracle_at_entry_raises(canonical, field, what):
+    problem, constants, _, _ = canonical
+    x0 = np.zeros(problem.n)
+    evaluate = getattr(problem, field)
+
+    def nan_at_x0(x):
+        out = np.asarray(evaluate(x), dtype=float)
+        return np.full_like(out, np.nan) if np.array_equal(x, x0) else out
+
+    broken = dataclasses.replace(problem, **{field: nan_at_x0})
+    with pytest.raises(NumericalError, match=rf"non-finite {what} at entry \(iteration 0\)"):
+        apdpro(broken, constants, SolverConfig(max_iters=5), x0, np.zeros(1))
