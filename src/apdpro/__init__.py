@@ -31,7 +31,6 @@ from .estimator import (
     RhoEstimate,
     h1,
     h2,
-    improve,
     rho_hat_recursion,
     rho_hat_update,
 )
@@ -40,14 +39,15 @@ from .solvers import (
     RunResult,
     SolverConfig,
     SolverState,
+    active_set_accuracy,
     apd_baseline,
     apdpro,
+    compute_metrics,
     default_step_sizes,
     msapd,
     rapdpro,
     resolve_metric_iterate,
     stepsize_update,
-    terminate_iter,
 )
 from .pagerank import (
     Graph,
@@ -60,9 +60,7 @@ from .pagerank import (
 from .bench import (
     ExperimentConfig,
     InstanceSpec,
-    active_set_accuracy,
     build_instance,
-    compute_metrics,
     load_experiment_config,
     reference_solution,
     run_comparison,
@@ -92,7 +90,6 @@ __all__ = [
     "RhoEstimate",
     "h1",
     "h2",
-    "improve",
     "rho_hat_recursion",
     "rho_hat_update",
     "IterateRecord",
@@ -106,7 +103,6 @@ __all__ = [
     "rapdpro",
     "resolve_metric_iterate",
     "stepsize_update",
-    "terminate_iter",
     "Graph",
     "PprInstance",
     "build_ppr_problem",

@@ -9,6 +9,7 @@ with the exact header contract used by the plotting side.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -23,11 +24,12 @@ from .pagerank import build_ppr_problem, load_graph, make_synthetic_instance
 from .problem import ConstrainedProblem, ProblemConstants, derive_constants, feasible_ball, kkt_residual
 from .solvers import (
     IterateRecord,
-    RecordInputs,
     RunResult,
     SolverConfig,
+    active_set_accuracy,
     apd_baseline,
     apdpro,
+    compute_metrics,
     msapd,
     rapdpro,
     resolve_metric_iterate,
@@ -254,77 +256,14 @@ def _write_cache(path: str, payload: dict) -> None:
         raise
 
 
-def active_set_accuracy(x, x_ref, threshold: float = 1e-8, objective=None) -> float:
-    """Fraction of blocks whose zero/nonzero status matches the reference.
-
-    Both vectors are truncated blockwise first: a block counts as zero when
-    its norm falls below ``threshold``. With no objective given, blocks are
-    single coordinates. The value is (|A ^ A*| + |A^c ^ A*^c|)/B over the B
-    blocks.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if objective is None:
-        a = np.abs(np.asarray(x, dtype=float)) < threshold
-        b = np.abs(np.asarray(x_ref, dtype=float)) < threshold
-    else:
-        a = objective.block_norms(x) < threshold
-        b = objective.block_norms(x_ref) < threshold
-    if a.shape != b.shape:
-        raise ValueError("x and x_ref disagree on block structure")
-    return float(np.mean(a == b))
-
-
-def compute_metrics(
-    problem: ConstrainedProblem,
-    ri: RecordInputs,
-    metric: str = "last",
-    reference=None,
-    threshold: float = 1e-8,
-) -> IterateRecord:
-    """Assemble one IterateRecord at the metric iterate (last or ergodic).
-
-    ``reference`` is (x*, f*) or None; without it rel_gap and
-    active_set_acc stay None and serialize as empty CSV fields. At the last
-    iterate, ``ri.g_last`` (when set) stands in for G(x_last).
-    """
-    if metric == "ergodic":
-        xm, gm = ri.x_bar, None
-    else:
-        xm, gm = ri.x_last, ri.g_last
-    if gm is None:
-        gm = problem.g(xm)
-    fv = problem.f(xm)
-    feas = float(np.linalg.norm(np.maximum(gm, 0.0)))
-    rel = acc = None
-    if reference is not None:
-        x_ref, f_ref = reference
-        if f_ref != 0.0:
-            rel = abs(fv - f_ref) / abs(f_ref)
-        acc = active_set_accuracy(xm, x_ref, threshold, problem.objective)
-    return IterateRecord(
-        iter=ri.iter,
-        epoch=ri.epoch,
-        objective=fv,
-        rel_gap=rel,
-        feas_violation=feas,
-        rho=ri.rho,
-        tau=ri.tau,
-        sigma=ri.sigma,
-        active_set_acc=acc,
-        elapsed_s=ri.elapsed_s,
-    )
-
-
 def make_recorder(problem, variant, solver_config, reference, threshold: float = 1e-8):
-    """Recorder closure for the solver loop, honoring the metric convention."""
+    """Recorder for the solver loop: compute_metrics at the variant's metric iterate.
+
+    ``reference`` is (x*, y*, f*) or None.
+    """
     metric = resolve_metric_iterate(variant, solver_config.metric_iterate)
     ref = None if reference is None else (reference[0], reference[2])
-
-    def recorder(ri: RecordInputs) -> IterateRecord:
-        return compute_metrics(problem, ri, metric, ref, threshold)
-
-    return recorder
+    return functools.partial(compute_metrics, problem, metric=metric, reference=ref, threshold=threshold)
 
 
 def _fmt(v) -> str:

@@ -10,13 +10,12 @@ to 0) since no iterate exists to improve from before the first step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "RhoEstimate",
     "h1",
     "h2",
-    "improve",
     "rho_hat_update",
     "rho_hat_recursion",
 ]
@@ -50,30 +49,6 @@ def h2(grad_norm: float, beta: float, r: float, L_X: float, mu_lb: float) -> flo
     if bracket <= 0.0:
         raise ValueError("h2 denominator must be positive")
     return bracket ** -2.0
-
-
-def improve(
-    grad_norm_at_x: float,
-    grad_norm_at_xbar: float,
-    beta: float,
-    beta_bar: float,
-    rho_old: float,
-    r: float,
-    L_X: float,
-    mu_lb: float,
-) -> float:
-    """One Improve step: max(rho_old, mu_lb * max(h1, h2)); never decreases.
-
-    h1 sees the last iterate (grad_norm_at_x, beta), h2 the averaged iterate
-    (grad_norm_at_xbar, beta_bar).
-    """
-    if rho_old < 0.0:
-        raise ValueError("rho_old must be nonnegative")
-    bound = max(
-        h1(grad_norm_at_x, beta, r, L_X),
-        h2(grad_norm_at_xbar, beta_bar, r, L_X, mu_lb),
-    )
-    return max(rho_old, mu_lb * bound)
 
 
 def rho_hat_recursion(rho_hat_old: float, rho: float, k: int) -> float:
@@ -115,7 +90,6 @@ class RhoEstimate:
     rho: float = 0.0
     rho_hat: float = 0.0
     k: int = 0
-    _hat_weighted_sum: float = field(default=0.0, repr=False)
 
     def advance(self, rho_new: float, tau_0: float) -> None:
         if rho_new < self.rho:
@@ -126,13 +100,6 @@ class RhoEstimate:
             self.rho_hat = rho_hat_update(self.rho_hat, rho_new, 1, tau_0)
         else:
             self.rho_hat = rho_hat_recursion(self.rho_hat, rho_new, self.k - 1)
-        self._hat_weighted_sum += self.rho_hat * self.k
-
-    def rho_tilde(self) -> float:
-        """Aggregate rate 2 * sum_s rho_hat_s * s / (k (k+1)), on demand."""
-        if self.k == 0:
-            return 0.0
-        return 2.0 * self._hat_weighted_sum / (self.k * (self.k + 1.0))
 
     def reset_epoch(self) -> None:
         """Start a fresh within-epoch rho_hat sequence; rho itself carries over.
@@ -142,4 +109,3 @@ class RhoEstimate:
         """
         self.rho_hat = 1.0
         self.k = 0
-        self._hat_weighted_sum = 0.0

@@ -7,16 +7,21 @@ Variants
     Improve bound, and the step-size recursion tau' = tau/sqrt(1 + rho*tau).
 ``rapdpro``
     Restarted epochs of the adaptive loop; each inner step refreshes the
-    epoch budget from the rate coefficient rho_hat (terminate_iter).
+    epoch budget from the rate coefficient rho_hat.
 ``msapd``
     Multi-stage scheme whose stages run constant-step inner loops with plain
     dual projection and uniform averaging, warm-starting each stage from the
     previous ergodic pair.
 ``apd`` / ``apd_restart``
-    The non-adaptive baseline: the same loop with the estimator disabled
-    (rho stays 0, so the cut is the whole dual set and the step sizes never
-    move), optionally re-centering the averages every ``restart_period``
-    iterations.
+    The non-adaptive baseline: apdpro's single-run path with the Improve
+    step off and rho fixed at 0 (so the cut is the whole dual set and the
+    step sizes never move), optionally re-centering the averages every
+    ``restart_period`` iterations.
+
+Inside the shared loop the variants differ by two rules only: the Improve
+rule (off, "alg1" for the adaptive runs, "alg3" for msapd's stages) and the
+budget rule (none, "epoch" for rapdpro, "stage" for msapd). The dual cut and
+the step-size recursion are on unless the Improve rule is "alg3".
 
 The two restart conventions intentionally differ on the primal Delta term:
 the single-run loop uses Delta_XY = D_X^2/(2 tau_0) + D_Y^2/(2 sigma_0)
@@ -26,6 +31,7 @@ loop follows its own listing verbatim.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimator import RhoEstimate, h1, h2, rho_hat_recursion, rho_hat_update
+from .estimator import RhoEstimate, h1, h2
 from .linalg import NumericalError
 from .problem import (
     ConstrainedProblem,
@@ -53,8 +59,9 @@ __all__ = [
     "RecordInputs",
     "IterSnapshot",
     "stepsize_update",
-    "terminate_iter",
     "default_step_sizes",
+    "active_set_accuracy",
+    "compute_metrics",
     "resolve_metric_iterate",
     "apdpro",
     "rapdpro",
@@ -170,6 +177,70 @@ class RecordInputs:
     g_last: np.ndarray | None = None
 
 
+def active_set_accuracy(x, x_ref, threshold: float = 1e-8, objective=None) -> float:
+    """Fraction of blocks whose zero/nonzero status matches the reference.
+
+    Both vectors are truncated blockwise first: a block counts as zero when
+    its norm falls below ``threshold``. With no objective given, blocks are
+    single coordinates. The value is (|A ^ A*| + |A^c ^ A*^c|)/B over the B
+    blocks.
+    """
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    if objective is None:
+        a = np.abs(np.asarray(x, dtype=float)) < threshold
+        b = np.abs(np.asarray(x_ref, dtype=float)) < threshold
+    else:
+        a = objective.block_norms(x) < threshold
+        b = objective.block_norms(x_ref) < threshold
+    if a.shape != b.shape:
+        raise ValueError("x and x_ref disagree on block structure")
+    return float(np.mean(a == b))
+
+
+def compute_metrics(
+    problem: ConstrainedProblem,
+    ri: RecordInputs,
+    metric: str = "last",
+    reference=None,
+    threshold: float = 1e-8,
+) -> IterateRecord:
+    """Assemble one IterateRecord at the metric iterate (last or ergodic).
+
+    ``reference`` is (x*, f*) or None. Without it rel_gap and active_set_acc
+    stay None and serialize as empty CSV fields; with x* = None only
+    active_set_acc does. At the last iterate, ``ri.g_last`` (when set) stands
+    in for G(x_last).
+    """
+    if metric == "ergodic":
+        xm, gm = ri.x_bar, None
+    else:
+        xm, gm = ri.x_last, ri.g_last
+    if gm is None:
+        gm = problem.g(xm)
+    fv = problem.f(xm)
+    feas = float(np.linalg.norm(np.maximum(gm, 0.0)))
+    rel = acc = None
+    if reference is not None:
+        x_ref, f_ref = reference
+        if f_ref != 0.0:
+            rel = abs(fv - f_ref) / abs(f_ref)
+        if x_ref is not None:
+            acc = active_set_accuracy(xm, x_ref, threshold, problem.objective)
+    return IterateRecord(
+        iter=ri.iter,
+        epoch=ri.epoch,
+        objective=fv,
+        rel_gap=rel,
+        feas_violation=feas,
+        rho=ri.rho,
+        tau=ri.tau,
+        sigma=ri.sigma,
+        active_set_acc=acc,
+        elapsed_s=ri.elapsed_s,
+    )
+
+
 @dataclass
 class IterSnapshot:
     """Full per-iteration view for tests and diagnostics (observer callback).
@@ -242,40 +313,13 @@ def stepsize_update(tau: float, sigma: float, sigma0: float, rho_next: float):
 
 
 def _epoch_budget(rho_hat: float, s: int, tau0_s: float, sigma0_s: float, D_X: float, D_Y: float):
+    """rapdpro's epoch budget N_s = ceil(max{6/(rho_hat tau0), sqrt(2)^s * 3 sqrt(2) D_Y/
+    (rho_hat D_X sqrt(tau0 sigma0))}); math.inf while rho_hat = 0."""
     if rho_hat <= 0.0:
         return math.inf
     a = 6.0 / (rho_hat * tau0_s)
     b = 2.0 ** (0.5 * s) * 3.0 * math.sqrt(2.0) * D_Y / (rho_hat * D_X * math.sqrt(tau0_s * sigma0_s))
     return math.ceil(max(a, b))
-
-
-def terminate_iter(
-    rho_hat_old: float,
-    rho: float,
-    s: int,
-    k: int,
-    tau0_s: float,
-    sigma0_s: float,
-    D_X: float,
-    D_Y: float,
-):
-    """Refresh the epoch budget from the rate coefficient.
-
-    k is the 1-based count of completed inner iterations: the first call
-    seeds rho_hat = 3*sqrt(rho/tau0_s), later calls apply the recursion at
-    the old index k-1. Returns (N, rho_hat_new); N is the ceiling of
-    max{6/(rho_hat tau0), sqrt(2)^s * 3*sqrt(2) D_Y/(rho_hat D_X
-    sqrt(tau0 sigma0))} and math.inf while rho_hat_new = 0.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if tau0_s <= 0 or sigma0_s <= 0:
-        raise ValueError("per-epoch step sizes must be positive")
-    if k == 1:
-        hat = rho_hat_update(rho_hat_old, rho, 1, tau0_s)
-    else:
-        hat = rho_hat_recursion(rho_hat_old, rho, k - 1)
-    return _epoch_budget(hat, s, tau0_s, sigma0_s, D_X, D_Y), hat
 
 
 def _stage_budget(rho: float, s: int, tau0_s: float, sigma0_s: float, D_X: float, D_Y: float):
@@ -348,13 +392,15 @@ class _Driver:
         self.c = constants
         self.cfg = config
         self.observer = observer
-        self.f_star = f_star
         self.trace: list[IterateRecord] = []
         self.total_k = 0
         self.t0 = time.perf_counter()
         self.ybar_acc = np.zeros(problem.m)
         self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
-        self.recorder = recorder if recorder is not None else self._default_record
+        if recorder is None:
+            reference = None if f_star is None else (None, f_star)
+            recorder = functools.partial(compute_metrics, problem, metric=self.metric, reference=reference)
+        self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
         # The oracle at the current iterate, kept across segments: G(_at) in
         # _gx, and J(_at) in _jx once something needs it (None until then).
@@ -367,33 +413,6 @@ class _Driver:
         if self._jx is None:
             self._jx = self.prob.jac(self._at)
         return self._jx
-
-    # -- recording ---------------------------------------------------------
-
-    def _default_record(self, ri: RecordInputs) -> IterateRecord:
-        if self.metric == "ergodic":
-            xm, gm = ri.x_bar, None
-        else:
-            xm, gm = ri.x_last, ri.g_last
-        fv = self.prob.f(xm)
-        gap = None
-        if self.f_star is not None and self.f_star != 0.0:
-            gap = abs(fv - self.f_star) / abs(self.f_star)
-        if gm is None:
-            gm = self.prob.g(xm)
-        feas = float(np.linalg.norm(np.maximum(gm, 0.0)))
-        return IterateRecord(
-            iter=ri.iter,
-            epoch=ri.epoch,
-            objective=fv,
-            rel_gap=gap,
-            feas_violation=feas,
-            rho=ri.rho,
-            tau=ri.tau,
-            sigma=ri.sigma,
-            active_set_acc=None,
-            elapsed_s=ri.elapsed_s,
-        )
 
     def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
         """Tolerance test; the KKT test at ri.x_last reuses the cached G and J there."""
@@ -431,17 +450,18 @@ class _Driver:
         tau0_s: float,
         sigma0_s: float,
         delta_xy: float,
-        improve_mode: str | None,
-        use_cut: bool,
-        adaptive: bool,
-        budget_mode: str | None,
-        fixed_budget: float = math.inf,
         max_inner: int,
+        improve_rule: str | None,
+        budget_rule: str | None,
     ) -> str:
         """Run one epoch/stage/segment; returns 'schedule', 'cap', or 'tolerance'.
 
-        budget_mode: None (fixed_budget/max_inner only), 'epoch'
-        (terminate_iter refresh), or 'stage' (the multi-stage N rule).
+        improve_rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
+        step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
+        dual set is cut at rho/mu_lb and the steps follow stepsize_update;
+        'alg3' projects onto the whole dual set with constant steps.
+        budget_rule: None (max_inner only), 'epoch' (rapdpro's N_s refresh
+        from rho_hat) or 'stage' (msapd's N_s rule from rho).
 
         G and its Jacobian are evaluated once per new iterate and shared by
         the dual extrapolation, the primal step, h1, the recorder and the KKT
@@ -451,7 +471,8 @@ class _Driver:
         prob, c, cfg = self.prob, self.c, self.cfg
         ball = (c.ball_center, c.ball_radius)
         est = st.rho_est
-        n_budget = fixed_budget
+        adaptive = improve_rule != "alg3"
+        n_budget = math.inf
         if self._at is not st.x:  # a new start point (first segment, or a warm start)
             self._at, self._gx, self._jx = st.x, prob.g(st.x), prob.jac(st.x)
             for what, val in (("constraint value G(x)", self._gx), ("Jacobian J(x)", self._jx)):
@@ -470,7 +491,7 @@ class _Driver:
             # Dual extrapolation and cut projection.
             ratio = st.sigma_prev / sigma_k
             z = (1.0 + ratio) * gx - ratio * gx_prev
-            lower = min(rho_k, self.rho_cap) / c.mu_lb if use_cut else 0.0
+            lower = min(rho_k, self.rho_cap) / c.mu_lb if adaptive else 0.0
             slab = DualSlab(lower=lower, upper=c.c_bar, m=prob.m)
             y_next = project_dual_set(st.y + sigma_k * z, slab)
 
@@ -481,8 +502,8 @@ class _Driver:
             # Improve (evaluated at the pre-update iterates x_k, x_bar_k).
             beta = beta_bar = h1v = h2v = None
             rho_next = rho_k
-            if improve_mode is not None:
-                if improve_mode == "alg1":
+            if improve_rule is not None:
+                if improve_rule == "alg1":
                     beta = sigma0_s * tau_prev * delta_xy / st.sigma_prev
                     beta_bar = delta_xy / st.T if st.T > 0 else math.inf
                 else:  # "alg3"
@@ -501,9 +522,9 @@ class _Driver:
             self.ybar_acc += t_k * st.y
 
             # Budget refresh (before the state shift; uses the produced rho).
-            if budget_mode == "epoch":
+            if budget_rule == "epoch":
                 n_budget = _epoch_budget(est.rho_hat, epoch, tau0_s, sigma0_s, c.D_X, c.D_Y)
-            elif budget_mode == "stage":
+            elif budget_rule == "stage":
                 n_budget = _stage_budget(rho_next, epoch, tau0_s, sigma0_s, c.D_X, c.D_Y)
 
             # Step sizes for k+1.
@@ -593,6 +614,54 @@ def _finish(driver: _Driver, st: SolverState, termination, epochs, budgets, star
     )
 
 
+def _require_variant(config: SolverConfig, entry: str, *accepted: str) -> None:
+    """Reject a config that names another solver: its metric iterate and stop rule would not match."""
+    if config.variant not in accepted:
+        raise ValueError(
+            f"{entry} runs variant {' or '.join(map(repr, accepted))}, "
+            f"but config.variant is {config.variant!r}"
+        )
+
+
+def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, *, improve_rule, rho0, period):
+    """The single-loop path shared by apdpro and apd: default steps, then segments of ``period``.
+
+    Each segment after the first re-centers the averages and the
+    extrapolation; the iterates and step sizes stay warm.
+    """
+    tau0, sigma0 = default_step_sizes(problem, constants, config.sigma0)
+    if config.tau0 is not None:
+        tau0 = config.tau0
+    _check_step_feasibility(tau0, sigma0, problem, constants)
+    st = _init_state(problem, constants, x0, y0, tau0, sigma0, rho0)
+    driver = _Driver(problem, constants, config, recorder, observer, f_star)
+    delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
+    remaining = config.max_iters
+    termination = "completed"
+    starts = [(0, st.x.copy())]
+    while remaining > 0:
+        seg = int(min(period, remaining))
+        reason = driver.run_inner(
+            st,
+            epoch=st.s,
+            tau0_s=tau0,
+            sigma0_s=sigma0,
+            delta_xy=delta_xy,
+            max_inner=seg,
+            improve_rule=improve_rule,
+            budget_rule=None,
+        )
+        remaining -= seg
+        if reason == "tolerance":
+            termination = "tolerance"
+            break
+        if remaining > 0:
+            driver.reset_averages(st)
+            st.s += 1
+            starts.append((st.s, st.x.copy()))
+    return _finish(driver, st, termination, st.s + 1, [math.inf], starts)
+
+
 def apdpro(
     problem: ConstrainedProblem,
     constants: ProblemConstants,
@@ -610,9 +679,10 @@ def apdpro(
     ----------
     problem, constants : the instance and its derived constants.
     config : SolverConfig
-        ``max_iters`` is the iteration count N; ``rho0`` the initial lower
-        bound (0 is always valid); ``disable_estimator`` freezes rho at
-        rho0, which with rho0 = 0 reproduces the apd baseline bitwise.
+        ``variant`` must be "apdpro". ``max_iters`` is the iteration count
+        N; ``rho0`` the initial lower bound (0 is always valid);
+        ``disable_estimator`` freezes rho at rho0, which with rho0 = 0 is the
+        apd baseline.
     x0, y0 : array_like
         Start iterates; points outside X (or Y) are projected in.
     recorder, observer : callables, optional
@@ -624,28 +694,13 @@ def apdpro(
     -------
     RunResult
     """
-    tau0, sigma0 = default_step_sizes(problem, constants, config.sigma0)
-    if config.tau0 is not None:
-        tau0 = config.tau0
-    _check_step_feasibility(tau0, sigma0, problem, constants)
-    st = _init_state(problem, constants, x0, y0, tau0, sigma0, config.rho0)
-    driver = _Driver(problem, constants, config, recorder, observer, f_star)
-    delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
-    reason = driver.run_inner(
-        st,
-        epoch=0,
-        tau0_s=tau0,
-        sigma0_s=sigma0,
-        delta_xy=delta_xy,
-        improve_mode=None if config.disable_estimator else "alg1",
-        use_cut=True,
-        adaptive=True,
-        budget_mode=None,
-        fixed_budget=math.inf,
-        max_inner=config.max_iters,
+    _require_variant(config, "apdpro", "apdpro")
+    return _single_run(
+        problem, constants, config, x0, y0, recorder, observer, f_star,
+        improve_rule=None if config.disable_estimator else "alg1",
+        rho0=config.rho0,
+        period=math.inf,
     )
-    termination = "tolerance" if reason == "tolerance" else "completed"
-    return _finish(driver, st, termination, 1, [math.inf], [(0, st.x.copy())])
 
 
 def rapdpro(
@@ -664,11 +719,12 @@ def rapdpro(
     Per epoch the step sizes reset to (tau_bar, sigma_bar) with
     tau_bar = (1 - nu0)/(L_XY + L_G^2 sigma_bar/delta), the averages and
     rho_hat reset (rho carries over), and every inner step refreshes the
-    budget N_s exactly as terminate_iter does. Epochs that exhaust
+    budget N_s from rho_hat (see _epoch_budget). Epochs that exhaust
     ``max_iters`` while N_s is still unmet end the run with termination
     reason "budget". The returned x is the last iterate, the convergent
     object for this scheme.
     """
+    _require_variant(config, "rapdpro", "rapdpro")
     sigma_bar = config.sigma0
     if sigma_bar is None:
         l_xy = constants.L_XY
@@ -702,11 +758,9 @@ def rapdpro(
             tau0_s=tau_bar,
             sigma0_s=sigma_bar,
             delta_xy=delta_xy,
-            improve_mode="alg1",
-            use_cut=True,
-            adaptive=True,
-            budget_mode="epoch",
             max_inner=config.max_iters,
+            improve_rule="alg1",
+            budget_rule="epoch",
         )
         budgets.append(_epoch_budget(st.rho_est.rho_hat, s, tau_bar, sigma_bar, constants.D_X, constants.D_Y))
         if reason == "tolerance":
@@ -738,28 +792,24 @@ def msapd(
     from (x_bar, y_bar). With ``forced_schedule`` = N0 the budgets are fixed
     at ceil(N0 sqrt(2)^s) and the steps follow tau/sqrt(2), sigma*sqrt(2).
     """
-    sigma_tilde = config.sigma0
-    if sigma_tilde is None:
-        l_xy = constants.L_XY
-        sigma_tilde = l_xy / problem.L_G**2 if l_xy > 0 else 1.0 / problem.L_G**2
-    tau_forced = 1.0 / (constants.L_XY + problem.L_G**2 * sigma_tilde)
+    _require_variant(config, "msapd", "msapd")
+    tau_forced, sigma_tilde = default_step_sizes(problem, constants, config.sigma0)
     st = _init_state(problem, constants, x0, y0, tau_forced, sigma_tilde, config.rho0)
     driver = _Driver(problem, constants, config, recorder, observer, f_star)
+    forced = config.forced_schedule is not None
     budgets: list[float] = []
     starts: list[tuple[int, np.ndarray]] = []
     termination = "completed"
     epochs = 0
     for s in range(config.max_epochs + 1):
         st.s = s
-        sigma0_s = sigma_tilde * 2.0 ** (0.5 * s)
-        if config.forced_schedule is not None:
+        if forced:
+            sigma0_s = sigma_tilde * 2.0 ** (0.5 * s)
             tau0_s = tau_forced / 2.0 ** (0.5 * s)
-            fixed = math.ceil(config.forced_schedule * 2.0 ** (0.5 * s))
-            budget_mode = None
+            n_forced = math.ceil(config.forced_schedule * 2.0 ** (0.5 * s))
         else:
-            tau0_s = 1.0 / (constants.L_XY + problem.L_G**2 * sigma0_s)
-            fixed = math.inf
-            budget_mode = "stage"
+            tau0_s, sigma0_s = default_step_sizes(problem, constants, sigma_tilde * 2.0 ** (0.5 * s))
+            n_forced = math.inf
         _check_step_feasibility(tau0_s, sigma0_s, problem, constants)
         st.tau, st.sigma = tau0_s, sigma0_s
         driver.reset_averages(st)
@@ -772,17 +822,14 @@ def msapd(
             tau0_s=tau0_s,
             sigma0_s=sigma0_s,
             delta_xy=delta_xy,
-            improve_mode="alg3",
-            use_cut=False,
-            adaptive=False,
-            budget_mode=budget_mode,
-            fixed_budget=fixed,
-            max_inner=config.max_iters,
+            max_inner=min(config.max_iters, n_forced),
+            improve_rule="alg3",
+            budget_rule=None if forced else "stage",
         )
-        if budget_mode == "stage":
-            budgets.append(_stage_budget(st.rho_est.rho, s, tau0_s, sigma0_s, constants.D_X, constants.D_Y))
+        if forced:
+            budgets.append(n_forced)
         else:
-            budgets.append(fixed)
+            budgets.append(_stage_budget(st.rho_est.rho, s, tau0_s, sigma0_s, constants.D_X, constants.D_Y))
         if reason == "tolerance":
             termination = "tolerance"
             break
@@ -812,40 +859,13 @@ def apd_baseline(
     averages re-center every ``restart_period`` iterations (the iterates and
     step sizes stay warm); restart_period = inf reproduces plain apd.
     """
-    tau0, sigma0 = default_step_sizes(problem, constants, config.sigma0)
-    if config.tau0 is not None:
-        tau0 = config.tau0
-    _check_step_feasibility(tau0, sigma0, problem, constants)
-    st = _init_state(problem, constants, x0, y0, tau0, sigma0, 0.0)  # rho fixed at 0
-    driver = _Driver(problem, constants, config, recorder, observer, f_star)
-    delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
+    _require_variant(config, "apd_baseline", "apd", "apd_restart")
     period = config.restart_period if config.variant == "apd_restart" else math.inf
     if period != math.inf and period < 1:
         raise ValueError("restart_period must be at least 1")
-    remaining = config.max_iters
-    termination = "completed"
-    starts = [(0, st.x.copy())]
-    while remaining > 0:
-        seg = int(min(period, remaining))
-        reason = driver.run_inner(
-            st,
-            epoch=st.s,
-            tau0_s=tau0,
-            sigma0_s=sigma0,
-            delta_xy=delta_xy,
-            improve_mode=None,
-            use_cut=True,
-            adaptive=True,
-            budget_mode=None,
-            fixed_budget=math.inf,
-            max_inner=seg,
-        )
-        remaining -= seg
-        if reason == "tolerance":
-            termination = "tolerance"
-            break
-        if remaining > 0:
-            driver.reset_averages(st)  # re-center; iterates and steps stay warm
-            st.s += 1
-            starts.append((st.s, st.x.copy()))
-    return _finish(driver, st, termination, st.s + 1, [math.inf], starts)
+    return _single_run(
+        problem, constants, config, x0, y0, recorder, observer, f_star,
+        improve_rule=None,
+        rho0=0.0,
+        period=period,
+    )

@@ -1,4 +1,4 @@
-"""Dual-norm lower bounds, the Improve rule, and the rate-coefficient recursion."""
+"""Dual-norm lower bounds and the rate-coefficient recursion."""
 
 import math
 
@@ -9,7 +9,6 @@ from apdpro.estimator import (
     RhoEstimate,
     h1,
     h2,
-    improve,
     rho_hat_recursion,
     rho_hat_update,
 )
@@ -40,27 +39,6 @@ def test_h2_values():
         h2(1.0, 0.0, 0.0, 1.0, 1.0)
 
 
-def test_improve_max_rule():
-    # h1 = 1 (grad 1, beta 0), h2 = 0.25 (grad 4, beta 0); mu_lb scales the winner.
-    assert improve(1.0, 4.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0) == pytest.approx(2.0, abs=1e-15)
-    # A larger current value survives untouched.
-    assert improve(1.0, 4.0, 0.0, 0.0, 5.0, 1.0, 1.0, 2.0) == 5.0
-    # h1 = 1/3, h2 ~ 0.202 at mu_lb 1: the old bound 0.4 still wins.
-    assert improve(1.0, 0.5, 2.0, 2.0, 0.4, 1.0, 1.0, 1.0) == pytest.approx(0.4, abs=1e-15)
-    with pytest.raises(ValueError):
-        improve(1.0, 1.0, 0.0, 0.0, -0.1, 1.0, 1.0, 1.0)
-
-
-def test_improve_never_decreases():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        gx, gxb, b, bb = rng.uniform(0.01, 4.0, size=4)
-        rho_old = float(rng.uniform(0.0, 2.0))
-        out = improve(gx, gxb, b, bb, rho_old, 1.0, 1.0, 1.0)
-        assert out >= rho_old
-        assert out > 0.0  # h1 is strictly positive whenever r > 0
-
-
 def test_rho_hat_seed_and_recursion_values():
     assert rho_hat_update(0.0, 1.0, 1, 1.0) == pytest.approx(3.0, abs=1e-15)
     # Recursion at index 1: sqrt(9 + 27)/2 = 3.
@@ -84,21 +62,6 @@ def test_estimate_advance_seeds_then_recurses():
     assert est.rho_hat == pytest.approx(rho_hat_recursion(3.0, 3.0, 1), abs=1e-15)
     with pytest.raises(ValueError):
         est.advance(1.0, 1.0)  # rho may not decrease
-
-
-def test_rho_tilde_matches_weighted_sum():
-    est = RhoEstimate(rho=0.0)
-    assert est.rho_tilde() == 0.0
-    hats = []
-    rho = 0.0
-    rng = np.random.default_rng(4)
-    for _ in range(12):
-        rho += float(rng.uniform(0.0, 0.5))
-        est.advance(rho, 0.25)
-        hats.append(est.rho_hat)
-    k = len(hats)
-    expected = 2.0 * sum(h * (i + 1) for i, h in enumerate(hats)) / (k * (k + 1.0))
-    assert est.rho_tilde() == pytest.approx(expected, rel=1e-14)
 
 
 def test_reset_epoch_restarts_the_hat_sequence():

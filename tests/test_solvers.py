@@ -10,6 +10,7 @@ from apdpro.bench import InstanceSpec, build_instance, make_recorder
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.solvers import (
+    VARIANTS,
     SolverConfig,
     apd_baseline,
     apdpro,
@@ -18,7 +19,7 @@ from apdpro.solvers import (
     rapdpro,
     resolve_metric_iterate,
     stepsize_update,
-    terminate_iter,
+    _epoch_budget,
     _stage_budget,
 )
 from helpers import path_edges, write_edge_list
@@ -57,16 +58,11 @@ def test_stepsize_update_preserves_product():
         assert t2 == pytest.approx(sigma2 / sigma0, rel=1e-15)
 
 
-def test_terminate_iter_budget_values():
-    n, hat = terminate_iter(0.0, 1.0, 0, 1, 1.0, 1.0, 1.0, 1.0)
-    assert hat == pytest.approx(3.0, abs=1e-15)
-    assert n == 2  # max(6/3, sqrt(2)) rounded up
-    n2, _ = terminate_iter(0.0, 1.0, 2, 1, 1.0, 1.0, 1.0, 1.0)
-    assert n2 == 3  # max(2, 2*sqrt(2)) rounded up
-    n3, hat3 = terminate_iter(0.0, 0.0, 0, 1, 1.0, 1.0, 1.0, 1.0)
-    assert hat3 == 0.0 and n3 == math.inf
-    with pytest.raises(ValueError):
-        terminate_iter(0.0, 1.0, 0, 0, 1.0, 1.0, 1.0, 1.0)
+def test_epoch_budget_value():
+    # rho_hat = 3, the seed 3*sqrt(rho/tau0) for rho = tau0 = 1.
+    assert _epoch_budget(3.0, 0, 1.0, 1.0, 1.0, 1.0) == 2  # max(6/3, sqrt(2)) rounded up
+    assert _epoch_budget(3.0, 2, 1.0, 1.0, 1.0, 1.0) == 3  # max(2, 2*sqrt(2)) rounded up
+    assert _epoch_budget(0.0, 0, 1.0, 1.0, 1.0, 1.0) == math.inf
 
 
 def test_stage_budget_value():
@@ -110,6 +106,21 @@ def test_config_validation():
             SolverConfig(**bad)
 
 
+@pytest.mark.parametrize("runner, accepted", [
+    (apdpro, {"apdpro"}),
+    (rapdpro, {"rapdpro"}),
+    (msapd, {"msapd"}),
+    (apd_baseline, {"apd", "apd_restart"}),
+])
+def test_entry_points_reject_another_solvers_variant(canonical, runner, accepted):
+    # Another variant's name would silently switch the metric iterate and the stop rule.
+    for variant in set(VARIANTS) - accepted:
+        with pytest.raises(ValueError, match="config.variant"):
+            _run(canonical, variant, runner, max_iters=5, max_epochs=1)
+    for variant in accepted:
+        _run(canonical, variant, runner, max_iters=5, max_epochs=1)
+
+
 def test_infeasible_step_sizes_rejected(canonical):
     # 1/0.3 < L_XY + L_G^2 sigma0 = 4 on the canonical instance.
     with pytest.raises(ValueError, match="infeasible"):
@@ -124,6 +135,17 @@ def test_apdpro_converges_on_canonical(canonical):
     assert res.termination == "completed"
     assert abs(res.x[0] - x_star[0]) <= 1e-4
     assert len(res.trace) == 2000
+
+
+def test_apdpro_epoch_start_is_the_projected_start(canonical):
+    problem, constants, _, _ = canonical
+    res = _run(canonical, "apdpro", apdpro, max_iters=100)
+    [(s, x_start)] = res.epoch_starts
+    assert s == 0 and x_start[0] == 0.0 and res.x[0] > 0.5  # x0, not the last iterate
+    res = apdpro(problem, constants, SolverConfig(max_iters=100), np.array([100.0]), np.zeros(1))
+    [(s, x_start)] = res.epoch_starts
+    assert s == 0
+    assert x_start[0] == pytest.approx(constants.ball_center[0] + constants.ball_radius, rel=1e-15)
 
 
 def test_zero_iterations_is_a_no_op(canonical):
