@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+import typing
 import warnings
 from dataclasses import dataclass
 from configparser import ConfigParser
@@ -23,10 +24,8 @@ import numpy as np
 from .pagerank import build_ppr_problem, load_graph, make_synthetic_instance
 from .problem import ConstrainedProblem, ProblemConstants, derive_constants, feasible_ball, kkt_residual
 from .solvers import (
-    IterateRecord,
     RunResult,
     SolverConfig,
-    active_set_accuracy,
     apd_baseline,
     apdpro,
     compute_metrics,
@@ -39,14 +38,11 @@ __all__ = [
     "ExperimentConfig",
     "InstanceSpec",
     "InstanceBundle",
-    "IterateRecord",
     "ReferenceUnconvergedError",
     "load_experiment_config",
     "build_instance",
     "reference_solution",
     "get_reference",
-    "active_set_accuracy",
-    "compute_metrics",
     "make_recorder",
     "write_csv",
     "run_experiment",
@@ -328,94 +324,68 @@ def run_comparison(config: ExperimentConfig) -> dict:
 
 # -- config file parsing -----------------------------------------------------
 
-_INSTANCE_KEYS = {"kind", "n", "center", "level", "path", "alpha", "b", "s", "r_rule"}
-_SOLVER_KEYS = {
-    "variant", "variants", "max_iters", "max_epochs", "tau0", "sigma0", "rho0",
-    "nu0", "delta", "restart_period", "tolerance", "tolerance_metric",
-    "record_every", "metric_iterate", "disable_estimator", "forced_schedule", "x0",
-}
-_REFERENCE_KEYS = {"mode", "path", "budget_iters", "budget_epochs", "truncation"}
-_OUTPUT_KEYS = {"path"}
+def _by_name(cls):
+    """INI key -> (dataclass, field) for every field of ``cls``, under its own name."""
+    return {f.name: (cls, f.name) for f in dataclasses.fields(cls)}
+
+
+def _experiment(**renamed):
+    """INI key -> (ExperimentConfig, field) for the keys named apart from their field."""
+    return {key: (ExperimentConfig, name) for key, name in renamed.items()}
+
+
 _SECTIONS = {
-    "instance": _INSTANCE_KEYS,
-    "solver": _SOLVER_KEYS,
-    "reference": _REFERENCE_KEYS,
-    "output": _OUTPUT_KEYS,
+    "instance": _by_name(InstanceSpec),
+    "solver": {**_by_name(SolverConfig), **_experiment(variants="variants", x0="x0_rule")},
+    "reference": _experiment(
+        mode="reference_mode",
+        path="reference_path",
+        budget_iters="budget_iters",
+        budget_epochs="budget_epochs",
+        truncation="truncation",
+    ),
+    "output": _experiment(path="output_path"),
 }
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    try:
-        return _BOOL[value.strip().lower()]
-    except KeyError:
-        raise ValueError(f"key {key}: expected a boolean, got {value!r}") from None
+def _convert(key: str, raw: str, annotation):
+    """The INI text of one key as its field's type; ``X | None`` reads as X."""
+    kind = next((a for a in typing.get_args(annotation) if a is not type(None)), annotation)
+    if kind is bool:
+        try:
+            return _BOOL[raw.lower()]
+        except KeyError:
+            raise ValueError(f"key {key}: expected a boolean, got {raw!r}") from None
+    if kind is tuple:
+        return tuple(v.strip() for v in raw.split(",") if v.strip())
+    return kind(raw)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse the flat INI-style experiment description.
 
-    Sections [instance], [solver], [reference], [output]; unknown sections or
-    keys are errors so typos fail loudly.
+    Sections [instance], [solver], [reference], [output]. [instance] and
+    [solver] take the fields of InstanceSpec and SolverConfig by name
+    (``kind`` defaults to synthetic); [solver] also takes ``variants`` and
+    ``x0``. Unknown sections or keys are errors so typos fail loudly.
     """
     parser = ConfigParser(interpolation=None)
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh, source=path)
+    kwargs = {InstanceSpec: {"kind": "synthetic"}, SolverConfig: {}, ExperimentConfig: {}}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _SECTIONS[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+            cls, name = _SECTIONS[section][key]
+            kwargs[cls][name] = _convert(key, raw, typing.get_type_hints(cls)[name])
     if "instance" not in parser:
         raise ValueError(f"{path}: missing [instance] section")
-    ins = parser["instance"]
-    spec = InstanceSpec(
-        kind=ins.get("kind", "synthetic"),
-        n=ins.getint("n", 1),
-        center=ins.getfloat("center", 2.0),
-        level=ins.getfloat("level", 1.0),
-        path=ins.get("path"),
-        alpha=ins.getfloat("alpha", 0.5),
-        b=ins.getfloat("b", -0.05),
-        s=ins.get("s", "uniform"),
-        r_rule=ins.get("r_rule", "degree"),
-    )
-    sol = parser["solver"] if "solver" in parser else {}
-    kwargs = {}
-    if "variant" in sol:
-        kwargs["variant"] = sol["variant"]
-    for key in ("max_iters", "max_epochs", "record_every"):
-        if key in sol:
-            kwargs[key] = int(sol[key])
-    for key in ("tau0", "sigma0", "rho0", "nu0", "delta", "tolerance"):
-        if key in sol:
-            kwargs[key] = float(sol[key])
-    if "restart_period" in sol:
-        raw = sol["restart_period"]
-        kwargs["restart_period"] = float("inf") if raw.strip().lower() == "inf" else float(raw)
-    if "forced_schedule" in sol:
-        kwargs["forced_schedule"] = int(sol["forced_schedule"])
-    if "tolerance_metric" in sol:
-        kwargs["tolerance_metric"] = sol["tolerance_metric"]
-    if "metric_iterate" in sol:
-        kwargs["metric_iterate"] = sol["metric_iterate"]
-    if "disable_estimator" in sol:
-        kwargs["disable_estimator"] = _parse_bool(sol["disable_estimator"], "disable_estimator")
-    solver = SolverConfig(**kwargs)
-    variants = tuple(v.strip() for v in sol["variants"].split(",") if v.strip()) if "variants" in sol else ()
-    x0_rule = sol.get("x0", "zeros")
-    ref = parser["reference"] if "reference" in parser else {}
-    out = parser["output"] if "output" in parser else {}
     return ExperimentConfig(
-        instance=spec,
-        solver=solver,
-        variants=variants,
-        reference_mode=ref.get("mode", "none"),
-        reference_path=ref.get("path"),
-        budget_iters=int(ref["budget_iters"]) if "budget_iters" in ref else 200000,
-        budget_epochs=int(ref["budget_epochs"]) if "budget_epochs" in ref else 60,
-        truncation=float(ref["truncation"]) if "truncation" in ref else 1e-8,
-        output_path=out.get("path"),
-        x0_rule=x0_rule,
+        instance=InstanceSpec(**kwargs[InstanceSpec]),
+        solver=SolverConfig(**kwargs[SolverConfig]),
+        **kwargs[ExperimentConfig],
     )

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``run`` (one experiment from a config file), ``compare`` (the
-config's solver list, one CSV per variant), ``reference`` (compute and cache
-the reference only), ``selftest`` (built-in checks).
+config's solver list, one CSV per variant) and ``reference`` (compute and
+cache the reference only).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(commands.add_parser("run", help="run one configured experiment, write its CSV"))
     _add_config_arg(commands.add_parser("compare", help="run every variant in the config, one CSV each"))
     _add_config_arg(commands.add_parser("reference", help="compute and cache the reference solution"))
-    commands.add_parser("selftest", help="run the built-in checks")
     return parser
 
 
@@ -45,10 +44,6 @@ def _summarize(variant: str, result, path) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        from .selftest import run_selftest
-
-        return min(run_selftest(), 1)
     try:
         config = bench.load_experiment_config(args.config)
     except (OSError, ValueError) as exc:

@@ -120,7 +120,7 @@ def _parse_lines(path, text: str):
     return np.array(ids, dtype=np.int64), declared_n
 
 
-def load_graph(path, format: str = "edge-list") -> Graph:
+def load_graph(path) -> Graph:
     """Read an undirected graph from a whitespace edge list.
 
     One edge per line "u v" with 0-based integer ids; '%' and '#' lines are
@@ -135,8 +135,6 @@ def load_graph(path, format: str = "edge-list") -> Graph:
     Parameters
     ----------
     path : str or os.PathLike
-    format : str
-        Only "edge-list" is supported.
 
     Returns
     -------
@@ -148,8 +146,6 @@ def load_graph(path, format: str = "edge-list") -> Graph:
         On malformed lines (reported with their line number), ids outside a
         declared node count, or isolated nodes (D^{-1/2} must exist).
     """
-    if format != "edge-list":
-        raise ValueError(f"unsupported graph format {format!r}")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     parsed = _parse_fast(text)

@@ -82,7 +82,6 @@ class SolverState:
     y: np.ndarray
     x_bar: np.ndarray
     T: float
-    t: float
     tau: float
     sigma: float
     sigma_prev: float
@@ -93,7 +92,7 @@ class SolverState:
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by all variants; unused fields are ignored per variant.
+    """Knobs shared by all variants; a variant silently ignores the ones it does not read.
 
     ``sigma0`` doubles as sigma_bar (rapdpro) and sigma_tilde (msapd). Unset
     step sizes fall back to the balancing rule sigma0 = L_XY/L_G^2,
@@ -103,6 +102,16 @@ class SolverConfig:
     supplied reference objective value, else the max KKT residual.
     ``forced_schedule`` switches msapd to a fixed sub-iteration schedule
     (stage budgets N0*sqrt(2)^s with tau/sqrt(2), sigma*sqrt(2) per stage).
+
+    Variant-specific knobs (one config is shared across variants by
+    ``bench.run_comparison``, so the others accept and ignore them):
+
+    - ``forced_schedule``: msapd only
+    - ``restart_period``: apd_restart only
+    - ``disable_estimator``: apdpro only
+    - ``nu0``, ``delta``: rapdpro only
+    - ``tau0``: every variant except msapd
+    - ``rho0``: every variant except apd and apd_restart
     """
 
     variant: str = "apdpro"
@@ -376,7 +385,6 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
         y=y0,
         x_bar=x0.copy(),
         T=0.0,
-        t=1.0,
         tau=tau0,
         sigma=sigma0,
         sigma_prev=sigma0,
@@ -393,7 +401,6 @@ class _Driver:
         self.cfg = config
         self.observer = observer
         self.trace: list[IterateRecord] = []
-        self.total_k = 0
         self.t0 = time.perf_counter()
         self.ybar_acc = np.zeros(problem.m)
         self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
@@ -477,7 +484,7 @@ class _Driver:
             self._at, self._gx, self._jx = st.x, prob.g(st.x), prob.jac(st.x)
             for what, val in (("constraint value G(x)", self._gx), ("Jacobian J(x)", self._jx)):
                 if not np.isfinite(val).all():
-                    raise NumericalError(f"non-finite {what} at entry (iteration {self.total_k})")
+                    raise NumericalError(f"non-finite {what} at entry (iteration {st.k})")
         gx = self._gx
         # Every segment starts with x_prev a copy of x (fresh averages).
         gx_prev = gx if np.array_equal(st.x_prev, st.x) else prob.g(st.x_prev)
@@ -536,7 +543,7 @@ class _Driver:
             if self.observer is not None:
                 self.observer(
                     IterSnapshot(
-                        k=self.total_k,
+                        k=st.k,
                         epoch=epoch,
                         x=st.x.copy(),
                         x_bar=st.x_bar.copy(),
@@ -566,21 +573,19 @@ class _Driver:
             gx_prev, gx = gx, prob.g(x_next)
             if not np.isfinite(gx).all():
                 raise NumericalError(
-                    f"non-finite constraint value G(x_{{k+1}}) at iteration {self.total_k + 1}"
+                    f"non-finite constraint value G(x_{{k+1}}) at iteration {st.k + 1}"
                 )
             self._at, self._gx, self._jx = x_next, gx, None
             st.T += t_k
-            st.t = t_k
             st.sigma_prev = sigma_k
             st.tau, st.sigma = tau_next, sigma_next
             tau_prev = tau_k
             st.k += 1
-            self.total_k += 1
             k += 1
 
-            if self.total_k % cfg.record_every == 0:
+            if st.k % cfg.record_every == 0:
                 ri = RecordInputs(
-                    iter=self.total_k,
+                    iter=st.k,
                     epoch=epoch,
                     x_last=st.x,
                     x_bar=st.x_bar,

@@ -1,5 +1,6 @@
 """Experiment driver: metrics, references, config parsing, CSV traces."""
 
+import dataclasses
 import json
 import os
 
@@ -12,9 +13,7 @@ from apdpro.bench import (
     ExperimentConfig,
     InstanceSpec,
     _fmt,
-    active_set_accuracy,
     build_instance,
-    compute_metrics,
     get_reference,
     load_experiment_config,
     make_recorder,
@@ -25,7 +24,14 @@ from apdpro.bench import (
 )
 from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import BlockNormObjective, derive_constants, feasible_ball, kkt_residual
-from apdpro.solvers import IterateRecord, RecordInputs, SolverConfig, rapdpro
+from apdpro.solvers import (
+    IterateRecord,
+    RecordInputs,
+    SolverConfig,
+    active_set_accuracy,
+    compute_metrics,
+    rapdpro,
+)
 from helpers import write_edge_list
 
 
@@ -265,6 +271,62 @@ def test_load_experiment_config_rejects_typos(tmp_path):
         load("[solver]\nvariant = apd\n")
     with pytest.raises(ValueError, match="boolean"):
         load("[instance]\nkind = synthetic\n[solver]\ndisable_estimator = maybe\n")
+
+
+# One non-default value per field: (INI text, parsed value).
+SOLVER_VALUES = {
+    "variant": ("msapd", "msapd"),
+    "tau0": ("0.125", 0.125),
+    "sigma0": ("0.375", 0.375),
+    "rho0": ("0.01", 0.01),
+    "max_iters": ("1234", 1234),
+    "max_epochs": ("9", 9),
+    "nu0": ("0.3", 0.3),
+    "delta": ("0.6", 0.6),
+    "restart_period": ("37", 37.0),
+    "tolerance": ("1e-7", 1e-7),
+    "tolerance_metric": ("kkt", "kkt"),
+    "record_every": ("4", 4),
+    "metric_iterate": ("ergodic", "ergodic"),
+    "disable_estimator": ("yes", True),
+    "forced_schedule": ("11", 11),
+}
+INSTANCE_VALUES = {
+    "kind": ("graph", "graph"),
+    "n": ("7", 7),
+    "center": ("3.5", 3.5),
+    "level": ("0.25", 0.25),
+    "path": ("g.txt", "g.txt"),
+    "alpha": ("0.2", 0.2),
+    "b": ("-0.001", -0.001),
+    "s": ("node:3", "node:3"),
+    "r_rule": ("half", "half"),
+}
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    return load_experiment_config(str(path))
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
+def test_load_experiment_config_reads_every_solver_field(tmp_path, field):
+    text, value = SOLVER_VALUES[field.name]
+    assert value != field.default
+    cfg = _load_text(tmp_path, f"[instance]\n[solver]\n{field.name} = {text}\n")
+    got = getattr(cfg.solver, field.name)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(InstanceSpec), ids=lambda f: f.name)
+def test_load_experiment_config_reads_every_instance_field(tmp_path, field):
+    text, value = INSTANCE_VALUES[field.name]
+    assert value != field.default
+    path = "path = g.txt\n" if field.name == "kind" else ""  # graph instances need one
+    cfg = _load_text(tmp_path, f"[instance]\n{path}{field.name} = {text}\n")
+    got = getattr(cfg.instance, field.name)
+    assert got == value and type(got) is type(value)
 
 
 def test_run_experiment_is_deterministic(tmp_path):

@@ -73,10 +73,6 @@ def test_reference_long_run_caches(tmp_path, capsys):
     assert len(caches) == 1
 
 
-def test_selftest_passes():
-    assert main(["selftest"]) == 0
-
-
 def test_run_requires_output_section(tmp_path):
     cfg = _write_config(tmp_path, "[instance]\nkind = synthetic\n")
     with pytest.raises(SystemExit, match="output"):

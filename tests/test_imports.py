@@ -1,0 +1,51 @@
+"""No module of the package imports a name it never uses.
+
+A stdlib stand-in for a linter's unused-import check: every imported name
+must be referenced in the module, listed in its ``__all__``, or sit on a
+line marked ``# noqa: F401``.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "apdpro"
+
+
+def _unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}  # bound name -> line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(
+        name for name, line in imported.items()
+        if name not in used and name not in exported and "# noqa: F401" not in lines[line - 1]
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\nimport sys\nfrom math import pi, tau\nfrom json import dumps  # noqa: F401\n"
+        "__all__ = ['tau']\nprint(sys.argv)\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(probe) == ["os", "pi"]
