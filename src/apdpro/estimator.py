@@ -16,7 +16,6 @@ __all__ = [
     "RhoEstimate",
     "h1",
     "h2",
-    "rho_hat_update",
     "rho_hat_recursion",
 ]
 
@@ -60,31 +59,14 @@ def rho_hat_recursion(rho_hat_old: float, rho: float, k: int) -> float:
     return math.sqrt(rho_hat_old * rho_hat_old * k * k + 3.0 * rho * rho_hat_old * k) / (k + 1.0)
 
 
-def rho_hat_update(rho_hat_old: float, rho: float, k: int, tau_0: float) -> float:
-    """Advance the rate coefficient: seed 3*sqrt(rho/tau_0) at k = 1, recursion after.
-
-    For k > 1 this delegates to :func:`rho_hat_recursion` with multiplier k
-    and divisor k+1, exactly as the restart schedule's termination rule
-    writes it.
-    """
-    if tau_0 <= 0.0:
-        raise ValueError("tau_0 must be positive")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k == 1:
-        return 3.0 * math.sqrt(rho / tau_0)
-    return rho_hat_recursion(rho_hat_old, rho, k)
-
-
 @dataclass
 class RhoEstimate:
     """Mutable estimator state owned by one solver run.
 
     ``advance`` feeds it the next certified rho (post-Improve, post-cap) and
     maintains the seeded recursion: rho_hat_1 = 3*sqrt(rho_1/tau_0), then
-    rho_hat_{j} = rho_hat_recursion(rho_hat_{j-1}, rho_j, j-1). The k = 2
-    step therefore uses the recursion at multiplier 1, which the plain
-    k-branching of rho_hat_update cannot reach.
+    rho_hat_{j} = rho_hat_recursion(rho_hat_{j-1}, rho_j, j-1), so the k = 2
+    step uses the recursion at multiplier 1.
     """
 
     rho: float = 0.0
@@ -97,7 +79,7 @@ class RhoEstimate:
         self.k += 1
         self.rho = rho_new
         if self.k == 1:
-            self.rho_hat = rho_hat_update(self.rho_hat, rho_new, 1, tau_0)
+            self.rho_hat = 3.0 * math.sqrt(rho_new / tau_0)
         else:
             self.rho_hat = rho_hat_recursion(self.rho_hat, rho_new, self.k - 1)
 

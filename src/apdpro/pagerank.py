@@ -184,17 +184,17 @@ class PprInstance:
     bracket x'Qx / ||x||^2 for every x.
     """
 
-    problem: ConstrainedProblem | None
+    problem: ConstrainedProblem
     alpha: float
     b: float
     s: np.ndarray
     q_lin: np.ndarray
     qmatvec: Callable
     n: int
-    x_tilde: np.ndarray | None = None
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    graph: Graph | None = field(default=None, repr=False)
+    x_tilde: np.ndarray
+    lambda_min: float
+    lambda_max: float
+    graph: Graph = field(repr=False)
 
 
 _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
@@ -225,8 +225,8 @@ def _ritz_bound(qmatvec, n: int, which: str) -> float:
     return theta + slack if which == "LA" else theta - slack
 
 
-def spectral_bounds(instance: PprInstance):
-    """Certified bracket [lambda_min, lambda_max] of the spectrum of ``instance.qmatvec``.
+def spectral_bounds(qmatvec: Callable, n: int):
+    """Certified bracket [lambda_min, lambda_max] of the spectrum of the n-by-n ``qmatvec``.
 
     Both ends come from Lanczos (``scipy.sparse.linalg.eigsh`` with k = 1,
     "SA" and "LA") on the operator, each moved outward by its Ritz residual
@@ -236,8 +236,7 @@ def spectral_bounds(instance: PprInstance):
     ``build_ppr_problem`` needs only the upper end: for a PageRank Q the
     lower end is alpha exactly.
     """
-    q, n = instance.qmatvec, instance.n
-    return _ritz_bound(q, n, "SA"), _ritz_bound(q, n, "LA")
+    return _ritz_bound(qmatvec, n, "SA"), _ritz_bound(qmatvec, n, "LA")
 
 
 def _resolve_teleport(s, n: int) -> np.ndarray:

@@ -75,10 +75,6 @@ class BlockNormObjective:
         object.__setattr__(self, "_lengths", np.array([ln for _, ln in blocks], dtype=np.intp))
         object.__setattr__(self, "_singletons", len(blocks) == pos)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def block_norms(self, x: np.ndarray) -> np.ndarray:
         x = _vec(x, self.n, "x")
         if self._singletons:  # bitwise equal to the reduceat below, and far cheaper

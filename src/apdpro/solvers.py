@@ -100,15 +100,11 @@ class SolverConfig:
     ``tolerance`` = 0 disables early stopping; when positive the stop test
     uses max(relative objective gap, feasibility violation) against a
     supplied reference objective value, else the max KKT residual.
-    ``forced_schedule`` switches msapd to a fixed sub-iteration schedule
-    (stage budgets N0*sqrt(2)^s with tau/sqrt(2), sigma*sqrt(2) per stage).
 
     Variant-specific knobs (one config is shared across variants by
     ``bench.run_comparison``, so the others accept and ignore them):
 
-    - ``forced_schedule``: msapd only
     - ``restart_period``: apd_restart only
-    - ``disable_estimator``: apdpro only
     - ``nu0``, ``delta``: rapdpro only
     - ``tau0``: every variant except msapd
     - ``rho0``: every variant except apd and apd_restart
@@ -124,29 +120,26 @@ class SolverConfig:
     delta: float = 0.5
     restart_period: float = math.inf
     tolerance: float = 0.0
-    tolerance_metric: str = "auto"  # auto | gap | kkt
     record_every: int = 1
     metric_iterate: str = "auto"  # auto | last | ergodic
-    disable_estimator: bool = False
-    forced_schedule: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        for name in ("tau0", "sigma0"):
+            step = getattr(self, name)
+            if step is not None and not (math.isfinite(step) and step > 0):
+                raise ValueError(f"{name} must be finite and positive, got {step!r}")
         if not 0.0 < self.nu0 < 1.0 or not 0.0 < self.delta < 1.0:
             raise ValueError("nu0 and delta must lie in (0, 1)")
-        if self.rho0 < 0:
-            raise ValueError("rho0 must be nonnegative")
+        if not (math.isfinite(self.rho0) and self.rho0 >= 0):
+            raise ValueError(f"rho0 must be finite and nonnegative, got {self.rho0!r}")
         if self.max_iters < 0 or self.max_epochs < 0:
             raise ValueError("iteration budgets must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.metric_iterate not in ("auto", "last", "ergodic"):
             raise ValueError("metric_iterate must be auto, last, or ergodic")
-        if self.tolerance_metric not in ("auto", "gap", "kkt"):
-            raise ValueError("tolerance_metric must be auto, gap, or kkt")
-        if self.forced_schedule is not None and self.forced_schedule < 1:
-            raise ValueError("forced_schedule must be a positive stage budget")
 
 
 @dataclass
@@ -302,23 +295,22 @@ class RunResult:
     epoch_starts: list = field(default_factory=list)
 
 
-def stepsize_update(tau: float, sigma: float, sigma0: float, rho_next: float):
+def stepsize_update(tau: float, sigma: float, rho_next: float):
     """Advance (tau, sigma) one step: tau' = tau/sqrt(1 + rho_next*tau).
 
-    Returns (tau', sigma', t') with sigma' = sigma*tau/tau' and
-    t' = sigma'/sigma0. rho_next = 0 returns the inputs unchanged (exact
-    identity, so constant-step baselines never accumulate rounding drift);
-    the product tau*sigma is preserved.
+    Returns (tau', sigma') with sigma' = sigma*tau/tau'. rho_next = 0
+    returns the inputs unchanged (exact identity, so constant-step
+    baselines never accumulate rounding drift); the product tau*sigma is
+    preserved.
     """
-    if tau <= 0 or sigma <= 0 or sigma0 <= 0:
+    if tau <= 0 or sigma <= 0:
         raise ValueError("step sizes must be positive")
     if rho_next < 0:
         raise ValueError("rho_next must be nonnegative")
     if rho_next == 0.0:
-        return tau, sigma, sigma / sigma0
+        return tau, sigma
     tau_new = tau / math.sqrt(1.0 + rho_next * tau)
-    sigma_new = sigma * (tau / tau_new)
-    return tau_new, sigma_new, sigma_new / sigma0
+    return tau_new, sigma * (tau / tau_new)
 
 
 def _epoch_budget(rho_hat: float, s: int, tau0_s: float, sigma0_s: float, D_X: float, D_Y: float):
@@ -359,15 +351,6 @@ def resolve_metric_iterate(variant: str, override: str = "auto") -> str:
     if override != "auto":
         return override
     return "last" if variant in ("apdpro", "rapdpro") else "ergodic"
-
-
-def _check_step_feasibility(tau0, sigma0, problem, constants):
-    bound = constants.L_XY + problem.L_G**2 * sigma0
-    if 1.0 / tau0 < bound * (1.0 - 1e-9):
-        raise ValueError(
-            f"step sizes infeasible: need 1/tau0 >= L_XY + L_G^2*sigma0 = {bound:.6g}, "
-            f"got {1.0 / tau0:.6g}"
-        )
 
 
 def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
@@ -422,16 +405,14 @@ class _Driver:
         return self._jx
 
     def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
-        """Tolerance test; the KKT test at ri.x_last reuses the cached G and J there."""
+        """Tolerance test: the gap when the record has one, else the max KKT residual.
+
+        The KKT test at ri.x_last reuses the cached G and J there.
+        """
         tol = self.cfg.tolerance
         if tol <= 0.0:
             return False
-        mode = self.cfg.tolerance_metric
-        if mode == "auto":
-            mode = "gap" if rec.rel_gap is not None else "kkt"
-        if mode == "gap":
-            if rec.rel_gap is None:
-                return False
+        if rec.rel_gap is not None:
             return max(rec.rel_gap, rec.feas_violation) <= tol
         if self.metric == "ergodic":
             return kkt_residual(self.prob, ri.x_bar, ri.y).max() <= tol
@@ -465,8 +446,9 @@ class _Driver:
 
         improve_rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
         step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
-        dual set is cut at rho/mu_lb and the steps follow stepsize_update;
-        'alg3' projects onto the whole dual set with constant steps.
+        dual set is cut at rho/mu_lb and (tau, sigma) follow stepsize_update;
+        'alg3' projects onto the whole dual set with constant steps. The
+        averaging weight t_k = sigma_k/sigma0_s is formed here in both cases.
         budget_rule: None (max_inner only), 'epoch' (rapdpro's N_s refresh
         from rho_hat) or 'stage' (msapd's N_s rule from rho).
 
@@ -536,7 +518,7 @@ class _Driver:
 
             # Step sizes for k+1.
             if adaptive:
-                tau_next, sigma_next, _ = stepsize_update(tau_k, sigma_k, sigma0_s, rho_next)
+                tau_next, sigma_next = stepsize_update(tau_k, sigma_k, rho_next)
             else:
                 tau_next, sigma_next = tau_k, sigma_k
 
@@ -635,9 +617,14 @@ def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, 
     extrapolation; the iterates and step sizes stay warm.
     """
     tau0, sigma0 = default_step_sizes(problem, constants, config.sigma0)
-    if config.tau0 is not None:
+    if config.tau0 is not None:  # the derived tau0 meets this bound by construction
         tau0 = config.tau0
-    _check_step_feasibility(tau0, sigma0, problem, constants)
+        bound = constants.L_XY + problem.L_G**2 * sigma0
+        if 1.0 / tau0 < bound * (1.0 - 1e-9):
+            raise ValueError(
+                f"step sizes infeasible: need 1/tau0 >= L_XY + L_G^2*sigma0 = {bound:.6g}, "
+                f"got {1.0 / tau0:.6g}"
+            )
     st = _init_state(problem, constants, x0, y0, tau0, sigma0, rho0)
     driver = _Driver(problem, constants, config, recorder, observer, f_star)
     delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
@@ -685,9 +672,9 @@ def apdpro(
     problem, constants : the instance and its derived constants.
     config : SolverConfig
         ``variant`` must be "apdpro". ``max_iters`` is the iteration count
-        N; ``rho0`` the initial lower bound (0 is always valid);
-        ``disable_estimator`` freezes rho at rho0, which with rho0 = 0 is the
-        apd baseline.
+        N; ``rho0`` the initial lower bound (0 is always valid). The
+        estimator always runs; ``apd_baseline`` is this loop with it off and
+        rho fixed at 0.
     x0, y0 : array_like
         Start iterates; points outside X (or Y) are projected in.
     recorder, observer : callables, optional
@@ -702,7 +689,7 @@ def apdpro(
     _require_variant(config, "apdpro", "apdpro")
     return _single_run(
         problem, constants, config, x0, y0, recorder, observer, f_star,
-        improve_rule=None if config.disable_estimator else "alg1",
+        improve_rule="alg1",
         rho0=config.rho0,
         period=math.inf,
     )
@@ -794,28 +781,20 @@ def msapd(
     1/(L_XY + L_G^2 sigma_0^s), runs the plain-projection inner loop with
     uniform averaging and the stage budget N_s = ceil(max{4/(rho tau_0^s),
     D_Y^2 2^{s+1}/(rho sigma_0^s D_X^2)}), then warm-starts the next stage
-    from (x_bar, y_bar). With ``forced_schedule`` = N0 the budgets are fixed
-    at ceil(N0 sqrt(2)^s) and the steps follow tau/sqrt(2), sigma*sqrt(2).
+    from (x_bar, y_bar). These tau_0^s are the largest feasible steps, so no
+    feasibility check runs.
     """
     _require_variant(config, "msapd", "msapd")
-    tau_forced, sigma_tilde = default_step_sizes(problem, constants, config.sigma0)
-    st = _init_state(problem, constants, x0, y0, tau_forced, sigma_tilde, config.rho0)
+    tau0, sigma_tilde = default_step_sizes(problem, constants, config.sigma0)
+    st = _init_state(problem, constants, x0, y0, tau0, sigma_tilde, config.rho0)
     driver = _Driver(problem, constants, config, recorder, observer, f_star)
-    forced = config.forced_schedule is not None
     budgets: list[float] = []
     starts: list[tuple[int, np.ndarray]] = []
     termination = "completed"
     epochs = 0
     for s in range(config.max_epochs + 1):
         st.s = s
-        if forced:
-            sigma0_s = sigma_tilde * 2.0 ** (0.5 * s)
-            tau0_s = tau_forced / 2.0 ** (0.5 * s)
-            n_forced = math.ceil(config.forced_schedule * 2.0 ** (0.5 * s))
-        else:
-            tau0_s, sigma0_s = default_step_sizes(problem, constants, sigma_tilde * 2.0 ** (0.5 * s))
-            n_forced = math.inf
-        _check_step_feasibility(tau0_s, sigma0_s, problem, constants)
+        tau0_s, sigma0_s = default_step_sizes(problem, constants, sigma_tilde * 2.0 ** (0.5 * s))
         st.tau, st.sigma = tau0_s, sigma0_s
         driver.reset_averages(st)
         starts.append((s, st.x.copy()))
@@ -827,14 +806,11 @@ def msapd(
             tau0_s=tau0_s,
             sigma0_s=sigma0_s,
             delta_xy=delta_xy,
-            max_inner=min(config.max_iters, n_forced),
+            max_inner=config.max_iters,
             improve_rule="alg3",
-            budget_rule=None if forced else "stage",
+            budget_rule="stage",
         )
-        if forced:
-            budgets.append(n_forced)
-        else:
-            budgets.append(_stage_budget(st.rho_est.rho, s, tau0_s, sigma0_s, constants.D_X, constants.D_Y))
+        budgets.append(_stage_budget(st.rho_est.rho, s, tau0_s, sigma0_s, constants.D_X, constants.D_Y))
         if reason == "tolerance":
             termination = "tolerance"
             break

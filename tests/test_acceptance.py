@@ -283,7 +283,7 @@ def test_criterion_10_ppr_constants(tmp_path):
         inst = build_ppr_problem(load_graph(path), alpha=0.5, b=-0.05)
         cols = np.column_stack([inst.qmatvec(e) for e in np.eye(2)])
         assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
-        lam_min, lam_max = spectral_bounds(inst)
+        lam_min, lam_max = spectral_bounds(inst.qmatvec, inst.n)
         assert lam_min == pytest.approx(0.5, abs=1e-8)
         assert lam_max == pytest.approx(1.0, abs=1e-8)
         rng = np.random.default_rng(110)

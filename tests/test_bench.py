@@ -237,7 +237,7 @@ def test_load_experiment_config_full(tmp_path):
     path.write_text(
         "[instance]\nkind = synthetic\nn = 2\ncenter = 1.5\nlevel = 0.5\n"
         "[solver]\nvariant = rapdpro\nvariants = apdpro, apd\nmax_iters = 300\n"
-        "max_epochs = 4\ntau0 = 0.1\nrestart_period = inf\ndisable_estimator = no\n"
+        "max_epochs = 4\ntau0 = 0.1\nrestart_period = inf\n"
         "record_every = 2\nmetric_iterate = ergodic\nx0 = strict\n"
         "[reference]\nmode = oracle\nbudget_iters = 50\ntruncation = 1e-6\n"
         "[output]\npath = out.csv\n",
@@ -249,7 +249,6 @@ def test_load_experiment_config_full(tmp_path):
     assert cfg.solver.variant == "rapdpro" and cfg.solver.max_iters == 300
     assert cfg.solver.max_epochs == 4 and cfg.solver.tau0 == 0.1
     assert cfg.solver.restart_period == float("inf")
-    assert cfg.solver.disable_estimator is False
     assert cfg.solver.record_every == 2 and cfg.solver.metric_iterate == "ergodic"
     assert cfg.variants == ("apdpro", "apd")
     assert cfg.reference_mode == "oracle" and cfg.budget_iters == 50
@@ -269,8 +268,6 @@ def test_load_experiment_config_rejects_typos(tmp_path):
         load("[instance]\nkind = synthetic\n[solvers]\nvariant = apd\n")
     with pytest.raises(ValueError, match=r"missing \[instance\]"):
         load("[solver]\nvariant = apd\n")
-    with pytest.raises(ValueError, match="boolean"):
-        load("[instance]\nkind = synthetic\n[solver]\ndisable_estimator = maybe\n")
 
 
 # One non-default value per field: (INI text, parsed value).
@@ -285,11 +282,8 @@ SOLVER_VALUES = {
     "delta": ("0.6", 0.6),
     "restart_period": ("37", 37.0),
     "tolerance": ("1e-7", 1e-7),
-    "tolerance_metric": ("kkt", "kkt"),
     "record_every": ("4", 4),
     "metric_iterate": ("ergodic", "ergodic"),
-    "disable_estimator": ("yes", True),
-    "forced_schedule": ("11", 11),
 }
 INSTANCE_VALUES = {
     "kind": ("graph", "graph"),
@@ -398,3 +392,11 @@ def test_comparison_estimated_steps_beat_constant_steps(tmp_path):
     slow = first_hit(results["apd"].trace)
     assert fast is not None
     assert slow is None or fast < slow
+
+
+def test_load_experiment_config_strips_inline_comments(tmp_path):
+    # A ';' after whitespace starts a comment; one inside a value is kept.
+    cfg = _load_text(tmp_path, "[instance]\nkind = graph\nn = 5 ; c\nr_rule = degree\t; note\npath = a;b\n")
+    assert cfg.instance.n == 5
+    assert cfg.instance.r_rule == "degree"
+    assert cfg.instance.path == "a;b"

@@ -10,7 +10,6 @@ from apdpro.estimator import (
     h1,
     h2,
     rho_hat_recursion,
-    rho_hat_update,
 )
 
 
@@ -40,16 +39,11 @@ def test_h2_values():
 
 
 def test_rho_hat_seed_and_recursion_values():
-    assert rho_hat_update(0.0, 1.0, 1, 1.0) == pytest.approx(3.0, abs=1e-15)
+    # The k = 1 seed 3*sqrt(rho/tau_0) lives in RhoEstimate.advance (next test).
     # Recursion at index 1: sqrt(9 + 27)/2 = 3.
     assert rho_hat_recursion(3.0, 3.0, 1) == pytest.approx(3.0, abs=1e-15)
     # Zero-rho step only rescales: sqrt(64)/5.
     assert rho_hat_recursion(2.0, 0.0, 4) == pytest.approx(1.6, abs=1e-15)
-    assert rho_hat_update(7.0, 0.0, 4, 1.0) == pytest.approx(rho_hat_recursion(7.0, 0.0, 4), abs=1e-15)
-    with pytest.raises(ValueError):
-        rho_hat_update(0.0, 1.0, 0, 1.0)
-    with pytest.raises(ValueError):
-        rho_hat_update(0.0, 1.0, 1, 0.0)
 
 
 def test_estimate_advance_seeds_then_recurses():

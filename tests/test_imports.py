@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no solver knob goes unread.
 
 A stdlib stand-in for a linter's unused-import check: every imported name
 must be referenced in the module, listed in its ``__all__``, or sit on a
-line marked ``# noqa: F401``.
+line marked ``# noqa: F401``. Likewise every ``SolverConfig`` field must be
+read as an attribute somewhere in the package outside the class itself.
 """
 
 import ast
@@ -49,3 +50,39 @@ def test_the_guard_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(probe) == ["os", "pi"]
+
+
+def _unread_fields(paths, class_name):
+    """Fields of class ``class_name`` that no attribute load outside its own body reads.
+
+    Reads match by attribute name alone (``x.tau0`` on any object counts),
+    so the guard finds the fields that nothing reads at all.
+    """
+    fields, reads = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                fields.update(s.target.id for s in node.body if isinstance(s, ast.AnnAssign))
+                inside.update(id(n) for n in ast.walk(node))
+        reads.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+        )
+    return sorted(fields - reads)
+
+
+def test_every_solver_config_field_is_read():
+    assert _unread_fields(sorted(SRC.glob("*.py")), "SolverConfig") == []
+
+
+def test_the_guard_sees_an_unread_field(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from dataclasses import dataclass\n\n@dataclass\nclass SolverConfig:\n"
+        "    used: int = 0\n    probe: int = 0\n\n    def __post_init__(self):\n"
+        "        assert self.probe >= 0\n\n\ndef run(cfg):\n    return cfg.used\n",
+        encoding="utf-8",
+    )
+    assert _unread_fields([probe], "SolverConfig") == ["probe"]

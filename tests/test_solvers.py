@@ -24,8 +24,6 @@ from apdpro.solvers import (
 )
 from helpers import path_edges, write_edge_list
 
-SQRT2 = math.sqrt(2.0)
-
 
 def _run(canonical, variant, runner, observer=None, recorder=None, f_star=None, **kw):
     problem, constants, _, _ = canonical
@@ -37,25 +35,23 @@ def _run(canonical, variant, runner, observer=None, recorder=None, f_star=None, 
 # -- step-size engine ---------------------------------------------------------
 
 def test_stepsize_update_values():
-    assert stepsize_update(1.0, 1.0, 1.0, 3.0) == (0.5, 2.0, 2.0)
-    assert stepsize_update(0.5, 2.0, 1.0, 6.0) == (0.25, 4.0, 4.0)
+    assert stepsize_update(1.0, 1.0, 3.0) == (0.5, 2.0)
+    assert stepsize_update(0.5, 2.0, 6.0) == (0.25, 4.0)
 
 
 def test_stepsize_update_zero_rho_is_exact_identity():
     tau, sigma = 0.1234567890123, 3.14159
-    out = stepsize_update(tau, sigma, 1.0, 0.0)
-    assert out == (tau, sigma, sigma / 1.0)
+    assert stepsize_update(tau, sigma, 0.0) == (tau, sigma)
 
 
 def test_stepsize_update_preserves_product():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        tau, sigma, sigma0 = rng.uniform(0.01, 3.0, size=3)
+        tau, sigma = rng.uniform(0.01, 3.0, size=2)
         rho = float(rng.uniform(0.0, 5.0))
-        tau2, sigma2, t2 = stepsize_update(tau, sigma, sigma0, rho)
+        tau2, sigma2 = stepsize_update(tau, sigma, rho)
         assert tau2 <= tau
         assert tau2 * sigma2 == pytest.approx(tau * sigma, rel=1e-14)
-        assert t2 == pytest.approx(sigma2 / sigma0, rel=1e-15)
 
 
 def test_epoch_budget_value():
@@ -95,15 +91,21 @@ def test_config_validation():
         dict(variant="nope"),
         dict(nu0=0.0),
         dict(delta=1.0),
-        dict(rho0=-1.0),
         dict(max_iters=-1),
         dict(record_every=0),
         dict(metric_iterate="weird"),
-        dict(tolerance_metric="weird"),
-        dict(forced_schedule=0),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # Checked when the config is built, so a bad value never reaches the loop.
+    for name, values in (
+        ("tau0", (0.0, -1.0, math.nan, math.inf)),
+        ("sigma0", (0.0, -1.0, math.nan, math.inf)),
+        ("rho0", (-1.0, math.nan, math.inf)),
+    ):
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize("runner, accepted", [
@@ -254,8 +256,7 @@ def test_tolerance_stop_on_gap(canonical):
 
 
 def test_tolerance_stop_on_kkt(canonical):
-    res = _run(canonical, "apdpro", apdpro, max_iters=5000, tolerance=1e-8,
-               tolerance_metric="kkt")
+    res = _run(canonical, "apdpro", apdpro, max_iters=5000, tolerance=1e-8)
     assert res.termination == "tolerance"
 
 
@@ -266,15 +267,6 @@ def test_record_every_thins_the_trace(canonical):
 
 
 # -- baseline and restart variants ---------------------------------------------
-
-def test_disabled_estimator_is_the_baseline_bitwise(canonical):
-    pro = _run(canonical, "apdpro", apdpro, max_iters=300, disable_estimator=True, rho0=0.0)
-    base = _run(canonical, "apd", apd_baseline, max_iters=300)
-    assert np.array_equal(pro.x, base.x)
-    assert np.array_equal(pro.x_bar, base.x_bar)
-    assert np.array_equal(pro.y, base.y)
-    assert np.array_equal(pro.y_bar, base.y_bar)
-
 
 def test_baseline_keeps_steps_constant_and_weights_uniform(canonical):
     snaps = []
@@ -373,19 +365,6 @@ def test_msapd_stage_contraction(canonical):
         assert err <= constants.D_X**2 * 2.0 ** (-s)
 
 
-def test_msapd_forced_schedule_budgets(canonical):
-    res = _run(canonical, "msapd", msapd, max_iters=4000, max_epochs=3, forced_schedule=10)
-    assert res.epoch_budgets == [10, 15, 20, 29]  # ceil(10 * sqrt(2)^s)
-    assert len(res.trace) == 74
-    snaps = []
-    _run(canonical, "msapd", msapd, observer=snaps.append, max_iters=4000,
-         max_epochs=1, forced_schedule=5)
-    tau0, sigma_tilde = snaps[0].tau, snaps[0].sigma
-    stage1 = next(sn for sn in snaps if sn.epoch == 1)
-    assert stage1.tau == pytest.approx(tau0 / SQRT2, rel=1e-15)
-    assert stage1.sigma == pytest.approx(sigma_tilde * SQRT2, rel=1e-15)
-
-
 # -- oracle reuse ----------------------------------------------------------------
 
 def _counted(problem, calls, nan_after=None):
@@ -440,7 +419,7 @@ def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request)
     """
     problem, constants = request.getfixturevalue(instance)[:2]
     # A KKT target the runs never reach, so the stop test runs on every iteration.
-    kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0, tolerance_metric="kkt")
+    kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0)
     for variant, runner in (("apdpro", apdpro), ("rapdpro", rapdpro)):
         per_iter = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
         assert len(per_iter) > 20 and max(per_iter) <= 3, variant
