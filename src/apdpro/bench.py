@@ -348,9 +348,13 @@ _SECTIONS = {
 }
 
 
-def _convert(raw: str, annotation):
-    """The INI text of one key as its field's type; ``X | None`` reads as X."""
-    kind = next((a for a in typing.get_args(annotation) if a is not type(None)), annotation)
+def _field_type(annotation):
+    """The type an INI value of a field converts to; ``X | None`` reads as X."""
+    return next((a for a in typing.get_args(annotation) if a is not type(None)), annotation)
+
+
+def _convert(raw: str, kind):
+    """The INI text of one key as ``kind``."""
     if kind is tuple:
         return tuple(v.strip() for v in raw.split(",") if v.strip())
     return kind(raw)
@@ -376,7 +380,11 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             if key not in _SECTIONS[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
             cls, name = _SECTIONS[section][key]
-            kwargs[cls][name] = _convert(raw, typing.get_type_hints(cls)[name])
+            kind = _field_type(typing.get_type_hints(cls)[name])
+            try:
+                kwargs[cls][name] = _convert(raw, kind)
+            except ValueError:
+                raise ValueError(f"{path}: [{section}] {key} = {raw!r}: expected {kind.__name__}") from None
     if "instance" not in parser:
         raise ValueError(f"{path}: missing [instance] section")
     return ExperimentConfig(

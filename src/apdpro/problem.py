@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 
+# Derived and direct G at the strict point may differ by this much relative to
+# |x'Qx/2| + |q'x| + |b|: far above the rounding of a length-n dot product,
+# far below any mismatch between the structure and the oracle.
+_QUADRATIC_RTOL = 1e-9
+
+
 def _vec(z, n: int, name: str) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (n,):
@@ -103,6 +109,16 @@ class ConstrainedProblem:
     ``L_X`` bounds the Jacobian's Lipschitz modulus on the primal ball,
     ``L_G`` the constraint map's, and ``r`` lower bounds the objective's
     subgradient norms at the optimum.
+
+    ``quadratic`` = (q_lin, b), with q_lin n-by-m and b of length m, is an
+    optional promise that g_i(x) = (1/2) x'Q_i x - q_i'x - b_i and
+    J(x) = [Q_i x - q_i] for some symmetric Q_i. Then G follows from J
+    (``g_from_jac``), and J is affine, so J at an average of points is the
+    same average of their J. The solvers use this to make one ``jacobian``
+    call per iterate and no ``constraints`` call. The promise is checked
+    once, here: the shapes, and the derived G at the strict point against
+    ``constraints`` to rounding, so a ``dataclasses.replace`` that swaps an
+    oracle and leaves a stale structure raises ValueError.
     """
 
     n: int
@@ -115,6 +131,7 @@ class ConstrainedProblem:
     L_G: float
     r: float
     strict_point: np.ndarray
+    quadratic: tuple | None = None
 
     def __post_init__(self):
         if self.objective.n != self.n:
@@ -128,6 +145,30 @@ class ConstrainedProblem:
             raise ValueError("subgradient lower bound r must be positive")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "strict_point", _vec(self.strict_point, self.n, "strict_point"))
+        if self.quadratic is not None:
+            self._check_quadratic()
+
+    def _check_quadratic(self) -> None:
+        q_lin, b = self.quadratic
+        q_lin = np.asarray(q_lin, dtype=float)
+        if q_lin.shape == (self.n,) and self.m == 1:
+            q_lin = q_lin.reshape(self.n, 1)
+        if q_lin.shape != (self.n, self.m):
+            raise ValueError(f"quadratic q_lin must have shape ({self.n}, {self.m}), got {q_lin.shape}")
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        if b.shape != (self.m,):
+            raise ValueError(f"quadratic b must have shape ({self.m},), got {b.shape}")
+        object.__setattr__(self, "quadratic", (q_lin, b))
+        x = self.strict_point
+        jac = self.jac(x)
+        derived, direct = self.g_from_jac(x, jac), self.g(x)
+        qx = x @ q_lin
+        scale = np.abs(0.5 * (x @ jac + qx)) + np.abs(qx) + np.abs(b)  # |x'Qx/2| + |q'x| + |b|
+        if not np.all(np.abs(derived - direct) <= _QUADRATIC_RTOL * scale):  # nan fails too
+            raise ValueError(
+                "quadratic structure does not match the oracle: at the strict point G from the "
+                f"Jacobian is {derived.tolist()}, constraints returns {direct.tolist()}"
+            )
 
     def f(self, x) -> float:
         return self.objective.value(x)
@@ -145,6 +186,11 @@ class ConstrainedProblem:
         if mat.shape != (self.n, self.m):
             raise ValueError(f"jacobian evaluator returned shape {mat.shape}, expected ({self.n}, {self.m})")
         return mat
+
+    def g_from_jac(self, x: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        """G(x) = (1/2) J(x)'x - (1/2) q_lin'x - b from J(x); needs ``quadratic``."""
+        q_lin, b = self.quadratic
+        return 0.5 * (x @ jac - x @ q_lin) - b
 
 
 @dataclass(frozen=True)

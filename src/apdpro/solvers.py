@@ -75,7 +75,12 @@ VARIANTS = ("apdpro", "rapdpro", "msapd", "apd", "apd_restart")
 
 @dataclass
 class SolverState:
-    """Mutable per-run state; field names follow the algorithm listings."""
+    """Mutable per-run state; field names follow the algorithm listings.
+
+    ``jac_bar`` is J(x_bar), kept as the same running average as x_bar on
+    problems with quadratic structure (None otherwise, and at a segment
+    start until the loop sets it to J(x) there).
+    """
 
     x_prev: np.ndarray
     x: np.ndarray
@@ -88,6 +93,7 @@ class SolverState:
     rho_est: RhoEstimate
     k: int = 0
     s: int = 0
+    jac_bar: np.ndarray | None = None
 
 
 @dataclass
@@ -97,9 +103,10 @@ class SolverConfig:
     ``sigma0`` doubles as sigma_bar (rapdpro) and sigma_tilde (msapd). Unset
     step sizes fall back to the balancing rule sigma0 = L_XY/L_G^2,
     tau0 = 1/(L_XY + L_G^2 sigma0) (and its per-variant analogues).
-    ``tolerance`` = 0 disables early stopping; when positive the stop test
-    uses max(relative objective gap, feasibility violation) against a
-    supplied reference objective value, else the max KKT residual.
+    ``tolerance`` (finite, >= 0) = 0 disables early stopping; when positive
+    the stop test uses max(relative objective gap, feasibility violation)
+    against a supplied reference objective value, else the max KKT residual.
+    ``restart_period`` must be at least 1, or inf for no restart.
 
     Variant-specific knobs (one config is shared across variants by
     ``bench.run_comparison``, so the others accept and ignore them):
@@ -134,6 +141,10 @@ class SolverConfig:
             raise ValueError("nu0 and delta must lie in (0, 1)")
         if not (math.isfinite(self.rho0) and self.rho0 >= 0):
             raise ValueError(f"rho0 must be finite and nonnegative, got {self.rho0!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
+        if not self.restart_period >= 1:  # also rejects nan
+            raise ValueError(f"restart_period must be at least 1 or inf, got {self.restart_period!r}")
         if self.max_iters < 0 or self.max_epochs < 0:
             raise ValueError("iteration budgets must be nonnegative")
         if self.record_every < 1:
@@ -163,8 +174,9 @@ class RecordInputs:
     """What the engine hands to a recorder after each iteration.
 
     ``g_last`` is G(x_last), already evaluated by the engine; recorders use
-    it instead of calling the constraint oracle again. None means unknown
-    (recorders then evaluate G themselves).
+    it instead of calling the constraint oracle again. ``g_bar`` is G(x_bar),
+    set when the run reports at x_bar on a problem with quadratic structure.
+    None means unknown (recorders then evaluate G themselves).
     """
 
     iter: int
@@ -177,6 +189,7 @@ class RecordInputs:
     sigma: float
     elapsed_s: float
     g_last: np.ndarray | None = None
+    g_bar: np.ndarray | None = None
 
 
 def active_set_accuracy(x, x_ref, threshold: float = 1e-8, objective=None) -> float:
@@ -211,11 +224,11 @@ def compute_metrics(
 
     ``reference`` is (x*, f*) or None. Without it rel_gap and active_set_acc
     stay None and serialize as empty CSV fields; with x* = None only
-    active_set_acc does. At the last iterate, ``ri.g_last`` (when set) stands
-    in for G(x_last).
+    active_set_acc does. ``ri.g_last`` and ``ri.g_bar`` (when set) stand in
+    for G(x_last) and G(x_bar).
     """
     if metric == "ergodic":
-        xm, gm = ri.x_bar, None
+        xm, gm = ri.x_bar, ri.g_bar
     else:
         xm, gm = ri.x_last, ri.g_last
     if gm is None:
@@ -392,8 +405,10 @@ class _Driver:
             recorder = functools.partial(compute_metrics, problem, metric=self.metric, reference=reference)
         self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
+        self.quadratic = problem.quadratic is not None
         # The oracle at the current iterate, kept across segments: G(_at) in
-        # _gx, and J(_at) in _jx once something needs it (None until then).
+        # _gx, and J(_at) in _jx once something needs it (None until then;
+        # always set on quadratic problems, where G comes from J).
         self._at: np.ndarray | None = None
         self._gx: np.ndarray | None = None
         self._jx: np.ndarray | None = None
@@ -404,10 +419,11 @@ class _Driver:
             self._jx = self.prob.jac(self._at)
         return self._jx
 
-    def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
+    def _should_stop(self, rec: IterateRecord, ri: RecordInputs, jac_bar: np.ndarray | None) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
 
-        The KKT test at ri.x_last reuses the cached G and J there.
+        The KKT test reuses the G and J the loop holds at its point: always at
+        ri.x_last, at ri.x_bar on quadratic problems.
         """
         tol = self.cfg.tolerance
         if tol <= 0.0:
@@ -415,7 +431,7 @@ class _Driver:
         if rec.rel_gap is not None:
             return max(rec.rel_gap, rec.feas_violation) <= tol
         if self.metric == "ergodic":
-            return kkt_residual(self.prob, ri.x_bar, ri.y).max() <= tol
+            return kkt_residual(self.prob, ri.x_bar, ri.y, g=ri.g_bar, jac=jac_bar).max() <= tol
         return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self._jac()).max() <= tol
 
     def y_bar(self, st: SolverState) -> np.ndarray:
@@ -426,7 +442,20 @@ class _Driver:
         st.x_bar = st.x.copy()
         st.T = 0.0
         st.sigma_prev = st.sigma
+        st.jac_bar = None
         self.ybar_acc = np.zeros(self.prob.m)
+
+    def warm_start(self, st: SolverState) -> None:
+        """Move the iterates to the ergodic pair (x_bar, y_bar).
+
+        On quadratic problems J(x_bar) is the running J_bar, so the new
+        point costs no oracle call.
+        """
+        st.y = self.y_bar(st)
+        st.x = st.x_bar.copy()
+        if self.quadratic:
+            self._at, self._jx = st.x, st.jac_bar
+            self._gx = self.prob.g_from_jac(st.x, st.jac_bar)
 
     # -- the shared inner loop ---------------------------------------------
 
@@ -456,17 +485,30 @@ class _Driver:
         the dual extrapolation, the primal step, h1, the recorder and the KKT
         stop test; J only when one of them first needs it. The values at the
         last iterate carry over to the next segment, which starts there.
+
+        On a problem with ``quadratic`` structure (checked when the problem
+        is built) each new iterate costs one ``jacobian`` call and no
+        ``constraints`` call: G comes from J (``g_from_jac``), and
+        st.jac_bar = J(x_bar) is updated with x_bar's own weights. J_bar
+        serves h2 and, when the run reports at x_bar, G(x_bar) for the
+        record (``RecordInputs.g_bar``) and the KKT stop there. The results
+        differ from the generic path by rounding only.
         """
         prob, c, cfg = self.prob, self.c, self.cfg
+        quadratic = self.quadratic
         ball = (c.ball_center, c.ball_radius)
         est = st.rho_est
         adaptive = improve_rule != "alg3"
+        ergodic = self.metric == "ergodic"
         n_budget = math.inf
-        if self._at is not st.x:  # a new start point (first segment, or a warm start)
-            self._at, self._gx, self._jx = st.x, prob.g(st.x), prob.jac(st.x)
-            for what, val in (("constraint value G(x)", self._gx), ("Jacobian J(x)", self._jx)):
+        if self._at is not st.x:  # a new start point (the first segment, or a generic warm start)
+            self._at, self._jx = st.x, prob.jac(st.x)
+            self._gx = prob.g_from_jac(st.x, self._jx) if quadratic else prob.g(st.x)
+            for what, val in (("Jacobian J(x)", self._jx), ("constraint value G(x)", self._gx)):
                 if not np.isfinite(val).all():
                     raise NumericalError(f"non-finite {what} at entry (iteration {st.k})")
+        if quadratic and st.jac_bar is None:  # fresh averages: x_bar = x
+            st.jac_bar = self._jx
         gx = self._gx
         # Every segment starts with x_prev a copy of x (fresh averages).
         gx_prev = gx if np.array_equal(st.x_prev, st.x) else prob.g(st.x_prev)
@@ -499,7 +541,10 @@ class _Driver:
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
                 gnx = _operator_norm(jx, prob.m)
-                gnxb = jacobian_operator_norm(prob, st.x_bar)
+                if quadratic:
+                    gnxb = _operator_norm(st.jac_bar, prob.m)
+                else:
+                    gnxb = jacobian_operator_norm(prob, st.x_bar)
                 h1v = h1(gnx, beta, prob.r, prob.L_X)
                 h2v = h2(gnxb, beta_bar, prob.r, prob.L_X, c.mu_lb)
                 rho_next = max(rho_k, min(c.mu_lb * max(h1v, h2v), self.rho_cap))
@@ -552,12 +597,17 @@ class _Driver:
 
             # Shift the state.
             st.x_prev, st.x, st.x_bar, st.y = st.x, x_next, x_bar_next, y_next
-            gx_prev, gx = gx, prob.g(x_next)
+            gx_prev = gx
+            if quadratic:
+                jx = prob.jac(x_next)
+                gx = prob.g_from_jac(x_next, jx)  # a nan or inf in J(x_{k+1}) makes G non-finite
+                st.jac_bar = (st.T * st.jac_bar + t_k * jx) / (st.T + t_k)
+            else:
+                jx, gx = None, prob.g(x_next)
             if not np.isfinite(gx).all():
-                raise NumericalError(
-                    f"non-finite constraint value G(x_{{k+1}}) at iteration {st.k + 1}"
-                )
-            self._at, self._gx, self._jx = x_next, gx, None
+                what = "Jacobian J" if quadratic else "constraint value G"
+                raise NumericalError(f"non-finite {what}(x_{{k+1}}) at iteration {st.k + 1}")
+            self._at, self._gx, self._jx = x_next, gx, jx
             st.T += t_k
             st.sigma_prev = sigma_k
             st.tau, st.sigma = tau_next, sigma_next
@@ -577,11 +627,12 @@ class _Driver:
                     sigma=sigma_k,
                     elapsed_s=time.perf_counter() - self.t0,
                     g_last=gx,
+                    g_bar=prob.g_from_jac(st.x_bar, st.jac_bar) if quadratic and ergodic else None,
                 )
                 rec = self.recorder(ri)
                 if rec is not None:
                     self.trace.append(rec)
-                    if self._should_stop(rec, ri):
+                    if self._should_stop(rec, ri, st.jac_bar):
                         return "tolerance"
         return "schedule" if k >= n_budget else "cap"
 
@@ -817,9 +868,7 @@ def msapd(
         if reason == "cap" and budgets[-1] == math.inf:
             termination = "budget"
             break
-        # Warm start: next stage begins at the ergodic pair.
-        st.y = driver.y_bar(st)
-        st.x = st.x_bar.copy()
+        driver.warm_start(st)  # the next stage begins at the ergodic pair
     return _finish(driver, st, termination, epochs, budgets, starts)
 
 
@@ -842,8 +891,6 @@ def apd_baseline(
     """
     _require_variant(config, "apd_baseline", "apd", "apd_restart")
     period = config.restart_period if config.variant == "apd_restart" else math.inf
-    if period != math.inf and period < 1:
-        raise ValueError("restart_period must be at least 1")
     return _single_run(
         problem, constants, config, x0, y0, recorder, observer, f_star,
         improve_rule=None,

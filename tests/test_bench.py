@@ -400,3 +400,14 @@ def test_load_experiment_config_strips_inline_comments(tmp_path):
     assert cfg.instance.n == 5
     assert cfg.instance.r_rule == "degree"
     assert cfg.instance.path == "a;b"
+
+
+@pytest.mark.parametrize("section, key, raw, kind", [
+    ("instance", "n", "1e3", "int"),
+    ("solver", "tolerance", "1e-7x", "float"),
+])
+def test_load_experiment_config_conversion_error_names_file_section_and_key(tmp_path, section, key, raw, kind):
+    head = "" if section == "instance" else "[instance]\n"
+    with pytest.raises(ValueError) as info:
+        _load_text(tmp_path, f"{head}[{section}]\n{key} = {raw}\n")
+    assert str(info.value) == f"{tmp_path / 'exp.ini'}: [{section}] {key} = {raw!r}: expected {kind}"

@@ -1,5 +1,7 @@
 """Problem model: block-norm objective, derived constants, Lagrangian, KKT."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,36 @@ def test_constraint_shape_errors():
             jacobian=problem.jacobian, mu=np.array([-1.0]), L_X=1.0, L_G=1.0, r=1.0,
             strict_point=problem.strict_point,
         )
+
+
+# -- quadratic structure (the 30-node PageRank instance) ---------------------------
+
+def test_quadratic_structure_derives_g_from_the_jacobian(small_graph):
+    problem, _ = small_graph
+    q_lin, b = problem.quadratic
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = rng.standard_normal(problem.n) * rng.uniform(1e-3, 1e3)
+        jac = problem.jac(x)
+        qx = x @ q_lin
+        scale = np.abs(0.5 * (x @ jac + qx)) + np.abs(qx) + np.abs(b)  # |x'Qx/2| + |q'x| + |b|
+        assert np.all(np.abs(problem.g_from_jac(x, jac) - problem.g(x)) <= 1e-14 * scale)
+
+
+def test_quadratic_structure_is_checked_at_construction(small_graph):
+    problem, _ = small_graph
+    q_lin, b = problem.quadratic
+    with pytest.raises(ValueError, match="q_lin must have shape"):
+        dataclasses.replace(problem, quadratic=(q_lin[1:], b))
+    with pytest.raises(ValueError, match="b must have shape"):
+        dataclasses.replace(problem, quadratic=(q_lin, np.zeros(2)))
+    # Stale: the structure of another level or teleport vector, or an oracle swapped under it.
+    for stale in (
+        dict(quadratic=(q_lin, 1.001 * b)),
+        dict(quadratic=(2.0 * q_lin, b)),
+        dict(constraints=lambda x: 2.0 * problem.constraints(x)),
+        dict(jacobian=lambda x: np.full((problem.n, 1), np.nan)),
+    ):
+        with pytest.raises(ValueError, match="does not match"):
+            dataclasses.replace(problem, **stale)
+    dataclasses.replace(problem, quadratic=(q_lin[:, 0], float(b[0])))  # 1-D q_lin and scalar b for m = 1

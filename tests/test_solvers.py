@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from apdpro.bench import InstanceSpec, build_instance, make_recorder
+from apdpro.bench import make_recorder
 from apdpro.linalg import NumericalError
-from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.solvers import (
     VARIANTS,
     SolverConfig,
@@ -22,7 +21,6 @@ from apdpro.solvers import (
     _epoch_budget,
     _stage_budget,
 )
-from helpers import path_edges, write_edge_list
 
 
 def _run(canonical, variant, runner, observer=None, recorder=None, f_star=None, **kw):
@@ -102,10 +100,14 @@ def test_config_validation():
         ("tau0", (0.0, -1.0, math.nan, math.inf)),
         ("sigma0", (0.0, -1.0, math.nan, math.inf)),
         ("rho0", (-1.0, math.nan, math.inf)),
+        ("tolerance", (-1.0, math.nan, math.inf)),
+        ("restart_period", (0.5, 0.0, -1.0, math.nan)),
     ):
         for value in values:
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})
+    SolverConfig(tolerance=0.0, restart_period=1)
+    SolverConfig(restart_period=math.inf)
 
 
 @pytest.mark.parametrize("runner, accepted", [
@@ -367,6 +369,9 @@ def test_msapd_stage_contraction(canonical):
 
 # -- oracle reuse ----------------------------------------------------------------
 
+ENTRY_POINTS = (("apdpro", apdpro), ("rapdpro", rapdpro), ("msapd", msapd), ("apd", apd_baseline))
+
+
 def _counted(problem, calls, nan_after=None):
     """The problem with its constraint oracle counting calls into ``calls``."""
     g, jac = problem.constraints, problem.jacobian
@@ -381,53 +386,65 @@ def _counted(problem, calls, nan_after=None):
         calls["jac"] += 1
         return jac(x)
 
-    return dataclasses.replace(problem, constraints=constraints, jacobian=jacobian)
+    counted = dataclasses.replace(problem, constraints=constraints, jacobian=jacobian)
+    calls.update(g=0, jac=0)  # forget the structure check's calls at construction
+    return counted
 
 
-@pytest.fixture(scope="module")
-def small_graph(tmp_path_factory):
-    """A generated 30-node graph instance: a path plus random chords."""
-    rng = np.random.default_rng(5)
-    edges = path_edges(30) + [tuple(map(int, e)) for e in rng.integers(0, 30, size=(60, 2)) if e[0] != e[1]]
-    path = write_edge_list(tmp_path_factory.mktemp("graph") / "g30.txt", edges)
-    probe = build_ppr_problem(load_graph(path), alpha=0.2, b=-1e-12)
-    b = 0.5 * (probe.problem.g(probe.x_tilde)[0] - 1e-12)
-    bundle = build_instance(InstanceSpec(kind="graph", path=path, alpha=0.2, b=b))
-    return bundle.problem, bundle.constants
+def _generic(problem):
+    """The problem without its quadratic structure: the callable-oracle path."""
+    return dataclasses.replace(problem, quadratic=None)
 
 
 def _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw):
-    """Oracle calls between consecutive iterations of one epoch (observer to observer)."""
+    """(G calls, J calls) between consecutive iterations of one epoch (observer to observer)."""
     calls = {"g": 0, "jac": 0}
     counted = _counted(problem, calls)
     cfg = SolverConfig(variant=variant, **kw)
     recorder = make_recorder(counted, variant, cfg, None) if use_bench_recorder else None
     marks = []
     runner(counted, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), recorder=recorder,
-           observer=lambda sn: marks.append((sn.epoch, calls["g"] + calls["jac"])))
-    return [b - a for (ea, a), (eb, b) in zip(marks, marks[1:]) if ea == eb]
+           observer=lambda sn: marks.append((sn.epoch, calls["g"], calls["jac"])))
+    return [(g1 - g0, j1 - j0) for (e0, g0, j0), (e1, g1, j1) in zip(marks, marks[1:]) if e0 == e1]
 
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 @pytest.mark.parametrize("use_bench_recorder", [False, True])
 @pytest.mark.parametrize("stop", ["none", "kkt"])
 def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request):
-    """G and J once at x_{k+1}, J once at x_bar_k (h2), and nothing more at the last iterate.
+    """Generic path: G and J once at x_{k+1}, J once at x_bar_k (h2), nothing more at the last iterate.
 
     The ergodic-metric variants also evaluate G at x_bar_{k+1} for the record
     (and G and J there for a KKT stop); no cached value exists at that point.
+    The 30-node graph runs with its quadratic structure dropped.
     """
     problem, constants = request.getfixturevalue(instance)[:2]
+    problem = _generic(problem)
     # A KKT target the runs never reach, so the stop test runs on every iteration.
     kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0)
+
+    def per_iter(variant, runner):
+        return [g + j for g, j in _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)]
+
     for variant, runner in (("apdpro", apdpro), ("rapdpro", rapdpro)):
-        per_iter = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
-        assert len(per_iter) > 20 and max(per_iter) <= 3, variant
+        calls = per_iter(variant, runner)
+        assert len(calls) > 20 and max(calls) <= 3, variant
     if stop == "none":
-        per_iter = _calls_per_iteration(problem, constants, "msapd", msapd, use_bench_recorder, **kw)
-        assert len(per_iter) > 20 and max(per_iter) <= 4
-        per_iter = _calls_per_iteration(problem, constants, "apd", apd_baseline, use_bench_recorder, **kw)
-        assert len(per_iter) == 59 and set(per_iter) == {3}
+        calls = per_iter("msapd", msapd)
+        assert len(calls) > 20 and max(calls) <= 4
+        calls = per_iter("apd", apd_baseline)
+        assert len(calls) == 59 and set(calls) == {3}
+
+
+@pytest.mark.parametrize("use_bench_recorder", [False, True])
+@pytest.mark.parametrize("stop", ["none", "kkt"])
+def test_quadratic_problems_make_one_jacobian_call_per_iteration(small_graph, use_bench_recorder, stop):
+    """With quadratic structure G comes from J, and J(x_bar) from the running average J_bar."""
+    problem, constants = small_graph
+    kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0)
+    for variant, runner in ENTRY_POINTS:
+        calls = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
+        assert len(calls) > 20 and set(calls) == {(0, 1)}, variant
 
 
 def test_non_finite_constraint_value_raises(canonical):
@@ -438,15 +455,39 @@ def test_non_finite_constraint_value_raises(canonical):
         apdpro(counted, constants, SolverConfig(max_iters=50), np.zeros(1), np.zeros(1))
 
 
+def _jacobian_nan_from_call(problem, first_nan):
+    """The problem with a Jacobian that returns nan from its ``first_nan``-th call on.
+
+    Call 1 is the structure check at construction.
+    """
+    jac, calls = problem.jacobian, []
+
+    def jacobian(x):
+        calls.append(None)
+        out = jac(x)
+        return np.full_like(out, np.nan) if len(calls) >= first_nan else out
+
+    return dataclasses.replace(problem, jacobian=jacobian)
+
+
+def test_non_finite_jacobian_raises_on_the_quadratic_path(small_graph):
+    problem, constants = small_graph
+    # Call 2 is J(x_0) at loop entry, then one per iteration: the seventh is J(x_5).
+    broken = _jacobian_nan_from_call(problem, 7)
+    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_\{k\+1\}\) at iteration 5"):
+        apdpro(broken, constants, SolverConfig(max_iters=50), np.zeros(problem.n), np.zeros(problem.m))
+
+
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 def test_restart_segments_reuse_the_oracle(instance, request):
     """A restart starts its segment at the last iterate, whose G and J are already known.
 
-    Plain apd calls the oracle 3 times per iteration (G and J at x_{k+1}, G
-    at x_bar_{k+1} for the ergodic record) plus G and J once at x_0; the
-    nine restarts of apd_restart add nothing to that.
+    Generic path: plain apd calls the oracle 3 times per iteration (G and J
+    at x_{k+1}, G at x_bar_{k+1} for the ergodic record) plus G and J once at
+    x_0; the nine restarts of apd_restart add nothing to that.
     """
     problem, constants = request.getfixturevalue(instance)[:2]
+    problem = _generic(problem)
     totals = {}
     for variant in ("apd", "apd_restart"):
         calls = {"g": 0, "jac": 0}
@@ -455,6 +496,17 @@ def test_restart_segments_reuse_the_oracle(instance, request):
         assert len(res.trace) == 100
         totals[variant] = calls["g"] + calls["jac"]
     assert totals["apd_restart"] == totals["apd"] <= 303
+
+
+def test_restart_segments_reuse_the_oracle_on_quadratic_problems(small_graph):
+    """One J at x_0 and one per iteration, restarts or not, and no G call."""
+    problem, constants = small_graph
+    for variant in ("apd", "apd_restart"):
+        calls = {"g": 0, "jac": 0}
+        cfg = SolverConfig(variant=variant, max_iters=100, restart_period=10)
+        res = apd_baseline(_counted(problem, calls), constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
+        assert len(res.trace) == 100
+        assert calls == {"g": 0, "jac": 101}, variant
 
 
 @pytest.mark.parametrize("field, what", [("constraints", r"constraint value G\(x\)"), ("jacobian", r"Jacobian J\(x\)")])
@@ -470,3 +522,32 @@ def test_non_finite_oracle_at_entry_raises(canonical, field, what):
     broken = dataclasses.replace(problem, **{field: nan_at_x0})
     with pytest.raises(NumericalError, match=rf"non-finite {what} at entry \(iteration 0\)"):
         apdpro(broken, constants, SolverConfig(max_iters=5), x0, np.zeros(1))
+
+
+def test_non_finite_jacobian_at_entry_raises_on_the_quadratic_path(small_graph):
+    problem, constants = small_graph
+    broken = _jacobian_nan_from_call(problem, 2)  # J(x_0) at loop entry
+    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x\) at entry \(iteration 0\)"):
+        apdpro(broken, constants, SolverConfig(max_iters=5), np.zeros(problem.n), np.zeros(problem.m))
+
+
+# -- quadratic structure ---------------------------------------------------------
+
+def _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res):
+    jac = problem.jac(res.x_bar)
+    assert np.max(np.abs(res.state.jac_bar - jac)) <= 1e-12 * np.max(np.abs(jac))
+
+
+def test_running_jacobian_average_is_the_jacobian_at_x_bar(small_graph):
+    problem, constants = small_graph
+    res = apdpro(problem, constants, SolverConfig(max_iters=200), np.zeros(problem.n), np.zeros(problem.m))
+    assert len(res.trace) == 200
+    _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res)
+
+
+def test_running_jacobian_average_survives_msapd_warm_starts(small_graph):
+    problem, constants = small_graph
+    cfg = SolverConfig(variant="msapd", max_iters=400, max_epochs=3)
+    res = msapd(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
+    assert res.epochs >= 3  # two warm starts inside the run
+    _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res)

@@ -1,10 +1,12 @@
-"""The names the benchmark's tracer wraps, and the one-entry-point-per-solve rule.
+"""The names the benchmark's tracer wraps, the one-entry-point-per-solve rule,
+and the oracle counts it reports.
 
 ``perfbench/tracing.py`` patches module attributes by name and times each
 solver entry point in its own span. A renamed attribute makes every traced
 benchmark round fail; an entry point that calls another one through the
 module would book its time under the wrong span. These tests catch both in
-the fast suite.
+the fast suite, and check that the tracer's oracle wrappers count one
+Jacobian call and no constraint call per iteration on a PageRank instance.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from apdpro import bench, estimator, pagerank, problem, solvers
+from apdpro.bench import make_recorder
 from apdpro.solvers import SolverConfig
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -74,3 +77,18 @@ def test_each_entry_point_runs_exactly_one_entry_point(canonical, monkeypatch):
         calls.clear()
         _solve(canonical, variant, attr)
         assert calls == [attr], variant
+
+
+@pytest.mark.parametrize("variant, attr", RUNS)
+def test_tracer_counts_one_jacobian_call_per_iteration_on_pagerank(tracing, small_graph_bundle, variant, attr):
+    tracer = tracing.Tracer()
+    bundle = tracing.traced_bundle(tracer, small_graph_bundle)
+    prob = bundle.problem
+    cfg = SolverConfig(variant=variant, max_iters=40, max_epochs=2, restart_period=7)
+    probe = tracing.SolveProbe()
+    recorder = tracing.traced_recorder(tracer, make_recorder(prob, variant, cfg, None), probe)
+    getattr(solvers, attr)(prob, bundle.constants, cfg, np.zeros(prob.n), np.zeros(prob.m), recorder=recorder)
+    delta = [b - a for a, b in zip(probe.first, probe.last)]
+    assert probe.records > 20
+    assert delta[tracing.JAC_CALLS] == probe.records - 1
+    assert delta[tracing.G_CALLS] == 0
