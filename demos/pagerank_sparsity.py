@@ -35,7 +35,8 @@ v_min = float(probe.problem.g(probe.x_tilde)[0]) - 1e-12
 spec = InstanceSpec(kind="graph", path=path, alpha=0.4, b=0.95 * v_min, s="seed:1")
 bundle = build_instance(spec)
 
-# a long restarted run provides the reference support pattern
+# the reference support pattern: an exact KKT solve on the identified
+# support (a long restarted run would be the fallback)
 x_ref, y_ref, f_ref = reference_solution(bundle, "long-run")
 support = np.nonzero(np.abs(x_ref) > 1e-6)[0]
 print(f"reference: f* = {f_ref:.6f}, multiplier {y_ref[0]:.2f}, "

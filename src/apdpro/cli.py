@@ -73,9 +73,18 @@ def main(argv=None) -> int:
     x, y, f = ref
     from .problem import kkt_residual
 
-    print(f"reference for {bundle.label}: f* = {f:.12g}, KKT residual {kkt_residual(bundle.problem, x, y).max():.3g}")
+    method = config.reference_mode
+    if method == "long-run":
+        cache = bench._cache_path(bundle, config.output_path)
+        payload = bench._read_cache(cache, bundle.identity)
+        method = payload.get("method", "long-run")  # caches from before the exact solve hold long runs
+        if "steps" in payload:
+            steps = payload["steps"]
+            method += f" ({steps} step{'' if steps == 1 else 's'})"
+    print(f"reference for {bundle.label}: f* = {f:.12g}, KKT residual "
+          f"{kkt_residual(bundle.problem, x, y).max():.3g}, method {method}")
     if config.reference_mode == "long-run":
-        print(f"cached at {bench._cache_path(bundle, config.output_path)}")
+        print(f"cached at {cache}")
     return 0
 
 

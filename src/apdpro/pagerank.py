@@ -302,8 +302,8 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     (the middle term vanishes here: the ball is centered at the strict
     point).
 
-    The problem carries ``quadratic`` = (q_lin, b), so the solvers derive G
-    from J and make one Q mat-vec per iteration.
+    The problem carries ``quadratic`` = (q_lin, b, qmatvec), so the solvers
+    derive G from J and make one Q mat-vec per iteration.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -353,7 +353,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         L_G=l_g,
         r=r,
         strict_point=x_tilde,
-        quadratic=(q_lin, b),
+        quadratic=(q_lin, b, qmatvec),
     )
     return PprInstance(
         problem=problem,

@@ -110,15 +110,17 @@ class ConstrainedProblem:
     ``L_G`` the constraint map's, and ``r`` lower bounds the objective's
     subgradient norms at the optimum.
 
-    ``quadratic`` = (q_lin, b), with q_lin n-by-m and b of length m, is an
-    optional promise that g_i(x) = (1/2) x'Q_i x - q_i'x - b_i and
-    J(x) = [Q_i x - q_i] for some symmetric Q_i. Then G follows from J
+    ``quadratic`` = (q_lin, b, qmatvec), with q_lin n-by-m and b of length
+    m, is an optional promise that g_i(x) = (1/2) x'Q_i x - q_i'x - b_i and
+    J(x) = [Q_i x - q_i] for some symmetric Q_i, and that ``qmatvec`` maps x
+    to [Q_i x] (n-by-m, or length n for m = 1). Then G follows from J
     (``g_from_jac``), and J is affine, so J at an average of points is the
     same average of their J. The solvers use this to make one ``jacobian``
-    call per iterate and no ``constraints`` call. The promise is checked
-    once, here: the shapes, and the derived G at the strict point against
-    ``constraints`` to rounding, so a ``dataclasses.replace`` that swaps an
-    oracle and leaves a stale structure raises ValueError.
+    call per iterate and no ``constraints`` call; the reference solves with
+    Q itself. The promise is checked once, here: the shapes, the derived G
+    at the strict point against ``constraints``, and J there against
+    ``qmatvec`` minus q_lin, each to rounding, so a ``dataclasses.replace``
+    that swaps an oracle and leaves a stale structure raises ValueError.
     """
 
     n: int
@@ -149,7 +151,7 @@ class ConstrainedProblem:
             self._check_quadratic()
 
     def _check_quadratic(self) -> None:
-        q_lin, b = self.quadratic
+        q_lin, b, qmatvec = self.quadratic
         q_lin = np.asarray(q_lin, dtype=float)
         if q_lin.shape == (self.n,) and self.m == 1:
             q_lin = q_lin.reshape(self.n, 1)
@@ -158,7 +160,7 @@ class ConstrainedProblem:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if b.shape != (self.m,):
             raise ValueError(f"quadratic b must have shape ({self.m},), got {b.shape}")
-        object.__setattr__(self, "quadratic", (q_lin, b))
+        object.__setattr__(self, "quadratic", (q_lin, b, qmatvec))
         x = self.strict_point
         jac = self.jac(x)
         derived, direct = self.g_from_jac(x, jac), self.g(x)
@@ -168,6 +170,13 @@ class ConstrainedProblem:
             raise ValueError(
                 "quadratic structure does not match the oracle: at the strict point G from the "
                 f"Jacobian is {derived.tolist()}, constraints returns {direct.tolist()}"
+            )
+        qxt = np.asarray(qmatvec(x), dtype=float).reshape(self.n, self.m)
+        gap = np.linalg.norm(jac - (qxt - q_lin), axis=0)
+        if not np.all(gap <= _QUADRATIC_RTOL * (np.linalg.norm(qxt, axis=0) + np.linalg.norm(q_lin, axis=0))):
+            raise ValueError(
+                "quadratic structure does not match the oracle: at the strict point the Jacobian "
+                f"is {gap.tolist()} away from qmatvec minus q_lin"
             )
 
     def f(self, x) -> float:
@@ -189,7 +198,7 @@ class ConstrainedProblem:
 
     def g_from_jac(self, x: np.ndarray, jac: np.ndarray) -> np.ndarray:
         """G(x) = (1/2) J(x)'x - (1/2) q_lin'x - b from J(x); needs ``quadratic``."""
-        q_lin, b = self.quadratic
+        q_lin, b, _ = self.quadratic
         return 0.5 * (x @ jac - x @ q_lin) - b
 
 

@@ -1,10 +1,9 @@
-import numpy as np
 import pytest
 
 from apdpro.bench import InstanceSpec, build_instance
 from apdpro.pagerank import build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import derive_constants, feasible_ball
-from helpers import path_edges, write_edge_list
+from helpers import chorded_path_edges, write_edge_list
 
 
 @pytest.fixture(scope="session")
@@ -19,9 +18,7 @@ def canonical():
 @pytest.fixture(scope="session")
 def small_graph_bundle(tmp_path_factory):
     """A generated 30-node PageRank instance: a path plus random chords."""
-    rng = np.random.default_rng(5)
-    edges = path_edges(30) + [tuple(map(int, e)) for e in rng.integers(0, 30, size=(60, 2)) if e[0] != e[1]]
-    path = write_edge_list(tmp_path_factory.mktemp("graph") / "g30.txt", edges)
+    path = write_edge_list(tmp_path_factory.mktemp("graph") / "g30.txt", chorded_path_edges(30, 60, seed=5))
     probe = build_ppr_problem(load_graph(path), alpha=0.2, b=-1e-12)
     b = 0.5 * (probe.problem.g(probe.x_tilde)[0] - 1e-12)
     return build_instance(InstanceSpec(kind="graph", path=path, alpha=0.2, b=b))

@@ -23,6 +23,12 @@ def cycle_edges(n):
     return path_edges(n) + [(n - 1, 0)]
 
 
+def chorded_path_edges(n, chords, seed):
+    """A path on n nodes plus up to ``chords`` random edges (self-loops dropped)."""
+    rng = np.random.default_rng(seed)
+    return path_edges(n) + [tuple(map(int, e)) for e in rng.integers(0, n, size=(chords, 2)) if e[0] != e[1]]
+
+
 def random_partition(rng, n):
     """Random contiguous (start, length) block partition of range(n)."""
     if n == 1:

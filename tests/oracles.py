@@ -4,7 +4,8 @@ Nothing here calls into the package's operator implementations. The prox
 oracle is a dense scan (literal in 1-D) whose higher-dimensional refinement
 is Douglas-Rachford splitting built from two textbook pieces written out
 here: the block soft threshold and the Euclidean ball projection. The dual
-projection oracle enumerates KKT active sets. Slow and simple on purpose.
+projection oracle enumerates KKT active sets. The PageRank KKT check builds
+Q as a dense matrix from the edge list. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -133,3 +134,30 @@ def project_oracle(u, lower, upper):
     if not feasible:
         raise ValueError("enumeration produced no feasible candidate")
     return min(feasible, key=lambda y: float(np.dot(y - u, y - u)))
+
+
+def ppr_kkt_oracle(n, edges, alpha, teleport, b, x, y):
+    """(stationarity, complementarity) of the l1-regularized PageRank problem at (x, y).
+
+    The problem is min sum_i sqrt(d_i)|x_i| s.t. g(x) = x'Qx/2 - q'x - b <= 0
+    with Q = I - (1 - alpha)/2 (I + D^{-1/2} A D^{-1/2}) and
+    q = alpha D^{-1/2} s, all built densely here from the edge list
+    (symmetrized, duplicates and self-loops dropped). Stationarity is the
+    Euclidean norm of each coordinate's distance from
+    0 in sqrt(d_i) d|x_i| + y (Qx - q)_i; complementarity is |y g(x)|.
+    """
+    adj = np.zeros((n, n))
+    for u, v in edges:
+        if u != v:
+            adj[u, v] = adj[v, u] = 1.0
+    deg = adj.sum(axis=1)
+    dinv = 1.0 / np.sqrt(deg)
+    q_mat = np.eye(n) - 0.5 * (1.0 - alpha) * (np.eye(n) + dinv[:, None] * adj * dinv[None, :])
+    q = alpha * dinv * np.asarray(teleport, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = float(np.asarray(y).reshape(-1)[0])
+    w = np.sqrt(deg)
+    v = y * (q_mat @ x - q)
+    dist = np.where(x != 0.0, np.abs(w * np.sign(x) + v), np.maximum(0.0, np.abs(v) - w))
+    g = 0.5 * x @ q_mat @ x - q @ x - b
+    return float(np.linalg.norm(dist)), float(abs(y * g))

@@ -22,7 +22,8 @@ from apdpro.bench import (
     run_experiment,
     write_csv,
 )
-from apdpro.pagerank import make_synthetic_instance
+from apdpro.linalg import NumericalError
+from apdpro.pagerank import build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import BlockNormObjective, derive_constants, feasible_ball, kkt_residual
 from apdpro.solvers import (
     IterateRecord,
@@ -32,7 +33,8 @@ from apdpro.solvers import (
     compute_metrics,
     rapdpro,
 )
-from helpers import write_edge_list
+from helpers import chorded_path_edges, star_edges, write_edge_list
+from oracles import ppr_kkt_oracle
 
 
 def _record_inputs(x_last, x_bar=None, **kw):
@@ -193,8 +195,8 @@ def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
     (cache,) = [tmp_path / p for p in os.listdir(tmp_path) if p.startswith(".ref-")]
     text = cache.read_text(encoding="utf-8")
     calls = []
-    original = bench.reference_solution
-    monkeypatch.setattr(bench, "reference_solution", lambda *a: calls.append(a) or original(*a))
+    original = bench._solve_reference
+    monkeypatch.setattr(bench, "_solve_reference", lambda *a: calls.append(a) or original(*a))
     for broken in (text[: len(text) // 2], "", "[1, 2]", '{"identity": 3}'):
         cache.write_text(broken, encoding="utf-8")
         x2, y2, f2 = get_reference(bundle, config)
@@ -204,14 +206,97 @@ def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
     assert [p for p in os.listdir(tmp_path) if p.startswith(".ref-")] == [cache.name]
 
 
+def _without_quadratic(bundle):
+    """The bundle with its quadratic structure dropped: no exact solve, only the long run."""
+    return dataclasses.replace(bundle, problem=dataclasses.replace(bundle.problem, quadratic=None))
+
+
 def test_get_reference_unconverged_warns_and_returns_none(tmp_path):
     path = write_edge_list(tmp_path / "p2u.txt", [(0, 1)])
     spec = InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05)
-    bundle = build_instance(spec)
+    bundle = _without_quadratic(build_instance(spec))
     config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="rapdpro"),
                               reference_mode="long-run", budget_iters=5, budget_epochs=1)
     with pytest.warns(UserWarning, match="reference unavailable"):
         assert get_reference(bundle, config) is None
+
+
+def _ppr_case(tmp_path, edges, alpha, level, s="uniform"):
+    """(bundle, b) for the PageRank instance on ``edges`` at ``level`` times g's unconstrained minimum."""
+    path = write_edge_list(tmp_path / "graph.txt", edges)
+    probe = build_ppr_problem(load_graph(path), alpha=alpha, b=-1e-12, s=s)
+    b = level * (float(probe.problem.g(probe.x_tilde)[0]) - 1e-12)
+    return build_instance(InstanceSpec(kind="graph", path=path, alpha=alpha, b=b, s=s)), b
+
+
+@pytest.mark.parametrize("edges, alpha, level, s", [
+    (chorded_path_edges(30, 60, seed=5), 0.2, 0.5, "uniform"),
+    (star_edges(20), 0.4, 0.95, "seed:1"),
+    (chorded_path_edges(300, 900, seed=7), 0.15, 0.5, "uniform"),
+    (chorded_path_edges(300, 900, seed=7), 0.15, 0.1, "uniform"),
+    (chorded_path_edges(300, 900, seed=7), 0.15, 0.99, "seed:3"),
+    (chorded_path_edges(300, 900, seed=7), 0.15, 0.1, "seed:3"),
+], ids=["g30", "star20-seed1", "g300-uniform-0.5", "g300-uniform-0.1", "g300-seed3-0.99", "g300-seed3-0.1"])
+def test_exact_reference_matches_the_long_run_and_a_dense_kkt_check(tmp_path, edges, alpha, level, s):
+    bundle, b = _ppr_case(tmp_path, edges, alpha, level, s)
+    x, y, kkt, how = bench._solve_reference(bundle, 200000, 60)
+    assert how["method"] == "active-set" and kkt <= 1e-10
+    x_long, y_long, _, how_long = bench._solve_reference(_without_quadratic(bundle), 200000, 60)
+    assert how_long == {"method": "long-run"}
+    assert np.array_equal(x != 0, x_long != 0)
+    assert np.max(np.abs(x - x_long)) <= 1e-9
+    n = bundle.problem.n
+    teleport = np.full(n, 1.0 / n) if s == "uniform" else np.eye(n)[int(s[5:])]
+    for point in ((x, y), (x_long, y_long)):
+        stationarity, complementarity = ppr_kkt_oracle(n, edges, alpha, teleport, b, *point)
+        assert stationarity <= 1e-10 and complementarity <= 1e-10
+    if s == "seed:1":
+        assert np.count_nonzero(x) == 1
+
+
+def _sign_flip(sigma, x, jac, bound):
+    return -sigma  # a two-cycle: sigma, -sigma, sigma
+
+
+@pytest.mark.parametrize("force", ["cycling signs", "step cap", "CG stall"])
+def test_exact_reference_falls_back_to_the_long_run(tmp_path, monkeypatch, force):
+    bundle, _ = _ppr_case(tmp_path, star_edges(20), 0.4, 0.95, "seed:1")  # two active-set steps
+    calls = []
+    if force == "cycling signs":
+        monkeypatch.setattr(bench, "_update_signs", lambda *a: calls.append(a) or _sign_flip(*a))
+    elif force == "step cap":
+        monkeypatch.setattr(bench, "_ACTIVE_SET_STEPS", 1)
+    else:
+        def stall(*a, **kw):
+            raise NumericalError("conjugate gradients stalled at relative residual 1e-3")
+        monkeypatch.setattr(bench, "cg_solve", stall)
+    if force == "CG stall":
+        with pytest.raises(NumericalError):
+            bench._active_set_kkt(bundle.problem)
+    else:
+        assert bench._active_set_kkt(bundle.problem) is None
+    if force == "cycling signs":
+        assert len(calls) == 2  # the third pattern repeats the first
+    x, y, kkt, how = bench._solve_reference(bundle, 200000, 60)
+    assert how == {"method": "long-run"}
+    assert kkt <= 1e-10 and kkt_residual(bundle.problem, x, y).max() == kkt
+
+
+def test_reference_cache_records_the_method(small_graph_bundle, tmp_path, capsys):
+    bundle = dataclasses.replace(small_graph_bundle, cache_dir=str(tmp_path))
+    config = ExperimentConfig(instance=InstanceSpec(kind="graph", path="unused"),
+                              solver=SolverConfig(variant="rapdpro"), reference_mode="long-run")
+    x, y, f = get_reference(bundle, config)
+    (cache,) = [tmp_path / p for p in os.listdir(tmp_path) if p.startswith(".ref-")]
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    assert payload["method"] == "active-set" and payload["steps"] == 1
+    assert payload["kkt"] == kkt_residual(bundle.problem, x, y).max() <= 1e-10
+    # An older cache without the new keys still loads.
+    for key in ("method", "steps", "kkt"):
+        del payload[key]
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+    x2, y2, f2 = get_reference(bundle, config)
+    assert np.array_equal(x2, x) and np.array_equal(y2, y) and f2 == f
 
 
 def test_get_reference_file_mode(tmp_path, canonical):
@@ -230,6 +315,21 @@ def test_get_reference_file_mode(tmp_path, canonical):
         get_reference(bundle, ExperimentConfig(
             instance=spec, solver=SolverConfig(variant="apdpro"),
             reference_mode="file", reference_path=str(bad)))
+
+
+def test_get_reference_file_mode_rejects_a_wrong_length_dual(tmp_path, canonical):
+    _, _, x_star, _ = canonical
+    spec = InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0)
+    bundle = build_instance(spec)
+    for y in ([1.0, 2.0, 3.0], []):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"x": list(x_star), "y": y}), encoding="utf-8")
+        config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="apdpro"),
+                                  reference_mode="file", reference_path=str(bad))
+        with pytest.raises(ValueError, match=r"\(%d,\) dual entries, need 1" % len(y)):
+            get_reference(bundle, config)
+        with pytest.raises(ValueError, match="dual entries"):
+            run_experiment(config)
 
 
 def test_load_experiment_config_full(tmp_path):

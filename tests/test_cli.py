@@ -55,7 +55,7 @@ def test_reference_oracle_prints_objective(tmp_path, capsys):
     assert main(["reference", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "reference for synthetic: f* = 0.585786437627" in out
-    assert "KKT residual" in out
+    assert "KKT residual" in out and out.splitlines()[0].endswith(", method oracle")
     assert "cached at" not in out
 
 
@@ -71,6 +71,11 @@ def test_reference_long_run_caches(tmp_path, capsys):
     assert "cached at" in out
     caches = [p for p in os.listdir(tmp_path) if p.startswith(".ref-")]
     assert len(caches) == 1
+    # The method comes from the cache, also when the reference is read back from it.
+    assert main(["reference", "--config", cfg]) == 0
+    again = capsys.readouterr().out
+    for printed in (out, again):
+        assert printed.splitlines()[0].endswith(", method active-set (1 step)")
 
 
 def test_run_requires_output_section(tmp_path):

@@ -1,0 +1,31 @@
+"""Conjugate gradients on a small symmetric positive definite system."""
+
+import numpy as np
+import pytest
+
+from apdpro.linalg import NumericalError, cg_solve
+
+
+def _spd(n=12, seed=3):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    return m @ m.T + n * np.eye(n), rng.standard_normal(n)
+
+
+def test_cg_solve_reaches_the_requested_relative_residual():
+    a, b = _spd()
+    x = cg_solve(lambda v: a @ v, b, tol=1e-14)
+    assert np.linalg.norm(a @ x - b) <= 1e-14 * np.linalg.norm(b)
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
+
+
+def test_cg_solve_of_a_zero_right_hand_side_is_zero():
+    a, b = _spd()
+    x = cg_solve(lambda v: a @ v, np.zeros_like(b), tol=1e-14)
+    assert np.array_equal(x, np.zeros_like(b))
+
+
+def test_cg_solve_raises_when_maxiter_is_too_small():
+    a, b = _spd()
+    with pytest.raises(NumericalError, match="relative residual"):
+        cg_solve(lambda v: a @ v, b, tol=1e-14, maxiter=2)

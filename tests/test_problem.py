@@ -222,7 +222,7 @@ def test_constraint_shape_errors():
 
 def test_quadratic_structure_derives_g_from_the_jacobian(small_graph):
     problem, _ = small_graph
-    q_lin, b = problem.quadratic
+    q_lin, b, _ = problem.quadratic
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = rng.standard_normal(problem.n) * rng.uniform(1e-3, 1e3)
@@ -234,18 +234,23 @@ def test_quadratic_structure_derives_g_from_the_jacobian(small_graph):
 
 def test_quadratic_structure_is_checked_at_construction(small_graph):
     problem, _ = small_graph
-    q_lin, b = problem.quadratic
+    q_lin, b, qmatvec = problem.quadratic
     with pytest.raises(ValueError, match="q_lin must have shape"):
-        dataclasses.replace(problem, quadratic=(q_lin[1:], b))
+        dataclasses.replace(problem, quadratic=(q_lin[1:], b, qmatvec))
     with pytest.raises(ValueError, match="b must have shape"):
-        dataclasses.replace(problem, quadratic=(q_lin, np.zeros(2)))
+        dataclasses.replace(problem, quadratic=(q_lin, np.zeros(2), qmatvec))
     # Stale: the structure of another level or teleport vector, or an oracle swapped under it.
     for stale in (
-        dict(quadratic=(q_lin, 1.001 * b)),
-        dict(quadratic=(2.0 * q_lin, b)),
+        dict(quadratic=(q_lin, 1.001 * b, qmatvec)),
+        dict(quadratic=(2.0 * q_lin, b, qmatvec)),
         dict(constraints=lambda x: 2.0 * problem.constraints(x)),
         dict(jacobian=lambda x: np.full((problem.n, 1), np.nan)),
     ):
         with pytest.raises(ValueError, match="does not match"):
             dataclasses.replace(problem, **stale)
-    dataclasses.replace(problem, quadratic=(q_lin[:, 0], float(b[0])))  # 1-D q_lin and scalar b for m = 1
+    # Q's own mat-vec must agree with J: J(x) = Qx - q_lin at the strict point.
+    for wrong in (lambda x: 1.001 * qmatvec(x), lambda x: np.full(problem.n, np.nan)):
+        with pytest.raises(ValueError, match="away from qmatvec minus q_lin"):
+            dataclasses.replace(problem, quadratic=(q_lin, b, wrong))
+    dataclasses.replace(problem, quadratic=(q_lin[:, 0], float(b[0]), qmatvec))  # 1-D q_lin and scalar b for m = 1
+    dataclasses.replace(problem, quadratic=(q_lin, b, lambda x: qmatvec(x).reshape(-1, 1)))  # n-by-1 Q x
