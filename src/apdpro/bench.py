@@ -28,9 +28,9 @@ from .problem import ConstrainedProblem, ProblemConstants, derive_constants, fea
 from .solvers import (
     RunResult,
     SolverConfig,
+    _metrics_recorder,
     apd_baseline,
     apdpro,
-    compute_metrics,
     msapd,
     rapdpro,
     resolve_metric_iterate,
@@ -358,8 +358,7 @@ def make_recorder(problem, variant, solver_config, reference, threshold: float =
     ``reference`` is (x*, y*, f*) or None.
     """
     metric = resolve_metric_iterate(variant, solver_config.metric_iterate)
-    ref = None if reference is None else (reference[0], reference[2])
-    return functools.partial(compute_metrics, problem, metric=metric, reference=ref, threshold=threshold)
+    return _metrics_recorder(problem, metric, None if reference is None else (reference[0], reference[2]), threshold)
 
 
 def _fmt(v) -> str:

@@ -12,6 +12,7 @@ confined to a ball around that point that provably contains the optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,9 +38,17 @@ __all__ = [
 # |x'Qx/2| + |q'x| + |b|: far above the rounding of a length-n dot product,
 # far below any mismatch between the structure and the oracle.
 _QUADRATIC_RTOL = 1e-9
+_F64 = np.dtype(np.float64)
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float64 array, bitwise (its own sqrt of v.dot(v)), without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _vec(z, n: int, name: str) -> np.ndarray:
+    if type(z) is np.ndarray and z.dtype == _F64 and z.shape == (n,):  # what the conversion below would return
+        return z
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {z.shape}")
@@ -183,17 +192,21 @@ class ConstrainedProblem:
         return self.objective.value(x)
 
     def g(self, x) -> np.ndarray:
-        vals = np.atleast_1d(np.asarray(self.constraints(x), dtype=float))
-        if vals.shape != (self.m,):
-            raise ValueError(f"constraint evaluator returned shape {vals.shape}, expected ({self.m},)")
+        vals = self.constraints(x)
+        if type(vals) is not np.ndarray or vals.dtype != _F64 or vals.shape != (self.m,):  # else as is
+            vals = np.atleast_1d(np.asarray(vals, dtype=float))
+            if vals.shape != (self.m,):
+                raise ValueError(f"constraint evaluator returned shape {vals.shape}, expected ({self.m},)")
         return vals
 
     def jac(self, x) -> np.ndarray:
-        mat = np.asarray(self.jacobian(x), dtype=float)
-        if mat.shape == (self.n,) and self.m == 1:
-            mat = mat.reshape(self.n, 1)
-        if mat.shape != (self.n, self.m):
-            raise ValueError(f"jacobian evaluator returned shape {mat.shape}, expected ({self.n}, {self.m})")
+        mat = self.jacobian(x)
+        if type(mat) is not np.ndarray or mat.dtype != _F64 or mat.shape != (self.n, self.m):  # else as is
+            mat = np.asarray(mat, dtype=float)
+            if mat.shape == (self.n,) and self.m == 1:
+                mat = mat.reshape(self.n, 1)
+            if mat.shape != (self.n, self.m):
+                raise ValueError(f"jacobian evaluator returned shape {mat.shape}, expected ({self.n}, {self.m})")
         return mat
 
     def g_from_jac(self, x: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -339,5 +352,5 @@ def jacobian_operator_norm(problem: ConstrainedProblem, x) -> float:
 def _operator_norm(mat: np.ndarray, m: int) -> float:
     """Spectral norm of an n-by-m Jacobian already evaluated (see above)."""
     if m == 1:
-        return float(np.linalg.norm(mat[:, 0]))
+        return _norm(mat.ravel())  # the column, copied contiguous where np.linalg.norm would copy it
     return float(np.linalg.norm(mat, 2))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError
-from .problem import BlockNormObjective, _vec
+from .problem import BlockNormObjective, _norm, _vec
 
 __all__ = [
     "DualSlab",
@@ -87,7 +87,7 @@ def prox_f_over_ball(
     center = _vec(center, objective.n, "ball center")
 
     x0 = block_soft_threshold(v, objective, eta)
-    if float(np.linalg.norm(x0 - center)) <= radius:
+    if _norm(x0 - center) <= radius:
         return x0
 
     def trial(lam: float) -> np.ndarray:
@@ -96,7 +96,7 @@ def prox_f_over_ball(
         return block_soft_threshold(w, objective, eta_eff)
 
     def resid(lam: float) -> float:
-        return float(np.linalg.norm(trial(lam) - center)) - radius
+        return _norm(trial(lam) - center) - radius
 
     # resid(0) > 0 here; double until the residual changes sign.
     lo, hi = 0.0, 1.0
@@ -148,6 +148,8 @@ def project_dual_set(u, slab: DualSlab) -> np.ndarray:
     prefix = np.cumsum(us)
     counts = np.arange(1, u.size + 1, dtype=float)
     support = np.nonzero(us - (prefix - target) / counts > 0)[0]
+    if support.size == 0:  # k = 0 qualifies exactly; at |u| >> target, u - nu rounds its share away
+        return np.where(np.arange(u.size) == np.argmax(u), target, 0.0)
     k = support[-1]
     nu = (prefix[k] - target) / (k + 1.0)
     return np.maximum(u - nu, 0.0)

@@ -31,7 +31,6 @@ loop follows its own listing verbatim.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from .linalg import NumericalError
 from .problem import (
     ConstrainedProblem,
     ProblemConstants,
+    _norm,
     _operator_norm,
     _vec,
     jacobian_operator_norm,
@@ -210,7 +210,7 @@ def active_set_accuracy(x, x_ref, threshold: float = 1e-8, objective=None) -> fl
         b = objective.block_norms(x_ref) < threshold
     if a.shape != b.shape:
         raise ValueError("x and x_ref disagree on block structure")
-    return float(np.mean(a == b))
+    return float(np.count_nonzero(a == b) / a.size)
 
 
 def compute_metrics(
@@ -227,33 +227,30 @@ def compute_metrics(
     active_set_acc does. ``ri.g_last`` and ``ri.g_bar`` (when set) stand in
     for G(x_last) and G(x_bar).
     """
-    if metric == "ergodic":
-        xm, gm = ri.x_bar, ri.g_bar
-    else:
-        xm, gm = ri.x_last, ri.g_last
-    if gm is None:
-        gm = problem.g(xm)
-    fv = problem.f(xm)
-    feas = float(np.linalg.norm(np.maximum(gm, 0.0)))
-    rel = acc = None
-    if reference is not None:
-        x_ref, f_ref = reference
-        if f_ref != 0.0:
-            rel = abs(fv - f_ref) / abs(f_ref)
-        if x_ref is not None:
-            acc = active_set_accuracy(xm, x_ref, threshold, problem.objective)
-    return IterateRecord(
-        iter=ri.iter,
-        epoch=ri.epoch,
-        objective=fv,
-        rel_gap=rel,
-        feas_violation=feas,
-        rho=ri.rho,
-        tau=ri.tau,
-        sigma=ri.sigma,
-        active_set_acc=acc,
-        elapsed_s=ri.elapsed_s,
-    )
+    return _metrics_recorder(problem, metric, reference, threshold)(ri)
+
+
+def _metrics_recorder(problem: ConstrainedProblem, metric: str, reference, threshold: float = 1e-8):
+    """compute_metrics for one run: x*'s zero pattern is computed once, here, and each record
+    takes its iterate's block norms once, for f and the accuracy (bitwise problem.f and
+    active_set_accuracy)."""
+    obj = problem.objective
+    x_ref, f_ref = (None, 0.0) if reference is None else reference
+    if x_ref is not None and threshold <= 0:
+        raise ValueError("threshold must be positive")
+    ref_zero = None if x_ref is None else obj.block_norms(x_ref) < threshold
+
+    def record(ri: RecordInputs) -> IterateRecord:
+        xm, gm = (ri.x_bar, ri.g_bar) if metric == "ergodic" else (ri.x_last, ri.g_last)
+        norms = obj.block_norms(xm)
+        fv = float(obj.weights @ norms)
+        rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
+        acc = None if x_ref is None else float(np.count_nonzero((norms < threshold) == ref_zero) / norms.size)
+        return IterateRecord(iter=ri.iter, epoch=ri.epoch, objective=fv, rel_gap=rel,
+                             feas_violation=_norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0)),
+                             rho=ri.rho, tau=ri.tau, sigma=ri.sigma, active_set_acc=acc, elapsed_s=ri.elapsed_s)
+
+    return record
 
 
 @dataclass
@@ -401,8 +398,7 @@ class _Driver:
         self.ybar_acc = np.zeros(problem.m)
         self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
         if recorder is None:
-            reference = None if f_star is None else (None, f_star)
-            recorder = functools.partial(compute_metrics, problem, metric=self.metric, reference=reference)
+            recorder = _metrics_recorder(problem, self.metric, None if f_star is None else (None, f_star))
         self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
         self.quadratic = problem.quadratic is not None

@@ -3,6 +3,10 @@
 import numpy as np
 
 
+class NdarraySubclass(np.ndarray):
+    """An ndarray subclass: input checks convert it to a plain ndarray, never pass it through."""
+
+
 def write_edge_list(path, edges, header=None):
     lines = [] if header is None else [header]
     lines += [f"{u} {v}" for u, v in edges]

@@ -123,9 +123,10 @@ def project_oracle(u, lower, upper):
         for k in range(1, m + 1):
             for support in itertools.combinations(range(m), k):
                 s = list(support)
-                nu = (u[s].sum() - bound) / k
                 y = np.zeros(m)
-                y[s] = u[s] - nu
+                # u_s - nu with nu = (sum(u_s) - bound)/k, ordered so that bound
+                # survives |u| >> bound (at k = 1 the entry is bound exactly).
+                y[s] = (u[s] - u[s].mean()) + bound / k
                 if np.any(y[s] < -1e-12):
                     continue
                 y = np.maximum(y, 0.0)
@@ -133,7 +134,8 @@ def project_oracle(u, lower, upper):
     feasible = [y for y in cands if lower - 1e-9 <= y.sum() <= upper + 1e-9 and np.all(y >= -1e-15)]
     if not feasible:
         raise ValueError("enumeration produced no feasible candidate")
-    return min(feasible, key=lambda y: float(np.dot(y - u, y - u)))
+    # ||y - u||^2 - ||u||^2: the same order, without the ||u||^2 that would swamp it at |u| >> bound
+    return min(feasible, key=lambda y: float(y @ y - 2.0 * (y @ u)))
 
 
 def ppr_kkt_oracle(n, edges, alpha, teleport, b, x, y):

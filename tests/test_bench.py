@@ -24,14 +24,18 @@ from apdpro.bench import (
 )
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import build_ppr_problem, load_graph, make_synthetic_instance
-from apdpro.problem import BlockNormObjective, derive_constants, feasible_ball, kkt_residual
+from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, feasible_ball, kkt_residual
 from apdpro.solvers import (
+    VARIANTS,
     IterateRecord,
     RecordInputs,
     SolverConfig,
+    _metrics_recorder,
     active_set_accuracy,
+    apdpro,
     compute_metrics,
     rapdpro,
+    resolve_metric_iterate,
 )
 from helpers import chorded_path_edges, star_edges, write_edge_list
 from oracles import ppr_kkt_oracle
@@ -108,6 +112,87 @@ def test_compute_metrics_uses_g_last_without_changing_the_record(canonical):
             for reference in (None, (x_star, 1.0)):
                 assert (compute_metrics(problem, given, metric, reference)
                         == compute_metrics(problem, plain, metric, reference))
+
+
+def _generic_record(problem, ri, metric, reference, threshold):
+    """The record spelled with the one-shot pieces: problem.f, np.linalg.norm and active_set_accuracy."""
+    xm, gm = (ri.x_bar, ri.g_bar) if metric == "ergodic" else (ri.x_last, ri.g_last)
+    fv = problem.f(xm)
+    rel = acc = None
+    if reference is not None:
+        x_ref, f_ref = reference
+        rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
+        acc = None if x_ref is None else active_set_accuracy(xm, x_ref, threshold, problem.objective)
+    feas = float(np.linalg.norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0)))
+    return IterateRecord(ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
+
+
+def _blocky_problem():
+    """n = 6 in blocks of 2, 1 and 3 under one ball constraint."""
+    n, c = 6, np.array([1.0, -0.5, 2.0, 0.3, 0.0, -1.0])
+    return ConstrainedProblem(
+        n=n, objective=BlockNormObjective(blocks=((0, 2), (2, 1), (3, 3)), weights=(1.0, 0.5, 2.0)), m=1,
+        constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - 1.0]),
+        jacobian=lambda x: (x - c).reshape(n, 1),
+        mu=np.ones(1), L_X=1.0, L_G=1.0, r=1.0, strict_point=c,
+    )
+
+
+def test_run_recorder_matches_compute_metrics_bitwise(canonical):
+    """One recorder per run (x*'s zero pattern cached) gives compute_metrics' record, field for field."""
+    rng = np.random.default_rng(23)
+    five, x_five, _ = make_synthetic_instance(5, np.array([1.5, -0.7, 2.0, 0.6, -1.2]), 0.9)
+    blocky = _blocky_problem()
+    cases = ((canonical[0], canonical[2]), (five, x_five), (blocky, np.array([0.0, 0.0, 1.5, 0.2, -0.1, 0.0])))
+    for problem, x_ref in cases:
+        f_ref = problem.f(x_ref)
+        points = [x_ref.copy()]
+        for _ in range(12):  # sparse iterates, some coordinates straddling the 1e-8 threshold
+            x = rng.normal(size=problem.n) * (rng.random(problem.n) < 0.6)
+            x[rng.random(problem.n) < 0.3] = rng.choice([5e-9, -5e-9, 2e-8])
+            points.append(x)
+        inputs = [
+            RecordInputs(iter=i + 1, epoch=i % 3, x_last=x_last, x_bar=x_bar, y=np.ones(1), rho=0.1 * i,
+                         tau=0.25, sigma=0.5, elapsed_s=1e-3 * i,
+                         g_last=problem.g(x_last) if i % 2 else None, g_bar=problem.g(x_bar) if i % 2 else None)
+            for i, (x_last, x_bar) in enumerate(zip(points, points[1:]))
+        ]
+        accuracies = set()
+        for metric in ("last", "ergodic"):
+            for reference in (None, (x_ref, f_ref), (x_ref, 0.0), (None, f_ref), (None, 0.0)):
+                for threshold in (1e-8, 0.3):
+                    record = _metrics_recorder(problem, metric, reference, threshold)
+                    for ri in inputs:
+                        got = record(ri)
+                        assert repr(got) == repr(compute_metrics(problem, ri, metric, reference, threshold))
+                        assert repr(got) == repr(_generic_record(problem, ri, metric, reference, threshold))
+                        assert (got.rel_gap is None) == (reference is None or reference[1] == 0.0)
+                        assert (got.active_set_acc is None) == (reference is None or reference[0] is None)
+                        accuracies.add(got.active_set_acc)
+        assert len(accuracies - {None}) >= min(3, problem.n + 1)  # the patterns do differ from x*'s
+        for variant in VARIANTS:  # bench.make_recorder wires the variant's metric iterate and x*, f*
+            cfg = SolverConfig(variant=variant)
+            record = make_recorder(problem, variant, cfg, (x_ref, None, f_ref), 1e-8)
+            metric = resolve_metric_iterate(variant, cfg.metric_iterate)
+            for ri in inputs:
+                assert repr(record(ri)) == repr(compute_metrics(problem, ri, metric, (x_ref, f_ref), 1e-8))
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        _metrics_recorder(five, "last", (x_five, 1.0), 0.0)
+    _metrics_recorder(five, "last", (None, 1.0), 0.0)  # no x*, no accuracy: the threshold is unused
+
+
+def test_default_recorder_matches_compute_metrics(canonical):
+    problem, constants, x_star, _ = canonical
+    f_star = problem.f(x_star)
+    for f_ref in (f_star, None):
+        cfg = SolverConfig(variant="apdpro", max_iters=60)
+        default = apdpro(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref)
+        reference = None if f_ref is None else (None, f_ref)
+        explicit = apdpro(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref,
+                          recorder=lambda ri: compute_metrics(problem, ri, "last", reference))
+        assert len(default.trace) == len(explicit.trace) == 60
+        for a, b in zip(default.trace, explicit.trace):
+            assert repr(dataclasses.replace(a, elapsed_s=0.0)) == repr(dataclasses.replace(b, elapsed_s=0.0))
 
 
 def test_fmt_reproduces_floats_exactly():

@@ -1,6 +1,7 @@
 """Problem model: block-norm objective, derived constants, Lagrangian, KKT."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from apdpro.problem import (
     BlockNormObjective,
     ConstrainedProblem,
+    _vec,
     derive_constants,
     dual_radius_bound,
     eval_lagrangian,
@@ -15,7 +17,7 @@ from apdpro.problem import (
     jacobian_operator_norm,
     kkt_residual,
 )
-from helpers import random_partition
+from helpers import NdarraySubclass, random_partition
 
 SQRT2 = np.sqrt(2.0)
 
@@ -254,3 +256,69 @@ def test_quadratic_structure_is_checked_at_construction(small_graph):
             dataclasses.replace(problem, quadratic=(q_lin, b, wrong))
     dataclasses.replace(problem, quadratic=(q_lin[:, 0], float(b[0]), qmatvec))  # 1-D q_lin and scalar b for m = 1
     dataclasses.replace(problem, quadratic=(q_lin, b, lambda x: qmatvec(x).reshape(-1, 1)))  # n-by-1 Q x
+
+
+# -- input checks: conversion, errors, and the float64 pass-through --------------
+
+def _plain(a):
+    return type(a) is np.ndarray and a.dtype == np.float64
+
+
+def test_vec_converts_rejects_and_passes_float64_through():
+    exact = np.array([1.0, 2.0, 3.0])
+    assert _vec(exact, 3, "x") is exact
+    converted = ([1, 2, 3], (1.0, 2.0, 3.0), np.array([1, 2, 3]), exact.astype(np.float32),
+                 exact.view(NdarraySubclass), exact.astype(">f8"))
+    for given in converted:
+        out = _vec(given, 3, "x")
+        assert out is not given and _plain(out) and np.array_equal(out, exact)
+    for scalar in (2, 2.0, np.float32(2.0), np.array(2.0), np.array(2.0).view(NdarraySubclass)):
+        out = _vec(scalar, 1, "x")
+        assert _plain(out) and out.shape == (1,) and out[0] == 2.0
+    for bad, shape in ((np.zeros(2), (2,)), (np.zeros((3, 1)), (3, 1)), ([1.0] * 4, (4,)), (2.0, (1,))):
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape (3,), got {shape}")):
+            _vec(bad, 3, "x")
+    assert np.array_equal(exact, [1.0, 2.0, 3.0])
+
+
+def _returning(m, g_out, j_out, n=3):
+    """A problem on n coordinates whose oracle hands back the given objects."""
+    obj = BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=np.ones(n))
+    return ConstrainedProblem(
+        n=n, objective=obj, m=m, constraints=lambda x: g_out, jacobian=lambda x: j_out,
+        mu=np.ones(m), L_X=1.0, L_G=1.0, r=1.0, strict_point=np.zeros(n),
+    )
+
+
+def test_constraint_values_convert_reject_and_pass_float64_through():
+    exact = np.array([0.5])
+    assert _returning(1, exact, None).g(np.zeros(3)) is exact
+    for given in ([0.5], 0.5, np.float64(0.5), np.array(0.5), np.array([0.5], dtype=np.float32),
+                  exact.view(NdarraySubclass), exact.astype(">f8")):
+        out = _returning(1, given, None).g(np.zeros(3))
+        assert out is not given and _plain(out) and out.shape == (1,) and out[0] == 0.5
+    assert np.array_equal(_returning(1, 1, None).g(np.zeros(3)), [1.0])  # an int
+    pair = np.array([0.5, -1.0])
+    assert _returning(2, pair, None).g(np.zeros(3)) is pair
+    assert np.array_equal(_returning(2, [0.5, -1], None).g(np.zeros(3)), pair)
+    for m, bad in ((1, np.zeros(2)), (2, np.zeros(1)), (2, 0.5), (1, np.zeros((1, 1)))):
+        message = f"constraint evaluator returned shape {np.atleast_1d(bad).shape}, expected ({m},)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _returning(m, bad, None).g(np.zeros(3))
+
+
+def test_jacobian_values_convert_reject_and_pass_float64_through():
+    exact = np.array([[1.0], [2.0], [3.0]])
+    assert _returning(1, None, exact).jac(np.zeros(3)) is exact
+    for given in (exact.ravel(), [[1], [2], [3]], [1.0, 2.0, 3.0], exact.astype(np.float32),
+                  exact.view(NdarraySubclass), exact.astype(">f8"), exact.ravel().view(NdarraySubclass)):
+        out = _returning(1, None, given).jac(np.zeros(3))
+        assert out is not given and _plain(out) and np.array_equal(out, exact)
+    one = _returning(1, None, [2.0], n=1).jac(np.zeros(1))  # a length-n vector for n = m = 1
+    assert _plain(one) and one.shape == (1, 1) and one[0, 0] == 2.0
+    wide = np.arange(6.0).reshape(3, 2)
+    assert _returning(2, None, wide).jac(np.zeros(3)) is wide
+    for m, bad in ((1, np.zeros((2, 1))), (1, np.zeros((3, 2))), (2, np.zeros(3)), (1, 1.0)):
+        message = f"jacobian evaluator returned shape {np.shape(bad)}, expected (3, {m})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _returning(m, None, bad).jac(np.zeros(3))

@@ -1,7 +1,11 @@
 """Proximal and projection operators against closed forms and the oracles."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdpro.problem import BlockNormObjective
 from apdpro.prox import (
@@ -11,7 +15,7 @@ from apdpro.prox import (
     project_dual_set,
     prox_f_over_ball,
 )
-from helpers import random_partition
+from helpers import NdarraySubclass, random_partition
 from oracles import project_oracle, prox_oracle
 
 
@@ -177,3 +181,111 @@ def test_dual_projection_nonexpansive():
         u2 = rng.normal(scale=2.0, size=m)
         d_out = np.linalg.norm(project_dual_set(u1, slab) - project_dual_set(u2, slab))
         assert d_out <= np.linalg.norm(u1 - u2) + 1e-12
+
+
+def test_dual_projection_lower_edge_far_below_the_slab():
+    # Cancellation in the water-filling test used to leave the support empty (IndexError).
+    for u, expected in (([-1e20], [1e-5]), ([-1e20, -3e20], [1e-5, 0.0]), ([-3e20, -1e20], [0.0, 1e-5])):
+        u = np.array(u)
+        mine = project_dual_set(u, DualSlab(lower=1e-5, upper=1.0, m=u.size))
+        assert np.array_equal(mine, expected)
+        assert np.array_equal(mine, project_oracle(u, 1e-5, 1.0))
+
+
+# -- input checks: conversion, errors, and the float64 pass-through --------------
+
+def _spellings(exact):
+    """The same vector as a list, float32, an ndarray subclass and a byte-swapped float64."""
+    out = [exact.tolist(), exact.astype(np.float32), exact.view(NdarraySubclass), exact.astype(">f8")]
+    if np.array_equal(exact, np.round(exact)):
+        out.append([int(e) for e in exact])
+    if exact.size == 1:
+        out += [float(exact[0]), np.array(exact[0]), np.float64(exact[0])]  # 0-d for n = 1
+    return out
+
+
+@pytest.mark.parametrize("v", [np.array([3.0, -0.5, 0.0]), np.array([2.0])], ids=["n3", "n1"])
+def test_operators_convert_every_spelling_of_a_float64_vector(v):
+    n = v.size
+    obj, ball, slab = _l1(n), (np.full(n, 0.5), 1.0), DualSlab(lower=0.5, upper=1.0, m=n)
+    runs = (
+        lambda a: block_soft_threshold(a, obj, 0.7),
+        lambda a: prox_f_over_ball(a, 0.7, obj, ball),
+        lambda a: prox_f_over_ball(v, 0.7, obj, (a, 2.0)),  # the ball center
+        lambda a: project_dual_set(a, slab),
+    )
+    for run in runs:
+        want = run(v)
+        assert type(want) is np.ndarray and want.dtype == np.float64
+        for given in _spellings(v):
+            assert np.array_equal(run(given), want)
+    assert np.array_equal(v, [3.0, -0.5, 0.0] if n == 3 else [2.0])  # a passed-through input is never written
+
+
+def test_operators_reject_a_wrong_shape_with_the_argument_name():
+    obj, slab = _l1(2), DualSlab(lower=0.0, upper=1.0, m=2)
+    for bad in (np.zeros(3), np.zeros((2, 1)), [1.0]):
+        shape = np.shape(bad)
+        with pytest.raises(ValueError, match=re.escape(f"v must have shape (2,), got {shape}")):
+            block_soft_threshold(bad, obj, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"v must have shape (2,), got {shape}")):
+            prox_f_over_ball(bad, 1.0, obj, (np.zeros(2), 1.0))
+        with pytest.raises(ValueError, match=re.escape(f"ball center must have shape (2,), got {shape}")):
+            prox_f_over_ball(np.zeros(2), 1.0, obj, (bad, 1.0))
+        with pytest.raises(ValueError, match=re.escape(f"u must have shape (2,), got {shape}")):
+            project_dual_set(bad, slab)
+
+
+# -- properties against the independent oracles -----------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def prox_cases(draw):
+    """Random blocks, weights, step and ball; v near the ball or far outside it."""
+    n = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    edges = [0, *cuts, n]
+    blocks = tuple((a, b - a) for a, b in zip(edges, edges[1:]))
+    weights = np.array(draw(st.lists(_floats(0.0, 2.0), min_size=len(blocks), max_size=len(blocks))))
+    center = np.array(draw(st.lists(_floats(-2.0, 2.0), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([0.3, 1.5, 6.0]))
+    v = center + scale * np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
+    radius = draw(_floats(0.2, 1.5) if n == 1 else _floats(0.2, 3.0))  # the 1-D oracle scans the ball at 1e-6
+    return v, draw(_floats(0.05, 2.0)), blocks, weights, center, radius
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=prox_cases())
+def test_prox_matches_the_oracle_property(case):
+    v, eta, blocks, weights, center, radius = case
+    mine = prox_f_over_ball(v, eta, BlockNormObjective(blocks=blocks, weights=weights), (center, radius))
+    assert np.linalg.norm(mine - center) <= radius + 1e-10
+    assert np.max(np.abs(mine - prox_oracle(v, eta, blocks, weights, center, radius))) <= 1e-5
+
+
+@st.composite
+def slab_cases(draw):
+    """Random u and slab; "below" puts all of u under the slab, so the lower edge binds."""
+    m = draw(st.integers(1, 3))
+    lower, upper = sorted(draw(st.lists(_floats(0.0, 5.0), min_size=2, max_size=2)))
+    u = np.array(draw(st.lists(_floats(-50.0, 50.0), min_size=m, max_size=m)))
+    where = draw(st.sampled_from(["any", "below", "above"]))
+    if where == "below":
+        lower = max(lower, 1e-3)
+        upper = max(upper, lower)
+        u = -np.abs(u)
+    elif where == "above":
+        u = np.abs(u) + upper
+    return u, lower, upper
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=slab_cases())
+def test_dual_projection_matches_the_oracle_property(case):
+    u, lower, upper = case
+    mine = project_dual_set(u, DualSlab(lower=lower, upper=upper, m=u.size))
+    assert np.all(mine >= 0.0) and lower - 1e-10 <= mine.sum() <= upper + 1e-10
+    assert np.max(np.abs(mine - project_oracle(u, lower, upper))) <= 1e-8
