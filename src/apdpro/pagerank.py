@@ -28,7 +28,6 @@ __all__ = [
     "PprInstance",
     "load_graph",
     "build_ppr_problem",
-    "spectral_bounds",
     "make_synthetic_instance",
 ]
 
@@ -200,43 +199,27 @@ class PprInstance:
 _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
 
 
-def _ritz_bound(qmatvec, n: int, which: str) -> float:
-    """An extreme eigenvalue of a symmetric operator by Lanczos, moved outward.
+def _ritz_bound(qmatvec, n: int) -> float:
+    """An upper bound on the largest eigenvalue of a symmetric operator, by Lanczos.
 
-    ``which`` is "LA" (largest; the result is an upper bound) or "SA"
-    (smallest; a lower bound). ``eigsh`` runs from a fixed seeded start, so
-    the result is the same on every call. For the returned Ritz pair
-    (theta, v), some eigenvalue lies within ||Qv - theta v|| / ||v|| of theta;
-    that eigenvalue is the extreme one once Lanczos has converged to the end
-    of the spectrum, so theta moved outward by that residual (plus a few
-    units of rounding in theta and the residual) bounds it.
+    ``eigsh`` ("LA", k = 1) runs from a fixed seeded start, so the result is
+    the same on every call. For the returned Ritz pair (theta, v), some
+    eigenvalue lies within ||Qv - theta v|| / ||v|| of theta; that
+    eigenvalue is the largest once Lanczos has converged to the top of the
+    spectrum, so theta moved up by that residual (plus a few units of
+    rounding in theta and the residual) bounds it.
     """
     if n == 1:  # ARPACK needs n >= 2; a 1-by-1 operator is its own eigenvalue
         return float(qmatvec(np.ones(1))[0])
     op = LinearOperator((n, n), matvec=qmatvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        w, vecs = eigsh(op, k=1, which=which, v0=v0, tol=1e-10)
+        w, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=1e-10)
     except ArpackNoConvergence:
-        raise NumericalError(f"Lanczos ({which}) did not converge on the {n}-by-{n} operator") from None
+        raise NumericalError(f"Lanczos (LA) did not converge on the {n}-by-{n} operator") from None
     theta, v = float(w[0]), vecs[:, 0]
     resid = float(np.linalg.norm(qmatvec(v) - theta * v) / np.linalg.norm(v))
-    slack = resid + _ROUNDING * max(1.0, abs(theta))
-    return theta + slack if which == "LA" else theta - slack
-
-
-def spectral_bounds(qmatvec: Callable, n: int):
-    """Certified bracket [lambda_min, lambda_max] of the spectrum of the n-by-n ``qmatvec``.
-
-    Both ends come from Lanczos (``scipy.sparse.linalg.eigsh`` with k = 1,
-    "SA" and "LA") on the operator, each moved outward by its Ritz residual
-    norm; once Lanczos has converged to the two ends of the spectrum,
-    x'Qx in [lambda_min ||x||^2, lambda_max ||x||^2] holds for every x. No
-    PageRank structure is assumed, so any symmetric operator works.
-    ``build_ppr_problem`` needs only the upper end: for a PageRank Q the
-    lower end is alpha exactly.
-    """
-    return _ritz_bound(qmatvec, n, "SA"), _ritz_bound(qmatvec, n, "LA")
+    return theta + (resid + _ROUNDING * max(1.0, abs(theta)))
 
 
 def _resolve_teleport(s, n: int) -> np.ndarray:
@@ -320,7 +303,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
 
     q_lin = alpha * dinv_sqrt * s_vec
     lam_min = alpha  # exact, and lambda_max(Q) <= 1: see Notes
-    lam_max = min(1.0, _ritz_bound(qmatvec, n, "LA"))
+    lam_max = min(1.0, _ritz_bound(qmatvec, n))
     x_tilde = cg_solve(qmatvec, q_lin, tol=1e-12)
     g_tilde = float(0.5 * x_tilde @ qmatvec(x_tilde) - q_lin @ x_tilde - b)
     if g_tilde >= 0.0:

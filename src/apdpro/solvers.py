@@ -78,11 +78,10 @@ class SolverState:
     """Mutable per-run state; field names follow the algorithm listings.
 
     ``jac_bar`` is J(x_bar), kept as the same running average as x_bar on
-    problems with quadratic structure (None otherwise, and at a segment
-    start until the loop sets it to J(x) there).
+    problems with quadratic structure (J(x) at a segment start); None on
+    the others.
     """
 
-    x_prev: np.ndarray
     x: np.ndarray
     y: np.ndarray
     x_bar: np.ndarray
@@ -288,9 +287,11 @@ class IterSnapshot:
 class RunResult:
     """Final iterates plus the per-iteration trace.
 
-    ``epoch_budgets`` holds the last N_s value of each executed epoch
-    (math.inf while never set); ``epoch_starts`` the (s, iterate) pairs at
-    each epoch/stage start, for contraction diagnostics.
+    ``epoch_starts`` holds the (s, iterate) pair at each epoch, stage or
+    restart-segment start, for contraction diagnostics, and
+    ``epoch_budgets`` the last N_s of each (math.inf where no budget rule
+    set one: the single-run variants, or no iteration ran); ``epochs`` is
+    their common length.
     """
 
     x: np.ndarray
@@ -373,7 +374,6 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
         x0 = constants.ball_center + d * (constants.ball_radius / nd)
     y0 = project_dual_set(y0, DualSlab(lower=0.0, upper=constants.c_bar, m=problem.m))
     return SolverState(
-        x_prev=x0.copy(),
         x=x0,
         y=y0,
         x_bar=x0.copy(),
@@ -385,15 +385,35 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
     )
 
 
-class _Driver:
-    """Owns the shared loop, the trace, and the dual running average."""
+def _all_finite(a: np.ndarray) -> bool:
+    """No nan or inf in ``a``; np.isfinite(a).all() at half its cost on small arrays."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
-    def __init__(self, problem, constants, config, recorder, observer, f_star):
+
+# Where a non-finite G or J was found: completes "non-finite Jacobian J" or
+# "non-finite constraint value G", with the iteration count st.k.
+_AT_ENTRY = "(x) at entry (iteration {})"
+_AT_STEP = "(x_{{k+1}}) at iteration {}"
+_AT_WARM_START = "(x_bar) at warm start (iteration {})"
+
+
+class _Driver:
+    """Owns the shared loop, the trace, the dual running average, and the oracle at st.x.
+
+    ``gx`` and ``jx`` are always G and J at the current iterate st.x, which
+    changes only through ``move``; the start point is evaluated here.
+    ``starts`` gets the (s, x) pair of each segment, epoch or stage
+    (``begin``) and ``budgets`` its last N_s (``run_inner``).
+    """
+
+    def __init__(self, problem, constants, config, st, recorder, observer, f_star):
         self.prob = problem
         self.c = constants
         self.cfg = config
         self.observer = observer
         self.trace: list[IterateRecord] = []
+        self.starts: list[tuple[int, np.ndarray]] = []
+        self.budgets: list[float] = []
         self.t0 = time.perf_counter()
         self.ybar_acc = np.zeros(problem.m)
         self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
@@ -402,18 +422,43 @@ class _Driver:
         self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
         self.quadratic = problem.quadratic is not None
-        # The oracle at the current iterate, kept across segments: G(_at) in
-        # _gx, and J(_at) in _jx once something needs it (None until then;
-        # always set on quadratic problems, where G comes from J).
-        self._at: np.ndarray | None = None
-        self._gx: np.ndarray | None = None
-        self._jx: np.ndarray | None = None
+        self.move(st, st.x, _AT_ENTRY)
 
-    def _jac(self) -> np.ndarray:
-        """J at the current iterate, evaluated on first use and then kept."""
-        if self._jx is None:
-            self._jx = self.prob.jac(self._at)
-        return self._jx
+    def move(self, st: SolverState, x: np.ndarray, where: str, jx: np.ndarray | None = None) -> None:
+        """Make x the current iterate, with G(x) and J(x) evaluated and checked finite.
+
+        ``jx``, when given, is J(x) already known. On a problem with quadratic
+        structure G comes from J (``g_from_jac``), so no ``constraints`` call
+        is made, and G is non-finite whenever J is: its check covers both.
+        ``where`` names the point in the error message.
+        """
+        prob = self.prob
+        if jx is None:
+            jx = prob.jac(x)
+        what = None
+        if self.quadratic:
+            gx = prob.g_from_jac(x, jx)
+            if not _all_finite(gx):
+                what = "Jacobian J"
+        else:
+            gx = prob.g(x)
+            if not _all_finite(jx):
+                what = "Jacobian J"
+            elif not _all_finite(gx):
+                what = "constraint value G"
+        if what is not None:
+            raise NumericalError(f"non-finite {what}" + where.format(st.k))
+        st.x, self.gx, self.jx = x, gx, jx
+
+    def begin(self, st: SolverState, s: int) -> None:
+        """Start segment, epoch or stage s at st.x: fresh averages (J_bar = J(x)), the start recorded."""
+        st.s = s
+        st.x_bar = st.x.copy()
+        st.T = 0.0
+        st.sigma_prev = st.sigma
+        st.jac_bar = self.jx if self.quadratic else None
+        self.ybar_acc = np.zeros(self.prob.m)
+        self.starts.append((s, st.x.copy()))
 
     def _should_stop(self, rec: IterateRecord, ri: RecordInputs, jac_bar: np.ndarray | None) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
@@ -428,30 +473,10 @@ class _Driver:
             return max(rec.rel_gap, rec.feas_violation) <= tol
         if self.metric == "ergodic":
             return kkt_residual(self.prob, ri.x_bar, ri.y, g=ri.g_bar, jac=jac_bar).max() <= tol
-        return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self._jac()).max() <= tol
+        return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self.jx).max() <= tol
 
     def y_bar(self, st: SolverState) -> np.ndarray:
         return self.ybar_acc / st.T if st.T > 0 else st.y.copy()
-
-    def reset_averages(self, st: SolverState) -> None:
-        st.x_prev = st.x.copy()
-        st.x_bar = st.x.copy()
-        st.T = 0.0
-        st.sigma_prev = st.sigma
-        st.jac_bar = None
-        self.ybar_acc = np.zeros(self.prob.m)
-
-    def warm_start(self, st: SolverState) -> None:
-        """Move the iterates to the ergodic pair (x_bar, y_bar).
-
-        On quadratic problems J(x_bar) is the running J_bar, so the new
-        point costs no oracle call.
-        """
-        st.y = self.y_bar(st)
-        st.x = st.x_bar.copy()
-        if self.quadratic:
-            self._at, self._jx = st.x, st.jac_bar
-            self._gx = self.prob.g_from_jac(st.x, st.jac_bar)
 
     # -- the shared inner loop ---------------------------------------------
 
@@ -467,7 +492,7 @@ class _Driver:
         improve_rule: str | None,
         budget_rule: str | None,
     ) -> str:
-        """Run one epoch/stage/segment; returns 'schedule', 'cap', or 'tolerance'.
+        """Run one epoch/stage/segment from ``begin``; returns 'schedule', 'cap', or 'tolerance'.
 
         improve_rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
         step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
@@ -475,12 +500,13 @@ class _Driver:
         'alg3' projects onto the whole dual set with constant steps. The
         averaging weight t_k = sigma_k/sigma0_s is formed here in both cases.
         budget_rule: None (max_inner only), 'epoch' (rapdpro's N_s refresh
-        from rho_hat) or 'stage' (msapd's N_s rule from rho).
+        from rho_hat) or 'stage' (msapd's N_s rule from rho). The last N_s
+        goes to ``budgets``.
 
-        G and its Jacobian are evaluated once per new iterate and shared by
-        the dual extrapolation, the primal step, h1, the recorder and the KKT
-        stop test; J only when one of them first needs it. The values at the
-        last iterate carry over to the next segment, which starts there.
+        G and its Jacobian are evaluated once per new iterate (``move``) and
+        shared by the dual extrapolation, the primal step, h1, the recorder
+        and the KKT stop test. The segment starts at the iterate the driver
+        already holds, so its start costs no oracle call.
 
         On a problem with ``quadratic`` structure (checked when the problem
         is built) each new iterate costs one ``jacobian`` call and no
@@ -497,23 +523,14 @@ class _Driver:
         adaptive = improve_rule != "alg3"
         ergodic = self.metric == "ergodic"
         n_budget = math.inf
-        if self._at is not st.x:  # a new start point (the first segment, or a generic warm start)
-            self._at, self._jx = st.x, prob.jac(st.x)
-            self._gx = prob.g_from_jac(st.x, self._jx) if quadratic else prob.g(st.x)
-            for what, val in (("Jacobian J(x)", self._jx), ("constraint value G(x)", self._gx)):
-                if not np.isfinite(val).all():
-                    raise NumericalError(f"non-finite {what} at entry (iteration {st.k})")
-        if quadratic and st.jac_bar is None:  # fresh averages: x_bar = x
-            st.jac_bar = self._jx
-        gx = self._gx
-        # Every segment starts with x_prev a copy of x (fresh averages).
-        gx_prev = gx if np.array_equal(st.x_prev, st.x) else prob.g(st.x_prev)
+        gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
         tau_prev = st.tau  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
+        stopped = False
         k = 0
         while k < max_inner and k < n_budget:
             tau_k, sigma_k = st.tau, st.sigma
             rho_k = est.rho
-            jx = self._jac()
+            gx, jx = self.gx, self.jx
 
             # Dual extrapolation and cut projection.
             ratio = st.sigma_prev / sigma_k
@@ -541,6 +558,8 @@ class _Driver:
                     gnxb = _operator_norm(st.jac_bar, prob.m)
                 else:
                     gnxb = jacobian_operator_norm(prob, st.x_bar)
+                if not math.isfinite(gnxb):  # max() below would drop a nan h2
+                    raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
                 h1v = h1(gnx, beta, prob.r, prob.L_X)
                 h2v = h2(gnxb, beta_bar, prob.r, prob.L_X, c.mu_lb)
                 rho_next = max(rho_k, min(c.mu_lb * max(h1v, h2v), self.rho_cap))
@@ -592,23 +611,16 @@ class _Driver:
                 )
 
             # Shift the state.
-            st.x_prev, st.x, st.x_bar, st.y = st.x, x_next, x_bar_next, y_next
-            gx_prev = gx
+            st.k += 1
+            self.move(st, x_next, _AT_STEP)
+            st.x_bar, st.y = x_bar_next, y_next
             if quadratic:
-                jx = prob.jac(x_next)
-                gx = prob.g_from_jac(x_next, jx)  # a nan or inf in J(x_{k+1}) makes G non-finite
-                st.jac_bar = (st.T * st.jac_bar + t_k * jx) / (st.T + t_k)
-            else:
-                jx, gx = None, prob.g(x_next)
-            if not np.isfinite(gx).all():
-                what = "Jacobian J" if quadratic else "constraint value G"
-                raise NumericalError(f"non-finite {what}(x_{{k+1}}) at iteration {st.k + 1}")
-            self._at, self._gx, self._jx = x_next, gx, jx
+                st.jac_bar = (st.T * st.jac_bar + t_k * self.jx) / (st.T + t_k)
+            gx_prev = gx
             st.T += t_k
             st.sigma_prev = sigma_k
             st.tau, st.sigma = tau_next, sigma_next
             tau_prev = tau_k
-            st.k += 1
             k += 1
 
             if st.k % cfg.record_every == 0:
@@ -622,18 +634,20 @@ class _Driver:
                     tau=tau_k,
                     sigma=sigma_k,
                     elapsed_s=time.perf_counter() - self.t0,
-                    g_last=gx,
+                    g_last=self.gx,
                     g_bar=prob.g_from_jac(st.x_bar, st.jac_bar) if quadratic and ergodic else None,
                 )
                 rec = self.recorder(ri)
                 if rec is not None:
                     self.trace.append(rec)
                     if self._should_stop(rec, ri, st.jac_bar):
-                        return "tolerance"
-        return "schedule" if k >= n_budget else "cap"
+                        stopped = True
+                        break
+        self.budgets.append(n_budget)
+        return "tolerance" if stopped else "schedule" if k >= n_budget else "cap"
 
 
-def _finish(driver: _Driver, st: SolverState, termination, epochs, budgets, starts) -> RunResult:
+def _finish(driver: _Driver, st: SolverState, termination: str) -> RunResult:
     return RunResult(
         x=st.x.copy(),
         x_bar=st.x_bar.copy(),
@@ -641,10 +655,10 @@ def _finish(driver: _Driver, st: SolverState, termination, epochs, budgets, star
         y_bar=driver.y_bar(st),
         trace=driver.trace,
         termination=termination,
-        epochs=epochs,
-        epoch_budgets=budgets,
+        epochs=len(driver.starts),
+        epoch_budgets=driver.budgets,
         state=st,
-        epoch_starts=starts,
+        epoch_starts=driver.starts,
     )
 
 
@@ -673,12 +687,11 @@ def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, 
                 f"got {1.0 / tau0:.6g}"
             )
     st = _init_state(problem, constants, x0, y0, tau0, sigma0, rho0)
-    driver = _Driver(problem, constants, config, recorder, observer, f_star)
+    driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
     remaining = config.max_iters
-    termination = "completed"
-    starts = [(0, st.x.copy())]
-    while remaining > 0:
+    driver.begin(st, 0)
+    while True:
         seg = int(min(period, remaining))
         reason = driver.run_inner(
             st,
@@ -691,14 +704,9 @@ def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, 
             budget_rule=None,
         )
         remaining -= seg
-        if reason == "tolerance":
-            termination = "tolerance"
-            break
-        if remaining > 0:
-            driver.reset_averages(st)
-            st.s += 1
-            starts.append((st.s, st.x.copy()))
-    return _finish(driver, st, termination, st.s + 1, [math.inf], starts)
+        if reason == "tolerance" or remaining <= 0:
+            return _finish(driver, st, "tolerance" if reason == "tolerance" else "completed")
+        driver.begin(st, st.s + 1)
 
 
 def apdpro(
@@ -777,20 +785,13 @@ def rapdpro(
             f"tau0 too large for the restarted scheme: need tau0 <= {tau_cap:.6g}"
         )
     st = _init_state(problem, constants, x0, y0, tau_bar, sigma_bar, config.rho0)
-    driver = _Driver(problem, constants, config, recorder, observer, f_star)
+    driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     # Restarted listing's convention (primal term not halved).
     delta_xy = constants.D_X**2 / tau_bar + constants.D_Y**2 / (2.0 * sigma_bar)
-    budgets: list[float] = []
-    starts: list[tuple[int, np.ndarray]] = []
-    termination = "completed"
-    epochs = 0
     for s in range(config.max_epochs + 1):
-        st.s = s
         st.tau, st.sigma = tau_bar, sigma_bar
-        driver.reset_averages(st)
+        driver.begin(st, s)
         st.rho_est.reset_epoch()  # rho_hat_0^s = 1, unused: the first advance seeds
-        starts.append((s, st.x.copy()))
-        epochs += 1
         reason = driver.run_inner(
             st,
             epoch=s,
@@ -801,14 +802,9 @@ def rapdpro(
             improve_rule="alg1",
             budget_rule="epoch",
         )
-        budgets.append(_epoch_budget(st.rho_est.rho_hat, s, tau_bar, sigma_bar, constants.D_X, constants.D_Y))
-        if reason == "tolerance":
-            termination = "tolerance"
-            break
-        if reason == "cap":
-            termination = "budget"
-            break
-    return _finish(driver, st, termination, epochs, budgets, starts)
+        if reason != "schedule":
+            return _finish(driver, st, "tolerance" if reason == "tolerance" else "budget")
+    return _finish(driver, st, "completed")
 
 
 def msapd(
@@ -834,18 +830,11 @@ def msapd(
     _require_variant(config, "msapd", "msapd")
     tau0, sigma_tilde = default_step_sizes(problem, constants, config.sigma0)
     st = _init_state(problem, constants, x0, y0, tau0, sigma_tilde, config.rho0)
-    driver = _Driver(problem, constants, config, recorder, observer, f_star)
-    budgets: list[float] = []
-    starts: list[tuple[int, np.ndarray]] = []
-    termination = "completed"
-    epochs = 0
+    driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     for s in range(config.max_epochs + 1):
-        st.s = s
         tau0_s, sigma0_s = default_step_sizes(problem, constants, sigma_tilde * 2.0 ** (0.5 * s))
         st.tau, st.sigma = tau0_s, sigma0_s
-        driver.reset_averages(st)
-        starts.append((s, st.x.copy()))
-        epochs += 1
+        driver.begin(st, s)
         delta_xy = constants.D_X**2 / (2.0 * tau0_s) + constants.D_Y**2 / (2.0 * sigma0_s)
         reason = driver.run_inner(
             st,
@@ -857,15 +846,14 @@ def msapd(
             improve_rule="alg3",
             budget_rule="stage",
         )
-        budgets.append(_stage_budget(st.rho_est.rho, s, tau0_s, sigma0_s, constants.D_X, constants.D_Y))
         if reason == "tolerance":
-            termination = "tolerance"
-            break
-        if reason == "cap" and budgets[-1] == math.inf:
-            termination = "budget"
-            break
-        driver.warm_start(st)  # the next stage begins at the ergodic pair
-    return _finish(driver, st, termination, epochs, budgets, starts)
+            return _finish(driver, st, "tolerance")
+        if reason == "cap" and driver.budgets[-1] == math.inf:
+            return _finish(driver, st, "budget")
+        # The next stage begins at the ergodic pair; on quadratic problems J(x_bar) is J_bar.
+        st.y = driver.y_bar(st)
+        driver.move(st, st.x_bar.copy(), _AT_WARM_START, st.jac_bar)
+    return _finish(driver, st, "completed")
 
 
 def apd_baseline(

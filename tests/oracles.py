@@ -138,23 +138,34 @@ def project_oracle(u, lower, upper):
     return min(feasible, key=lambda y: float(y @ y - 2.0 * (y @ u)))
 
 
-def ppr_kkt_oracle(n, edges, alpha, teleport, b, x, y):
-    """(stationarity, complementarity) of the l1-regularized PageRank problem at (x, y).
-
-    The problem is min sum_i sqrt(d_i)|x_i| s.t. g(x) = x'Qx/2 - q'x - b <= 0
-    with Q = I - (1 - alpha)/2 (I + D^{-1/2} A D^{-1/2}) and
-    q = alpha D^{-1/2} s, all built densely here from the edge list
-    (symmetrized, duplicates and self-loops dropped). Stationarity is the
-    Euclidean norm of each coordinate's distance from
-    0 in sqrt(d_i) d|x_i| + y (Qx - q)_i; complementarity is |y g(x)|.
-    """
+def _adjacency(n, edges):
+    """Dense 0/1 adjacency of an edge list: symmetrized, duplicates and self-loops dropped."""
     adj = np.zeros((n, n))
     for u, v in edges:
         if u != v:
             adj[u, v] = adj[v, u] = 1.0
-    deg = adj.sum(axis=1)
+    return adj
+
+
+def ppr_q_dense(n, edges, alpha):
+    """Q = I - (1 - alpha)/2 (I + D^{-1/2} A D^{-1/2}) of the PageRank constraint, built densely
+    from the edge list (symmetrized, duplicates and self-loops dropped)."""
+    adj = _adjacency(n, edges)
+    dinv = 1.0 / np.sqrt(adj.sum(axis=1))
+    return np.eye(n) - 0.5 * (1.0 - alpha) * (np.eye(n) + dinv[:, None] * adj * dinv[None, :])
+
+
+def ppr_kkt_oracle(n, edges, alpha, teleport, b, x, y):
+    """(stationarity, complementarity) of the l1-regularized PageRank problem at (x, y).
+
+    The problem is min sum_i sqrt(d_i)|x_i| s.t. g(x) = x'Qx/2 - q'x - b <= 0
+    with Q = ``ppr_q_dense(n, edges, alpha)`` and q = alpha D^{-1/2} s.
+    Stationarity is the Euclidean norm of each coordinate's distance from
+    0 in sqrt(d_i) d|x_i| + y (Qx - q)_i; complementarity is |y g(x)|.
+    """
+    deg = _adjacency(n, edges).sum(axis=1)
+    q_mat = ppr_q_dense(n, edges, alpha)
     dinv = 1.0 / np.sqrt(deg)
-    q_mat = np.eye(n) - 0.5 * (1.0 - alpha) * (np.eye(n) + dinv[:, None] * adj * dinv[None, :])
     q = alpha * dinv * np.asarray(teleport, dtype=float)
     x = np.asarray(x, dtype=float)
     y = float(np.asarray(y).reshape(-1)[0])

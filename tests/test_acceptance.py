@@ -20,12 +20,12 @@ from apdpro.bench import (
     reference_solution,
     run_experiment,
 )
-from apdpro.pagerank import build_ppr_problem, load_graph, spectral_bounds
+from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.problem import BlockNormObjective, eval_lagrangian
 from apdpro.prox import DualSlab, project_dual_set, prox_f_over_ball
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
 from helpers import random_partition, star_edges, write_edge_list
-from oracles import project_oracle, prox_oracle
+from oracles import ppr_q_dense, project_oracle, prox_oracle
 
 
 @contextlib.contextmanager
@@ -283,9 +283,10 @@ def test_criterion_10_ppr_constants(tmp_path):
         inst = build_ppr_problem(load_graph(path), alpha=0.5, b=-0.05)
         cols = np.column_stack([inst.qmatvec(e) for e in np.eye(2)])
         assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
-        lam_min, lam_max = spectral_bounds(inst.qmatvec, inst.n)
-        assert lam_min == pytest.approx(0.5, abs=1e-8)
-        assert lam_max == pytest.approx(1.0, abs=1e-8)
+        lam_min, lam_max = np.linalg.eigvalsh(ppr_q_dense(2, [(0, 1)], 0.5))[[0, -1]]
+        assert lam_min == pytest.approx(0.5, abs=1e-15) and lam_max == pytest.approx(1.0, abs=1e-15)
+        assert inst.problem.mu[0] == pytest.approx(lam_min, abs=1e-8)
+        assert lam_max <= inst.problem.L_X == pytest.approx(lam_max, abs=1e-8)
         rng = np.random.default_rng(110)
         problem = inst.problem
         h = 1e-6
@@ -297,7 +298,7 @@ def test_criterion_10_ppr_constants(tmp_path):
                 for e in np.eye(2)
             ])
             assert np.linalg.norm(fd - grad) <= 1e-6 * max(1.0, np.linalg.norm(grad))
-        info["detail"] = "Q exact, spectral bounds within 1e-8, gradients within 1e-6"
+        info["detail"] = "Q exact, mu and L_X within 1e-8 of the dense spectrum, gradients within 1e-6"
 
 
 def test_criterion_11_determinism(tmp_path):

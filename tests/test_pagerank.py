@@ -9,21 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from apdpro.pagerank import (
-    build_ppr_problem,
-    load_graph,
-    make_synthetic_instance,
-    spectral_bounds,
-)
+from apdpro.pagerank import _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import kkt_residual
 from helpers import cycle_edges, path_edges, star_edges, write_edge_list
+from oracles import ppr_q_dense
 
 
 def _dense_q(graph, alpha):
-    d = graph.degrees.astype(float)
-    a = graph.adjacency.toarray()
-    norm_adj = a / np.sqrt(np.outer(d, d))
-    return np.eye(graph.n) - (1.0 - alpha) / 2.0 * (np.eye(graph.n) + norm_adj)
+    """Q of a loaded graph, built densely by the independent oracle."""
+    return ppr_q_dense(graph.n, zip(*graph.adjacency.nonzero()), alpha)
 
 
 def _random_connected_graph(rng, tmp_path, n, p=0.15, tag=""):
@@ -188,9 +182,9 @@ def test_two_node_path_q_matrix(tmp_path):
     inst = build_ppr_problem(g, alpha=0.5, b=-0.05)
     cols = np.column_stack([inst.qmatvec(e) for e in np.eye(2)])
     assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
-    lam_min, lam_max = spectral_bounds(inst.qmatvec, inst.n)
-    assert lam_min == pytest.approx(0.5, abs=1e-8)
-    assert lam_max == pytest.approx(1.0, abs=1e-8)
+    lam_min, lam_max = np.linalg.eigvalsh(ppr_q_dense(2, [(0, 1)], 0.5))[[0, -1]]
+    assert inst.problem.mu[0] == pytest.approx(lam_min, abs=1e-8) and lam_min == pytest.approx(0.5, abs=1e-15)
+    assert lam_max <= inst.problem.L_X == pytest.approx(lam_max, abs=1e-8)
 
 
 def test_qmatvec_matches_dense_assembly(tmp_path):
@@ -248,8 +242,7 @@ def test_lambda_max_bounds_the_spectrum_of_a_generated_graph(tmp_path):
 def test_spectral_bounds_of_diagonal_operators():
     for diag in ([0.7], [0.3, 2.0], [2.0, 0.25, 1.5, 0.5, 1.0]):
         d = np.array(diag)
-        lam_min, lam_max = spectral_bounds(lambda x, d=d: d * x, d.size)
-        assert lam_min <= d.min() and lam_min == pytest.approx(d.min(), rel=1e-12)
+        lam_max = _ritz_bound(lambda x, d=d: d * x, d.size)
         assert lam_max >= d.max() and lam_max == pytest.approx(d.max(), rel=1e-12)
 
 
@@ -264,11 +257,10 @@ def test_rayleigh_quotients_respect_the_bounds(tmp_path):
 
 
 def test_identity_quadratic_spectral_bounds():
-    lam_min, lam_max = spectral_bounds(lambda x: x, 4)
-    # outward rounding keeps the pair a certified bracket around 1
-    assert lam_min == pytest.approx(1.0, abs=2e-8)
+    lam_max = _ritz_bound(lambda x: x, 4)
+    # upward rounding keeps it a certified bound on 1
     assert lam_max == pytest.approx(1.0, abs=2e-8)
-    assert lam_min <= 1.0 <= lam_max
+    assert 1.0 <= lam_max
 
 
 def test_gradient_matches_finite_differences(tmp_path):

@@ -30,6 +30,9 @@ def _run(canonical, variant, runner, observer=None, recorder=None, f_star=None, 
                   observer=observer, recorder=recorder, f_star=f_star)
 
 
+ENTRY_POINTS = (("apdpro", apdpro), ("rapdpro", rapdpro), ("msapd", msapd), ("apd", apd_baseline))
+
+
 # -- step-size engine ---------------------------------------------------------
 
 def test_stepsize_update_values():
@@ -288,6 +291,19 @@ def test_infinite_restart_period_is_plain_apd(canonical):
     assert np.array_equal(plain.y_bar, restarted.y_bar)
 
 
+@pytest.mark.parametrize("variant, runner", [*ENTRY_POINTS, ("apd_restart", apd_baseline)])
+def test_one_start_and_one_budget_per_epoch(canonical, variant, runner):
+    """Every epoch, stage or restart segment leaves one start and one budget; rapdpro's and
+    msapd's budget is the N_s their rule set last, the other variants have none."""
+    res = _run(canonical, variant, runner, max_iters=200, max_epochs=3, restart_period=50)
+    assert res.epochs == len(res.epoch_starts) == len(res.epoch_budgets), variant
+    assert [s for s, _ in res.epoch_starts] == list(range(res.epochs))
+    if variant in ("rapdpro", "msapd"):
+        assert res.epochs >= 2 and all(math.isfinite(b) for b in res.epoch_budgets), variant
+    else:
+        assert res.epoch_budgets == [math.inf] * (4 if variant == "apd_restart" else 1), variant
+
+
 def test_restart_segments_recentre_the_averages(canonical):
     res = _run(canonical, "apd_restart", apd_baseline, max_iters=200, restart_period=50)
     assert res.epochs == 4
@@ -369,9 +385,6 @@ def test_msapd_stage_contraction(canonical):
 
 # -- oracle reuse ----------------------------------------------------------------
 
-ENTRY_POINTS = (("apdpro", apdpro), ("rapdpro", rapdpro), ("msapd", msapd), ("apd", apd_baseline))
-
-
 def _counted(problem, calls, nan_after=None):
     """The problem with its constraint oracle counting calls into ``calls``."""
     g, jac = problem.constraints, problem.jacobian
@@ -408,32 +421,30 @@ def _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder
     return [(g1 - g0, j1 - j0) for (e0, g0, j0), (e1, g1, j1) in zip(marks, marks[1:]) if e0 == e1]
 
 
+# (G calls, J calls) per iteration on the generic path, without and with a KKT stop.
+GENERIC_CALLS = {
+    "none": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (2, 2), "apd": (2, 1)},
+    "kkt": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (3, 3), "apd": (3, 2)},
+}
+
+
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 @pytest.mark.parametrize("use_bench_recorder", [False, True])
 @pytest.mark.parametrize("stop", ["none", "kkt"])
 def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request):
-    """Generic path: G and J once at x_{k+1}, J once at x_bar_k (h2), nothing more at the last iterate.
+    """Generic path: G and J once at x_{k+1}, plus J at x_bar_k for h2 in the estimating variants.
 
-    The ergodic-metric variants also evaluate G at x_bar_{k+1} for the record
-    (and G and J there for a KKT stop); no cached value exists at that point.
-    The 30-node graph runs with its quadratic structure dropped.
+    The ergodic-metric variants (msapd, apd) also evaluate G at x_bar_{k+1}
+    for the record, and G and J there for a KKT stop; no cached value exists
+    at that point. The 30-node graph runs with its quadratic structure dropped.
     """
     problem, constants = request.getfixturevalue(instance)[:2]
     problem = _generic(problem)
     # A KKT target the runs never reach, so the stop test runs on every iteration.
     kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0)
-
-    def per_iter(variant, runner):
-        return [g + j for g, j in _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)]
-
-    for variant, runner in (("apdpro", apdpro), ("rapdpro", rapdpro)):
-        calls = per_iter(variant, runner)
-        assert len(calls) > 20 and max(calls) <= 3, variant
-    if stop == "none":
-        calls = per_iter("msapd", msapd)
-        assert len(calls) > 20 and max(calls) <= 4
-        calls = per_iter("apd", apd_baseline)
-        assert len(calls) == 59 and set(calls) == {3}
+    for variant, runner in ENTRY_POINTS:
+        calls = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
+        assert len(calls) > 20 and set(calls) == {GENERIC_CALLS[stop][variant]}, variant
 
 
 @pytest.mark.parametrize("use_bench_recorder", [False, True])
@@ -450,22 +461,23 @@ def test_quadratic_problems_make_one_jacobian_call_per_iteration(small_graph, us
 def test_non_finite_constraint_value_raises(canonical):
     problem, constants, _, _ = canonical
     counted = _counted(problem, {"g": 0, "jac": 0}, nan_after=4)
-    # One call at loop entry (x_prev = x_0 reuses it), then one per iteration: the fifth is G(x_4).
+    # One call at x_0, then one per iteration: the fifth is G(x_4).
     with pytest.raises(NumericalError, match=r"constraint value G\(x_\{k\+1\}\) at iteration 4"):
         apdpro(counted, constants, SolverConfig(max_iters=50), np.zeros(1), np.zeros(1))
 
 
-def _jacobian_nan_from_call(problem, first_nan):
-    """The problem with a Jacobian that returns nan from its ``first_nan``-th call on.
+def _jacobian_nan_from_call(problem, first_nan, last_nan=math.inf):
+    """The problem with a Jacobian that returns nan on calls ``first_nan`` to ``last_nan``.
 
-    Call 1 is the structure check at construction.
+    On a problem with quadratic structure, call 1 is the structure check at
+    construction; on the others, call 1 is J(x_0).
     """
     jac, calls = problem.jacobian, []
 
     def jacobian(x):
         calls.append(None)
         out = jac(x)
-        return np.full_like(out, np.nan) if len(calls) >= first_nan else out
+        return np.full_like(out, np.nan) if first_nan <= len(calls) <= last_nan else out
 
     return dataclasses.replace(problem, jacobian=jacobian)
 
@@ -476,6 +488,40 @@ def test_non_finite_jacobian_raises_on_the_quadratic_path(small_graph):
     broken = _jacobian_nan_from_call(problem, 7)
     with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_\{k\+1\}\) at iteration 5"):
         apdpro(broken, constants, SolverConfig(max_iters=50), np.zeros(problem.n), np.zeros(problem.m))
+
+
+@pytest.mark.parametrize("runner, variant, first_nan, iteration", [
+    (apdpro, "apdpro", 5, 2),  # J(x_0), then J(x_bar_k) and J(x_{k+1}) per iteration: call 5 is J(x_2)
+    (apd_baseline, "apd", 5, 4),  # J(x_0), then J(x_{k+1}) per iteration: call 5 is J(x_4)
+])
+def test_non_finite_jacobian_raises_on_the_generic_path(canonical, runner, variant, first_nan, iteration):
+    problem, constants, _, _ = canonical
+    broken = _jacobian_nan_from_call(problem, first_nan)
+    match = rf"non-finite Jacobian J\(x_\{{k\+1\}}\) at iteration {iteration}$"
+    with pytest.raises(NumericalError, match=match):
+        runner(broken, constants, SolverConfig(variant=variant, max_iters=50), np.zeros(1), np.zeros(1))
+
+
+def test_non_finite_jacobian_at_x_bar_raises(canonical):
+    """A nan J(x_bar_0) alone (call 2, for h2) would be dropped by max(h1, h2) if not checked."""
+    problem, constants, _, _ = canonical
+    broken = _jacobian_nan_from_call(problem, 2, last_nan=2)
+    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 0$"):
+        apdpro(broken, constants, SolverConfig(max_iters=200), np.zeros(1), np.zeros(1))
+
+
+def test_non_finite_jacobian_at_an_msapd_warm_start_raises(canonical):
+    problem, constants, _, _ = canonical
+    cfg = SolverConfig(variant="msapd", max_iters=40, max_epochs=1)
+    calls, marks = {"g": 0, "jac": 0}, []
+    msapd(_counted(problem, calls), constants, cfg, np.zeros(1), np.zeros(1),
+          observer=lambda sn: marks.append((sn.epoch, sn.k, calls["jac"])))
+    # Stage 1's first iteration has made one J call (x_bar_0, for h2) by its observer;
+    # the call before it is J at the warm start.
+    k, jac_calls = next((k, j) for epoch, k, j in marks if epoch == 1)
+    broken = _jacobian_nan_from_call(problem, jac_calls - 1, last_nan=jac_calls - 1)
+    with pytest.raises(NumericalError, match=rf"non-finite Jacobian J\(x_bar\) at warm start \(iteration {k}\)"):
+        msapd(broken, constants, cfg, np.zeros(1), np.zeros(1))
 
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
@@ -495,7 +541,7 @@ def test_restart_segments_reuse_the_oracle(instance, request):
         res = apd_baseline(_counted(problem, calls), constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
         assert len(res.trace) == 100
         totals[variant] = calls["g"] + calls["jac"]
-    assert totals["apd_restart"] == totals["apd"] <= 303
+    assert totals == {"apd": 302, "apd_restart": 302}
 
 
 def test_restart_segments_reuse_the_oracle_on_quadratic_problems(small_graph):
