@@ -322,7 +322,7 @@ def kkt_residual(problem: ConstrainedProblem, x, y, *, g=None, jac=None) -> KktR
     x = _vec(x, problem.n, "x")
     y = _vec(y, problem.m, "y")
     obj = problem.objective
-    v = (problem.jac(x) if jac is None else jac) @ y
+    v = (problem.jac(x) if jac is None else jac).dot(y)
     norms = obj.block_norms(x)
     nz = norms > 0
     scale = np.where(nz, obj.weights / np.where(nz, norms, 1.0), 0.0)

@@ -539,9 +539,11 @@ class _Driver:
             slab = DualSlab(lower=lower, upper=c.c_bar, m=prob.m)
             y_next = project_dual_set(st.y + sigma_k * z, slab)
 
-            # Primal prox step.
-            grad = jx @ y_next
-            x_next = prox_f_over_ball(st.x - tau_k * grad, tau_k, prob.objective, ball)
+            # Primal prox step; dot, not matmul: an n-by-1 J times a length-1 y misses BLAS under @.
+            v = jx.dot(y_next)
+            v *= -tau_k
+            v += st.x
+            x_next = prox_f_over_ball(v, tau_k, prob.objective, ball)
 
             # Improve (evaluated at the pre-update iterates x_k, x_bar_k).
             beta = beta_bar = h1v = h2v = None
