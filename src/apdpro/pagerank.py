@@ -2,8 +2,8 @@
 
 Builds the constrained form: minimize ||D^{1/2} x||_1 subject to
 (1/2) x^T Q x - alpha <s, D^{-1/2} x> <= b with
-Q = D^{-1/2}(D - (1-alpha)/2 (D + A)) D^{-1/2}, applied implicitly through
-sparse mat-vecs. Also provides the synthetic known-solution generator used
+Q = D^{-1/2}(D - (1-alpha)/2 (D + A)) D^{-1/2}, assembled once as a sparse
+matrix. Also provides the synthetic known-solution generator used
 as an oracle by the tests and the benchmark reference modes.
 """
 
@@ -175,8 +175,9 @@ def load_graph(path) -> Graph:
 class PprInstance:
     """A built PageRank problem plus the pieces its construction certified.
 
-    ``qmatvec`` applies Q implicitly; ``q_lin`` is alpha * D^{-1/2} s, so the
-    constraint is g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
+    ``qmatvec`` is the product with Q, assembled once as the CSR matrix
+    (1 - h) I - h D^{-1/2} A D^{-1/2}, h = (1 - alpha)/2, with sorted
+    indices; ``q_lin`` is alpha * D^{-1/2} s, so the constraint is g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
     ``lambda_min`` is alpha exactly (the constraint's modulus mu) and
     ``lambda_max`` an upper bound on the largest eigenvalue of Q (L_X): the
     Lanczos Ritz value plus its residual norm, capped at 1. Together they
@@ -295,11 +296,13 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     n = graph.n
     s_vec = _resolve_teleport(s, n)
     dinv_sqrt = 1.0 / np.sqrt(graph.degrees)
-    adj = graph.adjacency
     half = (1.0 - alpha) / 2.0
+    dinv = sp.diags(dinv_sqrt, format="csr")
+    q_mat = ((1.0 - half) * sp.identity(n, format="csr") - half * (dinv @ graph.adjacency @ dinv)).tocsr()
+    q_mat.sort_indices()
 
     def qmatvec(x):
-        return x - half * (x + dinv_sqrt * (adj @ (dinv_sqrt * x)))
+        return q_mat @ x
 
     q_lin = alpha * dinv_sqrt * s_vec
     lam_min = alpha  # exact, and lambda_max(Q) <= 1: see Notes
@@ -323,7 +326,9 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         return np.array([0.5 * x @ qmatvec(x) - q_lin @ x - b])
 
     def jacobian(x):
-        return (qmatvec(x) - q_lin).reshape(n, 1)
+        out = q_mat @ x
+        out -= q_lin
+        return out.reshape(n, 1)
 
     problem = ConstrainedProblem(
         n=n,
