@@ -92,8 +92,8 @@ class BlockNormObjective:
 
     def block_norms(self, x: np.ndarray) -> np.ndarray:
         x = _vec(x, self.n, "x")
-        if self._singletons:  # bitwise equal to the reduceat below, and far cheaper
-            return np.sqrt(x * x)
+        if self._singletons:  # the reduceat below, bitwise unless x*x underflows (then |x| is exact)
+            return np.abs(x)
         return np.sqrt(np.add.reduceat(x * x, self._starts))
 
     def expand(self, per_block: np.ndarray) -> np.ndarray:

@@ -35,11 +35,19 @@ def block_soft_threshold(v, objective: BlockNormObjective, eta: float) -> np.nda
     """Per-block shrinkage, the proximal map of eta*f at v.
 
     Each block becomes max(0, 1 - eta*p_i/||v_(i)||) * v_(i); a zero block
-    stays zero (the unique prox value there).
+    stays zero (the unique prox value there). With singleton blocks this is
+    v - clip(v, -t, t), t = eta*p, formed in two passes; it agrees with the
+    block form to one unit in the last place of v.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     v = _vec(v, objective.n, "v")
+    if objective._singletons:
+        t = eta * objective.weights
+        c = np.negative(t)
+        np.maximum(v, c, out=c)
+        np.minimum(c, t, out=c)
+        return np.subtract(v, c, out=c)
     norms = objective.block_norms(v)
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.maximum(0.0, 1.0 - eta * objective.weights / safe)
