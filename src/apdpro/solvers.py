@@ -79,7 +79,8 @@ class SolverState:
 
     ``jac_bar`` is J(x_bar), kept as the same running average as x_bar on
     problems with quadratic structure (J(x) at a segment start); None on
-    the others.
+    the others. The loop updates x_bar and jac_bar in place; each segment
+    start gives them fresh buffers.
     """
 
     x: np.ndarray
@@ -385,6 +386,13 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
     )
 
 
+def _average_into(avg: np.ndarray, new: np.ndarray, w: float) -> None:
+    """avg += w*(new - avg): the running average with weight w = t/(T + t), in place."""
+    d = new - avg
+    d *= w
+    avg += d
+
+
 def _all_finite(a: np.ndarray) -> bool:
     """No nan or inf in ``a``; np.isfinite(a).all() at half its cost on small arrays."""
     return np.count_nonzero(np.isfinite(a)) == a.size
@@ -451,12 +459,15 @@ class _Driver:
         st.x, self.gx, self.jx = x, gx, jx
 
     def begin(self, st: SolverState, s: int) -> None:
-        """Start segment, epoch or stage s at st.x: fresh averages (J_bar = J(x)), the start recorded."""
+        """Start segment, epoch or stage s at st.x: fresh averages (J_bar = J(x)), the start recorded.
+
+        x_bar and J_bar are copies: ``run_inner`` updates both in place.
+        """
         st.s = s
         st.x_bar = st.x.copy()
         st.T = 0.0
         st.sigma_prev = st.sigma
-        st.jac_bar = self.jx if self.quadratic else None
+        st.jac_bar = self.jx.copy() if self.quadratic else None
         self.ybar_acc = np.zeros(self.prob.m)
         self.starts.append((s, st.x.copy()))
 
@@ -567,9 +578,10 @@ class _Driver:
                 rho_next = max(rho_k, min(c.mu_lb * max(h1v, h2v), self.rho_cap))
                 est.advance(rho_next, tau0_s)
 
-            # Ergodic averages: x_bar gains x_{k+1}, y_bar gains y_k.
+            # Ergodic averages: x_bar (and J_bar) gain x_{k+1} with weight w_k, in place at the
+            # shift below; y_bar gains y_k.
             t_k = sigma_k / sigma0_s
-            x_bar_next = (st.T * st.x_bar + t_k * x_next) / (st.T + t_k)
+            w_k = t_k / (st.T + t_k)
             self.ybar_acc += t_k * st.y
 
             # Budget refresh (before the state shift; uses the produced rho).
@@ -592,7 +604,7 @@ class _Driver:
                         x=st.x.copy(),
                         x_bar=st.x_bar.copy(),
                         x_next=x_next.copy(),
-                        x_bar_next=x_bar_next.copy(),
+                        x_bar_next=st.x_bar + w_k * (x_next - st.x_bar),  # bitwise the update below
                         y=st.y.copy(),
                         y_next=y_next.copy(),
                         tau=tau_k,
@@ -615,9 +627,10 @@ class _Driver:
             # Shift the state.
             st.k += 1
             self.move(st, x_next, _AT_STEP)
-            st.x_bar, st.y = x_bar_next, y_next
+            _average_into(st.x_bar, x_next, w_k)
             if quadratic:
-                st.jac_bar = (st.T * st.jac_bar + t_k * self.jx) / (st.T + t_k)
+                _average_into(st.jac_bar, self.jx, w_k)
+            st.y = y_next
             gx_prev = gx
             st.T += t_k
             st.sigma_prev = sigma_k
