@@ -139,6 +139,12 @@ def project_dual_set(u, slab: DualSlab) -> np.ndarray:
     nonincreasing in nu: nu = 0 if the plain positive part already satisfies
     the sum bounds, else nu is found exactly by water-filling on sorted
     entries so the active sum bound holds with equality.
+
+    The water-filling runs on u - max(u): the support's entries lie within
+    the target of the largest one, so the shifted values stay small at any
+    |u|, and y on the support S is formed as (u - mean(u_S)) + target/|S|
+    there, which keeps the sum at the target to rounding (u - nu would
+    cancel at |u| >> target).
     """
     if slab.lower > slab.upper:
         raise InfeasibleCutError(
@@ -153,11 +159,11 @@ def project_dual_set(u, slab: DualSlab) -> np.ndarray:
     if target <= 0.0:
         return np.zeros_like(u)
     us = np.sort(u)[::-1]
-    prefix = np.cumsum(us)
+    top = us[0]
+    shifted = us - top
+    prefix = np.cumsum(shifted)
     counts = np.arange(1, u.size + 1, dtype=float)
-    support = np.nonzero(us - (prefix - target) / counts > 0)[0]
-    if support.size == 0:  # k = 0 qualifies exactly; at |u| >> target, u - nu rounds its share away
-        return np.where(np.arange(u.size) == np.argmax(u), target, 0.0)
-    k = support[-1]
-    nu = (prefix[k] - target) / (k + 1.0)
-    return np.maximum(u - nu, 0.0)
+    # The largest entry always qualifies (its test reads target > 0), so the support is never empty.
+    k = np.nonzero(shifted - (prefix - target) / counts > 0)[0][-1]
+    size = k + 1.0  # |S|
+    return np.maximum(((u - top) - prefix[k] / size) + target / size, 0.0)

@@ -184,8 +184,10 @@ def test_dual_projection_nonexpansive():
 
 
 def test_dual_projection_lower_edge_far_below_the_slab():
-    # Cancellation in the water-filling test used to leave the support empty (IndexError).
-    for u, expected in (([-1e20], [1e-5]), ([-1e20, -3e20], [1e-5, 0.0]), ([-3e20, -1e20], [0.0, 1e-5])):
+    # Cancellation in u - nu once left the support empty (IndexError) at -1e20, and 4.6% below
+    # the lower edge at -1e10.
+    for u, expected in (([-1e20], [1e-5]), ([-1e20, -3e20], [1e-5, 0.0]), ([-3e20, -1e20], [0.0, 1e-5]),
+                        ([-1e10], [1e-5])):
         u = np.array(u)
         mine = project_dual_set(u, DualSlab(lower=1e-5, upper=1.0, m=u.size))
         assert np.array_equal(mine, expected)
@@ -268,10 +270,12 @@ def test_prox_matches_the_oracle_property(case):
 
 @st.composite
 def slab_cases(draw):
-    """Random u and slab; "below" puts all of u under the slab, so the lower edge binds."""
+    """Random u, up to 1e12 in size, and slab; "below" puts all of u under the slab, so the
+    lower edge binds."""
     m = draw(st.integers(1, 3))
     lower, upper = sorted(draw(st.lists(_floats(0.0, 5.0), min_size=2, max_size=2)))
-    u = np.array(draw(st.lists(_floats(-50.0, 50.0), min_size=m, max_size=m)))
+    size = draw(st.sampled_from([50.0, 1e12]))
+    u = np.array(draw(st.lists(_floats(-size, size), min_size=m, max_size=m)))
     where = draw(st.sampled_from(["any", "below", "above"]))
     if where == "below":
         lower = max(lower, 1e-3)
@@ -288,4 +292,8 @@ def test_dual_projection_matches_the_oracle_property(case):
     u, lower, upper = case
     mine = project_dual_set(u, DualSlab(lower=lower, upper=upper, m=u.size))
     assert np.all(mine >= 0.0) and lower - 1e-10 <= mine.sum() <= upper + 1e-10
+    positive = np.maximum(u, 0.0).sum()
+    if not lower <= positive <= upper:  # a sum bound is active: the sum sits on it
+        target = upper if positive > upper else lower
+        assert abs(mine.sum() - target) <= 1e-12 * target
     assert np.max(np.abs(mine - project_oracle(u, lower, upper))) <= 1e-8
