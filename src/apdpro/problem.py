@@ -344,13 +344,15 @@ def jacobian_operator_norm(problem: ConstrainedProblem, x) -> float:
     Exact in both cases: the column norm for m = 1, the largest singular
     value (``np.linalg.norm(J, 2)``) otherwise. A power-iteration estimate
     would be a Rayleigh quotient, a lower bound on ||J||, and h1 and h2 would
-    then overstate the certified rho.
+    then overstate the certified rho. A J with a nan or inf entry gives nan.
     """
     return _operator_norm(problem.jac(_vec(x, problem.n, "x")), problem.m)
 
 
 def _operator_norm(mat: np.ndarray, m: int) -> float:
-    """Spectral norm of an n-by-m Jacobian already evaluated (see above)."""
+    """Spectral norm of an n-by-m Jacobian already evaluated (see above); nan if J is not finite."""
     if m == 1:
         return _norm(mat.ravel())  # the column, copied contiguous where np.linalg.norm would copy it
+    if not np.isfinite(mat).all():  # the SVD would raise LinAlgError; the caller names the point
+        return math.nan
     return float(np.linalg.norm(mat, 2))

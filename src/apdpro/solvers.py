@@ -78,9 +78,10 @@ class SolverState:
     """Mutable per-run state; field names follow the algorithm listings.
 
     ``jac_bar`` is J(x_bar), kept as the same running average as x_bar on
-    problems with quadratic structure (J(x) at a segment start); None on
-    the others. The loop updates x_bar and jac_bar in place; each segment
-    start gives them fresh buffers.
+    problems with quadratic structure (J(x) at a segment start). On the
+    others it is J(x_bar) once a KKT stop test has evaluated it there, and
+    None until then. The loop updates x_bar and jac_bar in place; each
+    segment start gives them fresh buffers.
     """
 
     x: np.ndarray
@@ -175,8 +176,11 @@ class RecordInputs:
 
     ``g_last`` is G(x_last), already evaluated by the engine; recorders use
     it instead of calling the constraint oracle again. ``g_bar`` is G(x_bar),
-    set when the run reports at x_bar on a problem with quadratic structure.
-    None means unknown (recorders then evaluate G themselves).
+    set when the run reports at x_bar. None means unknown (recorders then
+    evaluate G themselves).
+
+    The arrays are the loop's working buffers (x_bar is updated in place),
+    valid only during the recorder call; copy them to keep them.
     """
 
     iter: int
@@ -471,11 +475,13 @@ class _Driver:
         self.ybar_acc = np.zeros(self.prob.m)
         self.starts.append((s, st.x.copy()))
 
-    def _should_stop(self, rec: IterateRecord, ri: RecordInputs, jac_bar: np.ndarray | None) -> bool:
+    def _should_stop(self, rec: IterateRecord, ri: RecordInputs, st: SolverState) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
 
-        The KKT test reuses the G and J the loop holds at its point: always at
-        ri.x_last, at ri.x_bar on quadratic problems.
+        The KKT test reuses the G and J the loop holds at its point: G and J
+        at ri.x_last, and G(x_bar) from the record. J(x_bar), where the loop
+        does not hold it yet (the generic path), is evaluated, checked finite
+        and kept in st.jac_bar for the next iteration's h2.
         """
         tol = self.cfg.tolerance
         if tol <= 0.0:
@@ -483,7 +489,11 @@ class _Driver:
         if rec.rel_gap is not None:
             return max(rec.rel_gap, rec.feas_violation) <= tol
         if self.metric == "ergodic":
-            return kkt_residual(self.prob, ri.x_bar, ri.y, g=ri.g_bar, jac=jac_bar).max() <= tol
+            if st.jac_bar is None:
+                st.jac_bar = self.prob.jac(st.x_bar)
+                if not _all_finite(st.jac_bar):
+                    raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
+            return kkt_residual(self.prob, ri.x_bar, ri.y, g=ri.g_bar, jac=st.jac_bar).max() <= tol
         return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self.jx).max() <= tol
 
     def y_bar(self, st: SolverState) -> np.ndarray:
@@ -525,7 +535,9 @@ class _Driver:
         st.jac_bar = J(x_bar) is updated with x_bar's own weights. J_bar
         serves h2 and, when the run reports at x_bar, G(x_bar) for the
         record (``RecordInputs.g_bar``) and the KKT stop there. The results
-        differ from the generic path by rounding only.
+        differ from the generic path by rounding only. On the generic path
+        G(x_bar) for such a record is evaluated here, once, and passed on
+        in ``RecordInputs.g_bar``.
         """
         prob, c, cfg = self.prob, self.c, self.cfg
         quadratic = self.quadratic
@@ -567,10 +579,10 @@ class _Driver:
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
                 gnx = _operator_norm(jx, prob.m)
-                if quadratic:
-                    gnxb = _operator_norm(st.jac_bar, prob.m)
-                else:
+                if st.jac_bar is None:  # generic path, J(x_bar_k) not held
                     gnxb = jacobian_operator_norm(prob, st.x_bar)
+                else:
+                    gnxb = _operator_norm(st.jac_bar, prob.m)
                 if not math.isfinite(gnxb):  # max() below would drop a nan h2
                     raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
                 h1v = h1(gnx, beta, prob.r, prob.L_X)
@@ -630,6 +642,8 @@ class _Driver:
             _average_into(st.x_bar, x_next, w_k)
             if quadratic:
                 _average_into(st.jac_bar, self.jx, w_k)
+            else:
+                st.jac_bar = None
             st.y = y_next
             gx_prev = gx
             st.T += t_k
@@ -650,12 +664,13 @@ class _Driver:
                     sigma=sigma_k,
                     elapsed_s=time.perf_counter() - self.t0,
                     g_last=self.gx,
-                    g_bar=prob.g_from_jac(st.x_bar, st.jac_bar) if quadratic and ergodic else None,
+                    g_bar=(prob.g_from_jac(st.x_bar, st.jac_bar) if quadratic else prob.g(st.x_bar))
+                    if ergodic else None,
                 )
                 rec = self.recorder(ri)
                 if rec is not None:
                     self.trace.append(rec)
-                    if self._should_stop(rec, ri, st.jac_bar):
+                    if self._should_stop(rec, ri, st):
                         stopped = True
                         break
         self.budgets.append(n_budget)
@@ -865,7 +880,7 @@ def msapd(
             return _finish(driver, st, "tolerance")
         if reason == "cap" and driver.budgets[-1] == math.inf:
             return _finish(driver, st, "budget")
-        # The next stage begins at the ergodic pair; on quadratic problems J(x_bar) is J_bar.
+        # The next stage begins at the ergodic pair; J(x_bar) is J_bar where the loop holds it.
         st.y = driver.y_bar(st)
         driver.move(st, st.x_bar.copy(), _AT_WARM_START, st.jac_bar)
     return _finish(driver, st, "completed")

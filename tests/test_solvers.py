@@ -8,6 +8,7 @@ import pytest
 
 from apdpro.bench import make_recorder
 from apdpro.linalg import NumericalError
+from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, feasible_ball
 from apdpro.solvers import (
     VARIANTS,
     SolverConfig,
@@ -424,7 +425,7 @@ def _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder
 # (G calls, J calls) per iteration on the generic path, without and with a KKT stop.
 GENERIC_CALLS = {
     "none": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (2, 2), "apd": (2, 1)},
-    "kkt": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (3, 3), "apd": (3, 2)},
+    "kkt": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (2, 2), "apd": (2, 2)},
 }
 
 
@@ -435,8 +436,9 @@ def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request)
     """Generic path: G and J once at x_{k+1}, plus J at x_bar_k for h2 in the estimating variants.
 
     The ergodic-metric variants (msapd, apd) also evaluate G at x_bar_{k+1}
-    for the record, and G and J there for a KKT stop; no cached value exists
-    at that point. The 30-node graph runs with its quadratic structure dropped.
+    for the record. A KKT stop reuses that G and adds J(x_bar_{k+1}), which
+    msapd's h2 reuses at the next iteration. The 30-node graph runs with its
+    quadratic structure dropped.
     """
     problem, constants = request.getfixturevalue(instance)[:2]
     problem = _generic(problem)
@@ -508,6 +510,47 @@ def test_non_finite_jacobian_at_x_bar_raises(canonical):
     broken = _jacobian_nan_from_call(problem, 2, last_nan=2)
     with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 0$"):
         apdpro(broken, constants, SolverConfig(max_iters=200), np.zeros(1), np.zeros(1))
+
+
+def test_non_finite_jacobian_at_x_bar_raises_in_the_kkt_stop(canonical):
+    """apd has no h2: the J(x_bar) a KKT stop evaluates is checked where it is evaluated."""
+    problem, constants, _, _ = canonical
+    # J(x_0), then J(x_{k+1}) and J(x_bar_{k+1}) per iteration: call 5 is J(x_bar_2).
+    broken = _jacobian_nan_from_call(problem, 5, last_nan=5)
+    cfg = SolverConfig(variant="apd", max_iters=50, tolerance=1e-300)
+    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 2$"):
+        apd_baseline(broken, constants, cfg, np.zeros(1), np.zeros(1))
+
+
+def _two_ball_problem():
+    """A generic m = 2 instance: unit l1 objective on R^2, g_i(x) = ||x - c_i||^2/2 - 1 for
+    c = (2, 0) and (2, 1), strict point (2, 0.5)."""
+    centers = np.array([[2.0, 0.0], [2.0, 1.0]])
+
+    def constraints(x):
+        d = x - centers
+        return 0.5 * np.einsum("ij,ij->i", d, d) - 1.0
+
+    def jacobian(x):
+        return (x - centers).T
+
+    problem = ConstrainedProblem(
+        n=2, objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)), m=2,
+        constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
+        L_G=5.0, r=1.0, strict_point=np.array([2.0, 0.5]),
+    )  # L_G: sqrt(2) (R + 0.5) with the ball radius R = 2 sqrt(2)
+    return problem, derive_constants(problem, feasible_ball(problem, list(centers)))
+
+
+def test_non_finite_jacobian_at_x_bar_raises_with_two_constraints():
+    """For m > 1 the h2 norm is an SVD, which raised LinAlgError on a nan J before the named check."""
+    problem, constants = _two_ball_problem()
+    # J(x_0), then J(x_bar_k) and J(x_{k+1}) per iteration: call 6 is J(x_bar_2).
+    broken = _jacobian_nan_from_call(problem, 6, last_nan=6)
+    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 2$"):
+        apdpro(broken, constants, SolverConfig(max_iters=200), np.zeros(2), np.zeros(2))
+    res = apdpro(problem, constants, SolverConfig(max_iters=200), np.zeros(2), np.zeros(2))
+    assert res.state.k == 200
 
 
 def test_non_finite_jacobian_at_an_msapd_warm_start_raises(canonical):
