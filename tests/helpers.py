@@ -1,4 +1,4 @@
-"""Small shared test utilities: graph files, random partitions, slope fits."""
+"""Small shared test utilities: graph files, random partitions, slope fits, trace comparison."""
 
 import numpy as np
 
@@ -49,3 +49,22 @@ def loglog_slope(ks, vals, lo, hi, floor=1e-300):
     vals = np.maximum(np.asarray(vals, dtype=float), floor)
     mask = (ks >= lo) & (ks <= hi)
     return float(np.polyfit(np.log(ks[mask]), np.log(vals[mask]), 1)[0])
+
+
+def assert_traces_close(a, b):
+    """Two traces (lists of IterateRecord) agree up to rounding.
+
+    iter, epoch and active_set_acc are equal; objective, rho, tau and sigma
+    agree to 1e-12 relative; rel_gap and feas_violation, cancellation
+    quantities near zero, to 1e-12 absolute. elapsed_s is not compared.
+    """
+    assert len(a) == len(b), (len(a), len(b))
+    for ra, rb in zip(a, b):
+        assert (ra.iter, ra.epoch, ra.active_set_acc) == (rb.iter, rb.epoch, rb.active_set_acc), (ra, rb)
+        for name in ("objective", "rho", "tau", "sigma"):
+            va, vb = getattr(ra, name), getattr(rb, name)
+            assert abs(va - vb) <= 1e-12 * max(abs(va), abs(vb)), (ra.iter, name, va, vb)
+        for name in ("rel_gap", "feas_violation"):
+            va, vb = getattr(ra, name), getattr(rb, name)
+            assert (va is None) == (vb is None), (ra.iter, name, va, vb)
+            assert va is None or abs(va - vb) <= 1e-12, (ra.iter, name, va, vb)

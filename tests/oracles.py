@@ -11,6 +11,7 @@ Q as a dense matrix from the edge list. Slow and simple on purpose.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -22,11 +23,13 @@ def _f_value(x, blocks, weights):
     return total
 
 
-def _soft_threshold_blocks(z, blocks, weights, step):
+def soft_threshold_blocks(z, blocks, weights, step):
+    """The prox of step*f: each block scaled by max(0, 1 - step*w/||block||), zero at or under
+    the threshold. The block norm is math.hypot's, which neither underflows nor overflows."""
     out = z.copy()
     for (s, ln), w in zip(blocks, weights):
         blk = z[s : s + ln]
-        nb = np.linalg.norm(blk)
+        nb = math.hypot(*blk)
         t = step * w
         out[s : s + ln] = 0.0 if nb <= t else blk * (1.0 - t / nb)
     return out
@@ -89,7 +92,7 @@ def prox_oracle(v, eta, blocks, weights, center, radius):
 
     def prox_f_quad(z):
         u = h * (v / eta + z / t)
-        return _soft_threshold_blocks(u, blocks, weights, h)
+        return soft_threshold_blocks(u, blocks, weights, h)
 
     z = v.copy()
     xg = project_ball(z)

@@ -1,5 +1,7 @@
 """Graph loading, the quadratic-form constants, and the synthetic oracle."""
 
+import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -9,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from apdpro.bench import make_recorder, reference_solution
 from apdpro.pagerank import _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import kkt_residual
-from helpers import cycle_edges, path_edges, star_edges, write_edge_list
+from apdpro.solvers import SolverConfig, apd_baseline, apdpro, rapdpro
+from helpers import assert_traces_close, cycle_edges, path_edges, star_edges, write_edge_list
 from oracles import ppr_q_dense
 
 
@@ -197,6 +201,36 @@ def test_qmatvec_matches_dense_assembly(tmp_path):
         dense = _dense_q(g, alpha)
         cols = np.column_stack([inst.qmatvec(e) for e in np.eye(n)])
         assert np.max(np.abs(cols - dense)) <= 1e-12
+        for x in rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-5, 5, size=(4, 1)):
+            assert np.linalg.norm(inst.qmatvec(x) - dense @ x) <= 1e-15 * np.linalg.norm(dense @ x)
+
+
+def test_assembled_q_runs_like_the_dense_oracle_q(small_graph_bundle):
+    """apdpro, rapdpro and apd on the 30-node graph, once with the CSR Q and once with
+    ppr_q_dense's Q under the same constants: the same iteration counts, traces equal to rounding."""
+    bundle = small_graph_bundle
+    problem, constants = bundle.problem, bundle.constants
+    graph = load_graph(os.path.join(bundle.cache_dir, bundle.label))
+    q_mat = ppr_q_dense(graph.n, zip(*graph.adjacency.nonzero()), 0.2)  # the fixture's alpha
+    q_lin, b, qmatvec = problem.quadratic
+    x = problem.strict_point
+    assert np.linalg.norm(q_mat @ x - qmatvec(x)) <= 1e-15 * np.linalg.norm(q_mat @ x)
+    dense = dataclasses.replace(
+        problem,
+        constraints=lambda x: np.array([0.5 * x @ (q_mat @ x) - q_lin[:, 0] @ x - b[0]]),
+        jacobian=lambda x: q_mat @ x.reshape(-1, 1) - q_lin,
+        quadratic=(q_lin, b, lambda x: q_mat @ x),
+    )
+    ref = reference_solution(bundle, "long-run")
+    zeros = np.zeros(problem.n), np.zeros(problem.m)
+    for variant, runner, tol, iters in (("apdpro", apdpro, 1e-6, 20000), ("rapdpro", rapdpro, 1e-6, 20000),
+                                        ("apd", apd_baseline, 0.0, 500)):
+        cfg = SolverConfig(variant=variant, tolerance=tol, max_iters=iters, max_epochs=60)
+        csr, dense_run = (runner(p, constants, cfg, *zeros, recorder=make_recorder(p, variant, cfg, ref), f_star=ref[2])
+                          for p in (problem, dense))
+        assert csr.termination == dense_run.termination == ("completed" if tol == 0.0 else "tolerance"), variant
+        assert csr.state.k == dense_run.state.k, variant
+        assert_traces_close(csr.trace, dense_run.trace)
 
 
 def test_spectral_bounds_bracket_the_true_spectrum(tmp_path):

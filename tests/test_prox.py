@@ -16,7 +16,7 @@ from apdpro.prox import (
     prox_f_over_ball,
 )
 from helpers import NdarraySubclass, random_partition
-from oracles import project_oracle, prox_oracle
+from oracles import project_oracle, prox_oracle, soft_threshold_blocks
 
 
 def _l1(n):
@@ -266,6 +266,31 @@ def test_prox_matches_the_oracle_property(case):
     mine = prox_f_over_ball(v, eta, BlockNormObjective(blocks=blocks, weights=weights), (center, radius))
     assert np.linalg.norm(mine - center) <= radius + 1e-10
     assert np.max(np.abs(mine - prox_oracle(v, eta, blocks, weights, center, radius))) <= 1e-5
+
+
+@st.composite
+def singleton_cases(draw):
+    """l1 weights (zeros included), a step, and v mixing any value, zeros, +-1e-160 and +-t exactly."""
+    n = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), _floats(0.0, 10.0)), min_size=n, max_size=n)))
+    eta = draw(_floats(1e-6, 10.0))
+    t = eta * weights
+    kinds = draw(st.lists(st.sampled_from(["any", "zero", "tiny", "threshold"]), min_size=n, max_size=n))
+    fixed = {"zero": np.zeros(n), "tiny": np.full(n, 1e-160), "threshold": t}
+    v = np.array([draw(_floats(-1e3, 1e3)) if kind == "any" else fixed[kind][i] for i, kind in enumerate(kinds)])
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    return signs * v, eta, weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=singleton_cases())
+def test_singleton_soft_threshold_matches_the_block_oracle_property(case):
+    """v - clip(v, -t, t) against the per-block formula: one unit in the last place of v."""
+    v, eta, weights = case
+    blocks = tuple((i, 1) for i in range(v.size))
+    mine = block_soft_threshold(v, BlockNormObjective(blocks=blocks, weights=weights), eta)
+    ref = soft_threshold_blocks(v, blocks, weights, eta)
+    assert np.all(np.abs(mine - ref) <= np.spacing(np.abs(v))), (mine, ref)
 
 
 @st.composite

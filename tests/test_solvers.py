@@ -634,6 +634,19 @@ def test_running_jacobian_average_is_the_jacobian_at_x_bar(small_graph):
     _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_running_jacobian_average_stays_current_in_every_variant(small_graph, variant):
+    """J_bar is updated in place; each epoch, stage or restart segment must start it afresh."""
+    problem, constants = small_graph
+    runner = {"apdpro": apdpro, "rapdpro": rapdpro, "msapd": msapd}.get(variant, apd_baseline)
+    # rapdpro's first epoch budget here is 7775 iterations
+    cfg = SolverConfig(variant=variant, max_iters=10000 if variant == "rapdpro" else 400, max_epochs=2,
+                       restart_period=40)
+    res = runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
+    assert res.epochs >= (1 if variant in ("apdpro", "apd") else 2), res.epochs
+    _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res)
+
+
 def test_running_jacobian_average_survives_msapd_warm_starts(small_graph):
     problem, constants = small_graph
     cfg = SolverConfig(variant="msapd", max_iters=400, max_epochs=3)
