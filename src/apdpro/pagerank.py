@@ -177,7 +177,8 @@ class PprInstance:
 
     ``qmatvec`` is the product with Q, assembled once as the CSR matrix
     (1 - h) I - h D^{-1/2} A D^{-1/2}, h = (1 - alpha)/2, with sorted
-    indices; ``q_lin`` is alpha * D^{-1/2} s, so the constraint is g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
+    indices; ``q_lin`` is alpha * D^{-1/2} s, so the constraint is
+    g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
     ``lambda_min`` is alpha exactly (the constraint's modulus mu) and
     ``lambda_max`` an upper bound on the largest eigenvalue of Q (L_X): the
     Lanczos Ritz value plus its residual norm, capped at 1. Together they
