@@ -534,11 +534,12 @@ def _two_ball_problem():
     def jacobian(x):
         return (x - centers).T
 
+    # L_G = 5 bounds ||J|| <= sqrt(2) (R + 0.5) on the ball of radius R = 2 sqrt(2).
     problem = ConstrainedProblem(
         n=2, objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)), m=2,
         constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
         L_G=5.0, r=1.0, strict_point=np.array([2.0, 0.5]),
-    )  # L_G: sqrt(2) (R + 0.5) with the ball radius R = 2 sqrt(2)
+    )
     return problem, derive_constants(problem, feasible_ball(problem, list(centers)))
 
 
@@ -634,16 +635,17 @@ def test_running_jacobian_average_is_the_jacobian_at_x_bar(small_graph):
     _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_running_jacobian_average_stays_current_in_every_variant(small_graph, variant):
-    """J_bar is updated in place; each epoch, stage or restart segment must start it afresh."""
+@pytest.mark.parametrize("variant", ["rapdpro", "apd", "apd_restart"])
+def test_running_jacobian_average_survives_epochs_and_restart_segments(small_graph, variant):
+    """J_bar is updated in place; each epoch or restart segment starts it afresh. With the two
+    tests around this one, every variant is covered."""
     problem, constants = small_graph
-    runner = {"apdpro": apdpro, "rapdpro": rapdpro, "msapd": msapd}.get(variant, apd_baseline)
+    runner = rapdpro if variant == "rapdpro" else apd_baseline
     # rapdpro's first epoch budget here is 7775 iterations
     cfg = SolverConfig(variant=variant, max_iters=10000 if variant == "rapdpro" else 400, max_epochs=2,
                        restart_period=40)
     res = runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
-    assert res.epochs >= (1 if variant in ("apdpro", "apd") else 2), res.epochs
+    assert res.epochs >= (1 if variant == "apd" else 2), res.epochs
     _assert_jac_bar_is_the_jacobian_at_x_bar(problem, res)
 
 
