@@ -117,7 +117,11 @@ class ConstrainedProblem:
     solvers evaluate each at most once per point and reuse the result.
     ``L_X`` bounds the Jacobian's Lipschitz modulus on the primal ball,
     ``L_G`` the constraint map's, and ``r`` lower bounds the objective's
-    subgradient norms at the optimum.
+    subgradient norms at the optimum. They are checked here (L_X finite and
+    >= 0, L_G and r finite and > 0) and stored as Python floats, so the
+    step sizes and estimator values the solvers derive from them are floats
+    too: the same IEEE binary64 arithmetic as numpy scalars, without numpy's
+    per-operation dispatch.
 
     ``quadratic`` = (q_lin, b, qmatvec), with q_lin n-by-m and b of length
     m, is an optional promise that g_i(x) = (1/2) x'Q_i x - q_i'x - b_i and
@@ -152,8 +156,11 @@ class ConstrainedProblem:
             raise ValueError(f"mu must have shape ({self.m},)")
         if np.any(mu <= 0):
             raise ValueError("all strong-convexity moduli must be positive")
-        if self.r <= 0:
-            raise ValueError("subgradient lower bound r must be positive")
+        for name, positive in (("L_X", False), ("L_G", True), ("r", True)):
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+                raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value!r}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "strict_point", _vec(self.strict_point, self.n, "strict_point"))
         if self.quadratic is not None:
@@ -294,7 +301,8 @@ def derive_constants(problem: ConstrainedProblem, ball: tuple[np.ndarray, float]
     """Package c_bar, ball, diameters, and L_XY = c_bar * L_X into one bundle.
 
     D_Y is the exact diameter of Y: c_bar for m = 1, sqrt(2)*c_bar otherwise
-    (the farthest vertex pair of the l1-capped nonnegative orthant).
+    (the farthest vertex pair of the l1-capped nonnegative orthant). The
+    scalars are Python floats (L_X is one, see ConstrainedProblem).
     """
     center, radius = ball
     c_bar = dual_radius_bound(problem)

@@ -220,6 +220,27 @@ def test_constraint_shape_errors():
         )
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("L_X", -1.0), ("L_X", np.inf), ("L_X", np.nan),
+    ("L_G", 0.0), ("L_G", -1.0), ("L_G", np.inf), ("L_G", np.nan),
+    ("r", 0.0), ("r", -1.0), ("r", np.inf), ("r", np.nan),
+])
+def test_problem_constants_are_validated_at_construction(canonical, name, bad):
+    problem = canonical[0]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        dataclasses.replace(problem, **{name: bad})
+    dataclasses.replace(problem, L_X=0.0)  # a constant Jacobian: L_X = 0 is a valid bound
+
+
+def test_problem_constants_are_python_floats(canonical, small_graph):
+    """The loop's step sizes and estimator values inherit these types; a numpy scalar here
+    would make every scalar operation of an iteration pay numpy's dispatch."""
+    toy = _toy_problem()  # L_G given as np.float64
+    for problem, constants in (canonical[:2], small_graph, (toy, derive_constants(toy, (toy.strict_point, 1.0)))):
+        for value in (problem.L_X, problem.L_G, problem.r, constants.L_XY, constants.c_bar, constants.mu_lb):
+            assert type(value) is float
+
+
 # -- quadratic structure (the 30-node PageRank instance) ---------------------------
 
 def test_quadratic_structure_derives_g_from_the_jacobian(small_graph):

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdpro.bench import make_recorder
 from apdpro.linalg import NumericalError
@@ -46,14 +49,18 @@ def test_stepsize_update_zero_rho_is_exact_identity():
     assert stepsize_update(tau, sigma, 0.0) == (tau, sigma)
 
 
-def test_stepsize_update_preserves_product():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        tau, sigma = rng.uniform(0.01, 3.0, size=2)
-        rho = float(rng.uniform(0.0, 5.0))
-        tau2, sigma2 = stepsize_update(tau, sigma, rho)
-        assert tau2 <= tau
-        assert tau2 * sigma2 == pytest.approx(tau * sigma, rel=1e-14)
+_STEP = st.floats(min_value=1e-12, max_value=1e12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=_STEP, sigma=_STEP, rho=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e12)))
+def test_stepsize_update_preserves_product(tau, sigma, rho):
+    """Floats in, floats out (the loop's scalars stay Python floats), tau*sigma kept to 1e-15."""
+    tau2, sigma2 = stepsize_update(tau, sigma, rho)
+    assert type(tau2) is float and type(sigma2) is float
+    assert tau2 <= tau
+    exact = Fraction(tau) * Fraction(sigma)
+    assert abs(Fraction(tau2) * Fraction(sigma2) - exact) <= Fraction(1e-15) * exact
 
 
 def test_epoch_budget_value():
@@ -234,6 +241,17 @@ def test_trace_reports_the_steps_used(canonical):
         assert rec.tau == s.tau
         assert rec.sigma == s.sigma
         assert rec.rho == s.rho
+
+
+@pytest.mark.parametrize("variant, runner", ENTRY_POINTS)
+def test_trace_step_sizes_and_rho_are_python_floats(canonical, small_graph, variant, runner):
+    """A numpy scalar among the loop's scalars would slow every iteration without changing a value."""
+    for problem, constants in (canonical[:2], small_graph):
+        cfg = SolverConfig(variant=variant, max_iters=40, max_epochs=2)
+        res = runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
+        assert res.trace
+        for rec in res.trace:
+            assert (type(rec.rho), type(rec.tau), type(rec.sigma)) == (float, float, float)
 
 
 def test_out_of_set_starts_are_projected(canonical):
