@@ -154,7 +154,7 @@ class SolverConfig:
             raise ValueError("metric_iterate must be auto, last, or ergodic")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateRecord:
     """One trace row; rel_gap and active_set_acc stay None without a reference."""
 
@@ -170,7 +170,7 @@ class IterateRecord:
     elapsed_s: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordInputs:
     """What the engine hands to a recorder after each iteration.
 
@@ -239,20 +239,21 @@ def _metrics_recorder(problem: ConstrainedProblem, metric: str, reference, thres
     takes its iterate's block norms once, for f and the accuracy (bitwise problem.f and
     active_set_accuracy)."""
     obj = problem.objective
+    weights, blocks = obj.weights, len(obj.blocks)
     x_ref, f_ref = (None, 0.0) if reference is None else reference
     if x_ref is not None and threshold <= 0:
         raise ValueError("threshold must be positive")
     ref_zero = None if x_ref is None else obj.block_norms(x_ref) < threshold
+    ergodic = metric == "ergodic"
 
     def record(ri: RecordInputs) -> IterateRecord:
-        xm, gm = (ri.x_bar, ri.g_bar) if metric == "ergodic" else (ri.x_last, ri.g_last)
+        xm, gm = (ri.x_bar, ri.g_bar) if ergodic else (ri.x_last, ri.g_last)
         norms = obj.block_norms(xm)
-        fv = float(obj.weights @ norms)
+        fv = float(weights.dot(norms))  # dot, not matmul: bitwise, at about half the dispatch cost
         rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
-        acc = None if x_ref is None else float(np.count_nonzero((norms < threshold) == ref_zero) / norms.size)
-        return IterateRecord(iter=ri.iter, epoch=ri.epoch, objective=fv, rel_gap=rel,
-                             feas_violation=_norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0)),
-                             rho=ri.rho, tau=ri.tau, sigma=ri.sigma, active_set_acc=acc, elapsed_s=ri.elapsed_s)
+        acc = None if x_ref is None else float(np.count_nonzero((norms < threshold) == ref_zero) / blocks)
+        feas = _norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0))
+        return IterateRecord(ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
 
     return record
 
