@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
+import operator
 import os
 import tempfile
 import typing
@@ -369,14 +371,41 @@ def _fmt(v) -> str:
     return str(v)
 
 
+_ROW = operator.attrgetter(*CSV_HEADER.split(","))
+_CHUNK_ROWS = 256  # rows per write: a few tens of kB of text at a time, whatever the trace length
+
+
+def _column_format(kinds: set) -> str | None:
+    """The % conversion that writes each value of a column holding these types as ``_fmt`` does, or None."""
+    if kinds == {type(None)}:
+        return "%.0s"  # None at precision 0: empty
+    if kinds <= {float, np.float64}:
+        return "%.17g"
+    if kinds == {int}:
+        return "%d"
+    return None
+
+
 def write_csv(path: str, trace) -> None:
-    """One row per record; floats at 17 significant digits, None as empty."""
+    """One row per record; floats at 17 significant digits, ints as written, None as empty.
+
+    Each column's format is chosen once per trace from the set of types it
+    holds: only None, floats (``float`` and ``np.float64``), or only
+    ``int``. A trace with any other column (a bool, a string, a None in some
+    rows only) writes each field through ``_fmt``; both write the same bytes.
+    """
+    rows = list(map(_ROW, trace))
+    kinds = zip(*set(map(tuple, map(map, itertools.repeat(type), rows))))  # the distinct row type patterns
+    formats = [_column_format(set(column)) for column in kinds]
+    if None in formats:
+        def line(row):
+            return ",".join(map(_fmt, row)) + "\n"
+    else:
+        line = (",".join(formats) + "\n").__mod__
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in trace:
-            fields = (r.iter, r.epoch, r.objective, r.rel_gap, r.feas_violation,
-                      r.rho, r.tau, r.sigma, r.active_set_acc, r.elapsed_s)
-            fh.write(",".join(_fmt(v) for v in fields) + "\n")
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            fh.write("".join(map(line, rows[i:i + _CHUNK_ROWS])))
 
 
 def _start_points(bundle: InstanceBundle, rule: str):

@@ -223,6 +223,82 @@ def test_write_csv_layout(tmp_path):
     assert float(second[3]) == 0.25 and float(second[8]) == 1.0
 
 
+def _fmt_csv(trace) -> bytes:
+    """The CSV as written field by field through _fmt: the reference for write_csv's template."""
+    lines = [CSV_HEADER] + [",".join(_fmt(getattr(r, name)) for name in CSV_HEADER.split(",")) for r in trace]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _variant_traces(canonical, small_graph):
+    """(label, trace) of every variant on the canonical and the 30-node instance, with a reference and
+    without; the graph's reference has no x*, so its traces have rel_gap but no active_set_acc."""
+    problem, constants, x_star, _ = canonical
+    instances = (("canonical", problem, constants, (x_star, None, problem.f(x_star))),
+                 ("graph", *small_graph, (None, None, 1.0)))
+    for name, prob, consts, ref in instances:
+        for variant in VARIANTS:
+            for reference in (ref, None):
+                cfg = SolverConfig(variant=variant, max_iters=40, max_epochs=2, restart_period=15)
+                recorder = make_recorder(prob, variant, cfg, reference)
+                res = bench._RUNNERS[variant](prob, consts, cfg, np.zeros(prob.n), np.zeros(prob.m),
+                                              recorder=recorder, f_star=None if reference is None else reference[2])
+                assert res.trace
+                yield f"{name}/{variant}/{reference is not None}", res.trace
+
+
+def test_write_csv_template_matches_the_per_field_path_on_every_variant(canonical, small_graph, tmp_path):
+    path = tmp_path / "trace.csv"
+    for label, trace in _variant_traces(canonical, small_graph):
+        write_csv(str(path), trace)
+        assert path.read_bytes() == _fmt_csv(trace), label
+
+
+def test_library_traces_always_take_the_csv_template(canonical, small_graph, tmp_path, monkeypatch):
+    """The per-field path is the fallback for foreign traces; the library's own never need it."""
+    def refuse(v):
+        raise AssertionError("write_csv fell back to the per-field path")
+
+    traces = list(_variant_traces(canonical, small_graph))
+    monkeypatch.setattr(bench, "_fmt", refuse)
+    for label, trace in traces:
+        write_csv(str(tmp_path / "trace.csv"), trace)
+
+
+def _row(**kw):
+    fields = dict(iter=1, epoch=0, objective=1.5, rel_gap=None, feas_violation=0.0, rho=0.1, tau=0.25,
+                  sigma=0.25, active_set_acc=None, elapsed_s=0.01)
+    fields.update(kw)
+    return IterateRecord(**fields)
+
+
+@pytest.mark.parametrize("trace", [
+    pytest.param([], id="empty"),
+    pytest.param([_row(), _row(iter=2, rel_gap=0.25, active_set_acc=1.0)], id="none-pattern-varies"),
+    pytest.param([_row(rel_gap=0.5), _row(iter=2)], id="none-pattern-varies-late"),
+    pytest.param([_row(active_set_acc=True), _row(iter=2, active_set_acc=False)], id="bool-column"),
+    pytest.param([_row(epoch=True)], id="bool-in-int-column"),
+    pytest.param([_row(rho=np.float64(0.1)), _row(iter=2, rho=1.0 / 3.0), _row(iter=3, rho=np.float64(2.0) / 3.0)],
+                 id="float64-and-float"),
+    pytest.param([_row(iter=10**17 + 3), _row(iter=2**70, epoch=-5)], id="large-ints"),
+    pytest.param([_row(iter=np.int64(4))], id="numpy-int"),
+    pytest.param([_row(objective=np.nan, rel_gap=np.inf, feas_violation=-0.0, tau=5e-324, sigma=-1e308)],
+                 id="special-floats"),
+    pytest.param([_row(objective="1.5")], id="string"),
+])
+def test_write_csv_template_matches_the_per_field_path(tmp_path, trace):
+    path = tmp_path / "trace.csv"
+    write_csv(str(path), trace)
+    assert path.read_bytes() == _fmt_csv(trace)
+
+
+def test_write_csv_writes_long_traces_whole(tmp_path):
+    """More rows than one write holds: every row, in order."""
+    trace = [_row(iter=i, objective=1.0 / (i + 1)) for i in range(1000)]
+    path = tmp_path / "trace.csv"
+    write_csv(str(path), trace)
+    assert path.read_bytes() == _fmt_csv(trace)
+
+
 def test_reference_solution_oracle_matches_closed_form():
     bundle = build_instance(InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0))
     x, y, f = reference_solution(bundle, "oracle")
