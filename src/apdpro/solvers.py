@@ -654,6 +654,14 @@ class _Driver:
             k += 1
 
             if st.k % cfg.record_every == 0:
+                g_bar = None
+                if ergodic:
+                    if quadratic:  # from J_bar, an average of checked Jacobians
+                        g_bar = prob.g_from_jac(st.x_bar, st.jac_bar)
+                    else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
+                        g_bar = prob.g(st.x_bar)
+                        if not _all_finite(g_bar):
+                            raise NumericalError(f"non-finite constraint value G(x_bar_{{k+1}}) at iteration {st.k}")
                 ri = RecordInputs(
                     iter=st.k,
                     epoch=epoch,
@@ -665,8 +673,7 @@ class _Driver:
                     sigma=sigma_k,
                     elapsed_s=time.perf_counter() - self.t0,
                     g_last=self.gx,
-                    g_bar=(prob.g_from_jac(st.x_bar, st.jac_bar) if quadratic else prob.g(st.x_bar))
-                    if ergodic else None,
+                    g_bar=g_bar,
                 )
                 rec = self.recorder(ri)
                 if rec is not None:

@@ -486,6 +486,23 @@ def test_non_finite_constraint_value_raises(canonical):
         apdpro(counted, constants, SolverConfig(max_iters=50), np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("variant, runner", [("apd", apd_baseline), ("msapd", msapd)])
+def test_non_finite_constraint_value_at_x_bar_raises(canonical, variant, runner):
+    """G(x_0), G(x_1), then the first record's G(x_bar_1): a nan there alone, under a gap stop
+    (max(rel_gap, nan) is rel_gap), would otherwise reach the trace unnoticed."""
+    problem, constants, x_star, _ = canonical
+    g, calls = problem.constraints, []
+
+    def constraints(x):
+        calls.append(None)
+        return np.full(1, np.nan) if len(calls) == 3 else g(x)
+
+    broken = dataclasses.replace(problem, constraints=constraints)
+    cfg = SolverConfig(variant=variant, max_iters=50, tolerance=1e-6)
+    with pytest.raises(NumericalError, match=r"^non-finite constraint value G\(x_bar_\{k\+1\}\) at iteration 1$"):
+        runner(broken, constants, cfg, np.zeros(1), np.zeros(1), f_star=problem.f(x_star))
+
+
 def _jacobian_nan_from_call(problem, first_nan, last_nan=math.inf):
     """The problem with a Jacobian that returns nan on calls ``first_nan`` to ``last_nan``.
 
