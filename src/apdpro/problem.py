@@ -159,7 +159,8 @@ class ConstrainedProblem:
         for name, positive in (("L_X", False), ("L_G", True), ("r", True)):
             value = float(getattr(self, name))
             if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-                raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value!r}")
+                sign = "positive" if positive else "nonnegative"
+                raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "strict_point", _vec(self.strict_point, self.n, "strict_point"))

@@ -407,6 +407,7 @@ def _all_finite(a: np.ndarray) -> bool:
 # "non-finite constraint value G", with the iteration count st.k.
 _AT_ENTRY = "(x) at entry (iteration {})"
 _AT_STEP = "(x_{{k+1}}) at iteration {}"
+_AT_STEP_BAR = "(x_bar_{{k+1}}) at iteration {}"
 _AT_WARM_START = "(x_bar) at warm start (iteration {})"
 
 
@@ -661,7 +662,7 @@ class _Driver:
                     else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
                         g_bar = prob.g(st.x_bar)
                         if not _all_finite(g_bar):
-                            raise NumericalError(f"non-finite constraint value G(x_bar_{{k+1}}) at iteration {st.k}")
+                            raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
                 ri = RecordInputs(
                     iter=st.k,
                     epoch=epoch,
