@@ -663,19 +663,8 @@ class _Driver:
                         g_bar = prob.g(st.x_bar)
                         if not _all_finite(g_bar):
                             raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
-                ri = RecordInputs(
-                    iter=st.k,
-                    epoch=epoch,
-                    x_last=st.x,
-                    x_bar=st.x_bar,
-                    y=st.y,
-                    rho=rho_k,
-                    tau=tau_k,
-                    sigma=sigma_k,
-                    elapsed_s=time.perf_counter() - self.t0,
-                    g_last=self.gx,
-                    g_bar=g_bar,
-                )
+                ri = RecordInputs(st.k, epoch, st.x, st.x_bar, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
+                                  time.perf_counter() - self.t0, self.gx, g_bar)
                 rec = self.recorder(ri)
                 if rec is not None:
                     self.trace.append(rec)
