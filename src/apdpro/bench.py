@@ -372,7 +372,7 @@ def _fmt(v) -> str:
 
 
 _ROW = operator.attrgetter(*CSV_HEADER.split(","))
-_CHUNK_ROWS = 256  # rows per write: a few tens of kB of text at a time, whatever the trace length
+_CHUNK_ROWS = 64  # rows per write: about 15 kB of text at a time, whatever the trace length
 
 
 def _column_format(kinds: set) -> str | None:
@@ -393,10 +393,11 @@ def write_csv(path: str, trace) -> None:
     holds: only None, floats (``float`` and ``np.float64``), or only
     ``int``. A trace with any other column (a bool, a string, a None in some
     rows only) writes each field through ``_fmt``; both write the same bytes.
+    ``trace`` is a list of records (read twice: once for the types, then a
+    chunk of rows at a time, so no copy of the whole trace is held).
     """
-    rows = list(map(_ROW, trace))
-    kinds = zip(*set(map(tuple, map(map, itertools.repeat(type), rows))))  # the distinct row type patterns
-    formats = [_column_format(set(column)) for column in kinds]
+    patterns = set(map(tuple, map(map, itertools.repeat(type), map(_ROW, trace))))  # distinct row types
+    formats = [_column_format(set(column)) for column in zip(*patterns)]
     if None in formats:
         def line(row):
             return ",".join(map(_fmt, row)) + "\n"
@@ -404,8 +405,8 @@ def write_csv(path: str, trace) -> None:
         line = (",".join(formats) + "\n").__mod__
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            fh.write("".join(map(line, rows[i:i + _CHUNK_ROWS])))
+        for i in range(0, len(trace), _CHUNK_ROWS):
+            fh.write("".join(map(line, map(_ROW, trace[i:i + _CHUNK_ROWS]))))
 
 
 def _start_points(bundle: InstanceBundle, rule: str):
