@@ -144,7 +144,8 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
         center = problem.strict_point
         ball = feasible_ball(problem, [center])
         constants = derive_constants(problem, ball)
-        identity = f"synthetic|n={spec.n}|center={spec.center!r}|level={spec.level!r}"
+        sha = hashlib.sha256(center.tobytes()).hexdigest()[:16]  # every bit of c, as a graph's file content
+        identity = f"synthetic|n={spec.n}|center_sha={sha}|level={spec.level!r}"
         return InstanceBundle(problem, constants, (x_star, y_star), identity, None, "synthetic")
     graph = load_graph(spec.path)
     inst = build_ppr_problem(graph, spec.alpha, spec.b, spec.s, spec.r_rule)

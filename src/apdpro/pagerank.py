@@ -9,6 +9,7 @@ as an oracle by the tests and the benchmark reference modes.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -320,7 +321,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     grad_tilde = float(np.linalg.norm(qmatvec(x_tilde) - q_lin))
     l_g = lam_max * radius + grad_tilde
     weights = np.sqrt(graph.degrees)
-    objective = BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=weights)
+    objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=weights)
     r = float(graph.degrees.min()) if r_rule == "degree" else float(weights.min())
 
     def constraints(x):
@@ -364,8 +365,11 @@ def make_synthetic_instance(n: int, center, level: float):
 
     The origin must be infeasible (g(0) > 0), which pins the optimum to the
     constraint boundary and makes the one-parameter KKT system exact:
-    x*(y) = soft_threshold(c, 1/y), with y* found by bisection on
-    g(x*(y)) = 0 to 1e-14.
+    x*(y) = soft_threshold(c, 1/y). With t = 1/y and a = sort(|c|),
+    g(x*(y)) + level^2 = (1/2) sum_i min(a_i, t)^2 =: phi(t) is
+    (1/2)(S_k + (n - k) t^2) on [a_{k-1}, a_k], S_k = sum_{i<k} a_i^2, so
+    y* is exact: k is the first index with phi(a_k) >= level^2 (k < n as
+    g(0) > 0), and t = sqrt((2 level^2 - S_k)/(n - k)).
 
     Parameters
     ----------
@@ -397,7 +401,7 @@ def make_synthetic_instance(n: int, center, level: float):
     def jacobian(x):
         return (x - c).reshape(n, 1)
 
-    objective = BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=np.ones(n))
+    objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=np.ones(n))
     radius = 2.0 * np.sqrt(2.0) * level  # 2*sqrt(-2 g(c)/mu)
     problem = ConstrainedProblem(
         n=n,
@@ -412,33 +416,12 @@ def make_synthetic_instance(n: int, center, level: float):
         strict_point=c.copy(),
     )
 
-    def x_of_y(y):
-        return np.sign(c) * np.maximum(np.abs(c) - 1.0 / y, 0.0)
-
-    def phi(y):
-        return float(constraints(x_of_y(y))[0])
-
-    # phi decreases from g(0) > 0 toward g(c) < 0; bracket by doubling.
-    lo = 1.0
-    while phi(lo) <= 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise ValueError("failed to bracket the dual multiplier from below")
-    hi = max(2.0 * lo, 1.0)
-    while phi(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("failed to bracket the dual multiplier from above")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = phi(mid)
-        if abs(v) <= 1e-14:
-            lo = hi = mid
-            break
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    y_star = 0.5 * (lo + hi)
-    x_star = x_of_y(y_star)
+    a_sq = np.sort(np.abs(c)) ** 2
+    # S_k as cumsum's sequential sums: then phi(a_{k-1}) < level^2 keeps 2 level^2 - S_k > 0.
+    s_k = np.concatenate(([0.0], np.cumsum(a_sq[:-1])))
+    rest = n - np.arange(n)  # n - k
+    # min(..., n - 1): phi(a_{n-1}) is g(0) + level^2 up to the rounding of the sums.
+    k = min(int(np.searchsorted(0.5 * (s_k + rest * a_sq), level**2)), n - 1)
+    y_star = 1.0 / math.sqrt((2.0 * level**2 - s_k[k]) / rest[k])
+    x_star = np.sign(c) * np.maximum(np.abs(c) - 1.0 / y_star, 0.0)
     return problem, x_star, np.array([y_star])

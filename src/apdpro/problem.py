@@ -61,34 +61,38 @@ class BlockNormObjective:
 
     Parameters
     ----------
-    blocks : sequence of (start, length)
+    blocks : sequence of (start, length) pairs, or a (B, 2) integer array
         Contiguous blocks in ascending order, partitioning ``range(n)``.
+        Stored as a read-only (B, 2) ``np.intp`` array, column-major so its
+        start and length columns are contiguous, and checked without a loop.
     weights : array_like
         Nonnegative coefficient p_i per block. Singleton blocks with unit
         weights recover the weighted l1 norm; f(0) = 0 is the minimum.
     """
 
-    blocks: tuple
+    blocks: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple((int(s), int(ln)) for s, ln in self.blocks)
+        # a copy; the reshape, a view, rejects anything but (start, length) rows
+        blocks = np.array(self.blocks, dtype=np.intp, order="F").reshape((len(self.blocks), 2), order="A")
+        blocks.flags.writeable = False
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (len(blocks),):
             raise ValueError("need exactly one weight per block")
         if np.any(weights < 0):
             raise ValueError("block weights must be nonnegative")
-        pos = 0
-        for s, ln in blocks:
-            if s != pos or ln <= 0:
-                raise ValueError("blocks must be contiguous, ascending, and partition the space")
-            pos += ln
+        starts, lengths = blocks[:, 0], blocks[:, 1]
+        ends = np.cumsum(lengths)
+        if not (np.all(lengths > 0) and np.array_equal(starts, ends - lengths)):
+            raise ValueError("blocks must be contiguous, ascending, and partition the space")
+        n = int(lengths.sum())
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "n", pos)
-        object.__setattr__(self, "_starts", np.array([s for s, _ in blocks], dtype=np.intp))
-        object.__setattr__(self, "_lengths", np.array([ln for _, ln in blocks], dtype=np.intp))
-        object.__setattr__(self, "_singletons", len(blocks) == pos)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_singletons", len(blocks) == n)
 
     def block_norms(self, x: np.ndarray) -> np.ndarray:
         x = _vec(x, self.n, "x")

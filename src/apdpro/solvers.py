@@ -107,7 +107,8 @@ class SolverConfig:
     ``tolerance`` (finite, >= 0) = 0 disables early stopping; when positive
     the stop test uses max(relative objective gap, feasibility violation)
     against a supplied reference objective value, else the max KKT residual.
-    ``restart_period`` must be at least 1, or inf for no restart.
+    ``restart_period`` must be at least 1, or inf for no restart. ``tau0``,
+    ``sigma0``, ``rho0`` and ``tolerance`` are stored as Python floats.
 
     Variant-specific knobs (one config is shared across variants by
     ``bench.run_comparison``, so the others accept and ignore them):
@@ -138,12 +139,14 @@ class SolverConfig:
             step = getattr(self, name)
             if step is not None and not (math.isfinite(step) and step > 0):
                 raise ValueError(f"{name} must be finite and positive, got {step!r}")
+            setattr(self, name, None if step is None else float(step))
         if not 0.0 < self.nu0 < 1.0 or not 0.0 < self.delta < 1.0:
             raise ValueError("nu0 and delta must lie in (0, 1)")
-        if not (math.isfinite(self.rho0) and self.rho0 >= 0):
-            raise ValueError(f"rho0 must be finite and nonnegative, got {self.rho0!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
+        for name in ("rho0", "tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            setattr(self, name, float(value))
         if not self.restart_period >= 1:  # also rejects nan
             raise ValueError(f"restart_period must be at least 1 or inf, got {self.restart_period!r}")
         if self.max_iters < 0 or self.max_epochs < 0:
@@ -398,9 +401,11 @@ def _average_into(avg: np.ndarray, new: np.ndarray, w: float) -> None:
     avg += d
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """No nan or inf in ``a``; np.isfinite(a).all() at half its cost on small arrays."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
+def _all_finite(a: np.ndarray, zeros: np.ndarray) -> bool:
+    """No nan or inf in ``a``, given ``zeros`` of a.size entries: exact, as 0*v is +-0 for
+    finite v and nan for inf and nan, and the dot product cannot overflow. An inf entry
+    also raises numpy's invalid flag (a RuntimeWarning under the default error state)."""
+    return math.isfinite(a.ravel().dot(zeros))
 
 
 # Where a non-finite G or J was found: completes "non-finite Jacobian J" or
@@ -430,6 +435,7 @@ class _Driver:
         self.budgets: list[float] = []
         self.t0 = time.perf_counter()
         self.ybar_acc = np.zeros(problem.m)
+        self.zeros_g, self.zeros_j = np.zeros(problem.m), np.zeros(problem.n * problem.m)
         self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
         if recorder is None:
             recorder = _metrics_recorder(problem, self.metric, None if f_star is None else (None, f_star))
@@ -452,13 +458,13 @@ class _Driver:
         what = None
         if self.quadratic:
             gx = prob.g_from_jac(x, jx)
-            if not _all_finite(gx):
+            if not _all_finite(gx, self.zeros_g):
                 what = "Jacobian J"
         else:
             gx = prob.g(x)
-            if not _all_finite(jx):
+            if not _all_finite(jx, self.zeros_j):
                 what = "Jacobian J"
-            elif not _all_finite(gx):
+            elif not _all_finite(gx, self.zeros_g):
                 what = "constraint value G"
         if what is not None:
             raise NumericalError(f"non-finite {what}" + where.format(st.k))
@@ -493,7 +499,7 @@ class _Driver:
         if self.metric == "ergodic":
             if st.jac_bar is None:
                 st.jac_bar = self.prob.jac(st.x_bar)
-                if not _all_finite(st.jac_bar):
+                if not _all_finite(st.jac_bar, self.zeros_j):
                     raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
             return kkt_residual(self.prob, ri.x_bar, ri.y, g=ri.g_bar, jac=st.jac_bar).max() <= tol
         return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self.jx).max() <= tol
@@ -661,7 +667,7 @@ class _Driver:
                         g_bar = prob.g_from_jac(st.x_bar, st.jac_bar)
                     else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
                         g_bar = prob.g(st.x_bar)
-                        if not _all_finite(g_bar):
+                        if not _all_finite(g_bar, self.zeros_g):
                             raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
                 ri = RecordInputs(st.k, epoch, st.x, st.x_bar, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
                                   time.perf_counter() - self.t0, self.gx, g_bar)

@@ -4,8 +4,9 @@ Nothing here calls into the package's operator implementations. The prox
 oracle is a dense scan (literal in 1-D) whose higher-dimensional refinement
 is Douglas-Rachford splitting built from two textbook pieces written out
 here: the block soft threshold and the Euclidean ball projection. The dual
-projection oracle enumerates KKT active sets. The PageRank KKT check builds
-Q as a dense matrix from the edge list. Slow and simple on purpose.
+projection oracle enumerates KKT active sets. The synthetic family's
+multiplier is found by bisection. The PageRank KKT check builds Q as a
+dense matrix from the edge list. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -139,6 +140,40 @@ def project_oracle(u, lower, upper):
         raise ValueError("enumeration produced no feasible candidate")
     # ||y - u||^2 - ||u||^2: the same order, without the ||u||^2 that would swamp it at |u| >> bound
     return min(feasible, key=lambda y: float(y @ y - 2.0 * (y @ u)))
+
+
+def synthetic_multiplier_oracle(center, level):
+    """y* of the synthetic family (g(x) = ||x - c||^2/2 - level^2, unit l1 objective) by bisection.
+
+    x*(y) = soft_threshold(c, 1/y), and g(x*(y)) falls from g(0) > 0 toward
+    g(c) < 0 as y grows; the root is bracketed by halving and doubling, then
+    bisected 200 times. No early exit on |g| <= 1e-14: the bracket closes
+    to adjacent floats, so y* is accurate at every level, not only where
+    g's slope is near 1.
+    """
+    c = np.asarray(center, dtype=float)
+
+    def phi(y):
+        d = np.sign(c) * np.maximum(np.abs(c) - 1.0 / y, 0.0) - c
+        return 0.5 * float(d @ d) - level**2
+
+    lo = 1.0
+    while phi(lo) <= 0.0:
+        lo /= 2.0
+        if lo < 1e-300:
+            raise ValueError("failed to bracket the dual multiplier from below")
+    hi = max(2.0 * lo, 1.0)
+    while phi(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise ValueError("failed to bracket the dual multiplier from above")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _adjacency(n, edges):

@@ -346,6 +346,23 @@ def test_get_reference_long_run_cache_roundtrip(tmp_path):
     assert np.allclose(x3, x1, atol=1e-9) and f3 == pytest.approx(f1, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, level, index, before, after", [
+    (2, 0.5, 1, 1.23456789012, 1.23456789099),  # the 10th digit
+    (5000, 1.0, 2500, 1.0, 1.0 + 2.0**-40),  # a middle entry, where repr(center) summarizes
+])
+def test_synthetic_centers_that_differ_anywhere_get_their_own_cache(tmp_path, n, level, index, before, after):
+    center = np.ones(n)
+    center[index] = before
+    other = center.copy()
+    other[index] = after
+    out = str(tmp_path / "trace.csv")
+    bundles = [build_instance(InstanceSpec(kind="synthetic", n=n, center=c, level=level))
+               for c in (center, center.copy(), other)]
+    assert bundles[0].identity == bundles[1].identity
+    assert bundles[0].identity != bundles[2].identity
+    assert bench._cache_path(bundles[0], out) != bench._cache_path(bundles[2], out)
+
+
 def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
     path = write_edge_list(tmp_path / "p2t.txt", [(0, 1)])
     spec = InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05)

@@ -1,13 +1,14 @@
 """Graph loading, the quadratic-form constants, and the synthetic oracle."""
 
 import dataclasses
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -16,7 +17,7 @@ from apdpro.pagerank import _ritz_bound, build_ppr_problem, load_graph, make_syn
 from apdpro.problem import kkt_residual
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, rapdpro
 from helpers import assert_traces_close, cycle_edges, path_edges, star_edges, write_edge_list
-from oracles import ppr_q_dense
+from oracles import ppr_q_dense, synthetic_multiplier_oracle
 
 
 def _dense_q(graph, alpha):
@@ -320,7 +321,7 @@ def test_objective_weights_are_sqrt_degrees(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "star5.txt", star_edges(5)))
     inst = build_ppr_problem(g, alpha=0.5, b=-1e-12)
     assert np.allclose(inst.problem.objective.weights, [2.0, 1.0, 1.0, 1.0, 1.0])
-    assert inst.problem.objective.blocks == tuple((i, 1) for i in range(5))
+    assert np.array_equal(inst.problem.objective.blocks, [(i, 1) for i in range(5)])
 
 
 def test_r_rule_choices(tmp_path):
@@ -362,9 +363,10 @@ def test_strict_point_is_strictly_feasible(tmp_path):
 
 
 def test_synthetic_canonical_reference():
+    """The closed-form root is exact here: y* = 1/sqrt(2) and x* = 2 - sqrt(2), to rounding."""
     problem, x_star, y_star = make_synthetic_instance(1, 2.0, 1.0)
-    assert x_star[0] == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-12)
-    assert y_star[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert x_star[0] == pytest.approx(2.0 - math.sqrt(2.0), abs=2 * math.ulp(1.0))
+    assert y_star[0] == pytest.approx(math.sqrt(0.5), abs=math.ulp(1.0))
     assert problem.L_G == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-15)
 
 
@@ -388,6 +390,29 @@ def test_synthetic_random_instances_satisfy_kkt():
         assert res.complementarity <= 1e-12
         assert res.stationarity <= 1e-10
         assert res.primal_violation <= 1e-10
+
+
+@st.composite
+def synthetic_centers_and_levels(draw):
+    """Centers with ties, zeros and both signs (entries from a pool of a few magnitudes and 0),
+    and levels across (0, ||c||/sqrt(2)), the range where g(0) > 0."""
+    n = draw(st.integers(1, 64))
+    pool = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4)) + [0.0]
+    magnitudes = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    center = np.array(magnitudes) * np.array(signs)
+    assume(np.any(center))
+    return center, draw(st.floats(1e-3, 1.0 - 1e-9)) * math.sqrt(0.5 * center @ center)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=synthetic_centers_and_levels())
+def test_synthetic_multiplier_matches_the_bisection_oracle(case):
+    center, level = case
+    problem, x_star, y_star = make_synthetic_instance(center.size, center, level)
+    want = synthetic_multiplier_oracle(center, level)
+    assert abs(y_star[0] - want) <= 1e-12 * want
+    assert kkt_residual(problem, x_star, y_star).max() <= 1e-10
 
 
 def test_synthetic_rejects_feasible_origin():

@@ -17,6 +17,7 @@ from apdpro.problem import (
     jacobian_operator_norm,
     kkt_residual,
 )
+from apdpro.prox import prox_f_over_ball
 from helpers import NdarraySubclass, random_partition
 
 SQRT2 = np.sqrt(2.0)
@@ -43,14 +44,48 @@ def _toy_problem(m=1, jac=None):
 
 
 def test_block_partition_validation():
-    with pytest.raises(ValueError):
-        BlockNormObjective(blocks=((0, 2), (3, 1)), weights=(1.0, 1.0))  # gap at 2
-    with pytest.raises(ValueError):
-        BlockNormObjective(blocks=((0, 2),), weights=(1.0, 1.0))  # weight count
-    with pytest.raises(ValueError):
-        BlockNormObjective(blocks=((0, 1),), weights=(-0.5,))
-    with pytest.raises(ValueError):
-        BlockNormObjective(blocks=((0, 0),), weights=(1.0,))
+    """The same message for a bad partition given as (start, length) pairs or as a (B, 2) array."""
+    partition = "blocks must be contiguous, ascending, and partition the space"
+    cases = (
+        (((0, 2), (3, 1)), (1.0, 1.0), partition),  # gap at 2
+        (((0, 2),), (1.0, 1.0), "need exactly one weight per block"),
+        (((0, 1),), (-0.5,), "block weights must be nonnegative"),
+        (((0, 0),), (1.0,), partition),  # empty block
+    )
+    for blocks, weights, message in cases:
+        for given in (blocks, np.array(blocks)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BlockNormObjective(blocks=given, weights=weights)
+
+
+def test_block_partition_is_a_read_only_copy():
+    given = np.array([[0, 2], [2, 1]])
+    obj = BlockNormObjective(blocks=given, weights=(1.0, 1.0))
+    given[1, 1] = 5
+    assert obj.blocks.dtype == np.intp and np.array_equal(obj.blocks, [[0, 2], [2, 1]])
+    for view in (obj.blocks, obj._starts, obj._lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1
+
+
+def test_tuple_and_array_partitions_agree_bitwise():
+    rng = np.random.default_rng(5)
+    for n in (3, 9, 40):
+        blocks = random_partition(rng, n)
+        while len(blocks) in (1, n):  # a non-singleton path with more than one block
+            blocks = random_partition(rng, n)
+        w = rng.uniform(0.0, 3.0, size=len(blocks))
+        pair = BlockNormObjective(blocks=blocks, weights=w)
+        arr = BlockNormObjective(blocks=np.array(blocks), weights=w)
+        x = rng.normal(size=n)
+        per_block = rng.normal(size=len(blocks))
+        center, radius = rng.normal(size=n), 2.0
+        assert np.array_equal(pair.block_norms(x), arr.block_norms(x))
+        assert np.array_equal(pair.expand(per_block), arr.expand(per_block))
+        assert pair.value(x) == arr.value(x)
+        for eta in (0.1, 1.0, 10.0):
+            assert np.array_equal(prox_f_over_ball(x, eta, pair, (center, radius)),
+                                  prox_f_over_ball(x, eta, arr, (center, radius)))
 
 
 def test_objective_value_matches_direct_sum():

@@ -22,6 +22,7 @@ from apdpro.solvers import (
     rapdpro,
     resolve_metric_iterate,
     stepsize_update,
+    _all_finite,
     _epoch_budget,
     _stage_budget,
 )
@@ -246,12 +247,17 @@ def test_trace_reports_the_steps_used(canonical):
 @pytest.mark.parametrize("variant, runner", ENTRY_POINTS)
 def test_trace_step_sizes_and_rho_are_python_floats(canonical, small_graph, variant, runner):
     """A numpy scalar among the loop's scalars would slow every iteration without changing a value."""
+    configs = (
+        SolverConfig(variant=variant, max_iters=40, max_epochs=2),
+        # numpy scalars given for the config's own scalars are stored as floats
+        SolverConfig(variant=variant, max_iters=40, max_epochs=2, sigma0=np.float64(0.5), rho0=np.float64(0.0)),
+    )
     for problem, constants in (canonical[:2], small_graph):
-        cfg = SolverConfig(variant=variant, max_iters=40, max_epochs=2)
-        res = runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
-        assert res.trace
-        for rec in res.trace:
-            assert (type(rec.rho), type(rec.tau), type(rec.sigma)) == (float, float, float)
+        for cfg in configs:
+            res = runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
+            assert res.trace
+            for rec in res.trace:
+                assert (type(rec.rho), type(rec.tau), type(rec.sigma)) == (float, float, float)
 
 
 def test_out_of_set_starts_are_projected(canonical):
@@ -632,6 +638,21 @@ def test_restart_segments_reuse_the_oracle_on_quadratic_problems(small_graph):
         res = apd_baseline(_counted(problem, calls), constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
         assert len(res.trace) == 100
         assert calls == {"g": 0, "jac": 101}, variant
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")  # 0 * inf
+@pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (8, 1), (8, 2)])
+def test_all_finite_is_exact_at_every_position(shape):
+    """G of m = 1, 2 and J of n = 1, 8: one nan or inf anywhere fails, the largest finite values pass."""
+    zeros = np.zeros(math.prod(shape))
+    for big in (1e308, -1e308, 5e-324):
+        assert _all_finite(np.full(shape, big), zeros)
+    for order in ("C", "F"):
+        for bad in (math.nan, math.inf, -math.inf):
+            for pos in np.ndindex(*shape):
+                a = np.full(shape, 1e308, order=order)
+                a[pos] = bad
+                assert not _all_finite(a, zeros), (order, bad, pos)
 
 
 @pytest.mark.parametrize("field, what", [("constraints", r"constraint value G\(x\)"), ("jacobian", r"Jacobian J\(x\)")])
