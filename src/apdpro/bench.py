@@ -9,6 +9,7 @@ side.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
@@ -223,8 +224,8 @@ def _active_set_kkt(problem: ConstrainedProblem):
     t = sqrt((q_S'a + 2b) / ((w sigma)_S'c)) (Fountoulakis et al., "A
     variational perspective on local graph clustering", Math. Prog. 2019).
     Starting from the signs of the strict point, each step solves for a, c
-    and t by CG and updates the signs (``_update_signs``); once they stand,
-    one more CG solve gives x_S at that t. Returns None when a sign pattern
+    and t by CG (two solves) and updates the signs (``_update_signs``); once
+    they stand, x_S = a - t c is the answer. Returns None when a sign pattern
     repeats, the steps run out or a root argument is not positive; CG
     raises NumericalError when it stalls. The caller checks the result.
     """
@@ -256,8 +257,6 @@ def _active_set_kkt(problem: ConstrainedProblem):
         x[support] = a - t * c
         new = _update_signs(sigma, x, q_times(x) - q, t * w)
         if np.array_equal(new, sigma):
-            x = np.zeros(n)
-            x[support] = cg_solve(matvec, q_s - t * ws, tol=1e-14)
             return x, np.array([1.0 / t]), step
         sigma = new
     return None
@@ -309,7 +308,7 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     if mode == "oracle":
         return reference_solution(bundle, "oracle")
     cache = _cache_path(bundle, config.output_path)
-    cached = _read_cache(cache, bundle.identity)
+    cached = _read_cache(cache, bundle.identity, bundle.problem.n, bundle.problem.m)
     if cached is not None:
         return cached["x"], cached["y"], cached["f"]
     try:
@@ -318,25 +317,38 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
         warnings.warn(f"reference unavailable: {exc}", stacklevel=2)
         return None
     f = bundle.problem.f(x)
-    payload = {"identity": bundle.identity, "x": x.tolist(), "y": y.tolist(), "f": f, "kkt": float(kkt), **how}
+    payload = {"identity": bundle.identity, "x": _encode(x), "y": _encode(y), "f": f, "kkt": float(kkt), **how}
     _write_cache(cache, payload)
     return x, y, f
 
 
-def _read_cache(path: str, identity: str):
-    """The cached payload with x, y as arrays and f as a float, or None when
-    the file is missing, unreadable, truncated or written for another
-    instance. Keys it does not know are passed through."""
+def _encode(v: np.ndarray) -> str:
+    """A float vector as base64 (standard alphabet) of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(v, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(text: str, size: int) -> np.ndarray:
+    """The writable float64 vector ``_encode`` wrote. Raises ValueError unless
+    ``text`` is valid base64 of exactly ``size`` entries, TypeError when it is
+    not a string (a JSON list, say)."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * size:
+        raise ValueError(f"cached vector has {len(raw)} bytes, need {8 * size}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def _read_cache(path: str, identity: str, n: int, m: int):
+    """The cached payload with x (n entries), y (m entries) as arrays and f
+    as a float, or None when the file is missing, unreadable, truncated,
+    written for another instance or in another format (a list-format cache
+    from before the base64 payload, bad base64, a wrong length); the caller
+    then recomputes and overwrites it. Keys it does not know are passed
+    through."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict) and data.get("identity") == identity:
-            return {
-                **data,
-                "x": np.asarray(data["x"], dtype=float),
-                "y": np.asarray(data["y"], dtype=float),
-                "f": float(data["f"]),
-            }
+            return {**data, "x": _decode(data["x"], n), "y": _decode(data["y"], m), "f": float(data["f"])}
     except (OSError, ValueError, KeyError, TypeError):
         pass
     return None

@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     method = config.reference_mode
     if method == "long-run":
         cache = bench._cache_path(bundle, config.output_path)
-        payload = bench._read_cache(cache, bundle.identity)
+        payload = bench._read_cache(cache, bundle.identity, bundle.problem.n, bundle.problem.m)
         method = payload.get("method", "long-run")  # caches from before the exact solve hold long runs
         if "steps" in payload:
             steps = payload["steps"]

@@ -310,7 +310,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     lam_min = alpha  # exact, and lambda_max(Q) <= 1: see Notes
     lam_max = min(1.0, _ritz_bound(qmatvec, n))
     x_tilde = cg_solve(qmatvec, q_lin, tol=1e-12)
-    g_tilde = float(0.5 * x_tilde @ qmatvec(x_tilde) - q_lin @ x_tilde - b)
+    g_tilde = float(0.5 * (x_tilde @ qmatvec(x_tilde)) - q_lin @ x_tilde - b)
     if g_tilde >= 0.0:
         raise ValueError(
             f"target level b={b:.6g} unattainable: the constraint's unconstrained "
@@ -325,7 +325,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     r = float(graph.degrees.min()) if r_rule == "degree" else float(weights.min())
 
     def constraints(x):
-        return np.array([0.5 * x @ qmatvec(x) - q_lin @ x - b])
+        return np.array([0.5 * (x @ qmatvec(x)) - q_lin @ x - b])
 
     def jacobian(x):
         out = q_mat @ x
@@ -396,7 +396,7 @@ def make_synthetic_instance(n: int, center, level: float):
 
     def constraints(x):
         d = x - c
-        return np.array([0.5 * d @ d - level**2])
+        return np.array([0.5 * (d @ d) - level**2])
 
     def jacobian(x):
         return (x - c).reshape(n, 1)

@@ -55,7 +55,7 @@ def _vec(z, n: int, name: str) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockNormObjective:
     """f(x) = sum_i p_i * ||x_(i)||_2 over a contiguous block partition.
 
@@ -68,6 +68,9 @@ class BlockNormObjective:
     weights : array_like
         Nonnegative coefficient p_i per block. Singleton blocks with unit
         weights recover the weighted l1 norm; f(0) = 0 is the minimum.
+
+    Objectives compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     blocks: np.ndarray

@@ -335,7 +335,7 @@ def test_get_reference_long_run_cache_roundtrip(tmp_path):
     payload = json.loads(cache.read_text(encoding="utf-8"))
     assert payload["identity"] == bundle.identity
     # poison the stored primal point; a second call must read it back verbatim
-    payload["x"] = [42.0] * len(payload["x"])
+    payload["x"] = bench._encode(np.full(x1.size, 42.0))
     cache.write_text(json.dumps(payload), encoding="utf-8")
     x2, _, _ = get_reference(bundle, config)
     assert np.array_equal(x2, 42.0 * np.ones_like(x1))
@@ -375,13 +375,37 @@ def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
     calls = []
     original = bench._solve_reference
     monkeypatch.setattr(bench, "_solve_reference", lambda *a: calls.append(a) or original(*a))
-    for broken in (text[: len(text) // 2], "", "[1, 2]", '{"identity": 3}'):
+    payload = json.loads(text)
+    stale = [
+        dict(payload, x=x1.tolist(), y=y1.tolist()),  # the JSON-list format, written before the base64 payload
+        dict(payload, x=payload["x"][:-4] + "*==="),  # bad base64
+        dict(payload, x=bench._encode(x1[:-1])),  # n - 1 entries
+        dict(payload, y=bench._encode(np.append(y1, 1.0))),  # m + 1 entries
+    ]
+    for broken in (text[: len(text) // 2], "", "[1, 2]", '{"identity": 3}', *map(json.dumps, stale)):
         cache.write_text(broken, encoding="utf-8")
-        x2, y2, f2 = get_reference(bundle, config)
-        assert np.array_equal(x2, x1) and np.array_equal(y2, y1) and f2 == f1
-        assert json.loads(cache.read_text(encoding="utf-8"))["identity"] == bundle.identity
-    assert len(calls) == 4
+        for _ in range(2):  # recomputed once, then read back
+            x2, y2, f2 = get_reference(bundle, config)
+            assert np.array_equal(x2, x1) and np.array_equal(y2, y1) and f2 == f1
+        assert cache.read_text(encoding="utf-8") == text  # rewritten in the base64 format
+    assert len(calls) == 8
     assert [p for p in os.listdir(tmp_path) if p.startswith(".ref-")] == [cache.name]
+
+
+def test_cache_payload_reads_back_bit_exact(tmp_path):
+    x = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0 / 3.0, -7.25, np.pi])
+    y = np.array([2.0**-1074 * 3])
+    path = tmp_path / ".ref-test.json"
+    bench._write_cache(str(path), {"identity": "id", "x": bench._encode(x), "y": bench._encode(y), "f": 0.1})
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(payload["x"], str) and isinstance(payload["y"], str)
+    cached = bench._read_cache(str(path), "id", x.size, y.size)
+    for got, want in ((cached["x"], x), (cached["y"], y)):
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 and the subnormals too
+    assert cached["f"] == 0.1
+    assert bench._read_cache(str(path), "id", x.size - 1, y.size) is None
+    assert bench._read_cache(str(path), "id", x.size, y.size + 1) is None
 
 
 def _without_quadratic(bundle):
@@ -458,6 +482,19 @@ def test_exact_reference_falls_back_to_the_long_run(tmp_path, monkeypatch, force
     x, y, kkt, how = bench._solve_reference(bundle, 200000, 60)
     assert how == {"method": "long-run"}
     assert kkt <= 1e-10 and kkt_residual(bundle.problem, x, y).max() == kkt
+
+
+@pytest.mark.parametrize("case, steps", [("one step", 1), ("star20-seed1", 2)])
+def test_active_set_makes_two_cg_solves_per_step(tmp_path, monkeypatch, small_graph_bundle, case, steps):
+    if case == "one step":
+        problem = small_graph_bundle.problem
+    else:
+        problem = _ppr_case(tmp_path, star_edges(20), 0.4, 0.95, "seed:1")[0].problem
+    calls = []
+    original = bench.cg_solve
+    monkeypatch.setattr(bench, "cg_solve", lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    _, _, taken = bench._active_set_kkt(problem)
+    assert taken == steps and len(calls) == 2 * steps
 
 
 def test_reference_cache_records_the_method(small_graph_bundle, tmp_path, capsys):

@@ -68,6 +68,13 @@ def test_block_partition_is_a_read_only_copy():
             view[0] = 1
 
 
+def test_objectives_compare_and_hash_by_identity():
+    a = BlockNormObjective(blocks=((0, 1), (1, 2)), weights=(1.0, 2.0))
+    b = BlockNormObjective(blocks=((0, 1), (1, 2)), weights=(1.0, 2.0))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_tuple_and_array_partitions_agree_bitwise():
     rng = np.random.default_rng(5)
     for n in (3, 9, 40):
