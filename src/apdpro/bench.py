@@ -356,7 +356,9 @@ def _read_cache(path: str, identity: str, n: int, m: int):
 
 def _write_cache(path: str, payload: dict) -> None:
     """Write the cache atomically: a temp file in the same directory, then os.replace,
-    so an interrupted run or a concurrent reader never sees a partial file."""
+    so an interrupted run or a concurrent reader never sees a partial file. A writer
+    killed between mkstemp and os.replace leaves its ``.ref-<key>.json.<random>.tmp``
+    behind, and nothing removes it."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -368,7 +370,7 @@ def _write_cache(path: str, payload: dict) -> None:
 
 
 def make_recorder(problem, variant, solver_config, reference, threshold: float = 1e-8):
-    """Recorder for the solver loop: compute_metrics at the variant's metric iterate.
+    """Recorder for the solver loop: the records at the variant's metric iterate.
 
     ``reference`` is (x*, y*, f*) or None.
     """

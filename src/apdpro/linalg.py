@@ -17,7 +17,6 @@ def cg_solve(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float = 1e-12,
-    maxiter: int | None = None,
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A by conjugate gradients.
 
@@ -28,9 +27,8 @@ def cg_solve(
     b : ndarray
         Right-hand side.
     tol : float
-        Relative residual target, ``||A x - b|| <= tol * ||b||``.
-    maxiter : int, optional
-        Iteration cap; defaults to ``20 * len(b) + 50``.
+        Relative residual target, ``||A x - b|| <= tol * ||b||``. NumericalError
+        when ``20 * len(b) + 50`` iterations do not reach it.
 
     Returns
     -------
@@ -42,12 +40,10 @@ def cg_solve(
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
-    if maxiter is None:
-        maxiter = 20 * b.size + 50
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    for _ in range(maxiter):
+    for _ in range(20 * b.size + 50):
         if np.sqrt(rs) <= tol * bnorm:
             return x
         ap = matvec(p)

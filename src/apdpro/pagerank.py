@@ -51,6 +51,7 @@ class Graph:
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
 _COMMENT_LINE = re.compile(r"^[ \t]*[#%].*$", re.MULTILINE)
 _MAX_ID_DIGITS = 18  # every id of at most 18 digits fits in int64
+_MAX_ID = np.iinfo(np.int64).max
 
 
 def _parse_fast(text: str):
@@ -116,6 +117,8 @@ def _parse_lines(path, text: str):
             raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
         if u < 0 or v < 0:
             raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
+        if u > _MAX_ID or v > _MAX_ID:
+            raise ValueError(f"{path}: line {lineno}: node id out of range in {line!r}")
         ids += (u, v)
     return np.array(ids, dtype=np.int64), declared_n
 

@@ -25,7 +25,6 @@ __all__ = [
     "ConstrainedProblem",
     "ProblemConstants",
     "KktResidual",
-    "eval_lagrangian",
     "dual_radius_bound",
     "feasible_ball",
     "derive_constants",
@@ -252,13 +251,6 @@ class KktResidual:
 
     def max(self) -> float:
         return max(self.stationarity, self.complementarity, self.primal_violation, self.dual_violation)
-
-
-def eval_lagrangian(problem: ConstrainedProblem, x, y) -> float:
-    """L(x, y) = f(x) + <y, G(x)>. Unconditional: y >= 0 is not required."""
-    x = _vec(x, problem.n, "x")
-    y = _vec(y, problem.m, "y")
-    return float(problem.f(x) + y @ problem.g(x))
 
 
 def dual_radius_bound(problem: ConstrainedProblem) -> float:

@@ -60,8 +60,6 @@ __all__ = [
     "IterSnapshot",
     "stepsize_update",
     "default_step_sizes",
-    "active_set_accuracy",
-    "compute_metrics",
     "resolve_metric_iterate",
     "apdpro",
     "rapdpro",
@@ -129,7 +127,6 @@ class SolverConfig:
     delta: float = 0.5
     restart_period: float = math.inf
     tolerance: float = 0.0
-    record_every: int = 1
     metric_iterate: str = "auto"  # auto | last | ergodic
 
     def __post_init__(self):
@@ -151,8 +148,6 @@ class SolverConfig:
             raise ValueError(f"restart_period must be at least 1 or inf, got {self.restart_period!r}")
         if self.max_iters < 0 or self.max_epochs < 0:
             raise ValueError("iteration budgets must be nonnegative")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
         if self.metric_iterate not in ("auto", "last", "ergodic"):
             raise ValueError("metric_iterate must be auto, last, or ergodic")
 
@@ -199,48 +194,17 @@ class RecordInputs:
     g_bar: np.ndarray | None = None
 
 
-def active_set_accuracy(x, x_ref, threshold: float = 1e-8, objective=None) -> float:
-    """Fraction of blocks whose zero/nonzero status matches the reference.
-
-    Both vectors are truncated blockwise first: a block counts as zero when
-    its norm falls below ``threshold``. With no objective given, blocks are
-    single coordinates. The value is (|A ^ A*| + |A^c ^ A*^c|)/B over the B
-    blocks.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if objective is None:
-        a = np.abs(np.asarray(x, dtype=float)) < threshold
-        b = np.abs(np.asarray(x_ref, dtype=float)) < threshold
-    else:
-        a = objective.block_norms(x) < threshold
-        b = objective.block_norms(x_ref) < threshold
-    if a.shape != b.shape:
-        raise ValueError("x and x_ref disagree on block structure")
-    return float(np.count_nonzero(a == b) / a.size)
-
-
-def compute_metrics(
-    problem: ConstrainedProblem,
-    ri: RecordInputs,
-    metric: str = "last",
-    reference=None,
-    threshold: float = 1e-8,
-) -> IterateRecord:
-    """Assemble one IterateRecord at the metric iterate (last or ergodic).
-
-    ``reference`` is (x*, f*) or None. Without it rel_gap and active_set_acc
-    stay None and serialize as empty CSV fields; with x* = None only
-    active_set_acc does. ``ri.g_last`` and ``ri.g_bar`` (when set) stand in
-    for G(x_last) and G(x_bar).
-    """
-    return _metrics_recorder(problem, metric, reference, threshold)(ri)
-
-
 def _metrics_recorder(problem: ConstrainedProblem, metric: str, reference, threshold: float = 1e-8):
-    """compute_metrics for one run: x*'s zero pattern is computed once, here, and each record
-    takes its iterate's block norms once, for f and the accuracy (bitwise problem.f and
-    active_set_accuracy)."""
+    """The recorder of one run: each call returns the IterateRecord at the ``metric`` iterate.
+
+    ``metric`` is "last" or "ergodic"; ``reference`` is (x*, f*) or None.
+    rel_gap needs f* != 0 and active_set_acc needs x*, else they stay None
+    (empty CSV fields). ``ri.g_last`` and ``ri.g_bar``, when set, stand in
+    for G. x*'s zero pattern (block norms under ``threshold``) is computed
+    once, here; each record takes its iterate's block norms once, for f
+    (bitwise problem.f) and the accuracy, the fraction of blocks whose zero
+    status matches x*'s.
+    """
     obj = problem.objective
     weights, blocks = obj.weights, len(obj.blocks)
     x_ref, f_ref = (None, 0.0) if reference is None else reference
@@ -376,6 +340,9 @@ def resolve_metric_iterate(variant: str, override: str = "auto") -> str:
 def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
     x0 = np.array(_vec(x0, problem.n, "x0"), dtype=float)
     y0 = np.array(_vec(y0, problem.m, "y0"), dtype=float)
+    for name, z in (("x0", x0), ("y0", y0)):  # the projections below would hide a nan y0 as 0
+        if not np.isfinite(z).all():
+            raise ValueError(f"{name} must be finite, got a nan or inf entry")
     # Confine the start to X and Y so the convergence theory's hypotheses hold.
     d = x0 - constants.ball_center
     nd = float(np.linalg.norm(d))
@@ -547,7 +514,7 @@ class _Driver:
         G(x_bar) for such a record is evaluated here, once, and passed on
         in ``RecordInputs.g_bar``.
         """
-        prob, c, cfg = self.prob, self.c, self.cfg
+        prob, c = self.prob, self.c
         quadratic = self.quadratic
         ball = (c.ball_center, c.ball_radius)
         est = st.rho_est
@@ -646,7 +613,15 @@ class _Driver:
 
             # Shift the state.
             st.k += 1
-            self.move(st, x_next, _AT_STEP)
+            try:
+                self.move(st, x_next, _AT_STEP)
+            except NumericalError as exc:  # no cost in CPython 3.11 until raised
+                # Name the layer whose output went non-finite first; with both finite, the oracle failed.
+                for point, value, layer in (("y", y_next, "dual projection"), ("x", x_next, "prox")):
+                    if not np.isfinite(value).all():
+                        what = f"{point}_{{k+1}} from the {layer}"
+                        raise NumericalError(f"non-finite {what} at iteration {st.k}") from exc
+                raise
             _average_into(st.x_bar, x_next, w_k)
             if quadratic:
                 _average_into(st.jac_bar, self.jx, w_k)
@@ -660,23 +635,22 @@ class _Driver:
             tau_prev = tau_k
             k += 1
 
-            if st.k % cfg.record_every == 0:
-                g_bar = None
-                if ergodic:
-                    if quadratic:  # from J_bar, an average of checked Jacobians
-                        g_bar = prob.g_from_jac(st.x_bar, st.jac_bar)
-                    else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
-                        g_bar = prob.g(st.x_bar)
-                        if not _all_finite(g_bar, self.zeros_g):
-                            raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
-                ri = RecordInputs(st.k, epoch, st.x, st.x_bar, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
-                                  time.perf_counter() - self.t0, self.gx, g_bar)
-                rec = self.recorder(ri)
-                if rec is not None:
-                    self.trace.append(rec)
-                    if self._should_stop(rec, ri, st):
-                        stopped = True
-                        break
+            g_bar = None
+            if ergodic:
+                if quadratic:  # from J_bar, an average of checked Jacobians
+                    g_bar = prob.g_from_jac(st.x_bar, st.jac_bar)
+                else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
+                    g_bar = prob.g(st.x_bar)
+                    if not _all_finite(g_bar, self.zeros_g):
+                        raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
+            ri = RecordInputs(st.k, epoch, st.x, st.x_bar, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
+                              time.perf_counter() - self.t0, self.gx, g_bar)
+            rec = self.recorder(ri)
+            if rec is not None:
+                self.trace.append(rec)
+                if self._should_stop(rec, ri, st):
+                    stopped = True
+                    break
         self.budgets.append(n_budget)
         return "tolerance" if stopped else "schedule" if k >= n_budget else "cap"
 

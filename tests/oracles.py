@@ -6,7 +6,11 @@ is Douglas-Rachford splitting built from two textbook pieces written out
 here: the block soft threshold and the Euclidean ball projection. The dual
 projection oracle enumerates KKT active sets. The synthetic family's
 multiplier is found by bisection. The PageRank KKT check builds Q as a
-dense matrix from the edge list. Slow and simple on purpose.
+dense matrix from the edge list. The Lagrangian and the active-set accuracy
+take block norms here, one block at a time. The trace-record oracle is the
+exception that proves the recorder's shortcuts: it takes f and G from the
+problem's own ``f`` and ``g``, whose values the recorder must reproduce
+bitwise, and assembles the rest here. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -22,6 +26,48 @@ def _f_value(x, blocks, weights):
     for (s, ln), w in zip(blocks, weights):
         total += w * np.linalg.norm(x[s : s + ln])
     return total
+
+
+def lagrangian_oracle(problem, x, y):
+    """L(x, y) = f(x) + <y, G(x)>, with f summed here block by block and G from the problem's
+    raw ``constraints`` callable. No sign condition on y."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    g = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
+    return float(_f_value(x, problem.objective.blocks, problem.objective.weights) + y @ g)
+
+
+def active_set_oracle(x, x_ref, threshold, blocks):
+    """Fraction of blocks whose zero status matches the reference's: (|A ^ A*| + |A^c ^ A*^c|)/B.
+
+    ``blocks`` holds (start, length) pairs; a block counts as zero when its
+    norm (``np.linalg.norm`` of its slice) falls below ``threshold`` > 0.
+    """
+    x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
+    same = sum(
+        (np.linalg.norm(x[s : s + ln]) < threshold) == (np.linalg.norm(x_ref[s : s + ln]) < threshold)
+        for s, ln in blocks
+    )
+    return float(same / len(blocks))
+
+
+def record_oracle(problem, ri, metric, reference, threshold):
+    """The trace record of ``ri`` (a RecordInputs) at the ``metric`` iterate ("last" or "ergodic").
+
+    ``reference`` is (x*, f*) or None; rel_gap needs f* != 0 and
+    active_set_acc needs x*. f is ``problem.f`` and G is ``ri``'s when
+    given, else ``problem.g``; the feasibility norm and the accuracy are
+    formed here. Returns the record's fields as the tuple that
+    ``dataclasses.astuple`` gives of an IterateRecord.
+    """
+    xm, gm = (ri.x_bar, ri.g_bar) if metric == "ergodic" else (ri.x_last, ri.g_last)
+    fv = problem.f(xm)
+    rel = acc = None
+    if reference is not None:
+        x_ref, f_ref = reference
+        rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
+        acc = None if x_ref is None else active_set_oracle(xm, x_ref, threshold, problem.objective.blocks)
+    feas = float(np.linalg.norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0)))
+    return (ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
 
 
 def soft_threshold_blocks(z, blocks, weights, step):

@@ -21,11 +21,11 @@ from apdpro.bench import (
     run_experiment,
 )
 from apdpro.pagerank import build_ppr_problem, load_graph
-from apdpro.problem import BlockNormObjective, eval_lagrangian
+from apdpro.problem import BlockNormObjective
 from apdpro.prox import DualSlab, project_dual_set, prox_f_over_ball
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
 from helpers import random_partition, star_edges, write_edge_list
-from oracles import ppr_q_dense, project_oracle, prox_oracle
+from oracles import lagrangian_oracle, ppr_q_dense, project_oracle, prox_oracle
 
 
 @contextlib.contextmanager
@@ -147,8 +147,8 @@ def test_criterion_5_gap_bound(canonical, apdpro_2000):
                 y_bar = y_acc / s.T_next
                 err = float((x_star - s.x_next) @ (x_star - s.x_next))
                 lhs = (s.t / s.tau / (2.0 * s.T_next)) * err \
-                    + eval_lagrangian(problem, s.x_bar_next, y_star) \
-                    - eval_lagrangian(problem, x_star, y_bar)
+                    + lagrangian_oracle(problem, s.x_bar_next, y_star) \
+                    - lagrangian_oracle(problem, x_star, y_bar)
                 rhs = delta / s.T_next
                 assert lhs <= rhs + 1e-8
                 margins[K] = rhs - lhs

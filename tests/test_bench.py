@@ -31,14 +31,12 @@ from apdpro.solvers import (
     RecordInputs,
     SolverConfig,
     _metrics_recorder,
-    active_set_accuracy,
     apdpro,
-    compute_metrics,
     rapdpro,
     resolve_metric_iterate,
 )
 from helpers import chorded_path_edges, star_edges, write_edge_list
-from oracles import ppr_kkt_oracle
+from oracles import ppr_kkt_oracle, record_oracle
 
 
 def _record_inputs(x_last, x_bar=None, **kw):
@@ -60,38 +58,50 @@ def _synthetic_config(**overrides):
     return ExperimentConfig(**kw)
 
 
+def _accuracy(blocks, x, x_ref, threshold=1e-8):
+    """The recorder's active_set_acc of x against x* for this block partition (the problem
+    around it, a unit ball constraint, plays no part)."""
+    n = int(sum(length for _, length in blocks))
+    problem = ConstrainedProblem(
+        n=n, objective=BlockNormObjective(blocks=blocks, weights=np.ones(len(blocks))), m=1,
+        constraints=lambda x: np.array([0.5 * (x @ x) - 1.0]), jacobian=lambda x: x.reshape(n, 1),
+        mu=np.ones(1), L_X=1.0, L_G=1.0, r=1.0, strict_point=np.zeros(n),
+    )
+    record = _metrics_recorder(problem, "last", (np.asarray(x_ref, dtype=float), 1.0), threshold)
+    return record(_record_inputs(x)).active_set_acc
+
+
 def test_active_set_accuracy_examples():
-    assert active_set_accuracy([0.0, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0
-    assert active_set_accuracy([1e-9, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0
-    assert active_set_accuracy([0.5, 1.0, 0.0], [0.0, 2.0, 0.0]) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        active_set_accuracy([0.0], [0.0], threshold=0.0)
+    singletons = ((0, 1), (1, 1), (2, 1))
+    assert _accuracy(singletons, [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0
+    assert _accuracy(singletons, [1e-9, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0  # under the threshold: zero
+    assert _accuracy(singletons, [0.5, 1.0, 0.0], [0.0, 2.0, 0.0]) == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        _accuracy(((0, 1),), [0.0], [0.0], threshold=0.0)
 
 
 def test_active_set_accuracy_blockwise():
-    obj = BlockNormObjective(blocks=((0, 2), (2, 1)), weights=(1.0, 1.0))
+    blocks = ((0, 2), (2, 1))
     # first block is nonzero through its second coordinate only
-    acc = active_set_accuracy([0.0, 0.3, 0.0], [1.0, 0.0, 0.0], objective=obj)
-    assert acc == 1.0
-    acc = active_set_accuracy([0.0, 0.3, 0.0], [0.0, 0.0, 2.0], objective=obj)
-    assert acc == 0.0
+    assert _accuracy(blocks, [0.0, 0.3, 0.0], [1.0, 0.0, 0.0]) == 1.0
+    assert _accuracy(blocks, [0.0, 0.3, 0.0], [0.0, 0.0, 2.0]) == 0.0
 
 
 def test_compute_metrics_values(canonical):
     problem, _, x_star, _ = canonical
     ri = _record_inputs([1.1])
-    rec = compute_metrics(problem, ri, metric="last", reference=(x_star, 1.0))
+    rec = _metrics_recorder(problem, "last", (x_star, 1.0))(ri)
     assert rec.objective == pytest.approx(1.1)
     assert rec.rel_gap == pytest.approx(0.1)
     assert rec.feas_violation == 0.0  # g(1.1) < 0
     assert rec.active_set_acc == 1.0
-    infeasible = compute_metrics(problem, _record_inputs([5.0]), metric="last")
+    infeasible = _metrics_recorder(problem, "last", None)(_record_inputs([5.0]))
     assert infeasible.feas_violation == pytest.approx(0.5 * 9.0 - 1.0)
 
 
 def test_compute_metrics_without_reference(canonical):
     problem = canonical[0]
-    rec = compute_metrics(problem, _record_inputs([1.0]))
+    rec = _metrics_recorder(problem, "last", None)(_record_inputs([1.0]))
     assert rec.rel_gap is None and rec.active_set_acc is None
     assert rec.objective == pytest.approx(1.0)
 
@@ -99,8 +109,8 @@ def test_compute_metrics_without_reference(canonical):
 def test_compute_metrics_metric_switch(canonical):
     problem = canonical[0]
     ri = _record_inputs([1.0], x_bar=[0.5])
-    assert compute_metrics(problem, ri, metric="last").objective == pytest.approx(1.0)
-    assert compute_metrics(problem, ri, metric="ergodic").objective == pytest.approx(0.5)
+    assert _metrics_recorder(problem, "last", None)(ri).objective == pytest.approx(1.0)
+    assert _metrics_recorder(problem, "ergodic", None)(ri).objective == pytest.approx(0.5)
 
 
 def test_compute_metrics_uses_g_last_without_changing_the_record(canonical):
@@ -110,21 +120,8 @@ def test_compute_metrics_uses_g_last_without_changing_the_record(canonical):
         given = _record_inputs(x_last, x_bar=x_bar, g_last=problem.g(np.asarray(x_last, dtype=float)))
         for metric in ("last", "ergodic"):
             for reference in (None, (x_star, 1.0)):
-                assert (compute_metrics(problem, given, metric, reference)
-                        == compute_metrics(problem, plain, metric, reference))
-
-
-def _generic_record(problem, ri, metric, reference, threshold):
-    """The record spelled with the one-shot pieces: problem.f, np.linalg.norm and active_set_accuracy."""
-    xm, gm = (ri.x_bar, ri.g_bar) if metric == "ergodic" else (ri.x_last, ri.g_last)
-    fv = problem.f(xm)
-    rel = acc = None
-    if reference is not None:
-        x_ref, f_ref = reference
-        rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
-        acc = None if x_ref is None else active_set_accuracy(xm, x_ref, threshold, problem.objective)
-    feas = float(np.linalg.norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0)))
-    return IterateRecord(ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
+                record = _metrics_recorder(problem, metric, reference)
+                assert record(given) == record(plain)
 
 
 def _blocky_problem():
@@ -139,7 +136,7 @@ def _blocky_problem():
 
 
 def test_run_recorder_matches_compute_metrics_bitwise(canonical):
-    """One recorder per run (x*'s zero pattern cached) gives compute_metrics' record, field for field."""
+    """One recorder per run (x*'s zero pattern cached) gives the oracle's record, field for field."""
     rng = np.random.default_rng(23)
     five, x_five, _ = make_synthetic_instance(5, np.array([1.5, -0.7, 2.0, 0.6, -1.2]), 0.9)
     blocky = _blocky_problem()
@@ -164,8 +161,8 @@ def test_run_recorder_matches_compute_metrics_bitwise(canonical):
                     record = _metrics_recorder(problem, metric, reference, threshold)
                     for ri in inputs:
                         got = record(ri)
-                        assert repr(got) == repr(compute_metrics(problem, ri, metric, reference, threshold))
-                        assert repr(got) == repr(_generic_record(problem, ri, metric, reference, threshold))
+                        want = record_oracle(problem, ri, metric, reference, threshold)
+                        assert type(got) is IterateRecord and repr(dataclasses.astuple(got)) == repr(want)
                         assert (got.rel_gap is None) == (reference is None or reference[1] == 0.0)
                         assert (got.active_set_acc is None) == (reference is None or reference[0] is None)
                         accuracies.add(got.active_set_acc)
@@ -175,7 +172,8 @@ def test_run_recorder_matches_compute_metrics_bitwise(canonical):
             record = make_recorder(problem, variant, cfg, (x_ref, None, f_ref), 1e-8)
             metric = resolve_metric_iterate(variant, cfg.metric_iterate)
             for ri in inputs:
-                assert repr(record(ri)) == repr(compute_metrics(problem, ri, metric, (x_ref, f_ref), 1e-8))
+                want = record_oracle(problem, ri, metric, (x_ref, f_ref), 1e-8)
+                assert repr(dataclasses.astuple(record(ri))) == repr(want)
     with pytest.raises(ValueError, match="threshold must be positive"):
         _metrics_recorder(five, "last", (x_five, 1.0), 0.0)
     _metrics_recorder(five, "last", (None, 1.0), 0.0)  # no x*, no accuracy: the threshold is unused
@@ -189,7 +187,7 @@ def test_default_recorder_matches_compute_metrics(canonical):
         default = apdpro(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref)
         reference = None if f_ref is None else (None, f_ref)
         explicit = apdpro(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref,
-                          recorder=lambda ri: compute_metrics(problem, ri, "last", reference))
+                          recorder=lambda ri: IterateRecord(*record_oracle(problem, ri, "last", reference, 1e-8)))
         assert len(default.trace) == len(explicit.trace) == 60
         for a, b in zip(default.trace, explicit.trace):
             assert repr(dataclasses.replace(a, elapsed_s=0.0)) == repr(dataclasses.replace(b, elapsed_s=0.0))
@@ -553,7 +551,7 @@ def test_load_experiment_config_full(tmp_path):
         "[instance]\nkind = synthetic\nn = 2\ncenter = 1.5\nlevel = 0.5\n"
         "[solver]\nvariant = rapdpro\nvariants = apdpro, apd\nmax_iters = 300\n"
         "max_epochs = 4\ntau0 = 0.1\nrestart_period = inf\n"
-        "record_every = 2\nmetric_iterate = ergodic\nx0 = strict\n"
+        "metric_iterate = ergodic\nx0 = strict\n"
         "[reference]\nmode = oracle\nbudget_iters = 50\ntruncation = 1e-6\n"
         "[output]\npath = out.csv\n",
         encoding="utf-8",
@@ -564,7 +562,7 @@ def test_load_experiment_config_full(tmp_path):
     assert cfg.solver.variant == "rapdpro" and cfg.solver.max_iters == 300
     assert cfg.solver.max_epochs == 4 and cfg.solver.tau0 == 0.1
     assert cfg.solver.restart_period == float("inf")
-    assert cfg.solver.record_every == 2 and cfg.solver.metric_iterate == "ergodic"
+    assert cfg.solver.metric_iterate == "ergodic"
     assert cfg.variants == ("apdpro", "apd")
     assert cfg.reference_mode == "oracle" and cfg.budget_iters == 50
     assert cfg.truncation == 1e-6
@@ -597,7 +595,6 @@ SOLVER_VALUES = {
     "delta": ("0.6", 0.6),
     "restart_period": ("37", 37.0),
     "tolerance": ("1e-7", 1e-7),
-    "record_every": ("4", 4),
     "metric_iterate": ("ergodic", "ergodic"),
 }
 INSTANCE_VALUES = {

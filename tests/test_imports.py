@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses, and no solver knob goes unread.
+"""No module of the package imports a name it never uses, no public name serves only tests,
+and no solver knob goes unread.
 
 A stdlib stand-in for a linter's unused-import check: every imported name
 must be referenced in the module, listed in its ``__all__``, or sit on a
-line marked ``# noqa: F401``. Likewise every ``SolverConfig`` field must be
-read as an attribute somewhere in the package outside the class itself.
+line marked ``# noqa: F401``. Every name in a module's ``__all__`` must be
+loaded somewhere in the package, so a public function whose only caller is
+its own test fails here. Likewise every ``SolverConfig`` field must be read
+as an attribute somewhere in the package outside the class itself.
 """
 
 import ast
@@ -50,6 +53,48 @@ def test_the_guard_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(probe) == ["os", "pi"]
+
+
+# module.name -> why it stays public without a caller in the package
+UNLOADED_EXPORTS_ALLOWED = {
+    "linalg.power_iteration": "kept only for perfbench/tracing.py, ROADMAP item 1",
+}
+
+
+def _unloaded_exports(paths):
+    """``module.name`` for each name in a module's ``__all__`` that no ``Name`` or ``Attribute``
+    load in any of ``paths`` reads. Loads match by name alone; imports, definitions and the
+    ``__all__`` strings are not loads. The package root's ``__all__`` is exempt."""
+    exported, loaded = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported += [(path.stem, name) for name in ast.literal_eval(node.value)]
+    return sorted(f"{module}.{name}" for module, name in exported if name not in loaded)
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert _unloaded_exports(sorted(SRC.glob("*.py"))) == sorted(UNLOADED_EXPORTS_ALLOWED)
+
+
+def test_the_guard_sees_a_public_name_without_a_caller(tmp_path):
+    (tmp_path / "__init__.py").write_text("__all__ = ['unused_at_root']\n", encoding="utf-8")
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\nfrom .other import helper\n__all__ = ['called', 'attribute', 'orphan', 'helper']\n\n"
+        "def called():\n    return math.pi\n\n\ndef attribute():\n    return 1\n\n\n"
+        "def orphan():\n    return called() + probe.attribute()\n",
+        encoding="utf-8",
+    )
+    assert _unloaded_exports(sorted(tmp_path.glob("*.py"))) == ["probe.helper", "probe.orphan"]
 
 
 def _unread_fields(paths, class_name):

@@ -61,6 +61,8 @@ def _reference_load(path):
                 raise ValueError(f"{path}: line {lineno}: non-integer node id in {line!r}") from None
             if u < 0 or v < 0:
                 raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
+            if max(u, v) >= 2**63:
+                raise ValueError(f"{path}: line {lineno}: node id out of range in {line!r}")
             max_id = max(max_id, u, v)
             if u != v:
                 edges.add((min(u, v), max(u, v)))
@@ -81,7 +83,7 @@ def _reference_load(path):
 
 _COMMENTS = ["", "   ", "# a comment", "% a comment", "#nodes", "# nodes x", "  \t# nodes 3 "]
 _SCAN_ONLY = ["+1 0", "1\u00a00", "\uff11 0", "0\x0c1"]  # valid, but not for the vectorized parse
-_MALFORMED = ["0 x", "1 2 3", "-1 2", "7", "0 1 # trailing"]
+_MALFORMED = ["0 x", "1 2 3", "-1 2", "7", "0 1 # trailing", "1 12345678901234567890"]
 
 
 @st.composite
@@ -157,9 +159,14 @@ def test_load_graph_drops_self_loops_and_rejects_isolated(tmp_path):
 
 def test_load_graph_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("0 1\n0 x\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        load_graph(str(path))
+    for line, problem in (
+        ("0 x", "non-integer node id in '0 x'"),
+        ("1 12345678901234567890", "node id out of range in '1 12345678901234567890'"),  # beyond int64
+        ("1 9223372036854775808", "node id out of range"),  # 2^63
+    ):
+        path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"g.txt: line 2: {problem}"):
+            load_graph(str(path))
 
 
 def test_load_graph_comments_blanks_and_directive(tmp_path):

@@ -1,4 +1,4 @@
-"""Problem model: block-norm objective, derived constants, Lagrangian, KKT."""
+"""Problem model: block-norm objective, derived constants, KKT."""
 
 import dataclasses
 import re
@@ -12,7 +12,6 @@ from apdpro.problem import (
     _vec,
     derive_constants,
     dual_radius_bound,
-    eval_lagrangian,
     feasible_ball,
     jacobian_operator_norm,
     kkt_residual,
@@ -120,15 +119,6 @@ def test_singleton_blocks_match_the_general_path_bitwise():
         x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
         assert np.array_equal(obj.block_norms(x), np.sqrt(np.add.reduceat(x * x, np.arange(n))))
         assert np.array_equal(obj.expand(x), np.repeat(x, np.ones(n, dtype=np.intp)))
-
-
-def test_lagrangian_value(canonical):
-    problem, _, _, _ = canonical
-    x, y = np.array([1.0]), np.array([0.3])
-    # f(1) = 1, g(1) = 0.5 - 1 = -0.5
-    assert eval_lagrangian(problem, x, y) == pytest.approx(1.0 + 0.3 * -0.5, abs=1e-15)
-    # y >= 0 is not required by the evaluator
-    assert eval_lagrangian(problem, x, -y) == pytest.approx(1.0 - 0.3 * -0.5, abs=1e-15)
 
 
 def test_dual_radius_bound_canonical(canonical):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apdpro import solvers
 from apdpro.bench import make_recorder
 from apdpro.linalg import NumericalError
+from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, feasible_ball
 from apdpro.solvers import (
     VARIANTS,
@@ -102,7 +104,6 @@ def test_config_validation():
         dict(nu0=0.0),
         dict(delta=1.0),
         dict(max_iters=-1),
-        dict(record_every=0),
         dict(metric_iterate="weird"),
     ):
         with pytest.raises(ValueError):
@@ -288,12 +289,6 @@ def test_tolerance_stop_on_gap(canonical):
 def test_tolerance_stop_on_kkt(canonical):
     res = _run(canonical, "apdpro", apdpro, max_iters=5000, tolerance=1e-8)
     assert res.termination == "tolerance"
-
-
-def test_record_every_thins_the_trace(canonical):
-    res = _run(canonical, "apdpro", apdpro, max_iters=200, record_every=10)
-    assert len(res.trace) == 20
-    assert [r.iter for r in res.trace] == list(range(10, 201, 10))
 
 
 # -- baseline and restart variants ---------------------------------------------
@@ -675,6 +670,43 @@ def test_non_finite_jacobian_at_entry_raises_on_the_quadratic_path(small_graph):
     broken = _jacobian_nan_from_call(problem, 2)  # J(x_0) at loop entry
     with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x\) at entry \(iteration 0\)"):
         apdpro(broken, constants, SolverConfig(max_iters=5), np.zeros(problem.n), np.zeros(problem.m))
+
+
+@pytest.mark.parametrize("variant, runner", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("point", ["x0", "y0"])
+def test_non_finite_start_point_is_rejected(variant, runner, point, bad):
+    """A nan y0 would be projected to 0 and run as if it were 0; a nan x0 would be reported as
+    the oracle's fault. Both are the caller's, and the error names the argument."""
+    problem, _, _ = make_synthetic_instance(3, np.array([2.0, -1.0, 0.5]), 1.0)
+    constants = derive_constants(problem, feasible_ball(problem, [problem.strict_point]))
+    start = {"x0": np.zeros(3), "y0": np.zeros(1)}
+    start[point][-1] = bad
+    with pytest.raises(ValueError, match=rf"^{point} must be finite"):
+        runner(problem, constants, SolverConfig(variant=variant, max_iters=5), start["x0"], start["y0"])
+
+
+@pytest.mark.parametrize("variant, runner", ENTRY_POINTS)
+@pytest.mark.parametrize("instance", ["canonical", "small_graph"])  # the generic and the quadratic path
+@pytest.mark.parametrize("layer, match", [
+    ("prox_f_over_ball", r"^non-finite x_\{k\+1\} from the prox at iteration 3$"),
+    # the first projection call is y0's, at the start
+    ("project_dual_set", r"^non-finite y_\{k\+1\} from the dual projection at iteration 2$"),
+])
+def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner, instance, layer, match):
+    """A nan from the prox or the dual projection is not reported as the oracle's at x_{k+1}."""
+    problem, constants = request.getfixturevalue(instance)[:2]
+    original, calls = getattr(solvers, layer), []
+
+    def nan_on_third_call(*args):
+        calls.append(None)
+        out = original(*args)
+        return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+    monkeypatch.setattr(solvers, layer, nan_on_third_call)
+    with pytest.raises(NumericalError, match=match):
+        runner(problem, constants, SolverConfig(variant=variant, max_iters=50), np.zeros(problem.n),
+               np.zeros(problem.m))
 
 
 # -- quadratic structure ---------------------------------------------------------
