@@ -31,7 +31,7 @@ print(f"graph: {graph.n} nodes, degrees hub={graph.degrees[0]}, leaf={graph.degr
 # unconstrained minimum first, then ask for 95% of it (tight levels make
 # the multiplier large and the identification problem non-trivial)
 probe = build_ppr_problem(graph, alpha=0.4, b=-1e-12, s="seed:1")
-v_min = float(probe.problem.g(probe.x_tilde)[0]) - 1e-12
+v_min = float(probe.g(probe.strict_point)[0]) - 1e-12
 spec = InstanceSpec(kind="graph", path=path, alpha=0.4, b=0.95 * v_min, s="seed:1")
 bundle = build_instance(spec)
 

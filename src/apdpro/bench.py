@@ -142,21 +142,17 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
     """Construct the problem, its ball, and the derived constants."""
     if spec.kind == "synthetic":
         problem, x_star, y_star = make_synthetic_instance(spec.n, spec.center, spec.level)
-        center = problem.strict_point
-        ball = feasible_ball(problem, [center])
-        constants = derive_constants(problem, ball)
-        sha = hashlib.sha256(center.tobytes()).hexdigest()[:16]  # every bit of c, as a graph's file content
+        sha = hashlib.sha256(problem.strict_point.tobytes()).hexdigest()[:16]  # every bit of c, as a graph's file content
         identity = f"synthetic|n={spec.n}|center_sha={sha}|level={spec.level!r}"
-        return InstanceBundle(problem, constants, (x_star, y_star), identity, None, "synthetic")
-    graph = load_graph(spec.path)
-    inst = build_ppr_problem(graph, spec.alpha, spec.b, spec.s, spec.r_rule)
-    ball = feasible_ball(inst.problem, [inst.x_tilde])
-    constants = derive_constants(inst.problem, ball)
-    with open(spec.path, "rb") as fh:
-        sha = hashlib.sha256(fh.read()).hexdigest()[:16]
-    identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|s={spec.s}|r_rule={spec.r_rule}"
-    cache_dir = os.path.dirname(os.path.abspath(spec.path))
-    return InstanceBundle(inst.problem, constants, None, identity, cache_dir, os.path.basename(spec.path))
+        oracle, cache_dir, label = (x_star, y_star), None, "synthetic"
+    else:
+        problem = build_ppr_problem(load_graph(spec.path), spec.alpha, spec.b, spec.s, spec.r_rule)
+        with open(spec.path, "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()[:16]
+        identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|s={spec.s}|r_rule={spec.r_rule}"
+        oracle, cache_dir, label = None, os.path.dirname(os.path.abspath(spec.path)), os.path.basename(spec.path)
+    constants = derive_constants(problem, feasible_ball(problem, [problem.strict_point]))
+    return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
 
 
 def reference_solution(bundle: InstanceBundle, mode: str, budget_iters: int = 200000, budget_epochs: int = 60):
@@ -304,6 +300,9 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
         y = np.asarray(data.get("y", np.zeros(bundle.problem.m)), dtype=float)
         if y.shape != (bundle.problem.m,):
             raise ValueError(f"reference file has {y.shape} dual entries, need {bundle.problem.m}")
+        for name, v in (("x", x), ("y", y)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"reference file {config.reference_path}: {name} has non-finite entries")
         return x, y, bundle.problem.f(x)
     if mode == "oracle":
         return reference_solution(bundle, "oracle")

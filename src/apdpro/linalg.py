@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, cg
 
 __all__ = ["NumericalError", "cg_solve", "power_iteration"]
 
@@ -18,46 +19,20 @@ def cg_solve(
     b: np.ndarray,
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A by conjugate gradients.
+    """Solve A x = b for symmetric positive definite A by scipy's conjugate gradients.
 
-    Parameters
-    ----------
-    matvec : callable
-        Applies A to a vector.
-    b : ndarray
-        Right-hand side.
-    tol : float
-        Relative residual target, ``||A x - b|| <= tol * ||b||``. NumericalError
-        when ``20 * len(b) + 50`` iterations do not reach it.
-
-    Returns
-    -------
-    ndarray
-        The solution iterate, starting from zero.
+    ``matvec`` applies A to a vector. The iteration starts from zero, makes
+    one mat-vec per step and stops once ``||A x - b|| < tol * ||b||``;
+    NumericalError when ``20 * len(b) + 50`` steps do not get there. The
+    result is a new array, also when b = 0.
     """
     b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(20 * b.size + 50):
-        if np.sqrt(rs) <= tol * bnorm:
-            return x
-        ap = matvec(p)
-        alpha = rs / float(p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) <= tol * bnorm:
-        return x
-    raise NumericalError(
-        f"conjugate gradients stalled at relative residual {np.sqrt(rs) / bnorm:.3e}"
-    )
+    n = b.size
+    x, info = cg(LinearOperator((n, n), matvec=matvec, dtype=float), b, rtol=tol, atol=0.0, maxiter=20 * n + 50)
+    if info != 0:
+        resid = np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
+        raise NumericalError(f"conjugate gradients stalled at relative residual {resid:.3e}")
+    return x.copy() if np.may_share_memory(x, b) else x  # scipy returns b itself when b = 0
 
 
 def power_iteration(

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +25,6 @@ from .problem import BlockNormObjective, ConstrainedProblem, _vec
 
 __all__ = [
     "Graph",
-    "PprInstance",
     "load_graph",
     "build_ppr_problem",
     "make_synthetic_instance",
@@ -147,12 +145,18 @@ def load_graph(path) -> Graph:
     ------
     ValueError
         On malformed lines (reported with their line number), ids outside a
-        declared node count, or isolated nodes (D^{-1/2} must exist).
+        declared node count, a declared count the edges cannot reach, or
+        isolated nodes (D^{-1/2} must exist).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     parsed = _parse_fast(text)
     ids, declared_n = parsed if parsed is not None else _parse_lines(path, text)
+    if declared_n is not None and declared_n > ids.size:  # each edge touches at most two nodes
+        raise ValueError(
+            f"{path}: '# nodes {declared_n}' declares more nodes than {ids.size // 2} edge(s) can reach; "
+            "every node needs degree >= 1"
+        )
     max_id = int(ids.max()) if ids.size else -1
     n = declared_n if declared_n is not None else max_id + 1
     if n <= 0:
@@ -173,33 +177,6 @@ def load_graph(path) -> Graph:
     if ncomp > 1:
         warnings.warn(f"graph has {ncomp} connected components", stacklevel=2)
     return Graph(n=n, adjacency=adj, degrees=degrees, components=int(ncomp))
-
-
-@dataclass(frozen=True)
-class PprInstance:
-    """A built PageRank problem plus the pieces its construction certified.
-
-    ``qmatvec`` is the product with Q, assembled once as the CSR matrix
-    (1 - h) I - h D^{-1/2} A D^{-1/2}, h = (1 - alpha)/2, with sorted
-    indices; ``q_lin`` is alpha * D^{-1/2} s, so the constraint is
-    g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
-    ``lambda_min`` is alpha exactly (the constraint's modulus mu) and
-    ``lambda_max`` an upper bound on the largest eigenvalue of Q (L_X): the
-    Lanczos Ritz value plus its residual norm, capped at 1. Together they
-    bracket x'Qx / ||x||^2 for every x.
-    """
-
-    problem: ConstrainedProblem
-    alpha: float
-    b: float
-    s: np.ndarray
-    q_lin: np.ndarray
-    qmatvec: Callable
-    n: int
-    x_tilde: np.ndarray
-    lambda_min: float
-    lambda_max: float
-    graph: Graph = field(repr=False)
 
 
 _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
@@ -252,7 +229,7 @@ def _resolve_teleport(s, n: int) -> np.ndarray:
     return out / total
 
 
-def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule: str = "degree") -> PprInstance:
+def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule: str = "degree") -> ConstrainedProblem:
     """Assemble the personalized-PageRank instance for a graph.
 
     Parameters
@@ -271,10 +248,16 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
 
     Returns
     -------
-    PprInstance
+    ConstrainedProblem
+        mu = [alpha], L_X the certified bound on lambda_max(Q), and the
+        strict point x_tilde below.
 
     Notes
     -----
+    Q is assembled once as the CSR matrix (1 - h) I - h D^{-1/2} A D^{-1/2},
+    h = (1 - alpha)/2, with sorted indices, and q_lin = alpha D^{-1/2} s, so
+    g(x) = (1/2) x'Qx - q_lin'x - b and grad g = Qx - q_lin.
+
     mu = lambda_min(Q) = alpha in closed form: D^{1/2} 1 is an eigenvector of
     D^{-1/2} A D^{-1/2} for its largest eigenvalue 1 (Fountoulakis et al.,
     "A variational perspective on local graph clustering", Math. Prog.
@@ -282,7 +265,8 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     The same fact gives lambda_max(Q) <= 1. L_X = lambda_max is the Lanczos
     Ritz value of Q moved up by its residual norm and capped at 1, a
     certified upper bound once Lanczos has found the top of the spectrum; no
-    power iteration runs.
+    power iteration runs. Together mu and L_X bracket x'Qx / ||x||^2 for
+    every x.
 
     The strict point is the unconstrained minimizer of g (CG on
     Q x = alpha D^{-1/2} s, tol 1e-12), which maximizes the feasibility
@@ -335,7 +319,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         out -= q_lin
         return out.reshape(n, 1)
 
-    problem = ConstrainedProblem(
+    return ConstrainedProblem(
         n=n,
         objective=objective,
         m=1,
@@ -347,19 +331,6 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         r=r,
         strict_point=x_tilde,
         quadratic=(q_lin, b, qmatvec),
-    )
-    return PprInstance(
-        problem=problem,
-        alpha=alpha,
-        b=b,
-        s=s_vec,
-        q_lin=q_lin,
-        qmatvec=qmatvec,
-        n=n,
-        x_tilde=x_tilde,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        graph=graph,
     )
 
 

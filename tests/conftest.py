@@ -20,7 +20,7 @@ def small_graph_bundle(tmp_path_factory):
     """A generated 30-node PageRank instance: a path plus random chords."""
     path = write_edge_list(tmp_path_factory.mktemp("graph") / "g30.txt", chorded_path_edges(30, 60, seed=5))
     probe = build_ppr_problem(load_graph(path), alpha=0.2, b=-1e-12)
-    b = 0.5 * (probe.problem.g(probe.x_tilde)[0] - 1e-12)
+    b = 0.5 * (probe.g(probe.strict_point)[0] - 1e-12)
     return build_instance(InstanceSpec(kind="graph", path=path, alpha=0.2, b=b))
 
 

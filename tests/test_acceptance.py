@@ -246,7 +246,7 @@ def test_criterion_9_active_set_identification(tmp_path):
         path = write_edge_list(tmp_path / "star20.txt", star_edges(20))
         graph = load_graph(path)
         probe = build_ppr_problem(graph, alpha=0.4, b=-1e-12, s="seed:1")
-        v_min = float(probe.problem.g(probe.x_tilde)[0]) - 1e-12
+        v_min = float(probe.g(probe.strict_point)[0]) - 1e-12
         spec = InstanceSpec(kind="graph", path=path, alpha=0.4, b=0.95 * v_min, s="seed:1")
         bundle = build_instance(spec)
         reference = reference_solution(bundle, "long-run")
@@ -280,15 +280,14 @@ def test_criterion_10_ppr_constants(tmp_path):
     info = {}
     with _verdict(10, info):
         path = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
-        inst = build_ppr_problem(load_graph(path), alpha=0.5, b=-0.05)
-        cols = np.column_stack([inst.qmatvec(e) for e in np.eye(2)])
+        problem = build_ppr_problem(load_graph(path), alpha=0.5, b=-0.05)
+        cols = np.column_stack([problem.quadratic[2](e) for e in np.eye(2)])
         assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
         lam_min, lam_max = np.linalg.eigvalsh(ppr_q_dense(2, [(0, 1)], 0.5))[[0, -1]]
         assert lam_min == pytest.approx(0.5, abs=1e-15) and lam_max == pytest.approx(1.0, abs=1e-15)
-        assert inst.problem.mu[0] == pytest.approx(lam_min, abs=1e-8)
-        assert lam_max <= inst.problem.L_X == pytest.approx(lam_max, abs=1e-8)
+        assert problem.mu[0] == pytest.approx(lam_min, abs=1e-8)
+        assert lam_max <= problem.L_X == pytest.approx(lam_max, abs=1e-8)
         rng = np.random.default_rng(110)
-        problem = inst.problem
         h = 1e-6
         for _ in range(20):
             x = rng.normal(scale=0.5, size=2)

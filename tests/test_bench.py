@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -406,6 +409,61 @@ def test_cache_payload_reads_back_bit_exact(tmp_path):
     assert bench._read_cache(str(path), "id", x.size, y.size + 1) is None
 
 
+_RACE_WRITER = """
+import os, sys, time
+from apdpro.bench import ExperimentConfig, InstanceSpec, build_instance, get_reference
+from apdpro.solvers import SolverConfig
+
+graph, b, sync, tag = sys.argv[1], float(sys.argv[2]), sys.argv[3], sys.argv[4]
+spec = InstanceSpec(kind="graph", path=graph, alpha=0.2, b=b)
+bundle = build_instance(spec)
+config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="rapdpro"), reference_mode="long-run")
+open(os.path.join(sync, "ready-" + tag), "w").close()
+deadline = time.monotonic() + 60.0
+while not os.path.exists(os.path.join(sync, "go")) and time.monotonic() < deadline:
+    time.sleep(0.001)
+x, y, f = get_reference(bundle, config)
+print(x.tobytes().hex(), y.tobytes().hex(), float(f).hex())
+"""
+
+
+def test_writers_racing_on_one_cache_agree_bit_for_bit(tmp_path, small_graph_bundle):
+    """Three processes build the 30-node instance, wait at a barrier, then call get_reference in
+    long-run mode on one cache path at once: each reads the same bits, and one cache file remains."""
+    graph_dir, sync = tmp_path / "graph", tmp_path / "sync"
+    graph_dir.mkdir()
+    sync.mkdir()
+    graph = write_edge_list(graph_dir / "g30.txt", chorded_path_edges(30, 60, seed=5))  # the fixture's graph
+    b = float(small_graph_bundle.problem.quadratic[1][0])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                                     os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", _RACE_WRITER, graph, repr(b), str(sync), str(i)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for i in range(3)]
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(os.listdir(sync)) < len(procs) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        (sync / "go").touch()
+        results = [proc.communicate(timeout=60) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    for proc, (out, err) in zip(procs, results):
+        assert proc.returncode == 0, err[-2000:]
+    outputs = {out for out, _ in results}
+    assert len(outputs) == 1
+    left = os.listdir(graph_dir)
+    caches = [p for p in left if p.startswith(".ref-") and p.endswith(".json")]
+    assert len(caches) == 1
+    assert not [p for p in left if p.endswith(".tmp")]
+    identity = build_instance(InstanceSpec(kind="graph", path=graph, alpha=0.2, b=b)).identity
+    cached = bench._read_cache(str(graph_dir / caches[0]), identity, 30, 1)
+    assert outputs.pop().split() == [cached["x"].tobytes().hex(), cached["y"].tobytes().hex(), cached["f"].hex()]
+
+
 def _without_quadratic(bundle):
     """The bundle with its quadratic structure dropped: no exact solve, only the long run."""
     return dataclasses.replace(bundle, problem=dataclasses.replace(bundle.problem, quadratic=None))
@@ -425,7 +483,7 @@ def _ppr_case(tmp_path, edges, alpha, level, s="uniform"):
     """(bundle, b) for the PageRank instance on ``edges`` at ``level`` times g's unconstrained minimum."""
     path = write_edge_list(tmp_path / "graph.txt", edges)
     probe = build_ppr_problem(load_graph(path), alpha=alpha, b=-1e-12, s=s)
-    b = level * (float(probe.problem.g(probe.x_tilde)[0]) - 1e-12)
+    b = level * (float(probe.g(probe.strict_point)[0]) - 1e-12)
     return build_instance(InstanceSpec(kind="graph", path=path, alpha=alpha, b=b, s=s)), b
 
 
@@ -528,6 +586,24 @@ def test_get_reference_file_mode(tmp_path, canonical):
         get_reference(bundle, ExperimentConfig(
             instance=spec, solver=SolverConfig(variant="apdpro"),
             reference_mode="file", reference_path=str(bad)))
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("x", {"x": [float("nan")], "y": [0.5]}),
+    ("x", {"x": [float("-inf")]}),
+    ("y", {"x": [0.5], "y": [float("inf")]}),
+])
+def test_get_reference_file_mode_rejects_non_finite_entries(tmp_path, name, payload):
+    """json reads NaN and Infinity; a reference holding them would make every gap nan."""
+    spec = InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0)
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="apdpro", tolerance=1e-6),
+                              reference_mode="file", reference_path=str(bad))
+    with pytest.raises(ValueError, match=f"nonfinite.json: {name} has non-finite entries"):
+        get_reference(build_instance(spec), config)
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        run_experiment(config)
 
 
 def test_get_reference_file_mode_rejects_a_wrong_length_dual(tmp_path, canonical):

@@ -38,10 +38,10 @@ def _reference_load(path):
     """The set-based line loop the vectorized loader replaced.
 
     Returns (n, adjacency, degrees, components); raises the loader's
-    ValueError for a malformed line, a declared count too small, or an
-    isolated node.
+    ValueError for a malformed line, a declared count too small or too large
+    for the edge lines to reach, or an isolated node.
     """
-    declared_n, edges, max_id = None, set(), -1
+    declared_n, edges, max_id, lines = None, set(), -1, 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -63,9 +63,14 @@ def _reference_load(path):
                 raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
             if max(u, v) >= 2**63:
                 raise ValueError(f"{path}: line {lineno}: node id out of range in {line!r}")
-            max_id = max(max_id, u, v)
+            max_id, lines = max(max_id, u, v), lines + 1
             if u != v:
                 edges.add((min(u, v), max(u, v)))
+    if declared_n is not None and declared_n > 2 * lines:
+        raise ValueError(
+            f"{path}: '# nodes {declared_n}' declares more nodes than {lines} edge(s) can reach; "
+            "every node needs degree >= 1"
+        )
     n = declared_n if declared_n is not None else max_id + 1
     if n <= 0:
         raise ValueError(f"{path}: no nodes found")
@@ -182,6 +187,19 @@ def test_load_graph_directive_cannot_orphan_nodes(tmp_path):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("text, declared, edges", [
+    ("# nodes 99999999999999999999\n0 1\n", "99999999999999999999", 1),  # beyond int64
+    ("# nodes 3\n0 1\n", "3", 1),
+    ("# nodes 1\n", "1", 0),
+])
+def test_load_graph_rejects_a_directive_the_edges_cannot_reach(tmp_path, text, declared, edges):
+    """Each edge gives at most two nodes a degree, so N above twice the edge count fails at once."""
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"g.txt: '# nodes {declared}' declares more nodes than {edges} edge"):
+        load_graph(str(path))
+
+
 def test_load_graph_warns_on_disconnection(tmp_path):
     path = write_edge_list(tmp_path / "g.txt", [(0, 1), (2, 3)])
     with pytest.warns(UserWarning, match="2 connected components"):
@@ -191,12 +209,13 @@ def test_load_graph_warns_on_disconnection(tmp_path):
 
 def test_two_node_path_q_matrix(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "p2.txt", [(0, 1)]))
-    inst = build_ppr_problem(g, alpha=0.5, b=-0.05)
-    cols = np.column_stack([inst.qmatvec(e) for e in np.eye(2)])
+    problem = build_ppr_problem(g, alpha=0.5, b=-0.05)
+    qmatvec = problem.quadratic[2]
+    cols = np.column_stack([qmatvec(e) for e in np.eye(2)])
     assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
     lam_min, lam_max = np.linalg.eigvalsh(ppr_q_dense(2, [(0, 1)], 0.5))[[0, -1]]
-    assert inst.problem.mu[0] == pytest.approx(lam_min, abs=1e-8) and lam_min == pytest.approx(0.5, abs=1e-15)
-    assert lam_max <= inst.problem.L_X == pytest.approx(lam_max, abs=1e-8)
+    assert problem.mu[0] == pytest.approx(lam_min, abs=1e-8) and lam_min == pytest.approx(0.5, abs=1e-15)
+    assert lam_max <= problem.L_X == pytest.approx(lam_max, abs=1e-8)
 
 
 def test_qmatvec_matches_dense_assembly(tmp_path):
@@ -205,12 +224,12 @@ def test_qmatvec_matches_dense_assembly(tmp_path):
         n = int(rng.integers(3, 51))
         g = _random_connected_graph(rng, tmp_path, n, tag=str(trial))
         alpha = float(rng.uniform(0.1, 0.9))
-        inst = build_ppr_problem(g, alpha, b=-1e-12)
+        qmatvec = build_ppr_problem(g, alpha, b=-1e-12).quadratic[2]
         dense = _dense_q(g, alpha)
-        cols = np.column_stack([inst.qmatvec(e) for e in np.eye(n)])
+        cols = np.column_stack([qmatvec(e) for e in np.eye(n)])
         assert np.max(np.abs(cols - dense)) <= 1e-12
         for x in rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-5, 5, size=(4, 1)):
-            assert np.linalg.norm(inst.qmatvec(x) - dense @ x) <= 1e-15 * np.linalg.norm(dense @ x)
+            assert np.linalg.norm(qmatvec(x) - dense @ x) <= 1e-15 * np.linalg.norm(dense @ x)
 
 
 def test_assembled_q_runs_like_the_dense_oracle_q(small_graph_bundle):
@@ -247,24 +266,22 @@ def test_spectral_bounds_bracket_the_true_spectrum(tmp_path):
         n = int(rng.integers(4, 40))
         g = _random_connected_graph(rng, tmp_path, n, tag=f"s{trial}")
         alpha = float(rng.uniform(0.2, 0.8))
-        inst = build_ppr_problem(g, alpha, b=-1e-12)
+        problem = build_ppr_problem(g, alpha, b=-1e-12)
         evals = np.linalg.eigvalsh(_dense_q(g, alpha))
         # The normalized adjacency always has eigenvalue 1, so min(Q) = alpha.
         assert evals[0] == pytest.approx(alpha, abs=1e-10)
-        assert inst.lambda_min <= evals[0] + 1e-12
-        assert inst.lambda_min == pytest.approx(evals[0], rel=1e-7)
-        assert inst.lambda_max >= evals[-1] - 1e-12
-        assert inst.lambda_max == pytest.approx(evals[-1], rel=1e-7)
-        assert inst.lambda_max <= 1.0 + 1e-7
+        assert problem.mu[0] <= evals[0] + 1e-12
+        assert problem.mu[0] == pytest.approx(evals[0], rel=1e-7)
+        assert problem.L_X >= evals[-1] - 1e-12
+        assert problem.L_X == pytest.approx(evals[-1], rel=1e-7)
+        assert problem.L_X <= 1.0 + 1e-7
 
 
 def test_bipartite_graph_attains_lambda_max_one(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "star.txt", star_edges(6)))
-    inst = build_ppr_problem(g, alpha=0.4, b=-1e-12)
-    assert inst.lambda_max == pytest.approx(1.0, abs=1e-8)
+    assert build_ppr_problem(g, alpha=0.4, b=-1e-12).L_X == pytest.approx(1.0, abs=1e-8)
     g_odd = load_graph(write_edge_list(tmp_path / "c5.txt", cycle_edges(5)))
-    inst_odd = build_ppr_problem(g_odd, alpha=0.4, b=-1e-12)
-    assert inst_odd.lambda_max < 1.0 - 1e-3
+    assert build_ppr_problem(g_odd, alpha=0.4, b=-1e-12).L_X < 1.0 - 1e-3
 
 
 def test_lambda_max_bounds_the_spectrum_of_a_generated_graph(tmp_path):
@@ -273,12 +290,11 @@ def test_lambda_max_bounds_the_spectrum_of_a_generated_graph(tmp_path):
     rng = np.random.default_rng(0)
     edges = path_edges(n) + [tuple(map(int, e)) for e in rng.integers(0, n, size=(4 * n, 2))]
     g = load_graph(write_edge_list(tmp_path / "gen300.txt", edges))
-    inst = build_ppr_problem(g, alpha, b=-1e-12)
+    problem = build_ppr_problem(g, alpha, b=-1e-12)
     top = np.linalg.eigvalsh(_dense_q(g, alpha))[-1]
-    assert top <= inst.lambda_max <= top * (1.0 + 1e-7)
-    assert inst.problem.L_X == inst.lambda_max
-    assert inst.lambda_min == alpha and inst.problem.mu[0] == alpha
-    assert build_ppr_problem(g, alpha, b=-1e-12).problem.L_X == inst.problem.L_X
+    assert top <= problem.L_X <= top * (1.0 + 1e-7)
+    assert problem.mu[0] == alpha
+    assert build_ppr_problem(g, alpha, b=-1e-12).L_X == problem.L_X
 
 
 def test_spectral_bounds_of_diagonal_operators():
@@ -291,11 +307,12 @@ def test_spectral_bounds_of_diagonal_operators():
 def test_rayleigh_quotients_respect_the_bounds(tmp_path):
     rng = np.random.default_rng(14)
     g = _random_connected_graph(rng, tmp_path, 25, tag="r")
-    inst = build_ppr_problem(g, alpha=0.3, b=-1e-12)
+    problem = build_ppr_problem(g, alpha=0.3, b=-1e-12)
+    qmatvec = problem.quadratic[2]
     for _ in range(100):
         x = rng.normal(size=25)
-        quot = float(x @ inst.qmatvec(x)) / float(x @ x)
-        assert inst.lambda_min - 1e-12 <= quot <= inst.lambda_max + 1e-12
+        quot = float(x @ qmatvec(x)) / float(x @ x)
+        assert problem.mu[0] - 1e-12 <= quot <= problem.L_X + 1e-12
 
 
 def test_identity_quadratic_spectral_bounds():
@@ -309,9 +326,8 @@ def test_gradient_matches_finite_differences(tmp_path):
     rng = np.random.default_rng(15)
     g = _random_connected_graph(rng, tmp_path, 12, tag="fd")
     probe = build_ppr_problem(g, alpha=0.45, b=-1e-12)
-    v_min = probe.problem.g(probe.x_tilde)[0] + (-1e-12)
-    inst = build_ppr_problem(g, alpha=0.45, b=0.5 * v_min)
-    problem = inst.problem
+    v_min = probe.g(probe.strict_point)[0] + (-1e-12)
+    problem = build_ppr_problem(g, alpha=0.45, b=0.5 * v_min)
     h = 1e-6
     for _ in range(20):
         x = rng.normal(scale=0.5, size=12)
@@ -326,15 +342,15 @@ def test_gradient_matches_finite_differences(tmp_path):
 
 def test_objective_weights_are_sqrt_degrees(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "star5.txt", star_edges(5)))
-    inst = build_ppr_problem(g, alpha=0.5, b=-1e-12)
-    assert np.allclose(inst.problem.objective.weights, [2.0, 1.0, 1.0, 1.0, 1.0])
-    assert np.array_equal(inst.problem.objective.blocks, [(i, 1) for i in range(5)])
+    problem = build_ppr_problem(g, alpha=0.5, b=-1e-12)
+    assert np.allclose(problem.objective.weights, [2.0, 1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(problem.objective.blocks, [(i, 1) for i in range(5)])
 
 
 def test_r_rule_choices(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "c5r.txt", cycle_edges(5)))  # all degrees 2
-    assert build_ppr_problem(g, 0.5, -1e-12, r_rule="degree").problem.r == 2.0
-    by_sqrt = build_ppr_problem(g, 0.5, -1e-12, r_rule="sqrt-degree").problem.r
+    assert build_ppr_problem(g, 0.5, -1e-12, r_rule="degree").r == 2.0
+    by_sqrt = build_ppr_problem(g, 0.5, -1e-12, r_rule="sqrt-degree").r
     assert by_sqrt == pytest.approx(np.sqrt(2.0), abs=1e-15)
     with pytest.raises(ValueError):
         build_ppr_problem(g, 0.5, -1e-12, r_rule="nope")
@@ -342,12 +358,13 @@ def test_r_rule_choices(tmp_path):
 
 def test_teleport_modes(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "p3.txt", path_edges(3)))
-    uniform = build_ppr_problem(g, 0.5, -1e-12, s="uniform")
-    assert np.allclose(uniform.s, np.ones(3) / 3)
-    seeded = build_ppr_problem(g, 0.5, -1e-12, s="seed:1")
-    assert np.array_equal(seeded.s, [0.0, 1.0, 0.0])
-    custom = build_ppr_problem(g, 0.5, -1e-12, s=np.array([0.5, 0.25, 0.25]))
-    assert np.allclose(custom.s, [0.5, 0.25, 0.25])
+
+    def teleport(s):  # s back from the linear term alpha D^{-1/2} s, alpha = 0.5
+        return build_ppr_problem(g, 0.5, -1e-12, s=s).quadratic[0][:, 0] * np.sqrt(g.degrees) / 0.5
+
+    assert teleport("uniform") == pytest.approx(np.ones(3) / 3, abs=1e-15)
+    assert teleport("seed:1") == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
+    assert teleport(np.array([0.5, 0.25, 0.25])) == pytest.approx([0.5, 0.25, 0.25], abs=1e-15)
     with pytest.raises(ValueError):
         build_ppr_problem(g, 0.5, -1e-12, s="seed:7")
     with pytest.raises(ValueError):
@@ -364,9 +381,11 @@ def test_unattainable_level_is_rejected(tmp_path):
 
 def test_strict_point_is_strictly_feasible(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "p4.txt", path_edges(4)))
-    inst = build_ppr_problem(g, alpha=0.5, b=-0.02)
-    assert inst.problem.g(inst.x_tilde)[0] < 0.0
-    assert np.array_equal(inst.problem.strict_point, inst.x_tilde)
+    problem = build_ppr_problem(g, alpha=0.5, b=-0.02)
+    x_tilde = problem.strict_point
+    assert problem.g(x_tilde)[0] < 0.0
+    # the unconstrained minimizer of g: grad g = Q x - q_lin vanishes to CG's tolerance
+    assert np.linalg.norm(problem.jac(x_tilde)) <= 1e-11 * np.linalg.norm(problem.quadratic[0])
 
 
 def test_synthetic_canonical_reference():
