@@ -29,6 +29,7 @@ from .linalg import NumericalError, cg_solve
 from .pagerank import build_ppr_problem, load_graph, make_synthetic_instance
 from .problem import ConstrainedProblem, ProblemConstants, derive_constants, feasible_ball, kkt_residual
 from .solvers import (
+    VARIANTS,
     RunResult,
     SolverConfig,
     _metrics_recorder,
@@ -36,7 +37,6 @@ from .solvers import (
     apdpro,
     msapd,
     rapdpro,
-    resolve_metric_iterate,
 )
 
 __all__ = [
@@ -79,7 +79,11 @@ class ReferenceUnconvergedError(RuntimeError):
 @dataclass(frozen=True)
 class InstanceSpec:
     """What to build: kind = 'synthetic' (n, center, level) or 'graph'
-    (path, alpha, b, s, r_rule)."""
+    (path, alpha, b, s, r_rule).
+
+    ``alpha``, ``b`` and ``level`` are stored as Python floats, so a value
+    given as a numpy float keys the same reference cache entry.
+    """
 
     kind: str
     n: int = 1
@@ -96,6 +100,8 @@ class InstanceSpec:
             raise ValueError("instance kind must be 'synthetic' or 'graph'")
         if self.kind == "graph" and not self.path:
             raise ValueError("graph instances need a path")
+        for name in ("alpha", "b", "level"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -124,6 +130,9 @@ class ExperimentConfig:
             raise ValueError("x0 must be 'zeros' or 'strict'")
         if not self.variants:
             self.variants = (self.solver.variant,)
+        for variant in self.variants:  # here, so a typo fails before any variant runs
+            if variant not in VARIANTS:
+                raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 @dataclass
@@ -369,54 +378,44 @@ def _write_cache(path: str, payload: dict) -> None:
 
 
 def make_recorder(problem, variant, solver_config, reference, threshold: float = 1e-8):
-    """Recorder for the solver loop: the records at the variant's metric iterate.
+    """Recorder for the solver loop: each record at the point the loop reports at.
 
-    ``reference`` is (x*, y*, f*) or None.
+    ``reference`` is (x*, y*, f*) or None. The loop picks the reporting
+    point, so ``variant`` and ``solver_config`` are not read; they stay for
+    the callers that pass five arguments until the benchmark revision
+    (ROADMAP item 1) drops them.
     """
-    metric = resolve_metric_iterate(variant, solver_config.metric_iterate)
-    return _metrics_recorder(problem, metric, None if reference is None else (reference[0], reference[2]), threshold)
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return _metrics_recorder(problem, None if reference is None else (reference[0], reference[2]), threshold)
 
 
 _ROW = operator.attrgetter(*CSV_HEADER.split(","))
 _CHUNK_ROWS = 64  # rows per write: about 15 kB of text at a time, whatever the trace length
 
 
-def _column_format(kinds: set) -> str | None:
-    """The % conversion that writes each value of a column holding these types as ``_fmt`` does, or None."""
-    if kinds == {type(None)}:
-        return "%.0s"  # None at precision 0: empty
-    if kinds <= {float, np.float64}:
-        return "%.17g"
-    if kinds == {int}:
-        return "%d"
-    return None
+def _template(kinds: tuple) -> str:
+    """The % template of a row whose values have these types: None as empty (precision 0),
+    floats (``float`` and subclasses such as ``np.float64``) at 17 significant digits,
+    anything else as ``str``."""
+    return ",".join("%.0s" if k is type(None) else "%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
 
 
 def write_csv(path: str, trace) -> None:
-    """One row per record; floats at 17 significant digits, ints as written, None as empty.
+    """One row per record; floats at 17 significant digits, None as empty, anything else as str.
 
-    Each column's format is chosen once per trace from the set of types it
-    holds: only None, floats (``float`` and ``np.float64``), or only
-    ``int``. A trace with any other column (a bool, a string, a None in some
-    rows only) writes each field through ``_fmt``; both write the same bytes.
-    ``trace`` is a list of records (read twice: once for the types, then a
-    chunk of rows at a time, so no copy of the whole trace is held).
+    One template is built per distinct tuple of value types among the rows
+    (``_template``). A library trace has one, and each row goes through it
+    directly; otherwise (a None in some rows only, say) each row looks up
+    its own. ``trace`` is a list of records (read twice: once for the types,
+    then a chunk of rows at a time, so no copy of the whole trace is held).
     """
-    patterns = set(map(tuple, map(map, itertools.repeat(type), map(_ROW, trace))))  # distinct row types
-    formats = [_column_format(set(column)) for column in zip(*patterns)]
-    if None in formats:
-        def line(row):
-            return ",".join(map(_fmt, row)) + "\n"
+    kinds = set(map(tuple, map(map, itertools.repeat(type), map(_ROW, trace))))  # distinct row types
+    templates = {k: _template(k) for k in kinds}
+    if len(templates) == 1:
+        (template,) = templates.values()
+        line = template.__mod__
     else:
-        line = (",".join(formats) + "\n").__mod__
+        def line(row):
+            return templates[tuple(map(type, row))] % row
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for i in range(0, len(trace), _CHUNK_ROWS):

@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     if method == "long-run":
         cache = bench._cache_path(bundle, config.output_path)
         payload = bench._read_cache(cache, bundle.identity, bundle.problem.n, bundle.problem.m)
-        method = payload.get("method", "long-run")  # caches from before the exact solve hold long runs
+        method = payload["method"]
         if "steps" in payload:
             steps = payload["steps"]
             method += f" ({steps} step{'' if steps == 1 else 's'})"

@@ -127,7 +127,6 @@ class SolverConfig:
     delta: float = 0.5
     restart_period: float = math.inf
     tolerance: float = 0.0
-    metric_iterate: str = "auto"  # auto | last | ergodic
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -148,8 +147,6 @@ class SolverConfig:
             raise ValueError(f"restart_period must be at least 1 or inf, got {self.restart_period!r}")
         if self.max_iters < 0 or self.max_epochs < 0:
             raise ValueError("iteration budgets must be nonnegative")
-        if self.metric_iterate not in ("auto", "last", "ergodic"):
-            raise ValueError("metric_iterate must be auto, last, or ergodic")
 
 
 @dataclass(slots=True)
@@ -172,10 +169,9 @@ class IterateRecord:
 class RecordInputs:
     """What the engine hands to a recorder after each iteration.
 
-    ``g_last`` is G(x_last), already evaluated by the engine; recorders use
-    it instead of calling the constraint oracle again. ``g_bar`` is G(x_bar),
-    set when the run reports at x_bar. None means unknown (recorders then
-    evaluate G themselves).
+    ``x`` is the point the run reports at (``resolve_metric_iterate``):
+    x_{k+1} for apdpro and rapdpro, x_bar_{k+1} for the others. ``g`` is
+    G(x), already evaluated and checked finite by the engine.
 
     The arrays are the loop's working buffers (x_bar is updated in place),
     valid only during the recorder call; copy them to keep them.
@@ -183,27 +179,24 @@ class RecordInputs:
 
     iter: int
     epoch: int
-    x_last: np.ndarray
-    x_bar: np.ndarray
+    x: np.ndarray
+    g: np.ndarray
     y: np.ndarray
     rho: float
     tau: float
     sigma: float
     elapsed_s: float
-    g_last: np.ndarray | None = None
-    g_bar: np.ndarray | None = None
 
 
-def _metrics_recorder(problem: ConstrainedProblem, metric: str, reference, threshold: float = 1e-8):
-    """The recorder of one run: each call returns the IterateRecord at the ``metric`` iterate.
+def _metrics_recorder(problem: ConstrainedProblem, reference, threshold: float = 1e-8):
+    """The recorder of one run: each call returns the IterateRecord at ``ri.x``, with G = ``ri.g``.
 
-    ``metric`` is "last" or "ergodic"; ``reference`` is (x*, f*) or None.
-    rel_gap needs f* != 0 and active_set_acc needs x*, else they stay None
-    (empty CSV fields). ``ri.g_last`` and ``ri.g_bar``, when set, stand in
-    for G. x*'s zero pattern (block norms under ``threshold``) is computed
-    once, here; each record takes its iterate's block norms once, for f
-    (bitwise problem.f) and the accuracy, the fraction of blocks whose zero
-    status matches x*'s.
+    ``reference`` is (x*, f*) or None. rel_gap needs f* != 0 and
+    active_set_acc needs x*, else they stay None (empty CSV fields). x*'s
+    zero pattern (block norms under ``threshold``) is computed once, here;
+    each record takes its iterate's block norms once, for f (bitwise
+    problem.f) and the accuracy, the fraction of blocks whose zero status
+    matches x*'s.
     """
     obj = problem.objective
     weights, blocks = obj.weights, len(obj.blocks)
@@ -211,15 +204,13 @@ def _metrics_recorder(problem: ConstrainedProblem, metric: str, reference, thres
     if x_ref is not None and threshold <= 0:
         raise ValueError("threshold must be positive")
     ref_zero = None if x_ref is None else obj.block_norms(x_ref) < threshold
-    ergodic = metric == "ergodic"
 
     def record(ri: RecordInputs) -> IterateRecord:
-        xm, gm = (ri.x_bar, ri.g_bar) if ergodic else (ri.x_last, ri.g_last)
-        norms = obj.block_norms(xm)
+        norms = obj.block_norms(ri.x)
         fv = float(weights.dot(norms))  # dot, not matmul: bitwise, at about half the dispatch cost
         rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
         acc = None if x_ref is None else float(np.count_nonzero((norms < threshold) == ref_zero) / blocks)
-        feas = _norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0))
+        feas = _norm(np.maximum(ri.g, 0.0))
         return IterateRecord(ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
 
     return record
@@ -330,10 +321,8 @@ def default_step_sizes(problem: ConstrainedProblem, constants: ProblemConstants,
     return tau0, sigma0
 
 
-def resolve_metric_iterate(variant: str, override: str = "auto") -> str:
+def resolve_metric_iterate(variant: str) -> str:
     """Which iterate carries the metrics: last for the adaptive runs, ergodic else."""
-    if override != "auto":
-        return override
     return "last" if variant in ("apdpro", "rapdpro") else "ergodic"
 
 
@@ -403,9 +392,9 @@ class _Driver:
         self.t0 = time.perf_counter()
         self.ybar_acc = np.zeros(problem.m)
         self.zeros_g, self.zeros_j = np.zeros(problem.m), np.zeros(problem.n * problem.m)
-        self.metric = resolve_metric_iterate(config.variant, config.metric_iterate)
+        self.ergodic = resolve_metric_iterate(config.variant) == "ergodic"
         if recorder is None:
-            recorder = _metrics_recorder(problem, self.metric, None if f_star is None else (None, f_star))
+            recorder = _metrics_recorder(problem, None if f_star is None else (None, f_star))
         self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
         self.quadratic = problem.quadratic is not None
@@ -453,23 +442,24 @@ class _Driver:
     def _should_stop(self, rec: IterateRecord, ri: RecordInputs, st: SolverState) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
 
-        The KKT test reuses the G and J the loop holds at its point: G and J
-        at ri.x_last, and G(x_bar) from the record. J(x_bar), where the loop
-        does not hold it yet (the generic path), is evaluated, checked finite
-        and kept in st.jac_bar for the next iteration's h2.
+        The KKT test reuses G(ri.x) from ``ri`` and the J the loop holds
+        there: J(x) at the last iterate, J_bar at x_bar. J(x_bar), where the
+        loop does not hold it yet (the generic path), is evaluated, checked
+        finite and kept in st.jac_bar for the next iteration's h2.
         """
         tol = self.cfg.tolerance
         if tol <= 0.0:
             return False
         if rec.rel_gap is not None:
             return max(rec.rel_gap, rec.feas_violation) <= tol
-        if self.metric == "ergodic":
+        jac = self.jx
+        if self.ergodic:
             if st.jac_bar is None:
                 st.jac_bar = self.prob.jac(st.x_bar)
                 if not _all_finite(st.jac_bar, self.zeros_j):
                     raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
-            return kkt_residual(self.prob, ri.x_bar, ri.y, g=ri.g_bar, jac=st.jac_bar).max() <= tol
-        return kkt_residual(self.prob, ri.x_last, ri.y, g=ri.g_last, jac=self.jx).max() <= tol
+            jac = st.jac_bar
+        return kkt_residual(self.prob, ri.x, ri.y, g=ri.g, jac=jac).max() <= tol
 
     def y_bar(self, st: SolverState) -> np.ndarray:
         return self.ybar_acc / st.T if st.T > 0 else st.y.copy()
@@ -509,17 +499,19 @@ class _Driver:
         ``constraints`` call: G comes from J (``g_from_jac``), and
         st.jac_bar = J(x_bar) is updated with x_bar's own weights. J_bar
         serves h2 and, when the run reports at x_bar, G(x_bar) for the
-        record (``RecordInputs.g_bar``) and the KKT stop there. The results
-        differ from the generic path by rounding only. On the generic path
-        G(x_bar) for such a record is evaluated here, once, and passed on
-        in ``RecordInputs.g_bar``.
+        record and the KKT stop there. The results differ from the generic
+        path by rounding only. On the generic path G(x_bar) for such a
+        record is evaluated here, once, and checked finite.
+
+        The record step picks the reporting point, the only place that
+        does: the recorder gets that point and its G in ``RecordInputs``.
         """
         prob, c = self.prob, self.c
         quadratic = self.quadratic
         ball = (c.ball_center, c.ball_radius)
         est = st.rho_est
         adaptive = improve_rule != "alg3"
-        ergodic = self.metric == "ergodic"
+        ergodic = self.ergodic
         n_budget = math.inf
         gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
         tau_prev = st.tau  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
@@ -635,16 +627,17 @@ class _Driver:
             tau_prev = tau_k
             k += 1
 
-            g_bar = None
+            x_rec, g_rec = st.x, self.gx
             if ergodic:
+                x_rec = st.x_bar
                 if quadratic:  # from J_bar, an average of checked Jacobians
-                    g_bar = prob.g_from_jac(st.x_bar, st.jac_bar)
+                    g_rec = prob.g_from_jac(x_rec, st.jac_bar)
                 else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
-                    g_bar = prob.g(st.x_bar)
-                    if not _all_finite(g_bar, self.zeros_g):
+                    g_rec = prob.g(x_rec)
+                    if not _all_finite(g_rec, self.zeros_g):
                         raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
-            ri = RecordInputs(st.k, epoch, st.x, st.x_bar, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
-                              time.perf_counter() - self.t0, self.gx, g_bar)
+            ri = RecordInputs(st.k, epoch, x_rec, g_rec, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
+                              time.perf_counter() - self.t0)
             rec = self.recorder(ri)
             if rec is not None:
                 self.trace.append(rec)

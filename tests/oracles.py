@@ -50,23 +50,22 @@ def active_set_oracle(x, x_ref, threshold, blocks):
     return float(same / len(blocks))
 
 
-def record_oracle(problem, ri, metric, reference, threshold):
-    """The trace record of ``ri`` (a RecordInputs) at the ``metric`` iterate ("last" or "ergodic").
+def record_oracle(problem, ri, reference, threshold):
+    """The trace record of ``ri`` (a RecordInputs) at its point ``ri.x``.
 
     ``reference`` is (x*, f*) or None; rel_gap needs f* != 0 and
-    active_set_acc needs x*. f is ``problem.f`` and G is ``ri``'s when
-    given, else ``problem.g``; the feasibility norm and the accuracy are
-    formed here. Returns the record's fields as the tuple that
+    active_set_acc needs x*. f is ``problem.f`` and G is ``problem.g`` at
+    ri.x (not ``ri.g``); the feasibility norm and the accuracy are formed
+    here. Returns the record's fields as the tuple that
     ``dataclasses.astuple`` gives of an IterateRecord.
     """
-    xm, gm = (ri.x_bar, ri.g_bar) if metric == "ergodic" else (ri.x_last, ri.g_last)
-    fv = problem.f(xm)
+    fv = problem.f(ri.x)
     rel = acc = None
     if reference is not None:
         x_ref, f_ref = reference
         rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
-        acc = None if x_ref is None else active_set_oracle(xm, x_ref, threshold, problem.objective.blocks)
-    feas = float(np.linalg.norm(np.maximum(problem.g(xm) if gm is None else gm, 0.0)))
+        acc = None if x_ref is None else active_set_oracle(ri.x, x_ref, threshold, problem.objective.blocks)
+    feas = float(np.linalg.norm(np.maximum(problem.g(ri.x), 0.0)))
     return (ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
 
 

@@ -15,7 +15,6 @@ from apdpro.bench import (
     CSV_HEADER,
     ExperimentConfig,
     InstanceSpec,
-    _fmt,
     build_instance,
     get_reference,
     load_experiment_config,
@@ -34,21 +33,19 @@ from apdpro.solvers import (
     RecordInputs,
     SolverConfig,
     _metrics_recorder,
-    apdpro,
     rapdpro,
-    resolve_metric_iterate,
 )
 from helpers import chorded_path_edges, star_edges, write_edge_list
 from oracles import ppr_kkt_oracle, record_oracle
 
 
-def _record_inputs(x_last, x_bar=None, **kw):
+def _record_inputs(problem, x, **kw):
+    """The RecordInputs of reporting point x, with G(x) as the loop hands it."""
     defaults = dict(iter=1, epoch=0, y=np.zeros(1), rho=0.0, tau=0.25,
                     sigma=0.25, elapsed_s=0.0)
     defaults.update(kw)
-    x_last = np.asarray(x_last, dtype=float)
-    x_bar = x_last if x_bar is None else np.asarray(x_bar, dtype=float)
-    return RecordInputs(x_last=x_last, x_bar=x_bar, **defaults)
+    x = np.asarray(x, dtype=float)
+    return RecordInputs(x=x, g=problem.g(x), **defaults)
 
 
 def _synthetic_config(**overrides):
@@ -70,8 +67,8 @@ def _accuracy(blocks, x, x_ref, threshold=1e-8):
         constraints=lambda x: np.array([0.5 * (x @ x) - 1.0]), jacobian=lambda x: x.reshape(n, 1),
         mu=np.ones(1), L_X=1.0, L_G=1.0, r=1.0, strict_point=np.zeros(n),
     )
-    record = _metrics_recorder(problem, "last", (np.asarray(x_ref, dtype=float), 1.0), threshold)
-    return record(_record_inputs(x)).active_set_acc
+    record = _metrics_recorder(problem, (np.asarray(x_ref, dtype=float), 1.0), threshold)
+    return record(_record_inputs(problem, x)).active_set_acc
 
 
 def test_active_set_accuracy_examples():
@@ -92,39 +89,21 @@ def test_active_set_accuracy_blockwise():
 
 def test_compute_metrics_values(canonical):
     problem, _, x_star, _ = canonical
-    ri = _record_inputs([1.1])
-    rec = _metrics_recorder(problem, "last", (x_star, 1.0))(ri)
+    ri = _record_inputs(problem, [1.1])
+    rec = _metrics_recorder(problem, (x_star, 1.0))(ri)
     assert rec.objective == pytest.approx(1.1)
     assert rec.rel_gap == pytest.approx(0.1)
     assert rec.feas_violation == 0.0  # g(1.1) < 0
     assert rec.active_set_acc == 1.0
-    infeasible = _metrics_recorder(problem, "last", None)(_record_inputs([5.0]))
+    infeasible = _metrics_recorder(problem, None)(_record_inputs(problem, [5.0]))
     assert infeasible.feas_violation == pytest.approx(0.5 * 9.0 - 1.0)
 
 
 def test_compute_metrics_without_reference(canonical):
     problem = canonical[0]
-    rec = _metrics_recorder(problem, "last", None)(_record_inputs([1.0]))
+    rec = _metrics_recorder(problem, None)(_record_inputs(problem, [1.0]))
     assert rec.rel_gap is None and rec.active_set_acc is None
     assert rec.objective == pytest.approx(1.0)
-
-
-def test_compute_metrics_metric_switch(canonical):
-    problem = canonical[0]
-    ri = _record_inputs([1.0], x_bar=[0.5])
-    assert _metrics_recorder(problem, "last", None)(ri).objective == pytest.approx(1.0)
-    assert _metrics_recorder(problem, "ergodic", None)(ri).objective == pytest.approx(0.5)
-
-
-def test_compute_metrics_uses_g_last_without_changing_the_record(canonical):
-    problem, _, x_star, _ = canonical
-    for x_last, x_bar in (([1.1], [0.5]), ([5.0], [3.5]), ([-0.3], [4.0])):
-        plain = _record_inputs(x_last, x_bar=x_bar)
-        given = _record_inputs(x_last, x_bar=x_bar, g_last=problem.g(np.asarray(x_last, dtype=float)))
-        for metric in ("last", "ergodic"):
-            for reference in (None, (x_star, 1.0)):
-                record = _metrics_recorder(problem, metric, reference)
-                assert record(given) == record(plain)
 
 
 def _blocky_problem():
@@ -151,57 +130,83 @@ def test_run_recorder_matches_compute_metrics_bitwise(canonical):
             x = rng.normal(size=problem.n) * (rng.random(problem.n) < 0.6)
             x[rng.random(problem.n) < 0.3] = rng.choice([5e-9, -5e-9, 2e-8])
             points.append(x)
-        inputs = [
-            RecordInputs(iter=i + 1, epoch=i % 3, x_last=x_last, x_bar=x_bar, y=np.ones(1), rho=0.1 * i,
-                         tau=0.25, sigma=0.5, elapsed_s=1e-3 * i,
-                         g_last=problem.g(x_last) if i % 2 else None, g_bar=problem.g(x_bar) if i % 2 else None)
-            for i, (x_last, x_bar) in enumerate(zip(points, points[1:]))
-        ]
+        inputs = [_record_inputs(problem, x, iter=i + 1, epoch=i % 3, y=np.ones(1), rho=0.1 * i, sigma=0.5,
+                                 elapsed_s=1e-3 * i) for i, x in enumerate(points)]
         accuracies = set()
-        for metric in ("last", "ergodic"):
-            for reference in (None, (x_ref, f_ref), (x_ref, 0.0), (None, f_ref), (None, 0.0)):
-                for threshold in (1e-8, 0.3):
-                    record = _metrics_recorder(problem, metric, reference, threshold)
-                    for ri in inputs:
-                        got = record(ri)
-                        want = record_oracle(problem, ri, metric, reference, threshold)
-                        assert type(got) is IterateRecord and repr(dataclasses.astuple(got)) == repr(want)
-                        assert (got.rel_gap is None) == (reference is None or reference[1] == 0.0)
-                        assert (got.active_set_acc is None) == (reference is None or reference[0] is None)
-                        accuracies.add(got.active_set_acc)
+        for reference in (None, (x_ref, f_ref), (x_ref, 0.0), (None, f_ref), (None, 0.0)):
+            for threshold in (1e-8, 0.3):
+                record = _metrics_recorder(problem, reference, threshold)
+                for ri in inputs:
+                    got = record(ri)
+                    want = record_oracle(problem, ri, reference, threshold)
+                    assert type(got) is IterateRecord and repr(dataclasses.astuple(got)) == repr(want)
+                    assert (got.rel_gap is None) == (reference is None or reference[1] == 0.0)
+                    assert (got.active_set_acc is None) == (reference is None or reference[0] is None)
+                    accuracies.add(got.active_set_acc)
         assert len(accuracies - {None}) >= min(3, problem.n + 1)  # the patterns do differ from x*'s
-        for variant in VARIANTS:  # bench.make_recorder wires the variant's metric iterate and x*, f*
-            cfg = SolverConfig(variant=variant)
-            record = make_recorder(problem, variant, cfg, (x_ref, None, f_ref), 1e-8)
-            metric = resolve_metric_iterate(variant, cfg.metric_iterate)
+        for variant in VARIANTS:  # bench.make_recorder wires x*, f*; the loop, not the variant, picks the point
+            record = make_recorder(problem, variant, SolverConfig(variant=variant), (x_ref, None, f_ref), 1e-8)
             for ri in inputs:
-                want = record_oracle(problem, ri, metric, (x_ref, f_ref), 1e-8)
+                want = record_oracle(problem, ri, (x_ref, f_ref), 1e-8)
                 assert repr(dataclasses.astuple(record(ri))) == repr(want)
     with pytest.raises(ValueError, match="threshold must be positive"):
-        _metrics_recorder(five, "last", (x_five, 1.0), 0.0)
-    _metrics_recorder(five, "last", (None, 1.0), 0.0)  # no x*, no accuracy: the threshold is unused
+        _metrics_recorder(five, (x_five, 1.0), 0.0)
+    _metrics_recorder(five, (None, 1.0), 0.0)  # no x*, no accuracy: the threshold is unused
 
 
 def test_default_recorder_matches_compute_metrics(canonical):
+    """Every variant's default trace is the oracle's record at the point each row reports."""
     problem, constants, x_star, _ = canonical
     f_star = problem.f(x_star)
-    for f_ref in (f_star, None):
-        cfg = SolverConfig(variant="apdpro", max_iters=60)
-        default = apdpro(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref)
-        reference = None if f_ref is None else (None, f_ref)
-        explicit = apdpro(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref,
-                          recorder=lambda ri: IterateRecord(*record_oracle(problem, ri, "last", reference, 1e-8)))
-        assert len(default.trace) == len(explicit.trace) == 60
-        for a, b in zip(default.trace, explicit.trace):
-            assert repr(dataclasses.replace(a, elapsed_s=0.0)) == repr(dataclasses.replace(b, elapsed_s=0.0))
+    for variant in VARIANTS:
+        runner = bench._RUNNERS[variant]
+        cfg = SolverConfig(variant=variant, max_iters=60, restart_period=25)
+        for f_ref in (f_star, None):
+            default = runner(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref)
+            reference = None if f_ref is None else (None, f_ref)
+            explicit = runner(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref,
+                              recorder=lambda ri: IterateRecord(*record_oracle(problem, ri, reference, 1e-8)))
+            assert len(default.trace) == len(explicit.trace) >= 60, variant
+            for a, b in zip(default.trace, explicit.trace):
+                assert repr(dataclasses.replace(a, elapsed_s=0.0)) == repr(dataclasses.replace(b, elapsed_s=0.0))
 
 
-def test_fmt_reproduces_floats_exactly():
+@pytest.mark.parametrize("instance", ["canonical", "small_graph"])  # the generic and the quadratic path
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_recorder_gets_the_reporting_point_and_its_g(instance, variant, request):
+    """ri.x is x_{k+1} (apdpro, rapdpro) or x_bar_{k+1} (the others) bitwise, as the observer sees
+    them; ri.g is G(ri.x), bitwise on the generic path and to rounding on the quadratic one."""
+    problem, constants = request.getfixturevalue(instance)[:2]
+    cfg = SolverConfig(variant=variant, max_iters=30, max_epochs=2, restart_period=12)
+    default = make_recorder(problem, variant, cfg, None)
+    snaps, seen = [], []
+
+    def recorder(ri):
+        seen.append((ri.x.copy(), ri.g.copy()))
+        return default(ri)
+
+    bench._RUNNERS[variant](problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m),
+                            recorder=recorder, observer=snaps.append)
+    assert len(seen) == len(snaps) >= 30
+    last = variant in ("apdpro", "rapdpro")
+    for sn, (x, g) in zip(snaps, seen):
+        assert np.array_equal(x, sn.x_next if last else sn.x_bar_next)
+        want = problem.g(x)
+        if problem.quadratic is None:
+            assert np.array_equal(g, want)
+        else:
+            assert np.max(np.abs(g - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_write_csv_reproduces_floats_exactly(tmp_path):
     rng = np.random.default_rng(21)
-    for v in rng.normal(scale=1e3, size=200):
-        assert float(_fmt(float(v))) == float(v)
-    assert _fmt(None) == ""
-    assert _fmt(7) == "7"
+    values = rng.normal(scale=1e3, size=200)
+    trace = [_row(iter=7, objective=float(v), rel_gap=np.float64(v)) for v in values]
+    path = tmp_path / "trace.csv"
+    write_csv(str(path), trace)
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [float(r[2]) for r in rows] == [float(r[3]) for r in rows] == values.tolist()
+    assert {(r[0], r[8]) for r in rows} == {("7", "")}
 
 
 def test_write_csv_layout(tmp_path):
@@ -224,8 +229,17 @@ def test_write_csv_layout(tmp_path):
     assert float(second[3]) == 0.25 and float(second[8]) == 1.0
 
 
+def _fmt(v) -> str:
+    """One CSV field, formatted on its own: None empty, floats at 17 significant digits, else str."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
 def _fmt_csv(trace) -> bytes:
-    """The CSV as written field by field through _fmt: the reference for write_csv's template."""
+    """The CSV as written field by field through _fmt: the reference for write_csv's templates."""
     lines = [CSV_HEADER] + [",".join(_fmt(getattr(r, name)) for name in CSV_HEADER.split(",")) for r in trace]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -255,14 +269,19 @@ def test_write_csv_template_matches_the_per_field_path_on_every_variant(canonica
 
 
 def test_library_traces_always_take_the_csv_template(canonical, small_graph, tmp_path, monkeypatch):
-    """The per-field path is the fallback for foreign traces; the library's own never need it."""
-    def refuse(v):
-        raise AssertionError("write_csv fell back to the per-field path")
+    """Several templates serve foreign traces; each of the library's own needs just one."""
+    built, template = [], bench._template
+
+    def counting(kinds):
+        built.append(kinds)
+        return template(kinds)
 
     traces = list(_variant_traces(canonical, small_graph))
-    monkeypatch.setattr(bench, "_fmt", refuse)
+    monkeypatch.setattr(bench, "_template", counting)
     for label, trace in traces:
+        built.clear()
         write_csv(str(tmp_path / "trace.csv"), trace)
+        assert len(built) == 1, label
 
 
 def _row(**kw):
@@ -362,6 +381,24 @@ def test_synthetic_centers_that_differ_anywhere_get_their_own_cache(tmp_path, n,
     assert bundles[0].identity == bundles[1].identity
     assert bundles[0].identity != bundles[2].identity
     assert bench._cache_path(bundles[0], out) != bench._cache_path(bundles[2], out)
+
+
+def test_numpy_and_python_floats_key_one_cache_entry(tmp_path):
+    """alpha, b and level are stored as Python floats: a value given as np.float64 is the same instance."""
+    path = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
+    out = str(tmp_path / "trace.csv")
+    pairs = (
+        (InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05),
+         InstanceSpec(kind="graph", path=path, alpha=np.float64(0.5), b=np.float64(-0.05))),
+        (InstanceSpec(kind="synthetic", n=2, center=np.array([2.0, -1.0]), level=1.0),
+         InstanceSpec(kind="synthetic", n=2, center=np.array([2.0, -1.0]), level=np.float64(1.0))),
+    )
+    for plain, numpy_spec in pairs:
+        assert all(type(getattr(numpy_spec, name)) is float for name in ("alpha", "b", "level"))
+        bundles = [build_instance(spec) for spec in (plain, numpy_spec)]
+        assert "np.float64" not in bundles[1].identity
+        assert bundles[0].identity == bundles[1].identity
+        assert bench._cache_path(bundles[0], out) == bench._cache_path(bundles[1], out)
 
 
 def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
@@ -626,8 +663,7 @@ def test_load_experiment_config_full(tmp_path):
     path.write_text(
         "[instance]\nkind = synthetic\nn = 2\ncenter = 1.5\nlevel = 0.5\n"
         "[solver]\nvariant = rapdpro\nvariants = apdpro, apd\nmax_iters = 300\n"
-        "max_epochs = 4\ntau0 = 0.1\nrestart_period = inf\n"
-        "metric_iterate = ergodic\nx0 = strict\n"
+        "max_epochs = 4\ntau0 = 0.1\nrestart_period = inf\nx0 = strict\n"
         "[reference]\nmode = oracle\nbudget_iters = 50\ntruncation = 1e-6\n"
         "[output]\npath = out.csv\n",
         encoding="utf-8",
@@ -638,7 +674,6 @@ def test_load_experiment_config_full(tmp_path):
     assert cfg.solver.variant == "rapdpro" and cfg.solver.max_iters == 300
     assert cfg.solver.max_epochs == 4 and cfg.solver.tau0 == 0.1
     assert cfg.solver.restart_period == float("inf")
-    assert cfg.solver.metric_iterate == "ergodic"
     assert cfg.variants == ("apdpro", "apd")
     assert cfg.reference_mode == "oracle" and cfg.budget_iters == 50
     assert cfg.truncation == 1e-6
@@ -657,6 +692,11 @@ def test_load_experiment_config_rejects_typos(tmp_path):
         load("[instance]\nkind = synthetic\n[solvers]\nvariant = apd\n")
     with pytest.raises(ValueError, match=r"missing \[instance\]"):
         load("[solver]\nvariant = apd\n")
+    # The reporting point follows the variant; the key that once overrode it is gone.
+    with pytest.raises(ValueError, match="unknown key 'metric_iterate'"):
+        load("[instance]\n[solver]\nmetric_iterate = ergodic\n")
+    with pytest.raises(ValueError, match="unknown variant 'rapdpr'"):
+        load("[instance]\n[solver]\nvariants = apdpro, rapdpr\n")
 
 
 # One non-default value per field: (INI text, parsed value).
@@ -671,7 +711,6 @@ SOLVER_VALUES = {
     "delta": ("0.6", 0.6),
     "restart_period": ("37", 37.0),
     "tolerance": ("1e-7", 1e-7),
-    "metric_iterate": ("ergodic", "ergodic"),
 }
 INSTANCE_VALUES = {
     "kind": ("graph", "graph"),

@@ -91,6 +91,20 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_misspelled_variant_fails_before_any_work(tmp_path, capsys):
+    """The whole variant list is checked when the config loads, not when the loop reaches the typo."""
+    out = tmp_path / "cmp.csv"
+    cfg = _write_config(tmp_path, (
+        "[instance]\nkind = synthetic\n"
+        "[solver]\nvariants = apdpro, rapdpr\n"
+        "[reference]\nmode = oracle\n"
+        f"[output]\npath = {out}\n"
+    ))
+    assert main(["compare", "--config", cfg]) == 2
+    assert "unknown variant 'rapdpr'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.ini"]  # no trace of apdpro, the variant before it
+
+
 def test_missing_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])

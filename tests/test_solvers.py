@@ -95,7 +95,6 @@ def test_metric_iterate_convention():
     assert resolve_metric_iterate("msapd") == "ergodic"
     assert resolve_metric_iterate("apd") == "ergodic"
     assert resolve_metric_iterate("apd_restart") == "ergodic"
-    assert resolve_metric_iterate("apd", "last") == "last"
 
 
 def test_config_validation():
@@ -104,7 +103,6 @@ def test_config_validation():
         dict(nu0=0.0),
         dict(delta=1.0),
         dict(max_iters=-1),
-        dict(metric_iterate="weird"),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
@@ -687,24 +685,27 @@ def test_non_finite_start_point_is_rejected(variant, runner, point, bad):
 
 
 @pytest.mark.parametrize("variant, runner", ENTRY_POINTS)
-@pytest.mark.parametrize("instance", ["canonical", "small_graph"])  # the generic and the quadratic path
-@pytest.mark.parametrize("layer, match", [
-    ("prox_f_over_ball", r"^non-finite x_\{k\+1\} from the prox at iteration 3$"),
-    # the first projection call is y0's, at the start
-    ("project_dual_set", r"^non-finite y_\{k\+1\} from the dual projection at iteration 2$"),
+# the generic path with m = 1 and m = 2, and the quadratic path
+@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("layer, text, first_call", [
+    pytest.param("prox_f_over_ball", r"x_\{k\+1\} from the prox", 1, id="prox"),
+    # call 1 projects y0, at the start
+    pytest.param("project_dual_set", r"y_\{k\+1\} from the dual projection", 2, id="projection"),
 ])
-def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner, instance, layer, match):
-    """A nan from the prox or the dual projection is not reported as the oracle's at x_{k+1}."""
-    problem, constants = request.getfixturevalue(instance)[:2]
+def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner, instance, k, layer, text,
+                                           first_call):
+    """A nan from the prox or the dual projection in step k is not reported as the oracle's at x_{k+1}."""
+    problem, constants = _two_ball_problem() if instance == "two_ball" else request.getfixturevalue(instance)[:2]
     original, calls = getattr(solvers, layer), []
 
-    def nan_on_third_call(*args):
+    def nan_in_step_k(*args):
         calls.append(None)
         out = original(*args)
-        return np.full_like(out, np.nan) if len(calls) == 3 else out
+        return np.full_like(out, np.nan) if len(calls) == first_call + k else out
 
-    monkeypatch.setattr(solvers, layer, nan_on_third_call)
-    with pytest.raises(NumericalError, match=match):
+    monkeypatch.setattr(solvers, layer, nan_in_step_k)
+    with pytest.raises(NumericalError, match=rf"^non-finite {text} at iteration {k + 1}$"):
         runner(problem, constants, SolverConfig(variant=variant, max_iters=50), np.zeros(problem.n),
                np.zeros(problem.m))
 
