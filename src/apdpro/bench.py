@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise ValueError("file reference mode needs a path")
         if self.x0_rule not in ("zeros", "strict"):
             raise ValueError("x0 must be 'zeros' or 'strict'")
+        for name in ("budget_iters", "budget_epochs"):  # here, so no instance is built for a bad budget
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.variants:
             self.variants = (self.solver.variant,)
         for variant in self.variants:  # here, so a typo fails before any variant runs

@@ -70,6 +70,10 @@ __all__ = [
 
 VARIANTS = ("apdpro", "rapdpro", "msapd", "apd", "apd_restart")
 
+# rapdpro's step-size margin nu0 and balance delta, both in (0, 1).
+_NU0 = 0.25
+_DELTA = 0.5
+
 
 @dataclass
 class SolverState:
@@ -97,52 +101,31 @@ class SolverState:
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by all variants; a variant silently ignores the ones it does not read.
+    """The run's variant, budgets and stop rule; the step sizes come from the problem's constants.
 
-    ``sigma0`` doubles as sigma_bar (rapdpro) and sigma_tilde (msapd). Unset
-    step sizes fall back to the balancing rule sigma0 = L_XY/L_G^2,
-    tau0 = 1/(L_XY + L_G^2 sigma0) (and its per-variant analogues).
-    ``tolerance`` (finite, >= 0) = 0 disables early stopping; when positive
-    the stop test uses max(relative objective gap, feasibility violation)
-    against a supplied reference objective value, else the max KKT residual.
-    ``restart_period`` must be at least 1, or inf for no restart. ``tau0``,
-    ``sigma0``, ``rho0`` and ``tolerance`` are stored as Python floats.
+    ``tolerance`` (finite, >= 0, stored as a Python float) = 0 disables
+    early stopping; when positive the stop test uses max(relative objective
+    gap, feasibility violation) against a supplied reference objective
+    value, else the max KKT residual. ``restart_period`` must be at least
+    1, or inf for no restart.
 
-    Variant-specific knobs (one config is shared across variants by
-    ``bench.run_comparison``, so the others accept and ignore them):
-
-    - ``restart_period``: apd_restart only
-    - ``nu0``, ``delta``: rapdpro only
-    - ``tau0``: every variant except msapd
-    - ``rho0``: every variant except apd and apd_restart
+    One config is shared across variants by ``bench.run_comparison``, so two
+    fields are read by some variants only: ``restart_period`` by apd_restart
+    and ``max_epochs`` by rapdpro and msapd.
     """
 
     variant: str = "apdpro"
-    tau0: float | None = None
-    sigma0: float | None = None
-    rho0: float = 0.0
     max_iters: int = 1000
     max_epochs: int = 0
-    nu0: float = 0.25
-    delta: float = 0.5
     restart_period: float = math.inf
     tolerance: float = 0.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        for name in ("tau0", "sigma0"):
-            step = getattr(self, name)
-            if step is not None and not (math.isfinite(step) and step > 0):
-                raise ValueError(f"{name} must be finite and positive, got {step!r}")
-            setattr(self, name, None if step is None else float(step))
-        if not 0.0 < self.nu0 < 1.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("nu0 and delta must lie in (0, 1)")
-        for name in ("rho0", "tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            setattr(self, name, float(value))
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
+        self.tolerance = float(self.tolerance)
         if not self.restart_period >= 1:  # also rejects nan
             raise ValueError(f"restart_period must be at least 1 or inf, got {self.restart_period!r}")
         if self.max_iters < 0 or self.max_epochs < 0:
@@ -326,7 +309,7 @@ def resolve_metric_iterate(variant: str) -> str:
     return "last" if variant in ("apdpro", "rapdpro") else "ergodic"
 
 
-def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
+def _init_state(problem, constants, x0, y0, tau0, sigma0) -> SolverState:
     x0 = np.array(_vec(x0, problem.n, "x0"), dtype=float)
     y0 = np.array(_vec(y0, problem.m, "y0"), dtype=float)
     for name, z in (("x0", x0), ("y0", y0)):  # the projections below would hide a nan y0 as 0
@@ -346,7 +329,7 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0, rho0) -> SolverState:
         tau=tau0,
         sigma=sigma0,
         sigma_prev=sigma0,
-        rho_est=RhoEstimate(rho=rho0),
+        rho_est=RhoEstimate(),
     )
 
 
@@ -457,7 +440,7 @@ class _Driver:
             if st.jac_bar is None:
                 st.jac_bar = self.prob.jac(st.x_bar)
                 if not _all_finite(st.jac_bar, self.zeros_j):
-                    raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
+                    raise NumericalError(f"non-finite Jacobian J{_AT_STEP_BAR.format(st.k)}")
             jac = st.jac_bar
         return kkt_residual(self.prob, ri.x, ri.y, g=ri.g, jac=jac).max() <= tol
 
@@ -672,22 +655,14 @@ def _require_variant(config: SolverConfig, entry: str, *accepted: str) -> None:
         )
 
 
-def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, *, improve_rule, rho0, period):
+def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, *, improve_rule, period):
     """The single-loop path shared by apdpro and apd: default steps, then segments of ``period``.
 
     Each segment after the first re-centers the averages and the
     extrapolation; the iterates and step sizes stay warm.
     """
-    tau0, sigma0 = default_step_sizes(problem, constants, config.sigma0)
-    if config.tau0 is not None:  # the derived tau0 meets this bound by construction
-        tau0 = config.tau0
-        bound = constants.L_XY + problem.L_G**2 * sigma0
-        if 1.0 / tau0 < bound * (1.0 - 1e-9):
-            raise ValueError(
-                f"step sizes infeasible: need 1/tau0 >= L_XY + L_G^2*sigma0 = {bound:.6g}, "
-                f"got {1.0 / tau0:.6g}"
-            )
-    st = _init_state(problem, constants, x0, y0, tau0, sigma0, rho0)
+    tau0, sigma0 = default_step_sizes(problem, constants)
+    st = _init_state(problem, constants, x0, y0, tau0, sigma0)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
     remaining = config.max_iters
@@ -728,9 +703,8 @@ def apdpro(
     problem, constants : the instance and its derived constants.
     config : SolverConfig
         ``variant`` must be "apdpro". ``max_iters`` is the iteration count
-        N; ``rho0`` the initial lower bound (0 is always valid). The
-        estimator always runs; ``apd_baseline`` is this loop with it off and
-        rho fixed at 0.
+        N. The estimate starts at rho = 0 and always runs; ``apd_baseline``
+        is this loop with it off and rho fixed at 0.
     x0, y0 : array_like
         Start iterates; points outside X (or Y) are projected in.
     recorder, observer : callables, optional
@@ -746,7 +720,6 @@ def apdpro(
     return _single_run(
         problem, constants, config, x0, y0, recorder, observer, f_star,
         improve_rule="alg1",
-        rho0=config.rho0,
         period=math.inf,
     )
 
@@ -764,28 +737,20 @@ def rapdpro(
 ) -> RunResult:
     """Restarted adaptive run: epochs s = 0..max_epochs with warm starts.
 
-    Per epoch the step sizes reset to (tau_bar, sigma_bar) with
-    tau_bar = (1 - nu0)/(L_XY + L_G^2 sigma_bar/delta), the averages and
-    rho_hat reset (rho carries over), and every inner step refreshes the
-    budget N_s from rho_hat (see _epoch_budget). Epochs that exhaust
-    ``max_iters`` while N_s is still unmet end the run with termination
-    reason "budget". The returned x is the last iterate, the convergent
-    object for this scheme.
+    Per epoch the step sizes reset to (tau_bar, sigma_bar), with
+    sigma_bar = delta L_XY/L_G^2 (1/L_G^2 when L_XY = 0) and
+    tau_bar = (1 - nu0)/(L_XY + L_G^2 sigma_bar/delta) for the fixed
+    nu0 = 1/4 and delta = 1/2. The averages and rho_hat reset (rho carries
+    over), and every inner step refreshes the budget N_s from rho_hat (see
+    _epoch_budget). Epochs that exhaust ``max_iters`` while N_s is still
+    unmet end the run with termination reason "budget". The returned x is
+    the last iterate, the convergent object for this scheme.
     """
     _require_variant(config, "rapdpro", "rapdpro")
-    sigma_bar = config.sigma0
-    if sigma_bar is None:
-        l_xy = constants.L_XY
-        sigma_bar = config.delta * l_xy / problem.L_G**2 if l_xy > 0 else 1.0 / problem.L_G**2
-    tau_bar = config.tau0
-    tau_cap = (1.0 - config.nu0) / (constants.L_XY + problem.L_G**2 * sigma_bar / config.delta)
-    if tau_bar is None:
-        tau_bar = tau_cap
-    elif tau_bar > tau_cap * (1.0 + 1e-9):
-        raise ValueError(
-            f"tau0 too large for the restarted scheme: need tau0 <= {tau_cap:.6g}"
-        )
-    st = _init_state(problem, constants, x0, y0, tau_bar, sigma_bar, config.rho0)
+    l_xy = constants.L_XY
+    sigma_bar = _DELTA * l_xy / problem.L_G**2 if l_xy > 0 else 1.0 / problem.L_G**2
+    tau_bar = (1.0 - _NU0) / (l_xy + problem.L_G**2 * sigma_bar / _DELTA)
+    st = _init_state(problem, constants, x0, y0, tau_bar, sigma_bar)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     # Restarted listing's convention (primal term not halved).
     delta_xy = constants.D_X**2 / tau_bar + constants.D_Y**2 / (2.0 * sigma_bar)
@@ -829,8 +794,8 @@ def msapd(
     feasibility check runs.
     """
     _require_variant(config, "msapd", "msapd")
-    tau0, sigma_tilde = default_step_sizes(problem, constants, config.sigma0)
-    st = _init_state(problem, constants, x0, y0, tau0, sigma_tilde, config.rho0)
+    tau0, sigma_tilde = default_step_sizes(problem, constants)
+    st = _init_state(problem, constants, x0, y0, tau0, sigma_tilde)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     for s in range(config.max_epochs + 1):
         tau0_s, sigma0_s = default_step_sizes(problem, constants, sigma_tilde * 2.0 ** (0.5 * s))
@@ -879,6 +844,5 @@ def apd_baseline(
     return _single_run(
         problem, constants, config, x0, y0, recorder, observer, f_star,
         improve_rule=None,
-        rho0=0.0,
         period=period,
     )

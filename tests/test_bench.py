@@ -663,7 +663,7 @@ def test_load_experiment_config_full(tmp_path):
     path.write_text(
         "[instance]\nkind = synthetic\nn = 2\ncenter = 1.5\nlevel = 0.5\n"
         "[solver]\nvariant = rapdpro\nvariants = apdpro, apd\nmax_iters = 300\n"
-        "max_epochs = 4\ntau0 = 0.1\nrestart_period = inf\nx0 = strict\n"
+        "max_epochs = 4\nrestart_period = inf\nx0 = strict\n"
         "[reference]\nmode = oracle\nbudget_iters = 50\ntruncation = 1e-6\n"
         "[output]\npath = out.csv\n",
         encoding="utf-8",
@@ -672,12 +672,20 @@ def test_load_experiment_config_full(tmp_path):
     assert cfg.instance.kind == "synthetic" and cfg.instance.n == 2
     assert cfg.instance.center == 1.5 and cfg.instance.level == 0.5
     assert cfg.solver.variant == "rapdpro" and cfg.solver.max_iters == 300
-    assert cfg.solver.max_epochs == 4 and cfg.solver.tau0 == 0.1
+    assert cfg.solver.max_epochs == 4
     assert cfg.solver.restart_period == float("inf")
     assert cfg.variants == ("apdpro", "apd")
     assert cfg.reference_mode == "oracle" and cfg.budget_iters == 50
     assert cfg.truncation == 1e-6
     assert cfg.output_path == "out.csv" and cfg.x0_rule == "strict"
+
+
+@pytest.mark.parametrize("key", ["budget_iters", "budget_epochs"])
+def test_load_experiment_config_rejects_a_negative_budget(tmp_path, key):
+    """Checked when the config loads, naming the key, not when a long run is first built from it."""
+    with pytest.raises(ValueError, match=rf"^{key} must be nonnegative, got -1$"):
+        _load_text(tmp_path, f"[instance]\n[reference]\nmode = long-run\n{key} = -1\n")
+    assert getattr(_load_text(tmp_path, f"[instance]\n[reference]\n{key} = 0\n"), key) == 0
 
 
 def test_load_experiment_config_rejects_typos(tmp_path):
@@ -695,6 +703,9 @@ def test_load_experiment_config_rejects_typos(tmp_path):
     # The reporting point follows the variant; the key that once overrode it is gone.
     with pytest.raises(ValueError, match="unknown key 'metric_iterate'"):
         load("[instance]\n[solver]\nmetric_iterate = ergodic\n")
+    # Step sizes come from the problem's constants; the keys that once overrode them are gone.
+    with pytest.raises(ValueError, match="unknown key 'tau0'"):
+        load("[instance]\n[solver]\ntau0 = 0.1\n")
     with pytest.raises(ValueError, match="unknown variant 'rapdpr'"):
         load("[instance]\n[solver]\nvariants = apdpro, rapdpr\n")
 
@@ -702,13 +713,8 @@ def test_load_experiment_config_rejects_typos(tmp_path):
 # One non-default value per field: (INI text, parsed value).
 SOLVER_VALUES = {
     "variant": ("msapd", "msapd"),
-    "tau0": ("0.125", 0.125),
-    "sigma0": ("0.375", 0.375),
-    "rho0": ("0.01", 0.01),
     "max_iters": ("1234", 1234),
     "max_epochs": ("9", 9),
-    "nu0": ("0.3", 0.3),
-    "delta": ("0.6", 0.6),
     "restart_period": ("37", 37.0),
     "tolerance": ("1e-7", 1e-7),
 }

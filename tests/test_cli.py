@@ -91,6 +91,20 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_negative_reference_budget_fails_before_any_work(tmp_path, capsys):
+    graph = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
+    out = tmp_path / "run.csv"
+    cfg = _write_config(tmp_path, (
+        f"[instance]\nkind = graph\npath = {graph}\nalpha = 0.5\nb = -0.05\n"
+        "[reference]\nmode = long-run\nbudget_iters = -1\n"
+        f"[output]\npath = {out}\n"
+    ))
+    for command in ("run", "reference"):
+        assert main([command, "--config", cfg]) == 2
+        assert "budget_iters must be nonnegative" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "p2.txt"]  # no trace, no reference cache
+
+
 def test_misspelled_variant_fails_before_any_work(tmp_path, capsys):
     """The whole variant list is checked when the config loads, not when the loop reaches the typo."""
     out = tmp_path / "cmp.csv"

@@ -1,12 +1,13 @@
 """No module of the package imports a name it never uses, no public name serves only tests,
-and no solver knob goes unread.
+and no solver knob goes unread or is set only by tests.
 
 A stdlib stand-in for a linter's unused-import check: every imported name
 must be referenced in the module, listed in its ``__all__``, or sit on a
 line marked ``# noqa: F401``. Every name in a module's ``__all__`` must be
 loaded somewhere in the package, so a public function whose only caller is
 its own test fails here. Likewise every ``SolverConfig`` field must be read
-as an attribute somewhere in the package outside the class itself.
+as an attribute somewhere in the package outside the class itself, and set
+by a keyword somewhere outside the tests.
 """
 
 import ast
@@ -14,7 +15,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "apdpro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "apdpro"
 
 
 def _unused_imports(path):
@@ -131,3 +133,44 @@ def test_the_guard_sees_an_unread_field(tmp_path):
         encoding="utf-8",
     )
     assert _unread_fields([probe], "SolverConfig") == ["probe"]
+
+
+def _fields_no_caller_sets(paths, class_name):
+    """Fields of class ``class_name`` that no keyword of a ``class_name(...)`` or ``replace(...)``
+    call in ``paths`` sets.
+
+    Calls match by the callee's name alone (``replace`` on any object
+    counts), and a ``**`` argument sets nothing: the INI loader passes any
+    field that way, so only code that names a field counts as its caller.
+    """
+    fields, set_by_name = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                fields.update(s.target.id for s in node.body if isinstance(s, ast.AnnAssign))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee in (class_name, "replace"):
+                    set_by_name.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return sorted(fields - set_by_name)
+
+
+def test_every_solver_config_field_is_set_outside_the_tests():
+    """A knob only tests set is a branch no run takes; read as text, so nothing here is imported."""
+    paths = [p for top in ("src", "demos", "perfbench", "tools") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert SRC / "solvers.py" in paths
+    assert _fields_no_caller_sets(paths, "SolverConfig") == []
+
+
+def test_the_guard_sees_a_field_only_tests_set(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n@dataclass\nclass SolverConfig:\n"
+        "    named: int = 0\n    replaced: int = 0\n    probe: int = 0\n\n\n"
+        "def run(kwargs):\n    cfg = SolverConfig(named=1, **kwargs)\n"
+        "    return dataclasses.replace(cfg, replaced=2).probe\n",
+        encoding="utf-8",
+    )
+    assert _fields_no_caller_sets([probe], "SolverConfig") == ["probe"]

@@ -100,17 +100,13 @@ def test_metric_iterate_convention():
 def test_config_validation():
     for bad in (
         dict(variant="nope"),
-        dict(nu0=0.0),
-        dict(delta=1.0),
         dict(max_iters=-1),
+        dict(max_epochs=-1),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # Checked when the config is built, so a bad value never reaches the loop.
     for name, values in (
-        ("tau0", (0.0, -1.0, math.nan, math.inf)),
-        ("sigma0", (0.0, -1.0, math.nan, math.inf)),
-        ("rho0", (-1.0, math.nan, math.inf)),
         ("tolerance", (-1.0, math.nan, math.inf)),
         ("restart_period", (0.5, 0.0, -1.0, math.nan)),
     ):
@@ -134,12 +130,6 @@ def test_entry_points_reject_another_solvers_variant(canonical, runner, accepted
             _run(canonical, variant, runner, max_iters=5, max_epochs=1)
     for variant in accepted:
         _run(canonical, variant, runner, max_iters=5, max_epochs=1)
-
-
-def test_infeasible_step_sizes_rejected(canonical):
-    # 1/0.3 < L_XY + L_G^2 sigma0 = 4 on the canonical instance.
-    with pytest.raises(ValueError, match="infeasible"):
-        _run(canonical, "apdpro", apdpro, tau0=0.3, max_iters=1)
 
 
 # -- the adaptive run and its invariants ---------------------------------------
@@ -248,9 +238,10 @@ def test_trace_step_sizes_and_rho_are_python_floats(canonical, small_graph, vari
     """A numpy scalar among the loop's scalars would slow every iteration without changing a value."""
     configs = (
         SolverConfig(variant=variant, max_iters=40, max_epochs=2),
-        # numpy scalars given for the config's own scalars are stored as floats
-        SolverConfig(variant=variant, max_iters=40, max_epochs=2, sigma0=np.float64(0.5), rho0=np.float64(0.0)),
+        # a numpy scalar given for the config's tolerance is stored as a float
+        SolverConfig(variant=variant, max_iters=40, max_epochs=2, tolerance=np.float64(0.0)),
     )
+    assert type(configs[1].tolerance) is float
     for problem, constants in (canonical[:2], small_graph):
         for cfg in configs:
             res = runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
@@ -340,11 +331,6 @@ def test_rapdpro_epoch_zero_uses_the_conservative_steps(canonical):
     assert snaps[0].sigma == sigma_bar
     assert snaps[0].sigma == pytest.approx(0.125, rel=1e-14)
     assert snaps[0].tau == pytest.approx(0.1875, rel=1e-14)
-
-
-def test_rapdpro_rejects_oversized_tau(canonical):
-    with pytest.raises(ValueError, match="tau0 too large"):
-        _run(canonical, "rapdpro", rapdpro, tau0=0.5, max_iters=10, max_epochs=0)
 
 
 def test_rapdpro_epoch_contraction(canonical):
@@ -549,10 +535,11 @@ def test_non_finite_jacobian_at_x_bar_raises(canonical):
 def test_non_finite_jacobian_at_x_bar_raises_in_the_kkt_stop(canonical):
     """apd has no h2: the J(x_bar) a KKT stop evaluates is checked where it is evaluated."""
     problem, constants, _, _ = canonical
-    # J(x_0), then J(x_{k+1}) and J(x_bar_{k+1}) per iteration: call 5 is J(x_bar_2).
+    # J(x_0), then J(x_{k+1}) and J(x_bar_{k+1}) per iteration: call 5 is J(x_bar_2), at the point
+    # the record at iteration 2 has just evaluated G at, and named as the record names it.
     broken = _jacobian_nan_from_call(problem, 5, last_nan=5)
     cfg = SolverConfig(variant="apd", max_iters=50, tolerance=1e-300)
-    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 2$"):
+    with pytest.raises(NumericalError, match=r"^non-finite Jacobian J\(x_bar_\{k\+1\}\) at iteration 2$"):
         apd_baseline(broken, constants, cfg, np.zeros(1), np.zeros(1))
 
 
@@ -708,6 +695,47 @@ def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner
     with pytest.raises(NumericalError, match=rf"^non-finite {text} at iteration {k + 1}$"):
         runner(problem, constants, SolverConfig(variant=variant, max_iters=50), np.zeros(problem.n),
                np.zeros(problem.m))
+
+
+# The oracle's cells of the fault matrix: (site, which call at the site after step k returns nan, the
+# point named, instances, entry points). The quadratic path makes no constraints call, and only the
+# ergodic variants evaluate G at x_bar_{k+1}, after G(x_{k+1}).
+_ORACLE_FAULTS = (
+    ("jacobian", 1, r"Jacobian J\(x_\{k\+1\}\)", ("canonical", "two_ball", "small_graph"), ENTRY_POINTS),
+    ("constraints", 1, r"constraint value G\(x_\{k\+1\}\)", ("canonical", "two_ball"), ENTRY_POINTS),
+    ("constraints", 2, r"constraint value G\(x_bar_\{k\+1\}\)", ("canonical", "two_ball"),
+     (("msapd", msapd), ("apd", apd_baseline))),
+)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("site, nth, text, instance, variant, runner", [
+    pytest.param(site, nth, text, instance, variant, runner, id=f"{site}-{'x_bar' if nth == 2 else 'x'}-{instance}-{variant}")
+    for site, nth, text, instances, entries in _ORACLE_FAULTS
+    for instance in instances
+    for variant, runner in entries
+])
+def test_a_non_finite_oracle_value_names_its_point(request, k, site, nth, text, instance, variant, runner):
+    """An observer arms the oracle at step k; its ``nth`` call at ``site`` after that returns nan."""
+    problem, constants = _two_ball_problem() if instance == "two_ball" else request.getfixturevalue(instance)[:2]
+    evaluate, left = getattr(problem, site), []  # left: calls to go at the site, once armed
+
+    def oracle(x):
+        out = np.asarray(evaluate(x), dtype=float)
+        if left:
+            left[0] -= 1
+            if left[0] == 0:
+                return np.full_like(out, np.nan)
+        return out
+
+    def arm(sn):
+        if sn.k == k:
+            left.append(nth)
+
+    broken = dataclasses.replace(problem, **{site: oracle})
+    cfg = SolverConfig(variant=variant, max_iters=50)
+    with pytest.raises(NumericalError, match=rf"^non-finite {text} at iteration {k + 1}$"):
+        runner(broken, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=arm)
 
 
 # -- quadratic structure ---------------------------------------------------------
