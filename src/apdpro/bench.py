@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import tempfile
@@ -32,6 +33,7 @@ from .solvers import (
     VARIANTS,
     RunResult,
     SolverConfig,
+    _check_budget,
     _metrics_recorder,
     apd_baseline,
     apdpro,
@@ -120,8 +122,8 @@ class ExperimentConfig:
     x0_rule: str = "zeros"  # zeros | strict
 
     def __post_init__(self):
-        if self.truncation <= 0:
-            raise ValueError("truncation threshold must be positive")
+        if not (math.isfinite(self.truncation) and self.truncation > 0):  # nan or inf: every block would match x*
+            raise ValueError(f"truncation must be positive and finite, got {self.truncation!r}")
         if self.reference_mode not in ("none", "oracle", "long-run", "file"):
             raise ValueError(f"unknown reference mode {self.reference_mode!r}")
         if self.reference_mode == "file" and not self.reference_path:
@@ -129,8 +131,7 @@ class ExperimentConfig:
         if self.x0_rule not in ("zeros", "strict"):
             raise ValueError("x0 must be 'zeros' or 'strict'")
         for name in ("budget_iters", "budget_epochs"):  # here, so no instance is built for a bad budget
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+            _check_budget(name, getattr(self, name))
         if not self.variants:
             self.variants = (self.solver.variant,)
         for variant in self.variants:  # here, so a typo fails before any variant runs

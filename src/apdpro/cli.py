@@ -44,18 +44,23 @@ def _summarize(variant: str, result, path) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Bad input (the config, a missing or malformed graph file, an unattainable b)
+    # is reported on one line, with exit status 2.
     try:
-        config = bench.load_experiment_config(args.config)
+        return _command(args.command, bench.load_experiment_config(args.config))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "run":
+
+
+def _command(command: str, config) -> int:
+    if command == "run":
         if not config.output_path:
             raise SystemExit("run needs [output] path in the config")
         result = bench.run_experiment(config)
         _summarize(config.solver.variant, result, config.output_path)
         return 0
-    if args.command == "compare":
+    if command == "compare":
         if not config.output_path:
             raise SystemExit("compare needs [output] path in the config")
         results = bench.run_comparison(config)

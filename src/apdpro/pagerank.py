@@ -180,24 +180,31 @@ def load_graph(path) -> Graph:
 
 
 _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
+# eigsh's relative-residual stop. The bound adds the residual back, so it stays
+# certified and exceeds lambda_max by under 1e-6 relative: too little to move an
+# iteration count (at 1e-5 one did). Each further decade costs ARPACK a restart
+# cycle, about 20 Q mat-vecs on a 5k-node graph.
+_RITZ_TOL = 1e-6
 
 
 def _ritz_bound(qmatvec, n: int) -> float:
     """An upper bound on the largest eigenvalue of a symmetric operator, by Lanczos.
 
     ``eigsh`` ("LA", k = 1) runs from a fixed seeded start, so the result is
-    the same on every call. For the returned Ritz pair (theta, v), some
-    eigenvalue lies within ||Qv - theta v|| / ||v|| of theta; that
-    eigenvalue is the largest once Lanczos has converged to the top of the
-    spectrum, so theta moved up by that residual (plus a few units of
-    rounding in theta and the residual) bounds it.
+    the same on every call, and stops at relative residual ``_RITZ_TOL``
+    (1e-6). For the returned Ritz pair (theta, v), some eigenvalue lies
+    within ||Qv - theta v|| / ||v|| of theta; that eigenvalue is the largest
+    once Lanczos has converged to the top of the spectrum, so theta moved up
+    by that residual (plus a few units of rounding in theta and the
+    residual) bounds it. The stopping tolerance sets only the slack, under
+    1e-6 relative.
     """
     if n == 1:  # ARPACK needs n >= 2; a 1-by-1 operator is its own eigenvalue
         return float(qmatvec(np.ones(1))[0])
     op = LinearOperator((n, n), matvec=qmatvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        w, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=1e-10)
+        w, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=_RITZ_TOL)
     except ArpackNoConvergence:
         raise NumericalError(f"Lanczos (LA) did not converge on the {n}-by-{n} operator") from None
     theta, v = float(w[0]), vecs[:, 0]
@@ -265,8 +272,12 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     The same fact gives lambda_max(Q) <= 1. L_X = lambda_max is the Lanczos
     Ritz value of Q moved up by its residual norm and capped at 1, a
     certified upper bound once Lanczos has found the top of the spectrum; no
-    power iteration runs. Together mu and L_X bracket x'Qx / ||x||^2 for
-    every x.
+    power iteration runs. Lanczos stops at relative residual 1e-6, so L_X
+    may exceed lambda_max by up to about 1e-6 relative (at most 9.98e-7
+    measured). L_X is used only in the step sizes and the Improve bounds,
+    where that slack moves no iteration count, and the last four decades of
+    residual would cost about 100 Q mat-vecs on a 5k-node graph. Together mu
+    and L_X bracket x'Qx / ||x||^2 for every x.
 
     The strict point is the unconstrained minimizer of g (CG on
     Q x = alpha D^{-1/2} s, tol 1e-12), which maximizes the feasibility

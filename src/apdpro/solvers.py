@@ -32,6 +32,7 @@ loop follows its own listing verbatim.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -106,8 +107,9 @@ class SolverConfig:
     ``tolerance`` (finite, >= 0, stored as a Python float) = 0 disables
     early stopping; when positive the stop test uses max(relative objective
     gap, feasibility violation) against a supplied reference objective
-    value, else the max KKT residual. ``restart_period`` must be at least
-    1, or inf for no restart.
+    value, else the max KKT residual. ``max_iters`` and ``max_epochs`` are
+    nonnegative integers, ``restart_period`` an integer >= 1 (an int or an
+    integral float, as the INI reads it), or inf for no restart.
 
     One config is shared across variants by ``bench.run_comparison``, so two
     fields are read by some variants only: ``restart_period`` by apd_restart
@@ -126,10 +128,24 @@ class SolverConfig:
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
         self.tolerance = float(self.tolerance)
-        if not self.restart_period >= 1:  # also rejects nan
-            raise ValueError(f"restart_period must be at least 1 or inf, got {self.restart_period!r}")
-        if self.max_iters < 0 or self.max_epochs < 0:
-            raise ValueError("iteration budgets must be nonnegative")
+        # A fractional period would run int(period)-iteration segments.
+        period = self.restart_period
+        if not (period == math.inf or (period >= 1 and float(period).is_integer())):
+            raise ValueError(f"restart_period must be an integer >= 1 or inf, got {period!r}")
+        for name in ("max_iters", "max_epochs"):
+            _check_budget(name, getattr(self, name))
+
+
+def _check_budget(name: str, value) -> None:
+    """Reject an iteration or epoch budget that is not a nonnegative integer, naming it.
+
+    A fractional budget would never run out: its last fraction runs as
+    int() = 0-iteration segments.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -184,8 +200,8 @@ def _metrics_recorder(problem: ConstrainedProblem, reference, threshold: float =
     obj = problem.objective
     weights, blocks = obj.weights, len(obj.blocks)
     x_ref, f_ref = (None, 0.0) if reference is None else reference
-    if x_ref is not None and threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if x_ref is not None and not (math.isfinite(threshold) and threshold > 0):  # nan or inf: every block would match x*
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     ref_zero = None if x_ref is None else obj.block_norms(x_ref) < threshold
 
     def record(ri: RecordInputs) -> IterateRecord:

@@ -154,6 +154,14 @@ def test_run_recorder_matches_compute_metrics_bitwise(canonical):
     _metrics_recorder(five, (None, 1.0), 0.0)  # no x*, no accuracy: the threshold is unused
 
 
+def test_make_recorder_rejects_a_threshold_that_is_not_finite():
+    """A nan threshold once made active_set_acc read 1.0 on every row."""
+    five, x_five, _ = make_synthetic_instance(5, np.array([1.5, -0.7, 2.0, 0.6, -1.2]), 0.9)
+    for threshold in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^threshold must be positive and finite, got {threshold!r}$"):
+            make_recorder(five, "apdpro", SolverConfig(), (x_five, None, 1.0), threshold)
+
+
 def test_default_recorder_matches_compute_metrics(canonical):
     """Every variant's default trace is the oracle's record at the point each row reports."""
     problem, constants, x_star, _ = canonical
@@ -686,6 +694,15 @@ def test_load_experiment_config_rejects_a_negative_budget(tmp_path, key):
     with pytest.raises(ValueError, match=rf"^{key} must be nonnegative, got -1$"):
         _load_text(tmp_path, f"[instance]\n[reference]\nmode = long-run\n{key} = -1\n")
     assert getattr(_load_text(tmp_path, f"[instance]\n[reference]\n{key} = 0\n"), key) == 0
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got 2.5$"):  # it becomes a SolverConfig budget
+        ExperimentConfig(instance=InstanceSpec(kind="synthetic"), solver=SolverConfig(), **{key: 2.5})
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1e-8"])
+def test_load_experiment_config_rejects_a_truncation_that_is_not_positive_and_finite(tmp_path, raw):
+    """A nan truncation once made active_set_acc read 1.0 on every row."""
+    with pytest.raises(ValueError, match=f"^truncation must be positive and finite, got {float(raw)!r}$"):
+        _load_text(tmp_path, f"[instance]\n[reference]\nmode = oracle\ntruncation = {raw}\n")
 
 
 def test_load_experiment_config_rejects_typos(tmp_path):

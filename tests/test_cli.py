@@ -123,3 +123,26 @@ def test_missing_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "reference"])
+def test_bad_instance_is_an_error_line_not_a_traceback(tmp_path, capsys, command):
+    """A malformed or missing graph file and an unattainable b exit 2 with one 'error:' line."""
+    (tmp_path / "bad.txt").write_text("0 1\n1 x\n", encoding="utf-8")
+    good = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
+    out = tmp_path / "run.csv"
+    for graph, b, message in (
+        (tmp_path / "bad.txt", -0.05, "line 2: non-integer node id"),
+        (tmp_path / "missing.txt", -0.05, "No such file or directory"),
+        (good, -10.0, "target level b=-10 unattainable"),
+    ):
+        cfg = _write_config(tmp_path, (
+            f"[instance]\nkind = graph\npath = {graph}\nalpha = 0.5\nb = {b}\n"
+            "[reference]\nmode = long-run\n"
+            f"[output]\npath = {out}\n"
+        ))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+    assert not out.exists()

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -295,6 +296,24 @@ def test_lambda_max_bounds_the_spectrum_of_a_generated_graph(tmp_path):
     assert top <= problem.L_X <= top * (1.0 + 1e-7)
     assert problem.mu[0] == alpha
     assert build_ppr_problem(g, alpha, b=-1e-12).L_X == problem.L_X
+
+
+def test_lambda_max_bound_is_certified_past_the_lanczos_basis(tmp_path):
+    """n from 21 to 400, past eigsh's 20-vector basis, so Lanczos restarts before it stops at
+    relative residual 1e-6. Every third graph is bipartite (lambda_max(Q) = 1, the cap).
+    L_X bounds lambda_max and overshoots it by under 2e-6 relative."""
+    rng = np.random.default_rng(20)
+    for trial in range(15):
+        n = int(rng.integers(21, 401))
+        pairs = rng.integers(0, n, size=(int(rng.integers(1, 5)) * n, 2))
+        if trial % 3 == 0:
+            pairs = pairs[pairs.sum(axis=1) % 2 == 1]  # even-odd edges only: bipartite, like the path
+        edges = path_edges(n) + [tuple(map(int, e)) for e in pairs]
+        g = load_graph(write_edge_list(tmp_path / f"big{trial}.txt", edges))
+        alpha = float(rng.uniform(0.05, 0.9))
+        top = scipy.linalg.eigh(_dense_q(g, alpha), eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+        l_x = build_ppr_problem(g, alpha, b=-1e-12).L_X
+        assert top - 1e-12 <= l_x <= min(1.0, top * (1.0 + 2e-6)) + 64 * np.finfo(float).eps, (trial, n)
 
 
 def test_spectral_bounds_of_diagonal_operators():

@@ -117,6 +117,20 @@ def test_config_validation():
     SolverConfig(restart_period=math.inf)
 
 
+def test_fractional_budgets_are_rejected_when_the_config_is_built():
+    """A budget of 2.5 once left 0.5 iterations that int() ran as empty segments forever,
+    and max_iters = inf overflowed; a fractional period quietly ran as its floor."""
+    for name, value in (("max_iters", 2.5), ("max_iters", math.inf), ("max_iters", math.nan),
+                        ("max_iters", True), ("max_epochs", 1.5), ("max_epochs", 2.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SolverConfig(variant="apd", **{name: value})
+    for value in (2.5, 1.0000001):
+        with pytest.raises(ValueError, match="^restart_period must be an integer >= 1 or inf"):
+            SolverConfig(variant="apd_restart", restart_period=value)
+    for period in (1, 2.0, np.int64(3), math.inf):  # the INI reads the period as a float
+        SolverConfig(variant="apd_restart", max_iters=np.int64(7), max_epochs=np.int32(2), restart_period=period)
+
+
 @pytest.mark.parametrize("runner, accepted", [
     (apdpro, {"apdpro"}),
     (rapdpro, {"rapdpro"}),
