@@ -250,8 +250,13 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     s : array_like or str
         Teleport distribution: a simplex vector, "uniform", or "seed:k".
     r_rule : str
-        Subgradient floor: "degree" (min_i d_i) or "sqrt-degree"
-        (min_i sqrt(d_i), the conservative choice).
+        Subgradient floor r: "sqrt-degree" (min_i sqrt(d_i)) or "degree"
+        (min_i d_i). Only "sqrt-degree" is certified: the weights are
+        sqrt(d_i), so when x* != 0 the optimal subgradient has norm at
+        least min_i sqrt(d_i), and no more can be proved in general.
+        "degree" exceeds that floor on every graph whose degrees are all at
+        least 2 and is not a certified bound: the Improve bounds h1 and h2,
+        and with them rho, may then overstate mu ||y*||_1.
 
     Returns
     -------
@@ -281,10 +286,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
 
     The strict point is the unconstrained minimizer of g (CG on
     Q x = alpha D^{-1/2} s, tol 1e-12), which maximizes the feasibility
-    margin and hence the dual bound's denominator. L_G is the certified
-    ball bound lambda_max * (R + ||x_tilde - x_g*||) + ||grad g(x_tilde)||
-    (the middle term vanishes here: the ball is centered at the strict
-    point).
+    margin; pass it to ``feasible_ball`` as the minimizer of g.
 
     The problem carries ``quadratic`` = (q_lin, b, qmatvec), so the solvers
     derive G from J and make one Q mat-vec per iteration.
@@ -314,10 +316,6 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
             f"target level b={b:.6g} unattainable: the constraint's unconstrained "
             f"minimum is {g_tilde + b:.6g}, need b strictly above it"
         )
-    # Certified gradient bound over the working ball around the strict point.
-    radius = 2.0 * np.sqrt(-2.0 * g_tilde / lam_min)
-    grad_tilde = float(np.linalg.norm(qmatvec(x_tilde) - q_lin))
-    l_g = lam_max * radius + grad_tilde
     weights = np.sqrt(graph.degrees)
     objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=weights)
     r = float(graph.degrees.min()) if r_rule == "degree" else float(weights.min())
@@ -338,7 +336,6 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         jacobian=jacobian,
         mu=np.array([lam_min]),
         L_X=lam_max,
-        L_G=l_g,
         r=r,
         strict_point=x_tilde,
         quadratic=(q_lin, b, qmatvec),
@@ -387,7 +384,6 @@ def make_synthetic_instance(n: int, center, level: float):
         return (x - c).reshape(n, 1)
 
     objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=np.ones(n))
-    radius = 2.0 * np.sqrt(2.0) * level  # 2*sqrt(-2 g(c)/mu)
     problem = ConstrainedProblem(
         n=n,
         objective=objective,
@@ -396,7 +392,6 @@ def make_synthetic_instance(n: int, center, level: float):
         jacobian=jacobian,
         mu=np.array([1.0]),
         L_X=1.0,
-        L_G=radius,
         r=1.0,
         strict_point=c.copy(),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,12 @@ __all__ = [
     "prox_f_over_ball",
     "project_dual_set",
 ]
+
+
+# The prox's ball multiplier is solved until ||x - center|| lies in [(1 - _RADIUS_RTOL) R, R].
+_RADIUS_RTOL = 1e-14
+_ROOT_STEPS = 100
+_EPS = float(np.finfo(float).eps)
 
 
 class InfeasibleCutError(RuntimeError):
@@ -76,15 +83,37 @@ def prox_f_over_ball(
     Returns
     -------
     ndarray
-        The constrained prox point.
+        The constrained prox point, inside the ball. A nan or inf in v
+        comes back as a non-finite point, for the solver to report.
+
+    Raises
+    ------
+    NumericalError
+        If a finite v gives a multiplier that cannot be bracketed (the
+        distance to the center overflows).
 
     Notes
     -----
     A scalar multiplier lam >= 0 enforces the ball: x(lam) is the block
     soft-threshold of w(lam) = (v/eta + lam*center)/(1/eta + lam) at the
-    effective step 1/(1/eta + lam). lam = 0 when the unconstrained prox is
-    already feasible; otherwise safeguarded bisection drives the radius
-    residual ||x(lam) - center|| - R to 1e-12.
+    effective step 1/(1/eta + lam), and ||x(lam) - center|| falls as lam
+    grows. lam = 0 when the unconstrained prox is already feasible.
+    Otherwise lam is solved for until ||x(lam) - center|| lies in
+    [(1 - 1e-14) R, R], and the last trial inside the ball is returned.
+
+    - With singleton blocks, each step first tries the multiplier's closed
+      form on the active set A of the last trial (its nonzero coordinates,
+      signs s): on A, x - center is (v/eta - s p - center/eta)/(1/eta + lam),
+      and off A it is -center, so the trial's own distance on A, rescaled,
+      gives the root. Once A stands, that step lands on it, and a binding
+      call usually costs two or three soft thresholds.
+    - Otherwise, and whenever that step leaves the bracket, the bracket
+      gives the step. Its upper end comes in closed form: w(lam) - center
+      is (v - center)/(eta (1/eta + lam)), and each block moves at most
+      p_i/(1/eta + lam) from w(lam), so the radius is met by lam_hi =
+      (||v - center||/eta + ||p||)/R - 1/eta. lam_hi is doubled should
+      rounding leave x(lam_hi) outside. Within the bracket the step is
+      Illinois's (regula falsi that halves the stale end's residual).
     """
     center, radius = ball
     if eta <= 0:
@@ -94,42 +123,67 @@ def prox_f_over_ball(
     v = _vec(v, objective.n, "v")
     center = _vec(center, objective.n, "ball center")
 
-    x0 = block_soft_threshold(v, objective, eta)
-    if _norm(x0 - center) <= radius:
-        return x0
+    x = block_soft_threshold(v, objective, eta)
+    d = x - center
+    dist = _norm(d)
+    if dist <= radius or not np.isfinite(x).all():  # inside, or non-finite from v
+        return x
+
+    inv_eta = 1.0 / eta
+    target = radius * (1.0 - 0.5 * _RADIUS_RTOL)
+    tol = 0.5 * _RADIUS_RTOL * radius
+
+    v_eta = v * inv_eta
 
     def trial(lam: float) -> np.ndarray:
-        eta_eff = 1.0 / (1.0 / eta + lam)
-        w = (v / eta + lam * center) * eta_eff
-        return block_soft_threshold(w, objective, eta_eff)
+        eta_eff = 1.0 / (inv_eta + lam)
+        return block_soft_threshold((v_eta + lam * center) * eta_eff, objective, eta_eff)
 
-    def resid(lam: float) -> float:
-        return _norm(trial(lam) - center) - radius
+    def active_set_root(x: np.ndarray, d: np.ndarray, lam: float) -> float:
+        """The multiplier that meets ``target`` should the active set and signs of x = x(lam) stand:
+        d = x - center scales as 1/(1/eta + lam) on the active set and is -center off it."""
+        dd = d * d
+        on = float(np.where(x == 0.0, 0.0, dd).sum())
+        room = target * target - (dd.sum() - on)
+        return (inv_eta + lam) * math.sqrt(on / room) - inv_eta if room > 0.0 else math.nan
 
-    # resid(0) > 0 here; double until the residual changes sign.
-    lo, hi = 0.0, 1.0
-    fhi = resid(hi)
-    doublings = 0
-    while fhi > 0.0:
-        doublings += 1
-        if doublings > 200:
-            raise NumericalError("ball multiplier not bracketed within 200 doublings")
-        lo, hi = hi, 2.0 * hi
-        fhi = resid(hi)
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = resid(mid)
-        if abs(fm) <= 1e-12:
-            return trial(mid)
-        if fm > 0.0:
-            lo = mid
+    singletons = objective._singletons
+    lam = 0.0
+    lo, f_lo = 0.0, dist - target
+    hi, f_hi, x_hi = math.inf, -math.inf, None
+    last_side = 0
+    for _ in range(_ROOT_STEPS):
+        lam = active_set_root(x, d, lam) if singletons else math.nan
+        if not lo < lam < hi:
+            if x_hi is None:  # nothing inside the ball yet: the bound, doubled should rounding defeat it
+                bound = (_norm(v - center) * inv_eta + _norm(objective.weights)) / target - inv_eta
+                lam = bound if bound > lo else 2.0 * max(lo, inv_eta)
+            else:
+                lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+                if not lo < lam < hi:
+                    lam = 0.5 * (lo + hi)
+        x = trial(lam)
+        d = x - center
+        f = _norm(d) - target
+        if abs(f) <= tol:
+            return x
+        if not math.isfinite(f):
+            raise NumericalError(f"ball multiplier not bracketed: radius residual {f} at lam = {lam:.6g}")
+        if f > 0.0:
+            lo, f_lo = lam, f
+            if last_side > 0:
+                f_hi *= 0.5
+            last_side = 1
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
+            hi, f_hi, x_hi = lam, f, x
+            if last_side < 0:
+                f_lo *= 0.5
+            last_side = -1
+        if x_hi is not None and hi - lo <= 4.0 * _EPS * hi:
             break
-    # hi keeps resid <= 0, so the output stays inside the ball.
-    return trial(hi)
+    if x_hi is None:
+        raise NumericalError(f"ball multiplier not bracketed within {_ROOT_STEPS} steps")
+    return x_hi  # f_hi <= 0: inside the ball
 
 
 def project_dual_set(u, slab: DualSlab) -> np.ndarray:

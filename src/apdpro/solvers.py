@@ -305,13 +305,13 @@ def _stage_budget(rho: float, s: int, tau0_s: float, sigma0_s: float, D_X: float
     return math.ceil(max(a, b))
 
 
-def default_step_sizes(problem: ConstrainedProblem, constants: ProblemConstants, sigma0: float | None = None):
+def default_step_sizes(constants: ProblemConstants, sigma0: float | None = None):
     """Balancing rule sigma0 = L_XY/L_G^2 (so L_XY = L_G^2 sigma0), tau0 = 1/(2 L_XY).
 
     With ``sigma0`` given, only tau0 is derived (largest feasible value
     1/(L_XY + L_G^2 sigma0)).
     """
-    l_xy, l_g = constants.L_XY, problem.L_G
+    l_xy, l_g = constants.L_XY, constants.L_G
     if sigma0 is None:
         sigma0 = l_xy / l_g**2 if l_xy > 0 else 1.0 / l_g**2
     if sigma0 <= 0:
@@ -677,7 +677,7 @@ def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, 
     Each segment after the first re-centers the averages and the
     extrapolation; the iterates and step sizes stay warm.
     """
-    tau0, sigma0 = default_step_sizes(problem, constants)
+    tau0, sigma0 = default_step_sizes(constants)
     st = _init_state(problem, constants, x0, y0, tau0, sigma0)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
@@ -763,9 +763,9 @@ def rapdpro(
     the last iterate, the convergent object for this scheme.
     """
     _require_variant(config, "rapdpro", "rapdpro")
-    l_xy = constants.L_XY
-    sigma_bar = _DELTA * l_xy / problem.L_G**2 if l_xy > 0 else 1.0 / problem.L_G**2
-    tau_bar = (1.0 - _NU0) / (l_xy + problem.L_G**2 * sigma_bar / _DELTA)
+    l_xy, l_g2 = constants.L_XY, constants.L_G**2
+    sigma_bar = _DELTA * l_xy / l_g2 if l_xy > 0 else 1.0 / l_g2
+    tau_bar = (1.0 - _NU0) / (l_xy + l_g2 * sigma_bar / _DELTA)
     st = _init_state(problem, constants, x0, y0, tau_bar, sigma_bar)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     # Restarted listing's convention (primal term not halved).
@@ -810,11 +810,11 @@ def msapd(
     feasibility check runs.
     """
     _require_variant(config, "msapd", "msapd")
-    tau0, sigma_tilde = default_step_sizes(problem, constants)
+    tau0, sigma_tilde = default_step_sizes(constants)
     st = _init_state(problem, constants, x0, y0, tau0, sigma_tilde)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     for s in range(config.max_epochs + 1):
-        tau0_s, sigma0_s = default_step_sizes(problem, constants, sigma_tilde * 2.0 ** (0.5 * s))
+        tau0_s, sigma0_s = default_step_sizes(constants, sigma_tilde * 2.0 ** (0.5 * s))
         st.tau, st.sigma = tau0_s, sigma0_s
         driver.begin(st, s)
         delta_xy = constants.D_X**2 / (2.0 * tau0_s) + constants.D_Y**2 / (2.0 * sigma0_s)

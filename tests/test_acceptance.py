@@ -101,7 +101,7 @@ def test_criterion_3_step_size_invariants(canonical, apdpro_2000):
         assert len(snaps) == 2000
         tau0, sigma0 = snaps[0].tau, snaps[0].sigma
         product = tau0 * sigma0
-        L_XY, L_G2 = constants.L_XY, problem.L_G ** 2
+        L_XY, L_G2 = constants.L_XY, constants.L_G ** 2
         rho1, rho_hat1 = snaps[0].rho_next, snaps[0].rho_hat_next
         floor = min(rho1, rho_hat1)
         for s in snaps:
@@ -162,7 +162,9 @@ def test_criterion_6_rate_separation(canonical):
     with _verdict(6, info):
         problem, constants, x_star, y_star = canonical
         start = time.monotonic()
-        ks = np.arange(100, 1001)
+        # apdpro's squared error reaches rounding (1e-31, against x*^2 = 0.34) by k = 100: fit
+        # where it is above that floor
+        ks = np.arange(10, 101)
         design = np.vstack([np.log(ks), np.ones(ks.size)]).T
 
         snaps = []

@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 from apdpro.bench import make_recorder, reference_solution
 from apdpro.pagerank import _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
-from apdpro.problem import kkt_residual
+from apdpro.problem import derive_constants, feasible_ball, kkt_residual
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, rapdpro
 from helpers import assert_traces_close, cycle_edges, path_edges, star_edges, write_edge_list
 from oracles import ppr_q_dense, synthetic_multiplier_oracle
@@ -412,7 +412,8 @@ def test_synthetic_canonical_reference():
     problem, x_star, y_star = make_synthetic_instance(1, 2.0, 1.0)
     assert x_star[0] == pytest.approx(2.0 - math.sqrt(2.0), abs=2 * math.ulp(1.0))
     assert y_star[0] == pytest.approx(math.sqrt(0.5), abs=math.ulp(1.0))
-    assert problem.L_G == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-15)
+    constants = derive_constants(problem, feasible_ball(problem, [problem.strict_point]))
+    assert constants.L_G == pytest.approx(1.1 * np.sqrt(2.0), abs=1e-15)  # the ball's radius: J(2) = 0, L_X = 1
 
 
 def test_synthetic_scaled_instance_satisfies_kkt():

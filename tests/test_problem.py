@@ -11,7 +11,6 @@ from apdpro.problem import (
     ConstrainedProblem,
     _vec,
     derive_constants,
-    dual_radius_bound,
     feasible_ball,
     jacobian_operator_norm,
     kkt_residual,
@@ -38,7 +37,7 @@ def _toy_problem(m=1, jac=None):
 
     return ConstrainedProblem(
         n=n, objective=obj, m=m, constraints=constraints, jacobian=jacobian,
-        mu=np.ones(m), L_X=1.0, L_G=2.0 * SQRT2, r=1.0, strict_point=center,
+        mu=np.ones(m), L_X=np.float64(1.0), r=1.0, strict_point=center,
     )
 
 
@@ -122,9 +121,14 @@ def test_singleton_blocks_match_the_general_path_bitwise():
 
 
 def test_dual_radius_bound_canonical(canonical):
-    problem, _, _, _ = canonical
-    # f(2)/(-g(2)) = 2/1
-    assert dual_radius_bound(problem) == pytest.approx(2.0, abs=1e-15)
+    """c_bar = min over t of t f(2)/(-g(2t)): at t^2 = 1/2, 1/(2 - sqrt(2)) = 1 + sqrt(2)/2, below
+    the strict point's f(2)/(-g(2)) = 2. A dense scan of the segment's strictly feasible part finds
+    nothing lower."""
+    _, constants, _, _ = canonical
+    assert constants.c_bar == pytest.approx(1.0 + SQRT2 / 2.0, abs=1e-15)
+    ts = np.linspace(1e-3, 1.0, 100_000)
+    g = 0.5 * (2.0 * ts - 2.0) ** 2 - 1.0
+    assert constants.c_bar <= np.min(ts[g < 0] * 2.0 / -g[g < 0]) * (1.0 + 1e-12)
 
 
 def test_dual_radius_bound_rejects_nonstrict_point():
@@ -132,17 +136,17 @@ def test_dual_radius_bound_rejects_nonstrict_point():
     bad = ConstrainedProblem(
         n=problem.n, objective=problem.objective, m=1,
         constraints=lambda x: np.array([1.0]), jacobian=problem.jacobian,
-        mu=np.array([1.0]), L_X=1.0, L_G=1.0, r=1.0, strict_point=problem.strict_point,
+        mu=np.array([1.0]), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
     with pytest.raises(ValueError, match="strict feasibility"):
-        dual_radius_bound(bad)
+        derive_constants(bad, (bad.strict_point, 1.0))
 
 
 def test_feasible_ball_canonical(canonical):
     problem, _, _, _ = canonical
     center, radius = feasible_ball(problem, [problem.strict_point])
     assert np.array_equal(center, [2.0])
-    assert radius == pytest.approx(2.0 * SQRT2, abs=1e-15)
+    assert radius == pytest.approx(1.1 * SQRT2, abs=1e-15)  # (1 + theta) sqrt(-2 g(2)/mu)
     with pytest.raises(ValueError, match="minimizers"):
         feasible_ball(problem, [])
 
@@ -152,7 +156,7 @@ def test_feasible_ball_rejects_unsatisfiable_constraint():
     hopeless = ConstrainedProblem(
         n=problem.n, objective=problem.objective, m=1,
         constraints=lambda x: np.array([float(x @ x)]), jacobian=problem.jacobian,
-        mu=np.array([1.0]), L_X=1.0, L_G=1.0, r=1.0, strict_point=problem.strict_point,
+        mu=np.array([1.0]), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
     with pytest.raises(ValueError, match="never strictly satisfiable"):
         feasible_ball(hopeless, [np.zeros(3)])
@@ -160,11 +164,13 @@ def test_feasible_ball_rejects_unsatisfiable_constraint():
 
 def test_derived_constants_canonical(canonical):
     problem, constants, _, _ = canonical
-    assert constants.c_bar == pytest.approx(2.0, abs=1e-15)
-    assert constants.ball_radius == pytest.approx(2.0 * SQRT2, abs=1e-15)
-    assert constants.D_X == pytest.approx(4.0 * SQRT2, abs=1e-15)
-    assert constants.D_Y == pytest.approx(2.0, abs=1e-15)  # m = 1: diameter is c_bar
-    assert constants.L_XY == pytest.approx(2.0, abs=1e-15)
+    c_bar = 1.0 + SQRT2 / 2.0
+    assert constants.c_bar == pytest.approx(c_bar, abs=1e-15)
+    assert constants.ball_radius == pytest.approx(1.1 * SQRT2, abs=1e-15)
+    assert constants.D_X == pytest.approx(2.2 * SQRT2, abs=1e-15)
+    assert constants.D_Y == pytest.approx(c_bar, abs=1e-15)  # m = 1: diameter is c_bar
+    assert constants.L_XY == pytest.approx(c_bar, abs=1e-15)
+    assert constants.L_G == pytest.approx(1.1 * SQRT2, abs=1e-15)  # ||J(2)|| = 0, plus L_X R
     assert constants.mu_lb == 1.0
 
 
@@ -240,36 +246,54 @@ def test_constraint_shape_errors():
     wrong = ConstrainedProblem(
         n=problem.n, objective=problem.objective, m=2,
         constraints=lambda x: np.array([1.0]), jacobian=lambda x: np.zeros((3, 2)),
-        mu=np.ones(2), L_X=1.0, L_G=1.0, r=1.0, strict_point=problem.strict_point,
+        mu=np.ones(2), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
     with pytest.raises(ValueError, match="constraint evaluator"):
         wrong.g(np.zeros(3))
     with pytest.raises(ValueError):
         ConstrainedProblem(
             n=3, objective=problem.objective, m=1, constraints=problem.constraints,
-            jacobian=problem.jacobian, mu=np.array([-1.0]), L_X=1.0, L_G=1.0, r=1.0,
+            jacobian=problem.jacobian, mu=np.array([-1.0]), L_X=1.0, r=1.0,
             strict_point=problem.strict_point,
         )
 
 
+def _problem_whose_L_G_is(bad):
+    """A problem and ball radius from which derive_constants forms L_G = ||J(x_tilde)|| + L_X * radius
+    equal to ``bad``: a constant zero J gives 0, an infinite ball inf, a nan J at the strict point nan.
+    A negative L_G cannot arise, as both of its terms are >= 0."""
+    toy = _toy_problem()
+    if np.isinf(bad):
+        return toy, np.inf
+    jac = np.full((3, 1), np.nan if np.isnan(bad) else 0.0)
+    return dataclasses.replace(toy, jacobian=lambda x: jac, L_X=0.0 if bad == 0.0 else 1.0), 1.0
+
+
 @pytest.mark.parametrize("name, bad", [
     ("L_X", -1.0), ("L_X", np.inf), ("L_X", np.nan),
-    ("L_G", 0.0), ("L_G", -1.0), ("L_G", np.inf), ("L_G", np.nan),
     ("r", 0.0), ("r", -1.0), ("r", np.inf), ("r", np.nan),
+    ("L_G", 0.0), ("L_G", np.inf), ("L_G", np.nan),
 ])
 def test_problem_constants_are_validated_at_construction(canonical, name, bad):
+    """L_X and r are checked by the problem's constructor; L_G, which divides every step size,
+    by derive_constants, which forms it from the ball."""
     problem = canonical[0]
     with pytest.raises(ValueError, match=f"^{name} must be finite and"):
-        dataclasses.replace(problem, **{name: bad})
+        if name == "L_G":
+            broken, radius = _problem_whose_L_G_is(bad)
+            derive_constants(broken, (broken.strict_point, radius))
+        else:
+            dataclasses.replace(problem, **{name: bad})
     dataclasses.replace(problem, L_X=0.0)  # a constant Jacobian: L_X = 0 is a valid bound
 
 
 def test_problem_constants_are_python_floats(canonical, small_graph):
     """The loop's step sizes and estimator values inherit these types; a numpy scalar here
     would make every scalar operation of an iteration pay numpy's dispatch."""
-    toy = _toy_problem()  # L_G given as np.float64
+    toy = _toy_problem()  # L_X given as np.float64
     for problem, constants in (canonical[:2], small_graph, (toy, derive_constants(toy, (toy.strict_point, 1.0)))):
-        for value in (problem.L_X, problem.L_G, problem.r, constants.L_XY, constants.c_bar, constants.mu_lb):
+        for value in (problem.L_X, problem.r, constants.L_XY, constants.L_G, constants.c_bar, constants.mu_lb,
+                      constants.ball_radius, constants.D_X, constants.D_Y):
             assert type(value) is float
 
 
@@ -339,7 +363,7 @@ def _returning(m, g_out, j_out, n=3):
     obj = BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=np.ones(n))
     return ConstrainedProblem(
         n=n, objective=obj, m=m, constraints=lambda x: g_out, jacobian=lambda x: j_out,
-        mu=np.ones(m), L_X=1.0, L_G=1.0, r=1.0, strict_point=np.zeros(n),
+        mu=np.ones(m), L_X=1.0, r=1.0, strict_point=np.zeros(n),
     )
 
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apdpro.problem import BlockNormObjective
@@ -117,7 +117,7 @@ def test_prox_matches_independent_oracle():
 
 
 def test_prox_multiplier_path_is_monotone():
-    # The bisection assumes the radius residual shrinks as the multiplier grows.
+    # The multiplier solve assumes the radius residual shrinks as the multiplier grows.
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(1, 6))
@@ -266,6 +266,46 @@ def test_prox_matches_the_oracle_property(case):
     mine = prox_f_over_ball(v, eta, BlockNormObjective(blocks=blocks, weights=weights), (center, radius))
     assert np.linalg.norm(mine - center) <= radius + 1e-10
     assert np.max(np.abs(mine - prox_oracle(v, eta, blocks, weights, center, radius))) <= 1e-5
+
+
+@st.composite
+def binding_prox_cases(draw):
+    """A prox the ball binds: random blocks (singletons or not), weights, step and center, v outside,
+    and a radius below the unconstrained prox's distance from the center."""
+    n = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    edges = [0, *cuts, n]
+    blocks = tuple((a, b - a) for a, b in zip(edges, edges[1:]))
+    weights = np.array(draw(st.lists(_floats(0.0, 2.0), min_size=len(blocks), max_size=len(blocks))))
+    center = np.array(draw(st.lists(_floats(-2.0, 2.0), min_size=n, max_size=n)))
+    v = center + draw(st.sampled_from([0.5, 2.0, 8.0])) * np.array(
+        draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
+    eta = draw(_floats(0.05, 2.0))
+    reach = float(np.linalg.norm(soft_threshold_blocks(v, blocks, weights, eta) - center))
+    assume(reach > 0.05)
+    radius = min(draw(_floats(0.1, 0.99)) * reach, 1.5)  # the 1-D oracle scans the ball at 1e-6
+    return v, eta, blocks, weights, center, radius
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=binding_prox_cases())
+def test_prox_where_the_ball_binds_matches_the_oracle_property(case):
+    """The point lies on the sphere to 1e-13 relative, never outside it, and agrees with the oracle."""
+    v, eta, blocks, weights, center, radius = case
+    mine = prox_f_over_ball(v, eta, BlockNormObjective(blocks=blocks, weights=weights), (center, radius))
+    assert (1.0 - 1e-13) * radius <= np.linalg.norm(mine - center) <= radius
+    assert np.max(np.abs(mine - prox_oracle(v, eta, blocks, weights, center, radius))) <= 1e-5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("blocks", [((0, 1), (1, 1), (2, 1)), ((0, 2), (2, 1))], ids=["singletons", "blocks"])
+def test_prox_of_a_non_finite_v_is_non_finite_and_does_not_raise(bad, blocks):
+    """The solver checks x_{k+1} finite and names the layer that went non-finite first; the prox
+    only passes the bad value on, whether or not the ball would bind."""
+    obj = BlockNormObjective(blocks=blocks, weights=np.ones(len(blocks)))
+    for radius in (0.1, 100.0):
+        out = prox_f_over_ball(np.array([3.0, bad, -1.0]), 0.5, obj, (np.zeros(3), radius))
+        assert not np.isfinite(out).all()
 
 
 @st.composite

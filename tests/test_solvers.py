@@ -79,14 +79,16 @@ def test_stage_budget_value():
 
 
 def test_default_step_sizes(canonical):
-    problem, constants, _, _ = canonical
-    # L_G = 2*sqrt(2) squares to 8 only up to one ulp, hence approx, not ==.
-    tau0, sigma0 = default_step_sizes(problem, constants)
-    assert tau0 == pytest.approx(0.25, rel=1e-14)
-    assert sigma0 == pytest.approx(0.25, rel=1e-14)
-    tau0, sigma0 = default_step_sizes(problem, constants, sigma0=0.5)
+    _, constants, _, _ = canonical
+    # L_XY = c_bar = 1 + sqrt(2)/2 and L_G^2 = 2.42 (up to rounding, hence approx, not ==);
+    # the balancing sigma0 makes tau0 = 1/(2 L_XY).
+    l_xy = 1.0 + math.sqrt(2.0) / 2.0
+    tau0, sigma0 = default_step_sizes(constants)
+    assert tau0 == pytest.approx(1.0 / (2.0 * l_xy), rel=1e-14)
+    assert sigma0 == pytest.approx(l_xy / 2.42, rel=1e-14)
+    tau0, sigma0 = default_step_sizes(constants, sigma0=0.5)
     assert sigma0 == 0.5
-    assert tau0 == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert tau0 == pytest.approx(1.0 / (l_xy + 1.21), rel=1e-14)
 
 
 def test_metric_iterate_convention():
@@ -160,7 +162,9 @@ def test_apdpro_epoch_start_is_the_projected_start(canonical):
     problem, constants, _, _ = canonical
     res = _run(canonical, "apdpro", apdpro, max_iters=100)
     [(s, x_start)] = res.epoch_starts
-    assert s == 0 and x_start[0] == 0.0 and res.x[0] > 0.5  # x0, not the last iterate
+    # x0 = 0 lies outside the ball [2 - 1.1 sqrt(2), 2 + 1.1 sqrt(2)]: the start is its projection,
+    # not the last iterate
+    assert s == 0 and x_start[0] == pytest.approx(2.0 - 1.1 * math.sqrt(2.0), rel=1e-15) and res.x[0] > 0.5
     res = apdpro(problem, constants, SolverConfig(max_iters=100), np.array([100.0]), np.zeros(1))
     [(s, x_start)] = res.epoch_starts
     assert s == 0
@@ -168,8 +172,9 @@ def test_apdpro_epoch_start_is_the_projected_start(canonical):
 
 
 def test_zero_iterations_is_a_no_op(canonical):
+    _, constants, _, _ = canonical
     res = _run(canonical, "apdpro", apdpro, max_iters=0)
-    assert np.array_equal(res.x, [0.0])
+    assert np.array_equal(res.x, constants.ball_center - constants.ball_radius)  # x0 = 0, projected on the ball
     assert np.array_equal(res.y, [0.0])
     assert res.trace == []
     assert res.termination == "completed"
@@ -179,8 +184,8 @@ def test_apdpro_step_and_cut_invariants(canonical):
     problem, constants, x_star, y_star = canonical
     snaps = []
     res = _run(canonical, "apdpro", apdpro, observer=snaps.append, max_iters=300)
-    tau0, sigma0 = 0.25, 0.25
-    lxy, lg2 = constants.L_XY, problem.L_G**2
+    tau0, sigma0 = default_step_sizes(constants)
+    lxy, lg2 = constants.L_XY, constants.L_G**2
     rho1 = snaps[0].rho_next
     rhohat1 = snaps[0].rho_hat_next
     assert rho1 > 0.0  # Improve runs from the very first iteration
@@ -300,7 +305,7 @@ def test_baseline_keeps_steps_constant_and_weights_uniform(canonical):
     snaps = []
     _run(canonical, "apd", apd_baseline, observer=snaps.append, max_iters=100)
     tau0, sigma0 = snaps[0].tau, snaps[0].sigma
-    assert tau0 == pytest.approx(0.25, rel=1e-14)
+    assert tau0 == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), rel=1e-14)  # 1/(2 L_XY)
     assert all(s.tau == tau0 and s.sigma == sigma0 and s.t == 1.0 for s in snaps)
     assert all(s.rho == 0.0 and s.rho_next == 0.0 for s in snaps)
 
@@ -340,11 +345,13 @@ def test_rapdpro_epoch_zero_uses_the_conservative_steps(canonical):
     problem, constants, _, _ = canonical
     snaps = []
     _run(canonical, "rapdpro", rapdpro, observer=snaps.append, max_iters=5, max_epochs=0)
-    # sigma_bar = delta*L_XY/L_G^2 = 0.125; tau_bar = (1-nu0)/(L_XY + L_G^2 sigma_bar/delta)
-    sigma_bar = 0.5 * constants.L_XY / problem.L_G**2
+    # sigma_bar = delta*L_XY/L_G^2; tau_bar = (1-nu0)/(L_XY + L_G^2 sigma_bar/delta) = 0.75/(2 L_XY),
+    # with L_XY = 1 + sqrt(2)/2 and L_G^2 = 2.42
+    l_xy = 1.0 + math.sqrt(2.0) / 2.0
+    sigma_bar = 0.5 * constants.L_XY / constants.L_G**2
     assert snaps[0].sigma == sigma_bar
-    assert snaps[0].sigma == pytest.approx(0.125, rel=1e-14)
-    assert snaps[0].tau == pytest.approx(0.1875, rel=1e-14)
+    assert snaps[0].sigma == pytest.approx(0.5 * l_xy / 2.42, rel=1e-14)
+    assert snaps[0].tau == pytest.approx(0.75 / (2.0 * l_xy), rel=1e-14)
 
 
 def test_rapdpro_epoch_contraction(canonical):
@@ -376,13 +383,13 @@ def test_msapd_stage_step_sizes(canonical):
     problem, constants, _, _ = canonical
     snaps = []
     _run(canonical, "msapd", msapd, observer=snaps.append, max_iters=4000, max_epochs=2)
-    lg2 = problem.L_G**2
+    lg2 = constants.L_G**2
     sigma_tilde = constants.L_XY / lg2
     for s in (0, 1, 2):
         first = next(sn for sn in snaps if sn.epoch == s)
         sigma_s = sigma_tilde * 2.0 ** (0.5 * s)
         assert first.sigma == sigma_s
-        assert first.sigma == pytest.approx(0.25 * 2.0 ** (0.5 * s), rel=1e-14)
+        assert first.sigma == pytest.approx((1.0 + math.sqrt(2.0) / 2.0) / 2.42 * 2.0 ** (0.5 * s), rel=1e-14)
         assert first.tau == pytest.approx(1.0 / (constants.L_XY + lg2 * sigma_s), rel=1e-15)
         # constant within the stage
         last = [sn for sn in snaps if sn.epoch == s][-1]
@@ -569,11 +576,11 @@ def _two_ball_problem():
     def jacobian(x):
         return (x - centers).T
 
-    # L_G = 5 bounds ||J|| <= sqrt(2) (R + 0.5) on the ball of radius R = 2 sqrt(2).
+    # L_X = sqrt(2): J(x) - J(x') has the column x - x' twice.
     problem = ConstrainedProblem(
         n=2, objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)), m=2,
         constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
-        L_G=5.0, r=1.0, strict_point=np.array([2.0, 0.5]),
+        r=1.0, strict_point=np.array([2.0, 0.5]),
     )
     return problem, derive_constants(problem, feasible_ball(problem, list(centers)))
 
@@ -652,7 +659,7 @@ def test_all_finite_is_exact_at_every_position(shape):
 @pytest.mark.parametrize("field, what", [("constraints", r"constraint value G\(x\)"), ("jacobian", r"Jacobian J\(x\)")])
 def test_non_finite_oracle_at_entry_raises(canonical, field, what):
     problem, constants, _, _ = canonical
-    x0 = np.zeros(problem.n)
+    x0 = np.array([0.5])  # inside the ball, so x0 itself is the start
     evaluate = getattr(problem, field)
 
     def nan_at_x0(x):
