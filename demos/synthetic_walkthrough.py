@@ -12,18 +12,18 @@ and shows the strong-convexity estimate at work.
 import numpy as np
 
 from apdpro.pagerank import make_synthetic_instance
-from apdpro.problem import derive_constants, feasible_ball
+from apdpro.problem import derive_constants
 from apdpro.solvers import SolverConfig, apdpro
 
 # build the instance; the closed-form primal/dual pair comes along for free
 problem, x_star, y_star = make_synthetic_instance(n=1, center=2.0, level=1.0)
 print(f"solution  x* = {x_star[0]:.12f}   multiplier y* = {y_star[0]:.12f}")
 
-# the solver needs a ball around a strictly feasible point and the derived
-# constants (Lipschitz bound, dual radius, diameters)
-ball = feasible_ball(problem, [problem.strict_point])
-constants = derive_constants(problem, ball)
-print(f"ball      center {constants.ball_center[0]:.4f}, radius {constants.ball_radius:.4f}")
+# the solver needs the derived constants: the radius of a ball around the
+# strictly feasible point (here the minimizer of g) that holds the feasible
+# set, the Lipschitz bounds, the dual radius and the diameters
+constants = derive_constants(problem, [problem.strict_point])
+print(f"ball      center {problem.strict_point[0]:.4f}, radius {constants.ball_radius:.4f}")
 print(f"constants L_XY = {constants.L_XY:.4f}, c_bar = {constants.c_bar:.4f}, "
       f"D_X = {constants.D_X:.4f}, D_Y = {constants.D_Y:.4f}")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import NumericalError, cg_solve
 from .pagerank import build_ppr_problem, load_graph, make_synthetic_instance
-from .problem import ConstrainedProblem, ProblemConstants, derive_constants, feasible_ball, kkt_residual
+from .problem import ConstrainedProblem, ProblemConstants, derive_constants, kkt_residual
 from .solvers import (
     VARIANTS,
     RunResult,
@@ -152,7 +152,7 @@ class InstanceBundle:
 
 
 def build_instance(spec: InstanceSpec) -> InstanceBundle:
-    """Construct the problem, its ball, and the derived constants."""
+    """Construct the problem and its derived constants."""
     if spec.kind == "synthetic":
         problem, x_star, y_star = make_synthetic_instance(spec.n, spec.center, spec.level)
         sha = hashlib.sha256(problem.strict_point.tobytes()).hexdigest()[:16]  # every bit of c, as a graph's file content
@@ -164,7 +164,7 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
             sha = hashlib.sha256(fh.read()).hexdigest()[:16]
         identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|s={spec.s}|r_rule={spec.r_rule}"
         oracle, cache_dir, label = None, os.path.dirname(os.path.abspath(spec.path)), os.path.basename(spec.path)
-    constants = derive_constants(problem, feasible_ball(problem, [problem.strict_point]))
+    constants = derive_constants(problem, [problem.strict_point])
     return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
 
 
@@ -307,6 +307,8 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     if mode == "file":
         with open(config.reference_path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and "x" in data):
+            raise ValueError(f'reference file {config.reference_path}: need a JSON object with an "x" entry')
         x = np.asarray(data["x"], dtype=float)
         if x.shape != (bundle.problem.n,):
             raise ValueError(f"reference file has {x.shape} primal entries, need {bundle.problem.n}")

@@ -44,8 +44,8 @@ def _summarize(variant: str, result, path) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Bad input (the config, a missing or malformed graph file, an unattainable b)
-    # is reported on one line, with exit status 2.
+    # Bad input (the config, a missing or malformed graph or reference file, an
+    # unattainable b) is reported on one line, with exit status 2.
     try:
         return _command(args.command, bench.load_experiment_config(args.config))
     except (OSError, ValueError) as exc:
@@ -56,20 +56,20 @@ def main(argv=None) -> int:
 def _command(command: str, config) -> int:
     if command == "run":
         if not config.output_path:
-            raise SystemExit("run needs [output] path in the config")
+            raise ValueError("run needs [output] path in the config")
         result = bench.run_experiment(config)
         _summarize(config.solver.variant, result, config.output_path)
         return 0
     if command == "compare":
         if not config.output_path:
-            raise SystemExit("compare needs [output] path in the config")
+            raise ValueError("compare needs [output] path in the config")
         results = bench.run_comparison(config)
         for variant, result in results.items():
             _summarize(variant, result, bench._variant_path(config.output_path, variant))
         return 0
     # reference
     if config.reference_mode == "none":
-        raise SystemExit("reference subcommand needs [reference] mode in the config")
+        raise ValueError("reference subcommand needs [reference] mode in the config")
     bundle = bench.build_instance(config.instance)
     ref = bench.get_reference(bundle, config)
     if ref is None:

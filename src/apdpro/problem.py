@@ -25,7 +25,6 @@ __all__ = [
     "ConstrainedProblem",
     "ProblemConstants",
     "KktResidual",
-    "feasible_ball",
     "derive_constants",
     "kkt_residual",
     "jacobian_operator_norm",
@@ -238,10 +237,12 @@ class ConstrainedProblem:
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Derived constants: dual bound, primal ball, diameters, the constraint map's and the coupled smoothness."""
+    """Derived constants: dual bound, primal ball radius, diameters, the constraint map's and the coupled smoothness.
+
+    The primal ball is centered at the problem's ``strict_point``.
+    """
 
     c_bar: float
-    ball_center: np.ndarray
     ball_radius: float
     D_X: float
     D_Y: float
@@ -304,10 +305,8 @@ def _dual_radius_bound(problem: ConstrainedProblem, g_tilde: np.ndarray, jac_til
     return best
 
 
-def feasible_ball(
-    problem: ConstrainedProblem, minimizers: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Ball B(x_tilde, R) containing the feasible set {G <= 0}, hence the optimum.
+def derive_constants(problem: ConstrainedProblem, minimizers: Sequence[np.ndarray]) -> ProblemConstants:
+    """c_bar, the primal ball's radius, diameters, L_XY = c_bar * L_X and L_G in one bundle.
 
     Parameters
     ----------
@@ -316,61 +315,50 @@ def feasible_ball(
         constraints these come from a linear solve; generic callers must
         supply them).
 
-    Returns
-    -------
-    (center, radius)
-        Center is the strict point x_tilde itself, not a copy; R is the
-        least over i of ||x_tilde - x_i*|| + (1 + theta) sqrt(-2 g_i(x_i*)/mu_i).
-        By strong convexity g_i(x) >= g_i(x_i*) + mu_i ||x - x_i*||^2 / 2,
-        so {g_i <= 0} lies within sqrt(-2 g_i(x_i*)/mu_i) of x_i*; the
-        triangle inequality moves that ball to x_tilde, and the margin
-        theta = 0.1 (``_BALL_MARGIN``) keeps its boundary off the feasible
-        set's.
-    """
-    if len(minimizers) != problem.m:
-        raise ValueError(f"need {problem.m} per-constraint minimizers, got {len(minimizers)}")
-    center = problem.strict_point
-    radii = []
-    for i, xi in enumerate(minimizers):
-        xi = _vec(xi, problem.n, f"minimizer {i}")
-        gi = float(problem.g(xi)[i])
-        if gi >= 0:
-            raise ValueError(f"constraint {i} is never strictly satisfiable: min g = {gi:.6g} >= 0")
-        offset = 0.0 if xi is center else _norm(center - xi)  # the builders pass x_tilde itself
-        radii.append(offset + (1.0 + _BALL_MARGIN) * math.sqrt(-2.0 * gi / problem.mu[i]))
-    return center, min(radii)
+    The primal ball X = B(x_tilde, R) is centered at the strict point and
+    contains the feasible set {G <= 0}, hence the optimum. R is the least
+    over i of ||x_tilde - x_i*|| + (1 + theta) sqrt(-2 g_i(x_i*)/mu_i). By
+    strong convexity g_i(x) >= g_i(x_i*) + mu_i ||x - x_i*||^2 / 2, so
+    {g_i <= 0} lies within sqrt(-2 g_i(x_i*)/mu_i) of x_i*; the triangle
+    inequality moves that ball to x_tilde, and the margin theta = 0.1
+    (``_BALL_MARGIN``) keeps its boundary off the feasible set's.
 
-
-def derive_constants(problem: ConstrainedProblem, ball: tuple[np.ndarray, float]) -> ProblemConstants:
-    """Package c_bar, the ball, diameters, L_XY = c_bar * L_X and L_G into one bundle.
-
-    G and J are evaluated once each at the strict point x_tilde, for c_bar
+    G and J are evaluated once each at x_tilde, and G again only at a
+    minimizer that differs from x_tilde. G(x_tilde) serves c_bar
     (``_dual_radius_bound``, which adds G at the origin and at one point of
-    the segment between them) and for L_G = ||J(x_tilde)|| + L_X (R +
-    ||center - x_tilde||), the largest ||J|| on the ball that the Lipschitz
-    modulus L_X allows (the last term is 0 for ``feasible_ball``'s ball).
-    D_Y is the exact diameter of Y: c_bar for m = 1, sqrt(2)*c_bar otherwise
-    (the farthest vertex pair of the l1-capped nonnegative orthant). The
-    scalars are Python floats (L_X is one, see ConstrainedProblem).
+    the segment between them); J(x_tilde) serves L_G = ||J(x_tilde)|| +
+    L_X R, the largest ||J|| on the ball that the Lipschitz modulus L_X
+    allows. D_Y is the exact diameter of Y: c_bar for m = 1,
+    sqrt(2)*c_bar otherwise (the farthest vertex pair of the l1-capped
+    nonnegative orthant). The scalars are Python floats (L_X is one, see
+    ConstrainedProblem).
 
     Raises
     ------
     ValueError
-        If G(x_tilde) < 0 fails, or L_G is not finite and positive.
+        If the minimizers are not one per constraint, a constraint's minimum
+        is not negative, G(x_tilde) < 0 fails, or L_G is not finite and
+        positive.
     """
-    center, radius = ball
-    center, radius = _vec(center, problem.n, "ball center"), float(radius)
+    if len(minimizers) != problem.m:
+        raise ValueError(f"need {problem.m} per-constraint minimizers, got {len(minimizers)}")
     x_tilde = problem.strict_point
+    g_tilde = problem.g(x_tilde)
+    radius = math.inf
+    for i, xi in enumerate(minimizers):
+        xi = _vec(xi, problem.n, f"minimizer {i}")
+        gi = float((g_tilde if np.array_equal(xi, x_tilde) else problem.g(xi))[i])  # the builders pass x_tilde
+        if gi >= 0:
+            raise ValueError(f"constraint {i} is never strictly satisfiable: min g = {gi:.6g} >= 0")
+        radius = min(radius, _norm(x_tilde - xi) + (1.0 + _BALL_MARGIN) * math.sqrt(-2.0 * gi / problem.mu[i]))
     jac_tilde = problem.jac(x_tilde)
-    c_bar = _dual_radius_bound(problem, problem.g(x_tilde), jac_tilde)
-    offset = 0.0 if center is x_tilde else _norm(center - x_tilde)  # feasible_ball's center is x_tilde itself
-    l_g = _operator_norm(jac_tilde, problem.m) + problem.L_X * (radius + offset)
+    c_bar = _dual_radius_bound(problem, g_tilde, jac_tilde)
+    l_g = _operator_norm(jac_tilde, problem.m) + problem.L_X * radius
     if not (math.isfinite(l_g) and l_g > 0.0):
         raise ValueError(f"L_G must be finite and positive, got {l_g!r}")
     d_y = c_bar if problem.m == 1 else math.sqrt(2.0) * c_bar
     return ProblemConstants(
         c_bar=c_bar,
-        ball_center=center,
         ball_radius=radius,
         D_X=2.0 * radius,
         D_Y=d_y,

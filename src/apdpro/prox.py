@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +10,6 @@ from .linalg import NumericalError
 from .problem import BlockNormObjective, _norm, _vec
 
 __all__ = [
-    "DualSlab",
     "InfeasibleCutError",
     "block_soft_threshold",
     "prox_f_over_ball",
@@ -27,15 +25,6 @@ _EPS = float(np.finfo(float).eps)
 
 class InfeasibleCutError(RuntimeError):
     """The dual cut produced an empty slab (rho exceeded mu_lb * c_bar)."""
-
-
-@dataclass(frozen=True)
-class DualSlab:
-    """The cut dual set {y >= 0, lower <= sum(y) <= upper} with lower = rho/mu_lb."""
-
-    lower: float
-    upper: float
-    m: int
 
 
 def block_soft_threshold(v, objective: BlockNormObjective, eta: float) -> np.ndarray:
@@ -186,8 +175,11 @@ def prox_f_over_ball(
     return x_hi  # f_hi <= 0: inside the ball
 
 
-def project_dual_set(u, slab: DualSlab) -> np.ndarray:
+def project_dual_set(u, lower: float, upper: float) -> np.ndarray:
     """Euclidean projection onto the slab {y >= 0, lower <= sum(y) <= upper}.
+
+    The solvers cut the dual set Y = {y >= 0, ||y||_1 <= c_bar} below at
+    lower = rho/mu_lb, with upper = c_bar; u may have any length.
 
     Uses the shift characterization y(nu) = [u - nu]_+, whose sum is
     nonincreasing in nu: nu = 0 if the plain positive part already satisfies
@@ -200,16 +192,14 @@ def project_dual_set(u, slab: DualSlab) -> np.ndarray:
     there, which keeps the sum at the target to rounding (u - nu would
     cancel at |u| >> target).
     """
-    if slab.lower > slab.upper:
-        raise InfeasibleCutError(
-            f"empty dual slab: lower {slab.lower:.6g} > upper {slab.upper:.6g}"
-        )
-    u = _vec(u, slab.m, "u")
+    if lower > upper:
+        raise InfeasibleCutError(f"empty dual slab: lower {lower:.6g} > upper {upper:.6g}")
+    u = _vec(u, np.size(u), "u")  # any length; rejects all but a vector
     y0 = np.maximum(u, 0.0)
     s0 = float(y0.sum())
-    if slab.lower <= s0 <= slab.upper:
+    if lower <= s0 <= upper:
         return y0
-    target = slab.upper if s0 > slab.upper else slab.lower
+    target = upper if s0 > upper else lower
     if target <= 0.0:
         return np.zeros_like(u)
     us = np.sort(u)[::-1]

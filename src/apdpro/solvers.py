@@ -50,7 +50,7 @@ from .problem import (
     jacobian_operator_norm,
     kkt_residual,
 )
-from .prox import DualSlab, project_dual_set, prox_f_over_ball
+from .prox import project_dual_set, prox_f_over_ball
 
 __all__ = [
     "SolverState",
@@ -332,11 +332,12 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0) -> SolverState:
         if not np.isfinite(z).all():
             raise ValueError(f"{name} must be finite, got a nan or inf entry")
     # Confine the start to X and Y so the convergence theory's hypotheses hold.
-    d = x0 - constants.ball_center
+    center = problem.strict_point
+    d = x0 - center
     nd = float(np.linalg.norm(d))
     if nd > constants.ball_radius:
-        x0 = constants.ball_center + d * (constants.ball_radius / nd)
-    y0 = project_dual_set(y0, DualSlab(lower=0.0, upper=constants.c_bar, m=problem.m))
+        x0 = center + d * (constants.ball_radius / nd)
+    y0 = project_dual_set(y0, 0.0, constants.c_bar)
     return SolverState(
         x=x0,
         y=y0,
@@ -507,7 +508,7 @@ class _Driver:
         """
         prob, c = self.prob, self.c
         quadratic = self.quadratic
-        ball = (c.ball_center, c.ball_radius)
+        ball = (prob.strict_point, c.ball_radius)
         est = st.rho_est
         adaptive = improve_rule != "alg3"
         ergodic = self.ergodic
@@ -525,8 +526,7 @@ class _Driver:
             ratio = st.sigma_prev / sigma_k
             z = (1.0 + ratio) * gx - ratio * gx_prev
             lower = min(rho_k, self.rho_cap) / c.mu_lb if adaptive else 0.0
-            slab = DualSlab(lower=lower, upper=c.c_bar, m=prob.m)
-            y_next = project_dual_set(st.y + sigma_k * z, slab)
+            y_next = project_dual_set(st.y + sigma_k * z, lower, c.c_bar)
 
             # Primal prox step; dot, not matmul: an n-by-1 J times a length-1 y misses BLAS under @.
             v = jx.dot(y_next)

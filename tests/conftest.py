@@ -2,7 +2,7 @@ import pytest
 
 from apdpro.bench import InstanceSpec, build_instance
 from apdpro.pagerank import build_ppr_problem, load_graph, make_synthetic_instance
-from apdpro.problem import derive_constants, feasible_ball
+from apdpro.problem import derive_constants
 from helpers import chorded_path_edges, write_edge_list
 
 
@@ -10,8 +10,7 @@ from helpers import chorded_path_edges, write_edge_list
 def canonical():
     """The 1-D known-solution instance: f=|x|, g=(x-2)^2/2 - 1, x*=2-sqrt(2)."""
     problem, x_star, y_star = make_synthetic_instance(1, 2.0, 1.0)
-    ball = feasible_ball(problem, [problem.strict_point])
-    constants = derive_constants(problem, ball)
+    constants = derive_constants(problem, [problem.strict_point])
     return problem, constants, x_star, y_star
 
 

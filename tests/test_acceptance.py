@@ -22,7 +22,7 @@ from apdpro.bench import (
 )
 from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.problem import BlockNormObjective
-from apdpro.prox import DualSlab, project_dual_set, prox_f_over_ball
+from apdpro.prox import project_dual_set, prox_f_over_ball
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
 from helpers import random_partition, star_edges, write_edge_list
 from oracles import lagrangian_oracle, ppr_q_dense, project_oracle, prox_oracle
@@ -84,7 +84,7 @@ def test_criterion_2_dual_projection_matches_enumeration():
             u = rng.normal(scale=2.0, size=m)
             upper = float(rng.uniform(0.5, 4.0))
             lower = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.9 * upper))
-            got = project_dual_set(u, DualSlab(lower=lower, upper=upper, m=m))
+            got = project_dual_set(u, lower, upper)
             want = project_oracle(u, lower, upper)
             worst = max(worst, float(np.max(np.abs(got - want))))
         elapsed = time.monotonic() - start
@@ -175,8 +175,8 @@ def test_criterion_6_rate_separation(canonical):
         slope_pro = float(np.linalg.lstsq(design, np.log(e), rcond=None)[0][0])
 
         cbar = constants.c_bar
-        lo = constants.ball_center[0] - constants.ball_radius
-        hi = constants.ball_center[0] + constants.ball_radius
+        lo = problem.strict_point[0] - constants.ball_radius
+        hi = problem.strict_point[0] + constants.ball_radius
 
         def supinf_gap(x_bar, y_bar):
             xb, yb = float(x_bar[0]), float(y_bar[0])

@@ -78,10 +78,36 @@ def test_reference_long_run_caches(tmp_path, capsys):
         assert printed.splitlines()[0].endswith(", method active-set (1 step)")
 
 
-def test_run_requires_output_section(tmp_path):
-    cfg = _write_config(tmp_path, "[instance]\nkind = synthetic\n")
-    with pytest.raises(SystemExit, match="output"):
-        main(["run", "--config", cfg])
+def _assert_config_fault(tmp_path, capsys, command, text, message):
+    """The command exits 2 with one 'error:' line and writes nothing."""
+    cfg = _write_config(tmp_path, "[instance]\nkind = synthetic\n" + text)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message} in the config\n"
+    assert os.listdir(tmp_path) == ["exp.ini"]
+
+
+def test_run_requires_output_section(tmp_path, capsys):
+    _assert_config_fault(tmp_path, capsys, "run", "", "run needs [output] path")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("compare", "", "compare needs [output] path"),
+    ("reference", "[reference]\nmode = none\n", "reference subcommand needs [reference] mode"),
+], ids=["compare", "reference"])
+def test_compare_and_reference_require_their_sections(tmp_path, capsys, command, text, message):
+    _assert_config_fault(tmp_path, capsys, command, text, message)
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '{"y": [1]}'], ids=["list", "no-x"])
+def test_a_reference_file_without_x_is_an_error_line(tmp_path, capsys, payload):
+    ref = tmp_path / "ref.json"
+    ref.write_text(payload, encoding="utf-8")
+    cfg = _write_config(tmp_path, (
+        "[instance]\nkind = synthetic\n"
+        f"[reference]\nmode = file\npath = {ref}\n"
+    ))
+    assert main(["reference", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f'error: reference file {ref}: need a JSON object with an "x" entry\n'
 
 
 def test_bad_config_returns_error_code(tmp_path, capsys):

@@ -11,7 +11,6 @@ from apdpro.problem import (
     ConstrainedProblem,
     _vec,
     derive_constants,
-    feasible_ball,
     jacobian_operator_norm,
     kkt_residual,
 )
@@ -133,25 +132,45 @@ def test_dual_radius_bound_canonical(canonical):
 
 def test_dual_radius_bound_rejects_nonstrict_point():
     problem = _toy_problem()
-    bad = ConstrainedProblem(
-        n=problem.n, objective=problem.objective, m=1,
-        constraints=lambda x: np.array([1.0]), jacobian=problem.jacobian,
-        mu=np.array([1.0]), L_X=1.0, r=1.0, strict_point=problem.strict_point,
-    )
+    bad = dataclasses.replace(problem, strict_point=np.array([3.0, 0.0, 0.0]))  # g = 1 there
     with pytest.raises(ValueError, match="strict feasibility"):
-        derive_constants(bad, (bad.strict_point, 1.0))
+        derive_constants(bad, [problem.strict_point])  # the minimizer of g, where g = -1
 
 
-def test_feasible_ball_canonical(canonical):
+def test_primal_ball_canonical(canonical):
     problem, _, _, _ = canonical
-    center, radius = feasible_ball(problem, [problem.strict_point])
-    assert np.array_equal(center, [2.0])
-    assert radius == pytest.approx(1.1 * SQRT2, abs=1e-15)  # (1 + theta) sqrt(-2 g(2)/mu)
+    constants = derive_constants(problem, [problem.strict_point])
+    assert constants.ball_radius == pytest.approx(1.1 * SQRT2, abs=1e-15)  # (1 + theta) sqrt(-2 g(2)/mu)
     with pytest.raises(ValueError, match="minimizers"):
-        feasible_ball(problem, [])
+        derive_constants(problem, [])
 
 
-def test_feasible_ball_rejects_unsatisfiable_constraint():
+def test_primal_ball_moves_to_a_strict_point_off_the_minimizer():
+    """||x_tilde - x*|| + (1 + theta) sqrt(-2 g(x*)/mu): the ball around x_tilde holds the one around x*."""
+    problem = _toy_problem()
+    moved = dataclasses.replace(problem, strict_point=np.array([1.5, 0.0, 0.0]))
+    radius = derive_constants(moved, [problem.strict_point]).ball_radius
+    assert radius == pytest.approx(0.5 + 1.1 * SQRT2, rel=1e-15)
+
+
+@pytest.mark.parametrize("instance", ["canonical", "small_graph"])
+def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance):
+    """G(x_tilde) serves both the radius, when x_tilde is the minimizer, and c_bar."""
+    problem = request.getfixturevalue(instance)[0]
+    x_tilde, at_x_tilde = problem.strict_point, []
+
+    def constraints(x):
+        at_x_tilde.append(np.array_equal(x, x_tilde))
+        return problem.constraints(x)
+
+    counted = dataclasses.replace(problem, constraints=constraints)
+    at_x_tilde.clear()  # the quadratic structure's check, at construction, evaluates G there too
+    constants = derive_constants(counted, [counted.strict_point])
+    assert at_x_tilde.count(True) == 1
+    assert constants == derive_constants(problem, [x_tilde])
+
+
+def test_primal_ball_rejects_unsatisfiable_constraint():
     problem = _toy_problem()
     hopeless = ConstrainedProblem(
         n=problem.n, objective=problem.objective, m=1,
@@ -159,7 +178,7 @@ def test_feasible_ball_rejects_unsatisfiable_constraint():
         mu=np.array([1.0]), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
     with pytest.raises(ValueError, match="never strictly satisfiable"):
-        feasible_ball(hopeless, [np.zeros(3)])
+        derive_constants(hopeless, [np.zeros(3)])
 
 
 def test_derived_constants_canonical(canonical):
@@ -176,7 +195,7 @@ def test_derived_constants_canonical(canonical):
 
 def test_dual_diameter_multi_constraint():
     problem = _toy_problem(m=2)
-    constants = derive_constants(problem, feasible_ball(problem, [problem.strict_point] * 2))
+    constants = derive_constants(problem, [problem.strict_point] * 2)
     assert constants.D_Y == pytest.approx(SQRT2 * constants.c_bar, abs=1e-15)
 
 
@@ -259,14 +278,17 @@ def test_constraint_shape_errors():
 
 
 def _problem_whose_L_G_is(bad):
-    """A problem and ball radius from which derive_constants forms L_G = ||J(x_tilde)|| + L_X * radius
-    equal to ``bad``: a constant zero J gives 0, an infinite ball inf, a nan J at the strict point nan.
-    A negative L_G cannot arise, as both of its terms are >= 0."""
+    """A problem and minimizer from which derive_constants forms L_G = ||J(x_tilde)|| + L_X * radius
+    equal to ``bad``: a constant zero J gives 0, a minimizer where G is -inf an infinite ball and inf,
+    a nan J at the strict point nan. A negative L_G cannot arise, as both of its terms are >= 0."""
     toy = _toy_problem()
     if np.isinf(bad):
-        return toy, np.inf
+        origin = np.zeros(3)
+        return dataclasses.replace(
+            toy, constraints=lambda x: np.array([-np.inf]) if np.array_equal(x, origin) else toy.constraints(x)
+        ), origin
     jac = np.full((3, 1), np.nan if np.isnan(bad) else 0.0)
-    return dataclasses.replace(toy, jacobian=lambda x: jac, L_X=0.0 if bad == 0.0 else 1.0), 1.0
+    return dataclasses.replace(toy, jacobian=lambda x: jac, L_X=0.0 if bad == 0.0 else 1.0), toy.strict_point
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -276,12 +298,12 @@ def _problem_whose_L_G_is(bad):
 ])
 def test_problem_constants_are_validated_at_construction(canonical, name, bad):
     """L_X and r are checked by the problem's constructor; L_G, which divides every step size,
-    by derive_constants, which forms it from the ball."""
+    by derive_constants, which forms it from the ball's radius."""
     problem = canonical[0]
     with pytest.raises(ValueError, match=f"^{name} must be finite and"):
         if name == "L_G":
-            broken, radius = _problem_whose_L_G_is(bad)
-            derive_constants(broken, (broken.strict_point, radius))
+            broken, minimizer = _problem_whose_L_G_is(bad)
+            derive_constants(broken, [minimizer])
         else:
             dataclasses.replace(problem, **{name: bad})
     dataclasses.replace(problem, L_X=0.0)  # a constant Jacobian: L_X = 0 is a valid bound
@@ -291,7 +313,7 @@ def test_problem_constants_are_python_floats(canonical, small_graph):
     """The loop's step sizes and estimator values inherit these types; a numpy scalar here
     would make every scalar operation of an iteration pay numpy's dispatch."""
     toy = _toy_problem()  # L_X given as np.float64
-    for problem, constants in (canonical[:2], small_graph, (toy, derive_constants(toy, (toy.strict_point, 1.0)))):
+    for problem, constants in (canonical[:2], small_graph, (toy, derive_constants(toy, [toy.strict_point]))):
         for value in (problem.L_X, problem.r, constants.L_XY, constants.L_G, constants.c_bar, constants.mu_lb,
                       constants.ball_radius, constants.D_X, constants.D_Y):
             assert type(value) is float

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from apdpro.problem import BlockNormObjective
 from apdpro.prox import (
-    DualSlab,
     InfeasibleCutError,
     block_soft_threshold,
     project_dual_set,
@@ -135,24 +134,23 @@ def test_prox_multiplier_path_is_monotone():
 
 
 def test_dual_projection_interval_clamp():
-    slab = DualSlab(lower=1.0, upper=2.0, m=1)
-    assert project_dual_set(np.array([0.5]), slab)[0] == pytest.approx(1.0, abs=1e-12)
-    assert project_dual_set(np.array([3.0]), slab)[0] == pytest.approx(2.0, abs=1e-12)
-    assert project_dual_set(np.array([1.7]), slab)[0] == pytest.approx(1.7, abs=1e-15)
+    assert project_dual_set(np.array([0.5]), 1.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert project_dual_set(np.array([3.0]), 1.0, 2.0)[0] == pytest.approx(2.0, abs=1e-12)
+    assert project_dual_set(np.array([1.7]), 1.0, 2.0)[0] == pytest.approx(1.7, abs=1e-15)
 
 
 def test_dual_projection_upper_bound_split():
-    out = project_dual_set(np.array([2.0, 2.0]), DualSlab(lower=0.0, upper=3.0, m=2))
+    out = project_dual_set(np.array([2.0, 2.0]), 0.0, 3.0)
     assert np.allclose(out, [1.5, 1.5], atol=1e-12)
 
 
 def test_dual_projection_empty_slab_raises():
     with pytest.raises(InfeasibleCutError):
-        project_dual_set(np.array([1.0]), DualSlab(lower=2.0, upper=1.0, m=1))
+        project_dual_set(np.array([1.0]), 2.0, 1.0)
 
 
 def test_dual_projection_degenerate_equality_slab():
-    out = project_dual_set(np.array([0.2, 0.9]), DualSlab(lower=1.0, upper=1.0, m=2))
+    out = project_dual_set(np.array([0.2, 0.9]), 1.0, 1.0)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out >= 0.0)
 
@@ -163,12 +161,12 @@ def test_dual_projection_matches_enumeration():
         m = int(rng.integers(1, 4))
         u = rng.normal(scale=2.0, size=m)
         bounds = np.sort(rng.uniform(0.0, 3.0, size=2))
-        slab = DualSlab(lower=float(bounds[0]), upper=float(bounds[1]), m=m)
-        mine = project_dual_set(u, slab)
-        ref = project_oracle(u, slab.lower, slab.upper)
+        lower, upper = float(bounds[0]), float(bounds[1])
+        mine = project_dual_set(u, lower, upper)
+        ref = project_oracle(u, lower, upper)
         assert np.max(np.abs(mine - ref)) <= 1e-8
         assert np.all(mine >= 0.0)
-        assert slab.lower - 1e-10 <= mine.sum() <= slab.upper + 1e-10
+        assert lower - 1e-10 <= mine.sum() <= upper + 1e-10
 
 
 def test_dual_projection_nonexpansive():
@@ -176,10 +174,10 @@ def test_dual_projection_nonexpansive():
     for _ in range(200):
         m = int(rng.integers(1, 5))
         bounds = np.sort(rng.uniform(0.0, 3.0, size=2))
-        slab = DualSlab(lower=float(bounds[0]), upper=float(bounds[1]), m=m)
+        lower, upper = float(bounds[0]), float(bounds[1])
         u1 = rng.normal(scale=2.0, size=m)
         u2 = rng.normal(scale=2.0, size=m)
-        d_out = np.linalg.norm(project_dual_set(u1, slab) - project_dual_set(u2, slab))
+        d_out = np.linalg.norm(project_dual_set(u1, lower, upper) - project_dual_set(u2, lower, upper))
         assert d_out <= np.linalg.norm(u1 - u2) + 1e-12
 
 
@@ -189,7 +187,7 @@ def test_dual_projection_lower_edge_far_below_the_slab():
     for u, expected in (([-1e20], [1e-5]), ([-1e20, -3e20], [1e-5, 0.0]), ([-3e20, -1e20], [0.0, 1e-5]),
                         ([-1e10], [1e-5])):
         u = np.array(u)
-        mine = project_dual_set(u, DualSlab(lower=1e-5, upper=1.0, m=u.size))
+        mine = project_dual_set(u, 1e-5, 1.0)
         assert np.array_equal(mine, expected)
         assert np.array_equal(mine, project_oracle(u, 1e-5, 1.0))
 
@@ -209,12 +207,12 @@ def _spellings(exact):
 @pytest.mark.parametrize("v", [np.array([3.0, -0.5, 0.0]), np.array([2.0])], ids=["n3", "n1"])
 def test_operators_convert_every_spelling_of_a_float64_vector(v):
     n = v.size
-    obj, ball, slab = _l1(n), (np.full(n, 0.5), 1.0), DualSlab(lower=0.5, upper=1.0, m=n)
+    obj, ball = _l1(n), (np.full(n, 0.5), 1.0)
     runs = (
         lambda a: block_soft_threshold(a, obj, 0.7),
         lambda a: prox_f_over_ball(a, 0.7, obj, ball),
         lambda a: prox_f_over_ball(v, 0.7, obj, (a, 2.0)),  # the ball center
-        lambda a: project_dual_set(a, slab),
+        lambda a: project_dual_set(a, 0.5, 1.0),
     )
     for run in runs:
         want = run(v)
@@ -225,7 +223,7 @@ def test_operators_convert_every_spelling_of_a_float64_vector(v):
 
 
 def test_operators_reject_a_wrong_shape_with_the_argument_name():
-    obj, slab = _l1(2), DualSlab(lower=0.0, upper=1.0, m=2)
+    obj = _l1(2)
     for bad in (np.zeros(3), np.zeros((2, 1)), [1.0]):
         shape = np.shape(bad)
         with pytest.raises(ValueError, match=re.escape(f"v must have shape (2,), got {shape}")):
@@ -234,11 +232,16 @@ def test_operators_reject_a_wrong_shape_with_the_argument_name():
             prox_f_over_ball(bad, 1.0, obj, (np.zeros(2), 1.0))
         with pytest.raises(ValueError, match=re.escape(f"ball center must have shape (2,), got {shape}")):
             prox_f_over_ball(np.zeros(2), 1.0, obj, (bad, 1.0))
-        with pytest.raises(ValueError, match=re.escape(f"u must have shape (2,), got {shape}")):
-            project_dual_set(bad, slab)
+    # the dual projection takes a vector of any length; a matrix it rejects by name
+    for bad in (np.zeros((2, 1)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"u must have shape ({bad.size},), got {bad.shape}")):
+            project_dual_set(bad, 0.0, 1.0)
 
 
 # -- properties against the independent oracles -----------------------------------
+
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
 
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
@@ -355,10 +358,12 @@ def slab_cases(draw):
 @given(case=slab_cases())
 def test_dual_projection_matches_the_oracle_property(case):
     u, lower, upper = case
-    mine = project_dual_set(u, DualSlab(lower=lower, upper=upper, m=u.size))
+    mine = project_dual_set(u, lower, upper)
     assert np.all(mine >= 0.0) and lower - 1e-10 <= mine.sum() <= upper + 1e-10
     positive = np.maximum(u, 0.0).sum()
     if not lower <= positive <= upper:  # a sum bound is active: the sum sits on it
         target = upper if positive > upper else lower
-        assert abs(mine.sum() - target) <= 1e-12 * target
+        # each entry lies on float64's grid, whose step below the normal range is the smallest
+        # subnormal: a subnormal target (u = [0, 0] onto sum 5e-324) is met to one step per entry
+        assert abs(mine.sum() - target) <= 1e-12 * target + u.size * _SUBNORMAL
     assert np.max(np.abs(mine - project_oracle(u, lower, upper))) <= 1e-8

@@ -13,7 +13,7 @@ from apdpro import solvers
 from apdpro.bench import make_recorder
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import make_synthetic_instance
-from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, feasible_ball
+from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants
 from apdpro.solvers import (
     VARIANTS,
     SolverConfig,
@@ -168,13 +168,13 @@ def test_apdpro_epoch_start_is_the_projected_start(canonical):
     res = apdpro(problem, constants, SolverConfig(max_iters=100), np.array([100.0]), np.zeros(1))
     [(s, x_start)] = res.epoch_starts
     assert s == 0
-    assert x_start[0] == pytest.approx(constants.ball_center[0] + constants.ball_radius, rel=1e-15)
+    assert x_start[0] == pytest.approx(problem.strict_point[0] + constants.ball_radius, rel=1e-15)
 
 
 def test_zero_iterations_is_a_no_op(canonical):
-    _, constants, _, _ = canonical
+    problem, constants, _, _ = canonical
     res = _run(canonical, "apdpro", apdpro, max_iters=0)
-    assert np.array_equal(res.x, constants.ball_center - constants.ball_radius)  # x0 = 0, projected on the ball
+    assert np.array_equal(res.x, problem.strict_point - constants.ball_radius)  # x0 = 0, projected on the ball
     assert np.array_equal(res.y, [0.0])
     assert res.trace == []
     assert res.termination == "completed"
@@ -207,7 +207,7 @@ def test_apdpro_step_and_cut_invariants(canonical):
         assert s.rho_next <= constants.mu_lb * constants.c_bar
         assert s.rho_next <= constants.mu_lb * abs(y_star[0]) + 1e-12
         # iterates stay in their sets
-        assert np.linalg.norm(s.x_next - constants.ball_center) <= constants.ball_radius + 1e-10
+        assert np.linalg.norm(s.x_next - problem.strict_point) <= constants.ball_radius + 1e-10
         assert np.all(s.y_next >= 0.0)
         assert s.y_next.sum() <= constants.c_bar + 1e-12
         lower = min(s.rho, constants.mu_lb * constants.c_bar) / constants.mu_lb
@@ -274,7 +274,7 @@ def test_out_of_set_starts_are_projected(canonical):
     snaps = []
     cfg = SolverConfig(variant="apdpro", max_iters=1)
     apdpro(problem, constants, cfg, np.array([100.0]), np.array([50.0]), observer=snaps.append)
-    assert np.linalg.norm(snaps[0].x - constants.ball_center) <= constants.ball_radius + 1e-12
+    assert np.linalg.norm(snaps[0].x - problem.strict_point) <= constants.ball_radius + 1e-12
     assert snaps[0].y.sum() <= constants.c_bar + 1e-12
 
 
@@ -582,7 +582,7 @@ def _two_ball_problem():
         constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
         r=1.0, strict_point=np.array([2.0, 0.5]),
     )
-    return problem, derive_constants(problem, feasible_ball(problem, list(centers)))
+    return problem, derive_constants(problem, list(centers))
 
 
 def test_non_finite_jacobian_at_x_bar_raises_with_two_constraints():
@@ -685,7 +685,7 @@ def test_non_finite_start_point_is_rejected(variant, runner, point, bad):
     """A nan y0 would be projected to 0 and run as if it were 0; a nan x0 would be reported as
     the oracle's fault. Both are the caller's, and the error names the argument."""
     problem, _, _ = make_synthetic_instance(3, np.array([2.0, -1.0, 0.5]), 1.0)
-    constants = derive_constants(problem, feasible_ball(problem, [problem.strict_point]))
+    constants = derive_constants(problem, [problem.strict_point])
     start = {"x0": np.zeros(3), "y0": np.zeros(1)}
     start[point][-1] = bad
     with pytest.raises(ValueError, match=rf"^{point} must be finite"):
