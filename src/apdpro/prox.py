@@ -188,9 +188,12 @@ def project_dual_set(u, lower: float, upper: float) -> np.ndarray:
 
     The water-filling runs on u - max(u): the support's entries lie within
     the target of the largest one, so the shifted values stay small at any
-    |u|, and y on the support S is formed as (u - mean(u_S)) + target/|S|
-    there, which keeps the sum at the target to rounding (u - nu would
-    cancel at |u| >> target).
+    |u|, and y on the support S is formed as (u - max(u)) plus the common
+    offset (target - sum of the shifted u_S)/|S|, which keeps the sum at the
+    target to rounding (u - nu would cancel at |u| >> target). The support
+    test has no division, so it is exact on the subnormal grid and entries
+    tied with the largest stay in S; the offset rounds once, so a target
+    below the normal range is met to |S|/2 smallest subnormals.
     """
     if lower > upper:
         raise InfeasibleCutError(f"empty dual slab: lower {lower:.6g} > upper {upper:.6g}")
@@ -207,7 +210,6 @@ def project_dual_set(u, lower: float, upper: float) -> np.ndarray:
     shifted = us - top
     prefix = np.cumsum(shifted)
     counts = np.arange(1, u.size + 1, dtype=float)
-    # The largest entry always qualifies (its test reads target > 0), so the support is never empty.
-    k = np.nonzero(shifted - (prefix - target) / counts > 0)[0][-1]
-    size = k + 1.0  # |S|
-    return np.maximum(((u - top) - prefix[k] / size) + target / size, 0.0)
+    # The largest entry always qualifies (its test reads 0 > -target), so the support is never empty.
+    k = np.nonzero(counts * shifted > prefix - target)[0][-1]
+    return np.maximum((u - top) + (target - prefix[k]) / (k + 1.0), 0.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,34 +158,30 @@ def prox_oracle(v, eta, blocks, weights, center, radius):
 def project_oracle(u, lower, upper):
     """argmin ||y - u||^2 over {y >= 0, lower <= sum y <= upper} by enumeration.
 
-    Candidates: the positive part (when its mass already sits in the slab)
-    and, for each bound and support set, the equality-constrained stationary
-    point with complementarity screened; the feasible candidate of least
-    distance wins. Exponential in m, fine for m <= 3.
+    Candidates: the positive part and, for each bound and support set, the
+    equality-constrained stationary point u_s - (sum(u_s) - bound)/k, kept
+    when it is nonnegative; the feasible candidate of least distance wins,
+    rounded to float at the end. Every float is a rational, so the
+    candidates, the slab test and the distances are exact: in float64, a
+    near-tie at |u| >> bound lost its sum to rounding and fell out of the
+    slab. Exponential in m, fine for m <= 3.
     """
-    u = np.asarray(u, dtype=float)
-    m = u.size
-    cands = []
-    base = np.maximum(u, 0.0)
-    if lower - 1e-15 <= base.sum() <= upper + 1e-15:
-        cands.append(base)
+    u = [Fraction(v) for v in np.asarray(u, dtype=float).tolist()]
+    lower, upper = Fraction(lower), Fraction(upper)
+    m = len(u)
+    cands = [[max(v, Fraction(0)) for v in u]]
     for bound in (lower, upper):
         for k in range(1, m + 1):
             for support in itertools.combinations(range(m), k):
-                s = list(support)
-                y = np.zeros(m)
-                # u_s - nu with nu = (sum(u_s) - bound)/k, ordered so that bound
-                # survives |u| >> bound (at k = 1 the entry is bound exactly).
-                y[s] = (u[s] - u[s].mean()) + bound / k
-                if np.any(y[s] < -1e-12):
-                    continue
-                y = np.maximum(y, 0.0)
-                cands.append(y)
-    feasible = [y for y in cands if lower - 1e-9 <= y.sum() <= upper + 1e-9 and np.all(y >= -1e-15)]
+                nu = (sum(u[i] for i in support) - bound) / k
+                y = [u[i] - nu if i in support else Fraction(0) for i in range(m)]
+                if min(y) >= 0:
+                    cands.append(y)
+    feasible = [y for y in cands if lower <= sum(y) <= upper]
     if not feasible:
         raise ValueError("enumeration produced no feasible candidate")
-    # ||y - u||^2 - ||u||^2: the same order, without the ||u||^2 that would swamp it at |u| >> bound
-    return min(feasible, key=lambda y: float(y @ y - 2.0 * (y @ u)))
+    best = min(feasible, key=lambda y: sum((a - b) ** 2 for a, b in zip(y, u)))
+    return np.array([float(v) for v in best])
 
 
 def synthetic_multiplier_oracle(center, level):

@@ -1,5 +1,6 @@
 """Proximal and projection operators against closed forms and the oracles."""
 
+import itertools
 import re
 
 import numpy as np
@@ -192,6 +193,24 @@ def test_dual_projection_lower_edge_far_below_the_slab():
         assert np.array_equal(mine, project_oracle(u, 1e-5, 1.0))
 
 
+def test_dual_projection_meets_a_subnormal_target_to_one_step():
+    # Every u of up to 3 entries from -4 to 4 grid steps, onto a sum of 1 to 8 steps: the support
+    # test and the sums are exact on this grid, and the offset rounds once. Dividing in the support
+    # test once dropped entries tied with the largest, so u = [0, 0, 0] onto 1 step gave 3 steps.
+    step = float(np.finfo(float).smallest_subnormal)
+    for m in (1, 2, 3):
+        for u in itertools.product(range(-4, 5), repeat=m):
+            u = step * np.array(u, dtype=float)
+            for t in range(1, 9):
+                for lower, upper in ((t * step, 1.0), (0.0, t * step)):
+                    positive = np.maximum(u, 0.0).sum()
+                    if lower <= positive <= upper:
+                        continue
+                    mine = project_dual_set(u, lower, upper)
+                    assert np.all(mine >= 0.0)
+                    assert abs(mine.sum() - t * step) <= step, (u / step, t, mine / step)
+
+
 # -- input checks: conversion, errors, and the float64 pass-through --------------
 
 def _spellings(exact):
@@ -363,7 +382,7 @@ def test_dual_projection_matches_the_oracle_property(case):
     positive = np.maximum(u, 0.0).sum()
     if not lower <= positive <= upper:  # a sum bound is active: the sum sits on it
         target = upper if positive > upper else lower
-        # each entry lies on float64's grid, whose step below the normal range is the smallest
-        # subnormal: a subnormal target (u = [0, 0] onto sum 5e-324) is met to one step per entry
-        assert abs(mine.sum() - target) <= 1e-12 * target + u.size * _SUBNORMAL
+        # the common offset on the support rounds once, and below the normal range float64's step
+        # is the smallest subnormal: u = [0, 0] onto sum 5e-324 has no representable exact answer
+        assert abs(mine.sum() - target) <= max(1e-12 * target, _SUBNORMAL)
     assert np.max(np.abs(mine - project_oracle(u, lower, upper))) <= 1e-8
