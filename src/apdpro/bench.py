@@ -134,9 +134,11 @@ class ExperimentConfig:
             _check_budget(name, getattr(self, name))
         if not self.variants:
             self.variants = (self.solver.variant,)
-        for variant in self.variants:  # here, so a typo fails before any variant runs
+        for i, variant in enumerate(self.variants):  # here, so a typo or a repeat fails before any variant runs
             if variant not in VARIANTS:
                 raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+            if variant in self.variants[:i]:  # it would run twice and write its CSV twice
+                raise ValueError(f"variant {variant!r} is listed twice in variants")
 
 
 @dataclass

@@ -293,6 +293,8 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
+    if not math.isfinite(b):  # a nan b would fail the quadratic-structure check as if the library were wrong
+        raise ValueError(f"b must be finite, got {b!r}")
     if r_rule not in ("degree", "sqrt-degree"):
         raise ValueError("r_rule must be 'degree' or 'sqrt-degree'")
     n = graph.n
@@ -367,9 +369,11 @@ def make_synthetic_instance(n: int, center, level: float):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if level <= 0:
-        raise ValueError("level must be positive")
+    if not (math.isfinite(level) and level > 0):
+        raise ValueError(f"level must be positive and finite, got {level!r}")
     c = np.full(n, float(center)) if np.ndim(center) == 0 else _vec(center, n, "center")
+    if not np.isfinite(c).all():
+        raise ValueError("center must be finite, got a nan or inf entry")
     g0 = 0.5 * float(c @ c) - level**2
     if g0 <= 0.0:
         raise ValueError(

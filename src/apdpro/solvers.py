@@ -18,15 +18,18 @@ Variants
     step sizes never move), optionally re-centering the averages every
     ``restart_period`` iterations.
 
-Inside the shared loop the variants differ by two rules only: the Improve
-rule (off, "alg1" for the adaptive runs, "alg3" for msapd's stages) and the
-budget rule (none, "epoch" for rapdpro, "stage" for msapd). The dual cut and
-the step-size recursion are on unless the Improve rule is "alg3".
+Inside the shared loop the variants differ only by their row of ``_RULES``:
+the Improve rule (off, "alg1" for the adaptive runs, "alg3" for msapd's
+stages), the budget rule (none, "epoch" for rapdpro, "stage" for msapd), the
+iterate they report at, and the divisor of the primal term of Delta_XY. The
+dual cut and the step-size recursion are on unless the Improve rule is
+"alg3".
 
-The two restart conventions intentionally differ on the primal Delta term:
-the single-run loop uses Delta_XY = D_X^2/(2 tau_0) + D_Y^2/(2 sigma_0)
-while the restarted listing uses D_X^2/tau_0^s + D_Y^2/(2 sigma_0^s); each
-loop follows its own listing verbatim.
+The divisor keeps the listings' two conventions, which intentionally
+differ: the single-run loop and msapd's stages use Delta_XY =
+D_X^2/(2 tau_0) + D_Y^2/(2 sigma_0), while the restarted listing uses
+D_X^2/tau_0^s + D_Y^2/(2 sigma_0^s); each loop follows its own listing
+verbatim.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "IterSnapshot",
     "stepsize_update",
     "default_step_sizes",
-    "resolve_metric_iterate",
     "apdpro",
     "rapdpro",
     "msapd",
@@ -69,7 +71,16 @@ __all__ = [
     "VARIANTS",
 ]
 
-VARIANTS = ("apdpro", "rapdpro", "msapd", "apd", "apd_restart")
+# One row per variant: (Improve rule, budget rule, reports at x_bar, divisor of D_X^2/tau_0 in
+# Delta_XY). The driver reads the row of config.variant; each entry point accepts only its own.
+_RULES = {
+    "apdpro": ("alg1", None, False, 2.0),
+    "rapdpro": ("alg1", "epoch", False, 1.0),  # the restarted listing does not halve D_X^2/tau_0
+    "msapd": ("alg3", "stage", True, 2.0),
+    "apd": (None, None, True, 2.0),
+    "apd_restart": (None, None, True, 2.0),
+}
+VARIANTS = tuple(_RULES)
 
 # rapdpro's step-size margin nu0 and balance delta, both in (0, 1).
 _NU0 = 0.25
@@ -84,17 +95,17 @@ class SolverState:
     problems with quadratic structure (J(x) at a segment start). On the
     others it is J(x_bar) once a KKT stop test has evaluated it there, and
     None until then. The loop updates x_bar and jac_bar in place; each
-    segment start gives them fresh buffers.
+    segment start gives them fresh buffers and sets T and the step sizes.
     """
 
     x: np.ndarray
     y: np.ndarray
     x_bar: np.ndarray
-    T: float
-    tau: float
-    sigma: float
-    sigma_prev: float
     rho_est: RhoEstimate
+    T: float = 0.0
+    tau: float = math.nan
+    sigma: float = math.nan
+    sigma_prev: float = math.nan
     k: int = 0
     s: int = 0
     jac_bar: np.ndarray | None = None
@@ -168,7 +179,7 @@ class IterateRecord:
 class RecordInputs:
     """What the engine hands to a recorder after each iteration.
 
-    ``x`` is the point the run reports at (``resolve_metric_iterate``):
+    ``x`` is the point the run reports at (its ``_RULES`` row):
     x_{k+1} for apdpro and rapdpro, x_bar_{k+1} for the others. ``g`` is
     G(x), already evaluated and checked finite by the engine.
 
@@ -320,12 +331,7 @@ def default_step_sizes(constants: ProblemConstants, sigma0: float | None = None)
     return tau0, sigma0
 
 
-def resolve_metric_iterate(variant: str) -> str:
-    """Which iterate carries the metrics: last for the adaptive runs, ergodic else."""
-    return "last" if variant in ("apdpro", "rapdpro") else "ergodic"
-
-
-def _init_state(problem, constants, x0, y0, tau0, sigma0) -> SolverState:
+def _init_state(problem, constants, x0, y0) -> SolverState:
     x0 = np.array(_vec(x0, problem.n, "x0"), dtype=float)
     y0 = np.array(_vec(y0, problem.m, "y0"), dtype=float)
     for name, z in (("x0", x0), ("y0", y0)):  # the projections below would hide a nan y0 as 0
@@ -338,16 +344,7 @@ def _init_state(problem, constants, x0, y0, tau0, sigma0) -> SolverState:
     if nd > constants.ball_radius:
         x0 = center + d * (constants.ball_radius / nd)
     y0 = project_dual_set(y0, 0.0, constants.c_bar)
-    return SolverState(
-        x=x0,
-        y=y0,
-        x_bar=x0.copy(),
-        T=0.0,
-        tau=tau0,
-        sigma=sigma0,
-        sigma_prev=sigma0,
-        rho_est=RhoEstimate(),
-    )
+    return SolverState(x=x0, y=y0, x_bar=x0.copy(), rho_est=RhoEstimate())
 
 
 def _average_into(avg: np.ndarray, new: np.ndarray, w: float) -> None:
@@ -377,8 +374,9 @@ class _Driver:
 
     ``gx`` and ``jx`` are always G and J at the current iterate st.x, which
     changes only through ``move``; the start point is evaluated here.
-    ``starts`` gets the (s, x) pair of each segment, epoch or stage
-    (``begin``) and ``budgets`` its last N_s (``run_inner``).
+    The run's ``_RULES`` row is read here, once. ``starts`` gets the (s, x)
+    pair of each segment, epoch or stage (``begin``) and ``budgets`` its
+    last N_s (``run_inner``).
     """
 
     def __init__(self, problem, constants, config, st, recorder, observer, f_star):
@@ -392,7 +390,7 @@ class _Driver:
         self.t0 = time.perf_counter()
         self.ybar_acc = np.zeros(problem.m)
         self.zeros_g, self.zeros_j = np.zeros(problem.m), np.zeros(problem.n * problem.m)
-        self.ergodic = resolve_metric_iterate(config.variant) == "ergodic"
+        self.improve_rule, self.budget_rule, self.ergodic, self.dx_divisor = _RULES[config.variant]
         if recorder is None:
             recorder = _metrics_recorder(problem, None if f_star is None else (None, f_star))
         self.recorder = recorder
@@ -426,15 +424,20 @@ class _Driver:
             raise NumericalError(f"non-finite {what}" + where.format(st.k))
         st.x, self.gx, self.jx = x, gx, jx
 
-    def begin(self, st: SolverState, s: int) -> None:
-        """Start segment, epoch or stage s at st.x: fresh averages (J_bar = J(x)), the start recorded.
+    def begin(self, st: SolverState, s: int, tau0_s: float, sigma0_s: float) -> None:
+        """Start segment, epoch or stage s at st.x with steps (tau0_s, sigma0_s): fresh averages
+        (J_bar = J(x)), the start recorded, and the segment's Delta_XY, formed here only.
 
         x_bar and J_bar are copies: ``run_inner`` updates both in place.
         """
+        c = self.c
+        self.tau0_s, self.sigma0_s = tau0_s, sigma0_s
+        self.delta_xy = c.D_X**2 / (self.dx_divisor * tau0_s) + c.D_Y**2 / (2.0 * sigma0_s)
         st.s = s
         st.x_bar = st.x.copy()
         st.T = 0.0
-        st.sigma_prev = st.sigma
+        st.tau = tau0_s
+        st.sigma = st.sigma_prev = sigma0_s
         st.jac_bar = self.jx.copy() if self.quadratic else None
         self.ybar_acc = np.zeros(self.prob.m)
         self.starts.append((s, st.x.copy()))
@@ -466,28 +469,19 @@ class _Driver:
 
     # -- the shared inner loop ---------------------------------------------
 
-    def run_inner(
-        self,
-        st: SolverState,
-        *,
-        epoch: int,
-        tau0_s: float,
-        sigma0_s: float,
-        delta_xy: float,
-        max_inner: int,
-        improve_rule: str | None,
-        budget_rule: str | None,
-    ) -> str:
-        """Run one epoch/stage/segment from ``begin``; returns 'schedule', 'cap', or 'tolerance'.
+    def run_inner(self, st: SolverState, max_inner: int) -> str:
+        """Run segment, epoch or stage st.s from ``begin`` for at most ``max_inner`` iterations.
 
-        improve_rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
-        step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
-        dual set is cut at rho/mu_lb and (tau, sigma) follow stepsize_update;
-        'alg3' projects onto the whole dual set with constant steps. The
-        averaging weight t_k = sigma_k/sigma0_s is formed here in both cases.
-        budget_rule: None (max_inner only), 'epoch' (rapdpro's N_s refresh
-        from rho_hat) or 'stage' (msapd's N_s rule from rho). The last N_s
-        goes to ``budgets``.
+        Returns 'schedule', 'cap', or 'tolerance'. The steps (tau0_s,
+        sigma0_s) and Delta_XY come from ``begin``, the rest from the run's
+        ``_RULES`` row. Improve rule: None (rho frozen), 'alg1' (the
+        adaptive runs' Improve step) or 'alg3' (msapd's stage estimate).
+        Except under 'alg3', the dual set is cut at rho/mu_lb and (tau,
+        sigma) follow stepsize_update; 'alg3' projects onto the whole dual
+        set with constant steps. The averaging weight t_k = sigma_k/sigma0_s
+        is formed here in both cases. Budget rule: None (max_inner only),
+        'epoch' (rapdpro's N_s refresh from rho_hat) or 'stage' (msapd's N_s
+        rule from rho). The last N_s goes to ``budgets``.
 
         G and its Jacobian are evaluated once per new iterate (``move``) and
         shared by the dual extrapolation, the primal step, h1, the recorder
@@ -503,15 +497,17 @@ class _Driver:
         path by rounding only. On the generic path G(x_bar) for such a
         record is evaluated here, once, and checked finite.
 
-        The record step picks the reporting point, the only place that
-        does: the recorder gets that point and its G in ``RecordInputs``.
+        The record step picks the reporting point (the row's third entry),
+        the only place that does: the recorder gets that point and its G in
+        ``RecordInputs``.
         """
         prob, c = self.prob, self.c
         quadratic = self.quadratic
         ball = (prob.strict_point, c.ball_radius)
         est = st.rho_est
+        epoch, tau0_s, sigma0_s, delta_xy = st.s, self.tau0_s, self.sigma0_s, self.delta_xy
+        improve_rule, budget_rule, ergodic = self.improve_rule, self.budget_rule, self.ergodic
         adaptive = improve_rule != "alg3"
-        ergodic = self.ergodic
         n_budget = math.inf
         gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
         tau_prev = st.tau  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
@@ -663,7 +659,7 @@ def _finish(driver: _Driver, st: SolverState, termination: str) -> RunResult:
 
 
 def _require_variant(config: SolverConfig, entry: str, *accepted: str) -> None:
-    """Reject a config that names another solver: its metric iterate and stop rule would not match."""
+    """Reject a config that names another solver: the driver would run that variant's ``_RULES`` row."""
     if config.variant not in accepted:
         raise ValueError(
             f"{entry} runs variant {' or '.join(map(repr, accepted))}, "
@@ -671,34 +667,27 @@ def _require_variant(config: SolverConfig, entry: str, *accepted: str) -> None:
         )
 
 
-def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star, *, improve_rule, period):
-    """The single-loop path shared by apdpro and apd: default steps, then segments of ``period``.
+def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star):
+    """The single-loop path shared by apdpro and apd: default steps, then segments of the
+    restart period (apd_restart's; one segment for the others).
 
     Each segment after the first re-centers the averages and the
-    extrapolation; the iterates and step sizes stay warm.
+    extrapolation; the iterates stay warm, and the steps, which rho = 0
+    never moves, begin again at the same (tau0, sigma0).
     """
+    period = config.restart_period if config.variant == "apd_restart" else math.inf
     tau0, sigma0 = default_step_sizes(constants)
-    st = _init_state(problem, constants, x0, y0, tau0, sigma0)
+    st = _init_state(problem, constants, x0, y0)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
-    delta_xy = constants.D_X**2 / (2.0 * tau0) + constants.D_Y**2 / (2.0 * sigma0)
     remaining = config.max_iters
-    driver.begin(st, 0)
+    driver.begin(st, 0, tau0, sigma0)
     while True:
         seg = int(min(period, remaining))
-        reason = driver.run_inner(
-            st,
-            epoch=st.s,
-            tau0_s=tau0,
-            sigma0_s=sigma0,
-            delta_xy=delta_xy,
-            max_inner=seg,
-            improve_rule=improve_rule,
-            budget_rule=None,
-        )
+        reason = driver.run_inner(st, seg)
         remaining -= seg
         if reason == "tolerance" or remaining <= 0:
             return _finish(driver, st, "tolerance" if reason == "tolerance" else "completed")
-        driver.begin(st, st.s + 1)
+        driver.begin(st, st.s + 1, tau0, sigma0)
 
 
 def apdpro(
@@ -733,11 +722,7 @@ def apdpro(
     RunResult
     """
     _require_variant(config, "apdpro", "apdpro")
-    return _single_run(
-        problem, constants, config, x0, y0, recorder, observer, f_star,
-        improve_rule="alg1",
-        period=math.inf,
-    )
+    return _single_run(problem, constants, config, x0, y0, recorder, observer, f_star)
 
 
 def rapdpro(
@@ -766,24 +751,12 @@ def rapdpro(
     l_xy, l_g2 = constants.L_XY, constants.L_G**2
     sigma_bar = _DELTA * l_xy / l_g2 if l_xy > 0 else 1.0 / l_g2
     tau_bar = (1.0 - _NU0) / (l_xy + l_g2 * sigma_bar / _DELTA)
-    st = _init_state(problem, constants, x0, y0, tau_bar, sigma_bar)
+    st = _init_state(problem, constants, x0, y0)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
-    # Restarted listing's convention (primal term not halved).
-    delta_xy = constants.D_X**2 / tau_bar + constants.D_Y**2 / (2.0 * sigma_bar)
     for s in range(config.max_epochs + 1):
-        st.tau, st.sigma = tau_bar, sigma_bar
-        driver.begin(st, s)
+        driver.begin(st, s, tau_bar, sigma_bar)
         st.rho_est.reset_epoch()  # rho_hat_0^s = 1, unused: the first advance seeds
-        reason = driver.run_inner(
-            st,
-            epoch=s,
-            tau0_s=tau_bar,
-            sigma0_s=sigma_bar,
-            delta_xy=delta_xy,
-            max_inner=config.max_iters,
-            improve_rule="alg1",
-            budget_rule="epoch",
-        )
+        reason = driver.run_inner(st, config.max_iters)
         if reason != "schedule":
             return _finish(driver, st, "tolerance" if reason == "tolerance" else "budget")
     return _finish(driver, st, "completed")
@@ -810,24 +783,12 @@ def msapd(
     feasibility check runs.
     """
     _require_variant(config, "msapd", "msapd")
-    tau0, sigma_tilde = default_step_sizes(constants)
-    st = _init_state(problem, constants, x0, y0, tau0, sigma_tilde)
+    sigma_tilde = default_step_sizes(constants)[1]
+    st = _init_state(problem, constants, x0, y0)
     driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
     for s in range(config.max_epochs + 1):
-        tau0_s, sigma0_s = default_step_sizes(constants, sigma_tilde * 2.0 ** (0.5 * s))
-        st.tau, st.sigma = tau0_s, sigma0_s
-        driver.begin(st, s)
-        delta_xy = constants.D_X**2 / (2.0 * tau0_s) + constants.D_Y**2 / (2.0 * sigma0_s)
-        reason = driver.run_inner(
-            st,
-            epoch=s,
-            tau0_s=tau0_s,
-            sigma0_s=sigma0_s,
-            delta_xy=delta_xy,
-            max_inner=config.max_iters,
-            improve_rule="alg3",
-            budget_rule="stage",
-        )
+        driver.begin(st, s, *default_step_sizes(constants, sigma_tilde * 2.0 ** (0.5 * s)))
+        reason = driver.run_inner(st, config.max_iters)
         if reason == "tolerance":
             return _finish(driver, st, "tolerance")
         if reason == "cap" and driver.budgets[-1] == math.inf:
@@ -852,13 +813,9 @@ def apd_baseline(
     """Non-adaptive baseline: rho stays 0, constant steps, uniform averaging.
 
     With ``variant`` = "apd_restart" the extrapolation and the running
-    averages re-center every ``restart_period`` iterations (the iterates and
-    step sizes stay warm); restart_period = inf reproduces plain apd.
+    averages re-center every ``restart_period`` iterations (the iterates stay
+    warm, and the steps are constant); restart_period = inf reproduces plain
+    apd.
     """
     _require_variant(config, "apd_baseline", "apd", "apd_restart")
-    period = config.restart_period if config.variant == "apd_restart" else math.inf
-    return _single_run(
-        problem, constants, config, x0, y0, recorder, observer, f_star,
-        improve_rule=None,
-        period=period,
-    )
+    return _single_run(problem, constants, config, x0, y0, recorder, observer, f_star)

@@ -726,6 +726,9 @@ def test_load_experiment_config_rejects_typos(tmp_path):
         load("[instance]\n[solver]\ntau0 = 0.1\n")
     with pytest.raises(ValueError, match="unknown variant 'rapdpr'"):
         load("[instance]\n[solver]\nvariants = apdpro, rapdpr\n")
+    # A repeated variant would run twice and write its CSV twice.
+    with pytest.raises(ValueError, match="^variant 'apd' is listed twice in variants$"):
+        load("[instance]\n[solver]\nvariants = apd, apdpro, apd\n")
 
 
 # One non-default value per field: (INI text, parsed value).

@@ -398,6 +398,20 @@ def test_unattainable_level_is_rejected(tmp_path):
         build_ppr_problem(g, alpha=0.5, b=-10.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, build", [
+    ("b", lambda graph, v: build_ppr_problem(graph, alpha=0.5, b=v)),
+    ("level", lambda graph, v: make_synthetic_instance(2, 3.0, v)),
+    ("center", lambda graph, v: make_synthetic_instance(2, v, 1.0)),
+    ("center", lambda graph, v: make_synthetic_instance(2, [3.0, v], 1.0)),
+], ids=["b", "level", "center", "center-entry"])
+def test_a_non_finite_instance_parameter_is_named(tmp_path, name, build, value):
+    """Rejected up front by name, not as a failed structure or feasibility check downstream."""
+    graph = load_graph(write_edge_list(tmp_path / "p2.txt", [(0, 1)]))
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(graph, value)
+
+
 def test_strict_point_is_strictly_feasible(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "p4.txt", path_edges(4)))
     problem = build_ppr_problem(g, alpha=0.5, b=-0.02)

@@ -22,7 +22,6 @@ from apdpro.solvers import (
     default_step_sizes,
     msapd,
     rapdpro,
-    resolve_metric_iterate,
     stepsize_update,
     _all_finite,
     _epoch_budget,
@@ -89,14 +88,6 @@ def test_default_step_sizes(canonical):
     tau0, sigma0 = default_step_sizes(constants, sigma0=0.5)
     assert sigma0 == 0.5
     assert tau0 == pytest.approx(1.0 / (l_xy + 1.21), rel=1e-14)
-
-
-def test_metric_iterate_convention():
-    assert resolve_metric_iterate("apdpro") == "last"
-    assert resolve_metric_iterate("rapdpro") == "last"
-    assert resolve_metric_iterate("msapd") == "ergodic"
-    assert resolve_metric_iterate("apd") == "ergodic"
-    assert resolve_metric_iterate("apd_restart") == "ergodic"
 
 
 def test_config_validation():
@@ -406,6 +397,39 @@ def test_msapd_stage_contraction(canonical):
         if err <= 1e-8:
             break
         assert err <= constants.D_X**2 * 2.0 ** (-s)
+
+
+# -- Delta_XY per variant ---------------------------------------------------------
+
+def test_each_variant_forms_delta_xy_by_its_own_listing(canonical):
+    """Delta_XY, seen through beta and beta_bar: D_X^2/(2 tau_0) + D_Y^2/(2 sigma_0) for apdpro
+    and each msapd stage, D_X^2/tau_bar + D_Y^2/(2 sigma_bar) (primal term not halved) for each
+    rapdpro epoch; the steps are the ones the observer sees at the segment's first step."""
+    _, constants, _, _ = canonical
+    dx2, dy2 = constants.D_X**2, constants.D_Y**2
+
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    snaps = []
+    _run(canonical, "apdpro", apdpro, observer=snaps.append, max_iters=3)
+    tau0, sigma0 = snaps[0].tau, snaps[0].sigma
+    assert_close(snaps[0].beta, tau0 * (dx2 / (2.0 * tau0) + dy2 / (2.0 * sigma0)))
+
+    snaps = []
+    res = _run(canonical, "rapdpro", rapdpro, observer=snaps.append, max_iters=2000, max_epochs=2)
+    assert res.epochs == 3
+    for s in range(3):
+        first = next(sn for sn in snaps if sn.epoch == s)
+        tau_bar, sigma_bar = first.tau, first.sigma
+        assert_close(first.beta, tau_bar * (dx2 / tau_bar + dy2 / (2.0 * sigma_bar)))
+
+    snaps = []
+    res = _run(canonical, "msapd", msapd, observer=snaps.append, max_iters=4000, max_epochs=2)
+    assert res.epochs == 3
+    for s in range(3):
+        first, second = [sn for sn in snaps if sn.epoch == s][:2]  # beta_bar = Delta_XY/k at k = 1
+        assert_close(second.beta_bar, dx2 / (2.0 * first.tau) + dy2 / (2.0 * first.sigma))
 
 
 # -- oracle reuse ----------------------------------------------------------------
