@@ -10,6 +10,7 @@ side.
 from __future__ import annotations
 
 import base64
+import configparser
 import dataclasses
 import functools
 import hashlib
@@ -22,7 +23,6 @@ import tempfile
 import typing
 import warnings
 from dataclasses import dataclass
-from configparser import ConfigParser
 
 import numpy as np
 
@@ -164,7 +164,11 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
         problem = build_ppr_problem(load_graph(spec.path), spec.alpha, spec.b, spec.s, spec.r_rule)
         with open(spec.path, "rb") as fh:
             sha = hashlib.sha256(fh.read()).hexdigest()[:16]
-        identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|s={spec.s}|r_rule={spec.r_rule}"
+        if isinstance(spec.s, str):
+            teleport = f"s={spec.s}"
+        else:  # every bit of the vector: str() rounds an array's entries and elides past 1,000 of them
+            teleport = f"s_sha={hashlib.sha256(np.asarray(spec.s, dtype=float).tobytes()).hexdigest()[:16]}"
+        identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|{teleport}|r_rule={spec.r_rule}"
         oracle, cache_dir, label = None, os.path.dirname(os.path.abspath(spec.path)), os.path.basename(spec.path)
     constants = derive_constants(problem, [problem.strict_point])
     return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
@@ -517,11 +521,15 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     [solver] take the fields of InstanceSpec and SolverConfig by name
     (``kind`` defaults to synthetic); [solver] also takes ``variants`` and
     ``x0``. Unknown sections or keys are errors so typos fail loudly. A
-    ``;`` after whitespace starts a comment.
+    ``;`` after whitespace starts a comment. A file configparser cannot
+    read, such as one with a repeated key or section, raises ValueError.
     """
-    parser = ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh, source=path)
+        try:
+            parser.read_file(fh, source=path)
+        except configparser.Error as exc:  # its text names the file and the line, over several lines
+            raise ValueError(" ".join(str(exc).split())) from None
     kwargs = {InstanceSpec: {"kind": "synthetic"}, SolverConfig: {}, ExperimentConfig: {}}
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -228,6 +228,8 @@ def _resolve_teleport(s, n: int) -> np.ndarray:
             return out
         raise ValueError(f"bad teleport spec {s!r}; expected 'uniform', 'seed:k', or a vector")
     out = _vec(s, n, "s")
+    if not np.isfinite(out).all():  # nan passes both checks below
+        raise ValueError("s must be finite, got a nan or inf entry")
     if np.any(out < 0):
         raise ValueError("teleport vector must be nonnegative")
     total = float(out.sum())
@@ -331,9 +333,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         return out.reshape(n, 1)
 
     return ConstrainedProblem(
-        n=n,
         objective=objective,
-        m=1,
         constraints=constraints,
         jacobian=jacobian,
         mu=np.array([lam_min]),
@@ -389,9 +389,7 @@ def make_synthetic_instance(n: int, center, level: float):
 
     objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=np.ones(n))
     problem = ConstrainedProblem(
-        n=n,
         objective=objective,
-        m=1,
         constraints=constraints,
         jacobian=jacobian,
         mu=np.array([1.0]),

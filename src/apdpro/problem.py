@@ -13,7 +13,7 @@ confined to a ball around that point that provably contains the feasible set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,10 +122,12 @@ class BlockNormObjective:
 class ConstrainedProblem:
     """A block-norm objective under m smooth strongly convex constraints.
 
-    ``constraints`` maps x to the m constraint values G(x); ``jacobian`` maps
-    x to the n-by-m matrix whose columns are the constraint gradients. The
-    jacobian may be assembled from implicit matrix-vector products internally
-    but must return a dense array. Both must be pure functions of x: the
+    The sizes are derived, not passed: ``n`` is ``objective.n`` and ``m`` is
+    ``len(mu)``, so ``mu`` must be a non-empty vector. ``constraints`` maps
+    x to the m constraint values G(x); ``jacobian`` maps x to the n-by-m
+    matrix whose columns are the constraint gradients. The jacobian may be
+    assembled from implicit matrix-vector products internally but must
+    return a dense array. Both must be pure functions of x: the
     solvers evaluate each at most once per point and reuse the result.
     ``L_X`` bounds the Jacobian's Lipschitz modulus in the operator norm,
     ||J(x) - J(x')|| <= L_X ||x - x'||, and ``r`` lower bounds the
@@ -149,9 +151,9 @@ class ConstrainedProblem:
     that swaps an oracle and leaves a stale structure raises ValueError.
     """
 
-    n: int
+    n: int = field(init=False)
     objective: BlockNormObjective
-    m: int
+    m: int = field(init=False)
     constraints: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     mu: np.ndarray
@@ -161,11 +163,11 @@ class ConstrainedProblem:
     quadratic: tuple | None = None
 
     def __post_init__(self):
-        if self.objective.n != self.n:
-            raise ValueError("objective block partition does not cover dimension n")
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if mu.shape != (self.m,):
-            raise ValueError(f"mu must have shape ({self.m},)")
+        if mu.ndim != 1 or mu.size == 0:
+            raise ValueError(f"mu must be a non-empty vector, got shape {mu.shape}")
+        object.__setattr__(self, "n", self.objective.n)
+        object.__setattr__(self, "m", len(mu))
         if np.any(mu <= 0):
             raise ValueError("all strong-convexity moduli must be positive")
         for name, positive in (("L_X", False), ("r", True)):

@@ -18,12 +18,14 @@ Variants
     step sizes never move), optionally re-centering the averages every
     ``restart_period`` iterations.
 
-Inside the shared loop the variants differ only by their row of ``_RULES``:
-the Improve rule (off, "alg1" for the adaptive runs, "alg3" for msapd's
-stages), the budget rule (none, "epoch" for rapdpro, "stage" for msapd), the
-iterate they report at, and the divisor of the primal term of Delta_XY. The
-dual cut and the step-size recursion are on unless the Improve rule is
-"alg3".
+Every entry point builds one ``_Driver``, which owns the run, and calls
+``segment`` once per segment, epoch or stage with that segment's start steps
+(tau_0^s, sigma_0^s) and its iteration cap. Inside the shared loop the
+variants differ only by their row of ``_RULES``: the Improve rule (off,
+"alg1" for the adaptive runs, "alg3" for msapd's stages), the budget rule
+(none, "epoch" for rapdpro, "stage" for msapd), the iterate they report at,
+and the divisor of the primal term of Delta_XY. The dual cut and the
+step-size recursion are on unless the Improve rule is "alg3".
 
 The divisor keeps the listings' two conventions, which intentionally
 differ: the single-run loop and msapd's stages use Delta_XY =
@@ -34,10 +36,11 @@ verbatim.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -89,13 +92,14 @@ _DELTA = 0.5
 
 @dataclass
 class SolverState:
-    """Mutable per-run state; field names follow the algorithm listings.
+    """Mutable per-run state, held by the run's driver; field names follow the algorithm listings.
 
     ``jac_bar`` is J(x_bar), kept as the same running average as x_bar on
     problems with quadratic structure (J(x) at a segment start). On the
     others it is J(x_bar) once a KKT stop test has evaluated it there, and
-    None until then. The loop updates x_bar and jac_bar in place; each
-    segment start gives them fresh buffers and sets T and the step sizes.
+    None until then. The loop updates x_bar and jac_bar in place; the start
+    of each ``segment`` gives them fresh buffers and sets T and the step
+    sizes.
     """
 
     x: np.ndarray
@@ -107,7 +111,6 @@ class SolverState:
     sigma: float = math.nan
     sigma_prev: float = math.nan
     k: int = 0
-    s: int = 0
     jac_bar: np.ndarray | None = None
 
 
@@ -243,7 +246,6 @@ class IterSnapshot:
     y_next: np.ndarray
     tau: float
     sigma: float
-    sigma_prev: float
     t: float
     T_next: float
     rho: float
@@ -274,10 +276,13 @@ class RunResult:
     y_bar: np.ndarray
     trace: list
     termination: str
-    epochs: int
     epoch_budgets: list
     state: SolverState
-    epoch_starts: list = field(default_factory=list)
+    epoch_starts: list
+
+    @property
+    def epochs(self) -> int:
+        return len(self.epoch_starts)
 
 
 def stepsize_update(tau: float, sigma: float, rho_next: float):
@@ -331,22 +336,6 @@ def default_step_sizes(constants: ProblemConstants, sigma0: float | None = None)
     return tau0, sigma0
 
 
-def _init_state(problem, constants, x0, y0) -> SolverState:
-    x0 = np.array(_vec(x0, problem.n, "x0"), dtype=float)
-    y0 = np.array(_vec(y0, problem.m, "y0"), dtype=float)
-    for name, z in (("x0", x0), ("y0", y0)):  # the projections below would hide a nan y0 as 0
-        if not np.isfinite(z).all():
-            raise ValueError(f"{name} must be finite, got a nan or inf entry")
-    # Confine the start to X and Y so the convergence theory's hypotheses hold.
-    center = problem.strict_point
-    d = x0 - center
-    nd = float(np.linalg.norm(d))
-    if nd > constants.ball_radius:
-        x0 = center + d * (constants.ball_radius / nd)
-    y0 = project_dual_set(y0, 0.0, constants.c_bar)
-    return SolverState(x=x0, y=y0, x_bar=x0.copy(), rho_est=RhoEstimate())
-
-
 def _average_into(avg: np.ndarray, new: np.ndarray, w: float) -> None:
     """avg += w*(new - avg): the running average with weight w = t/(T + t), in place."""
     d = new - avg
@@ -362,7 +351,7 @@ def _all_finite(a: np.ndarray, zeros: np.ndarray) -> bool:
 
 
 # Where a non-finite G or J was found: completes "non-finite Jacobian J" or
-# "non-finite constraint value G", with the iteration count st.k.
+# "non-finite constraint value G", with the iteration count k.
 _AT_ENTRY = "(x) at entry (iteration {})"
 _AT_STEP = "(x_{{k+1}}) at iteration {}"
 _AT_STEP_BAR = "(x_bar_{{k+1}}) at iteration {}"
@@ -370,16 +359,31 @@ _AT_WARM_START = "(x_bar) at warm start (iteration {})"
 
 
 class _Driver:
-    """Owns the shared loop, the trace, the dual running average, and the oracle at st.x.
+    """Runs one solve: owns its state ``st``, the shared loop, the trace, the dual running
+    average, and the oracle at st.x.
 
-    ``gx`` and ``jx`` are always G and J at the current iterate st.x, which
-    changes only through ``move``; the start point is evaluated here.
-    The run's ``_RULES`` row is read here, once. ``starts`` gets the (s, x)
-    pair of each segment, epoch or stage (``begin``) and ``budgets`` its
-    last N_s (``run_inner``).
+    The start point (x0, y0) is checked finite, confined to X and Y, and
+    evaluated here. ``gx`` and ``jx`` are always G and J at the current
+    iterate st.x, which changes only through ``move``. The run's ``_RULES``
+    row is read here, once. Each ``segment`` call adds the (s, x) pair of
+    its start to ``starts`` and its last N_s to ``budgets``; ``finish``
+    hands them, the trace and the state to the RunResult.
     """
 
-    def __init__(self, problem, constants, config, st, recorder, observer, f_star):
+    def __init__(self, problem, constants, config, x0, y0, recorder, observer, f_star):
+        x0 = np.array(_vec(x0, problem.n, "x0"), dtype=float)
+        y0 = np.array(_vec(y0, problem.m, "y0"), dtype=float)
+        for name, z in (("x0", x0), ("y0", y0)):  # the projections below would hide a nan y0 as 0
+            if not np.isfinite(z).all():
+                raise ValueError(f"{name} must be finite, got a nan or inf entry")
+        # Confine the start to X and Y so the convergence theory's hypotheses hold.
+        center = problem.strict_point
+        d = x0 - center
+        nd = float(np.linalg.norm(d))
+        if nd > constants.ball_radius:
+            x0 = center + d * (constants.ball_radius / nd)
+        y0 = project_dual_set(y0, 0.0, constants.c_bar)
+        self.st = SolverState(x=x0, y=y0, x_bar=x0.copy(), rho_est=RhoEstimate())
         self.prob = problem
         self.c = constants
         self.cfg = config
@@ -388,7 +392,6 @@ class _Driver:
         self.starts: list[tuple[int, np.ndarray]] = []
         self.budgets: list[float] = []
         self.t0 = time.perf_counter()
-        self.ybar_acc = np.zeros(problem.m)
         self.zeros_g, self.zeros_j = np.zeros(problem.m), np.zeros(problem.n * problem.m)
         self.improve_rule, self.budget_rule, self.ergodic, self.dx_divisor = _RULES[config.variant]
         if recorder is None:
@@ -396,9 +399,9 @@ class _Driver:
         self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
         self.quadratic = problem.quadratic is not None
-        self.move(st, st.x, _AT_ENTRY)
+        self.move(x0, _AT_ENTRY)
 
-    def move(self, st: SolverState, x: np.ndarray, where: str, jx: np.ndarray | None = None) -> None:
+    def move(self, x: np.ndarray, where: str, jx: np.ndarray | None = None) -> None:
         """Make x the current iterate, with G(x) and J(x) evaluated and checked finite.
 
         ``jx``, when given, is J(x) already known. On a problem with quadratic
@@ -421,28 +424,10 @@ class _Driver:
             elif not _all_finite(gx, self.zeros_g):
                 what = "constraint value G"
         if what is not None:
-            raise NumericalError(f"non-finite {what}" + where.format(st.k))
-        st.x, self.gx, self.jx = x, gx, jx
+            raise NumericalError(f"non-finite {what}" + where.format(self.st.k))
+        self.st.x, self.gx, self.jx = x, gx, jx
 
-    def begin(self, st: SolverState, s: int, tau0_s: float, sigma0_s: float) -> None:
-        """Start segment, epoch or stage s at st.x with steps (tau0_s, sigma0_s): fresh averages
-        (J_bar = J(x)), the start recorded, and the segment's Delta_XY, formed here only.
-
-        x_bar and J_bar are copies: ``run_inner`` updates both in place.
-        """
-        c = self.c
-        self.tau0_s, self.sigma0_s = tau0_s, sigma0_s
-        self.delta_xy = c.D_X**2 / (self.dx_divisor * tau0_s) + c.D_Y**2 / (2.0 * sigma0_s)
-        st.s = s
-        st.x_bar = st.x.copy()
-        st.T = 0.0
-        st.tau = tau0_s
-        st.sigma = st.sigma_prev = sigma0_s
-        st.jac_bar = self.jx.copy() if self.quadratic else None
-        self.ybar_acc = np.zeros(self.prob.m)
-        self.starts.append((s, st.x.copy()))
-
-    def _should_stop(self, rec: IterateRecord, ri: RecordInputs, st: SolverState) -> bool:
+    def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
 
         The KKT test reuses G(ri.x) from ``ri`` and the J the loop holds
@@ -455,7 +440,7 @@ class _Driver:
             return False
         if rec.rel_gap is not None:
             return max(rec.rel_gap, rec.feas_violation) <= tol
-        jac = self.jx
+        st, jac = self.st, self.jx
         if self.ergodic:
             if st.jac_bar is None:
                 st.jac_bar = self.prob.jac(st.x_bar)
@@ -464,24 +449,43 @@ class _Driver:
             jac = st.jac_bar
         return kkt_residual(self.prob, ri.x, ri.y, g=ri.g, jac=jac).max() <= tol
 
-    def y_bar(self, st: SolverState) -> np.ndarray:
+    def y_bar(self) -> np.ndarray:
+        st = self.st
         return self.ybar_acc / st.T if st.T > 0 else st.y.copy()
+
+    def finish(self, termination: str) -> RunResult:
+        st = self.st
+        return RunResult(
+            x=st.x.copy(),
+            x_bar=st.x_bar.copy(),
+            y=st.y.copy(),
+            y_bar=self.y_bar(),
+            trace=self.trace,
+            termination=termination,
+            epoch_budgets=self.budgets,
+            state=st,
+            epoch_starts=self.starts,
+        )
 
     # -- the shared inner loop ---------------------------------------------
 
-    def run_inner(self, st: SolverState, max_inner: int) -> str:
-        """Run segment, epoch or stage st.s from ``begin`` for at most ``max_inner`` iterations.
+    def segment(self, s: int, tau0_s: float, sigma0_s: float, max_inner: int) -> str:
+        """Run segment, epoch or stage s from the current iterate for at most ``max_inner`` iterations.
 
-        Returns 'schedule', 'cap', or 'tolerance'. The steps (tau0_s,
-        sigma0_s) and Delta_XY come from ``begin``, the rest from the run's
-        ``_RULES`` row. Improve rule: None (rho frozen), 'alg1' (the
-        adaptive runs' Improve step) or 'alg3' (msapd's stage estimate).
-        Except under 'alg3', the dual set is cut at rho/mu_lb and (tau,
-        sigma) follow stepsize_update; 'alg3' projects onto the whole dual
-        set with constant steps. The averaging weight t_k = sigma_k/sigma0_s
-        is formed here in both cases. Budget rule: None (max_inner only),
-        'epoch' (rapdpro's N_s refresh from rho_hat) or 'stage' (msapd's N_s
-        rule from rho). The last N_s goes to ``budgets``.
+        Returns 'schedule', 'cap', or 'tolerance'. The start sets T = 0 and
+        the steps (tau0_s, sigma0_s), gives the averages fresh buffers
+        (x_bar = x, J_bar = J(x)) and the dual average a fresh sum, adds
+        (s, x) to ``starts``, and forms the segment's Delta_XY, its only
+        copy; the rest comes from the run's ``_RULES`` row. Improve rule:
+        None (rho frozen), 'alg1' (the adaptive runs' Improve step) or
+        'alg3' (msapd's stage estimate). Except under 'alg3', the dual set
+        is cut at rho/mu_lb and (tau, sigma) follow stepsize_update; 'alg3'
+        projects onto the whole dual set with constant steps. rho never
+        exceeds ``rho_cap``, where Improve caps it, so the cut is never
+        empty. The averaging weight t_k = sigma_k/sigma0_s is formed here in
+        both cases. Budget rule: None (max_inner only), 'epoch' (rapdpro's
+        N_s refresh from rho_hat) or 'stage' (msapd's N_s rule from rho).
+        The last N_s goes to ``budgets``.
 
         G and its Jacobian are evaluated once per new iterate (``move``) and
         shared by the dual extrapolation, the primal step, h1, the recorder
@@ -501,16 +505,24 @@ class _Driver:
         the only place that does: the recorder gets that point and its G in
         ``RecordInputs``.
         """
-        prob, c = self.prob, self.c
+        prob, c, st = self.prob, self.c, self.st
         quadratic = self.quadratic
+        st.x_bar = st.x.copy()  # a copy, as is J_bar: the loop updates both in place
+        st.T = 0.0
+        st.tau = tau0_s
+        st.sigma = st.sigma_prev = sigma0_s
+        st.jac_bar = self.jx.copy() if quadratic else None
+        self.ybar_acc = np.zeros(prob.m)
+        self.starts.append((s, st.x.copy()))
+        delta_xy = c.D_X**2 / (self.dx_divisor * tau0_s) + c.D_Y**2 / (2.0 * sigma0_s)
+
         ball = (prob.strict_point, c.ball_radius)
         est = st.rho_est
-        epoch, tau0_s, sigma0_s, delta_xy = st.s, self.tau0_s, self.sigma0_s, self.delta_xy
         improve_rule, budget_rule, ergodic = self.improve_rule, self.budget_rule, self.ergodic
         adaptive = improve_rule != "alg3"
         n_budget = math.inf
         gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
-        tau_prev = st.tau  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
+        tau_prev = tau0_s  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
         stopped = False
         k = 0
         while k < max_inner and k < n_budget:
@@ -521,7 +533,7 @@ class _Driver:
             # Dual extrapolation and cut projection.
             ratio = st.sigma_prev / sigma_k
             z = (1.0 + ratio) * gx - ratio * gx_prev
-            lower = min(rho_k, self.rho_cap) / c.mu_lb if adaptive else 0.0
+            lower = rho_k / c.mu_lb if adaptive else 0.0
             y_next = project_dual_set(st.y + sigma_k * z, lower, c.c_bar)
 
             # Primal prox step; dot, not matmul: an n-by-1 J times a length-1 y misses BLAS under @.
@@ -560,9 +572,9 @@ class _Driver:
 
             # Budget refresh (before the state shift; uses the produced rho).
             if budget_rule == "epoch":
-                n_budget = _epoch_budget(est.rho_hat, epoch, tau0_s, sigma0_s, c.D_X, c.D_Y)
+                n_budget = _epoch_budget(est.rho_hat, s, tau0_s, sigma0_s, c.D_X, c.D_Y)
             elif budget_rule == "stage":
-                n_budget = _stage_budget(rho_next, epoch, tau0_s, sigma0_s, c.D_X, c.D_Y)
+                n_budget = _stage_budget(rho_next, s, tau0_s, sigma0_s, c.D_X, c.D_Y)
 
             # Step sizes for k+1.
             if adaptive:
@@ -574,7 +586,7 @@ class _Driver:
                 self.observer(
                     IterSnapshot(
                         k=st.k,
-                        epoch=epoch,
+                        epoch=s,
                         x=st.x.copy(),
                         x_bar=st.x_bar.copy(),
                         x_next=x_next.copy(),
@@ -583,7 +595,6 @@ class _Driver:
                         y_next=y_next.copy(),
                         tau=tau_k,
                         sigma=sigma_k,
-                        sigma_prev=st.sigma_prev,
                         t=t_k,
                         T_next=st.T + t_k,
                         rho=rho_k,
@@ -601,7 +612,7 @@ class _Driver:
             # Shift the state.
             st.k += 1
             try:
-                self.move(st, x_next, _AT_STEP)
+                self.move(x_next, _AT_STEP)
             except NumericalError as exc:  # no cost in CPython 3.11 until raised
                 # Name the layer whose output went non-finite first; with both finite, the oracle failed.
                 for point, value, layer in (("y", y_next, "dual projection"), ("x", x_next, "prox")):
@@ -631,31 +642,16 @@ class _Driver:
                     g_rec = prob.g(x_rec)
                     if not _all_finite(g_rec, self.zeros_g):
                         raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
-            ri = RecordInputs(st.k, epoch, x_rec, g_rec, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
+            ri = RecordInputs(st.k, s, x_rec, g_rec, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
                               time.perf_counter() - self.t0)
             rec = self.recorder(ri)
             if rec is not None:
                 self.trace.append(rec)
-                if self._should_stop(rec, ri, st):
+                if self._should_stop(rec, ri):
                     stopped = True
                     break
         self.budgets.append(n_budget)
         return "tolerance" if stopped else "schedule" if k >= n_budget else "cap"
-
-
-def _finish(driver: _Driver, st: SolverState, termination: str) -> RunResult:
-    return RunResult(
-        x=st.x.copy(),
-        x_bar=st.x_bar.copy(),
-        y=st.y.copy(),
-        y_bar=driver.y_bar(st),
-        trace=driver.trace,
-        termination=termination,
-        epochs=len(driver.starts),
-        epoch_budgets=driver.budgets,
-        state=st,
-        epoch_starts=driver.starts,
-    )
 
 
 def _require_variant(config: SolverConfig, entry: str, *accepted: str) -> None:
@@ -677,17 +673,14 @@ def _single_run(problem, constants, config, x0, y0, recorder, observer, f_star):
     """
     period = config.restart_period if config.variant == "apd_restart" else math.inf
     tau0, sigma0 = default_step_sizes(constants)
-    st = _init_state(problem, constants, x0, y0)
-    driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
+    driver = _Driver(problem, constants, config, x0, y0, recorder, observer, f_star)
     remaining = config.max_iters
-    driver.begin(st, 0, tau0, sigma0)
-    while True:
+    for s in itertools.count():
         seg = int(min(period, remaining))
-        reason = driver.run_inner(st, seg)
+        reason = driver.segment(s, tau0, sigma0, seg)
         remaining -= seg
         if reason == "tolerance" or remaining <= 0:
-            return _finish(driver, st, "tolerance" if reason == "tolerance" else "completed")
-        driver.begin(st, st.s + 1, tau0, sigma0)
+            return driver.finish("tolerance" if reason == "tolerance" else "completed")
 
 
 def apdpro(
@@ -751,15 +744,13 @@ def rapdpro(
     l_xy, l_g2 = constants.L_XY, constants.L_G**2
     sigma_bar = _DELTA * l_xy / l_g2 if l_xy > 0 else 1.0 / l_g2
     tau_bar = (1.0 - _NU0) / (l_xy + l_g2 * sigma_bar / _DELTA)
-    st = _init_state(problem, constants, x0, y0)
-    driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
+    driver = _Driver(problem, constants, config, x0, y0, recorder, observer, f_star)
     for s in range(config.max_epochs + 1):
-        driver.begin(st, s, tau_bar, sigma_bar)
-        st.rho_est.reset_epoch()  # rho_hat_0^s = 1, unused: the first advance seeds
-        reason = driver.run_inner(st, config.max_iters)
+        driver.st.rho_est.reset_epoch()  # rho_hat_0^s = 1, unused: the first advance seeds
+        reason = driver.segment(s, tau_bar, sigma_bar, config.max_iters)
         if reason != "schedule":
-            return _finish(driver, st, "tolerance" if reason == "tolerance" else "budget")
-    return _finish(driver, st, "completed")
+            return driver.finish("tolerance" if reason == "tolerance" else "budget")
+    return driver.finish("completed")
 
 
 def msapd(
@@ -784,19 +775,18 @@ def msapd(
     """
     _require_variant(config, "msapd", "msapd")
     sigma_tilde = default_step_sizes(constants)[1]
-    st = _init_state(problem, constants, x0, y0)
-    driver = _Driver(problem, constants, config, st, recorder, observer, f_star)
+    driver = _Driver(problem, constants, config, x0, y0, recorder, observer, f_star)
+    st = driver.st
     for s in range(config.max_epochs + 1):
-        driver.begin(st, s, *default_step_sizes(constants, sigma_tilde * 2.0 ** (0.5 * s)))
-        reason = driver.run_inner(st, config.max_iters)
+        reason = driver.segment(s, *default_step_sizes(constants, sigma_tilde * 2.0 ** (0.5 * s)), config.max_iters)
         if reason == "tolerance":
-            return _finish(driver, st, "tolerance")
+            return driver.finish("tolerance")
         if reason == "cap" and driver.budgets[-1] == math.inf:
-            return _finish(driver, st, "budget")
+            return driver.finish("budget")
         # The next stage begins at the ergodic pair; J(x_bar) is J_bar where the loop holds it.
-        st.y = driver.y_bar(st)
-        driver.move(st, st.x_bar.copy(), _AT_WARM_START, st.jac_bar)
-    return _finish(driver, st, "completed")
+        st.y = driver.y_bar()
+        driver.move(st.x_bar.copy(), _AT_WARM_START, st.jac_bar)
+    return driver.finish("completed")
 
 
 def apd_baseline(

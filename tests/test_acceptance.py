@@ -6,6 +6,7 @@ assertions themselves.
 
 import contextlib
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -313,7 +314,7 @@ def test_criterion_11_determinism(tmp_path):
                 reference_mode="oracle",
                 output_path=out,
             ))
-            rows = open(out, encoding="utf-8").read().splitlines()
+            rows = pathlib.Path(out).read_text(encoding="utf-8").splitlines()
             return [r.rsplit(",", 1)[0] for r in rows]
 
         first, second = run("a.csv"), run("b.csv")

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -35,7 +37,7 @@ from apdpro.solvers import (
     _metrics_recorder,
     rapdpro,
 )
-from helpers import chorded_path_edges, star_edges, write_edge_list
+from helpers import chorded_path_edges, path_edges, star_edges, write_edge_list
 from oracles import ppr_kkt_oracle, record_oracle
 
 
@@ -63,7 +65,7 @@ def _accuracy(blocks, x, x_ref, threshold=1e-8):
     around it, a unit ball constraint, plays no part)."""
     n = int(sum(length for _, length in blocks))
     problem = ConstrainedProblem(
-        n=n, objective=BlockNormObjective(blocks=blocks, weights=np.ones(len(blocks))), m=1,
+        objective=BlockNormObjective(blocks=blocks, weights=np.ones(len(blocks))),
         constraints=lambda x: np.array([0.5 * (x @ x) - 1.0]), jacobian=lambda x: x.reshape(n, 1),
         mu=np.ones(1), L_X=1.0, r=1.0, strict_point=np.zeros(n),
     )
@@ -110,7 +112,7 @@ def _blocky_problem():
     """n = 6 in blocks of 2, 1 and 3 under one ball constraint."""
     n, c = 6, np.array([1.0, -0.5, 2.0, 0.3, 0.0, -1.0])
     return ConstrainedProblem(
-        n=n, objective=BlockNormObjective(blocks=((0, 2), (2, 1), (3, 3)), weights=(1.0, 0.5, 2.0)), m=1,
+        objective=BlockNormObjective(blocks=((0, 2), (2, 1), (3, 3)), weights=(1.0, 0.5, 2.0)),
         constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - 1.0]),
         jacobian=lambda x: (x - c).reshape(n, 1),
         mu=np.ones(1), L_X=1.0, r=1.0, strict_point=c,
@@ -387,6 +389,19 @@ def test_synthetic_centers_that_differ_anywhere_get_their_own_cache(tmp_path, n,
     out = str(tmp_path / "trace.csv")
     bundles = [build_instance(InstanceSpec(kind="synthetic", n=n, center=c, level=level))
                for c in (center, center.copy(), other)]
+    assert bundles[0].identity == bundles[1].identity
+    assert bundles[0].identity != bundles[2].identity
+    assert bench._cache_path(bundles[0], out) != bench._cache_path(bundles[2], out)
+
+
+@pytest.mark.parametrize("s, other", [
+    (np.array([0.123456789012, 0.876543210988]), np.array([0.123456789099, 0.876543210901])),  # the 10th digit
+    ((np.arange(1200) == 600) * 1.0, (np.arange(1200) == 601) * 1.0),  # a middle entry, where str(s) elides
+])
+def test_teleport_vectors_that_differ_anywhere_get_their_own_cache(tmp_path, s, other):
+    path = write_edge_list(tmp_path / "path.txt", path_edges(len(s)))
+    out = str(tmp_path / "trace.csv")
+    bundles = [build_instance(InstanceSpec(kind="graph", path=path, s=t)) for t in (s, s.copy(), other)]
     assert bundles[0].identity == bundles[1].identity
     assert bundles[0].identity != bundles[2].identity
     assert bench._cache_path(bundles[0], out) != bench._cache_path(bundles[2], out)
@@ -729,6 +744,18 @@ def test_load_experiment_config_rejects_typos(tmp_path):
     # A repeated variant would run twice and write its CSV twice.
     with pytest.raises(ValueError, match="^variant 'apd' is listed twice in variants$"):
         load("[instance]\n[solver]\nvariants = apd, apdpro, apd\n")
+    # A file configparser cannot read is one line naming the file and the line, not its traceback.
+    for text, line in (
+        ("[instance]\nkind = synthetic\nkind = graph\n", 3),  # a repeated key
+        ("[instance]\n[solver]\n[instance]\n", 3),  # a repeated section
+        ("kind = synthetic\n[instance]\n", 1),  # no section header
+        ("[instance]\nkind\n", 2),  # no '='
+    ):
+        with pytest.raises(ValueError) as info:
+            load(text)
+        message = str(info.value)
+        assert "\n" not in message and str(tmp_path / "bad.ini") in message, message
+        assert re.search(rf"\bline:? {line}\b", message), message
 
 
 # One non-default value per field: (INI text, parsed value).
@@ -794,7 +821,7 @@ def test_run_experiment_is_deterministic(tmp_path):
 def test_canonical_long_trace_reaches_tiny_gap(tmp_path):
     out = str(tmp_path / "run.csv")
     run_experiment(_synthetic_config(output_path=out))
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(out).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2001
     final = lines[-1].split(",")
     assert float(final[3]) <= 1e-6

@@ -107,7 +107,7 @@ def _two_ball_case(height):
         return 0.5 * np.einsum("ij,ij->i", d, d) - 1.0
 
     problem = ConstrainedProblem(
-        n=2, objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)), m=2,
+        objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)),
         constraints=constraints, jacobian=lambda x: (x - centers).T, mu=np.ones(2), L_X=math.sqrt(2.0),
         r=1.0, strict_point=np.array([2.0, height]),
     )

@@ -115,6 +115,11 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, "[instance]\nkind = synthetic\nkind = graph\n")  # configparser's own error
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and cfg in err and "[line 3]" in err, err
 
 
 def test_negative_reference_budget_fails_before_any_work(tmp_path, capsys):

@@ -404,7 +404,8 @@ def test_unattainable_level_is_rejected(tmp_path):
     ("level", lambda graph, v: make_synthetic_instance(2, 3.0, v)),
     ("center", lambda graph, v: make_synthetic_instance(2, v, 1.0)),
     ("center", lambda graph, v: make_synthetic_instance(2, [3.0, v], 1.0)),
-], ids=["b", "level", "center", "center-entry"])
+    ("s", lambda graph, v: build_ppr_problem(graph, alpha=0.5, b=-0.05, s=[0.5, v])),
+], ids=["b", "level", "center", "center-entry", "s-entry"])
 def test_a_non_finite_instance_parameter_is_named(tmp_path, name, build, value):
     """Rejected up front by name, not as a failed structure or feasibility check downstream."""
     graph = load_graph(write_edge_list(tmp_path / "p2.txt", [(0, 1)]))

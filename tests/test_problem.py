@@ -35,7 +35,7 @@ def _toy_problem(m=1, jac=None):
         return np.tile((x - center).reshape(n, 1), (1, m))
 
     return ConstrainedProblem(
-        n=n, objective=obj, m=m, constraints=constraints, jacobian=jacobian,
+        objective=obj, constraints=constraints, jacobian=jacobian,
         mu=np.ones(m), L_X=np.float64(1.0), r=1.0, strict_point=center,
     )
 
@@ -173,7 +173,7 @@ def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance
 def test_primal_ball_rejects_unsatisfiable_constraint():
     problem = _toy_problem()
     hopeless = ConstrainedProblem(
-        n=problem.n, objective=problem.objective, m=1,
+        objective=problem.objective,
         constraints=lambda x: np.array([float(x @ x)]), jacobian=problem.jacobian,
         mu=np.array([1.0]), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
@@ -263,18 +263,23 @@ def test_jacobian_operator_norm_multi_constraint():
 def test_constraint_shape_errors():
     problem = _toy_problem()
     wrong = ConstrainedProblem(
-        n=problem.n, objective=problem.objective, m=2,
+        objective=problem.objective,
         constraints=lambda x: np.array([1.0]), jacobian=lambda x: np.zeros((3, 2)),
         mu=np.ones(2), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
+    assert (wrong.n, wrong.m) == (3, 2)  # from the objective and mu
     with pytest.raises(ValueError, match="constraint evaluator"):
         wrong.g(np.zeros(3))
+    kwargs = dict(objective=problem.objective, constraints=problem.constraints, jacobian=problem.jacobian,
+                  L_X=1.0, r=1.0, strict_point=problem.strict_point)
     with pytest.raises(ValueError):
-        ConstrainedProblem(
-            n=3, objective=problem.objective, m=1, constraints=problem.constraints,
-            jacobian=problem.jacobian, mu=np.array([-1.0]), L_X=1.0, r=1.0,
-            strict_point=problem.strict_point,
-        )
+        ConstrainedProblem(mu=np.array([-1.0]), **kwargs)
+    for mu in (np.ones(0), np.ones((1, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"mu must be a non-empty vector, got shape {mu.shape}")):
+            ConstrainedProblem(mu=mu, **kwargs)
+    for size in ("n", "m"):  # derived, so not accepted
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{size}'"):
+            ConstrainedProblem(mu=np.ones(1), **kwargs, **{size: 1})
 
 
 def _problem_whose_L_G_is(bad):
@@ -384,7 +389,7 @@ def _returning(m, g_out, j_out, n=3):
     """A problem on n coordinates whose oracle hands back the given objects."""
     obj = BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=np.ones(n))
     return ConstrainedProblem(
-        n=n, objective=obj, m=m, constraints=lambda x: g_out, jacobian=lambda x: j_out,
+        objective=obj, constraints=lambda x: g_out, jacobian=lambda x: j_out,
         mu=np.ones(m), L_X=1.0, r=1.0, strict_point=np.zeros(n),
     )
 

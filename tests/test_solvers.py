@@ -602,7 +602,7 @@ def _two_ball_problem():
 
     # L_X = sqrt(2): J(x) - J(x') has the column x - x' twice.
     problem = ConstrainedProblem(
-        n=2, objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)), m=2,
+        objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)),
         constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
         r=1.0, strict_point=np.array([2.0, 0.5]),
     )
