@@ -31,6 +31,7 @@ from .pagerank import build_ppr_problem, load_graph, make_synthetic_instance
 from .problem import ConstrainedProblem, ProblemConstants, derive_constants, kkt_residual
 from .solvers import (
     VARIANTS,
+    IterateRecord,
     RunResult,
     SolverConfig,
     _check_budget,
@@ -57,7 +58,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "iter,epoch,objective,rel_gap,feas_violation,rho,tau,sigma,active_set_acc,elapsed_s"
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(IterateRecord))
 
 _RUNNERS = {
     "apdpro": apdpro,
@@ -444,8 +445,7 @@ def _run_one(bundle, config: ExperimentConfig, solver_config: SolverConfig, refe
     runner = _RUNNERS[solver_config.variant]
     x0, y0 = _start_points(bundle, config.x0_rule)
     recorder = make_recorder(bundle.problem, solver_config.variant, solver_config, reference, config.truncation)
-    f_star = None if reference is None else reference[2]
-    result = runner(bundle.problem, bundle.constants, solver_config, x0, y0, recorder=recorder, f_star=f_star)
+    result = runner(bundle.problem, bundle.constants, solver_config, x0, y0, recorder=recorder)
     if output_path:
         write_csv(output_path, result.trace)
     return result

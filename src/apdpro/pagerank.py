@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,17 +33,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: symmetric 0/1 CSR adjacency, no self-loops.
+    """Undirected simple graph: symmetric 0/1 CSR adjacency (promised, not checked), no self-loops.
 
-    ``components`` reports connectivity; loaders warn on more than one
-    component but do not reject (the quadratic stays positive definite for
-    alpha > 0 regardless).
+    ``n``, ``degrees`` (row sums, all >= 1) and ``components`` derive from the adjacency. Loaders
+    warn on more than one component but do not reject (Q stays positive definite for alpha > 0).
     """
 
-    n: int
     adjacency: sp.csr_matrix
-    degrees: np.ndarray
-    components: int = 1
+    n: int = field(init=False)
+    degrees: np.ndarray = field(init=False)
+    components: int = field(init=False)
+
+    def __post_init__(self):
+        adj = self.adjacency
+        if adj.shape[0] != adj.shape[1] or adj.shape[0] == 0:
+            raise ValueError(f"adjacency must be a non-empty square matrix, got shape {adj.shape}")
+        degrees = np.asarray(adj.sum(axis=1)).ravel()
+        isolated = np.flatnonzero(degrees == 0)
+        if isolated.size:
+            raise ValueError(f"isolated node(s) {isolated.tolist()[:10]}; every node needs degree >= 1")
+        ncomp = int(connected_components(adj, directed=False, return_labels=False))
+        for name, value in (("n", adj.shape[0]), ("degrees", degrees), ("components", ncomp)):
+            object.__setattr__(self, name, value)
 
 
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes\s+(\d+)\s*$")
@@ -169,14 +180,13 @@ def load_graph(path) -> Graph:
     cols = np.concatenate([v[keep], u[keep]])
     adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     adj.data[:] = 1.0  # repeated edges were summed into one entry
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    isolated = np.flatnonzero(degrees == 0)
-    if isolated.size:
-        raise ValueError(f"{path}: isolated node(s) {isolated.tolist()[:10]}; every node needs degree >= 1")
-    ncomp = connected_components(adj, directed=False, return_labels=False)
-    if ncomp > 1:
-        warnings.warn(f"graph has {ncomp} connected components", stacklevel=2)
-    return Graph(n=n, adjacency=adj, degrees=degrees, components=int(ncomp))
+    try:
+        graph = Graph(adj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if graph.components > 1:
+        warnings.warn(f"graph has {graph.components} connected components", stacklevel=2)
+    return graph
 
 
 _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
@@ -275,7 +285,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     mu = lambda_min(Q) = alpha in closed form: D^{1/2} 1 is an eigenvector of
     D^{-1/2} A D^{-1/2} for its largest eigenvalue 1 (Fountoulakis et al.,
     "A variational perspective on local graph clustering", Math. Prog.
-    2019), which needs ``graph.degrees`` to be the adjacency's row sums.
+    2019), as ``graph.degrees`` are the adjacency's row sums.
     The same fact gives lambda_max(Q) <= 1. L_X = lambda_max is the Lanczos
     Ritz value of Q moved up by its residual norm and capped at 1, a
     certified upper bound once Lanczos has found the top of the spectrum; no

@@ -20,12 +20,13 @@ Variants
 
 Every entry point builds one ``_Driver``, which owns the run, and calls
 ``segment`` once per segment, epoch or stage with that segment's start steps
-(tau_0^s, sigma_0^s) and its iteration cap. Inside the shared loop the
-variants differ only by their row of ``_RULES``: the Improve rule (off,
-"alg1" for the adaptive runs, "alg3" for msapd's stages), the budget rule
-(none, "epoch" for rapdpro, "stage" for msapd), the iterate they report at,
-and the divisor of the primal term of Delta_XY. The dual cut and the
-step-size recursion are on unless the Improve rule is "alg3".
+(tau_0^s, sigma_0^s) and its iteration cap; the run's ``SolverState`` keeps
+only what outlives a segment. Inside the shared loop the variants differ
+only by their row of ``_RULES``: the Improve rule (off, "alg1" for the
+adaptive runs, "alg3" for msapd's stages), the budget rule (none, "epoch"
+for rapdpro, "stage" for msapd), the iterate they report at, and the
+divisor of the primal term of Delta_XY. The dual cut and the step-size
+recursion are on unless the Improve rule is "alg3".
 
 The divisor keeps the listings' two conventions, which intentionally
 differ: the single-run loop and msapd's stages use Delta_XY =
@@ -92,24 +93,21 @@ _DELTA = 0.5
 
 @dataclass
 class SolverState:
-    """Mutable per-run state, held by the run's driver; field names follow the algorithm listings.
+    """What a run carries from one segment to the next; field names follow the algorithm listings.
 
-    ``jac_bar`` is J(x_bar), kept as the same running average as x_bar on
-    problems with quadratic structure (J(x) at a segment start). On the
-    others it is J(x_bar) once a KKT stop test has evaluated it there, and
-    None until then. The loop updates x_bar and jac_bar in place; the start
-    of each ``segment`` gives them fresh buffers and sets T and the step
-    sizes.
+    The steps and T restart with each segment, as locals of ``segment``.
+    ``y_bar`` is the last segment's sum t_k y_k / T (y0, or y after no
+    iteration). ``jac_bar`` is J(x_bar), kept as the same running average
+    as x_bar on problems with quadratic structure (J(x) at a segment
+    start). On the others it is J(x_bar) once a KKT stop test has evaluated
+    it there, and None until then.
     """
 
     x: np.ndarray
     y: np.ndarray
     x_bar: np.ndarray
+    y_bar: np.ndarray
     rho_est: RhoEstimate
-    T: float = 0.0
-    tau: float = math.nan
-    sigma: float = math.nan
-    sigma_prev: float = math.nan
     k: int = 0
     jac_bar: np.ndarray | None = None
 
@@ -120,10 +118,10 @@ class SolverConfig:
 
     ``tolerance`` (finite, >= 0, stored as a Python float) = 0 disables
     early stopping; when positive the stop test uses max(relative objective
-    gap, feasibility violation) against a supplied reference objective
-    value, else the max KKT residual. ``max_iters`` and ``max_epochs`` are
-    nonnegative integers, ``restart_period`` an integer >= 1 (an int or an
-    integral float, as the INI reads it), or inf for no restart.
+    gap, feasibility violation) when the recorder's record has a gap, else
+    the max KKT residual; a None record skips it. ``max_iters`` and
+    ``max_epochs`` are nonnegative integers, ``restart_period`` an integer
+    >= 1 (int or integral float, as the INI reads it) or inf (no restart).
 
     One config is shared across variants by ``bench.run_comparison``, so two
     fields are read by some variants only: ``restart_period`` by apd_restart
@@ -359,8 +357,7 @@ _AT_WARM_START = "(x_bar) at warm start (iteration {})"
 
 
 class _Driver:
-    """Runs one solve: owns its state ``st``, the shared loop, the trace, the dual running
-    average, and the oracle at st.x.
+    """Runs one solve: owns its state ``st``, the shared loop, the trace, and the oracle at st.x.
 
     The start point (x0, y0) is checked finite, confined to X and Y, and
     evaluated here. ``gx`` and ``jx`` are always G and J at the current
@@ -383,7 +380,7 @@ class _Driver:
         if nd > constants.ball_radius:
             x0 = center + d * (constants.ball_radius / nd)
         y0 = project_dual_set(y0, 0.0, constants.c_bar)
-        self.st = SolverState(x=x0, y=y0, x_bar=x0.copy(), rho_est=RhoEstimate())
+        self.st = SolverState(x=x0, y=y0, x_bar=x0.copy(), y_bar=y0.copy(), rho_est=RhoEstimate())
         self.prob = problem
         self.c = constants
         self.cfg = config
@@ -449,17 +446,13 @@ class _Driver:
             jac = st.jac_bar
         return kkt_residual(self.prob, ri.x, ri.y, g=ri.g, jac=jac).max() <= tol
 
-    def y_bar(self) -> np.ndarray:
-        st = self.st
-        return self.ybar_acc / st.T if st.T > 0 else st.y.copy()
-
     def finish(self, termination: str) -> RunResult:
         st = self.st
         return RunResult(
             x=st.x.copy(),
             x_bar=st.x_bar.copy(),
             y=st.y.copy(),
-            y_bar=self.y_bar(),
+            y_bar=st.y_bar.copy(),
             trace=self.trace,
             termination=termination,
             epoch_budgets=self.budgets,
@@ -472,20 +465,18 @@ class _Driver:
     def segment(self, s: int, tau0_s: float, sigma0_s: float, max_inner: int) -> str:
         """Run segment, epoch or stage s from the current iterate for at most ``max_inner`` iterations.
 
-        Returns 'schedule', 'cap', or 'tolerance'. The start sets T = 0 and
-        the steps (tau0_s, sigma0_s), gives the averages fresh buffers
-        (x_bar = x, J_bar = J(x)) and the dual average a fresh sum, adds
-        (s, x) to ``starts``, and forms the segment's Delta_XY, its only
-        copy; the rest comes from the run's ``_RULES`` row. Improve rule:
-        None (rho frozen), 'alg1' (the adaptive runs' Improve step) or
-        'alg3' (msapd's stage estimate). Except under 'alg3', the dual set
-        is cut at rho/mu_lb and (tau, sigma) follow stepsize_update; 'alg3'
-        projects onto the whole dual set with constant steps. rho never
-        exceeds ``rho_cap``, where Improve caps it, so the cut is never
+        Returns 'schedule', 'cap', or 'tolerance'. The start gives x_bar and
+        J_bar fresh buffers (x, J(x)) and sets the locals T = 0, (tau, sigma)
+        = (tau0_s, sigma0_s), the dual sum and Delta_XY; every exit forms
+        st.y_bar from the sum. The rest comes from the run's ``_RULES`` row.
+        Improve rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
+        step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
+        dual set is cut at rho/mu_lb and (tau, sigma) follow stepsize_update;
+        'alg3' projects onto the whole dual set with constant steps. rho
+        never exceeds ``rho_cap``, where Improve caps it, so the cut is never
         empty. The averaging weight t_k = sigma_k/sigma0_s is formed here in
         both cases. Budget rule: None (max_inner only), 'epoch' (rapdpro's
         N_s refresh from rho_hat) or 'stage' (msapd's N_s rule from rho).
-        The last N_s goes to ``budgets``.
 
         G and its Jacobian are evaluated once per new iterate (``move``) and
         shared by the dual extrapolation, the primal step, h1, the recorder
@@ -508,11 +499,8 @@ class _Driver:
         prob, c, st = self.prob, self.c, self.st
         quadratic = self.quadratic
         st.x_bar = st.x.copy()  # a copy, as is J_bar: the loop updates both in place
-        st.T = 0.0
-        st.tau = tau0_s
-        st.sigma = st.sigma_prev = sigma0_s
         st.jac_bar = self.jx.copy() if quadratic else None
-        self.ybar_acc = np.zeros(prob.m)
+        ybar_sum = np.zeros(prob.m)
         self.starts.append((s, st.x.copy()))
         delta_xy = c.D_X**2 / (self.dx_divisor * tau0_s) + c.D_Y**2 / (2.0 * sigma0_s)
 
@@ -522,16 +510,17 @@ class _Driver:
         adaptive = improve_rule != "alg3"
         n_budget = math.inf
         gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
-        tau_prev = tau0_s  # tau_{k-1}; the k = 0 call uses tau_{-1} := tau0
+        T = 0.0
+        tau, sigma, tau_prev, sigma_prev = tau0_s, sigma0_s, tau0_s, sigma0_s  # tau_{-1} := tau0, sigma_{-1} := sigma0
         stopped = False
         k = 0
         while k < max_inner and k < n_budget:
-            tau_k, sigma_k = st.tau, st.sigma
+            tau_k, sigma_k = tau, sigma
             rho_k = est.rho
             gx, jx = self.gx, self.jx
 
             # Dual extrapolation and cut projection.
-            ratio = st.sigma_prev / sigma_k
+            ratio = sigma_prev / sigma_k
             z = (1.0 + ratio) * gx - ratio * gx_prev
             lower = rho_k / c.mu_lb if adaptive else 0.0
             y_next = project_dual_set(st.y + sigma_k * z, lower, c.c_bar)
@@ -547,8 +536,8 @@ class _Driver:
             rho_next = rho_k
             if improve_rule is not None:
                 if improve_rule == "alg1":
-                    beta = sigma0_s * tau_prev * delta_xy / st.sigma_prev
-                    beta_bar = delta_xy / st.T if st.T > 0 else math.inf
+                    beta = sigma0_s * tau_prev * delta_xy / sigma_prev
+                    beta_bar = delta_xy / T if T > 0 else math.inf
                 else:  # "alg3"
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
@@ -565,10 +554,10 @@ class _Driver:
                 est.advance(rho_next, tau0_s)
 
             # Ergodic averages: x_bar (and J_bar) gain x_{k+1} with weight w_k, in place at the
-            # shift below; y_bar gains y_k.
+            # shift below; the dual sum gains t_k y_k.
             t_k = sigma_k / sigma0_s
-            w_k = t_k / (st.T + t_k)
-            self.ybar_acc += t_k * st.y
+            w_k = t_k / (T + t_k)
+            ybar_sum += t_k * st.y
 
             # Budget refresh (before the state shift; uses the produced rho).
             if budget_rule == "epoch":
@@ -596,7 +585,7 @@ class _Driver:
                         tau=tau_k,
                         sigma=sigma_k,
                         t=t_k,
-                        T_next=st.T + t_k,
+                        T_next=T + t_k,
                         rho=rho_k,
                         rho_next=rho_next,
                         rho_hat_next=est.rho_hat,
@@ -627,10 +616,9 @@ class _Driver:
                 st.jac_bar = None
             st.y = y_next
             gx_prev = gx
-            st.T += t_k
-            st.sigma_prev = sigma_k
-            st.tau, st.sigma = tau_next, sigma_next
-            tau_prev = tau_k
+            T += t_k
+            sigma_prev, tau_prev = sigma_k, tau_k
+            tau, sigma = tau_next, sigma_next
             k += 1
 
             x_rec, g_rec = st.x, self.gx
@@ -650,6 +638,7 @@ class _Driver:
                 if self._should_stop(rec, ri):
                     stopped = True
                     break
+        st.y_bar = ybar_sum / T if T > 0 else st.y.copy()
         self.budgets.append(n_budget)
         return "tolerance" if stopped else "schedule" if k >= n_budget else "cap"
 
@@ -708,7 +697,7 @@ def apdpro(
     recorder, observer : callables, optional
         Trace customization hooks; see RecordInputs and IterSnapshot.
     f_star : float, optional
-        Reference objective for the relative-gap stop rule.
+        The default recorder's reference for rel_gap; ignored with ``recorder``.
 
     Returns
     -------
@@ -771,7 +760,7 @@ def msapd(
     uniform averaging and the stage budget N_s = ceil(max{4/(rho tau_0^s),
     D_Y^2 2^{s+1}/(rho sigma_0^s D_X^2)}), then warm-starts the next stage
     from (x_bar, y_bar). These tau_0^s are the largest feasible steps, so no
-    feasibility check runs.
+    feasibility check runs. ``max_iters`` caps each stage (README, Budgets).
     """
     _require_variant(config, "msapd", "msapd")
     sigma_tilde = default_step_sizes(constants)[1]
@@ -784,7 +773,7 @@ def msapd(
         if reason == "cap" and driver.budgets[-1] == math.inf:
             return driver.finish("budget")
         # The next stage begins at the ergodic pair; J(x_bar) is J_bar where the loop holds it.
-        st.y = driver.y_bar()
+        st.y = st.y_bar.copy()  # a copy, as is x: after the last stage, the state holds both
         driver.move(st.x_bar.copy(), _AT_WARM_START, st.jac_bar)
     return driver.finish("completed")
 

@@ -232,7 +232,7 @@ def test_write_csv_layout(tmp_path):
     path = tmp_path / "trace.csv"
     write_csv(str(path), rows)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == "iter,epoch,objective,rel_gap,feas_violation,rho,tau,sigma,active_set_acc,elapsed_s"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "1" and first[3] == "" and first[8] == ""

@@ -45,7 +45,7 @@ def _graph(n, edges):
     rows, cols = zip(*[(u, v) for u, v in edges if u != v])
     adj = sp.csr_matrix((np.ones(2 * len(rows)), (rows + cols, cols + rows)), shape=(n, n))
     adj.data[:] = 1.0
-    return Graph(n=n, adjacency=adj, degrees=np.asarray(adj.sum(axis=1)).ravel())
+    return Graph(adj)
 
 
 def _graph_edges(family, n, rng):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from apdpro.bench import make_recorder, reference_solution
-from apdpro.pagerank import _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
+from apdpro.pagerank import Graph, _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import derive_constants, kkt_residual
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, rapdpro
 from helpers import assert_traces_close, cycle_edges, path_edges, star_edges, write_edge_list
@@ -159,7 +159,7 @@ def test_load_graph_deduplicates_reversed_edges(tmp_path):
 def test_load_graph_drops_self_loops_and_rejects_isolated(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 0\n1 2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="isolated"):
+    with pytest.raises(ValueError, match=r"g.txt: isolated node\(s\) \[0\]"):
         load_graph(str(path))
 
 
@@ -206,6 +206,22 @@ def test_load_graph_warns_on_disconnection(tmp_path):
     with pytest.warns(UserWarning, match="2 connected components"):
         g = load_graph(path)
     assert g.components == 2
+
+
+def test_graph_derives_n_degrees_and_components_from_its_adjacency():
+    """The certificate mu = alpha needs the degrees to be the row sums, so they are not an input."""
+    path3 = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
+    g = Graph(path3)
+    assert g.n == 3 and g.components == 1
+    assert np.array_equal(g.degrees, [1.0, 2.0, 1.0])
+    assert Graph(sp.csr_matrix(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))).components == 2
+    for given_field in ({"n": 4}, {"degrees": np.ones(3)}):
+        with pytest.raises(TypeError):
+            Graph(path3, **given_field)
+    with pytest.raises(ValueError, match=r"isolated node\(s\) \[0, 3\]; every node needs degree >= 1"):
+        Graph(sp.csr_matrix(np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)))
+    with pytest.raises(ValueError, match=r"adjacency must be a non-empty square matrix, got shape \(3, 4\)"):
+        Graph(sp.csr_matrix((3, 4)))
 
 
 def test_two_node_path_q_matrix(tmp_path):

@@ -166,7 +166,7 @@ def test_zero_iterations_is_a_no_op(canonical):
     problem, constants, _, _ = canonical
     res = _run(canonical, "apdpro", apdpro, max_iters=0)
     assert np.array_equal(res.x, problem.strict_point - constants.ball_radius)  # x0 = 0, projected on the ball
-    assert np.array_equal(res.y, [0.0])
+    assert np.array_equal(res.y, [0.0]) and np.array_equal(res.y_bar, [0.0])
     assert res.trace == []
     assert res.termination == "completed"
 
@@ -231,6 +231,35 @@ def test_ergodic_dual_average_uses_old_iterates(canonical):
     assert np.allclose(res.y_bar, ybar, atol=1e-14)
     xbar = sum(s.t * s.x_next for s in snaps) / total_t
     assert np.allclose(res.x_bar, xbar, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant, runner, kw, n_segments", [
+    ("apdpro", apdpro, {}, 1),
+    ("rapdpro", rapdpro, {"max_epochs": 3}, 4),
+    ("msapd", msapd, {"max_epochs": 3}, 4),
+    ("apd", apd_baseline, {}, 1),
+    ("apd_restart", apd_baseline, {"restart_period": 7}, 15),
+])
+def test_dual_average_is_formed_once_per_segment(canonical, variant, runner, kw, n_segments):
+    """y_bar is sum t_k y_k / T over the last segment, bitwise, and msapd's next stage starts at it;
+    the state keeps only what carries over from one segment to the next."""
+    snaps = []
+    res = _run(canonical, variant, runner, observer=snaps.append, max_iters=100, **kw)
+    segments = [[s for s in snaps if s.epoch == e] for e in sorted({s.epoch for s in snaps})]
+    assert len(segments) == len(res.epoch_starts) == n_segments
+    ybars = []
+    for seg in segments:
+        acc, total = np.zeros(1), 0.0  # the loop's order of operations
+        for s in seg:
+            acc += s.t * s.y
+            total += s.t
+        ybars.append(acc / total)
+    assert np.array_equal(res.y_bar, ybars[-1]) and res.y_bar is not res.state.y_bar
+    assert res.state.y is not res.state.y_bar
+    if variant == "msapd":
+        assert all(np.array_equal(seg[0].y, ybar) for ybar, seg in zip(ybars, segments[1:]))
+    fields = [f.name for f in dataclasses.fields(res.state)]
+    assert fields == ["x", "y", "x_bar", "y_bar", "rho_est", "k", "jac_bar"]
 
 
 def test_trace_reports_the_steps_used(canonical):
