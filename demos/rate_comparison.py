@@ -16,7 +16,7 @@ from apdpro.problem import derive_constants
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
 
 problem, x_star, y_star = make_synthetic_instance(n=1, center=2.0, level=1.0)
-constants = derive_constants(problem, [problem.strict_point])
+constants = derive_constants(problem)
 f_star = problem.f(x_star)
 reference = (x_star, y_star, f_star)
 

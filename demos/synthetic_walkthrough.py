@@ -22,7 +22,7 @@ print(f"solution  x* = {x_star[0]:.12f}   multiplier y* = {y_star[0]:.12f}")
 # the solver needs the derived constants: the radius of a ball around the
 # strictly feasible point (here the minimizer of g) that holds the feasible
 # set, the Lipschitz bounds, the dual radius and the diameters
-constants = derive_constants(problem, [problem.strict_point])
+constants = derive_constants(problem)
 print(f"ball      center {problem.strict_point[0]:.4f}, radius {constants.ball_radius:.4f}")
 print(f"constants L_XY = {constants.L_XY:.4f}, c_bar = {constants.c_bar:.4f}, "
       f"D_X = {constants.D_X:.4f}, D_Y = {constants.D_Y:.4f}")

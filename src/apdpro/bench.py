@@ -171,7 +171,7 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
             teleport = f"s_sha={hashlib.sha256(np.asarray(spec.s, dtype=float).tobytes()).hexdigest()[:16]}"
         identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|{teleport}|r_rule={spec.r_rule}"
         oracle, cache_dir, label = None, os.path.dirname(os.path.abspath(spec.path)), os.path.basename(spec.path)
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
 
 

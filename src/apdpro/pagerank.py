@@ -298,7 +298,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
 
     The strict point is the unconstrained minimizer of g (CG on
     Q x = alpha D^{-1/2} s, tol 1e-12), which maximizes the feasibility
-    margin; pass it to ``derive_constants`` as the minimizer of g.
+    margin; ``derive_constants`` forms its model ball there.
 
     The problem carries ``quadratic`` = (q_lin, b, qmatvec), so the solvers
     derive G from J and make one Q mat-vec per iteration.

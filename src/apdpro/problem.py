@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -277,19 +277,9 @@ def _dual_radius_bound(problem: ConstrainedProblem, g_tilde: np.ndarray, jac_til
     whose model value is best is taken. One real G evaluation there
     certifies the point, so the bound holds whether or not the model fits;
     a t that is not strictly feasible, or a nan anywhere in the model,
-    leaves x_tilde alone.
-
-    Raises
-    ------
-    ValueError
-        If G(x_tilde) < 0 fails componentwise.
+    leaves x_tilde alone. G(x_tilde) < 0 is checked by the caller.
     """
     g_list = g_tilde.tolist()
-    if not all(g < 0 for g in g_list):  # nan fails too
-        raise ValueError(
-            "strict feasibility violated: G(strict_point) must be negative componentwise, "
-            f"got max g_i = {float(np.max(g_tilde)):.6g}"
-        )
     x = problem.strict_point
     f_tilde = problem.f(x)
     best = f_tilde / -max(g_list)
@@ -307,53 +297,47 @@ def _dual_radius_bound(problem: ConstrainedProblem, g_tilde: np.ndarray, jac_til
     return best
 
 
-def derive_constants(problem: ConstrainedProblem, minimizers: Sequence[np.ndarray]) -> ProblemConstants:
+def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     """c_bar, the primal ball's radius, diameters, L_XY = c_bar * L_X and L_G in one bundle.
 
-    Parameters
-    ----------
-    minimizers : sequence of ndarray
-        One unconstrained minimizer x_i* per constraint (for quadratic
-        constraints these come from a linear solve; generic callers must
-        supply them).
-
     The primal ball X = B(x_tilde, R) is centered at the strict point and
-    contains the feasible set {G <= 0}, hence the optimum. R is the least
-    over i of ||x_tilde - x_i*|| + (1 + theta) sqrt(-2 g_i(x_i*)/mu_i). By
-    strong convexity g_i(x) >= g_i(x_i*) + mu_i ||x - x_i*||^2 / 2, so
-    {g_i <= 0} lies within sqrt(-2 g_i(x_i*)/mu_i) of x_i*; the triangle
-    inequality moves that ball to x_tilde, and the margin theta = 0.1
-    (``_BALL_MARGIN``) keeps its boundary off the feasible set's.
+    contains the feasible set {G <= 0}, hence the optimum. By strong
+    convexity at x_tilde, g_i(x) >= g_i(x_tilde) + J_i(x_tilde)'(x - x_tilde)
+    + mu_i ||x - x_tilde||^2 / 2, so {g_i <= 0} lies in the model ball
+    B(z_i, rho_i) with z_i = x_tilde - J_i(x_tilde)/mu_i and rho_i^2 =
+    ||J_i(x_tilde)||^2/mu_i^2 - 2 g_i(x_tilde)/mu_i. R is the least over i
+    of ||x_tilde - z_i|| + (1 + theta) rho_i: the triangle inequality moves
+    that ball to x_tilde, and the margin theta = 0.1 (``_BALL_MARGIN``)
+    keeps its boundary off the feasible set's.
 
-    G and J are evaluated once each at x_tilde, and G again only at a
-    minimizer that differs from x_tilde. G(x_tilde) serves c_bar
-    (``_dual_radius_bound``, which adds G at the origin and at one point of
-    the segment between them); J(x_tilde) serves L_G = ||J(x_tilde)|| +
-    L_X R, the largest ||J|| on the ball that the Lipschitz modulus L_X
-    allows. D_Y is the exact diameter of Y: c_bar for m = 1,
-    sqrt(2)*c_bar otherwise (the farthest vertex pair of the l1-capped
-    nonnegative orthant). The scalars are Python floats (L_X is one, see
-    ConstrainedProblem).
+    G and J are evaluated once each at x_tilde. G(x_tilde) serves the balls
+    and c_bar (``_dual_radius_bound``, which adds G at the origin and at one
+    point of the segment between them); J(x_tilde) serves the balls and L_G
+    = ||J(x_tilde)|| + L_X R, the largest ||J|| on the ball that the
+    Lipschitz modulus L_X allows. D_Y is the exact diameter of Y: c_bar for
+    m = 1, sqrt(2)*c_bar otherwise (the farthest vertex pair of the
+    l1-capped nonnegative orthant). The scalars are Python floats (L_X is
+    one, see ConstrainedProblem).
 
     Raises
     ------
     ValueError
-        If the minimizers are not one per constraint, a constraint's minimum
-        is not negative, G(x_tilde) < 0 fails, or L_G is not finite and
+        If G(x_tilde) < 0 fails componentwise, or L_G is not finite and
         positive.
     """
-    if len(minimizers) != problem.m:
-        raise ValueError(f"need {problem.m} per-constraint minimizers, got {len(minimizers)}")
     x_tilde = problem.strict_point
     g_tilde = problem.g(x_tilde)
-    radius = math.inf
-    for i, xi in enumerate(minimizers):
-        xi = _vec(xi, problem.n, f"minimizer {i}")
-        gi = float((g_tilde if np.array_equal(xi, x_tilde) else problem.g(xi))[i])  # the builders pass x_tilde
-        if gi >= 0:
-            raise ValueError(f"constraint {i} is never strictly satisfiable: min g = {gi:.6g} >= 0")
-        radius = min(radius, _norm(x_tilde - xi) + (1.0 + _BALL_MARGIN) * math.sqrt(-2.0 * gi / problem.mu[i]))
+    g_list = g_tilde.tolist()
+    if not all(g < 0 for g in g_list):  # nan fails too
+        raise ValueError(
+            "strict feasibility violated: G(strict_point) must be negative componentwise, "
+            f"got max g_i = {float(np.max(g_tilde)):.6g}"
+        )
     jac_tilde = problem.jac(x_tilde)
+    radius = math.inf
+    for i, (g_i, mu_i) in enumerate(zip(g_list, problem.mu.tolist())):
+        offset = _norm(jac_tilde[:, i]) / mu_i  # ||x_tilde - z_i||
+        radius = min(radius, offset + (1.0 + _BALL_MARGIN) * math.sqrt(offset * offset - 2.0 * g_i / mu_i))
     c_bar = _dual_radius_bound(problem, g_tilde, jac_tilde)
     l_g = _operator_norm(jac_tilde, problem.m) + problem.L_X * radius
     if not (math.isfinite(l_g) and l_g > 0.0):

@@ -10,7 +10,7 @@ from helpers import chorded_path_edges, write_edge_list
 def canonical():
     """The 1-D known-solution instance: f=|x|, g=(x-2)^2/2 - 1, x*=2-sqrt(2)."""
     problem, x_star, y_star = make_synthetic_instance(1, 2.0, 1.0)
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     return problem, constants, x_star, y_star
 
 

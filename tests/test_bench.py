@@ -841,7 +841,7 @@ def test_rapdpro_gap_windows_soft_nonincreasing():
 
 def test_rapdpro_active_set_reaches_one_and_keeps_it():
     problem, x_star, y_star = make_synthetic_instance(3, np.array([2.0, 0.05, 1.5]), 1.0)
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     cfg = SolverConfig(variant="rapdpro", max_iters=2000, max_epochs=8)
     recorder = make_recorder(problem, "rapdpro", cfg, (x_star, y_star, problem.f(x_star)))
     res = rapdpro(problem, constants, cfg, np.zeros(3), np.zeros(1), recorder=recorder)

@@ -82,7 +82,7 @@ def _graph_case(family, n, rng, frac, alpha, r_rule, teleport):
     q_lin = alpha * s / np.sqrt(graph.degrees)
     g_min = -0.5 * float(q_lin @ np.linalg.solve(q_dense, q_lin))
     problem = build_ppr_problem(graph, alpha, frac * g_min, s, r_rule)
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     x_star, y_star, _ = reference_solution(InstanceBundle(problem, constants, None, "", None, ""), "long-run")
     x_tilde = problem.strict_point
     g_tilde = float(problem.g(x_tilde)[0])
@@ -152,8 +152,7 @@ def _build(kind, args):
 def test_derived_constants_are_certified_property(case):
     kind, args = case
     problem, x_star, y_star, boundary, extreme = _build(kind, args)
-    minimizers = [np.array([2.0, 0.0]), np.array([2.0, 1.0])] if kind == "two-ball" else [problem.strict_point]
-    constants = derive_constants(problem, minimizers)
+    constants = derive_constants(problem)
     assert kkt_residual(problem, x_star, y_star).max() <= 1e-10
     center, radius = problem.strict_point, constants.ball_radius
     rng = np.random.default_rng(7)

@@ -443,7 +443,7 @@ def test_synthetic_canonical_reference():
     problem, x_star, y_star = make_synthetic_instance(1, 2.0, 1.0)
     assert x_star[0] == pytest.approx(2.0 - math.sqrt(2.0), abs=2 * math.ulp(1.0))
     assert y_star[0] == pytest.approx(math.sqrt(0.5), abs=math.ulp(1.0))
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     assert constants.L_G == pytest.approx(1.1 * np.sqrt(2.0), abs=1e-15)  # the ball's radius: J(2) = 0, L_X = 1
 
 

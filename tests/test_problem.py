@@ -134,28 +134,28 @@ def test_dual_radius_bound_rejects_nonstrict_point():
     problem = _toy_problem()
     bad = dataclasses.replace(problem, strict_point=np.array([3.0, 0.0, 0.0]))  # g = 1 there
     with pytest.raises(ValueError, match="strict feasibility"):
-        derive_constants(bad, [problem.strict_point])  # the minimizer of g, where g = -1
+        derive_constants(bad)
 
 
 def test_primal_ball_canonical(canonical):
     problem, _, _, _ = canonical
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     assert constants.ball_radius == pytest.approx(1.1 * SQRT2, abs=1e-15)  # (1 + theta) sqrt(-2 g(2)/mu)
-    with pytest.raises(ValueError, match="minimizers"):
-        derive_constants(problem, [])
 
 
 def test_primal_ball_moves_to_a_strict_point_off_the_minimizer():
-    """||x_tilde - x*|| + (1 + theta) sqrt(-2 g(x*)/mu): the ball around x_tilde holds the one around x*."""
+    """||x_tilde - z|| + (1 + theta) rho: the ball around x_tilde holds the model ball B(z, rho) formed at
+    x_tilde. g is quadratic with Hessian mu I, so the model is exact: z = x* = (1, 0, 0) and rho^2 =
+    ||J(x_tilde)||^2 - 2 g(x_tilde) = 0.25 - 2 (0.125 - 1) = 2, the ball around the minimizer."""
     problem = _toy_problem()
     moved = dataclasses.replace(problem, strict_point=np.array([1.5, 0.0, 0.0]))
-    radius = derive_constants(moved, [problem.strict_point]).ball_radius
+    radius = derive_constants(moved).ball_radius
     assert radius == pytest.approx(0.5 + 1.1 * SQRT2, rel=1e-15)
 
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance):
-    """G(x_tilde) serves both the radius, when x_tilde is the minimizer, and c_bar."""
+    """G(x_tilde) serves both the radius and c_bar."""
     problem = request.getfixturevalue(instance)[0]
     x_tilde, at_x_tilde = problem.strict_point, []
 
@@ -165,20 +165,21 @@ def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance
 
     counted = dataclasses.replace(problem, constraints=constraints)
     at_x_tilde.clear()  # the quadratic structure's check, at construction, evaluates G there too
-    constants = derive_constants(counted, [counted.strict_point])
+    constants = derive_constants(counted)
     assert at_x_tilde.count(True) == 1
-    assert constants == derive_constants(problem, [x_tilde])
+    assert constants == derive_constants(problem)
 
 
 def test_primal_ball_rejects_unsatisfiable_constraint():
+    """g = ||x||^2 is never negative, so no strict point exists: the one given is rejected."""
     problem = _toy_problem()
     hopeless = ConstrainedProblem(
         objective=problem.objective,
         constraints=lambda x: np.array([float(x @ x)]), jacobian=problem.jacobian,
         mu=np.array([1.0]), L_X=1.0, r=1.0, strict_point=problem.strict_point,
     )
-    with pytest.raises(ValueError, match="never strictly satisfiable"):
-        derive_constants(hopeless, [np.zeros(3)])
+    with pytest.raises(ValueError, match="strict feasibility"):
+        derive_constants(hopeless)
 
 
 def test_derived_constants_canonical(canonical):
@@ -195,7 +196,7 @@ def test_derived_constants_canonical(canonical):
 
 def test_dual_diameter_multi_constraint():
     problem = _toy_problem(m=2)
-    constants = derive_constants(problem, [problem.strict_point] * 2)
+    constants = derive_constants(problem)
     assert constants.D_Y == pytest.approx(SQRT2 * constants.c_bar, abs=1e-15)
 
 
@@ -283,17 +284,13 @@ def test_constraint_shape_errors():
 
 
 def _problem_whose_L_G_is(bad):
-    """A problem and minimizer from which derive_constants forms L_G = ||J(x_tilde)|| + L_X * radius
-    equal to ``bad``: a constant zero J gives 0, a minimizer where G is -inf an infinite ball and inf,
-    a nan J at the strict point nan. A negative L_G cannot arise, as both of its terms are >= 0."""
+    """A problem from which derive_constants forms L_G = ||J(x_tilde)|| + L_X * radius equal to ``bad``:
+    a constant zero J gives 0, an inf entry of J at the strict point inf, a nan entry nan. A negative
+    L_G cannot arise, as both of its terms are >= 0."""
     toy = _toy_problem()
-    if np.isinf(bad):
-        origin = np.zeros(3)
-        return dataclasses.replace(
-            toy, constraints=lambda x: np.array([-np.inf]) if np.array_equal(x, origin) else toy.constraints(x)
-        ), origin
-    jac = np.full((3, 1), np.nan if np.isnan(bad) else 0.0)
-    return dataclasses.replace(toy, jacobian=lambda x: jac, L_X=0.0 if bad == 0.0 else 1.0), toy.strict_point
+    jac = np.zeros((3, 1))
+    jac[0, 0] = bad
+    return dataclasses.replace(toy, jacobian=lambda x: jac, L_X=0.0 if bad == 0.0 else 1.0)
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -307,8 +304,7 @@ def test_problem_constants_are_validated_at_construction(canonical, name, bad):
     problem = canonical[0]
     with pytest.raises(ValueError, match=f"^{name} must be finite and"):
         if name == "L_G":
-            broken, minimizer = _problem_whose_L_G_is(bad)
-            derive_constants(broken, [minimizer])
+            derive_constants(_problem_whose_L_G_is(bad))
         else:
             dataclasses.replace(problem, **{name: bad})
     dataclasses.replace(problem, L_X=0.0)  # a constant Jacobian: L_X = 0 is a valid bound
@@ -318,7 +314,7 @@ def test_problem_constants_are_python_floats(canonical, small_graph):
     """The loop's step sizes and estimator values inherit these types; a numpy scalar here
     would make every scalar operation of an iteration pay numpy's dispatch."""
     toy = _toy_problem()  # L_X given as np.float64
-    for problem, constants in (canonical[:2], small_graph, (toy, derive_constants(toy, [toy.strict_point]))):
+    for problem, constants in (canonical[:2], small_graph, (toy, derive_constants(toy))):
         for value in (problem.L_X, problem.r, constants.L_XY, constants.L_G, constants.c_bar, constants.mu_lb,
                       constants.ball_radius, constants.D_X, constants.D_Y):
             assert type(value) is float

@@ -635,7 +635,7 @@ def _two_ball_problem():
         constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
         r=1.0, strict_point=np.array([2.0, 0.5]),
     )
-    return problem, derive_constants(problem, list(centers))
+    return problem, derive_constants(problem)
 
 
 def test_non_finite_jacobian_at_x_bar_raises_with_two_constraints():
@@ -738,7 +738,7 @@ def test_non_finite_start_point_is_rejected(variant, runner, point, bad):
     """A nan y0 would be projected to 0 and run as if it were 0; a nan x0 would be reported as
     the oracle's fault. Both are the caller's, and the error names the argument."""
     problem, _, _ = make_synthetic_instance(3, np.array([2.0, -1.0, 0.5]), 1.0)
-    constants = derive_constants(problem, [problem.strict_point])
+    constants = derive_constants(problem)
     start = {"x0": np.zeros(3), "y0": np.zeros(1)}
     start[point][-1] = bad
     with pytest.raises(ValueError, match=rf"^{point} must be finite"):
