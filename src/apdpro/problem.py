@@ -6,8 +6,9 @@ Problems have the form
 
 where f is a weighted sum of block Euclidean norms and each g_i is smooth and
 mu_i-strongly convex. The dual variable lives in Y = {y >= 0, ||y||_1 <= c_bar}
-with c_bar derived from a strictly feasible point, and the primal iterates are
-confined to a ball around that point that provably contains the feasible set.
+with c_bar derived from a lower bound on f* and strictly feasible points,
+and the primal iterates are confined to a ball around the strict point that
+provably contains the feasible set (``derive_constants``).
 """
 
 from __future__ import annotations
@@ -36,14 +37,20 @@ __all__ = [
 # far below any mismatch between the structure and the oracle.
 _QUADRATIC_RTOL = 1e-9
 _F64 = np.dtype(np.float64)
-# The ball's margin theta over the radius sqrt(-2 g(x_g*)/mu) that {g <= 0}
-# needs. Without one, the synthetic family's ball is exactly {g <= 0} and x*
-# lies on both boundaries: at theta = 1e-9 the canonical instance takes
-# apdpro 7,628 iterations to a 1e-9 gap, against 52 at theta = 0.1. A larger
-# theta grows L_G and D_X, and the step sizes and epoch budgets follow. On
-# the benchmark's workloads 0.05 and 0.1 ran about even and 0.2 and 0.5
-# slower; 0.1 keeps twice the distance from the blow-up at 0.
-_BALL_MARGIN = 0.1
+# The ball's margin theta over the model ball's radius rho. Without one, the synthetic family's ball
+# is exactly {g <= 0} and x* lies on both boundaries: at theta = 1e-9 the canonical instance takes
+# apdpro 5,661 iterations to a 1e-9 gap, against 63 at 0.2. A larger theta grows L_G and D_X, and the
+# step sizes and epoch budgets follow. iters_to_tol at seeds 0 / 4242 (/ 17):
+#   theta   synth-batch          ppr-5k            synth-10k
+#   0.05    8144 / 8195          1278 / 1325       1123 / 1132
+#   0.1     7641 / 7634 / 7768   955 / 847 / 948   931 / 911 / 937
+#   0.2     7640 / 7560 / 7672   856 / 856 / 856   870 / 885 / 885
+#   0.3     7937 / 7895          862 / 799         865 / 844
+# 0.2 has the least total on every workload; it loses only ppr-5k at seed 4242, by 9 iterations.
+_BALL_MARGIN = 0.2
+# How far c_bar's point x_s may go toward p. Where the model is exact (the synthetic family), p lies
+# on {g = 0}, and this keeps c_bar about 5e-4 above ||y*||_1.
+_SEGMENT_CAP = 1.0 - 1e-3
 
 
 def _norm(v: np.ndarray) -> float:
@@ -264,84 +271,92 @@ class KktResidual:
         return max(self.stationarity, self.complementarity, self.primal_violation, self.dual_violation)
 
 
-def _dual_radius_bound(problem: ConstrainedProblem, g_tilde: np.ndarray, jac_tilde: np.ndarray) -> float:
-    """l1 radius c_bar of a set containing all dual optima, from the best strictly feasible point found.
+def _ball_lower_bound(objective: BlockNormObjective, z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
+    """(lb, p): lb <= the least f over B(z, rho), by weak duality at any t > 0, and p the point behind it.
 
-    Any x with G(x) < 0 gives ||y*||_1 <= (f(x) - f*)/min_i(-g_i(x)) <=
-    f(x)/min_i(-g_i(x)). The candidates are x_tilde and one point t x_tilde
-    of the segment from the origin, where f(t x_tilde) = t f(x_tilde).
-    Along the segment each g_i is modelled as a t^2 + b t + c from G(0),
-    G(x_tilde) = ``g_tilde`` and the slope x_tilde'J(x_tilde) at t = 1 (the
-    model is exact for quadratic g). min_i(-g_i(t x_tilde))/t is largest at
-    t^2 = c/a for one constraint; for several, the per-constraint optimum
-    whose model value is best is taken. One real G evaluation there
-    certifies the point, so the bound holds whether or not the model fits;
-    a t that is not strictly feasible, or a nan anywhere in the model,
-    leaves x_tilde alone. G(x_tilde) < 0 is checked by the caller.
+    lb = min_x f(x) + (||x - z||^2 - rho^2)/(2t) = sum_b [w_b (a_b - m_b) + m_b^2/(2t)] - rho^2/(2t),
+    a_b = ||z_b||, m_b = min(a_b, t w_b); p is the block soft threshold of z at t. It is tight at the
+    root of sum_b m_b^2 = rho^2: t starts below it, at rho/||w||, and takes one active-set step toward
+    it. A converged t gave a looser c_bar on the benchmark's synth-10k instances (1.06-1.20 times
+    ||y*||_1, against 1.02-1.05), as it moves p. (0, 0) stands for a ball that holds the origin.
     """
-    g_list = g_tilde.tolist()
-    x = problem.strict_point
-    f_tilde = problem.f(x)
-    best = f_tilde / -max(g_list)
-    # Per constraint (a, b, c) with c = g_i(0), a + b + c = g_i(x_tilde) and 2a + b = the slope.
-    models = []
-    for g1, c, slope in zip(g_list, problem.g(np.zeros(problem.n)).tolist(), (x @ jac_tilde).tolist()):
-        a = slope - (g1 - c)
-        models.append((a, g1 - c - a, c))
-    ts = [math.sqrt(c / a) for a, _, c in models if 0.0 < c < a]  # the optima inside (0, 1)
-    if ts:
-        t = max(ts, key=lambda t: min(-(a * t * t + b * t + c) for a, b, c in models) / t)
-        g_t = problem.g(t * x).tolist()
-        if all(-math.inf < g < 0 for g in g_t):
-            best = min(best, t * f_tilde / -max(g_t))
-    return best
+    w = objective.weights
+    a = objective.block_norms(z)
+    rho_sq, w_norm = rho * rho, _norm(w)
+    t = rho / w_norm if w_norm > 0.0 else math.inf
+    if not math.isfinite(t):  # f = 0, or rho = inf
+        return 0.0, np.zeros_like(z)
+    tw = t * w
+    m = np.minimum(a, tw)
+    free = float((w * w) @ (a > tw))  # sum of w_b^2 over the blocks not held at a_b
+    room = rho_sq - (float(m @ m) - t * t * free)  # rho^2 less the held blocks' a_b^2
+    if not (room > 0.0 and free > 0.0):  # every block is held: the origin is in the ball
+        return 0.0, np.zeros_like(z)
+    t = max(t, math.sqrt(room / free))
+    m = np.minimum(a, t * w)
+    shrunk = a - m  # ||p_b||
+    lb = float(w @ shrunk) + (float(m @ m) - rho_sq) / (2.0 * t)
+    if objective._singletons:
+        return lb, np.copysign(shrunk, z)
+    return lb, objective.expand(shrunk / np.where(a > 0.0, a, 1.0)) * z
 
 
 def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     """c_bar, the primal ball's radius, diameters, L_XY = c_bar * L_X and L_G in one bundle.
 
-    The primal ball X = B(x_tilde, R) is centered at the strict point and
-    contains the feasible set {G <= 0}, hence the optimum. By strong
-    convexity at x_tilde, g_i(x) >= g_i(x_tilde) + J_i(x_tilde)'(x - x_tilde)
-    + mu_i ||x - x_tilde||^2 / 2, so {g_i <= 0} lies in the model ball
-    B(z_i, rho_i) with z_i = x_tilde - J_i(x_tilde)/mu_i and rho_i^2 =
-    ||J_i(x_tilde)||^2/mu_i^2 - 2 g_i(x_tilde)/mu_i. R is the least over i
-    of ||x_tilde - z_i|| + (1 + theta) rho_i: the triangle inequality moves
-    that ball to x_tilde, and the margin theta = 0.1 (``_BALL_MARGIN``)
-    keeps its boundary off the feasible set's.
+    Strong convexity at the strict point x_tilde puts {g_i <= 0} in the model ball B(z_i, rho_i),
+    z_i = x_tilde - J_i(x_tilde)/mu_i, rho_i^2 = ||J_i(x_tilde)||^2/mu_i^2 - 2 g_i(x_tilde)/mu_i. So
+    the primal ball X = B(x_tilde, R), R = min_i ||x_tilde - z_i|| + (1 + theta) rho_i, holds the
+    feasible set, and the margin theta (``_BALL_MARGIN``) keeps its boundary off the feasible set's.
+    L_G = ||J(x_tilde)|| + L_X R is the largest ||J|| on X that L_X allows.
 
-    G and J are evaluated once each at x_tilde. G(x_tilde) serves the balls
-    and c_bar (``_dual_radius_bound``, which adds G at the origin and at one
-    point of the segment between them); J(x_tilde) serves the balls and L_G
-    = ||J(x_tilde)|| + L_X R, the largest ||J|| on the ball that the
-    Lipschitz modulus L_X allows. D_Y is the exact diameter of Y: c_bar for
-    m = 1, sqrt(2)*c_bar otherwise (the farthest vertex pair of the
-    l1-capped nonnegative orthant). The scalars are Python floats (L_X is
-    one, see ConstrainedProblem).
+    A strictly feasible x and lb <= f* give ||y*||_1 <= (f(x) - lb)/min_i(-g_i(x)). lb is the largest
+    of 0 and the model balls' bounds (``_ball_lower_bound``), and c_bar takes the better of x_tilde
+    and x_s = x_tilde + s (p - x_tilde), p the point behind lb, where f(x_s) <= (1 - s) f(x_tilde)
+    + s f(p). With g_i modelled along the segment as c + a s^2 (c = g_i(x_tilde), a = g_i(p) - c;
+    exact at the minimizer of a quadratic g_i), the bound is least at s = 1 - sqrt(1 + c/a) if
+    g_i(p) > 0, at s = 1 otherwise; s is the least of those and ``_SEGMENT_CAP``. G(x_s) certifies
+    x_s, and one that is not strictly feasible is dropped.
+
+    J is evaluated once, at x_tilde, and G three times: at x_tilde, p and x_s. D_Y is the exact
+    diameter of Y: c_bar for m = 1, sqrt(2)*c_bar otherwise (the farthest vertex pair of the
+    l1-capped nonnegative orthant). The scalars are Python floats (L_X is one, see ConstrainedProblem).
 
     Raises
     ------
     ValueError
-        If G(x_tilde) < 0 fails componentwise, or L_G is not finite and
-        positive.
+        If G(x_tilde) < 0 fails componentwise, or L_G is not finite and positive.
     """
     x_tilde = problem.strict_point
-    g_tilde = problem.g(x_tilde)
-    g_list = g_tilde.tolist()
-    if not all(g < 0 for g in g_list):  # nan fails too
+    g_tilde = problem.g(x_tilde).tolist()
+    if not all(g < 0 for g in g_tilde):  # nan fails too
         raise ValueError(
             "strict feasibility violated: G(strict_point) must be negative componentwise, "
             f"got max g_i = {float(np.max(g_tilde)):.6g}"
         )
     jac_tilde = problem.jac(x_tilde)
-    radius = math.inf
-    for i, (g_i, mu_i) in enumerate(zip(g_list, problem.mu.tolist())):
+    radius, lb, p = math.inf, -math.inf, None
+    for i, (g_i, mu_i) in enumerate(zip(g_tilde, problem.mu.tolist())):
         offset = _norm(jac_tilde[:, i]) / mu_i  # ||x_tilde - z_i||
-        radius = min(radius, offset + (1.0 + _BALL_MARGIN) * math.sqrt(offset * offset - 2.0 * g_i / mu_i))
-    c_bar = _dual_radius_bound(problem, g_tilde, jac_tilde)
+        rho = math.sqrt(offset * offset - 2.0 * g_i / mu_i)
+        radius = min(radius, offset + (1.0 + _BALL_MARGIN) * rho)
+        z = x_tilde if offset == 0.0 else x_tilde - jac_tilde[:, i] / mu_i  # J = 0 at a minimizer of g_i
+        lb_i, p_i = _ball_lower_bound(problem.objective, z, rho)
+        if p is None or lb_i > lb:
+            lb, p = lb_i, p_i
     l_g = _operator_norm(jac_tilde, problem.m) + problem.L_X * radius
     if not (math.isfinite(l_g) and l_g > 0.0):
         raise ValueError(f"L_G must be finite and positive, got {l_g!r}")
+    lb = max(lb, 0.0)
+    c_bar = (problem.f(x_tilde) - lb) / -max(g_tilde)
+    s = _SEGMENT_CAP
+    for c, g_p in zip(g_tilde, problem.g(p).tolist()):
+        if g_p > 0.0:
+            s = min(s, 1.0 - math.sqrt(1.0 + c / (g_p - c)))
+    x_s = x_tilde + s * (p - x_tilde)
+    g_s = problem.g(x_s).tolist()
+    if all(-math.inf < g < 0 for g in g_s):
+        c_bar = min(c_bar, (problem.f(x_s) - lb) / -max(g_s))
     d_y = c_bar if problem.m == 1 else math.sqrt(2.0) * c_bar
     return ProblemConstants(
         c_bar=c_bar,

@@ -1,6 +1,15 @@
 """Small shared test utilities: graph files, random partitions, slope fits, trace comparison."""
 
+import math
+
 import numpy as np
+
+# c_bar of the canonical instance (f = |x|, g = (x - 2)^2/2 - 1, strict point 2) in closed form. Its model
+# ball B(2, sqrt(2)) is exact, so at t = sqrt(2) the lower bound is f* = 2 - sqrt(2) and p = x* = 2 - sqrt(2).
+# The second point x_s = 2 - s sqrt(2), s = 1 - 1e-3, gives (f(x_s) - lb)/(-g(x_s)) = sqrt(2)(1 - s)/(1 - s^2)
+# = sqrt(2)/(1 + s), against y* = 1/sqrt(2). Its numerator cancels to 1e-3 of f, so the computed value
+# matches to about 1e-13 relative, not to the last bit.
+CANONICAL_C_BAR = math.sqrt(2.0) / (2.0 - 1e-3)
 
 
 class NdarraySubclass(np.ndarray):

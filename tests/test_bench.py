@@ -170,8 +170,9 @@ def test_default_recorder_matches_compute_metrics(canonical):
     f_star = problem.f(x_star)
     for variant in VARIANTS:
         runner = bench._RUNNERS[variant]
-        # msapd's first stage is 43 iterations on this instance: a second stage takes it past 60 records
-        cfg = SolverConfig(variant=variant, max_iters=60, max_epochs=1, restart_period=25)
+        # rapdpro's first two epochs end after 53 iterations on this instance, and msapd's first two stages
+        # after 43: a third takes each past 60 records
+        cfg = SolverConfig(variant=variant, max_iters=60, max_epochs=2, restart_period=25)
         for f_ref in (f_star, None):
             default = runner(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref)
             reference = None if f_ref is None else (None, f_ref)

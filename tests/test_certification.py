@@ -1,10 +1,13 @@
 """Every derived constant the docs call certified is a bound, on generated instances.
 
-One derandomized property covers synthetic instances (n 1..8), small
-connected graphs (paths, even cycles, stars and complete bipartite graphs,
-which are bipartite, and chorded paths, which mostly are not) and a generic
-two-constraint problem. On each it checks, against ground truth computed
-here:
+One derandomized property covers synthetic instances (n 1..8), the same
+family under blocks of unequal weights, a diagonal quadratic whose model
+ball holds the origin though its feasible set does not (so the lower bound
+on f* behind c_bar is 0), small connected graphs (paths, even cycles, stars
+and complete bipartite graphs, which are bipartite, and chorded paths, which
+mostly are not) and a generic two-constraint problem, in either order of
+its constraints (the lower bound on f* comes from the second ball, or the
+first). On each it checks, against ground truth computed here:
 
 - {G <= 0} lies in the ball: boundary points of {G <= 0} in closed form,
   along random directions from the center and along the directions where
@@ -23,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from apdpro.bench import InstanceBundle, reference_solution
 from apdpro.pagerank import Graph, build_ppr_problem, make_synthetic_instance
@@ -34,7 +38,7 @@ from apdpro.problem import (
     kkt_residual,
 )
 from apdpro.solvers import SolverConfig, apdpro, rapdpro
-from helpers import cycle_edges, path_edges, star_edges
+from helpers import cycle_edges, path_edges, random_partition, star_edges
 from oracles import ppr_q_dense
 
 RUN_ITERS = 60
@@ -73,6 +77,60 @@ def _synthetic_case(n, rng, frac):
     return problem, x_star, y_star, boundary, []
 
 
+def _block_case(n, rng, frac):
+    """f = sum_b w_b ||x_b|| with unequal weights, g = ||x - c||^2/2 - level^2: x* is the block soft
+    threshold of c at t = 1/y*, where t solves sum_b min(||c_b||, t w_b)^2 = 2 level^2, in closed form
+    on the interval between consecutive ratios ||c_b||/w_b that holds it."""
+    blocks = random_partition(rng, n)
+    w = rng.uniform(0.5, 2.0, size=len(blocks))
+    objective = BlockNormObjective(blocks=blocks, weights=w)
+    c = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+    level = frac * float(np.linalg.norm(c)) / math.sqrt(2.0)
+    problem = ConstrainedProblem(
+        objective=objective, constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - level**2]),
+        jacobian=lambda x: (x - c).reshape(n, 1), mu=np.ones(1), L_X=1.0, r=float(w.min()), strict_point=c.copy(),
+    )  # r: a nonzero block of x* has a subgradient of norm w_b
+    a = objective.block_norms(c)
+    ratios = np.sort(a / w)
+    for k in range(len(w)):  # blocks with a_b/w_b < ratios[k] are held at a_b, the rest at t w_b
+        held = a / w < ratios[k]
+        t = math.sqrt((2.0 * level**2 - float(a[held] @ a[held])) / float(w[~held] @ w[~held]))
+        if t <= ratios[k]:
+            break
+    x_star = objective.expand(np.maximum(0.0, 1.0 - t * w / a)) * c
+
+    def boundary(u):
+        return c + math.sqrt(2.0) * level * u
+
+    return problem, x_star, np.array([1.0 / t]), boundary, []
+
+
+def _origin_in_ball_case(n, rng, frac):
+    """Unit l1 objective, g = (x - c)'D(x - c)/2 - L with D diagonal, D_0 = mu = 1, the rest of D in
+    [2, 4], and 2L strictly between ||c||^2 and c'Dc: the origin is infeasible, so y* > 0, but lies in
+    the model ball B(c, sqrt(2L)). x*_j = soft(c_j, 1/(y* D_j)), and y* solves the active constraint
+    sum_j D_j min(|c_j|, 1/(y D_j))^2 = 2L, which falls as y grows."""
+    d = np.concatenate(([1.0], rng.uniform(2.0, 4.0, size=n - 1)))
+    c = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+    two_l = float(c @ c) + frac * float(c @ (d * c) - c @ c)
+    problem = ConstrainedProblem(
+        objective=BlockNormObjective(blocks=[(j, 1) for j in range(n)], weights=np.ones(n)),
+        constraints=lambda x: np.array([0.5 * (x - c) @ (d * (x - c)) - 0.5 * two_l]),
+        jacobian=lambda x: (d * (x - c)).reshape(n, 1), mu=np.ones(1), L_X=float(d.max()), r=1.0,
+        strict_point=c.copy(),
+    )
+    shift = lambda y: np.minimum(np.abs(c), 1.0 / (y * d))  # noqa: E731
+    y = brentq(lambda y: float(d @ shift(y) ** 2) - two_l, 1.0 / float(np.max(d * np.abs(c))),
+               2.0 * math.sqrt(n / two_l) + 1.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    x_star = np.sign(c) * (np.abs(c) - shift(y))
+
+    def boundary(u):
+        return c + math.sqrt(two_l / float(u @ (d * u))) * u
+
+    axis = np.eye(n)[0]  # D's least entry: {g <= 0} reaches farthest along it
+    return problem, x_star, np.array([y]), boundary, [axis, -axis]
+
+
 def _graph_case(family, n, rng, frac, alpha, r_rule, teleport):
     edges = _graph_edges(family, n, rng)
     graph = _graph(max(max(e) for e in edges) + 1, edges)
@@ -97,10 +155,12 @@ def _graph_case(family, n, rng, frac, alpha, r_rule, teleport):
     return problem, x_star, y_star, boundary, [extreme, -extreme]
 
 
-def _two_ball_case(height):
+def _two_ball_case(height, swap):
     """g_i(x) = ||x - c_i||^2/2 - 1 for c = (2, 0) and (2, 1), unit l1 objective, strict point
-    (2, height): x* = (1, 0) and y* = (0, 1) by hand (g_2 is active there, with gradient (-1, -1))."""
-    centers = np.array([[2.0, 0.0], [2.0, 1.0]])
+    (2, height): x* = (1, 0) and y* = (0, 1) by hand (g_2 is active there, with gradient (-1, -1)).
+    The balls' lower bounds on f* = 1 are 2 - sqrt(2) and 1: the larger is the second constraint's,
+    or with ``swap`` (the constraints in the other order, y* = (1, 0)) the first's."""
+    centers = np.array([[2.0, 1.0], [2.0, 0.0]] if swap else [[2.0, 0.0], [2.0, 1.0]])
 
     def constraints(x):
         d = x - centers
@@ -119,35 +179,36 @@ def _two_ball_case(height):
 
     # The lens reaches farthest toward the circles' crossings (2 +- sqrt(7)/2, 1/2).
     crossings = [np.array([2.0 + side * math.sqrt(7.0) / 2.0, 0.5]) - problem.strict_point for side in (1, -1)]
-    return problem, np.array([1.0, 0.0]), np.array([0.0, 1.0]), boundary, crossings
+    return problem, np.array([1.0, 0.0]), np.array([1.0, 0.0] if swap else [0.0, 1.0]), boundary, crossings
 
 
 @st.composite
 def certification_cases(draw):
-    kind = draw(st.sampled_from(["synthetic", "graph", "two-ball"]))
+    kind = draw(st.sampled_from(["synthetic", "blocks", "origin-in-ball", "graph", "two-ball"]))
     seed = draw(st.integers(0, 2**32 - 1))
     frac = draw(st.floats(0.05, 0.95))
-    if kind == "synthetic":
-        return kind, (draw(st.integers(1, 8)), seed, frac)
+    if kind in ("synthetic", "blocks", "origin-in-ball"):
+        return kind, (draw(st.integers(1 if kind == "synthetic" else 2, 8)), seed, frac)
     if kind == "graph":
         family = draw(st.sampled_from(["path", "even-cycle", "star", "complete-bipartite", "chorded-path"]))
         return kind, (family, draw(st.integers(3, 60)), seed, frac, draw(st.floats(0.1, 0.9)),
                       draw(st.sampled_from(["degree", "sqrt-degree"])),
                       draw(st.sampled_from(["uniform", "seed:0", "seed:2"])))
-    return kind, (draw(st.floats(0.2, 0.8)),)
+    return kind, (draw(st.floats(0.2, 0.8)), draw(st.booleans()))
 
 
 def _build(kind, args):
-    if kind == "synthetic":
+    if kind in ("synthetic", "blocks", "origin-in-ball"):
         n, seed, frac = args
-        return _synthetic_case(n, np.random.default_rng(seed), frac)
+        case = {"synthetic": _synthetic_case, "blocks": _block_case, "origin-in-ball": _origin_in_ball_case}[kind]
+        return case(n, np.random.default_rng(seed), frac)
     if kind == "graph":
         family, n, seed, frac, alpha, r_rule, teleport = args
         return _graph_case(family, n, np.random.default_rng(seed), frac, alpha, r_rule, teleport)
     return _two_ball_case(*args)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=certification_cases())
 def test_derived_constants_are_certified_property(case):
     kind, args = case

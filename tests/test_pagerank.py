@@ -444,7 +444,7 @@ def test_synthetic_canonical_reference():
     assert x_star[0] == pytest.approx(2.0 - math.sqrt(2.0), abs=2 * math.ulp(1.0))
     assert y_star[0] == pytest.approx(math.sqrt(0.5), abs=math.ulp(1.0))
     constants = derive_constants(problem)
-    assert constants.L_G == pytest.approx(1.1 * np.sqrt(2.0), abs=1e-15)  # the ball's radius: J(2) = 0, L_X = 1
+    assert constants.L_G == pytest.approx(1.2 * np.sqrt(2.0), abs=1e-15)  # the ball's radius: J(2) = 0, L_X = 1
 
 
 def test_synthetic_scaled_instance_satisfies_kkt():

@@ -15,7 +15,7 @@ from apdpro.problem import (
     kkt_residual,
 )
 from apdpro.prox import prox_f_over_ball
-from helpers import NdarraySubclass, random_partition
+from helpers import CANONICAL_C_BAR, NdarraySubclass, random_partition
 
 SQRT2 = np.sqrt(2.0)
 
@@ -120,14 +120,12 @@ def test_singleton_blocks_match_the_general_path_bitwise():
 
 
 def test_dual_radius_bound_canonical(canonical):
-    """c_bar = min over t of t f(2)/(-g(2t)): at t^2 = 1/2, 1/(2 - sqrt(2)) = 1 + sqrt(2)/2, below
-    the strict point's f(2)/(-g(2)) = 2. A dense scan of the segment's strictly feasible part finds
-    nothing lower."""
-    _, constants, _, _ = canonical
-    assert constants.c_bar == pytest.approx(1.0 + SQRT2 / 2.0, abs=1e-15)
-    ts = np.linspace(1e-3, 1.0, 100_000)
-    g = 0.5 * (2.0 * ts - 2.0) ** 2 - 1.0
-    assert constants.c_bar <= np.min(ts[g < 0] * 2.0 / -g[g < 0]) * (1.0 + 1e-12)
+    """c_bar = sqrt(2)/(1 + s) from the lower bound f* = 2 - sqrt(2) and the point x_s = 2 - s sqrt(2)
+    (helpers.CANONICAL_C_BAR), below the strict point's (f(2) - f*)/(-g(2)) = sqrt(2) and within
+    1e-3 of y* = 1/sqrt(2)."""
+    _, constants, _, y_star = canonical
+    assert constants.c_bar == pytest.approx(CANONICAL_C_BAR, rel=1e-13)
+    assert y_star[0] <= constants.c_bar <= y_star[0] * (1.0 + 1e-3)
 
 
 def test_dual_radius_bound_rejects_nonstrict_point():
@@ -140,7 +138,7 @@ def test_dual_radius_bound_rejects_nonstrict_point():
 def test_primal_ball_canonical(canonical):
     problem, _, _, _ = canonical
     constants = derive_constants(problem)
-    assert constants.ball_radius == pytest.approx(1.1 * SQRT2, abs=1e-15)  # (1 + theta) sqrt(-2 g(2)/mu)
+    assert constants.ball_radius == pytest.approx(1.2 * SQRT2, abs=1e-15)  # (1 + theta) sqrt(-2 g(2)/mu)
 
 
 def test_primal_ball_moves_to_a_strict_point_off_the_minimizer():
@@ -150,23 +148,25 @@ def test_primal_ball_moves_to_a_strict_point_off_the_minimizer():
     problem = _toy_problem()
     moved = dataclasses.replace(problem, strict_point=np.array([1.5, 0.0, 0.0]))
     radius = derive_constants(moved).ball_radius
-    assert radius == pytest.approx(0.5 + 1.1 * SQRT2, rel=1e-15)
+    assert radius == pytest.approx(0.5 + 1.2 * SQRT2, rel=1e-15)
 
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance):
-    """G(x_tilde) serves both the radius and c_bar."""
+    """G(x_tilde) serves both the radius and c_bar; c_bar adds G at p and at x_s, never at the origin."""
     problem = request.getfixturevalue(instance)[0]
-    x_tilde, at_x_tilde = problem.strict_point, []
+    x_tilde, points = problem.strict_point, []
 
     def constraints(x):
-        at_x_tilde.append(np.array_equal(x, x_tilde))
+        points.append(x.copy())
         return problem.constraints(x)
 
     counted = dataclasses.replace(problem, constraints=constraints)
-    at_x_tilde.clear()  # the quadratic structure's check, at construction, evaluates G there too
+    points.clear()  # the quadratic structure's check, at construction, evaluates G there too
     constants = derive_constants(counted)
-    assert at_x_tilde.count(True) == 1
+    assert len(points) == 3
+    assert sum(np.array_equal(x, x_tilde) for x in points) == 1
+    assert not any(np.array_equal(x, np.zeros(problem.n)) for x in points)
     assert constants == derive_constants(problem)
 
 
@@ -184,13 +184,13 @@ def test_primal_ball_rejects_unsatisfiable_constraint():
 
 def test_derived_constants_canonical(canonical):
     problem, constants, _, _ = canonical
-    c_bar = 1.0 + SQRT2 / 2.0
-    assert constants.c_bar == pytest.approx(c_bar, abs=1e-15)
-    assert constants.ball_radius == pytest.approx(1.1 * SQRT2, abs=1e-15)
-    assert constants.D_X == pytest.approx(2.2 * SQRT2, abs=1e-15)
-    assert constants.D_Y == pytest.approx(c_bar, abs=1e-15)  # m = 1: diameter is c_bar
-    assert constants.L_XY == pytest.approx(c_bar, abs=1e-15)
-    assert constants.L_G == pytest.approx(1.1 * SQRT2, abs=1e-15)  # ||J(2)|| = 0, plus L_X R
+    c_bar = CANONICAL_C_BAR
+    assert constants.c_bar == pytest.approx(c_bar, rel=1e-13)
+    assert constants.ball_radius == pytest.approx(1.2 * SQRT2, abs=1e-15)
+    assert constants.D_X == pytest.approx(2.4 * SQRT2, abs=1e-15)
+    assert constants.D_Y == constants.c_bar  # m = 1: diameter is c_bar
+    assert constants.L_XY == constants.c_bar  # L_X = 1
+    assert constants.L_G == pytest.approx(1.2 * SQRT2, abs=1e-15)  # ||J(2)|| = 0, plus L_X R
     assert constants.mu_lb == 1.0
 
 

@@ -14,6 +14,7 @@ from apdpro.bench import make_recorder
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants
+from helpers import CANONICAL_C_BAR
 from apdpro.solvers import (
     VARIANTS,
     SolverConfig,
@@ -79,15 +80,15 @@ def test_stage_budget_value():
 
 def test_default_step_sizes(canonical):
     _, constants, _, _ = canonical
-    # L_XY = c_bar = 1 + sqrt(2)/2 and L_G^2 = 2.42 (up to rounding, hence approx, not ==);
+    # L_XY = c_bar (helpers.CANONICAL_C_BAR) and L_G^2 = 2.88 (up to rounding, hence approx, not ==);
     # the balancing sigma0 makes tau0 = 1/(2 L_XY).
-    l_xy = 1.0 + math.sqrt(2.0) / 2.0
+    l_xy = CANONICAL_C_BAR
     tau0, sigma0 = default_step_sizes(constants)
-    assert tau0 == pytest.approx(1.0 / (2.0 * l_xy), rel=1e-14)
-    assert sigma0 == pytest.approx(l_xy / 2.42, rel=1e-14)
+    assert tau0 == pytest.approx(1.0 / (2.0 * l_xy), rel=1e-13)
+    assert sigma0 == pytest.approx(l_xy / 2.88, rel=1e-13)
     tau0, sigma0 = default_step_sizes(constants, sigma0=0.5)
     assert sigma0 == 0.5
-    assert tau0 == pytest.approx(1.0 / (l_xy + 1.21), rel=1e-14)
+    assert tau0 == pytest.approx(1.0 / (l_xy + 1.44), rel=1e-13)
 
 
 def test_config_validation():
@@ -153,9 +154,9 @@ def test_apdpro_epoch_start_is_the_projected_start(canonical):
     problem, constants, _, _ = canonical
     res = _run(canonical, "apdpro", apdpro, max_iters=100)
     [(s, x_start)] = res.epoch_starts
-    # x0 = 0 lies outside the ball [2 - 1.1 sqrt(2), 2 + 1.1 sqrt(2)]: the start is its projection,
+    # x0 = 0 lies outside the ball [2 - 1.2 sqrt(2), 2 + 1.2 sqrt(2)]: the start is its projection,
     # not the last iterate
-    assert s == 0 and x_start[0] == pytest.approx(2.0 - 1.1 * math.sqrt(2.0), rel=1e-15) and res.x[0] > 0.5
+    assert s == 0 and x_start[0] == pytest.approx(2.0 - 1.2 * math.sqrt(2.0), rel=1e-15) and res.x[0] > 0.5
     res = apdpro(problem, constants, SolverConfig(max_iters=100), np.array([100.0]), np.zeros(1))
     [(s, x_start)] = res.epoch_starts
     assert s == 0
@@ -325,7 +326,7 @@ def test_baseline_keeps_steps_constant_and_weights_uniform(canonical):
     snaps = []
     _run(canonical, "apd", apd_baseline, observer=snaps.append, max_iters=100)
     tau0, sigma0 = snaps[0].tau, snaps[0].sigma
-    assert tau0 == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), rel=1e-14)  # 1/(2 L_XY)
+    assert tau0 == pytest.approx(1.0 / (2.0 * CANONICAL_C_BAR), rel=1e-13)  # 1/(2 L_XY)
     assert all(s.tau == tau0 and s.sigma == sigma0 and s.t == 1.0 for s in snaps)
     assert all(s.rho == 0.0 and s.rho_next == 0.0 for s in snaps)
 
@@ -366,12 +367,12 @@ def test_rapdpro_epoch_zero_uses_the_conservative_steps(canonical):
     snaps = []
     _run(canonical, "rapdpro", rapdpro, observer=snaps.append, max_iters=5, max_epochs=0)
     # sigma_bar = delta*L_XY/L_G^2; tau_bar = (1-nu0)/(L_XY + L_G^2 sigma_bar/delta) = 0.75/(2 L_XY),
-    # with L_XY = 1 + sqrt(2)/2 and L_G^2 = 2.42
-    l_xy = 1.0 + math.sqrt(2.0) / 2.0
+    # with L_XY = c_bar and L_G^2 = 2.88
+    l_xy = CANONICAL_C_BAR
     sigma_bar = 0.5 * constants.L_XY / constants.L_G**2
     assert snaps[0].sigma == sigma_bar
-    assert snaps[0].sigma == pytest.approx(0.5 * l_xy / 2.42, rel=1e-14)
-    assert snaps[0].tau == pytest.approx(0.75 / (2.0 * l_xy), rel=1e-14)
+    assert snaps[0].sigma == pytest.approx(0.5 * l_xy / 2.88, rel=1e-13)
+    assert snaps[0].tau == pytest.approx(0.75 / (2.0 * l_xy), rel=1e-13)
 
 
 def test_rapdpro_epoch_contraction(canonical):
@@ -409,7 +410,7 @@ def test_msapd_stage_step_sizes(canonical):
         first = next(sn for sn in snaps if sn.epoch == s)
         sigma_s = sigma_tilde * 2.0 ** (0.5 * s)
         assert first.sigma == sigma_s
-        assert first.sigma == pytest.approx((1.0 + math.sqrt(2.0) / 2.0) / 2.42 * 2.0 ** (0.5 * s), rel=1e-14)
+        assert first.sigma == pytest.approx(CANONICAL_C_BAR / 2.88 * 2.0 ** (0.5 * s), rel=1e-13)
         assert first.tau == pytest.approx(1.0 / (constants.L_XY + lg2 * sigma_s), rel=1e-15)
         # constant within the stage
         last = [sn for sn in snaps if sn.epoch == s][-1]
