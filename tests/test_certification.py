@@ -119,7 +119,9 @@ def _origin_in_ball_case(n, rng, frac):
         jacobian=lambda x: (d * (x - c)).reshape(n, 1), mu=np.ones(1), L_X=float(d.max()), r=1.0,
         strict_point=c.copy(),
     )
-    shift = lambda y: np.minimum(np.abs(c), 1.0 / (y * d))  # noqa: E731
+    def shift(y):  # |x*_j(y) - c_j|
+        return np.minimum(np.abs(c), 1.0 / (y * d))
+
     y = brentq(lambda y: float(d @ shift(y) ** 2) - two_l, 1.0 / float(np.max(d * np.abs(c))),
                2.0 * math.sqrt(n / two_l) + 1.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     x_star = np.sign(c) * (np.abs(c) - shift(y))
