@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .linalg import NumericalError
-from .problem import BlockNormObjective, _norm, _vec
+from .problem import BlockNormObjective, _norm, _vec, block_soft_threshold
 
 __all__ = [
     "InfeasibleCutError",
@@ -25,29 +25,6 @@ _EPS = float(np.finfo(float).eps)
 
 class InfeasibleCutError(RuntimeError):
     """The dual cut produced an empty slab (rho exceeded mu_lb * c_bar)."""
-
-
-def block_soft_threshold(v, objective: BlockNormObjective, eta: float) -> np.ndarray:
-    """Per-block shrinkage, the proximal map of eta*f at v.
-
-    Each block becomes max(0, 1 - eta*p_i/||v_(i)||) * v_(i); a zero block
-    stays zero (the unique prox value there). With singleton blocks this is
-    v - clip(v, -t, t), t = eta*p, formed in two passes; it agrees with the
-    block form to one unit in the last place of v.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    v = _vec(v, objective.n, "v")
-    if objective._singletons:
-        t = eta * objective.weights
-        c = np.negative(t)
-        np.maximum(v, c, out=c)
-        np.minimum(c, t, out=c)
-        return np.subtract(v, c, out=c)
-    norms = objective.block_norms(v)
-    safe = np.where(norms > 0, norms, 1.0)
-    scale = np.maximum(0.0, 1.0 - eta * objective.weights / safe)
-    return objective.expand(scale) * v
 
 
 def prox_f_over_ball(
