@@ -241,17 +241,19 @@ def _active_set_kkt(problem: ConstrainedProblem):
     variational perspective on local graph clustering", Math. Prog. 2019).
     Starting from the signs of the strict point, each step solves for a, c
     and t by CG (two solves) and updates the signs (``_update_signs``); once
-    they stand, x_S = a - t c is the answer. Returns None when a sign pattern
-    repeats, the steps run out or a root argument is not positive; CG
-    raises NumericalError when it stalls. The caller checks the result.
+    they stand, x_S = a - t c is the answer. Q is applied through the
+    problem's own oracle, Q v = J(v) + q, so every Q mat-vec is a
+    ``jacobian`` call. Returns None when a sign pattern repeats, the steps
+    run out or a root argument is not positive; CG raises NumericalError
+    when it stalls. The caller checks the result.
     """
     n = problem.n
-    q_lin, b, qmatvec = problem.quadratic
+    q_lin, b = problem.quadratic
     q, b = q_lin[:, 0], float(b[0])
     w = problem.objective.weights
 
-    def q_times(z):
-        return np.asarray(qmatvec(z), dtype=float).reshape(n)
+    def q_times(z):  # a new array: the oracle may hand back a buffer it keeps
+        return problem.jac(z)[:, 0] + q
 
     sigma = np.sign(problem.strict_point)
     seen = set()
@@ -271,7 +273,7 @@ def _active_set_kkt(problem: ConstrainedProblem):
         t = np.sqrt(num / den)
         x = np.zeros(n)
         x[support] = a - t * c
-        new = _update_signs(sigma, x, q_times(x) - q, t * w)
+        new = _update_signs(sigma, x, problem.jac(x)[:, 0], t * w)
         if np.array_equal(new, sigma):
             return x, np.array([1.0 / t]), step
         sigma = new

@@ -300,8 +300,10 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     Q x = alpha D^{-1/2} s, tol 1e-12), which maximizes the feasibility
     margin; ``derive_constants`` forms its model ball there.
 
-    The problem carries ``quadratic`` = (q_lin, b, qmatvec), so the solvers
-    derive G from J and make one Q mat-vec per iteration.
+    The problem carries ``quadratic`` = (q_lin, b), so the solvers derive G
+    from J and make one Q mat-vec per iteration, and the exact reference
+    applies Q as J(v) + q_lin. ``qmatvec``, the CSR product itself, serves
+    only Lanczos and the strict point's CG here.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -324,12 +326,6 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     lam_min = alpha  # exact, and lambda_max(Q) <= 1: see Notes
     lam_max = min(1.0, _ritz_bound(qmatvec, n))
     x_tilde = cg_solve(qmatvec, q_lin, tol=1e-12)
-    g_tilde = float(0.5 * (x_tilde @ qmatvec(x_tilde)) - q_lin @ x_tilde - b)
-    if g_tilde >= 0.0:
-        raise ValueError(
-            f"target level b={b:.6g} unattainable: the constraint's unconstrained "
-            f"minimum is {g_tilde + b:.6g}, need b strictly above it"
-        )
     weights = np.sqrt(graph.degrees)
     objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=weights)
     r = float(graph.degrees.min()) if r_rule == "degree" else float(weights.min())
@@ -342,6 +338,13 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         out -= q_lin
         return out.reshape(n, 1)
 
+    g_tilde = float(constraints(x_tilde)[0])
+    if g_tilde >= 0.0:
+        raise ValueError(
+            f"target level b={b:.6g} unattainable: the constraint's unconstrained "
+            f"minimum is {g_tilde + b:.6g}, need b strictly above it"
+        )
+
     return ConstrainedProblem(
         objective=objective,
         constraints=constraints,
@@ -350,7 +353,7 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
         L_X=lam_max,
         r=r,
         strict_point=x_tilde,
-        quadratic=(q_lin, b, qmatvec),
+        quadratic=(q_lin, b),
     )
 
 

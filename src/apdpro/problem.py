@@ -170,17 +170,17 @@ class ConstrainedProblem:
     solvers derive from them are floats too: the same IEEE binary64
     arithmetic as numpy scalars, without numpy's per-operation dispatch.
 
-    ``quadratic`` = (q_lin, b, qmatvec), with q_lin n-by-m and b of length
-    m, is an optional promise that g_i(x) = (1/2) x'Q_i x - q_i'x - b_i and
-    J(x) = [Q_i x - q_i] for some symmetric Q_i, and that ``qmatvec`` maps x
-    to [Q_i x] (n-by-m, or length n for m = 1). Then G follows from J
-    (``g_from_jac``), and J is affine, so J at an average of points is the
+    ``quadratic`` = (q_lin, b), with q_lin n-by-m (length n allowed for
+    m = 1) and b of length m, is an optional promise that
+    J(x) = [Q_i x - q_i] and g_i(x) = (1/2) x'Q_i x - q_i'x - b_i for some
+    symmetric Q_i, so Q_i v = J_i(v) + q_i. Then G follows from J
+    (``g(x, jac)``), and J is affine, so J at an average of points is the
     same average of their J. The solvers use this to make one ``jacobian``
-    call per iterate and no ``constraints`` call; the reference solves with
-    Q itself. The promise is checked once, here: the shapes, the derived G
-    at the strict point against ``constraints``, and J there against
-    ``qmatvec`` minus q_lin, each to rounding, so a ``dataclasses.replace``
-    that swaps an oracle and leaves a stale structure raises ValueError.
+    call per iterate and no ``constraints`` call; the reference applies Q
+    through ``jacobian``. The promise is checked once, here: the shapes, and
+    G derived from J at the strict point against ``constraints``, to
+    rounding, so a ``dataclasses.replace`` that swaps an oracle and leaves a
+    stale structure raises ValueError.
     """
 
     n: int = field(init=False)
@@ -214,7 +214,7 @@ class ConstrainedProblem:
             self._check_quadratic()
 
     def _check_quadratic(self) -> None:
-        q_lin, b, qmatvec = self.quadratic
+        q_lin, b = self.quadratic
         q_lin = np.asarray(q_lin, dtype=float)
         if q_lin.shape == (self.n,) and self.m == 1:
             q_lin = q_lin.reshape(self.n, 1)
@@ -223,10 +223,10 @@ class ConstrainedProblem:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if b.shape != (self.m,):
             raise ValueError(f"quadratic b must have shape ({self.m},), got {b.shape}")
-        object.__setattr__(self, "quadratic", (q_lin, b, qmatvec))
+        object.__setattr__(self, "quadratic", (q_lin, b))
         x = self.strict_point
         jac = self.jac(x)
-        derived, direct = self.g_from_jac(x, jac), self.g(x)
+        derived, direct = self.g(x, jac), self.g(x)
         qx = x @ q_lin
         scale = np.abs(0.5 * (x @ jac + qx)) + np.abs(qx) + np.abs(b)  # |x'Qx/2| + |q'x| + |b|
         if not np.all(np.abs(derived - direct) <= _QUADRATIC_RTOL * scale):  # nan fails too
@@ -234,18 +234,16 @@ class ConstrainedProblem:
                 "quadratic structure does not match the oracle: at the strict point G from the "
                 f"Jacobian is {derived.tolist()}, constraints returns {direct.tolist()}"
             )
-        qxt = np.asarray(qmatvec(x), dtype=float).reshape(self.n, self.m)
-        gap = np.linalg.norm(jac - (qxt - q_lin), axis=0)
-        if not np.all(gap <= _QUADRATIC_RTOL * (np.linalg.norm(qxt, axis=0) + np.linalg.norm(q_lin, axis=0))):
-            raise ValueError(
-                "quadratic structure does not match the oracle: at the strict point the Jacobian "
-                f"is {gap.tolist()} away from qmatvec minus q_lin"
-            )
 
     def f(self, x) -> float:
         return self.objective.value(x)
 
-    def g(self, x) -> np.ndarray:
+    def g(self, x, jac: np.ndarray | None = None) -> np.ndarray:
+        """G(x). Given ``jac`` = J(x) on a problem with ``quadratic``, it is (1/2)(x'J - x'q_lin) - b,
+        and ``constraints`` is not called; otherwise ``constraints`` is called and ``jac`` ignored."""
+        if jac is not None and self.quadratic is not None:
+            q_lin, b = self.quadratic
+            return 0.5 * (x @ jac - x @ q_lin) - b
         vals = self.constraints(x)
         if type(vals) is not np.ndarray or vals.dtype != _F64 or vals.shape != (self.m,):  # else as is
             vals = np.atleast_1d(np.asarray(vals, dtype=float))
@@ -262,11 +260,6 @@ class ConstrainedProblem:
             if mat.shape != (self.n, self.m):
                 raise ValueError(f"jacobian evaluator returned shape {mat.shape}, expected ({self.n}, {self.m})")
         return mat
-
-    def g_from_jac(self, x: np.ndarray, jac: np.ndarray) -> np.ndarray:
-        """G(x) = (1/2) J(x)'x - (1/2) q_lin'x - b from J(x); needs ``quadratic``."""
-        q_lin, b, _ = self.quadratic
-        return 0.5 * (x @ jac - x @ q_lin) - b
 
 
 @dataclass(frozen=True)

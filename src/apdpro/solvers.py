@@ -401,25 +401,20 @@ class _Driver:
     def move(self, x: np.ndarray, where: str, jx: np.ndarray | None = None) -> None:
         """Make x the current iterate, with G(x) and J(x) evaluated and checked finite.
 
-        ``jx``, when given, is J(x) already known. On a problem with quadratic
-        structure G comes from J (``g_from_jac``), so no ``constraints`` call
-        is made, and G is non-finite whenever J is: its check covers both.
+        ``jx``, when given, is J(x) already known. G comes from ``prob.g(x, jx)``:
+        from J on a problem with quadratic structure, so no ``constraints`` call
+        is made, else from ``constraints``. J is checked first, then G.
         ``where`` names the point in the error message.
         """
         prob = self.prob
         if jx is None:
             jx = prob.jac(x)
+        gx = prob.g(x, jx)
         what = None
-        if self.quadratic:
-            gx = prob.g_from_jac(x, jx)
-            if not _all_finite(gx, self.zeros_g):
-                what = "Jacobian J"
-        else:
-            gx = prob.g(x)
-            if not _all_finite(jx, self.zeros_j):
-                what = "Jacobian J"
-            elif not _all_finite(gx, self.zeros_g):
-                what = "constraint value G"
+        if not _all_finite(jx, self.zeros_j):
+            what = "Jacobian J"
+        elif not _all_finite(gx, self.zeros_g):
+            what = "constraint value G"
         if what is not None:
             raise NumericalError(f"non-finite {what}" + where.format(self.st.k))
         self.st.x, self.gx, self.jx = x, gx, jx
@@ -485,12 +480,13 @@ class _Driver:
 
         On a problem with ``quadratic`` structure (checked when the problem
         is built) each new iterate costs one ``jacobian`` call and no
-        ``constraints`` call: G comes from J (``g_from_jac``), and
-        st.jac_bar = J(x_bar) is updated with x_bar's own weights. J_bar
-        serves h2 and, when the run reports at x_bar, G(x_bar) for the
-        record and the KKT stop there. The results differ from the generic
-        path by rounding only. On the generic path G(x_bar) for such a
-        record is evaluated here, once, and checked finite.
+        ``constraints`` call: ``prob.g`` derives G from J, and st.jac_bar =
+        J(x_bar) is updated with x_bar's own weights. J_bar serves h2 and,
+        when the run reports at x_bar, the KKT stop there. The results differ
+        from the generic path by rounding only. When the run reports at
+        x_bar, G(x_bar) for the record is ``prob.g(x_bar, J_bar)``, from J_bar
+        on the quadratic path and one ``constraints`` call on the generic
+        one, checked finite on both.
 
         The record step picks the reporting point (the row's third entry),
         the only place that does: the recorder gets that point and its G in
@@ -622,14 +618,11 @@ class _Driver:
             k += 1
 
             x_rec, g_rec = st.x, self.gx
-            if ergodic:
+            if ergodic:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
                 x_rec = st.x_bar
-                if quadratic:  # from J_bar, an average of checked Jacobians
-                    g_rec = prob.g_from_jac(x_rec, st.jac_bar)
-                else:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
-                    g_rec = prob.g(x_rec)
-                    if not _all_finite(g_rec, self.zeros_g):
-                        raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
+                g_rec = prob.g(x_rec, st.jac_bar)
+                if not _all_finite(g_rec, self.zeros_g):
+                    raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
             ri = RecordInputs(st.k, s, x_rec, g_rec, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
                               time.perf_counter() - self.t0)
             rec = self.recorder(ri)

@@ -16,6 +16,11 @@ class NdarraySubclass(np.ndarray):
     """An ndarray subclass: input checks convert it to a plain ndarray, never pass it through."""
 
 
+def q_times(problem, v):
+    """Q v on a problem with quadratic structure, n-by-m (Q_i v in column i): J(v) + q_lin."""
+    return problem.jac(v) + problem.quadratic[0]
+
+
 def write_edge_list(path, edges, header=None):
     lines = [] if header is None else [header]
     lines += [f"{u} {v}" for u, v in edges]

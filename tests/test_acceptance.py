@@ -25,7 +25,7 @@ from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.problem import BlockNormObjective
 from apdpro.prox import project_dual_set, prox_f_over_ball
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
-from helpers import random_partition, star_edges, write_edge_list
+from helpers import q_times, random_partition, star_edges, write_edge_list
 from oracles import lagrangian_oracle, ppr_q_dense, project_oracle, prox_oracle
 
 
@@ -286,7 +286,7 @@ def test_criterion_10_ppr_constants(tmp_path):
     with _verdict(10, info):
         path = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
         problem = build_ppr_problem(load_graph(path), alpha=0.5, b=-0.05)
-        cols = np.column_stack([problem.quadratic[2](e) for e in np.eye(2)])
+        cols = np.column_stack([q_times(problem, e)[:, 0] for e in np.eye(2)])
         assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
         lam_min, lam_max = np.linalg.eigvalsh(ppr_q_dense(2, [(0, 1)], 0.5))[[0, -1]]
         assert lam_min == pytest.approx(0.5, abs=1e-15) and lam_max == pytest.approx(1.0, abs=1e-15)

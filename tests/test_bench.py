@@ -339,6 +339,27 @@ def test_reference_solution_oracle_matches_closed_form():
     assert f == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-14)
 
 
+_SOLVER = SolverConfig(variant="apdpro")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: InstanceSpec(kind="mesh"), "instance kind must be 'synthetic' or 'graph'"),
+    (lambda: InstanceSpec(kind="graph"), "graph instances need a path"),
+    (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, reference_mode="exact"),
+     "unknown reference mode 'exact'"),
+    (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, reference_mode="file"),
+     "file reference mode needs a path"),
+    (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, x0_rule="ones"),
+     "x0 must be 'zeros' or 'strict'"),
+    (lambda: reference_solution(build_instance(InstanceSpec(kind="synthetic")), "file"),
+     "unknown reference mode 'file'; expected 'oracle' or 'long-run'"),
+], ids=["kind", "graph-path", "reference-mode", "file-path", "x0", "reference-solution-mode"])
+def test_bench_inputs_are_rejected_with_their_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_reference_solution_oracle_rejects_graphs(tmp_path):
     path = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
     bundle = build_instance(InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05))
@@ -453,6 +474,28 @@ def test_get_reference_recomputes_a_truncated_cache(tmp_path, monkeypatch):
         assert cache.read_text(encoding="utf-8") == text  # rewritten in the base64 format
     assert len(calls) == 8
     assert [p for p in os.listdir(tmp_path) if p.startswith(".ref-")] == [cache.name]
+
+
+@pytest.mark.parametrize("fail", ["dump", "replace"])
+def test_a_failed_cache_write_removes_its_temp_file_and_keeps_the_cache(tmp_path, monkeypatch, fail):
+    """When the dump or os.replace fails, the exception propagates, the temp file is gone, and
+    the cache already on disk is left as it was."""
+    path = tmp_path / ".ref-test.json"
+    bench._write_cache(str(path), {"identity": "old"})
+    before = path.read_bytes()
+    payload = {"identity": "new"}
+    if fail == "dump":
+        payload["x"] = object()  # json cannot encode it
+        expected = TypeError
+    else:
+        def refuse(src, dst):
+            raise PermissionError(f"refused: {src} -> {dst}")
+        monkeypatch.setattr(bench.os, "replace", refuse)
+        expected = PermissionError
+    with pytest.raises(expected):
+        bench._write_cache(str(path), payload)
+    assert os.listdir(tmp_path) == [path.name]
+    assert path.read_bytes() == before
 
 
 def test_cache_payload_reads_back_bit_exact(tmp_path):
@@ -600,6 +643,35 @@ def test_exact_reference_falls_back_to_the_long_run(tmp_path, monkeypatch, force
     x, y, kkt, how = bench._solve_reference(bundle, 200000, 60)
     assert how == {"method": "long-run"}
     assert kkt <= 1e-10 and kkt_residual(bundle.problem, x, y).max() == kkt
+
+
+def test_exact_reference_applies_q_through_the_oracle(monkeypatch, small_graph_bundle):
+    """Every Q mat-vec of the exact reference is a ``jacobian`` call: the CG mat-vecs, one sign
+    update per step and the KKT check's J. The KKT check makes the only ``constraints`` call."""
+    problem, calls = small_graph_bundle.problem, {"g": 0, "jac": 0, "cg": 0}
+
+    def constraints(x):
+        calls["g"] += 1
+        return problem.constraints(x)
+
+    def jacobian(x):
+        calls["jac"] += 1
+        return problem.jacobian(x)
+
+    counted = dataclasses.replace(problem, constraints=constraints, jacobian=jacobian)
+    calls.update(g=0, jac=0)  # forget the structure check's calls at construction
+    original = bench.cg_solve
+
+    def cg_solve(matvec, *a, **kw):
+        def counting(v):
+            calls["cg"] += 1
+            return matvec(v)
+        return original(counting, *a, **kw)
+
+    monkeypatch.setattr(bench, "cg_solve", cg_solve)
+    _, _, _, how = bench._solve_reference(dataclasses.replace(small_graph_bundle, problem=counted), 1, 1)
+    assert how == {"method": "active-set", "steps": 1}
+    assert calls["cg"] > 0 and calls["jac"] == calls["cg"] + how["steps"] + 1 and calls["g"] == 1
 
 
 @pytest.mark.parametrize("case, steps", [("one step", 1), ("star20-seed1", 2)])

@@ -59,6 +59,18 @@ def test_reference_oracle_prints_objective(tmp_path, capsys):
     assert "cached at" not in out
 
 
+def test_reference_reports_a_long_run_that_did_not_converge(tmp_path, capsys):
+    cfg = _write_config(tmp_path, (
+        "[instance]\nkind = synthetic\nn = 3\n"
+        "[reference]\nmode = long-run\nbudget_iters = 1\nbudget_epochs = 0\n"
+        f"[output]\npath = {tmp_path / 'ref.csv'}\n"
+    ))
+    with pytest.warns(UserWarning, match="reference unavailable"):
+        assert main(["reference", "--config", cfg]) == 1
+    assert capsys.readouterr().out == "reference unavailable (long run did not converge)\n"
+    assert os.listdir(tmp_path) == ["exp.ini"]  # no reference cache
+
+
 def test_reference_long_run_caches(tmp_path, capsys):
     graph = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
     cfg = _write_config(tmp_path, (

@@ -17,7 +17,7 @@ from apdpro.bench import make_recorder, reference_solution
 from apdpro.pagerank import Graph, _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import derive_constants, kkt_residual
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, rapdpro
-from helpers import assert_traces_close, cycle_edges, path_edges, star_edges, write_edge_list
+from helpers import assert_traces_close, cycle_edges, path_edges, q_times, star_edges, write_edge_list
 from oracles import ppr_q_dense, synthetic_multiplier_oracle
 
 
@@ -224,11 +224,27 @@ def test_graph_derives_n_degrees_and_components_from_its_adjacency():
         Graph(sp.csr_matrix((3, 4)))
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(alpha=1.0), "alpha must lie strictly inside (0, 1)"),
+    (dict(alpha=0.0), "alpha must lie strictly inside (0, 1)"),
+    (dict(s="seed:one"), "bad teleport spec 'seed:one'"),
+    (dict(s="local"), "bad teleport spec 'local'; expected 'uniform', 'seed:k', or a vector"),
+    (dict(n=0), "n must be positive"),
+], ids=["alpha-1", "alpha-0", "seed-not-integer", "unknown-teleport", "synthetic-n"])
+def test_pagerank_inputs_are_rejected_with_their_message(tmp_path, kw, message):
+    with pytest.raises(ValueError) as info:
+        if "n" in kw:
+            make_synthetic_instance(kw["n"], 2.0, 1.0)
+        else:
+            graph = load_graph(write_edge_list(tmp_path / "p2.txt", [(0, 1)]))
+            build_ppr_problem(graph, **{"alpha": 0.5, "b": -0.05, **kw})
+    assert str(info.value) == message
+
+
 def test_two_node_path_q_matrix(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "p2.txt", [(0, 1)]))
     problem = build_ppr_problem(g, alpha=0.5, b=-0.05)
-    qmatvec = problem.quadratic[2]
-    cols = np.column_stack([qmatvec(e) for e in np.eye(2)])
+    cols = np.column_stack([q_times(problem, e)[:, 0] for e in np.eye(2)])
     assert np.allclose(cols, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-15)
     lam_min, lam_max = np.linalg.eigvalsh(ppr_q_dense(2, [(0, 1)], 0.5))[[0, -1]]
     assert problem.mu[0] == pytest.approx(lam_min, abs=1e-8) and lam_min == pytest.approx(0.5, abs=1e-15)
@@ -236,17 +252,21 @@ def test_two_node_path_q_matrix(tmp_path):
 
 
 def test_qmatvec_matches_dense_assembly(tmp_path):
+    """The CSR Q behind the oracle against dense assembly: Q's columns J(e_i) + q_lin, and J itself
+    against dense x - q_lin. Adding q_lin back to J(x) would round at the scale of q_lin, not of Qx."""
     rng = np.random.default_rng(12)
     for trial in range(6):
         n = int(rng.integers(3, 51))
         g = _random_connected_graph(rng, tmp_path, n, tag=str(trial))
         alpha = float(rng.uniform(0.1, 0.9))
-        qmatvec = build_ppr_problem(g, alpha, b=-1e-12).quadratic[2]
+        problem = build_ppr_problem(g, alpha, b=-1e-12)
+        q_lin = problem.quadratic[0][:, 0]
         dense = _dense_q(g, alpha)
-        cols = np.column_stack([qmatvec(e) for e in np.eye(n)])
+        cols = np.column_stack([q_times(problem, e)[:, 0] for e in np.eye(n)])
         assert np.max(np.abs(cols - dense)) <= 1e-12
         for x in rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-5, 5, size=(4, 1)):
-            assert np.linalg.norm(qmatvec(x) - dense @ x) <= 1e-15 * np.linalg.norm(dense @ x)
+            want = dense @ x - q_lin
+            assert np.linalg.norm(problem.jac(x)[:, 0] - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_assembled_q_runs_like_the_dense_oracle_q(small_graph_bundle):
@@ -256,15 +276,15 @@ def test_assembled_q_runs_like_the_dense_oracle_q(small_graph_bundle):
     problem, constants = bundle.problem, bundle.constants
     graph = load_graph(os.path.join(bundle.cache_dir, bundle.label))
     q_mat = ppr_q_dense(graph.n, zip(*graph.adjacency.nonzero()), 0.2)  # the fixture's alpha
-    q_lin, b, qmatvec = problem.quadratic
-    x = problem.strict_point
-    assert np.linalg.norm(q_mat @ x - qmatvec(x)) <= 1e-15 * np.linalg.norm(q_mat @ x)
+    q_lin, b = problem.quadratic
     dense = dataclasses.replace(
         problem,
         constraints=lambda x: np.array([0.5 * x @ (q_mat @ x) - q_lin[:, 0] @ x - b[0]]),
         jacobian=lambda x: q_mat @ x.reshape(-1, 1) - q_lin,
-        quadratic=(q_lin, b, lambda x: q_mat @ x),
+        quadratic=(q_lin, b),
     )
+    x = problem.strict_point
+    assert np.linalg.norm(dense.jac(x) - problem.jac(x)) <= 1e-15 * np.linalg.norm(q_mat @ x)
     ref = reference_solution(bundle, "long-run")
     zeros = np.zeros(problem.n), np.zeros(problem.m)
     for variant, runner, tol, iters in (("apdpro", apdpro, 1e-6, 20000), ("rapdpro", rapdpro, 1e-6, 20000),
@@ -343,10 +363,9 @@ def test_rayleigh_quotients_respect_the_bounds(tmp_path):
     rng = np.random.default_rng(14)
     g = _random_connected_graph(rng, tmp_path, 25, tag="r")
     problem = build_ppr_problem(g, alpha=0.3, b=-1e-12)
-    qmatvec = problem.quadratic[2]
     for _ in range(100):
         x = rng.normal(size=25)
-        quot = float(x @ qmatvec(x)) / float(x @ x)
+        quot = float(x @ q_times(problem, x)[:, 0]) / float(x @ x)
         assert problem.mu[0] - 1e-12 <= quot <= problem.L_X + 1e-12
 
 

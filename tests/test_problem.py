@@ -324,38 +324,51 @@ def test_problem_constants_are_python_floats(canonical, small_graph):
 
 def test_quadratic_structure_derives_g_from_the_jacobian(small_graph):
     problem, _ = small_graph
-    q_lin, b, _ = problem.quadratic
+    q_lin, b = problem.quadratic
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = rng.standard_normal(problem.n) * rng.uniform(1e-3, 1e3)
         jac = problem.jac(x)
         qx = x @ q_lin
         scale = np.abs(0.5 * (x @ jac + qx)) + np.abs(qx) + np.abs(b)  # |x'Qx/2| + |q'x| + |b|
-        assert np.all(np.abs(problem.g_from_jac(x, jac) - problem.g(x)) <= 1e-14 * scale)
+        assert np.all(np.abs(problem.g(x, jac) - problem.g(x)) <= 1e-14 * scale)
 
 
 def test_quadratic_structure_is_checked_at_construction(small_graph):
     problem, _ = small_graph
-    q_lin, b, qmatvec = problem.quadratic
+    q_lin, b = problem.quadratic
     with pytest.raises(ValueError, match="q_lin must have shape"):
-        dataclasses.replace(problem, quadratic=(q_lin[1:], b, qmatvec))
+        dataclasses.replace(problem, quadratic=(q_lin[1:], b))
     with pytest.raises(ValueError, match="b must have shape"):
-        dataclasses.replace(problem, quadratic=(q_lin, np.zeros(2), qmatvec))
+        dataclasses.replace(problem, quadratic=(q_lin, np.zeros(2)))
+    with pytest.raises(ValueError, match="too many values to unpack"):  # the old (q_lin, b, qmatvec)
+        dataclasses.replace(problem, quadratic=(q_lin, b, lambda x: x))
     # Stale: the structure of another level or teleport vector, or an oracle swapped under it.
     for stale in (
-        dict(quadratic=(q_lin, 1.001 * b, qmatvec)),
-        dict(quadratic=(2.0 * q_lin, b, qmatvec)),
+        dict(quadratic=(q_lin, 1.001 * b)),
+        dict(quadratic=(2.0 * q_lin, b)),
         dict(constraints=lambda x: 2.0 * problem.constraints(x)),
         dict(jacobian=lambda x: np.full((problem.n, 1), np.nan)),
     ):
         with pytest.raises(ValueError, match="does not match"):
             dataclasses.replace(problem, **stale)
-    # Q's own mat-vec must agree with J: J(x) = Qx - q_lin at the strict point.
-    for wrong in (lambda x: 1.001 * qmatvec(x), lambda x: np.full(problem.n, np.nan)):
-        with pytest.raises(ValueError, match="away from qmatvec minus q_lin"):
-            dataclasses.replace(problem, quadratic=(q_lin, b, wrong))
-    dataclasses.replace(problem, quadratic=(q_lin[:, 0], float(b[0]), qmatvec))  # 1-D q_lin and scalar b for m = 1
-    dataclasses.replace(problem, quadratic=(q_lin, b, lambda x: qmatvec(x).reshape(-1, 1)))  # n-by-1 Q x
+    dataclasses.replace(problem, quadratic=(q_lin[:, 0], float(b[0])))  # 1-D q_lin and scalar b for m = 1
+
+
+def test_g_ignores_a_jacobian_without_quadratic_structure(small_graph):
+    """On a generic problem g(x, jac) calls ``constraints`` and is bitwise g(x)."""
+    problem, _ = small_graph
+    calls = []
+
+    def constraints(x):
+        calls.append(x)
+        return problem.constraints(x)
+
+    generic = dataclasses.replace(problem, constraints=constraints, quadratic=None)
+    x = np.random.default_rng(12).standard_normal(problem.n)
+    calls.clear()
+    assert np.array_equal(generic.g(x, generic.jac(x)), generic.g(x)) and len(calls) == 2
+    assert np.array_equal(generic.g(x, np.zeros((problem.n, 1))), generic.g(x))
 
 
 # -- input checks: conversion, errors, and the float64 pass-through --------------
