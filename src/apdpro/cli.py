@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import bench
+from .problem import kkt_residual
 
 
 def _add_config_arg(sub):
@@ -76,8 +77,6 @@ def _command(command: str, config) -> int:
         print("reference unavailable (long run did not converge)")
         return 1
     x, y, f = ref
-    from .problem import kkt_residual
-
     method = config.reference_mode
     if method == "long-run":
         cache = bench._cache_path(bundle, config.output_path)

@@ -54,7 +54,7 @@ from .problem import (
     _norm,
     _operator_norm,
     _vec,
-    jacobian_operator_norm,
+    jacobian_operator_norm,  # noqa: F401  (unused here; perfbench/tracing.py wraps this name)
     kkt_residual,
 )
 from .prox import project_dual_set, prox_f_over_ball
@@ -97,10 +97,10 @@ class SolverState:
 
     The steps and T restart with each segment, as locals of ``segment``.
     ``y_bar`` is the last segment's sum t_k y_k / T (y0, or y after no
-    iteration). ``jac_bar`` is J(x_bar), kept as the same running average
-    as x_bar on problems with quadratic structure (J(x) at a segment
-    start). On the others it is J(x_bar) once a KKT stop test has evaluated
-    it there, and None until then.
+    iteration). ``jac_bar`` holds J(x_bar) for ``_Driver.jac_bar``: J(x)
+    at a segment start, where x_bar = x, then the same running average as
+    x_bar on problems with quadratic structure. On the others it is None
+    from each step until J(x_bar) is first asked for.
     """
 
     x: np.ndarray
@@ -353,15 +353,15 @@ def _all_finite(a: np.ndarray, zeros: np.ndarray) -> bool:
 _AT_ENTRY = "(x) at entry (iteration {})"
 _AT_STEP = "(x_{{k+1}}) at iteration {}"
 _AT_STEP_BAR = "(x_bar_{{k+1}}) at iteration {}"
-_AT_WARM_START = "(x_bar) at warm start (iteration {})"
 
 
 class _Driver:
-    """Runs one solve: owns its state ``st``, the shared loop, the trace, and the oracle at st.x.
+    """Runs one solve: owns its state ``st``, the shared loop, the trace, and the oracle at x and x_bar.
 
     The start point (x0, y0) is checked finite, confined to X and Y, and
     evaluated here. ``gx`` and ``jx`` are always G and J at the current
-    iterate st.x, which changes only through ``move``. The run's ``_RULES``
+    iterate st.x, which changes only through ``move`` and ``warm_start``;
+    ``gx_bar`` and ``jac_bar`` are G and J at x_bar. The run's ``_RULES``
     row is read here, once. Each ``segment`` call adds the (s, x) pair of
     its start to ``starts`` and its last N_s to ``budgets``; ``finish``
     hands them, the trace and the state to the RunResult.
@@ -398,17 +398,16 @@ class _Driver:
         self.quadratic = problem.quadratic is not None
         self.move(x0, _AT_ENTRY)
 
-    def move(self, x: np.ndarray, where: str, jx: np.ndarray | None = None) -> None:
+    def move(self, x: np.ndarray, where: str) -> None:
         """Make x the current iterate, with G(x) and J(x) evaluated and checked finite.
 
-        ``jx``, when given, is J(x) already known. G comes from ``prob.g(x, jx)``:
-        from J on a problem with quadratic structure, so no ``constraints`` call
-        is made, else from ``constraints``. J is checked first, then G.
-        ``where`` names the point in the error message.
+        G comes from ``prob.g(x, jx)``: from J on a problem with quadratic
+        structure, so no ``constraints`` call is made, else from
+        ``constraints``. J is checked first, then G. ``where`` names the point
+        in the error message.
         """
         prob = self.prob
-        if jx is None:
-            jx = prob.jac(x)
+        jx = prob.jac(x)
         gx = prob.g(x, jx)
         what = None
         if not _all_finite(jx, self.zeros_j):
@@ -419,26 +418,35 @@ class _Driver:
             raise NumericalError(f"non-finite {what}" + where.format(self.st.k))
         self.st.x, self.gx, self.jx = x, gx, jx
 
+    def jac_bar(self) -> np.ndarray:
+        """J(x_bar): J_bar on the quadratic path, an average of J values ``move`` checked; else
+        evaluated at most once per x_bar, checked finite, and held in st.jac_bar until x_bar moves."""
+        st = self.st
+        if st.jac_bar is None:
+            jac = self.prob.jac(st.x_bar)
+            if not _all_finite(jac, self.zeros_j):
+                raise NumericalError(f"non-finite Jacobian J{_AT_STEP_BAR.format(st.k)}")
+            st.jac_bar = jac
+        return st.jac_bar
+
+    def warm_start(self) -> None:
+        """Continue from copies of (x_bar, y_bar), with x_bar's held G and J (``gx_bar``, ``jac_bar``)."""
+        st = self.st
+        self.jx, self.gx = self.jac_bar(), self.gx_bar
+        st.x, st.y = st.x_bar.copy(), st.y_bar.copy()  # copies: after the last stage, the state holds both
+
     def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
 
-        The KKT test reuses G(ri.x) from ``ri`` and the J the loop holds
-        there: J(x) at the last iterate, J_bar at x_bar. J(x_bar), where the
-        loop does not hold it yet (the generic path), is evaluated, checked
-        finite and kept in st.jac_bar for the next iteration's h2.
+        The KKT test reuses G(ri.x) from ``ri`` and the J the driver holds
+        there: J(x) at the last iterate, ``jac_bar`` at x_bar.
         """
         tol = self.cfg.tolerance
         if tol <= 0.0:
             return False
         if rec.rel_gap is not None:
             return max(rec.rel_gap, rec.feas_violation) <= tol
-        st, jac = self.st, self.jx
-        if self.ergodic:
-            if st.jac_bar is None:
-                st.jac_bar = self.prob.jac(st.x_bar)
-                if not _all_finite(st.jac_bar, self.zeros_j):
-                    raise NumericalError(f"non-finite Jacobian J{_AT_STEP_BAR.format(st.k)}")
-            jac = st.jac_bar
+        jac = self.jac_bar() if self.ergodic else self.jx
         return kkt_residual(self.prob, ri.x, ri.y, g=ri.g, jac=jac).max() <= tol
 
     def finish(self, termination: str) -> RunResult:
@@ -460,9 +468,10 @@ class _Driver:
     def segment(self, s: int, tau0_s: float, sigma0_s: float, max_inner: int) -> str:
         """Run segment, epoch or stage s from the current iterate for at most ``max_inner`` iterations.
 
-        Returns 'schedule', 'cap', or 'tolerance'. The start gives x_bar and
-        J_bar fresh buffers (x, J(x)) and sets the locals T = 0, (tau, sigma)
-        = (tau0_s, sigma0_s), the dual sum and Delta_XY; every exit forms
+        Returns 'schedule', 'cap', or 'tolerance'. The start seeds x_bar's
+        pair with x's (x_bar = x there): fresh x_bar and J_bar buffers (x,
+        J(x)) and ``gx_bar`` = G(x). It sets the locals T = 0, (tau, sigma) =
+        (tau0_s, sigma0_s), the dual sum and Delta_XY; every exit forms
         st.y_bar from the sum. The rest comes from the run's ``_RULES`` row.
         Improve rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
         step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
@@ -476,17 +485,18 @@ class _Driver:
         G and its Jacobian are evaluated once per new iterate (``move``) and
         shared by the dual extrapolation, the primal step, h1, the recorder
         and the KKT stop test. The segment starts at the iterate the driver
-        already holds, so its start costs no oracle call.
+        already holds, so its start costs no oracle call, at x or at x_bar.
+        h2, the KKT stop at x_bar and msapd's warm start read J(x_bar) from
+        ``jac_bar``.
 
         On a problem with ``quadratic`` structure (checked when the problem
         is built) each new iterate costs one ``jacobian`` call and no
         ``constraints`` call: ``prob.g`` derives G from J, and st.jac_bar =
-        J(x_bar) is updated with x_bar's own weights. J_bar serves h2 and,
-        when the run reports at x_bar, the KKT stop there. The results differ
+        J(x_bar) is updated with x_bar's own weights. The results differ
         from the generic path by rounding only. When the run reports at
         x_bar, G(x_bar) for the record is ``prob.g(x_bar, J_bar)``, from J_bar
         on the quadratic path and one ``constraints`` call on the generic
-        one, checked finite on both.
+        one, checked finite on both and kept as ``gx_bar``.
 
         The record step picks the reporting point (the row's third entry),
         the only place that does: the recorder gets that point and its G in
@@ -494,8 +504,8 @@ class _Driver:
         """
         prob, c, st = self.prob, self.c, self.st
         quadratic = self.quadratic
-        st.x_bar = st.x.copy()  # a copy, as is J_bar: the loop updates both in place
-        st.jac_bar = self.jx.copy() if quadratic else None
+        st.x_bar = st.x.copy()  # a copy, as is J_bar: the loop updates both in place (J_bar if quadratic)
+        st.jac_bar, self.gx_bar = self.jx.copy(), self.gx
         ybar_sum = np.zeros(prob.m)
         self.starts.append((s, st.x.copy()))
         delta_xy = c.D_X**2 / (self.dx_divisor * tau0_s) + c.D_Y**2 / (2.0 * sigma0_s)
@@ -537,15 +547,8 @@ class _Driver:
                 else:  # "alg3"
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
-                gnx = _operator_norm(jx, prob.m)
-                if st.jac_bar is None:  # generic path, J(x_bar_k) not held
-                    gnxb = jacobian_operator_norm(prob, st.x_bar)
-                else:
-                    gnxb = _operator_norm(st.jac_bar, prob.m)
-                if not math.isfinite(gnxb):  # max() below would drop a nan h2
-                    raise NumericalError(f"non-finite Jacobian J(x_bar_k) at iteration {st.k}")
-                h1v = h1(gnx, beta, prob.r, prob.L_X)
-                h2v = h2(gnxb, beta_bar, prob.r, prob.L_X, c.mu_lb)
+                h1v = h1(_operator_norm(jx, prob.m), beta, prob.r, prob.L_X)
+                h2v = h2(_operator_norm(self.jac_bar(), prob.m), beta_bar, prob.r, prob.L_X, c.mu_lb)
                 rho_next = max(rho_k, min(c.mu_lb * max(h1v, h2v), self.rho_cap))
                 est.advance(rho_next, tau0_s)
 
@@ -609,7 +612,7 @@ class _Driver:
             if quadratic:
                 _average_into(st.jac_bar, self.jx, w_k)
             else:
-                st.jac_bar = None
+                st.jac_bar = None  # not held at the new x_bar until jac_bar is asked
             st.y = y_next
             gx_prev = gx
             T += t_k
@@ -620,7 +623,7 @@ class _Driver:
             x_rec, g_rec = st.x, self.gx
             if ergodic:  # checked here: the stop test's max(rel_gap, nan) would drop a nan
                 x_rec = st.x_bar
-                g_rec = prob.g(x_rec, st.jac_bar)
+                g_rec = self.gx_bar = prob.g(x_rec, st.jac_bar)
                 if not _all_finite(g_rec, self.zeros_g):
                     raise NumericalError(f"non-finite constraint value G{_AT_STEP_BAR.format(st.k)}")
             ri = RecordInputs(st.k, s, x_rec, g_rec, st.y, rho_k, tau_k, sigma_k,  # positional: half the cost
@@ -758,16 +761,13 @@ def msapd(
     _require_variant(config, "msapd", "msapd")
     sigma_tilde = default_step_sizes(constants)[1]
     driver = _Driver(problem, constants, config, x0, y0, recorder, observer, f_star)
-    st = driver.st
     for s in range(config.max_epochs + 1):
         reason = driver.segment(s, *default_step_sizes(constants, sigma_tilde * 2.0 ** (0.5 * s)), config.max_iters)
         if reason == "tolerance":
             return driver.finish("tolerance")
         if reason == "cap" and driver.budgets[-1] == math.inf:
             return driver.finish("budget")
-        # The next stage begins at the ergodic pair; J(x_bar) is J_bar where the loop holds it.
-        st.y = st.y_bar.copy()  # a copy, as is x: after the last stage, the state holds both
-        driver.move(st.x_bar.copy(), _AT_WARM_START, st.jac_bar)
+        driver.warm_start()
     return driver.finish("completed")
 
 

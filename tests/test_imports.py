@@ -1,11 +1,14 @@
 """No module of the package imports a name it never uses, no public name serves only tests,
-and no solver knob goes unread or is set only by tests.
+no name is kept for a tracer wrapper that no longer exists, and no solver knob goes unread or
+is set only by tests.
 
 A stdlib stand-in for a linter's unused-import check: every imported name
 must be referenced in the module, listed in its ``__all__``, or sit on a
 line marked ``# noqa: F401``. Every name in a module's ``__all__`` must be
 loaded somewhere in the package, so a public function whose only caller is
-its own test fails here. Likewise every ``SolverConfig`` field must be read
+its own test fails here. A ``# noqa: F401`` import and an allowed public name
+without a caller must be one that ``perfbench/tracing.py`` patches by name.
+Likewise every ``SolverConfig`` field must be read
 as an attribute somewhere in the package outside the class itself, and set
 by a keyword somewhere outside the tests.
 """
@@ -20,6 +23,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "apdpro"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _unused_imports(path):
@@ -63,6 +67,7 @@ def test_the_guard_sees_an_unused_import(tmp_path):
 # module.name -> why it stays public without a caller in the package
 UNLOADED_EXPORTS_ALLOWED = {
     "linalg.power_iteration": "kept only for perfbench/tracing.py, ROADMAP item 1",
+    "problem.jacobian_operator_norm": "kept only for perfbench/tracing.py, ROADMAP item 1",
 }
 
 
@@ -100,6 +105,59 @@ def test_the_guard_sees_a_public_name_without_a_caller(tmp_path):
         encoding="utf-8",
     )
     assert _unloaded_exports(sorted(tmp_path.glob("*.py"))) == ["probe.helper", "probe.orphan"]
+
+
+def _kept_for_no_wrapper(paths, tracing, allowed):
+    """What ``paths`` keep for the tracer that its ``installed`` does not patch.
+
+    ``installed`` in ``tracing`` is read as text, not imported: its literal
+    (module, "name", wrapper) rows name the patched module attributes. Each
+    ``# noqa: F401`` import in ``paths`` must be one of them, as
+    ``module.name``; each ``allowed`` entry ``module.name`` must share its
+    name with one (the tracer patches the modules that import it).
+    """
+    tree = ast.parse(tracing.read_text(encoding="utf-8"), filename=str(tracing))
+    installed = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "installed")
+    patched = {
+        f"{row.elts[0].id}.{row.elts[1].value}" for row in ast.walk(installed)
+        if isinstance(row, ast.Tuple) and len(row.elts) == 3 and isinstance(row.elts[0], ast.Name)
+        and isinstance(row.elts[1], ast.Constant) and isinstance(row.elts[1].value, str)
+    }
+    stray = set()
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    entry = f"{path.stem}.{alias.asname or alias.name}"
+                    if "# noqa: F401" in lines[alias.lineno - 1] and entry not in patched:
+                        stray.add(entry)
+    names = {entry.split(".")[1] for entry in patched}
+    return sorted(stray | {entry for entry in allowed if entry.split(".")[1] not in names})
+
+
+def test_names_kept_for_the_tracer_are_ones_it_patches():
+    """Once the benchmark stops wrapping a name, its ``noqa`` import or allowlist entry fails here."""
+    paths = sorted(SRC.glob("*.py"))
+    assert any("# noqa: F401" in p.read_text(encoding="utf-8") for p in paths)
+    assert _kept_for_no_wrapper(paths, TRACING, UNLOADED_EXPORTS_ALLOWED) == []
+
+
+def test_the_guard_sees_a_name_kept_for_no_wrapper(tmp_path):
+    tracing = tmp_path / "tracing.py"
+    tracing.write_text(
+        "def installed(tracer):\n    from pkg import probe\n"
+        "    patches = [(probe, 'wrapped', tracer.span('probe.wrapped', probe.wrapped)), (probe, 'other')]\n",
+        encoding="utf-8",
+    )
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .a import wrapped  # noqa: F401\nfrom .b import other  # noqa: F401\nfrom .c import kept\n",
+        encoding="utf-8",
+    )
+    allowed = {"a.wrapped": "", "b.other": ""}
+    assert _kept_for_no_wrapper([probe], tracing, allowed) == ["b.other", "probe.other"]
 
 
 def _unread_fields(paths, class_name):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from apdpro import solvers
 from apdpro.bench import make_recorder
+from apdpro.estimator import h2
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import make_synthetic_instance
-from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants
+from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, jacobian_operator_norm
 from helpers import CANONICAL_C_BAR
 from apdpro.solvers import (
     VARIANTS,
@@ -588,7 +589,8 @@ def test_non_finite_jacobian_raises_on_the_quadratic_path(small_graph):
 
 
 @pytest.mark.parametrize("runner, variant, first_nan, iteration", [
-    (apdpro, "apdpro", 5, 2),  # J(x_0), then J(x_bar_k) and J(x_{k+1}) per iteration: call 5 is J(x_2)
+    # J(x_0), then J(x_bar_k) from iteration 1 (x_bar_0 = x_0) and J(x_{k+1}): call 4 is J(x_2)
+    (apdpro, "apdpro", 4, 2),
     (apd_baseline, "apd", 5, 4),  # J(x_0), then J(x_{k+1}) per iteration: call 5 is J(x_4)
 ])
 def test_non_finite_jacobian_raises_on_the_generic_path(canonical, runner, variant, first_nan, iteration):
@@ -597,14 +599,6 @@ def test_non_finite_jacobian_raises_on_the_generic_path(canonical, runner, varia
     match = rf"non-finite Jacobian J\(x_\{{k\+1\}}\) at iteration {iteration}$"
     with pytest.raises(NumericalError, match=match):
         runner(broken, constants, SolverConfig(variant=variant, max_iters=50), np.zeros(1), np.zeros(1))
-
-
-def test_non_finite_jacobian_at_x_bar_raises(canonical):
-    """A nan J(x_bar_0) alone (call 2, for h2) would be dropped by max(h1, h2) if not checked."""
-    problem, constants, _, _ = canonical
-    broken = _jacobian_nan_from_call(problem, 2, last_nan=2)
-    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 0$"):
-        apdpro(broken, constants, SolverConfig(max_iters=200), np.zeros(1), np.zeros(1))
 
 
 def test_non_finite_jacobian_at_x_bar_raises_in_the_kkt_stop(canonical):
@@ -639,15 +633,13 @@ def _two_ball_problem():
     return problem, derive_constants(problem)
 
 
-def test_non_finite_jacobian_at_x_bar_raises_with_two_constraints():
-    """For m > 1 the h2 norm is an SVD, which raised LinAlgError on a nan J before the named check."""
-    problem, constants = _two_ball_problem()
-    # J(x_0), then J(x_bar_k) and J(x_{k+1}) per iteration: call 6 is J(x_bar_2).
-    broken = _jacobian_nan_from_call(problem, 6, last_nan=6)
-    with pytest.raises(NumericalError, match=r"non-finite Jacobian J\(x_bar_k\) at iteration 2$"):
-        apdpro(broken, constants, SolverConfig(max_iters=200), np.zeros(2), np.zeros(2))
-    res = apdpro(problem, constants, SolverConfig(max_iters=200), np.zeros(2), np.zeros(2))
-    assert res.state.k == 200
+def _instance(request, instance):
+    """(problem, constants) of a fixture, of the m = 2 generic problem, or of the 30-node graph
+    without its quadratic structure."""
+    if instance == "two_ball":
+        return _two_ball_problem()
+    problem, constants = request.getfixturevalue(instance.removesuffix("_generic"))[:2]
+    return (_generic(problem) if instance.endswith("_generic") else problem), constants
 
 
 def test_non_finite_jacobian_at_an_msapd_warm_start_raises(canonical):
@@ -656,12 +648,62 @@ def test_non_finite_jacobian_at_an_msapd_warm_start_raises(canonical):
     calls, marks = {"g": 0, "jac": 0}, []
     msapd(_counted(problem, calls), constants, cfg, np.zeros(1), np.zeros(1),
           observer=lambda sn: marks.append((sn.epoch, sn.k, calls["jac"])))
-    # Stage 1's first iteration has made one J call (x_bar_0, for h2) by its observer;
-    # the call before it is J at the warm start.
+    # Stage 1 starts with x_bar's J held, so by its first observer its first iteration has made
+    # no J call: the last one is J(x_bar) at the warm start, named as the point of the last step.
     k, jac_calls = next((k, j) for epoch, k, j in marks if epoch == 1)
-    broken = _jacobian_nan_from_call(problem, jac_calls - 1, last_nan=jac_calls - 1)
-    with pytest.raises(NumericalError, match=rf"non-finite Jacobian J\(x_bar\) at warm start \(iteration {k}\)"):
+    broken = _jacobian_nan_from_call(problem, jac_calls, last_nan=jac_calls)
+    with pytest.raises(NumericalError, match=rf"^non-finite Jacobian J\(x_bar_\{{k\+1\}}\) at iteration {k}$"):
         msapd(broken, constants, cfg, np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("variant, runner", ENTRY_POINTS[:3])
+@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph_generic", "small_graph"])
+def test_h2_reads_the_jacobian_at_x_bar(request, instance, variant, runner):
+    """Every step's h2 is h2 of ||J(x_bar_k)|| with J evaluated afresh at the snapshot's x_bar_k,
+    across epochs and stages: bitwise on the generic path, to rounding where J(x_bar) is the
+    running average J_bar."""
+    problem, constants = _instance(request, instance)
+    snaps = []
+    cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=1)
+    runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
+    assert len({sn.epoch for sn in snaps}) == (1 if variant == "apdpro" else 2)
+    rel = 0.0 if problem.quadratic is None else 1e-10
+    moved = 0
+    for sn in snaps:
+        expected = h2(jacobian_operator_norm(problem, sn.x_bar), sn.beta_bar, problem.r, problem.L_X,
+                      constants.mu_lb)
+        assert abs(sn.h2_val - expected) <= rel * expected, (sn.epoch, sn.k, sn.h2_val, expected)
+        moved += sn.h2_val > 0.0
+    assert moved >= len(snaps) - 2  # h2 = 0 only at a segment's first step, where beta_bar = inf
+
+
+@pytest.mark.parametrize("instance", ["canonical", "two_ball"])
+def test_segment_and_warm_starts_make_no_call_at_x_bar(request, instance):
+    """Generic path: a segment starts with x_bar's G and J seeded from x's, so its first h2 calls
+    nothing, and msapd's warm start takes G(x_bar) from the last ergodic record.
+
+    Up to a segment's first observer, the calls since the previous observer are G and J at x_0
+    for the first segment; for the others, those of the last step (G and J at x_{k+1}), and in
+    msapd G(x_bar) for the record and J(x_bar) at the warm start, which the first h2 reads.
+    Evaluating J(x_bar_0) at each segment start cost one J call per epoch or stage more, and G
+    at each warm start one G call more.
+    """
+    problem, constants = _instance(request, instance)
+    boundary = {"apdpro": (1, 1), "rapdpro": (1, 1), "msapd": (2, 2)}
+    for variant, runner in ENTRY_POINTS[:3]:
+        calls, marks = {"g": 0, "jac": 0}, [(-1, 0, 0)]  # the run's start as a segment of its own
+        cfg = SolverConfig(variant=variant, max_iters=400, max_epochs=3)
+        res = runner(_counted(problem, calls), constants, cfg, np.zeros(problem.n), np.zeros(problem.m),
+                     observer=lambda sn: marks.append((sn.epoch, calls["g"], calls["jac"])))
+        k, epochs = res.state.k, res.epochs
+        assert epochs == (1 if variant == "apdpro" else 4) and len(marks) == k + 1, variant
+        firsts = [i for i in range(1, len(marks)) if marks[i][0] != marks[i - 1][0]]
+        starts = [(marks[i][1] - marks[i - 1][1], marks[i][2] - marks[i - 1][2]) for i in firsts]
+        assert starts == [(1, 1)] + [boundary[variant]] * (epochs - 1), variant
+        if variant == "msapd":  # per stage, one J(x_bar) at its warm start and none for its first h2
+            assert (calls["g"], calls["jac"]) == (1 + 2 * k, 1 + 2 * k)
+        else:  # one J(x_bar_0) per epoch fewer than 1 + 2k
+            assert (calls["g"], calls["jac"]) == (1 + k, 1 + 2 * k - epochs), variant
 
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
@@ -758,7 +800,7 @@ def test_non_finite_start_point_is_rejected(variant, runner, point, bad):
 def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner, instance, k, layer, text,
                                            first_call):
     """A nan from the prox or the dual projection in step k is not reported as the oracle's at x_{k+1}."""
-    problem, constants = _two_ball_problem() if instance == "two_ball" else request.getfixturevalue(instance)[:2]
+    problem, constants = _instance(request, instance)
     original, calls = getattr(solvers, layer), []
 
     def nan_in_step_k(*args):
@@ -774,9 +816,13 @@ def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner
 
 # The oracle's cells of the fault matrix: (site, which call at the site after step k returns nan, the
 # point named, instances, entry points). The quadratic path makes no constraints call, and only the
-# ergodic variants evaluate G at x_bar_{k+1}, after G(x_{k+1}).
+# ergodic variants evaluate G at x_bar_{k+1}, after G(x_{k+1}). On the generic path the estimating
+# variants evaluate J(x_bar_{k+1}) after J(x_{k+1}), for the next step's h2, where max(h1, h2) would
+# drop a nan h2 if J were not checked.
 _ORACLE_FAULTS = (
     ("jacobian", 1, r"Jacobian J\(x_\{k\+1\}\)", ("canonical", "two_ball", "small_graph"), ENTRY_POINTS),
+    ("jacobian", 2, r"Jacobian J\(x_bar_\{k\+1\}\)", ("canonical", "two_ball"),
+     (("apdpro", apdpro), ("rapdpro", rapdpro), ("msapd", msapd))),
     ("constraints", 1, r"constraint value G\(x_\{k\+1\}\)", ("canonical", "two_ball"), ENTRY_POINTS),
     ("constraints", 2, r"constraint value G\(x_bar_\{k\+1\}\)", ("canonical", "two_ball"),
      (("msapd", msapd), ("apd", apd_baseline))),
@@ -792,7 +838,7 @@ _ORACLE_FAULTS = (
 ])
 def test_a_non_finite_oracle_value_names_its_point(request, k, site, nth, text, instance, variant, runner):
     """An observer arms the oracle at step k; its ``nth`` call at ``site`` after that returns nan."""
-    problem, constants = _two_ball_problem() if instance == "two_ball" else request.getfixturevalue(instance)[:2]
+    problem, constants = _instance(request, instance)
     evaluate, left = getattr(problem, site), []  # left: calls to go at the site, once armed
 
     def oracle(x):
