@@ -4,7 +4,9 @@ Two quantities drive the adaptive solvers: rho_k, a certified lower bound on
 (y*)^T mu grown by the Improve procedure from two dual-norm bounds (h1, h2),
 and rho_hat_k, the rate coefficient whose recursion ties the step-size decay
 to the restart schedule. rho starts at 0, since no iterate exists to improve
-from before the first step; rho_hat is seeded from the first certified rho.
+from before the first step, except in msapd's stages, which start it at the
+constant rho_lb certified at set-up (``derive_constants``); rho_hat is seeded
+from the first certified rho.
 """
 
 from __future__ import annotations

@@ -264,7 +264,8 @@ class ConstrainedProblem:
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Derived constants: dual bound, primal ball radius, diameters, the constraint map's and the coupled smoothness.
+    """Derived constants: dual bound, primal ball radius, diameters, the constraint map's and the coupled smoothness,
+    and a lower bound rho_lb on mu'y*.
 
     The primal ball is centered at the problem's ``strict_point``.
     """
@@ -276,6 +277,7 @@ class ProblemConstants:
     L_XY: float
     L_G: float
     mu_lb: float
+    rho_lb: float
 
 
 @dataclass(frozen=True)
@@ -317,7 +319,7 @@ def _ball_lower_bound(objective: BlockNormObjective, z: np.ndarray, rho: float) 
 
 
 def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
-    """c_bar, the primal ball's radius, diameters, L_XY = c_bar * L_X and L_G in one bundle.
+    """c_bar, the primal ball's radius, diameters, L_XY = c_bar * L_X, L_G and rho_lb in one bundle.
 
     Strong convexity at the strict point x_tilde puts {g_i <= 0} in the model ball B(z_i, rho_i),
     z_i = x_tilde - J_i(x_tilde)/mu_i, rho_i^2 = ||J_i(x_tilde)||^2/mu_i^2 - 2 g_i(x_tilde)/mu_i. So
@@ -333,7 +335,13 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     g_i(p) > 0, at s = 1 otherwise; s is the least of those and ``_SEGMENT_CAP``. G(x_s) certifies
     x_s, and one that is not strictly feasible is dropped.
 
-    J is evaluated once, at x_tilde, and G three times: at x_tilde, p and x_s. D_Y is the exact
+    Weak duality at the origin, where f = 0, gives lb <= f* <= y*'G(0) <= ||y*||_1 max_i g_i(0), so
+    rho_lb = mu_lb lb / max_i g_i(0) <= mu_lb ||y*||_1 <= mu'y* when max_i g_i(0) > 0; rho_lb is 0 when
+    it is not, when G(0) is not finite, or when lb = 0. Only the origin is used: lb can exceed f* by
+    rounding (by 4.4e-16 on one synthetic instance), and at a point such as p, where f - lb and G are
+    both at rounding level, their ratio is no bound (it read 1.32 ||y*||_1 there).
+
+    J is evaluated once, at x_tilde, and G four times: at x_tilde, p, x_s and 0. D_Y is the exact
     diameter of Y: c_bar for m = 1, sqrt(2)*c_bar otherwise (the farthest vertex pair of the
     l1-capped nonnegative orthant). The scalars are Python floats (L_X is one, see ConstrainedProblem).
 
@@ -371,6 +379,9 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     g_s = problem.g(x_s).tolist()
     if all(-math.inf < g < 0 for g in g_s):
         c_bar = min(c_bar, (problem.f(x_s) - lb) / -max(g_s))
+    mu_lb = float(problem.mu.min())
+    g_0 = problem.g(np.zeros(problem.n)).tolist()
+    g_0_max = max(g_0) if all(map(math.isfinite, g_0)) else 0.0
     d_y = c_bar if problem.m == 1 else math.sqrt(2.0) * c_bar
     return ProblemConstants(
         c_bar=c_bar,
@@ -379,7 +390,8 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
         D_Y=d_y,
         L_XY=c_bar * problem.L_X,
         L_G=l_g,
-        mu_lb=float(problem.mu.min()),
+        mu_lb=mu_lb,
+        rho_lb=mu_lb * lb / g_0_max if g_0_max > 0.0 else 0.0,
     )
 
 

@@ -395,6 +395,8 @@ class _Driver:
             recorder = _metrics_recorder(problem, None if f_star is None else (None, f_star))
         self.recorder = recorder
         self.rho_cap = constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
+        if self.improve_rule == "alg3":  # msapd's stages start from the certified rho_lb; the others from 0
+            self.st.rho_est.rho = min(constants.rho_lb, self.rho_cap)
         self.quadratic = problem.quadratic is not None
         self.move(x0, _AT_ENTRY)
 
@@ -429,11 +431,16 @@ class _Driver:
             st.jac_bar = jac
         return st.jac_bar
 
-    def warm_start(self) -> None:
-        """Continue from copies of (x_bar, y_bar), with x_bar's held G and J (``gx_bar``, ``jac_bar``)."""
+    def warm_start(self, last: bool) -> None:
+        """Continue from copies of (x_bar, y_bar), with x_bar's held G and J (``gx_bar``, ``jac_bar``).
+
+        After the ``last`` stage only the copies are made, for the state the run returns: nothing
+        reads J(x_bar) there, so it is not evaluated, and ``gx`` and ``jx`` stay those of the old x.
+        """
         st = self.st
-        self.jx, self.gx = self.jac_bar(), self.gx_bar
-        st.x, st.y = st.x_bar.copy(), st.y_bar.copy()  # copies: after the last stage, the state holds both
+        if not last:
+            self.jx, self.gx = self.jac_bar(), self.gx_bar
+        st.x, st.y = st.x_bar.copy(), st.y_bar.copy()
 
     def _should_stop(self, rec: IterateRecord, ri: RecordInputs) -> bool:
         """Tolerance test: the gap when the record has one, else the max KKT residual.
@@ -474,7 +481,10 @@ class _Driver:
         (tau0_s, sigma0_s), the dual sum and Delta_XY; every exit forms
         st.y_bar from the sum. The rest comes from the run's ``_RULES`` row.
         Improve rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
-        step) or 'alg3' (msapd's stage estimate). Except under 'alg3', the
+        step) or 'alg3' (msapd's stage estimate, which the driver starts at
+        min(rho_lb, rho_cap) rather than 0: it only sizes N_s here, while under
+        'alg1' rho also cuts the dual set and shrinks the steps, and starting
+        there made apdpro and rapdpro slower). Except under 'alg3', the
         dual set is cut at rho/mu_lb and (tau, sigma) follow stepsize_update;
         'alg3' projects onto the whole dual set with constant steps. rho
         never exceeds ``rho_cap``, where Improve caps it, so the cut is never
@@ -755,8 +765,11 @@ def msapd(
     1/(L_XY + L_G^2 sigma_0^s), runs the plain-projection inner loop with
     uniform averaging and the stage budget N_s = ceil(max{4/(rho tau_0^s),
     D_Y^2 2^{s+1}/(rho sigma_0^s D_X^2)}), then warm-starts the next stage
-    from (x_bar, y_bar). These tau_0^s are the largest feasible steps, so no
-    feasibility check runs. ``max_iters`` caps each stage (README, Budgets).
+    from (x_bar, y_bar). rho starts at rho_lb <= mu'y*, certified at set-up by
+    weak duality at the origin (``derive_constants``, which says why only
+    there), so N_s is finite from the first iteration unless rho_lb = 0.
+    These tau_0^s are the largest feasible steps, so no feasibility check
+    runs. ``max_iters`` caps each stage (README, Budgets).
     """
     _require_variant(config, "msapd", "msapd")
     sigma_tilde = default_step_sizes(constants)[1]
@@ -767,7 +780,7 @@ def msapd(
             return driver.finish("tolerance")
         if reason == "cap" and driver.budgets[-1] == math.inf:
             return driver.finish("budget")
-        driver.warm_start()
+        driver.warm_start(last=s == config.max_epochs)
     return driver.finish("completed")
 
 

@@ -14,15 +14,19 @@ first). On each it checks, against ground truth computed here:
   the sublevel set reaches farthest;
 - c_bar >= ||y*||_1, with y* from the closed form, the exact KKT solve or
   the hand-derived optimum;
+- rho_lb <= mu_lb ||y*||_1 and rho_lb <= mu_lb c_bar;
 - L_G >= ||J(x)|| at points sampled inside the ball and on its boundary;
-- rho_k <= mu_lb ||y*||_1 along apdpro and rapdpro runs;
+- rho_k <= mu_lb ||y*||_1 along apdpro, rapdpro and msapd runs (msapd's
+  estimate starts at rho_lb);
 - r <= ||J(x*) y*||, the norm of the optimal subgradient, for the PageRank
   rule "sqrt-degree" (the only certified one; "degree" is not).
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +41,7 @@ from apdpro.problem import (
     jacobian_operator_norm,
     kkt_residual,
 )
-from apdpro.solvers import SolverConfig, apdpro, rapdpro
+from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
 from helpers import cycle_edges, path_edges, random_partition, star_edges
 from oracles import ppr_q_dense
 
@@ -229,6 +233,10 @@ def test_derived_constants_are_certified_property(case):
     y_norm = float(np.sum(np.abs(y_star)))
     assert constants.c_bar >= y_norm
 
+    # rho_lb bounds mu'y* >= mu_lb ||y*||_1 from below, within the driver's cap mu_lb c_bar
+    assert 0.0 <= constants.rho_lb <= constants.mu_lb * y_norm * (1.0 + 1e-9)
+    assert constants.rho_lb <= constants.mu_lb * constants.c_bar
+
     # L_G bounds ||J|| on the ball, its boundary included
     for u in directions:
         for scale in (1.0, rng.uniform()):
@@ -242,9 +250,57 @@ def test_derived_constants_are_certified_property(case):
     bound = constants.mu_lb * y_norm * (1.0 + 1e-9)
     if kind == "graph" and args[5] == "degree":
         return  # r is not certified, so neither is rho
-    for run, variant in ((apdpro, "apdpro"), (rapdpro, "rapdpro")):
+    for run, variant in ((apdpro, "apdpro"), (rapdpro, "rapdpro"), (msapd, "msapd")):
         rhos = []
         cfg = SolverConfig(variant=variant, max_iters=RUN_ITERS, max_epochs=3)
         run(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m),
             observer=lambda sn: rhos.append(sn.rho_next))
         assert rhos and max(rhos) <= bound, (variant, max(rhos), bound)
+
+
+def test_rho_lb_is_zero_where_the_origin_is_feasible():
+    """f = |x|, g = (x - 1)^2/2 - 1: G(0) = -1/2, so weak duality at the origin bounds nothing."""
+    problem = ConstrainedProblem(
+        objective=BlockNormObjective(blocks=((0, 1),), weights=np.ones(1)),
+        constraints=lambda x: np.array([0.5 * (x[0] - 1.0) ** 2 - 1.0]), jacobian=lambda x: (x - 1.0).reshape(1, 1),
+        mu=np.ones(1), L_X=1.0, r=1.0, strict_point=np.ones(1),
+    )
+    assert derive_constants(problem).rho_lb == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rho_lb_is_zero_where_G_at_the_origin_is_not_finite(bad):
+    """The two-ball problem has G(0) = (1, 3/2) and lb = f* = 1, so rho_lb = 2/3; one non-finite
+    g_1(0), even beside a positive g_2(0), makes it 0."""
+    problem = _two_ball_case(0.5, False)[0]
+    assert derive_constants(problem).rho_lb == pytest.approx(2.0 / 3.0, rel=1e-15)
+    g = problem.constraints
+
+    def constraints(x):
+        return np.array([bad, 1.5]) if not x.any() else g(x)
+
+    constants = derive_constants(dataclasses.replace(problem, constraints=constraints))
+    assert constants.rho_lb == 0.0
+    assert constants == dataclasses.replace(derive_constants(problem), rho_lb=0.0)
+
+
+def test_only_msapd_reads_rho_lb(canonical):
+    """apdpro, rapdpro and apd start at rho = 0 whatever rho_lb is: their results are bitwise those
+    with rho_lb = 0. msapd's first record reports the rho_lb its estimate starts from."""
+    two_ball = _two_ball_case(0.5, False)[0]
+    for problem, constants in (canonical[:2], (two_ball, derive_constants(two_ball))):
+        zeroed = dataclasses.replace(constants, rho_lb=0.0)
+        assert constants.rho_lb > 0.0
+        for run, variant in ((apdpro, "apdpro"), (rapdpro, "rapdpro"), (apd_baseline, "apd")):
+            cfg = SolverConfig(variant=variant, max_iters=200, max_epochs=3)
+            a, b = (run(problem, c, cfg, np.zeros(problem.n), np.zeros(problem.m)) for c in (constants, zeroed))
+            for name in ("x", "x_bar", "y", "y_bar"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (variant, name)
+            assert [repr(dataclasses.replace(r, elapsed_s=0.0)) for r in a.trace] == \
+                [repr(dataclasses.replace(r, elapsed_s=0.0)) for r in b.trace], variant
+            assert (a.termination, a.epoch_budgets, a.state.k, a.state.rho_est) == \
+                (b.termination, b.epoch_budgets, b.state.k, b.state.rho_est), variant
+            assert [(s, x.tobytes()) for s, x in a.epoch_starts] == [(s, x.tobytes()) for s, x in b.epoch_starts]
+        cfg = SolverConfig(variant="msapd", max_iters=200, max_epochs=3)
+        for c in (constants, zeroed):
+            assert msapd(problem, c, cfg, np.zeros(problem.n), np.zeros(problem.m)).trace[0].rho == c.rho_lb

@@ -153,7 +153,7 @@ def test_primal_ball_moves_to_a_strict_point_off_the_minimizer():
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance):
-    """G(x_tilde) serves both the radius and c_bar; c_bar adds G at p and at x_s, never at the origin."""
+    """G(x_tilde) serves both the radius and c_bar; c_bar adds G at p and at x_s, and rho_lb G at the origin."""
     problem = request.getfixturevalue(instance)[0]
     x_tilde, points = problem.strict_point, []
 
@@ -164,9 +164,9 @@ def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance
     counted = dataclasses.replace(problem, constraints=constraints)
     points.clear()  # the quadratic structure's check, at construction, evaluates G there too
     constants = derive_constants(counted)
-    assert len(points) == 3
+    assert len(points) == 4
     assert sum(np.array_equal(x, x_tilde) for x in points) == 1
-    assert not any(np.array_equal(x, np.zeros(problem.n)) for x in points)
+    assert sum(np.array_equal(x, np.zeros(problem.n)) for x in points) == 1
     assert constants == derive_constants(problem)
 
 

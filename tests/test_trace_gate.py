@@ -34,3 +34,23 @@ def test_compare_passes_equal_dumps_and_fails_a_mismatch(tmp_path, capsys):
     assert compare(["compare", base, _dump(tmp_path / "e.json", rel_gap="0.25000000001"), "--rel", "1e-12"]) == 1
     assert compare(["compare", base, _dump(tmp_path / "f.json", objective="1.5000000000001"), "--rel", "1e-12"]) == 0
     assert compare(["compare", base, _dump(tmp_path / "g.json", rel_gap=""), "--rel", "1e-12"]) == 1
+
+
+def test_compare_gates_only_the_listed_variants(tmp_path, capsys):
+    """A solve of a variant left out of --variants may differ; one of a listed variant may not."""
+    compare = _trace_gate().main
+    rows = [["1", "0", "1.5", "0.25"]]
+
+    def dump(name, msapd_iters):
+        solves = {"g/apd": {"iters": 1, "rows": rows}, "g/msapd": {"iters": msapd_iters, "rows": rows}}
+        data = {"columns": ["iter", "epoch", "objective", "rel_gap"],
+                "runs": {"w seed 0": {"workload": "w", "solves": solves}}}
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+        return str(tmp_path / name)
+
+    a, b = dump("a.json", 1), dump("b.json", 2)
+    assert compare(["compare", a, b, "--variants", "apd", "rapdpro"]) == 0
+    assert "1 solves, 0 with a different" in capsys.readouterr().out
+    assert compare(["compare", a, b]) == 1
+    assert "g/msapd: 1 iterations vs 2" in capsys.readouterr().out
+    assert compare(["compare", a, b, "--variants", "msapd"]) == 1

@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 tools/trace_gate.py dump --seeds 0 4242 OUT.json
     python3 tools/trace_gate.py compare A.json B.json --rel 1e-12
+    python3 tools/trace_gate.py compare A.json B.json --rel 0 --variants apdpro rapdpro apd
 
 ``dump`` runs one untraced ``perfbench/harness.run_round`` per workload and
 seed, with the library from this checkout's ``src/`` and the workloads from
@@ -17,7 +18,9 @@ and the largest absolute and relative difference. It exits 1 when a solve
 is missing, its iteration count or row count differs, or a field differs by
 more than ``--rel`` times max(1, |a|, |b|). That is a relative bound for
 values above 1 and an absolute one below. Fields that are not both numbers
-differ by infinity unless their text is equal.
+differ by infinity unless their text is equal. With ``--variants`` it
+compares only the solves of those variants, so a change meant to move one
+variant can gate the others bitwise.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def _difference(a: str, b: str) -> tuple[float, float, float]:
     return d, d / scale if scale else 0.0, d / max(1.0, scale)
 
 
-def compare(path_a: str, path_b: str, rel: float) -> int:
+def compare(path_a: str, path_b: str, rel: float, variants=None) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
@@ -113,6 +116,8 @@ def compare(path_a: str, path_b: str, rel: float) -> int:
         sa, sb = a["runs"][run]["solves"], b["runs"][run]["solves"]
         workload = a["runs"][run]["workload"]
         for solve in sorted(sa.keys() | sb.keys()):
+            if variants is not None and solve.rsplit("/", 1)[1] not in variants:  # solves are "label/variant"
+                continue
             if solve not in sa or solve not in sb:
                 bad.append(f"{run} {solve}: only in {path_a if solve in sa else path_b}")
                 continue
@@ -162,6 +167,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("b")
     p_cmp.add_argument("--rel", type=float, default=0.0,
                        help="largest allowed |a - b| / max(1, |a|, |b|) per field (default 0: bitwise)")
+    p_cmp.add_argument("--variants", nargs="+", metavar="V", help="compare only the solves of these variants")
     args = parser.parse_args(argv)
     if args.command == "dump":
         if args.out is None and len(args.seeds) > 1:
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
         if args.out is None or not all(seed.lstrip("-").isdigit() for seed in args.seeds):
             parser.error("dump needs integer seeds and an output path: dump --seeds 0 4242 OUT")
         return dump([int(seed) for seed in args.seeds], args.out)
-    return compare(args.a, args.b, args.rel)
+    return compare(args.a, args.b, args.rel, args.variants)
 
 
 if __name__ == "__main__":
