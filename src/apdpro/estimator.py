@@ -7,6 +7,11 @@ to the restart schedule. rho starts at 0, since no iterate exists to improve
 from before the first step, except in msapd's stages, which start it at the
 constant rho_lb certified at set-up (``derive_constants``); rho_hat is seeded
 from the first certified rho.
+
+Both bounds fall as their gradient norm grows, so each one's value at
+gradient norm 0 caps it. The solvers evaluate that scalar first and compute
+the bound itself, and for h2 the Jacobian at the averaged iterate, only when
+mu_lb times the cap can lift rho (see ``solvers._Driver.segment``).
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ class ConstrainedProblem:
     ||J(x) - J(x')|| <= L_X ||x - x'||, and ``r`` lower bounds the
     objective's subgradient norms at the optimum. The constraint map's
     modulus L_G follows from L_X and the primal ball (``derive_constants``).
-    Both are checked here (L_X finite and >= 0, r finite and > 0) and
+    Both are checked here (L_X finite and >= max(mu), r finite and > 0) and
     stored as Python floats, so the step sizes and estimator values the
     solvers derive from them are floats too: the same IEEE binary64
     arithmetic as numpy scalars, without numpy's per-operation dispatch.
@@ -200,14 +200,18 @@ class ConstrainedProblem:
             raise ValueError(f"mu must be a non-empty vector, got shape {mu.shape}")
         object.__setattr__(self, "n", self.objective.n)
         object.__setattr__(self, "m", len(mu))
-        if np.any(mu <= 0):
-            raise ValueError("all strong-convexity moduli must be positive")
+        if not np.all(mu > 0):  # nan fails too
+            raise ValueError(f"all strong-convexity moduli must be positive, got {mu.tolist()}")
         for name, positive in (("L_X", False), ("r", True)):
             value = float(getattr(self, name))
             if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
                 sign = "positive" if positive else "nonnegative"
                 raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
             object.__setattr__(self, name, value)
+        mu_max = float(mu.max())
+        if self.L_X < mu_max:  # ||J(x) - J(x')|| >= mu_i ||x - x'||, so such an L_X bounds nothing
+            raise ValueError(f"L_X = {self.L_X!r} is below max(mu) = {mu_max!r}: a mu_i-strongly convex g_i "
+                             "has a Jacobian whose modulus is at least mu_i")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "strict_point", _vec(self.strict_point, self.n, "strict_point"))
         if self.quadratic is not None:

@@ -232,6 +232,8 @@ class IterSnapshot:
     """Full per-iteration view for tests and diagnostics (observer callback).
 
     Arrays are copies; attach an observer only on small instances.
+    ``h1_val`` and ``h2_val`` are None where the step did not evaluate that
+    bound: without an Improve rule, or where its cap could not lift rho.
     """
 
     k: int
@@ -496,8 +498,10 @@ class _Driver:
         shared by the dual extrapolation, the primal step, h1, the recorder
         and the KKT stop test. The segment starts at the iterate the driver
         already holds, so its start costs no oracle call, at x or at x_bar.
-        h2, the KKT stop at x_bar and msapd's warm start read J(x_bar) from
-        ``jac_bar``.
+        An evaluated h2, the KKT stop at x_bar and msapd's warm start read
+        J(x_bar) from ``jac_bar``. Improve computes each bound only where its
+        value at gradient norm 0 can lift rho, so a step whose h2 cannot lift
+        it evaluates no J(x_bar).
 
         On a problem with ``quadratic`` structure (checked when the problem
         is built) each new iterate costs one ``jacobian`` call and no
@@ -557,9 +561,16 @@ class _Driver:
                 else:  # "alg3"
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
-                h1v = h1(_operator_norm(jx, prob.m), beta, prob.r, prob.L_X)
-                h2v = h2(_operator_norm(self.jac_bar(), prob.m), beta_bar, prob.r, prob.L_X, c.mu_lb)
-                rho_next = max(rho_k, min(c.mu_lb * max(h1v, h2v), self.rho_cap))
+                # Each bound falls as its gradient norm grows, so its value at norm 0 caps it. A bound
+                # whose cap (with a rounding margin) cannot lift the running max is not evaluated:
+                # rho_next is max(rho_k, min(mu_lb max(h1, h2), rho_cap)) bitwise, and a skipped h2
+                # asks for no J(x_bar).
+                if c.mu_lb * h1(0.0, beta, prob.r, prob.L_X) * (1.0 + 1e-9) > rho_next:
+                    h1v = h1(_operator_norm(jx, prob.m), beta, prob.r, prob.L_X)
+                    rho_next = max(rho_next, min(c.mu_lb * h1v, self.rho_cap))
+                if c.mu_lb * h2(0.0, beta_bar, prob.r, prob.L_X, c.mu_lb) * (1.0 + 1e-9) > rho_next:
+                    h2v = h2(_operator_norm(self.jac_bar(), prob.m), beta_bar, prob.r, prob.L_X, c.mu_lb)
+                    rho_next = max(rho_next, min(c.mu_lb * h2v, self.rho_cap))
                 est.advance(rho_next, tau0_s)
 
             # Ergodic averages: x_bar (and J_bar) gain x_{k+1} with weight w_k, in place at the

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdpro.estimator import (
     RhoEstimate,
@@ -36,6 +38,25 @@ def test_h2_values():
     assert h2(1.0, math.inf, 1.0, 1.0, 1.0) == 0.0  # degenerate average bound
     with pytest.raises(ValueError):
         h2(1.0, 0.0, 0.0, 1.0, 1.0)
+
+
+def _decades(lo: int, hi: int):
+    """Positive floats log-uniform over 10^lo .. 10^hi."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+# A gradient norm of 0, a tiny one, or one anywhere over many decades.
+_GRAD = st.one_of(st.just(0.0), st.just(5e-324), _decades(-12, 12))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(g=_GRAD, beta=_decades(-12, 12), beta_bar=st.one_of(st.just(math.inf), _decades(-12, 12)),
+       r=_decades(-6, 6), L_X=_decades(-6, 6), mu_lb=_decades(-6, 6))
+def test_a_bound_at_gradient_norm_0_caps_it_in_floating_point(g, beta, beta_bar, r, L_X, mu_lb):
+    """Both bounds fall as the gradient norm grows, and in floating point too: h(g) never exceeds
+    h(0) by the 1e-9 margin with which the solvers skip a bound whose h(0) cannot lift rho."""
+    assert h1(g, beta, r, L_X) <= h1(0.0, beta, r, L_X) * (1.0 + 1e-9)
+    assert h2(g, beta_bar, r, L_X, mu_lb) <= h2(0.0, beta_bar, r, L_X, mu_lb) * (1.0 + 1e-9)
 
 
 def test_rho_hat_seed_and_recursion_values():

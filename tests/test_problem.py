@@ -273,8 +273,9 @@ def test_constraint_shape_errors():
         wrong.g(np.zeros(3))
     kwargs = dict(objective=problem.objective, constraints=problem.constraints, jacobian=problem.jacobian,
                   L_X=1.0, r=1.0, strict_point=problem.strict_point)
-    with pytest.raises(ValueError):
-        ConstrainedProblem(mu=np.array([-1.0]), **kwargs)
+    for bad in (-1.0, 0.0, np.nan):  # a nan once passed, to fail in derive_constants as "L_G ... inf"
+        with pytest.raises(ValueError, match=r"^all strong-convexity moduli must be positive"):
+            ConstrainedProblem(mu=np.array([bad]), **kwargs)
     for mu in (np.ones(0), np.ones((1, 1))):
         with pytest.raises(ValueError, match=re.escape(f"mu must be a non-empty vector, got shape {mu.shape}")):
             ConstrainedProblem(mu=mu, **kwargs)
@@ -284,9 +285,10 @@ def test_constraint_shape_errors():
 
 
 def _problem_whose_L_G_is(bad):
-    """A problem from which derive_constants forms L_G = ||J(x_tilde)|| + L_X * radius equal to ``bad``:
-    a constant zero J gives 0, an inf entry of J at the strict point inf, a nan entry nan. A negative
-    L_G cannot arise, as both of its terms are >= 0."""
+    """A problem from which derive_constants would form L_G = ||J(x_tilde)|| + L_X * radius equal to
+    ``bad``: an inf entry of J at the strict point gives inf, a nan entry nan. 0 would need a constant
+    zero J and L_X = 0, which the constructor rejects (L_X below max(mu)). A negative L_G cannot arise,
+    as both of its terms are >= 0."""
     toy = _toy_problem()
     jac = np.zeros((3, 1))
     jac[0, 0] = bad
@@ -300,14 +302,30 @@ def _problem_whose_L_G_is(bad):
 ])
 def test_problem_constants_are_validated_at_construction(canonical, name, bad):
     """L_X and r are checked by the problem's constructor; L_G, which divides every step size,
-    by derive_constants, which forms it from the ball's radius."""
+    by derive_constants, which forms it from the ball's radius. An L_G of 0 needs L_X = 0, and the
+    constructor rejects that first."""
     problem = canonical[0]
-    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+    match = f"^{name} must be finite and"
+    if (name, bad) == ("L_G", 0.0):
+        match = r"^L_X = 0\.0 is below max\(mu\) = 1\.0"
+    with pytest.raises(ValueError, match=match):
         if name == "L_G":
             derive_constants(_problem_whose_L_G_is(bad))
         else:
             dataclasses.replace(problem, **{name: bad})
-    dataclasses.replace(problem, L_X=0.0)  # a constant Jacobian: L_X = 0 is a valid bound
+
+
+def test_an_L_X_below_the_largest_mu_is_rejected(canonical):
+    """mu_i-strong convexity forces ||J(x) - J(x')|| >= mu_i ||x - x'||, so an L_X under any mu_i
+    bounds nothing: it would understate L_G and let h1 and h2 overstate rho. A constant Jacobian,
+    L_X = 0, contradicts mu > 0. The error names both values."""
+    problem = canonical[0]
+    with pytest.raises(ValueError, match=r"^L_X = 0\.0 is below max\(mu\) = 1\.0"):
+        dataclasses.replace(problem, L_X=0.0)
+    assert dataclasses.replace(problem, L_X=1.0).L_X == 1.0  # L_X = max(mu) is the tightest valid bound
+    two = _toy_problem(m=2)
+    with pytest.raises(ValueError, match=r"^L_X = 2\.5 is below max\(mu\) = 3\.0"):
+        dataclasses.replace(two, mu=np.array([1.0, 3.0]), L_X=2.5)
 
 
 def test_problem_constants_are_python_floats(canonical, small_graph):

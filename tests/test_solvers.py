@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from apdpro import solvers
 from apdpro.bench import make_recorder
-from apdpro.estimator import h2
+from apdpro.estimator import h1, h2
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, jacobian_operator_norm
@@ -209,6 +209,8 @@ def test_apdpro_step_and_cut_invariants(canonical):
 
 
 def test_dual_bound_soundness_under_hypotheses(canonical):
+    """Where their hypotheses hold, h1 and h2 are below ||y*||_1: the run's value where it evaluated
+    the bound, else the bound of ||J|| evaluated afresh at the snapshot's point."""
     problem, constants, x_star, y_star = canonical
     y_norm = abs(y_star[0])
     snaps = []
@@ -216,11 +218,18 @@ def test_dual_bound_soundness_under_hypotheses(canonical):
     checked = 0
     for s in snaps:
         if np.linalg.norm(s.x - x_star) ** 2 <= 2.0 * s.beta:
-            assert s.h1_val <= y_norm + 1e-12
+            h1v = s.h1_val
+            if h1v is None:
+                h1v = h1(jacobian_operator_norm(problem, s.x), s.beta, problem.r, problem.L_X)
+            assert h1v <= y_norm + 1e-12
             checked += 1
         if s.beta_bar is not None and not math.isinf(s.beta_bar):
             if y_norm * np.linalg.norm(s.x_bar - x_star) ** 2 <= 2.0 * s.beta_bar:
-                assert s.h2_val <= y_norm + 1e-12
+                h2v = s.h2_val
+                if h2v is None:
+                    h2v = h2(jacobian_operator_norm(problem, s.x_bar), s.beta_bar, problem.r, problem.L_X,
+                             constants.mu_lb)
+                assert h2v <= y_norm + 1e-12
                 checked += 1
     assert checked > 100  # the hypotheses do hold along the run
 
@@ -490,21 +499,23 @@ def _generic(problem):
 
 
 def _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw):
-    """(G calls, J calls) between consecutive iterations of one epoch (observer to observer)."""
+    """(G calls, J calls, whether the later step evaluated h2) between consecutive iterations of one
+    epoch (observer to observer)."""
     calls = {"g": 0, "jac": 0}
     counted = _counted(problem, calls)
     cfg = SolverConfig(variant=variant, **kw)
     recorder = make_recorder(counted, variant, cfg, None) if use_bench_recorder else None
     marks = []
     runner(counted, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), recorder=recorder,
-           observer=lambda sn: marks.append((sn.epoch, calls["g"], calls["jac"])))
-    return [(g1 - g0, j1 - j0) for (e0, g0, j0), (e1, g1, j1) in zip(marks, marks[1:]) if e0 == e1]
+           observer=lambda sn: marks.append((sn.epoch, calls["g"], calls["jac"], sn.h2_val is not None)))
+    return [(g1 - g0, j1 - j0, h2v) for (e0, g0, j0, _), (e1, g1, j1, h2v) in zip(marks, marks[1:]) if e0 == e1]
 
 
-# (G calls, J calls) per iteration on the generic path, without and with a KKT stop.
+# (G calls, J calls) per iteration on the generic path, without and with a KKT stop, at a step that
+# does not evaluate h2.
 GENERIC_CALLS = {
-    "none": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (2, 2), "apd": (2, 1)},
-    "kkt": {"apdpro": (1, 2), "rapdpro": (1, 2), "msapd": (2, 2), "apd": (2, 2)},
+    "none": {"apdpro": (1, 1), "rapdpro": (1, 1), "msapd": (2, 1), "apd": (2, 1)},
+    "kkt": {"apdpro": (1, 1), "rapdpro": (1, 1), "msapd": (2, 2), "apd": (2, 2)},
 }
 
 
@@ -512,12 +523,14 @@ GENERIC_CALLS = {
 @pytest.mark.parametrize("use_bench_recorder", [False, True])
 @pytest.mark.parametrize("stop", ["none", "kkt"])
 def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request):
-    """Generic path: G and J once at x_{k+1}, plus J at x_bar_k for h2 in the estimating variants.
+    """Generic path: G and J once at x_{k+1}, plus J at x_bar_k at a step whose h2 is evaluated.
 
     The ergodic-metric variants (msapd, apd) also evaluate G at x_bar_{k+1}
     for the record. A KKT stop reuses that G and adds J(x_bar_{k+1}), which
     msapd's h2 reuses at the next iteration. The 30-node graph runs with its
-    quadratic structure dropped.
+    quadratic structure dropped. h2 is evaluated only where its value at
+    gradient norm 0 can lift rho; on the canonical instance apdpro and
+    rapdpro take both kinds of step.
     """
     problem, constants = request.getfixturevalue(instance)[:2]
     problem = _generic(problem)
@@ -525,7 +538,12 @@ def test_oracle_calls_per_iteration(instance, use_bench_recorder, stop, request)
     kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0)
     for variant, runner in ENTRY_POINTS:
         calls = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
-        assert len(calls) > 20 and set(calls) == {GENERIC_CALLS[stop][variant]}, variant
+        g, j = GENERIC_CALLS[stop][variant]
+        held = stop == "kkt" and variant == "msapd"  # the KKT stop has evaluated J(x_bar) already
+        assert len(calls) > 20, variant
+        assert all((gc, jc) == (g, j + (h2v and not held)) for gc, jc, h2v in calls), variant
+        if instance == "canonical" and variant in ("apdpro", "rapdpro"):
+            assert {h2v for _, _, h2v in calls} == {False, True}, variant
 
 
 @pytest.mark.parametrize("use_bench_recorder", [False, True])
@@ -536,7 +554,7 @@ def test_quadratic_problems_make_one_jacobian_call_per_iteration(small_graph, us
     kw = dict(max_iters=60, max_epochs=3, tolerance=1e-300 if stop == "kkt" else 0.0)
     for variant, runner in ENTRY_POINTS:
         calls = _calls_per_iteration(problem, constants, variant, runner, use_bench_recorder, **kw)
-        assert len(calls) > 20 and set(calls) == {(0, 1)}, variant
+        assert len(calls) > 20 and {(g, j) for g, j, _ in calls} == {(0, 1)}, variant
 
 
 def test_non_finite_constraint_value_raises(canonical):
@@ -589,8 +607,9 @@ def test_non_finite_jacobian_raises_on_the_quadratic_path(small_graph):
 
 
 @pytest.mark.parametrize("runner, variant, first_nan, iteration", [
-    # J(x_0), then J(x_bar_k) from iteration 1 (x_bar_0 = x_0) and J(x_{k+1}): call 4 is J(x_2)
-    (apdpro, "apdpro", 4, 2),
+    # J(x_0), then J(x_{k+1}) per iteration, and J(x_bar_k) where h2 is evaluated, from k = 4 on: after
+    # J(x_4) (call 5) and J(x_bar_4) (call 6), call 7 is J(x_5)
+    (apdpro, "apdpro", 7, 5),
     (apd_baseline, "apd", 5, 4),  # J(x_0), then J(x_{k+1}) per iteration: call 5 is J(x_4)
 ])
 def test_non_finite_jacobian_raises_on_the_generic_path(canonical, runner, variant, first_nan, iteration):
@@ -634,10 +653,15 @@ def _two_ball_problem():
 
 
 def _instance(request, instance):
-    """(problem, constants) of a fixture, of the m = 2 generic problem, or of the 30-node graph
-    without its quadratic structure."""
+    """(problem, constants) of a fixture, of the m = 2 generic problem, of the 30-node graph
+    without its quadratic structure, or of the canonical instance with a narrower feasible set
+    (level 0.5), where msapd evaluates h2 from its first stage on (see
+    test_skipping_a_bound_never_changes_rho)."""
     if instance == "two_ball":
         return _two_ball_problem()
+    if instance == "narrow":
+        problem = make_synthetic_instance(1, 2.0, 0.5)[0]
+        return problem, derive_constants(problem)
     problem, constants = request.getfixturevalue(instance.removesuffix("_generic"))[:2]
     return (_generic(problem) if instance.endswith("_generic") else problem), constants
 
@@ -657,54 +681,88 @@ def test_non_finite_jacobian_at_an_msapd_warm_start_raises(canonical):
 
 
 @pytest.mark.parametrize("variant, runner", ENTRY_POINTS[:3])
-@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph_generic", "small_graph"])
+@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph_generic", "small_graph", "narrow"])
 def test_h2_reads_the_jacobian_at_x_bar(request, instance, variant, runner):
-    """Every step's h2 is h2 of ||J(x_bar_k)|| with J evaluated afresh at the snapshot's x_bar_k,
-    across epochs and stages: bitwise on the generic path, to rounding where J(x_bar) is the
-    running average J_bar."""
+    """Every h2 the run evaluates is h2 of ||J(x_bar_k)|| with J evaluated afresh at the snapshot's
+    x_bar_k, across epochs and stages: bitwise on the generic path, to rounding where J(x_bar) is
+    the running average J_bar. apdpro and rapdpro evaluate it on every instance; msapd starts rho at
+    rho_lb, which h2's caps exceed here only on the narrow instance."""
     problem, constants = _instance(request, instance)
     snaps = []
     cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=1)
     runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
     assert len({sn.epoch for sn in snaps}) == (1 if variant == "apdpro" else 2)
     rel = 0.0 if problem.quadratic is None else 1e-10
-    moved = 0
-    for sn in snaps:
+    evaluated = [sn for sn in snaps if sn.h2_val is not None]
+    for sn in evaluated:
         expected = h2(jacobian_operator_norm(problem, sn.x_bar), sn.beta_bar, problem.r, problem.L_X,
                       constants.mu_lb)
         assert abs(sn.h2_val - expected) <= rel * expected, (sn.epoch, sn.k, sn.h2_val, expected)
-        moved += sn.h2_val > 0.0
-    assert moved >= len(snaps) - 2  # h2 = 0 only at a segment's first step, where beta_bar = inf
+    assert evaluated or (variant == "msapd" and instance != "narrow")
+
+
+# msapd starts rho at rho_lb, above every h2 cap its stages reach on these instances: the skip is total.
+_H2_NEVER_EVALUATED = {("msapd", "two_ball"), ("msapd", "small_graph_generic"), ("msapd", "small_graph")}
+
+
+@pytest.mark.parametrize("variant, runner", ENTRY_POINTS[:3])
+@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph_generic", "small_graph", "narrow"])
+def test_skipping_a_bound_never_changes_rho(request, instance, variant, runner):
+    """rho_{k+1} is max(rho_k, min(mu_lb max(h1, h2), rho_cap)) bitwise, as if both bounds were
+    evaluated at every step. h1 is recomputed from J evaluated afresh at the snapshot's x_k; h2 is
+    the run's value where it evaluated h2 (test_h2_reads_the_jacobian_at_x_bar checks that value),
+    else recomputed from J evaluated afresh at x_bar_k. Every run skips h2 (at least at a segment's
+    first step, where beta_bar = inf) and, but for the pairs in _H2_NEVER_EVALUATED, evaluates it."""
+    problem, constants = _instance(request, instance)
+    snaps = []
+    cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=8 if variant == "msapd" else 1)
+    runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
+    mu_lb, rho_cap = constants.mu_lb, constants.mu_lb * constants.c_bar * (1.0 - 1e-12)
+    for sn in snaps:
+        h1v = h1(jacobian_operator_norm(problem, sn.x), sn.beta, problem.r, problem.L_X)
+        assert sn.h1_val in (None, h1v), (sn.epoch, sn.k)
+        h2v = sn.h2_val
+        if h2v is None:
+            h2v = h2(jacobian_operator_norm(problem, sn.x_bar), sn.beta_bar, problem.r, problem.L_X, mu_lb)
+        assert sn.rho_next == max(sn.rho, min(mu_lb * max(h1v, h2v), rho_cap)), (sn.epoch, sn.k)
+    evaluated = sum(sn.h2_val is not None for sn in snaps)
+    assert evaluated < len(snaps)
+    assert evaluated > 0 or (variant, instance) in _H2_NEVER_EVALUATED
 
 
 @pytest.mark.parametrize("instance", ["canonical", "two_ball"])
 def test_segment_and_warm_starts_make_no_call_at_x_bar(request, instance):
-    """Generic path: a segment starts with x_bar's G and J seeded from x's, so its first h2 calls
-    nothing, and msapd's warm start takes G(x_bar) from the last ergodic record.
+    """Generic path: a segment starts with x_bar's G and J seeded from x's, so its first step calls
+    nothing at x_bar (nor would its h2, which is never evaluated there, where beta_bar = inf), and
+    msapd's warm start takes G(x_bar) from the last ergodic record.
 
     Up to a segment's first observer, the calls since the previous observer are G and J at x_0
     for the first segment; for the others, those of the last step (G and J at x_{k+1}), and in
-    msapd G(x_bar) for the record and J(x_bar) at the warm start, which the first h2 reads.
+    msapd G(x_bar) for the record and J(x_bar) at the warm start, the new stage's J at x.
     Evaluating J(x_bar_0) at each segment start cost one J call per epoch or stage more, and G
     at each warm start one G call more. After msapd's last stage nothing reads J(x_bar), and it
-    is not evaluated.
+    is not evaluated. Every other J(x_bar) call is one evaluated h2's.
     """
     problem, constants = _instance(request, instance)
     boundary = {"apdpro": (1, 1), "rapdpro": (1, 1), "msapd": (2, 2)}
     for variant, runner in ENTRY_POINTS[:3]:
-        calls, marks = {"g": 0, "jac": 0}, [(-1, 0, 0)]  # the run's start as a segment of its own
+        calls, marks = {"g": 0, "jac": 0}, [(-1, 0, 0, False)]  # the run's start as a segment of its own
         cfg = SolverConfig(variant=variant, max_iters=400, max_epochs=3)
         res = runner(_counted(problem, calls), constants, cfg, np.zeros(problem.n), np.zeros(problem.m),
-                     observer=lambda sn: marks.append((sn.epoch, calls["g"], calls["jac"])))
+                     observer=lambda sn: marks.append((sn.epoch, calls["g"], calls["jac"], sn.h2_val is not None)))
         k, epochs = res.state.k, res.epochs
         assert epochs == (1 if variant == "apdpro" else 4) and len(marks) == k + 1, variant
         firsts = [i for i in range(1, len(marks)) if marks[i][0] != marks[i - 1][0]]
         starts = [(marks[i][1] - marks[i - 1][1], marks[i][2] - marks[i - 1][2]) for i in firsts]
         assert starts == [(1, 1)] + [boundary[variant]] * (epochs - 1), variant
-        if variant == "msapd":  # per stage after the first, one J(x_bar) at its warm start and none for its first h2
-            assert res.termination == "completed" and (calls["g"], calls["jac"]) == (1 + 2 * k, 2 * k)
-        else:  # one J(x_bar_0) per epoch fewer than 1 + 2k
-            assert (calls["g"], calls["jac"]) == (1 + k, 1 + 2 * k - epochs), variant
+        # One J(x_bar_k) per evaluated h2, none at a segment's first step, where h2 is never evaluated.
+        h2_calls = sum(evaluated for *_, evaluated in marks)
+        assert not any(marks[i][3] for i in firsts), variant
+        if variant == "msapd":  # per stage after the first, one J(x_bar) at its warm start
+            assert res.termination == "completed"
+            assert (calls["g"], calls["jac"]) == (1 + 2 * k, 1 + k + (epochs - 1) + h2_calls)
+        else:
+            assert h2_calls > 0 and (calls["g"], calls["jac"]) == (1 + k, 1 + k + h2_calls), variant
 
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
@@ -815,31 +873,41 @@ def test_a_non_finite_step_names_its_layer(monkeypatch, request, variant, runner
                np.zeros(problem.m))
 
 
-# The oracle's cells of the fault matrix: (site, which call at the site after step k returns nan, the
-# point named, instances, entry points). The quadratic path makes no constraints call, and only the
-# ergodic variants evaluate G at x_bar_{k+1}, after G(x_{k+1}). On the generic path the estimating
-# variants evaluate J(x_bar_{k+1}) after J(x_{k+1}), for the next step's h2, where max(h1, h2) would
-# drop a nan h2 if J were not checked.
+# The oracle's cells of the fault matrix: (site, which call at the site after the armed step returns
+# nan, the point named, instances, entry points, the armed step). The quadratic path makes no
+# constraints call, and only the ergodic variants evaluate G at x_bar_{k+1}, after G(x_{k+1}). On the
+# generic path J(x_bar_{k+1}) follows J(x_{k+1}) where it is read: in the adaptive variants by the next
+# step's h2, where it is evaluated ("h2": the step before the k-th such step is armed), and where
+# max(h1, h2) would drop a nan h2 if J were not checked; in msapd, whose h2 is seldom evaluated, by a
+# KKT stop at x_bar ("kkt": step k is armed, in a run with a KKT target it never reaches).
 _ORACLE_FAULTS = (
-    ("jacobian", 1, r"Jacobian J\(x_\{k\+1\}\)", ("canonical", "two_ball", "small_graph"), ENTRY_POINTS),
+    ("jacobian", 1, r"Jacobian J\(x_\{k\+1\}\)", ("canonical", "two_ball", "small_graph"), ENTRY_POINTS, "step"),
     ("jacobian", 2, r"Jacobian J\(x_bar_\{k\+1\}\)", ("canonical", "two_ball"),
-     (("apdpro", apdpro), ("rapdpro", rapdpro), ("msapd", msapd))),
-    ("constraints", 1, r"constraint value G\(x_\{k\+1\}\)", ("canonical", "two_ball"), ENTRY_POINTS),
+     (("apdpro", apdpro), ("rapdpro", rapdpro)), "h2"),
+    ("jacobian", 2, r"Jacobian J\(x_bar_\{k\+1\}\)", ("canonical", "two_ball"), (("msapd", msapd),), "kkt"),
+    ("constraints", 1, r"constraint value G\(x_\{k\+1\}\)", ("canonical", "two_ball"), ENTRY_POINTS, "step"),
     ("constraints", 2, r"constraint value G\(x_bar_\{k\+1\}\)", ("canonical", "two_ball"),
-     (("msapd", msapd), ("apd", apd_baseline))),
+     (("msapd", msapd), ("apd", apd_baseline)), "step"),
 )
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
-@pytest.mark.parametrize("site, nth, text, instance, variant, runner", [
-    pytest.param(site, nth, text, instance, variant, runner, id=f"{site}-{'x_bar' if nth == 2 else 'x'}-{instance}-{variant}")
-    for site, nth, text, instances, entries in _ORACLE_FAULTS
+@pytest.mark.parametrize("site, nth, text, instance, variant, runner, armed", [
+    pytest.param(site, nth, text, instance, variant, runner, armed,
+                 id=f"{site}-{'x_bar' if nth == 2 else 'x'}-{instance}-{variant}")
+    for site, nth, text, instances, entries, armed in _ORACLE_FAULTS
     for instance in instances
     for variant, runner in entries
 ])
-def test_a_non_finite_oracle_value_names_its_point(request, k, site, nth, text, instance, variant, runner):
-    """An observer arms the oracle at step k; its ``nth`` call at ``site`` after that returns nan."""
+def test_a_non_finite_oracle_value_names_its_point(request, k, site, nth, text, instance, variant, runner, armed):
+    """An observer arms the oracle at step k (see _ORACLE_FAULTS); its ``nth`` call at ``site`` after
+    that returns nan."""
     problem, constants = _instance(request, instance)
+    cfg = SolverConfig(variant=variant, max_iters=50, tolerance=1e-300 if armed == "kkt" else 0.0)
+    if armed == "h2":  # the steps that evaluate h2, from a run with the oracle intact
+        snaps = []
+        runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
+        k = [sn.k for sn in snaps if sn.h2_val is not None][k] - 1
     evaluate, left = getattr(problem, site), []  # left: calls to go at the site, once armed
 
     def oracle(x):
@@ -855,7 +923,6 @@ def test_a_non_finite_oracle_value_names_its_point(request, k, site, nth, text, 
             left.append(nth)
 
     broken = dataclasses.replace(problem, **{site: oracle})
-    cfg = SolverConfig(variant=variant, max_iters=50)
     with pytest.raises(NumericalError, match=rf"^non-finite {text} at iteration {k + 1}$"):
         runner(broken, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=arm)
 
