@@ -376,13 +376,19 @@ def test_rapdpro_epoch_zero_uses_the_conservative_steps(canonical):
     problem, constants, _, _ = canonical
     snaps = []
     _run(canonical, "rapdpro", rapdpro, observer=snaps.append, max_iters=5, max_epochs=0)
-    # sigma_bar = delta*L_XY/L_G^2; tau_bar = (1-nu0)/(L_XY + L_G^2 sigma_bar/delta) = 0.75/(2 L_XY),
+    # sigma_bar = delta*L_XY/L_G^2; tau_bar = (1-nu0)/(L_XY + L_G^2 sigma_bar/delta) = (1-nu0)/(2 L_XY),
     # with L_XY = c_bar and L_G^2 = 2.88
+    nu0, delta = solvers._NU0, solvers._DELTA
+    assert 0.0 < nu0 < 1.0
+    assert 0.0 < delta < 1.0
     l_xy = CANONICAL_C_BAR
-    sigma_bar = 0.5 * constants.L_XY / constants.L_G**2
+    sigma_bar = delta * constants.L_XY / constants.L_G**2
     assert snaps[0].sigma == sigma_bar
-    assert snaps[0].sigma == pytest.approx(0.5 * l_xy / 2.88, rel=1e-13)
-    assert snaps[0].tau == pytest.approx(0.75 / (2.0 * l_xy), rel=1e-13)
+    assert snaps[0].sigma == pytest.approx(delta * l_xy / 2.88, rel=1e-13)
+    assert snaps[0].tau == pytest.approx((1.0 - nu0) / (2.0 * l_xy), rel=1e-13)
+    # the step condition the pair meets: tau_bar (L_XY + L_G^2 sigma_bar/delta) = 1 - nu0
+    condition = snaps[0].tau * (constants.L_XY + constants.L_G**2 * snaps[0].sigma / delta)
+    assert condition == pytest.approx(1.0 - nu0, rel=1e-13)
 
 
 def test_rapdpro_epoch_contraction(canonical):
@@ -399,6 +405,34 @@ def test_rapdpro_epoch_contraction(canonical):
         assert err <= constants.D_X**2 * 2.0 ** (-s)
     assert len(res.trace) == sum(1 for _ in res.trace)  # records in order, one per iteration
     assert [r.iter for r in res.trace] == list(range(1, len(res.trace) + 1))
+
+
+@st.composite
+def _batch_instances(draw):
+    """Synthetic instances drawn as the synth-batch workload draws them: n in 1..8, center entries of
+    magnitude 0.5..2 with random signs, level u ||c||/sqrt(2) with u in [0.2, 0.8]."""
+    n = draw(st.integers(1, 8))
+    magnitudes = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    center = np.array(signs) * np.array(magnitudes)
+    level = draw(st.floats(0.2, 0.8)) * float(np.linalg.norm(center)) / math.sqrt(2.0)
+    return make_synthetic_instance(n, center, level)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(instance=_batch_instances())
+def test_rapdpro_epoch_contraction_property(instance):
+    """||x^s - x*||^2 <= D_X^2 2^-s at every epoch start of 12 epochs, until the error is below 1e-20."""
+    problem, x_star, _ = instance
+    constants = derive_constants(problem)
+    cfg = SolverConfig(variant="rapdpro", max_iters=100_000, max_epochs=11)
+    res = rapdpro(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), recorder=lambda ri: None)
+    assert res.termination == "completed" and res.epochs == 12
+    for s, xs in res.epoch_starts:
+        err = float(np.linalg.norm(xs - x_star) ** 2)
+        if err < 1e-20:
+            break
+        assert err <= constants.D_X**2 * 2.0 ** (-s), (s, err)
 
 
 def test_rapdpro_budget_exhaustion_is_reported(canonical):

@@ -28,7 +28,9 @@ def test_compare_passes_equal_dumps_and_fails_a_mismatch(tmp_path, capsys):
     assert compare(["compare", base, _dump(tmp_path / "b.json"), "--rel", "1e-12"]) == 0
     assert "differing       0" in capsys.readouterr().out
     assert compare(["compare", base, _dump(tmp_path / "c.json", iters=4), "--rel", "1e-12"]) == 1
-    assert "3 iterations vs 4" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "3 iterations vs 4" in out
+    assert "apd iterations 3 -> 4" in out
     # below 1 the bound is absolute: 1e-13 passes, 1e-11 does not; above 1 it is relative
     assert compare(["compare", base, _dump(tmp_path / "d.json", rel_gap="0.2500000000001"), "--rel", "1e-12"]) == 0
     assert compare(["compare", base, _dump(tmp_path / "e.json", rel_gap="0.25000000001"), "--rel", "1e-12"]) == 1
@@ -50,7 +52,11 @@ def test_compare_gates_only_the_listed_variants(tmp_path, capsys):
 
     a, b = dump("a.json", 1), dump("b.json", 2)
     assert compare(["compare", a, b, "--variants", "apd", "rapdpro"]) == 0
-    assert "1 solves, 0 with a different" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 solves, 0 with a different" in out
+    assert "apd iterations 1 -> 1" in out and "msapd iterations" not in out  # --variants filters the totals
     assert compare(["compare", a, b]) == 1
-    assert "g/msapd: 1 iterations vs 2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "g/msapd: 1 iterations vs 2" in out
+    assert "msapd iterations 1 -> 2" in out
     assert compare(["compare", a, b, "--variants", "msapd"]) == 1

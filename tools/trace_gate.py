@@ -13,14 +13,15 @@ its ``perfbench/``. It writes temporary files only under
 solve's iteration count and every CSV field except ``elapsed_s``, as
 written.
 
-``compare`` prints, for each workload and column, how many fields differ
-and the largest absolute and relative difference. It exits 1 when a solve
-is missing, its iteration count or row count differs, or a field differs by
-more than ``--rel`` times max(1, |a|, |b|). That is a relative bound for
-values above 1 and an absolute one below. Fields that are not both numbers
-differ by infinity unless their text is equal. With ``--variants`` it
-compares only the solves of those variants, so a change meant to move one
-variant can gate the others bitwise.
+``compare`` prints, for each workload and variant, the iterations of the
+solves it compares summed in A and in B; and, for each workload and column,
+how many fields differ and the largest absolute and relative difference. It
+exits 1 when a solve is missing, its iteration count or row count differs,
+or a field differs by more than ``--rel`` times max(1, |a|, |b|). That is
+a relative bound for values above 1 and an absolute one below. Fields that
+are not both numbers differ by infinity unless their text is equal. With
+``--variants`` it compares only the solves of those variants, so a change
+meant to move one variant can gate the others bitwise.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def compare(path_a: str, path_b: str, rel: float, variants=None) -> int:
     columns = a["columns"]
     stats = {}  # (workload, column) -> [differing fields, largest absolute, largest relative]
     solves = {}  # workload -> [solves compared, iteration counts that differ]
+    iters = {}  # workload -> variant -> [iterations in A, iterations in B]
     for run in sorted(a["runs"].keys() | b["runs"].keys()):
         if run not in a["runs"] or run not in b["runs"]:
             bad.append(f"{run}: only in {path_a if run in a['runs'] else path_b}")
@@ -116,7 +118,8 @@ def compare(path_a: str, path_b: str, rel: float, variants=None) -> int:
         sa, sb = a["runs"][run]["solves"], b["runs"][run]["solves"]
         workload = a["runs"][run]["workload"]
         for solve in sorted(sa.keys() | sb.keys()):
-            if variants is not None and solve.rsplit("/", 1)[1] not in variants:  # solves are "label/variant"
+            variant = solve.rsplit("/", 1)[1]  # solves are "label/variant"
+            if variants is not None and variant not in variants:
                 continue
             if solve not in sa or solve not in sb:
                 bad.append(f"{run} {solve}: only in {path_a if solve in sa else path_b}")
@@ -125,6 +128,9 @@ def compare(path_a: str, path_b: str, rel: float, variants=None) -> int:
             counts = solves.setdefault(workload, [0, 0])
             counts[0] += 1
             counts[1] += ia != ib
+            totals = iters.setdefault(workload, {}).setdefault(variant, [0, 0])
+            totals[0] += ia
+            totals[1] += ib
             if ia != ib:
                 bad.append(f"{run} {solve}: {ia} iterations vs {ib}")
             if len(ra) != len(rb):
@@ -144,6 +150,8 @@ def compare(path_a: str, path_b: str, rel: float, variants=None) -> int:
     for workload in workloads:
         compared, differ = solves.get(workload, (0, 0))
         print(f"{workload:12s} {compared} solves, {differ} with a different iteration count")
+        for variant, (ta, tb) in sorted(iters.get(workload, {}).items()):
+            print(f"{workload:12s} {variant} iterations {ta} -> {tb}")
         for column in columns:
             count, d_abs, d_rel = stats.get((workload, column), (0, 0.0, 0.0))
             print(f"{workload:12s} {column:16s} differing {count:7d}  max abs {d_abs:.3g}  max rel {d_rel:.3g}")
