@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from apdpro.bench import InstanceSpec, build_instance, make_recorder, reference_solution
+from apdpro.bench import ExperimentConfig, InstanceSpec, build_instance, get_reference, make_recorder
 from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.solvers import SolverConfig, apd_baseline, rapdpro
 
@@ -36,8 +36,10 @@ spec = InstanceSpec(kind="graph", path=path, alpha=0.4, b=0.95 * v_min, s="seed:
 bundle = build_instance(spec)
 
 # the reference support pattern: an exact KKT solve on the identified
-# support (a long restarted run would be the fallback)
-x_ref, y_ref, f_ref = reference_solution(bundle, "long-run")
+# support (a long restarted run would be the fallback), cached next to the
+# graph file in the temporary directory
+reference = ExperimentConfig(spec, SolverConfig(), reference_mode="long-run")
+x_ref, y_ref, f_ref = get_reference(bundle, reference)
 support = np.nonzero(np.abs(x_ref) > 1e-6)[0]
 print(f"reference: f* = {f_ref:.6f}, multiplier {y_ref[0]:.2f}, "
       f"support {support.tolist()} ({support.size} of {graph.n} nodes)")

@@ -49,7 +49,6 @@ __all__ = [
     "ReferenceUnconvergedError",
     "load_experiment_config",
     "build_instance",
-    "reference_solution",
     "get_reference",
     "make_recorder",
     "write_csv",
@@ -175,30 +174,6 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
     return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
 
 
-def reference_solution(bundle: InstanceBundle, mode: str, budget_iters: int = 200000, budget_epochs: int = 60):
-    """Reference (x*, y*, f*) by closed-form oracle, an exact KKT solve, or a budgeted long run.
-
-    Long-run mode first solves the KKT system exactly on the identified
-    support when the problem allows it (quadratic structure, m = 1 and a
-    weighted l1 objective; see ``_active_set_kkt``). Otherwise, or when that
-    solve fails or misses KKT residual 1e-10, it drives the restarted solver
-    to KKT residual 1e-10 (it gets no f*, so its stop test is the KKT
-    residual) and raises ReferenceUnconvergedError when the budget runs out
-    first (callers may record the failure and continue without reference
-    metrics). The budgets bound only that long run.
-    """
-    problem = bundle.problem
-    if mode == "oracle":
-        if bundle.oracle is None:
-            raise ValueError("oracle reference requires a synthetic instance")
-        x_star, y_star = bundle.oracle
-        return x_star.copy(), y_star.copy(), problem.f(x_star)
-    if mode == "long-run":
-        x, y, _, _ = _solve_reference(bundle, budget_iters, budget_epochs)
-        return x, y, problem.f(x)
-    raise ValueError(f"unknown reference mode {mode!r}; expected 'oracle' or 'long-run'")
-
-
 def _solve_reference(bundle: InstanceBundle, budget_iters: int, budget_epochs: int):
     """(x*, y*, KKT residual, how): the exact solve where it applies and
     passes the KKT check, else the long run; ``how`` names the method (and
@@ -305,10 +280,19 @@ def _cache_path(bundle: InstanceBundle, output_path: str | None) -> str:
 
 
 def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
-    """Resolve the configured reference, consulting the long-run cache.
+    """The configured reference (x*, y*, f*): from the closed-form oracle, a file, or the cache
+    of a long-run solve, which it computes and writes on a miss.
 
-    Returns (x*, y*, f*) or None (mode 'none', or an unconverged long run,
-    which is reported as a warning and leaves the metrics unavailable).
+    Returns None for mode 'none', and for a long run that does not converge
+    (reported as a warning; the metrics stay unavailable). The long-run
+    mode first solves the KKT system exactly on the identified support
+    when the problem allows it (quadratic structure, m = 1 and a weighted
+    l1 objective; see ``_active_set_kkt``). Otherwise, or when that solve
+    fails or misses KKT residual 1e-10, it drives the restarted solver to
+    KKT residual 1e-10 within ``config.budget_iters`` and
+    ``config.budget_epochs`` (``_solve_reference``). The cache sits next to
+    a graph's file, else next to ``config.output_path``, else in the
+    working directory (``_cache_path``).
     """
     mode = config.reference_mode
     if mode == "none":
@@ -329,7 +313,10 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
                 raise ValueError(f"reference file {config.reference_path}: {name} has non-finite entries")
         return x, y, bundle.problem.f(x)
     if mode == "oracle":
-        return reference_solution(bundle, "oracle")
+        if bundle.oracle is None:
+            raise ValueError("oracle reference requires a synthetic instance")
+        x_star, y_star = bundle.oracle
+        return x_star.copy(), y_star.copy(), bundle.problem.f(x_star)
     cache = _cache_path(bundle, config.output_path)
     cached = _read_cache(cache, bundle.identity, bundle.problem.n, bundle.problem.m)
     if cached is not None:

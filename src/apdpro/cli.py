@@ -81,12 +81,12 @@ def _command(command: str, config) -> int:
     if method == "long-run":
         cache = bench._cache_path(bundle, config.output_path)
         payload = bench._read_cache(cache, bundle.identity, bundle.problem.n, bundle.problem.m)
-        method = payload["method"]
-        if "steps" in payload:
+        method = payload.get("method")  # a cache written before the method was recorded has none
+        if method is not None and "steps" in payload:
             steps = payload["steps"]
             method += f" ({steps} step{'' if steps == 1 else 's'})"
     print(f"reference for {bundle.label}: f* = {f:.12g}, KKT residual "
-          f"{kkt_residual(bundle.problem, x, y).max():.3g}, method {method}")
+          f"{kkt_residual(bundle.problem, x, y).max():.3g}" + ("" if method is None else f", method {method}"))
     if config.reference_mode == "long-run":
         print(f"cached at {cache}")
     return 0

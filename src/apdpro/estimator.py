@@ -6,12 +6,19 @@ and rho_hat_k, the rate coefficient whose recursion ties the step-size decay
 to the restart schedule. rho starts at 0, since no iterate exists to improve
 from before the first step, except in msapd's stages, which start it at the
 constant rho_lb certified at set-up (``derive_constants``); rho_hat is seeded
-from the first certified rho.
+from the first certified rho of each segment, epoch or stage, so it starts
+again with the segment, as T and the step sizes do.
 
 Both bounds fall as their gradient norm grows, so each one's value at
 gradient norm 0 caps it. The solvers evaluate that scalar first and compute
 the bound itself, and for h2 the Jacobian at the averaged iterate, only when
 mu_lb times the cap can lift rho (see ``solvers._Driver.segment``).
+
+h1 and h2 are the loop's kernels: they take the driver's values as given and
+check nothing. ``ConstrainedProblem`` checks r (finite, > 0) and L_X (finite,
+>= max(mu) > 0) when it is built, and ``derive_constants`` takes mu_lb =
+min(mu) > 0; the driver forms beta and beta_bar from positive steps and
+diameters. The loop is their only caller, so they are not in ``__all__``.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "RhoEstimate",
-    "h1",
-    "h2",
     "rho_hat_recursion",
 ]
 
@@ -31,12 +36,12 @@ def h1(grad_norm: float, beta: float, r: float, L_X: float) -> float:
     """First dual-norm lower bound: r / (grad_norm + L_X*sqrt(2*beta)).
 
     Valid as a lower bound on ||y*||_1 whenever ||xh - x*||^2 <= 2*beta for
-    the point xh at which grad_norm was evaluated.
+    the point xh at which grad_norm was evaluated. Precondition: grad_norm
+    >= 0, beta > 0 and L_X > 0, so the denominator is positive; the
+    driver forms beta from positive steps and D_X = 2R > 0, and
+    ``ConstrainedProblem`` checks L_X >= max(mu) > 0.
     """
-    denom = grad_norm + L_X * math.sqrt(2.0 * beta)
-    if denom <= 0.0:
-        raise ValueError("h1 denominator must be positive")
-    return r / denom
+    return r / (grad_norm + L_X * math.sqrt(2.0 * beta))
 
 
 def h2(grad_norm: float, beta: float, r: float, L_X: float, mu_lb: float) -> float:
@@ -44,17 +49,13 @@ def h2(grad_norm: float, beta: float, r: float, L_X: float, mu_lb: float) -> flo
 
     Returns [ (L_X/r)*sqrt(beta/(2*mu_lb)) + sqrt(L_X^2*beta/(2*mu_lb*r^2)
     + grad_norm/r) ]^-2. beta = 0 collapses it to r/grad_norm, and
-    beta = inf yields 0 (the bound degenerates gracefully).
+    beta = inf (no average yet) gives inf ** -2 = 0. Precondition: r > 0
+    and L_X > 0 (checked by ``ConstrainedProblem``), mu_lb > 0
+    (``derive_constants``' min(mu)), and beta > 0 or grad_norm > 0, so the
+    bracket is positive.
     """
-    if r <= 0.0 or mu_lb <= 0.0:
-        raise ValueError("r and mu_lb must be positive")
-    if math.isinf(beta):
-        return 0.0
     half = L_X * L_X * beta / (2.0 * mu_lb * r * r)
-    bracket = math.sqrt(half) + math.sqrt(half + grad_norm / r)
-    if bracket <= 0.0:
-        raise ValueError("h2 denominator must be positive")
-    return bracket ** -2.0
+    return (math.sqrt(half) + math.sqrt(half + grad_norm / r)) ** -2.0
 
 
 def rho_hat_recursion(rho_hat_old: float, rho: float, k: int) -> float:
@@ -70,31 +71,23 @@ def rho_hat_recursion(rho_hat_old: float, rho: float, k: int) -> float:
 class RhoEstimate:
     """Mutable estimator state owned by one solver run.
 
-    ``advance`` feeds it the next certified rho (post-Improve, post-cap) and
-    maintains the seeded recursion: rho_hat_1 = 3*sqrt(rho_1/tau_0), then
-    rho_hat_{j} = rho_hat_recursion(rho_hat_{j-1}, rho_j, j-1), so the k = 2
-    step uses the recursion at multiplier 1.
+    ``advance`` feeds it the next certified rho (post-Improve, post-cap) at
+    step k of the current segment and maintains the seeded recursion:
+    rho_hat_1 = 3*sqrt(rho_1/tau_0) at k = 0, then rho_hat_{k+1} =
+    rho_hat_recursion(rho_hat_k, rho_{k+1}, k), so the k = 1 step uses the
+    recursion at multiplier 1. The seed at each segment's k = 0 starts
+    rho_hat again with the segment (rapdpro's epochs, msapd's stages);
+    rho itself carries over.
     """
 
     rho: float = 0.0
     rho_hat: float = 0.0
-    k: int = 0
 
-    def advance(self, rho_new: float, tau_0: float) -> None:
+    def advance(self, rho_new: float, tau_0: float, k: int) -> None:
         if rho_new < self.rho:
             raise ValueError("rho must be nondecreasing across updates")
-        self.k += 1
         self.rho = rho_new
-        if self.k == 1:
+        if k == 0:
             self.rho_hat = 3.0 * math.sqrt(rho_new / tau_0)
         else:
-            self.rho_hat = rho_hat_recursion(self.rho_hat, rho_new, self.k - 1)
-
-    def reset_epoch(self) -> None:
-        """Start a fresh within-epoch rho_hat sequence; rho itself carries over.
-
-        The placeholder rho_hat = 1 is never consumed: the first advance of
-        the new epoch takes the seeding branch.
-        """
-        self.rho_hat = 1.0
-        self.k = 0
+            self.rho_hat = rho_hat_recursion(self.rho_hat, rho_new, k)

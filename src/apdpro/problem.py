@@ -134,10 +134,11 @@ def block_soft_threshold(v, objective: BlockNormObjective, eta: float) -> np.nda
     stays zero (the unique prox value there). With singleton blocks this is
     v - clip(v, -t, t), t = eta*p, formed in two passes; it agrees with the
     block form to one unit in the last place of v.
+
+    A kernel of the prox: v is a float64 vector of length n and eta > 0, as
+    ``prox_f_over_ball`` and ``_ball_lower_bound`` pass them; nothing is
+    checked here.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    v = _vec(v, objective.n, "v")
     if objective._singletons:
         t = eta * objective.weights
         c = np.negative(t)

@@ -1,4 +1,10 @@
-"""Exact proximal and projection oracles used by every solver step."""
+"""Exact proximal and projection oracles used by every solver step.
+
+``prox_f_over_ball``, ``block_soft_threshold`` (defined in ``problem``) and
+``project_dual_set`` are the loop's kernels: they take the driver's float64
+vectors and scalars as given and check nothing, so their preconditions are
+met where those values enter the program (each docstring names the check).
+"""
 
 from __future__ import annotations
 
@@ -7,14 +13,9 @@ import math
 import numpy as np
 
 from .linalg import NumericalError
-from .problem import BlockNormObjective, _norm, _vec, block_soft_threshold
+from .problem import BlockNormObjective, _norm, block_soft_threshold
 
-__all__ = [
-    "InfeasibleCutError",
-    "block_soft_threshold",
-    "prox_f_over_ball",
-    "project_dual_set",
-]
+__all__ = ["InfeasibleCutError"]
 
 
 # The prox's ball multiplier is solved until ||x - center|| lies in [(1 - _RADIUS_RTOL) R, R].
@@ -37,14 +38,17 @@ def prox_f_over_ball(
 
     Parameters
     ----------
-    v : array_like
-        Point being proximated (already includes any gradient step).
+    v : ndarray
+        Float64 vector of length n, the point being proximated (already
+        includes any gradient step).
     eta : float
-        Positive step size.
+        Step size, > 0: the driver's tau (see ``solvers.stepsize_update``).
     objective : BlockNormObjective
         Defines f.
     ball : (center, radius)
-        The primal ball X.
+        The primal ball X: the problem's float64 ``strict_point``
+        (``ConstrainedProblem`` converts it) and ``derive_constants``'
+        radius R > 0.
 
     Returns
     -------
@@ -83,13 +87,6 @@ def prox_f_over_ball(
       Illinois's (regula falsi that halves the stale end's residual).
     """
     center, radius = ball
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
-    v = _vec(v, objective.n, "v")
-    center = _vec(center, objective.n, "ball center")
-
     x = block_soft_threshold(v, objective, eta)
     d = x - center
     dist = _norm(d)
@@ -172,10 +169,12 @@ def project_dual_set(u, lower: float, upper: float) -> np.ndarray:
     test has no division, so it is exact on the subnormal grid and entries
     tied with the largest stay in S; the offset rounds once, so a target
     below the normal range is met to |S|/2 smallest subnormals.
+
+    u is a float64 vector, as the driver's y + sigma z is (its start y0 is
+    converted in ``_Driver.__init__``), and upper = c_bar >= 0.
     """
     if lower > upper:
         raise InfeasibleCutError(f"empty dual slab: lower {lower:.6g} > upper {upper:.6g}")
-    u = _vec(u, np.size(u), "u")  # any length; rejects all but a vector
     y0 = np.maximum(u, 0.0)
     s0 = float(y0.sum())
     if lower <= s0 <= upper:

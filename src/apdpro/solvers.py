@@ -66,8 +66,6 @@ __all__ = [
     "IterateRecord",
     "RecordInputs",
     "IterSnapshot",
-    "stepsize_update",
-    "default_step_sizes",
     "apdpro",
     "rapdpro",
     "msapd",
@@ -312,12 +310,11 @@ def stepsize_update(tau: float, sigma: float, rho_next: float):
     Returns (tau', sigma') with sigma' = sigma*tau/tau'. rho_next = 0
     returns the inputs unchanged (exact identity, so constant-step
     baselines never accumulate rounding drift); the product tau*sigma is
-    preserved.
+    preserved. Precondition: tau, sigma > 0 and rho_next >= 0, as the
+    driver's are: its steps start from positive constants
+    (``derive_constants``) and only this update moves them, and rho starts
+    at 0 or rho_lb >= 0 and ``RhoEstimate.advance`` keeps it nondecreasing.
     """
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("step sizes must be positive")
-    if rho_next < 0:
-        raise ValueError("rho_next must be nonnegative")
     if rho_next == 0.0:
         return tau, sigma
     tau_new = tau / math.sqrt(1.0 + rho_next * tau)
@@ -346,13 +343,13 @@ def default_step_sizes(constants: ProblemConstants, sigma0: float | None = None)
     """Balancing rule sigma0 = L_XY/L_G^2 (so L_XY = L_G^2 sigma0), tau0 = 1/(2 L_XY).
 
     With ``sigma0`` given, only tau0 is derived (largest feasible value
-    1/(L_XY + L_G^2 sigma0)).
+    1/(L_XY + L_G^2 sigma0)). Precondition: sigma0 > 0 when given, as
+    msapd's sigma_tilde 2^(s/2) is; ``derive_constants`` checks L_G finite
+    and > 0, and L_XY = c_bar L_X >= 0.
     """
     l_xy, l_g = constants.L_XY, constants.L_G
     if sigma0 is None:
         sigma0 = l_xy / l_g**2 if l_xy > 0 else 1.0 / l_g**2
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
     tau0 = 1.0 / (l_xy + l_g**2 * sigma0)
     return tau0, sigma0
 
@@ -501,7 +498,8 @@ class _Driver:
         Returns 'schedule', 'cap', or 'tolerance'. The start seeds x_bar's
         pair with x's (x_bar = x there): fresh x_bar and J_bar buffers (x,
         J(x)) and ``gx_bar`` = G(x). It sets the locals T = 0, (tau, sigma) =
-        (tau0_s, sigma0_s), the dual sum and Delta_XY; every exit forms
+        (tau0_s, sigma0_s), the dual sum and Delta_XY, and rho_hat starts
+        again at the step k = 0 (``RhoEstimate.advance``); every exit forms
         st.y_bar from the sum. The rest comes from the run's ``_RULES`` row.
         Improve rule: None (rho frozen), 'alg1' (the adaptive runs' Improve
         step) or 'alg3' (msapd's stage estimate, which the driver starts at
@@ -592,7 +590,7 @@ class _Driver:
                 if c.mu_lb * h2(0.0, beta_bar, prob.r, prob.L_X, c.mu_lb) * (1.0 + 1e-9) > rho_next:
                     h2v = h2(_operator_norm(self.jac_bar(), prob.m), beta_bar, prob.r, prob.L_X, c.mu_lb)
                     rho_next = max(rho_next, min(c.mu_lb * h2v, self.rho_cap))
-                est.advance(rho_next, tau0_s)
+                est.advance(rho_next, tau0_s, k)
 
             # Ergodic averages: x_bar (and J_bar) gain x_{k+1} with weight w_k, in place at the
             # shift below; the dual sum gains t_k y_k.
@@ -762,9 +760,11 @@ def rapdpro(
     sigma_bar = delta L_XY/L_G^2 (1/L_G^2 when L_XY = 0) and
     tau_bar = (1 - nu0)/(L_XY + L_G^2 sigma_bar/delta) for the fixed
     nu0 = 0.05 and delta = 0.95 (``_NU0``, ``_DELTA``, chosen by a sweep);
-    for L_XY > 0 both are 95% of apdpro's balancing steps. The averages and
-    rho_hat reset (rho carries over), and every inner step refreshes the
-    budget N_s from rho_hat (see _epoch_budget). Epochs that exhaust
+    for L_XY > 0 both are 95% of apdpro's balancing steps. The averages
+    reset, and rho_hat starts again at each epoch's first step, where
+    ``RhoEstimate.advance`` seeds it at k = 0 (rho carries over). Every
+    inner step refreshes the budget N_s from rho_hat (see _epoch_budget),
+    and an epoch ends after the first step j with j >= N_s. Epochs that exhaust
     ``max_iters`` while N_s is still unmet end the run with termination
     reason "budget". The returned x is the last iterate, the convergent
     object for this scheme.
@@ -775,7 +775,6 @@ def rapdpro(
     tau_bar = (1.0 - _NU0) / (l_xy + l_g2 * sigma_bar / _DELTA)
     driver = _Driver(problem, constants, config, x0, y0, recorder, observer, f_star)
     for s in range(config.max_epochs + 1):
-        driver.st.rho_est.reset_epoch()  # rho_hat_0^s = 1, unused: the first advance seeds
         reason = driver.segment(s, tau_bar, sigma_bar, config.max_iters)
         if reason != "schedule":
             return driver.finish("tolerance" if reason == "tolerance" else "budget")

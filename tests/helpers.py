@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from apdpro.problem import BlockNormObjective, ConstrainedProblem
+
 # c_bar of the canonical instance (f = |x|, g = (x - 2)^2/2 - 1, strict point 2) in closed form. Its model
 # ball B(2, sqrt(2)) is exact, so at t = sqrt(2) the lower bound is f* = 2 - sqrt(2) and p = x* = 2 - sqrt(2).
 # The second point x_s = 2 - s sqrt(2), s = 1 - 1e-3, gives (f(x_s) - lb)/(-g(x_s)) = sqrt(2)(1 - s)/(1 - s^2)
@@ -14,6 +16,17 @@ CANONICAL_C_BAR = math.sqrt(2.0) / (2.0 - 1e-3)
 
 class NdarraySubclass(np.ndarray):
     """An ndarray subclass: input checks convert it to a plain ndarray, never pass it through."""
+
+
+def blocky_problem():
+    """n = 6 in blocks of 2, 1 and 3 under one ball constraint, strict point its center."""
+    n, c = 6, np.array([1.0, -0.5, 2.0, 0.3, 0.0, -1.0])
+    return ConstrainedProblem(
+        objective=BlockNormObjective(blocks=((0, 2), (2, 1), (3, 3)), weights=(1.0, 0.5, 2.0)),
+        constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - 1.0]),
+        jacobian=lambda x: (x - c).reshape(n, 1),
+        mu=np.ones(1), L_X=1.0, r=1.0, strict_point=c,
+    )
 
 
 def q_times(problem, v):

@@ -6,11 +6,13 @@ is Douglas-Rachford splitting built from two textbook pieces written out
 here: the block soft threshold and the Euclidean ball projection. The dual
 projection oracle enumerates KKT active sets. The synthetic family's
 multiplier is found by bisection. The PageRank KKT check builds Q as a
-dense matrix from the edge list. The Lagrangian and the active-set accuracy
-take block norms here, one block at a time. The trace-record oracle is the
-exception that proves the recorder's shortcuts: it takes f and G from the
-problem's own ``f`` and ``g``, whose values the recorder must reproduce
-bitwise, and assembles the rest here. Slow and simple on purpose.
+dense matrix from the edge list. rapdpro's rate coefficients and epoch
+budgets are recomputed from an epoch's certified rho values. The
+Lagrangian and the active-set accuracy take block norms here, one block at
+a time. The trace-record oracle is the exception that proves the
+recorder's shortcuts: it takes f and G from the problem's own ``f`` and
+``g``, whose values the recorder must reproduce bitwise, and assembles the
+rest here. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -182,6 +184,26 @@ def project_oracle(u, lower, upper):
         raise ValueError("enumeration produced no feasible candidate")
     best = min(feasible, key=lambda y: sum((a - b) ** 2 for a, b in zip(y, u)))
     return np.array([float(v) for v in best])
+
+
+def rho_hat_oracle(rhos, tau_bar):
+    """rapdpro's rate coefficients in one epoch from the certified rho_1, rho_2, ... its steps
+    produced (each snapshot's rho_next): rho_hat_1 = 3 sqrt(rho_1/tau_bar), then rho_hat_{j+1} =
+    sqrt(rho_hat_j^2 j^2 + 3 rho_{j+1} rho_hat_j j)/(j + 1). The sequence starts again in every
+    epoch, at the epoch's step tau_bar."""
+    hats = [3.0 * math.sqrt(rhos[0] / tau_bar)]
+    for j, rho in enumerate(rhos[1:], 1):
+        hat = hats[-1]
+        hats.append(math.sqrt(hat * hat * j * j + 3.0 * rho * hat * j) / (j + 1))
+    return hats
+
+
+def epoch_budget_oracle(rho_hat, s, tau_bar, sigma_bar, D_X, D_Y):
+    """rapdpro's budget of epoch s at rate coefficient rho_hat > 0: N_s = ceil(max(6/(rho_hat
+    tau_bar), 2^(s/2) 3 sqrt(2) D_Y/(rho_hat D_X sqrt(tau_bar sigma_bar))))."""
+    a = 6.0 / (rho_hat * tau_bar)
+    b = 2.0 ** (s / 2) * 3.0 * math.sqrt(2.0) * D_Y / (rho_hat * D_X * math.sqrt(tau_bar * sigma_bar))
+    return math.ceil(max(a, b))
 
 
 def synthetic_multiplier_oracle(center, level):

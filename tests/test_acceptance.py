@@ -17,8 +17,8 @@ from apdpro.bench import (
     ExperimentConfig,
     InstanceSpec,
     build_instance,
+    get_reference,
     make_recorder,
-    reference_solution,
     run_experiment,
 )
 from apdpro.pagerank import build_ppr_problem, load_graph
@@ -254,7 +254,7 @@ def test_criterion_9_active_set_identification(tmp_path):
         v_min = float(probe.g(probe.strict_point)[0]) - 1e-12
         spec = InstanceSpec(kind="graph", path=path, alpha=0.4, b=0.95 * v_min, s="seed:1")
         bundle = build_instance(spec)
-        reference = reference_solution(bundle, "long-run")
+        reference = get_reference(bundle, ExperimentConfig(spec, SolverConfig(), reference_mode="long-run"))
 
         def first_reach(variant, runner, cfg):
             recorder = make_recorder(bundle.problem, variant, cfg, reference,

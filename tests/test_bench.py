@@ -21,7 +21,6 @@ from apdpro.bench import (
     get_reference,
     load_experiment_config,
     make_recorder,
-    reference_solution,
     run_comparison,
     run_experiment,
     write_csv,
@@ -37,7 +36,7 @@ from apdpro.solvers import (
     _metrics_recorder,
     rapdpro,
 )
-from helpers import chorded_path_edges, path_edges, star_edges, write_edge_list
+from helpers import blocky_problem, chorded_path_edges, path_edges, star_edges, write_edge_list
 from oracles import ppr_kkt_oracle, record_oracle
 
 
@@ -108,22 +107,11 @@ def test_compute_metrics_without_reference(canonical):
     assert rec.objective == pytest.approx(1.0)
 
 
-def _blocky_problem():
-    """n = 6 in blocks of 2, 1 and 3 under one ball constraint."""
-    n, c = 6, np.array([1.0, -0.5, 2.0, 0.3, 0.0, -1.0])
-    return ConstrainedProblem(
-        objective=BlockNormObjective(blocks=((0, 2), (2, 1), (3, 3)), weights=(1.0, 0.5, 2.0)),
-        constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - 1.0]),
-        jacobian=lambda x: (x - c).reshape(n, 1),
-        mu=np.ones(1), L_X=1.0, r=1.0, strict_point=c,
-    )
-
-
 def test_run_recorder_matches_compute_metrics_bitwise(canonical):
     """One recorder per run (x*'s zero pattern cached) gives the oracle's record, field for field."""
     rng = np.random.default_rng(23)
     five, x_five, _ = make_synthetic_instance(5, np.array([1.5, -0.7, 2.0, 0.6, -1.2]), 0.9)
-    blocky = _blocky_problem()
+    blocky = blocky_problem()
     cases = ((canonical[0], canonical[2]), (five, x_five), (blocky, np.array([0.0, 0.0, 1.5, 0.2, -0.1, 0.0])))
     for problem, x_ref in cases:
         f_ref = problem.f(x_ref)
@@ -333,8 +321,8 @@ def test_write_csv_writes_long_traces_whole(tmp_path):
 
 
 def test_reference_solution_oracle_matches_closed_form():
-    bundle = build_instance(InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0))
-    x, y, f = reference_solution(bundle, "oracle")
+    config = _synthetic_config()
+    x, y, f = get_reference(build_instance(config.instance), config)
     assert x[0] == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-14)
     assert y[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-14)
     assert f == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-14)
@@ -352,26 +340,29 @@ _SOLVER = SolverConfig(variant="apdpro")
      "file reference mode needs a path"),
     (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, x0_rule="ones"),
      "x0 must be 'zeros' or 'strict'"),
-    (lambda: reference_solution(build_instance(InstanceSpec(kind="synthetic")), "file"),
-     "unknown reference mode 'file'; expected 'oracle' or 'long-run'"),
-], ids=["kind", "graph-path", "reference-mode", "file-path", "x0", "reference-solution-mode"])
+], ids=["kind", "graph-path", "reference-mode", "file-path", "x0"])
 def test_bench_inputs_are_rejected_with_their_message(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
 
 
-def test_reference_solution_oracle_rejects_graphs(tmp_path):
+def _graph_config(tmp_path, reference_mode):
     path = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
-    bundle = build_instance(InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05))
-    with pytest.raises(ValueError, match="synthetic"):
-        reference_solution(bundle, "oracle")
+    spec = InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05)
+    return ExperimentConfig(instance=spec, solver=_SOLVER, reference_mode=reference_mode)
+
+
+def test_reference_solution_oracle_rejects_graphs(tmp_path):
+    config = _graph_config(tmp_path, "oracle")
+    with pytest.raises(ValueError, match="^oracle reference requires a synthetic instance$"):
+        get_reference(build_instance(config.instance), config)
 
 
 def test_reference_solution_long_run_hits_kkt_target(tmp_path):
-    path = write_edge_list(tmp_path / "p2.txt", [(0, 1)])
-    bundle = build_instance(InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05))
-    x, y, f = reference_solution(bundle, "long-run")
+    config = _graph_config(tmp_path, "long-run")
+    bundle = build_instance(config.instance)
+    x, y, f = get_reference(bundle, config)
     assert kkt_residual(bundle.problem, x, y).max() <= 1e-10
     assert f == pytest.approx(bundle.problem.f(x))
 

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from apdpro.bench import InstanceBundle, reference_solution
+from apdpro.bench import InstanceBundle, _solve_reference
 from apdpro.pagerank import Graph, build_ppr_problem, make_synthetic_instance
 from apdpro.problem import (
     BlockNormObjective,
@@ -147,7 +147,7 @@ def _graph_case(family, n, rng, frac, alpha, r_rule, teleport):
     g_min = -0.5 * float(q_lin @ np.linalg.solve(q_dense, q_lin))
     problem = build_ppr_problem(graph, alpha, frac * g_min, s, r_rule)
     constants = derive_constants(problem)
-    x_star, y_star, _ = reference_solution(InstanceBundle(problem, constants, None, "", None, ""), "long-run")
+    x_star, y_star, _, _ = _solve_reference(InstanceBundle(problem, constants, None, "", None, ""), 200000, 60)
     x_tilde = problem.strict_point
     g_tilde = float(problem.g(x_tilde)[0])
     grad = problem.jac(x_tilde)[:, 0]

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point."""
 
+import json
 import os
 
 import pytest
@@ -88,6 +89,27 @@ def test_reference_long_run_caches(tmp_path, capsys):
     again = capsys.readouterr().out
     for printed in (out, again):
         assert printed.splitlines()[0].endswith(", method active-set (1 step)")
+
+
+def test_reference_prints_no_method_for_a_cache_that_records_none(tmp_path, capsys):
+    """A cache written before the method was recorded still loads (get_reference reads it), and
+    the command prints its reference without a method instead of failing on the missing key."""
+    graph = write_edge_list(tmp_path / "p4.txt", [(0, 1), (1, 2), (2, 3)])
+    cfg = _write_config(tmp_path, (
+        f"[instance]\nkind = graph\npath = {graph}\nalpha = 0.5\nb = -0.02\n"
+        "[reference]\nmode = long-run\n"
+    ))
+    assert main(["reference", "--config", cfg]) == 0
+    first = capsys.readouterr().out.splitlines()
+    (cache,) = [tmp_path / p for p in os.listdir(tmp_path) if p.startswith(".ref-")]
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    for key in ("method", "steps"):
+        del payload[key]
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["reference", "--config", cfg]) == 0
+    again = capsys.readouterr().out.splitlines()
+    assert first[0].endswith(", method active-set (1 step)")
+    assert again == [first[0].removesuffix(", method active-set (1 step)"), first[1]]
 
 
 def _assert_config_fault(tmp_path, capsys, command, text, message):

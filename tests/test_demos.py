@@ -1,4 +1,4 @@
-"""The narrative demos README advertises run to completion."""
+"""The narrative demos README advertises run to completion, without a warning."""
 
 import os
 import pathlib
@@ -20,7 +20,8 @@ def test_demo_runs(demo, tmp_path):
     # Temporary files go to tmp_path, and the working directory is not the checkout.
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: a demo that warns fails, as a test does.
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout

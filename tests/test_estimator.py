@@ -19,8 +19,6 @@ def test_h1_values():
     assert h1(1.0, 0.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert h1(1.0, 2.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)  # sqrt(2*2) = 2
     assert h1(1.0, 0.5, 2.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        h1(0.0, 0.0, 1.0, 0.0)
 
 
 def test_h1_decreases_in_gradient_and_beta():
@@ -35,9 +33,8 @@ def test_h2_values():
     assert h2(4.0, 0.0, 1.0, 1.0, 2.0) == pytest.approx(0.25, abs=1e-15)  # beta=0 collapse
     assert h2(0.5, 2.0, 1.0, 1.0, 2.0) == pytest.approx(0.3431458, abs=1e-7)
     assert h2(1.0, 0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert h2(1.0, math.inf, 1.0, 1.0, 1.0) == 0.0  # degenerate average bound
-    with pytest.raises(ValueError):
-        h2(1.0, 0.0, 0.0, 1.0, 1.0)
+    assert h2(1.0, math.inf, 1.0, 1.0, 1.0) == 0.0  # degenerate average bound: inf ** -2
+    assert h2(0.0, math.inf, 1.0, 1.0, 1.0) == 0.0  # its cap, which can never lift rho
 
 
 def _decades(lo: int, hi: int):
@@ -60,7 +57,7 @@ def test_a_bound_at_gradient_norm_0_caps_it_in_floating_point(g, beta, beta_bar,
 
 
 def test_rho_hat_seed_and_recursion_values():
-    # The k = 1 seed 3*sqrt(rho/tau_0) lives in RhoEstimate.advance (next test).
+    # The seed 3*sqrt(rho/tau_0) at a segment's step k = 0 lives in RhoEstimate.advance (next test).
     # Recursion at index 1: sqrt(9 + 27)/2 = 3.
     assert rho_hat_recursion(3.0, 3.0, 1) == pytest.approx(3.0, abs=1e-15)
     # Zero-rho step only rescales: sqrt(64)/5.
@@ -69,25 +66,22 @@ def test_rho_hat_seed_and_recursion_values():
 
 def test_estimate_advance_seeds_then_recurses():
     est = RhoEstimate(rho=0.0)
-    est.advance(1.0, 1.0)
-    assert est.k == 1
+    est.advance(1.0, 1.0, 0)
     assert est.rho_hat == pytest.approx(3.0, abs=1e-15)
-    est.advance(3.0, 1.0)
-    # Second advance applies the recursion at the old index 1.
+    est.advance(3.0, 1.0, 1)
+    # The step k = 1 applies the recursion at the old index 1.
     assert est.rho_hat == pytest.approx(rho_hat_recursion(3.0, 3.0, 1), abs=1e-15)
     with pytest.raises(ValueError):
-        est.advance(1.0, 1.0)  # rho may not decrease
+        est.advance(1.0, 1.0, 2)  # rho may not decrease
 
 
-def test_reset_epoch_restarts_the_hat_sequence():
+def test_advance_at_step_0_restarts_the_hat_sequence():
     est = RhoEstimate(rho=0.0)
-    est.advance(1.0, 1.0)
-    est.advance(2.0, 1.0)
-    est.reset_epoch()
-    assert est.k == 0
+    est.advance(1.0, 1.0, 0)
+    est.advance(2.0, 1.0, 1)
+    est.advance(2.0, 4.0, 0)  # the next segment's first step
     assert est.rho == 2.0  # the certified bound itself carries over
-    est.advance(2.0, 4.0)
-    assert est.rho_hat == pytest.approx(3.0 * math.sqrt(2.0 / 4.0), abs=1e-15)
+    assert est.rho_hat == 3.0 * math.sqrt(2.0 / 4.0)
 
 
 def test_rho_hat_floor_property():
@@ -97,9 +91,9 @@ def test_rho_hat_floor_property():
         est = RhoEstimate(rho=0.0)
         tau0 = float(rng.uniform(0.05, 1.0))
         rho = float(rng.uniform(0.01, 1.0))
-        est.advance(rho, tau0)
+        est.advance(rho, tau0, 0)
         floor = min(rho, est.rho_hat)
-        for _ in range(60):
+        for k in range(1, 61):
             rho += float(rng.uniform(0.0, 0.3))
-            est.advance(rho, tau0)
+            est.advance(rho, tau0, k)
             assert est.rho_hat >= floor - 1e-12

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from apdpro.bench import make_recorder, reference_solution
+from apdpro.bench import _solve_reference, make_recorder
 from apdpro.pagerank import Graph, _ritz_bound, build_ppr_problem, load_graph, make_synthetic_instance
 from apdpro.problem import derive_constants, kkt_residual
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, rapdpro
@@ -285,7 +285,8 @@ def test_assembled_q_runs_like_the_dense_oracle_q(small_graph_bundle):
     )
     x = problem.strict_point
     assert np.linalg.norm(dense.jac(x) - problem.jac(x)) <= 1e-15 * np.linalg.norm(q_mat @ x)
-    ref = reference_solution(bundle, "long-run")
+    x_ref, y_ref, _, _ = _solve_reference(bundle, 200000, 60)  # not get_reference: no cache in the shared graph's dir
+    ref = x_ref, y_ref, problem.f(x_ref)
     zeros = np.zeros(problem.n), np.zeros(problem.m)
     for variant, runner, tol, iters in (("apdpro", apdpro, 1e-6, 20000), ("rapdpro", rapdpro, 1e-6, 20000),
                                         ("apd", apd_baseline, 0.0, 500)):

@@ -1,7 +1,6 @@
 """Proximal and projection operators against closed forms and the oracles."""
 
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from apdpro.prox import (
     project_dual_set,
     prox_f_over_ball,
 )
-from helpers import NdarraySubclass, random_partition
+from helpers import random_partition
 from oracles import project_oracle, prox_oracle, soft_threshold_blocks
 
 
@@ -38,11 +37,6 @@ def test_soft_threshold_block_formula():
     obj = BlockNormObjective(blocks=((0, 2),), weights=(1.0,))
     out = block_soft_threshold(np.array([3.0, 4.0]), obj, 1.0)  # norm 5
     assert np.allclose(out, [2.4, 3.2], atol=1e-15)
-
-
-def test_soft_threshold_rejects_bad_step():
-    with pytest.raises(ValueError):
-        block_soft_threshold(np.zeros(2), _l1(2), 0.0)
 
 
 def test_prox_unconstrained_when_ball_is_huge():
@@ -211,50 +205,20 @@ def test_dual_projection_meets_a_subnormal_target_to_one_step():
                     assert abs(mine.sum() - t * step) <= step, (u / step, t, mine / step)
 
 
-# -- input checks: conversion, errors, and the float64 pass-through --------------
-
-def _spellings(exact):
-    """The same vector as a list, float32, an ndarray subclass and a byte-swapped float64."""
-    out = [exact.tolist(), exact.astype(np.float32), exact.view(NdarraySubclass), exact.astype(">f8")]
-    if np.array_equal(exact, np.round(exact)):
-        out.append([int(e) for e in exact])
-    if exact.size == 1:
-        out += [float(exact[0]), np.array(exact[0]), np.float64(exact[0])]  # 0-d for n = 1
-    return out
-
+# -- the loop's float64 vectors -------------------------------------------------
 
 @pytest.mark.parametrize("v", [np.array([3.0, -0.5, 0.0]), np.array([2.0])], ids=["n3", "n1"])
-def test_operators_convert_every_spelling_of_a_float64_vector(v):
+def test_operators_return_a_new_float64_vector_and_leave_their_input(v):
+    """The operators take the loop's float64 vectors as given (no conversion, no shape check):
+    each returns a new float64 array and writes neither v nor the ball's center."""
     n = v.size
-    obj, ball = _l1(n), (np.full(n, 0.5), 1.0)
-    runs = (
-        lambda a: block_soft_threshold(a, obj, 0.7),
-        lambda a: prox_f_over_ball(a, 0.7, obj, ball),
-        lambda a: prox_f_over_ball(v, 0.7, obj, (a, 2.0)),  # the ball center
-        lambda a: project_dual_set(a, 0.5, 1.0),
-    )
-    for run in runs:
-        want = run(v)
-        assert type(want) is np.ndarray and want.dtype == np.float64
-        for given in _spellings(v):
-            assert np.array_equal(run(given), want)
-    assert np.array_equal(v, [3.0, -0.5, 0.0] if n == 3 else [2.0])  # a passed-through input is never written
-
-
-def test_operators_reject_a_wrong_shape_with_the_argument_name():
-    obj = _l1(2)
-    for bad in (np.zeros(3), np.zeros((2, 1)), [1.0]):
-        shape = np.shape(bad)
-        with pytest.raises(ValueError, match=re.escape(f"v must have shape (2,), got {shape}")):
-            block_soft_threshold(bad, obj, 1.0)
-        with pytest.raises(ValueError, match=re.escape(f"v must have shape (2,), got {shape}")):
-            prox_f_over_ball(bad, 1.0, obj, (np.zeros(2), 1.0))
-        with pytest.raises(ValueError, match=re.escape(f"ball center must have shape (2,), got {shape}")):
-            prox_f_over_ball(np.zeros(2), 1.0, obj, (bad, 1.0))
-    # the dual projection takes a vector of any length; a matrix it rejects by name
-    for bad in (np.zeros((2, 1)), np.zeros((1, 3))):
-        with pytest.raises(ValueError, match=re.escape(f"u must have shape ({bad.size},), got {bad.shape}")):
-            project_dual_set(bad, 0.0, 1.0)
+    obj, center = _l1(n), np.full(n, 0.5)
+    for out in (block_soft_threshold(v, obj, 0.7), prox_f_over_ball(v, 0.7, obj, (center, 1.0)),
+                prox_f_over_ball(v, 0.7, obj, (center, 100.0)), project_dual_set(v, 0.5, 1.0)):
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (n,)
+        assert not np.shares_memory(out, v) and not np.shares_memory(out, center)
+    assert np.array_equal(v, [3.0, -0.5, 0.0] if n == 3 else [2.0])
+    assert np.array_equal(center, np.full(n, 0.5))
 
 
 # -- properties against the independent oracles -----------------------------------

@@ -15,7 +15,8 @@ from apdpro.estimator import h1, h2
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, jacobian_operator_norm
-from helpers import CANONICAL_C_BAR
+from helpers import CANONICAL_C_BAR, blocky_problem
+from oracles import epoch_budget_oracle, rho_hat_oracle
 from apdpro.solvers import (
     VARIANTS,
     SolverConfig,
@@ -687,12 +688,15 @@ def _two_ball_problem():
 
 
 def _instance(request, instance):
-    """(problem, constants) of a fixture, of the m = 2 generic problem, of the 30-node graph
-    without its quadratic structure, or of the canonical instance with a narrower feasible set
-    (level 0.5), where msapd evaluates h2 from its first stage on (see
-    test_skipping_a_bound_never_changes_rho)."""
+    """(problem, constants) of a fixture, of the m = 2 generic problem, of the n = 6 problem in
+    blocks of 2, 1 and 3, of the 30-node graph without its quadratic structure, or of the
+    canonical instance with a narrower feasible set (level 0.5), where msapd evaluates h2 from
+    its first stage on (see test_skipping_a_bound_never_changes_rho)."""
     if instance == "two_ball":
         return _two_ball_problem()
+    if instance == "blocks":
+        problem = blocky_problem()
+        return problem, derive_constants(problem)
     if instance == "narrow":
         problem = make_synthetic_instance(1, 2.0, 0.5)[0]
         return problem, derive_constants(problem)
@@ -762,6 +766,61 @@ def test_skipping_a_bound_never_changes_rho(request, instance, variant, runner):
     evaluated = sum(sn.h2_val is not None for sn in snaps)
     assert evaluated < len(snaps)
     assert evaluated > 0 or (variant, instance) in _H2_NEVER_EVALUATED
+
+
+@pytest.mark.parametrize("variant, runner", [*ENTRY_POINTS, ("apd_restart", apd_baseline)])
+@pytest.mark.parametrize("instance", ["canonical", "two_ball", "blocks", "small_graph"])
+def test_the_loop_hands_its_kernels_the_values_they_assume(request, instance, variant, runner):
+    """The loop's kernels (h1, h2, stepsize_update, the prox and the dual projection) check no
+    argument; the driver's values meet their preconditions at every step: tau, sigma > 0,
+    beta > 0, beta_bar > 0 or inf, and 0 <= rho <= rho_next <= mu_lb c_bar, so the dual cut is
+    never empty. rapdpro seeds rho_hat afresh at each epoch's first step."""
+    problem, constants = _instance(request, instance)
+    snaps = []
+    cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=3, restart_period=40)
+    runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
+    assert snaps
+    cap = constants.mu_lb * constants.c_bar
+    for sn in snaps:
+        where = (sn.epoch, sn.k)
+        assert sn.tau > 0.0 and sn.sigma > 0.0 and sn.tau_next > 0.0 and sn.sigma_next > 0.0, where
+        assert sn.beta is None or sn.beta > 0.0, where
+        assert sn.beta_bar is None or sn.beta_bar > 0.0, where  # inf included
+        assert 0.0 <= sn.rho <= sn.rho_next <= cap, where
+    if variant == "rapdpro":
+        firsts = [sn for i, sn in enumerate(snaps) if i == 0 or sn.epoch != snaps[i - 1].epoch]
+        assert len(firsts) > 1
+        for sn in firsts:
+            assert sn.rho_hat_next == 3.0 * math.sqrt(sn.rho_next / sn.tau), sn.epoch
+
+
+@pytest.mark.parametrize("instance", ["canonical", "two_ball", "blocks", "small_graph"])
+def test_rapdpro_epochs_run_their_budget(request, instance):
+    """In each epoch before the last, rho_hat_next is the oracle's sequence, seeded at the epoch's
+    first step from its certified rho values, and the epoch ends after the first step j at
+    which j >= N_s, N_s recomputed by the oracle from that step's rho_hat_next, tau_bar,
+    sigma_bar, D_X and D_Y. epoch_budgets[s] is the N_s of the last step, so the epoch runs
+    exactly epoch_budgets[s] iterations unless N_s fell below j at that step j (the canonical
+    instance's epoch 0: 25 iterations, last N_0 = 24)."""
+    problem, constants = _instance(request, instance)
+    snaps = []
+    cfg = SolverConfig(variant="rapdpro", max_iters=100_000, max_epochs=6)
+    res = rapdpro(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
+    assert res.termination == "completed" and res.epochs == 7
+    exact = 0
+    for s in range(res.epochs - 1):
+        epoch = [sn for sn in snaps if sn.epoch == s]
+        tau_bar, sigma_bar = epoch[0].tau, epoch[0].sigma
+        hats = rho_hat_oracle([sn.rho_next for sn in epoch], tau_bar)
+        for sn, hat in zip(epoch, hats):
+            assert sn.rho_hat_next == pytest.approx(hat, rel=1e-12), (s, sn.k)
+        budgets = [epoch_budget_oracle(sn.rho_hat_next, s, tau_bar, sigma_bar, constants.D_X, constants.D_Y)
+                   for sn in epoch]
+        ends = next(j for j, n_j in enumerate(budgets, 1) if j >= n_j)
+        assert len(epoch) == ends, (s, len(epoch), ends)
+        assert res.epoch_budgets[s] == budgets[-1], (s, res.epoch_budgets[s], budgets[-1])
+        exact += len(epoch) == res.epoch_budgets[s]
+    assert exact >= res.epochs - 2
 
 
 @pytest.mark.parametrize("instance", ["canonical", "two_ball"])
