@@ -10,9 +10,10 @@ from the first certified rho of each segment, epoch or stage, so it starts
 again with the segment, as T and the step sizes do.
 
 Both bounds fall as their gradient norm grows, so each one's value at
-gradient norm 0 caps it. The solvers evaluate that scalar first and compute
-the bound itself, and for h2 the Jacobian at the averaged iterate, only when
-mu_lb times the cap can lift rho (see ``solvers._Driver.segment``).
+gradient norm 0 caps it, and mu_lb times the cap has a closed form
+(``improve_caps``). The solvers evaluate that first and compute the bound
+itself, and for h2 the Jacobian at the averaged iterate, only when it can
+lift rho (see ``solvers._Driver.segment``).
 
 h1 and h2 are the loop's kernels: they take the driver's values as given and
 check nothing. ``ConstrainedProblem`` checks r (finite, > 0) and L_X (finite,
@@ -56,6 +57,15 @@ def h2(grad_norm: float, beta: float, r: float, L_X: float, mu_lb: float) -> flo
     """
     half = L_X * L_X * beta / (2.0 * mu_lb * r * r)
     return (math.sqrt(half) + math.sqrt(half + grad_norm / r)) ** -2.0
+
+
+def improve_caps(r: float, L_X: float, mu_lb: float) -> tuple[float, float]:
+    """(K1, K2) = (mu_lb r/L_X, mu_lb^2 r^2/(2 L_X^2)): mu_lb h1(0, beta) = K1/sqrt(2 beta) and
+    mu_lb h2(0, beta_bar) = K2/beta_bar, to a few ulps, fixed once per run. K2/inf = 0 is h2's cap
+    before an average exists. Same preconditions as h1 and h2.
+    """
+    k1 = mu_lb * r / L_X
+    return k1, 0.5 * k1 * k1
 
 
 def rho_hat_recursion(rho_hat_old: float, rho: float, k: int) -> float:

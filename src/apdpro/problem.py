@@ -53,6 +53,13 @@ _BALL_MARGIN = 0.2
 # How far c_bar's point x_s may go toward p. Where the model is exact (the synthetic family), p lies
 # on {g = 0}, and this keeps c_bar about 5e-4 above ||y*||_1.
 _SEGMENT_CAP = 1.0 - 1e-3
+# How far rho_lb's point s p may go toward p. Near p both lb - f and G sit at rounding level and their
+# ratio is no bound (it read 1.32 ||y*||_1 at p itself). On the benchmark's synthetic instances rho_lb
+# is 0.91-0.99 of mu_lb ||y*||_1 with this cap; 0.99 adds at most about 3% to it, for a point nearer p.
+_RHO_SEGMENT_CAP = 0.95
+# lb shrunk by this much relative before it certifies rho_lb along the segment: lb can exceed f* by
+# rounding (by 4.4e-16 on one synthetic instance), and there lb - f is small.
+_LB_SLACK = 1e-9
 
 
 def _norm(v: np.ndarray) -> float:
@@ -296,31 +303,76 @@ class KktResidual:
         return max(self.stationarity, self.complementarity, self.primal_violation, self.dual_violation)
 
 
-def _ball_lower_bound(objective: BlockNormObjective, z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
-    """(lb, p): lb <= the least f over B(z, rho), by weak duality at any t > 0, and p the point behind it.
+def _ball_lower_bound(objective: BlockNormObjective, z: np.ndarray, rho: float) -> tuple[float, np.ndarray, float]:
+    """(lb, p, f(p)): lb <= the least f over B(z, rho), by weak duality at any t > 0, and p the point behind it.
 
     lb = min_x f(x) + (||x - z||^2 - rho^2)/(2t) = sum_b [w_b (a_b - m_b) + m_b^2/(2t)] - rho^2/(2t),
-    a_b = ||z_b||, m_b = min(a_b, t w_b); p is the block soft threshold of z at t. It is tight at the
-    root of sum_b m_b^2 = rho^2: t starts below it, at rho/||w||, and takes one active-set step toward
-    it. A converged t gave a looser c_bar on the benchmark's synth-10k instances (1.06-1.20 times
-    ||y*||_1, against 1.02-1.05), as it moves p. (0, 0) stands for a ball that holds the origin.
+    a_b = ||z_b||, m_b = min(a_b, t w_b); p is the block soft threshold of z at t, so ||p_b|| = a_b - m_b
+    and f(p) = sum_b w_b (a_b - m_b), to rounding. lb is tight at the root of sum_b m_b^2 = rho^2: t
+    starts below it, at rho/||w||, and takes one active-set step toward it. A converged t gave a looser
+    c_bar on the benchmark's synth-10k instances (1.06-1.20 times ||y*||_1, against 1.02-1.05), as it
+    moves p. (0, 0, 0) stands for a ball that holds the origin.
     """
     w = objective.weights
     a = objective.block_norms(z)
     rho_sq, w_norm = rho * rho, _norm(w)
     t = rho / w_norm if w_norm > 0.0 else math.inf
     if not math.isfinite(t):  # f = 0, or rho = inf
-        return 0.0, np.zeros_like(z)
+        return 0.0, np.zeros_like(z), 0.0
     tw = t * w
     m = np.minimum(a, tw)
     free = float((w * w) @ (a > tw))  # sum of w_b^2 over the blocks not held at a_b
     room = rho_sq - (float(m @ m) - t * t * free)  # rho^2 less the held blocks' a_b^2
     if not (room > 0.0 and free > 0.0):  # every block is held: the origin is in the ball
-        return 0.0, np.zeros_like(z)
+        return 0.0, np.zeros_like(z), 0.0
     t = max(t, math.sqrt(room / free))
     m = np.minimum(a, t * w)
-    lb = float(w @ (a - m)) + (float(m @ m) - rho_sq) / (2.0 * t)
-    return lb, block_soft_threshold(z, objective, t)
+    f_p = float(w @ (a - m))
+    return f_p + (float(m @ m) - rho_sq) / (2.0 * t), block_soft_threshold(z, objective, t), f_p
+
+
+def _segment_dual_bound(problem: ConstrainedProblem, lb: float, p: np.ndarray, f_p: float, g_0: list,
+                        g_p: list) -> float:
+    """A lower bound on ||y*||_1 from weak duality at points s p, 0 < s <= ``_RHO_SEGMENT_CAP``, or 0.
+
+    f* <= f(s p) + ||y*||_1 max_i g_i(s p) and f(s p) = s F, F = ``f_p`` = f(p), so ||y*||_1 >=
+    (L - s F)/max_i g_i(s p) wherever both are positive, L = lb (1 - ``_LB_SLACK``); a point where G is
+    not finite certifies nothing. G at the cap s = ``_RHO_SEGMENT_CAP`` certifies the first point and,
+    with G(0) and G(p) (``g_0``, ``g_p``), fits each g_i along the segment by the quadratic
+    c + b s + a s^2 (exact for quadratic g_i). Each fit's ratio (L - s F)/(c + b s + a s^2) is stationary
+    at the roots of a F s^2 - 2 a L s - (F c + L b). The in-range root with the best model ratio (over
+    the max of the fits) costs one more G, and only when that ratio beats the cap's bound.
+    """
+    low, cap = lb * (1.0 - _LB_SLACK), _RHO_SEGMENT_CAP
+
+    def certified(s: float) -> tuple[list, float]:
+        g_s = problem.g(s * p).tolist()
+        g_max, gap = max(g_s), low - s * f_p
+        return g_s, gap / g_max if all(map(math.isfinite, g_s)) and g_max > 0.0 and gap > 0.0 else 0.0
+
+    g_cap, bound = certified(cap)
+    if not all(map(math.isfinite, g_cap + g_p)):
+        return bound
+    fits = []  # (c, b, a) through (0, g_0), (cap, g_cap) and (1, g_p)
+    for c, h, e in zip(g_0, g_cap, g_p):
+        a = (cap * (e - c) - (h - c)) / (cap * (1.0 - cap))
+        fits.append((c, e - c - a, a))
+    roots = []
+    for c, b, a in fits:
+        qa, qb, qc = a * f_p, -2.0 * a * low, -(f_p * c + low * b)
+        disc = qb * qb - 4.0 * qa * qc
+        if qa == 0.0 or disc < 0.0:  # a = 0: the ratio is monotone (f_p = 0 would make lb <= 0)
+            continue
+        half = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # no cancellation in either root
+        pair = (half / qa, qc / half) if half != 0.0 else ()  # half = 0 only at the double root 0
+        roots += [s for s in pair if 0.0 < s < cap]
+    s, top = cap, bound
+    for t in roots:
+        g_max = max([c + t * (b + t * a) for c, b, a in fits])
+        ratio = (low - t * f_p) / g_max if g_max > 0.0 else 0.0
+        if ratio > top:
+            s, top = t, ratio
+    return bound if s == cap else max(bound, certified(s)[1])
 
 
 def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
@@ -341,14 +393,20 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     x_s, and one that is not strictly feasible is dropped.
 
     Weak duality at the origin, where f = 0, gives lb <= f* <= y*'G(0) <= ||y*||_1 max_i g_i(0), so
-    rho_lb = mu_lb lb / max_i g_i(0) <= mu_lb ||y*||_1 <= mu'y* when max_i g_i(0) > 0; rho_lb is 0 when
-    it is not, when G(0) is not finite, or when lb = 0. Only the origin is used: lb can exceed f* by
-    rounding (by 4.4e-16 on one synthetic instance), and at a point such as p, where f - lb and G are
-    both at rounding level, their ratio is no bound (it read 1.32 ||y*||_1 there).
+    mu_lb lb / max_i g_i(0) <= mu_lb ||y*||_1 <= mu'y* when max_i g_i(0) > 0; rho_lb is 0 when it is
+    not, when G(0) is not finite, or when lb = 0. Where this origin bound is positive, rho_lb is the
+    larger of it and mu_lb times the bound that weak duality gives at one certified point s p of the
+    segment from the origin to p (``_segment_dual_bound``), with lb shrunk by a relative 1e-9 (lb can
+    exceed f* by rounding, by 4.4e-16 on one synthetic instance). s stays at or below 0.95
+    (``_RHO_SEGMENT_CAP``): near p, f - lb and G are both at rounding level and their ratio is no
+    bound (it read 1.32 ||y*||_1 at p itself).
 
-    J is evaluated once, at x_tilde, and G four times: at x_tilde, p, x_s and 0. D_Y is the exact
-    diameter of Y: c_bar for m = 1, sqrt(2)*c_bar otherwise (the farthest vertex pair of the
-    l1-capped nonnegative orthant). The scalars are Python floats (L_X is one, see ConstrainedProblem).
+    J is evaluated once, at x_tilde, and G five times: at x_tilde, p, x_s and 0, then at 0.95 p (four
+    when the origin bound is 0), and a sixth time where the fit finds a better point inside the
+    segment (1 of the 68 synth-batch instances of seeds 0, 4242, 17 and 99, 9 of the 32 synth-10k
+    ones). D_Y is the exact diameter of Y: c_bar for m = 1, sqrt(2)*c_bar otherwise (the farthest
+    vertex pair of the l1-capped nonnegative orthant). The scalars are Python floats (L_X is one, see
+    ConstrainedProblem).
 
     Raises
     ------
@@ -363,23 +421,24 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
             f"got max g_i = {float(np.max(g_tilde)):.6g}"
         )
     jac_tilde = problem.jac(x_tilde)
-    radius, lb, p = math.inf, -math.inf, None
+    radius, lb, p, f_p = math.inf, -math.inf, None, 0.0
     for i, (g_i, mu_i) in enumerate(zip(g_tilde, problem.mu.tolist())):
         offset = _norm(jac_tilde[:, i]) / mu_i  # ||x_tilde - z_i||
         rho = math.sqrt(offset * offset - 2.0 * g_i / mu_i)
         radius = min(radius, offset + (1.0 + _BALL_MARGIN) * rho)
-        lb_i, p_i = _ball_lower_bound(problem.objective, x_tilde - jac_tilde[:, i] / mu_i, rho)
+        lb_i, p_i, f_p_i = _ball_lower_bound(problem.objective, x_tilde - jac_tilde[:, i] / mu_i, rho)
         if lb_i > lb:
-            lb, p = lb_i, p_i
+            lb, p, f_p = lb_i, p_i, f_p_i
     l_g = _operator_norm(jac_tilde, problem.m) + problem.L_X * radius
     if not (math.isfinite(l_g) and l_g > 0.0):
         raise ValueError(f"L_G must be finite and positive, got {l_g!r}")
     lb = max(lb, 0.0)
     c_bar = (problem.f(x_tilde) - lb) / -max(g_tilde)
     s = _SEGMENT_CAP
-    for c, g_p in zip(g_tilde, problem.g(p).tolist()):
-        if g_p > 0.0:
-            s = min(s, 1.0 - math.sqrt(1.0 + c / (g_p - c)))
+    g_p = problem.g(p).tolist()
+    for c, g_p_i in zip(g_tilde, g_p):
+        if g_p_i > 0.0:
+            s = min(s, 1.0 - math.sqrt(1.0 + c / (g_p_i - c)))
     x_s = x_tilde + s * (p - x_tilde)
     g_s = problem.g(x_s).tolist()
     if all(-math.inf < g < 0 for g in g_s):
@@ -387,6 +446,9 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     mu_lb = float(problem.mu.min())
     g_0 = problem.g(np.zeros(problem.n)).tolist()
     g_0_max = max(g_0) if all(map(math.isfinite, g_0)) else 0.0
+    rho_lb = mu_lb * lb / g_0_max if g_0_max > 0.0 else 0.0
+    if rho_lb > 0.0:
+        rho_lb = max(rho_lb, mu_lb * _segment_dual_bound(problem, lb, p, f_p, g_0, g_p))
     d_y = c_bar if problem.m == 1 else math.sqrt(2.0) * c_bar
     return ProblemConstants(
         c_bar=c_bar,
@@ -396,7 +458,7 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
         L_XY=c_bar * problem.L_X,
         L_G=l_g,
         mu_lb=mu_lb,
-        rho_lb=mu_lb * lb / g_0_max if g_0_max > 0.0 else 0.0,
+        rho_lb=rho_lb,
     )
 
 

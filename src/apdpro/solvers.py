@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimator import RhoEstimate, h1, h2
+from .estimator import RhoEstimate, h1, h2, improve_caps
 from .linalg import NumericalError
 from .problem import (
     ConstrainedProblem,
@@ -546,6 +546,7 @@ class _Driver:
         ball = (prob.strict_point, c.ball_radius)
         est = st.rho_est
         improve_rule, budget_rule, ergodic = self.improve_rule, self.budget_rule, self.ergodic
+        k1, k2 = improve_caps(prob.r, prob.L_X, c.mu_lb)
         adaptive = improve_rule != "alg3"
         n_budget = math.inf
         gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
@@ -581,13 +582,13 @@ class _Driver:
                     beta = 0.5 * c.D_X**2
                     beta_bar = delta_xy / k if k > 0 else math.inf
                 # Each bound falls as its gradient norm grows, so its value at norm 0 caps it. A bound
-                # whose cap (with a rounding margin) cannot lift the running max is not evaluated:
-                # rho_next is max(rho_k, min(mu_lb max(h1, h2), rho_cap)) bitwise, and a skipped h2
-                # asks for no J(x_bar).
-                if c.mu_lb * h1(0.0, beta, prob.r, prob.L_X) * (1.0 + 1e-9) > rho_next:
+                # whose cap (in closed form, with a rounding margin) cannot lift the running max is not
+                # evaluated: rho_next is max(rho_k, min(mu_lb max(h1, h2), rho_cap)) bitwise, and a
+                # skipped h2 asks for no J(x_bar).
+                if k1 / math.sqrt(2.0 * beta) * (1.0 + 1e-9) > rho_next:
                     h1v = h1(_operator_norm(jx, prob.m), beta, prob.r, prob.L_X)
                     rho_next = max(rho_next, min(c.mu_lb * h1v, self.rho_cap))
-                if c.mu_lb * h2(0.0, beta_bar, prob.r, prob.L_X, c.mu_lb) * (1.0 + 1e-9) > rho_next:
+                if k2 / beta_bar * (1.0 + 1e-9) > rho_next:
                     h2v = h2(_operator_norm(self.jac_bar(), prob.m), beta_bar, prob.r, prob.L_X, c.mu_lb)
                     rho_next = max(rho_next, min(c.mu_lb * h2v, self.rho_cap))
                 est.advance(rho_next, tau0_s, k)
@@ -799,8 +800,10 @@ def msapd(
     uniform averaging and the stage budget N_s = ceil(max{4/(rho tau_0^s),
     D_Y^2 2^{s+1}/(rho sigma_0^s D_X^2)}), then warm-starts the next stage
     from (x_bar, y_bar). rho starts at rho_lb <= mu'y*, certified at set-up by
-    weak duality at the origin (``derive_constants``, which says why only
-    there), so N_s is finite from the first iteration unless rho_lb = 0.
+    weak duality at the origin and at one point of the segment from it to p,
+    the point behind the lower bound on f* (``derive_constants``, which says
+    why that point stays away from p), so N_s is finite from the first
+    iteration unless rho_lb = 0.
     These tau_0^s are the largest feasible steps, so no feasibility check
     runs. ``max_iters`` caps each stage (README, Budgets).
     """

@@ -7,9 +7,10 @@ here: the block soft threshold and the Euclidean ball projection. The dual
 projection oracle enumerates KKT active sets. The synthetic family's
 multiplier is found by bisection. The PageRank KKT check builds Q as a
 dense matrix from the edge list. rapdpro's rate coefficients and epoch
-budgets are recomputed from an epoch's certified rho values. The
-Lagrangian and the active-set accuracy take block norms here, one block at
-a time. The trace-record oracle is the exception that proves the
+budgets are recomputed from an epoch's certified rho values. msapd's
+rho_lb along the segment to p is the best of a plain grid of certified
+points. The Lagrangian and the active-set accuracy take block norms here,
+one block at a time. The trace-record oracle is the exception that proves the
 recorder's shortcuts: it takes f and G from the problem's own ``f`` and
 ``g``, whose values the recorder must reproduce bitwise, and assembles the
 rest here. Slow and simple on purpose.
@@ -238,6 +239,24 @@ def synthetic_multiplier_oracle(center, level):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def segment_rho_lb_oracle(problem, lb, p):
+    """The best certified mu_lb ||y*||_1 lower bound on the grid s = 0.95 j/200, j = 1..200.
+
+    Weak duality at x = s p: f* >= lb (1 - 1e-9) gives ||y*||_1 >= (lb (1 - 1e-9) - f(x))/max_i
+    g_i(x) where both are positive. f is summed here block by block and G comes from the problem's
+    raw ``constraints``; a point where G is not finite certifies nothing. 0 when no point certifies.
+    """
+    p = np.asarray(p, dtype=float)
+    low, best = lb * (1.0 - 1e-9), 0.0
+    for j in range(1, 201):
+        x = 0.95 * j / 200 * p
+        g = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
+        gap = low - _f_value(x, problem.objective.blocks, problem.objective.weights)
+        if np.isfinite(g).all() and g.max() > 0.0 and gap > 0.0:
+            best = max(best, gap / float(g.max()))
+    return float(problem.mu.min()) * best
 
 
 def _adjacency(n, edges):

@@ -159,8 +159,8 @@ def test_default_recorder_matches_compute_metrics(canonical):
     for variant in VARIANTS:
         runner = bench._RUNNERS[variant]
         # rapdpro's first three epochs end after 25 + 17 + 17 = 59 iterations on this instance, and msapd's
-        # first four stages, whose estimate starts at rho_lb, after 56: one more epoch or stage takes each
-        # past 60 records
+        # first four stages, whose estimate starts at rho_lb, after 9 + 10 + 13 + 16 = 48: one more epoch
+        # or stage takes each past 60 records
         cfg = SolverConfig(variant=variant, max_iters=60, max_epochs=4, restart_period=25)
         for f_ref in (f_star, None):
             default = runner(problem, constants, cfg, np.zeros(1), np.zeros(1), f_star=f_ref)

@@ -14,7 +14,9 @@ first). On each it checks, against ground truth computed here:
   the sublevel set reaches farthest;
 - c_bar >= ||y*||_1, with y* from the closed form, the exact KKT solve or
   the hand-derived optimum;
-- rho_lb <= mu_lb ||y*||_1 and rho_lb <= mu_lb c_bar;
+- rho_lb <= mu_lb ||y*||_1 and rho_lb <= mu_lb c_bar; rho_lb is at least the origin's bound
+  mu_lb lb/max_i g_i(0), and within 1% of the best point of a plain certified grid on the segment
+  to p (``oracles.segment_rho_lb_oracle``), with the lb and p that ``derive_constants`` used;
 - L_G >= ||J(x)|| at points sampled inside the ball and on its boundary;
 - rho_k <= mu_lb ||y*||_1 along apdpro, rapdpro and msapd runs (msapd's
   estimate starts at rho_lb);
@@ -24,6 +26,7 @@ first). On each it checks, against ground truth computed here:
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from apdpro import problem as problem_module
 from apdpro.bench import InstanceBundle, _solve_reference
 from apdpro.pagerank import Graph, build_ppr_problem, make_synthetic_instance
 from apdpro.problem import (
@@ -43,7 +47,7 @@ from apdpro.problem import (
 )
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
 from helpers import cycle_edges, path_edges, random_partition, star_edges
-from oracles import ppr_q_dense
+from oracles import ppr_q_dense, segment_rho_lb_oracle
 
 RUN_ITERS = 60
 
@@ -214,12 +218,26 @@ def _build(kind, args):
     return _two_ball_case(*args)
 
 
+def _constants_and_segment(problem):
+    """derive_constants(problem), and the (lb, p) its segment search for rho_lb started from
+    (None where the origin's bound is 0 and no search ran)."""
+    seen, search = [], problem_module._segment_dual_bound
+
+    def spy(prob, lb, p, *rest):
+        seen.append((lb, p))
+        return search(prob, lb, p, *rest)
+
+    with mock.patch.object(problem_module, "_segment_dual_bound", spy):
+        constants = derive_constants(problem)
+    return constants, (seen[0] if seen else None)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=certification_cases())
 def test_derived_constants_are_certified_property(case):
     kind, args = case
     problem, x_star, y_star, boundary, extreme = _build(kind, args)
-    constants = derive_constants(problem)
+    constants, segment = _constants_and_segment(problem)
     assert kkt_residual(problem, x_star, y_star).max() <= 1e-10
     center, radius = problem.strict_point, constants.ball_radius
     rng = np.random.default_rng(7)
@@ -236,6 +254,14 @@ def test_derived_constants_are_certified_property(case):
     # rho_lb bounds mu'y* >= mu_lb ||y*||_1 from below, within the driver's cap mu_lb c_bar
     assert 0.0 <= constants.rho_lb <= constants.mu_lb * y_norm * (1.0 + 1e-9)
     assert constants.rho_lb <= constants.mu_lb * constants.c_bar
+
+    # ... no lower than the origin's bound, and as good as the best point of a certified grid
+    if segment is None:
+        assert constants.rho_lb == 0.0
+    else:
+        lb, p = segment
+        assert constants.rho_lb >= constants.mu_lb * lb / float(np.max(problem.g(np.zeros(problem.n)))) > 0.0
+        assert constants.rho_lb >= 0.99 * segment_rho_lb_oracle(problem, lb, p)
 
     # L_G bounds ||J|| on the ball, its boundary included
     for u in directions:
@@ -268,12 +294,21 @@ def test_rho_lb_is_zero_where_the_origin_is_feasible():
     assert derive_constants(problem).rho_lb == 0.0
 
 
+# The two-ball problem's rho_lb. Its origin bound is mu_lb lb/max_i g_i(0) = 2/3: G(0) = (1, 3/2), and
+# lb = f* = 1 comes from the second ball, B((2, 1), sqrt(2)), with p = x* = (1, 0) behind it. Along
+# s p = (s, 0), f = s, and g_2 = ((2 - s)^2 - 1)/2 = (1 - s)(3 - s)/2 is the larger constraint, so
+# (L - s)/g_2(s p) = 2/(3 - s) at L = lb = 1 rises toward p, and the search takes the cap s = 0.95. With
+# L = 1 - 1e-9 the bound there is (0.05 - 1e-9)/(0.05 * 2.05/2) = (40/41)(1 - 2e-8).
+_TWO_BALL_ORIGIN_RHO_LB = 2.0 / 3.0
+_TWO_BALL_RHO_LB = 40.0 / 41.0 * (1.0 - 2e-8)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rho_lb_is_zero_where_G_at_the_origin_is_not_finite(bad):
-    """The two-ball problem has G(0) = (1, 3/2) and lb = f* = 1, so rho_lb = 2/3; one non-finite
+    """The two-ball problem's rho_lb is (40/41)(1 - 2e-8), from 0.95 p (see above); one non-finite
     g_1(0), even beside a positive g_2(0), makes it 0."""
     problem = _two_ball_case(0.5, False)[0]
-    assert derive_constants(problem).rho_lb == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert derive_constants(problem).rho_lb == pytest.approx(_TWO_BALL_RHO_LB, rel=1e-12)
     g = problem.constraints
 
     def constraints(x):
@@ -282,6 +317,63 @@ def test_rho_lb_is_zero_where_G_at_the_origin_is_not_finite(bad):
     constants = derive_constants(dataclasses.replace(problem, constraints=constraints))
     assert constants.rho_lb == 0.0
     assert constants == dataclasses.replace(derive_constants(problem), rho_lb=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_G_at_the_cap_leaves_the_origin_bound(bad):
+    """A non-finite g_1 at 0.95 p, which certifies the cap and through which the model is fitted, leaves
+    the two-ball problem's rho_lb at its origin bound 2/3 (see above), whatever g_2 reads there."""
+    problem = _two_ball_case(0.5, False)[0]
+    point, g = 0.95 * np.array([1.0, 0.0]), problem.constraints
+
+    def constraints(x):  # p is (1, 0) to rounding; the other points G is evaluated at are far from it
+        return np.array([bad, g(x)[1]]) if np.allclose(x, point, rtol=0.0, atol=1e-12) else g(x)
+
+    constants = derive_constants(dataclasses.replace(problem, constraints=constraints))
+    assert constants.rho_lb == pytest.approx(_TWO_BALL_ORIGIN_RHO_LB, rel=1e-15)
+    assert constants == dataclasses.replace(derive_constants(problem), rho_lb=constants.rho_lb)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_G_at_an_inner_point_leaves_the_cap_bound(bad):
+    """On the synthetic instance c = (3, 1, 1/2, 1/2), level 1.2, the fit along the segment puts the best
+    point inside (0, 0.95), so G is evaluated a sixth time, there, and G(p) still once. A non-finite G
+    at that point leaves rho_lb at the bound that weak duality gives at the cap 0.95 p (0.61 against
+    0.48 at the origin)."""
+    problem = make_synthetic_instance(4, [3.0, 1.0, 0.5, 0.5], 1.2)[0]
+    points, g = [], problem.constraints
+
+    def recorded(x):
+        points.append(x.copy())
+        return g(x)
+
+    constants, (lb, p) = _constants_and_segment(dataclasses.replace(problem, constraints=recorded))
+    assert len(points) == 6 and sum(np.array_equal(x, p) for x in points) == 1
+    inner = points[-1]
+    s = float(inner[0] / p[0])
+    assert 0.0 < s < 0.95 and np.allclose(inner, s * p, rtol=1e-15, atol=0.0)
+
+    def constraints(x):
+        return np.array([bad]) if np.array_equal(x, inner) else g(x)
+
+    broken = derive_constants(dataclasses.replace(problem, constraints=constraints))
+    at_cap = constants.mu_lb * (lb * (1.0 - 1e-9) - problem.f(0.95 * p)) / float(g(0.95 * p)[0])
+    assert broken.rho_lb == pytest.approx(at_cap, rel=1e-12)
+    assert broken.rho_lb < constants.rho_lb
+    assert broken == dataclasses.replace(constants, rho_lb=broken.rho_lb)
+
+
+def test_rho_lb_is_tight_on_tiny_synthetic_instances():
+    """On 200 tiny synthetic instances drawn as the benchmark's synth-batch draws them (n 1..8,
+    centers of magnitude 0.5..2 with random signs, levels 0.2-0.8 of ||c||/sqrt(2)), the segment's
+    rho_lb is at least 0.85 mu_lb y*; weak duality at the origin alone gave 0.33-0.86."""
+    rng = np.random.default_rng(2024)
+    worst = math.inf
+    for _ in range(200):
+        problem, _, y_star, _, _ = _synthetic_case(int(rng.integers(1, 9)), rng, float(rng.uniform(0.2, 0.8)))
+        constants = derive_constants(problem)
+        worst = min(worst, constants.rho_lb / (constants.mu_lb * float(y_star[0])))
+    assert worst >= 0.85
 
 
 def test_only_msapd_reads_rho_lb(canonical):

@@ -11,6 +11,7 @@ from apdpro.estimator import (
     RhoEstimate,
     h1,
     h2,
+    improve_caps,
     rho_hat_recursion,
 )
 
@@ -51,9 +52,17 @@ _GRAD = st.one_of(st.just(0.0), st.just(5e-324), _decades(-12, 12))
        r=_decades(-6, 6), L_X=_decades(-6, 6), mu_lb=_decades(-6, 6))
 def test_a_bound_at_gradient_norm_0_caps_it_in_floating_point(g, beta, beta_bar, r, L_X, mu_lb):
     """Both bounds fall as the gradient norm grows, and in floating point too: h(g) never exceeds
-    h(0) by the 1e-9 margin with which the solvers skip a bound whose h(0) cannot lift rho."""
+    h(0) by the 1e-9 margin with which the solvers skip a bound whose cap cannot lift rho. The
+    solvers form mu_lb h(0) in closed form (``improve_caps``): within a few ulps of mu_lb h(0), and
+    mu_lb h(g), as the driver multiplies it, never exceeds it by the margin either."""
     assert h1(g, beta, r, L_X) <= h1(0.0, beta, r, L_X) * (1.0 + 1e-9)
     assert h2(g, beta_bar, r, L_X, mu_lb) <= h2(0.0, beta_bar, r, L_X, mu_lb) * (1.0 + 1e-9)
+    k1, k2 = improve_caps(r, L_X, mu_lb)
+    cap1, cap2 = k1 / math.sqrt(2.0 * beta), k2 / beta_bar
+    assert cap1 == pytest.approx(mu_lb * h1(0.0, beta, r, L_X), rel=1e-14, abs=0.0)
+    assert cap2 == pytest.approx(mu_lb * h2(0.0, beta_bar, r, L_X, mu_lb), rel=1e-14, abs=0.0)
+    assert mu_lb * h1(g, beta, r, L_X) <= cap1 * (1.0 + 1e-9)
+    assert mu_lb * h2(g, beta_bar, r, L_X, mu_lb) <= cap2 * (1.0 + 1e-9)
 
 
 def test_rho_hat_seed_and_recursion_values():

@@ -153,7 +153,9 @@ def test_primal_ball_moves_to_a_strict_point_off_the_minimizer():
 
 @pytest.mark.parametrize("instance", ["canonical", "small_graph"])
 def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance):
-    """G(x_tilde) serves both the radius and c_bar; c_bar adds G at p and at x_s, and rho_lb G at the origin."""
+    """G(x_tilde) serves both the radius and c_bar; c_bar adds G at p and at x_s, and rho_lb G at the origin
+    and at 0.95 p. On these instances the fit along the segment finds no better point, so G is evaluated
+    five times; G(p), which both read, once."""
     problem = request.getfixturevalue(instance)[0]
     x_tilde, points = problem.strict_point, []
 
@@ -164,9 +166,12 @@ def test_derive_constants_evaluates_G_at_the_strict_point_once(request, instance
     counted = dataclasses.replace(problem, constraints=constraints)
     points.clear()  # the quadratic structure's check, at construction, evaluates G there too
     constants = derive_constants(counted)
-    assert len(points) == 4
+    assert len(points) == 5
     assert sum(np.array_equal(x, x_tilde) for x in points) == 1
     assert sum(np.array_equal(x, np.zeros(problem.n)) for x in points) == 1
+    p = [x for x in points if x.any() and any(np.array_equal(0.95 * x, h) for h in points)]  # scaled once
+    assert len(p) == 1
+    assert sum(np.array_equal(x, p[0]) for x in points) == 1
     assert constants == derive_constants(problem)
 
 

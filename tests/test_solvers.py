@@ -690,8 +690,7 @@ def _two_ball_problem():
 def _instance(request, instance):
     """(problem, constants) of a fixture, of the m = 2 generic problem, of the n = 6 problem in
     blocks of 2, 1 and 3, of the 30-node graph without its quadratic structure, or of the
-    canonical instance with a narrower feasible set (level 0.5), where msapd evaluates h2 from
-    its first stage on (see test_skipping_a_bound_never_changes_rho)."""
+    canonical instance with a narrower feasible set (level 0.5)."""
     if instance == "two_ball":
         return _two_ball_problem()
     if instance == "blocks":
@@ -718,14 +717,32 @@ def test_non_finite_jacobian_at_an_msapd_warm_start_raises(canonical):
         msapd(broken, constants, cfg, np.zeros(1), np.zeros(1))
 
 
-@pytest.mark.parametrize("variant, runner", ENTRY_POINTS[:3])
-@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph_generic", "small_graph", "narrow"])
+_H2_INSTANCES = ("canonical", "two_ball", "small_graph_generic", "small_graph", "narrow")
+# msapd starts rho at rho_lb, above every h2 cap its stages reach on these instances: the skip is total.
+_H2_NEVER_EVALUATED = {("msapd", instance) for instance in _H2_INSTANCES}
+# The h2 tests' cases: each instance under apdpro, rapdpro and msapd, and msapd once more on canonical and
+# narrow from rho_lb = 0 ("<instance>_rho_lb_0"), where it evaluates h2.
+_H2_CASES = [
+    *[(instance, variant, runner) for instance in _H2_INSTANCES for variant, runner in ENTRY_POINTS[:3]],
+    ("canonical_rho_lb_0", "msapd", msapd),
+    ("narrow_rho_lb_0", "msapd", msapd),
+]
+
+
+def _h2_instance(request, instance):
+    """``_instance``'s (problem, constants); a name ending in ``_rho_lb_0`` sets rho_lb = 0."""
+    if instance.endswith("_rho_lb_0"):
+        problem, constants = _instance(request, instance.removesuffix("_rho_lb_0"))
+        return problem, dataclasses.replace(constants, rho_lb=0.0)
+    return _instance(request, instance)
+
+
+@pytest.mark.parametrize("instance, variant, runner", _H2_CASES)
 def test_h2_reads_the_jacobian_at_x_bar(request, instance, variant, runner):
     """Every h2 the run evaluates is h2 of ||J(x_bar_k)|| with J evaluated afresh at the snapshot's
     x_bar_k, across epochs and stages: bitwise on the generic path, to rounding where J(x_bar) is
-    the running average J_bar. apdpro and rapdpro evaluate it on every instance; msapd starts rho at
-    rho_lb, which h2's caps exceed here only on the narrow instance."""
-    problem, constants = _instance(request, instance)
+    the running average J_bar. Every run evaluates it but for the pairs in _H2_NEVER_EVALUATED."""
+    problem, constants = _h2_instance(request, instance)
     snaps = []
     cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=1)
     runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
@@ -736,22 +753,17 @@ def test_h2_reads_the_jacobian_at_x_bar(request, instance, variant, runner):
         expected = h2(jacobian_operator_norm(problem, sn.x_bar), sn.beta_bar, problem.r, problem.L_X,
                       constants.mu_lb)
         assert abs(sn.h2_val - expected) <= rel * expected, (sn.epoch, sn.k, sn.h2_val, expected)
-    assert evaluated or (variant == "msapd" and instance != "narrow")
+    assert evaluated or (variant, instance) in _H2_NEVER_EVALUATED
 
 
-# msapd starts rho at rho_lb, above every h2 cap its stages reach on these instances: the skip is total.
-_H2_NEVER_EVALUATED = {("msapd", "two_ball"), ("msapd", "small_graph_generic"), ("msapd", "small_graph")}
-
-
-@pytest.mark.parametrize("variant, runner", ENTRY_POINTS[:3])
-@pytest.mark.parametrize("instance", ["canonical", "two_ball", "small_graph_generic", "small_graph", "narrow"])
+@pytest.mark.parametrize("instance, variant, runner", _H2_CASES)
 def test_skipping_a_bound_never_changes_rho(request, instance, variant, runner):
     """rho_{k+1} is max(rho_k, min(mu_lb max(h1, h2), rho_cap)) bitwise, as if both bounds were
     evaluated at every step. h1 is recomputed from J evaluated afresh at the snapshot's x_k; h2 is
     the run's value where it evaluated h2 (test_h2_reads_the_jacobian_at_x_bar checks that value),
     else recomputed from J evaluated afresh at x_bar_k. Every run skips h2 (at least at a segment's
     first step, where beta_bar = inf) and, but for the pairs in _H2_NEVER_EVALUATED, evaluates it."""
-    problem, constants = _instance(request, instance)
+    problem, constants = _h2_instance(request, instance)
     snaps = []
     cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=8 if variant == "msapd" else 1)
     runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
