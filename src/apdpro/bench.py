@@ -1,10 +1,10 @@
 """Experiment driver: instances, references, metrics, CSV traces.
 
 Wires a configured instance (synthetic or graph) to a solver variant,
-obtains a reference solution (closed-form oracle, a cached exact KKT solve
-or long run, or file), attaches the metric recorder, and writes one CSV row
-per recorded iteration with the exact header contract used by the plotting
-side.
+obtains a reference solution (the closed-form oracle, or a cached exact KKT
+solve or long run), attaches the metric recorder, runs from zeros, and
+writes one CSV row per recorded iteration with the exact header contract
+used by the plotting side.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import operator
 import os
 import tempfile
@@ -34,7 +33,6 @@ from .solvers import (
     IterateRecord,
     RunResult,
     SolverConfig,
-    _check_budget,
     _metrics_recorder,
     apd_baseline,
     apdpro,
@@ -72,6 +70,9 @@ _RUNNERS = {
 _REFERENCE_KKT = 1e-10
 # Sign patterns the exact reference tries before it falls back to the long run.
 _ACTIVE_SET_STEPS = 50
+# The long run's budget: iterations in all, and epochs.
+_REFERENCE_ITERS = 200_000
+_REFERENCE_EPOCHS = 60
 
 
 class ReferenceUnconvergedError(RuntimeError):
@@ -113,25 +114,12 @@ class ExperimentConfig:
     instance: InstanceSpec
     solver: SolverConfig
     variants: tuple = ()
-    reference_mode: str = "none"  # none | oracle | long-run | file
-    reference_path: str | None = None
-    budget_iters: int = 200000
-    budget_epochs: int = 60
-    truncation: float = 1e-8
+    reference_mode: str = "none"  # none | oracle | long-run
     output_path: str | None = None
-    x0_rule: str = "zeros"  # zeros | strict
 
     def __post_init__(self):
-        if not (math.isfinite(self.truncation) and self.truncation > 0):  # nan or inf: every block would match x*
-            raise ValueError(f"truncation must be positive and finite, got {self.truncation!r}")
-        if self.reference_mode not in ("none", "oracle", "long-run", "file"):
+        if self.reference_mode not in ("none", "oracle", "long-run"):
             raise ValueError(f"unknown reference mode {self.reference_mode!r}")
-        if self.reference_mode == "file" and not self.reference_path:
-            raise ValueError("file reference mode needs a path")
-        if self.x0_rule not in ("zeros", "strict"):
-            raise ValueError("x0 must be 'zeros' or 'strict'")
-        for name in ("budget_iters", "budget_epochs"):  # here, so no instance is built for a bad budget
-            _check_budget(name, getattr(self, name))
         if not self.variants:
             self.variants = (self.solver.variant,)
         for i, variant in enumerate(self.variants):  # here, so a typo or a repeat fails before any variant runs
@@ -174,10 +162,11 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
     return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
 
 
-def _solve_reference(bundle: InstanceBundle, budget_iters: int, budget_epochs: int):
+def _solve_reference(bundle: InstanceBundle):
     """(x*, y*, KKT residual, how): the exact solve where it applies and
-    passes the KKT check, else the long run; ``how`` names the method (and
-    the active-set steps) for the cache."""
+    passes the KKT check, else the long run within ``_REFERENCE_ITERS`` and
+    ``_REFERENCE_EPOCHS``; ``how`` names the method (and the active-set
+    steps) for the cache."""
     problem = bundle.problem
     if problem.quadratic is not None and problem.m == 1 and len(problem.objective.blocks) == problem.n:
         try:
@@ -191,8 +180,8 @@ def _solve_reference(bundle: InstanceBundle, budget_iters: int, budget_epochs: i
                 return x, y, resid, {"method": "active-set", "steps": steps}
     cfg = SolverConfig(
         variant="rapdpro",
-        max_iters=budget_iters,
-        max_epochs=budget_epochs,
+        max_iters=_REFERENCE_ITERS,
+        max_epochs=_REFERENCE_EPOCHS,
         tolerance=_REFERENCE_KKT,
     )
     res = rapdpro(problem, bundle.constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
@@ -280,7 +269,7 @@ def _cache_path(bundle: InstanceBundle, output_path: str | None) -> str:
 
 
 def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
-    """The configured reference (x*, y*, f*): from the closed-form oracle, a file, or the cache
+    """The configured reference (x*, y*, f*): from the closed-form oracle, or the cache
     of a long-run solve, which it computes and writes on a miss.
 
     Returns None for mode 'none', and for a long run that does not converge
@@ -289,29 +278,14 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     when the problem allows it (quadratic structure, m = 1 and a weighted
     l1 objective; see ``_active_set_kkt``). Otherwise, or when that solve
     fails or misses KKT residual 1e-10, it drives the restarted solver to
-    KKT residual 1e-10 within ``config.budget_iters`` and
-    ``config.budget_epochs`` (``_solve_reference``). The cache sits next to
-    a graph's file, else next to ``config.output_path``, else in the
+    KKT residual 1e-10 within ``_REFERENCE_ITERS`` iterations and
+    ``_REFERENCE_EPOCHS`` epochs (``_solve_reference``). The cache sits next
+    to a graph's file, else next to ``config.output_path``, else in the
     working directory (``_cache_path``).
     """
     mode = config.reference_mode
     if mode == "none":
         return None
-    if mode == "file":
-        with open(config.reference_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not (isinstance(data, dict) and "x" in data):
-            raise ValueError(f'reference file {config.reference_path}: need a JSON object with an "x" entry')
-        x = np.asarray(data["x"], dtype=float)
-        if x.shape != (bundle.problem.n,):
-            raise ValueError(f"reference file has {x.shape} primal entries, need {bundle.problem.n}")
-        y = np.asarray(data.get("y", np.zeros(bundle.problem.m)), dtype=float)
-        if y.shape != (bundle.problem.m,):
-            raise ValueError(f"reference file has {y.shape} dual entries, need {bundle.problem.m}")
-        for name, v in (("x", x), ("y", y)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"reference file {config.reference_path}: {name} has non-finite entries")
-        return x, y, bundle.problem.f(x)
     if mode == "oracle":
         if bundle.oracle is None:
             raise ValueError("oracle reference requires a synthetic instance")
@@ -322,7 +296,7 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     if cached is not None:
         return cached["x"], cached["y"], cached["f"]
     try:
-        x, y, kkt, how = _solve_reference(bundle, config.budget_iters, config.budget_epochs)
+        x, y, kkt, how = _solve_reference(bundle)
     except ReferenceUnconvergedError as exc:
         warnings.warn(f"reference unavailable: {exc}", stacklevel=2)
         return None
@@ -424,17 +398,12 @@ def write_csv(path: str, trace) -> None:
             fh.write("".join(map(line, map(_ROW, trace[i:i + _CHUNK_ROWS]))))
 
 
-def _start_points(bundle: InstanceBundle, rule: str):
+def _run_one(bundle, solver_config: SolverConfig, reference, output_path):
     problem = bundle.problem
-    x0 = problem.strict_point.copy() if rule == "strict" else np.zeros(problem.n)
-    return x0, np.zeros(problem.m)
-
-
-def _run_one(bundle, config: ExperimentConfig, solver_config: SolverConfig, reference, output_path):
-    runner = _RUNNERS[solver_config.variant]
-    x0, y0 = _start_points(bundle, config.x0_rule)
-    recorder = make_recorder(bundle.problem, solver_config.variant, solver_config, reference, config.truncation)
-    result = runner(bundle.problem, bundle.constants, solver_config, x0, y0, recorder=recorder)
+    recorder = make_recorder(problem, solver_config.variant, solver_config, reference)
+    result = _RUNNERS[solver_config.variant](
+        problem, bundle.constants, solver_config, np.zeros(problem.n), np.zeros(problem.m), recorder=recorder
+    )
     if output_path:
         write_csv(output_path, result.trace)
     return result
@@ -444,7 +413,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Build, reference, run, and write the CSV for one solver."""
     bundle = build_instance(config.instance)
     reference = get_reference(bundle, config)
-    return _run_one(bundle, config, config.solver, reference, config.output_path)
+    return _run_one(bundle, config.solver, reference, config.output_path)
 
 
 def _variant_path(path: str | None, variant: str) -> str | None:
@@ -461,7 +430,7 @@ def run_comparison(config: ExperimentConfig) -> dict:
     results = {}
     for variant in config.variants:
         scfg = dataclasses.replace(config.solver, variant=variant)
-        results[variant] = _run_one(bundle, config, scfg, reference, _variant_path(config.output_path, variant))
+        results[variant] = _run_one(bundle, scfg, reference, _variant_path(config.output_path, variant))
     return results
 
 
@@ -479,14 +448,8 @@ def _experiment(**renamed):
 
 _SECTIONS = {
     "instance": _by_name(InstanceSpec),
-    "solver": {**_by_name(SolverConfig), **_experiment(variants="variants", x0="x0_rule")},
-    "reference": _experiment(
-        mode="reference_mode",
-        path="reference_path",
-        budget_iters="budget_iters",
-        budget_epochs="budget_epochs",
-        truncation="truncation",
-    ),
+    "solver": {**_by_name(SolverConfig), **_experiment(variants="variants")},
+    "reference": _experiment(mode="reference_mode"),
     "output": _experiment(path="output_path"),
 }
 
@@ -508,8 +471,9 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
     Sections [instance], [solver], [reference], [output]. [instance] and
     [solver] take the fields of InstanceSpec and SolverConfig by name
-    (``kind`` defaults to synthetic); [solver] also takes ``variants`` and
-    ``x0``. Unknown sections or keys are errors so typos fail loudly. A
+    (``kind`` defaults to synthetic); [solver] also takes ``variants``,
+    [reference] takes ``mode`` and [output] ``path``. Unknown sections or
+    keys are errors so typos fail loudly. A
     ``;`` after whitespace starts a comment. A file configparser cannot
     read, such as one with a repeated key or section, raises ValueError.
     """

@@ -45,8 +45,8 @@ def _summarize(variant: str, result, path) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Bad input (the config, a missing or malformed graph or reference file, an
-    # unattainable b) is reported on one line, with exit status 2.
+    # Bad input (the config, a missing or malformed graph file, an unattainable b)
+    # is reported on one line, with exit status 2.
     try:
         return _command(args.command, bench.load_experiment_config(args.config))
     except (OSError, ValueError) as exc:

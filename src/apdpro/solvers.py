@@ -163,20 +163,13 @@ class SolverConfig:
         period = self.restart_period
         if not (period == math.inf or (period >= 1 and float(period).is_integer())):
             raise ValueError(f"restart_period must be an integer >= 1 or inf, got {period!r}")
+        # A fractional budget would never run out: its last fraction runs as int() = 0-iteration segments.
         for name in ("max_iters", "max_epochs"):
-            _check_budget(name, getattr(self, name))
-
-
-def _check_budget(name: str, value) -> None:
-    """Reject an iteration or epoch budget that is not a nonnegative integer, naming it.
-
-    A fractional budget would never run out: its last fraction runs as
-    int() = 0-iteration segments.
-    """
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(slots=True)

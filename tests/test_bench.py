@@ -336,11 +336,7 @@ _SOLVER = SolverConfig(variant="apdpro")
     (lambda: InstanceSpec(kind="graph"), "graph instances need a path"),
     (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, reference_mode="exact"),
      "unknown reference mode 'exact'"),
-    (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, reference_mode="file"),
-     "file reference mode needs a path"),
-    (lambda: ExperimentConfig(InstanceSpec(kind="synthetic"), _SOLVER, x0_rule="ones"),
-     "x0 must be 'zeros' or 'strict'"),
-], ids=["kind", "graph-path", "reference-mode", "file-path", "x0"])
+], ids=["kind", "graph-path", "reference-mode"])
 def test_bench_inputs_are_rejected_with_their_message(build, message):
     with pytest.raises(ValueError) as info:
         build()
@@ -566,12 +562,13 @@ def _without_quadratic(bundle):
     return dataclasses.replace(bundle, problem=dataclasses.replace(bundle.problem, quadratic=None))
 
 
-def test_get_reference_unconverged_warns_and_returns_none(tmp_path):
+def test_get_reference_unconverged_warns_and_returns_none(tmp_path, monkeypatch):
     path = write_edge_list(tmp_path / "p2u.txt", [(0, 1)])
     spec = InstanceSpec(kind="graph", path=path, alpha=0.5, b=-0.05)
     bundle = _without_quadratic(build_instance(spec))
-    config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="rapdpro"),
-                              reference_mode="long-run", budget_iters=5, budget_epochs=1)
+    config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="rapdpro"), reference_mode="long-run")
+    monkeypatch.setattr(bench, "_REFERENCE_ITERS", 5)
+    monkeypatch.setattr(bench, "_REFERENCE_EPOCHS", 1)
     with pytest.warns(UserWarning, match="reference unavailable"):
         assert get_reference(bundle, config) is None
 
@@ -594,9 +591,9 @@ def _ppr_case(tmp_path, edges, alpha, level, s="uniform"):
 ], ids=["g30", "star20-seed1", "g300-uniform-0.5", "g300-uniform-0.1", "g300-seed3-0.99", "g300-seed3-0.1"])
 def test_exact_reference_matches_the_long_run_and_a_dense_kkt_check(tmp_path, edges, alpha, level, s):
     bundle, b = _ppr_case(tmp_path, edges, alpha, level, s)
-    x, y, kkt, how = bench._solve_reference(bundle, 200000, 60)
+    x, y, kkt, how = bench._solve_reference(bundle)
     assert how["method"] == "active-set" and kkt <= 1e-10
-    x_long, y_long, _, how_long = bench._solve_reference(_without_quadratic(bundle), 200000, 60)
+    x_long, y_long, _, how_long = bench._solve_reference(_without_quadratic(bundle))
     assert how_long == {"method": "long-run"}
     assert np.array_equal(x != 0, x_long != 0)
     assert np.max(np.abs(x - x_long)) <= 1e-9
@@ -632,7 +629,7 @@ def test_exact_reference_falls_back_to_the_long_run(tmp_path, monkeypatch, force
         assert bench._active_set_kkt(bundle.problem) is None
     if force == "cycling signs":
         assert len(calls) == 2  # the third pattern repeats the first
-    x, y, kkt, how = bench._solve_reference(bundle, 200000, 60)
+    x, y, kkt, how = bench._solve_reference(bundle)
     assert how == {"method": "long-run"}
     assert kkt <= 1e-10 and kkt_residual(bundle.problem, x, y).max() == kkt
 
@@ -661,7 +658,7 @@ def test_exact_reference_applies_q_through_the_oracle(monkeypatch, small_graph_b
         return original(counting, *a, **kw)
 
     monkeypatch.setattr(bench, "cg_solve", cg_solve)
-    _, _, _, how = bench._solve_reference(dataclasses.replace(small_graph_bundle, problem=counted), 1, 1)
+    _, _, _, how = bench._solve_reference(dataclasses.replace(small_graph_bundle, problem=counted))
     assert how == {"method": "active-set", "steps": 1}
     assert calls["cg"] > 0 and calls["jac"] == calls["cg"] + how["steps"] + 1 and calls["g"] == 1
 
@@ -696,64 +693,13 @@ def test_reference_cache_records_the_method(small_graph_bundle, tmp_path, capsys
     assert np.array_equal(x2, x) and np.array_equal(y2, y) and f2 == f
 
 
-def test_get_reference_file_mode(tmp_path, canonical):
-    _, _, x_star, y_star = canonical
-    ref_path = tmp_path / "ref.json"
-    ref_path.write_text(json.dumps({"x": list(x_star), "y": list(y_star)}), encoding="utf-8")
-    spec = InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0)
-    config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="apdpro"),
-                              reference_mode="file", reference_path=str(ref_path))
-    bundle = build_instance(spec)
-    x, y, f = get_reference(bundle, config)
-    assert np.array_equal(x, x_star) and f == pytest.approx(bundle.problem.f(x_star))
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"x": [1.0, 2.0]}), encoding="utf-8")
-    with pytest.raises(ValueError, match="primal"):
-        get_reference(bundle, ExperimentConfig(
-            instance=spec, solver=SolverConfig(variant="apdpro"),
-            reference_mode="file", reference_path=str(bad)))
-
-
-@pytest.mark.parametrize("name, payload", [
-    ("x", {"x": [float("nan")], "y": [0.5]}),
-    ("x", {"x": [float("-inf")]}),
-    ("y", {"x": [0.5], "y": [float("inf")]}),
-])
-def test_get_reference_file_mode_rejects_non_finite_entries(tmp_path, name, payload):
-    """json reads NaN and Infinity; a reference holding them would make every gap nan."""
-    spec = InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0)
-    bad = tmp_path / "nonfinite.json"
-    bad.write_text(json.dumps(payload), encoding="utf-8")
-    config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="apdpro", tolerance=1e-6),
-                              reference_mode="file", reference_path=str(bad))
-    with pytest.raises(ValueError, match=f"nonfinite.json: {name} has non-finite entries"):
-        get_reference(build_instance(spec), config)
-    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
-        run_experiment(config)
-
-
-def test_get_reference_file_mode_rejects_a_wrong_length_dual(tmp_path, canonical):
-    _, _, x_star, _ = canonical
-    spec = InstanceSpec(kind="synthetic", n=1, center=2.0, level=1.0)
-    bundle = build_instance(spec)
-    for y in ([1.0, 2.0, 3.0], []):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"x": list(x_star), "y": y}), encoding="utf-8")
-        config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="apdpro"),
-                                  reference_mode="file", reference_path=str(bad))
-        with pytest.raises(ValueError, match=r"\(%d,\) dual entries, need 1" % len(y)):
-            get_reference(bundle, config)
-        with pytest.raises(ValueError, match="dual entries"):
-            run_experiment(config)
-
-
 def test_load_experiment_config_full(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(
         "[instance]\nkind = synthetic\nn = 2\ncenter = 1.5\nlevel = 0.5\n"
         "[solver]\nvariant = rapdpro\nvariants = apdpro, apd\nmax_iters = 300\n"
-        "max_epochs = 4\nrestart_period = inf\nx0 = strict\n"
-        "[reference]\nmode = oracle\nbudget_iters = 50\ntruncation = 1e-6\n"
+        "max_epochs = 4\nrestart_period = inf\n"
+        "[reference]\nmode = oracle\n"
         "[output]\npath = out.csv\n",
         encoding="utf-8",
     )
@@ -764,26 +710,8 @@ def test_load_experiment_config_full(tmp_path):
     assert cfg.solver.max_epochs == 4
     assert cfg.solver.restart_period == float("inf")
     assert cfg.variants == ("apdpro", "apd")
-    assert cfg.reference_mode == "oracle" and cfg.budget_iters == 50
-    assert cfg.truncation == 1e-6
-    assert cfg.output_path == "out.csv" and cfg.x0_rule == "strict"
-
-
-@pytest.mark.parametrize("key", ["budget_iters", "budget_epochs"])
-def test_load_experiment_config_rejects_a_negative_budget(tmp_path, key):
-    """Checked when the config loads, naming the key, not when a long run is first built from it."""
-    with pytest.raises(ValueError, match=rf"^{key} must be nonnegative, got -1$"):
-        _load_text(tmp_path, f"[instance]\n[reference]\nmode = long-run\n{key} = -1\n")
-    assert getattr(_load_text(tmp_path, f"[instance]\n[reference]\n{key} = 0\n"), key) == 0
-    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got 2.5$"):  # it becomes a SolverConfig budget
-        ExperimentConfig(instance=InstanceSpec(kind="synthetic"), solver=SolverConfig(), **{key: 2.5})
-
-
-@pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1e-8"])
-def test_load_experiment_config_rejects_a_truncation_that_is_not_positive_and_finite(tmp_path, raw):
-    """A nan truncation once made active_set_acc read 1.0 on every row."""
-    with pytest.raises(ValueError, match=f"^truncation must be positive and finite, got {float(raw)!r}$"):
-        _load_text(tmp_path, f"[instance]\n[reference]\nmode = oracle\ntruncation = {raw}\n")
+    assert cfg.reference_mode == "oracle"
+    assert cfg.output_path == "out.csv"
 
 
 def test_load_experiment_config_rejects_typos(tmp_path):
@@ -804,6 +732,18 @@ def test_load_experiment_config_rejects_typos(tmp_path):
     # Step sizes come from the problem's constants; the keys that once overrode them are gone.
     with pytest.raises(ValueError, match="unknown key 'tau0'"):
         load("[instance]\n[solver]\ntau0 = 0.1\n")
+    # Runs start at zeros, active_set_acc reads zeros below 1e-8, and the long run has a fixed budget.
+    for section, key, value in (
+        ("solver", "x0", "strict"),
+        ("reference", "path", "ref.json"),
+        ("reference", "budget_iters", "50"),
+        ("reference", "budget_epochs", "4"),
+        ("reference", "truncation", "1e-6"),
+    ):
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in \[{section}\]$"):
+            load(f"[instance]\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match="^unknown reference mode 'file'$"):
+        load("[instance]\n[reference]\nmode = file\n")
     with pytest.raises(ValueError, match="unknown variant 'rapdpr'"):
         load("[instance]\n[solver]\nvariants = apdpro, rapdpr\n")
     # A repeated variant would run twice and write its CSV twice.

@@ -151,7 +151,7 @@ def _graph_case(family, n, rng, frac, alpha, r_rule, teleport):
     g_min = -0.5 * float(q_lin @ np.linalg.solve(q_dense, q_lin))
     problem = build_ppr_problem(graph, alpha, frac * g_min, s, r_rule)
     constants = derive_constants(problem)
-    x_star, y_star, _, _ = _solve_reference(InstanceBundle(problem, constants, None, "", None, ""), 200000, 60)
+    x_star, y_star, _, _ = _solve_reference(InstanceBundle(problem, constants, None, "", None, ""))
     x_tilde = problem.strict_point
     g_tilde = float(problem.g(x_tilde)[0])
     grad = problem.jac(x_tilde)[:, 0]

@@ -9,8 +9,9 @@ loaded somewhere in the package, so a public function whose only caller is
 its own test fails here. A ``# noqa: F401`` import and an allowed public name
 without a caller must be one that ``perfbench/tracing.py`` patches by name.
 Likewise every ``SolverConfig`` field must be read
-as an attribute somewhere in the package outside the class itself, and set
-by a keyword somewhere outside the tests.
+as an attribute somewhere in the package outside the class itself, and every
+``SolverConfig`` and ``ExperimentConfig`` field set by a keyword somewhere
+outside the tests, or be allowed by name with its reason.
 """
 
 import ast
@@ -218,11 +219,30 @@ def _fields_no_caller_sets(paths, class_name):
     return sorted(fields - set_by_name)
 
 
+def _config_paths():
+    """The non-test code that may set a config field: read as text, so nothing here is imported."""
+    return [p for top in ("src", "demos", "perfbench", "tools") for p in sorted((ROOT / top).rglob("*.py"))]
+
+
 def test_every_solver_config_field_is_set_outside_the_tests():
-    """A knob only tests set is a branch no run takes; read as text, so nothing here is imported."""
-    paths = [p for top in ("src", "demos", "perfbench", "tools") for p in sorted((ROOT / top).rglob("*.py"))]
+    """A knob only tests set is a branch no run takes."""
+    paths = _config_paths()
     assert SRC / "solvers.py" in paths
     assert _fields_no_caller_sets(paths, "SolverConfig") == []
+
+
+# ExperimentConfig field -> why it stays though no code outside the tests sets it by name
+SET_ONLY_BY_THE_INI_ALLOWED = {
+    "variants": "the compare command's list of variants, which only the INI sets",
+}
+
+
+def test_every_experiment_config_field_is_set_outside_the_tests():
+    """As for ``SolverConfig``, less the allowlist. ``InstanceSpec`` is left out: the workloads
+    set its fields through a dict, which this guard cannot see."""
+    paths = _config_paths()
+    assert SRC / "bench.py" in paths
+    assert _fields_no_caller_sets(paths, "ExperimentConfig") == sorted(SET_ONLY_BY_THE_INI_ALLOWED)
 
 
 def test_the_guard_sees_a_field_only_tests_set(tmp_path):

@@ -285,7 +285,7 @@ def test_assembled_q_runs_like_the_dense_oracle_q(small_graph_bundle):
     )
     x = problem.strict_point
     assert np.linalg.norm(dense.jac(x) - problem.jac(x)) <= 1e-15 * np.linalg.norm(q_mat @ x)
-    x_ref, y_ref, _, _ = _solve_reference(bundle, 200000, 60)  # not get_reference: no cache in the shared graph's dir
+    x_ref, y_ref, _, _ = _solve_reference(bundle)  # not get_reference: no cache in the shared graph's dir
     ref = x_ref, y_ref, problem.f(x_ref)
     zeros = np.zeros(problem.n), np.zeros(problem.m)
     for variant, runner, tol, iters in (("apdpro", apdpro, 1e-6, 20000), ("rapdpro", rapdpro, 1e-6, 20000),

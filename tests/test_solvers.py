@@ -209,6 +209,29 @@ def test_apdpro_step_and_cut_invariants(canonical):
     assert res.state.rho_est.rho == snaps[-1].rho_next
 
 
+@pytest.mark.parametrize("variant, runner", [("apdpro", apdpro), ("rapdpro", rapdpro)])
+@pytest.mark.parametrize("instance", ["canonical", "blocks", "synthetic3"])
+def test_the_dual_cut_binds_from_the_strict_point(canonical, variant, runner, instance):
+    """||y_{k+1}||_1 >= rho_k/mu_lb at every step. From zeros the cut's lower edge never binds; from
+    the strict point it binds at step 1, where ||y_2||_1 = rho_1/mu_lb to rounding."""
+    if instance == "canonical":
+        problem = canonical[0]
+    elif instance == "blocks":
+        problem = blocky_problem()
+    else:
+        problem = make_synthetic_instance(3, np.array([2.0, -1.0, 0.5]), 1.0)[0]
+    constants = derive_constants(problem)
+    snaps = []
+    runner(problem, constants, SolverConfig(variant=variant, max_iters=50), problem.strict_point.copy(),
+           np.zeros(problem.m), observer=snaps.append)
+    binding = 0
+    for s in snaps:
+        lower = s.rho / constants.mu_lb
+        assert s.y_next.sum() >= lower * (1.0 - 1e-12)
+        binding += s.rho > 0.0 and s.y_next.sum() <= lower * (1.0 + 1e-12)
+    assert binding >= 1
+
+
 def test_dual_bound_soundness_under_hypotheses(canonical):
     """Where their hypotheses hold, h1 and h2 are below ||y*||_1: the run's value where it evaluated
     the bound, else the bound of ||J|| evaluated afresh at the snapshot's point."""
