@@ -1,10 +1,10 @@
 """Experiment driver: instances, references, metrics, CSV traces.
 
-Wires a configured instance (synthetic or graph) to a solver variant,
-obtains a reference solution (the closed-form oracle, or a cached exact KKT
-solve or long run), attaches the metric recorder, runs from zeros, and
-writes one CSV row per recorded iteration with the exact header contract
-used by the plotting side.
+Wires a configured instance (synthetic or graph) to one or more solver
+variants: builds the instance once, obtains its reference solution once (the
+closed-form oracle, or a cached exact KKT solve or long run), then runs each
+variant from zeros with the metric recorder and writes one CSV row per
+recorded iteration with the exact header contract used by the plotting side.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "make_recorder",
     "write_csv",
     "run_experiment",
-    "run_comparison",
     "CSV_HEADER",
 ]
 
@@ -82,7 +81,8 @@ class ReferenceUnconvergedError(RuntimeError):
 @dataclass(frozen=True)
 class InstanceSpec:
     """What to build: kind = 'synthetic' (n, center, level) or 'graph'
-    (path, alpha, b, s, r_rule).
+    (path, alpha, b, s = 'uniform' or 'seed:k', r_rule = 'sqrt-degree', the
+    certified default, or 'degree'; see ``build_ppr_problem``).
 
     ``alpha``, ``b`` and ``level`` are stored as Python floats, so a value
     given as a numpy float keys the same reference cache entry.
@@ -96,7 +96,7 @@ class InstanceSpec:
     alpha: float = 0.5
     b: float = -0.05
     s: str = "uniform"
-    r_rule: str = "degree"
+    r_rule: str = "sqrt-degree"
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "graph"):
@@ -109,7 +109,8 @@ class InstanceSpec:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: instance + solver(s) + reference policy + output."""
+    """One experiment: instance + solver + the variants to run with it (by
+    default ``(solver.variant,)``) + reference policy + output (``_csv_paths``)."""
 
     instance: InstanceSpec
     solver: SolverConfig
@@ -152,11 +153,7 @@ def build_instance(spec: InstanceSpec) -> InstanceBundle:
         problem = build_ppr_problem(load_graph(spec.path), spec.alpha, spec.b, spec.s, spec.r_rule)
         with open(spec.path, "rb") as fh:
             sha = hashlib.sha256(fh.read()).hexdigest()[:16]
-        if isinstance(spec.s, str):
-            teleport = f"s={spec.s}"
-        else:  # every bit of the vector: str() rounds an array's entries and elides past 1,000 of them
-            teleport = f"s_sha={hashlib.sha256(np.asarray(spec.s, dtype=float).tobytes()).hexdigest()[:16]}"
-        identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|{teleport}|r_rule={spec.r_rule}"
+        identity = f"graph|sha={sha}|alpha={spec.alpha!r}|b={spec.b!r}|s={spec.s}|r_rule={spec.r_rule}"
         oracle, cache_dir, label = None, os.path.dirname(os.path.abspath(spec.path)), os.path.basename(spec.path)
     constants = derive_constants(problem)
     return InstanceBundle(problem, constants, oracle, identity, cache_dir, label)
@@ -398,39 +395,32 @@ def write_csv(path: str, trace) -> None:
             fh.write("".join(map(line, map(_ROW, trace[i:i + _CHUNK_ROWS]))))
 
 
-def _run_one(bundle, solver_config: SolverConfig, reference, output_path):
-    problem = bundle.problem
-    recorder = make_recorder(problem, solver_config.variant, solver_config, reference)
-    result = _RUNNERS[solver_config.variant](
-        problem, bundle.constants, solver_config, np.zeros(problem.n), np.zeros(problem.m), recorder=recorder
-    )
-    if output_path:
-        write_csv(output_path, result.trace)
-    return result
-
-
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Build, reference, run, and write the CSV for one solver."""
-    bundle = build_instance(config.instance)
-    reference = get_reference(bundle, config)
-    return _run_one(bundle, config.solver, reference, config.output_path)
-
-
-def _variant_path(path: str | None, variant: str) -> str | None:
-    if path is None:
-        return None
+def _csv_paths(config: ExperimentConfig) -> dict:
+    """variant -> CSV path: ``output_path`` itself for one variant, else (and if
+    there is one) ``<stem>-<variant><ext>``, ``.csv`` when it has no extension."""
+    path, variants = config.output_path, config.variants
+    if not path or len(variants) == 1:
+        return dict.fromkeys(variants, path)
     stem, ext = os.path.splitext(path)
-    return f"{stem}-{variant}{ext or '.csv'}"
+    return {variant: f"{stem}-{variant}{ext or '.csv'}" for variant in variants}
 
 
-def run_comparison(config: ExperimentConfig) -> dict:
-    """Run every configured variant on the shared instance and reference."""
+def run_experiment(config: ExperimentConfig) -> dict[str, RunResult]:
+    """Build the instance and its reference once, then run every variant in
+    ``config.variants`` on them from zeros and write each one's CSV
+    (``_csv_paths``). Returns {variant: RunResult} in list order."""
     bundle = build_instance(config.instance)
     reference = get_reference(bundle, config)
+    problem = bundle.problem
     results = {}
-    for variant in config.variants:
-        scfg = dataclasses.replace(config.solver, variant=variant)
-        results[variant] = _run_one(bundle, scfg, reference, _variant_path(config.output_path, variant))
+    for variant, path in _csv_paths(config).items():
+        solver_config = dataclasses.replace(config.solver, variant=variant)
+        recorder = make_recorder(problem, variant, solver_config, reference)
+        results[variant] = result = _RUNNERS[variant](
+            problem, bundle.constants, solver_config, np.zeros(problem.n), np.zeros(problem.m), recorder=recorder
+        )
+        if path:
+            write_csv(path, result.trace)
     return results
 
 

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (one experiment from a config file), ``compare`` (the
-config's solver list, one CSV per variant) and ``reference`` (compute and
-cache the reference only).
+Subcommands: ``run`` (every variant a config file lists, on one instance and
+one reference, one CSV each) and ``reference`` (compute and cache the
+reference only).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive primal-dual solvers for sparse problems with strongly convex constraints.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    _add_config_arg(commands.add_parser("run", help="run one configured experiment, write its CSV"))
-    _add_config_arg(commands.add_parser("compare", help="run every variant in the config, one CSV each"))
+    _add_config_arg(commands.add_parser("run", help="run the configured variants, one CSV each"))
     _add_config_arg(commands.add_parser("reference", help="compute and cache the reference solution"))
     return parser
 
@@ -58,15 +57,9 @@ def _command(command: str, config) -> int:
     if command == "run":
         if not config.output_path:
             raise ValueError("run needs [output] path in the config")
-        result = bench.run_experiment(config)
-        _summarize(config.solver.variant, result, config.output_path)
-        return 0
-    if command == "compare":
-        if not config.output_path:
-            raise ValueError("compare needs [output] path in the config")
-        results = bench.run_comparison(config)
-        for variant, result in results.items():
-            _summarize(variant, result, bench._variant_path(config.output_path, variant))
+        paths = bench._csv_paths(config)
+        for variant, result in bench.run_experiment(config).items():
+            _summarize(variant, result, paths[variant])
         return 0
     # reference
     if config.reference_mode == "none":

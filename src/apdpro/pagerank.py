@@ -223,32 +223,24 @@ def _ritz_bound(qmatvec, n: int) -> float:
 
 
 def _resolve_teleport(s, n: int) -> np.ndarray:
-    if isinstance(s, str):
-        if s == "uniform":
-            return np.full(n, 1.0 / n)
-        if s.startswith("seed:"):
-            try:
-                k = int(s[5:])
-            except ValueError:
-                raise ValueError(f"bad teleport spec {s!r}") from None
-            if not 0 <= k < n:
-                raise ValueError(f"teleport seed {k} out of range for {n} nodes")
-            out = np.zeros(n)
-            out[k] = 1.0
-            return out
-        raise ValueError(f"bad teleport spec {s!r}; expected 'uniform', 'seed:k', or a vector")
-    out = _vec(s, n, "s")
-    if not np.isfinite(out).all():  # nan passes both checks below
-        raise ValueError("s must be finite, got a nan or inf entry")
-    if np.any(out < 0):
-        raise ValueError("teleport vector must be nonnegative")
-    total = float(out.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"teleport vector must sum to 1, got {total:.6g}")
-    return out / total
+    if not isinstance(s, str):  # first: an array would compare with "uniform" entry by entry
+        raise ValueError(f"teleport spec must be 'uniform' or 'seed:k', got a {type(s).__name__}")
+    if s == "uniform":
+        return np.full(n, 1.0 / n)
+    if not s.startswith("seed:"):
+        raise ValueError(f"bad teleport spec {s!r}; expected 'uniform' or 'seed:k'")
+    try:
+        k = int(s[5:])
+    except ValueError:
+        raise ValueError(f"bad teleport spec {s!r}") from None
+    if not 0 <= k < n:
+        raise ValueError(f"teleport seed {k} out of range for {n} nodes")
+    return np.eye(1, n, k)[0]
 
 
-def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule: str = "degree") -> ConstrainedProblem:
+def build_ppr_problem(
+    graph: Graph, alpha: float, b: float, s: str = "uniform", r_rule: str = "sqrt-degree"
+) -> ConstrainedProblem:
     """Assemble the personalized-PageRank instance for a graph.
 
     Parameters
@@ -259,13 +251,14 @@ def build_ppr_problem(graph: Graph, alpha: float, b: float, s="uniform", r_rule:
     b : float
         Constraint level; must leave the unconstrained minimum of g strictly
         negative or the instance is rejected.
-    s : array_like or str
-        Teleport distribution: a simplex vector, "uniform", or "seed:k".
+    s : str
+        Teleport distribution: "uniform" or "seed:k" (all mass on node k);
+        anything else, a vector included, raises ValueError.
     r_rule : str
-        Subgradient floor r: "sqrt-degree" (min_i sqrt(d_i)) or "degree"
-        (min_i d_i). Only "sqrt-degree" is certified: the weights are
-        sqrt(d_i), so when x* != 0 the optimal subgradient has norm at
-        least min_i sqrt(d_i), and no more can be proved in general.
+        Subgradient floor r: "sqrt-degree" (min_i sqrt(d_i), the default)
+        or "degree" (min_i d_i). Only "sqrt-degree" is certified: the
+        weights are sqrt(d_i), so when x* != 0 the optimal subgradient has
+        norm at least min_i sqrt(d_i), and no more can be proved in general.
         "degree" exceeds that floor on every graph whose degrees are all at
         least 2 and is not a certified bound: the Improve bounds h1 and h2,
         and with them rho, may then overstate mu ||y*||_1.

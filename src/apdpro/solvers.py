@@ -142,9 +142,9 @@ class SolverConfig:
     ``max_epochs`` are nonnegative integers, ``restart_period`` an integer
     >= 1 (int or integral float, as the INI reads it) or inf (no restart).
 
-    One config is shared across variants by ``bench.run_comparison``, so two
-    fields are read by some variants only: ``restart_period`` by apd_restart
-    and ``max_epochs`` by rapdpro and msapd.
+    ``bench.run_experiment`` shares one config across the variants it runs,
+    so two fields are read by some variants only: ``restart_period`` by
+    apd_restart and ``max_epochs`` by rapdpro and msapd.
     """
 
     variant: str = "apdpro"

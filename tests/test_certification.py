@@ -146,10 +146,12 @@ def _graph_case(family, n, rng, frac, alpha, r_rule, teleport):
     graph = _graph(max(max(e) for e in edges) + 1, edges)
     n = graph.n
     q_dense = ppr_q_dense(n, edges, alpha)
-    s = np.full(n, 1.0 / n) if teleport == "uniform" else np.eye(n)[int(teleport[5:]) % n]
+    if teleport != "uniform":
+        teleport = f"seed:{int(teleport[5:]) % n}"
+    s = np.full(n, 1.0 / n) if teleport == "uniform" else np.eye(n)[int(teleport[5:])]
     q_lin = alpha * s / np.sqrt(graph.degrees)
     g_min = -0.5 * float(q_lin @ np.linalg.solve(q_dense, q_lin))
-    problem = build_ppr_problem(graph, alpha, frac * g_min, s, r_rule)
+    problem = build_ppr_problem(graph, alpha, frac * g_min, teleport, r_rule)
     constants = derive_constants(problem)
     x_star, y_star, _, _ = _solve_reference(InstanceBundle(problem, constants, None, "", None, ""))
     x_tilde = problem.strict_point

@@ -30,9 +30,11 @@ def test_run_writes_trace(tmp_path, capsys):
     assert "apdpro: completed" in captured
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 501
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "run.csv"]  # one variant: the path itself
 
 
 def test_compare_writes_one_csv_per_variant(tmp_path, capsys):
+    """``run`` with several variants writes <stem>-<variant>.csv for each and prints a summary for each."""
     out = tmp_path / "cmp.csv"
     cfg = _write_config(tmp_path, (
         "[instance]\nkind = synthetic\n"
@@ -40,13 +42,36 @@ def test_compare_writes_one_csv_per_variant(tmp_path, capsys):
         "[reference]\nmode = oracle\n"
         f"[output]\npath = {out}\n"
     ))
-    assert main(["compare", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     for variant in ("apdpro", "apd"):
         path = tmp_path / f"cmp-{variant}.csv"
-        assert path.exists()
+        assert f"{variant}: completed after 200 recorded iterations" in captured
         assert f"wrote {path}" in captured
         assert len(path.read_text(encoding="utf-8").splitlines()) == 201
+    assert sorted(os.listdir(tmp_path)) == ["cmp-apd.csv", "cmp-apdpro.csv", "exp.ini"]
+
+
+def test_a_one_entry_variant_list_writes_the_plain_path(tmp_path, capsys):
+    out = tmp_path / "one"  # no extension: kept as written
+    cfg = _write_config(tmp_path, (
+        "[instance]\nkind = synthetic\n"
+        "[solver]\nvariants = rapdpro\nmax_iters = 100\n"
+        "[reference]\nmode = oracle\n"
+        f"[output]\npath = {out}\n"
+    ))
+    assert main(["run", "--config", cfg]) == 0
+    captured = capsys.readouterr().out
+    assert captured.startswith("rapdpro: ") and captured.endswith(f"wrote {out}\n")
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "one"]
+
+
+def test_compare_is_no_longer_a_command(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "[instance]\nkind = synthetic\n")
+    with pytest.raises(SystemExit) as info:
+        main(["compare", "--config", cfg])
+    assert info.value.code == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def test_reference_oracle_prints_objective(tmp_path, capsys):
@@ -128,9 +153,8 @@ def test_run_requires_output_section(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, text, message", [
-    ("compare", "", "compare needs [output] path"),
     ("reference", "[reference]\nmode = none\n", "reference subcommand needs [reference] mode"),
-], ids=["compare", "reference"])
+], ids=["reference"])
 def test_compare_and_reference_require_their_sections(tmp_path, capsys, command, text, message):
     _assert_config_fault(tmp_path, capsys, command, text, message)
 
@@ -156,7 +180,7 @@ def test_misspelled_variant_fails_before_any_work(tmp_path, capsys):
         "[reference]\nmode = oracle\n"
         f"[output]\npath = {out}\n"
     ))
-    assert main(["compare", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg]) == 2
     assert "unknown variant 'rapdpr'" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["exp.ini"]  # no trace of apdpro, the variant before it
 
@@ -167,7 +191,7 @@ def test_missing_command_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "reference"])
+@pytest.mark.parametrize("command", ["run", "reference"])
 def test_bad_instance_is_an_error_line_not_a_traceback(tmp_path, capsys, command):
     """A malformed or missing graph file, an unattainable b and a nan b exit 2 with one 'error:' line."""
     (tmp_path / "bad.txt").write_text("0 1\n1 x\n", encoding="utf-8")

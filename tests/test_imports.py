@@ -199,11 +199,14 @@ def test_the_guard_sees_an_unread_field(tmp_path):
 
 def _fields_no_caller_sets(paths, class_name):
     """Fields of class ``class_name`` that no keyword of a ``class_name(...)`` or ``replace(...)``
-    call in ``paths`` sets.
+    call in ``paths`` sets, and no string key of a dict display with a ``"kind"`` key.
 
     Calls match by the callee's name alone (``replace`` on any object
     counts), and a ``**`` argument sets nothing: the INI loader passes any
     field that way, so only code that names a field counts as its caller.
+    A dict display with a ``"kind"`` key is an ``InstanceSpec`` written out,
+    as ``perfbench/workloads.py`` writes each workload's instances, so its
+    string keys count as set.
     """
     fields, set_by_name = set(), set()
     for path in paths:
@@ -216,6 +219,10 @@ def _fields_no_caller_sets(paths, class_name):
                 callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if callee in (class_name, "replace"):
                     set_by_name.update(kw.arg for kw in node.keywords if kw.arg is not None)
+            elif isinstance(node, ast.Dict):
+                keys = [k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)]
+                if "kind" in keys:
+                    set_by_name.update(keys)
     return sorted(fields - set_by_name)
 
 
@@ -233,28 +240,37 @@ def test_every_solver_config_field_is_set_outside_the_tests():
 
 # ExperimentConfig field -> why it stays though no code outside the tests sets it by name
 SET_ONLY_BY_THE_INI_ALLOWED = {
-    "variants": "the compare command's list of variants, which only the INI sets",
+    "variants": "the run command's list of variants, which only the INI sets",
 }
 
 
 def test_every_experiment_config_field_is_set_outside_the_tests():
-    """As for ``SolverConfig``, less the allowlist. ``InstanceSpec`` is left out: the workloads
-    set its fields through a dict, which this guard cannot see."""
+    """As for ``SolverConfig``, less the allowlist."""
     paths = _config_paths()
     assert SRC / "bench.py" in paths
     assert _fields_no_caller_sets(paths, "ExperimentConfig") == sorted(SET_ONLY_BY_THE_INI_ALLOWED)
+
+
+def test_every_instance_spec_field_is_set_outside_the_tests():
+    """As for ``SolverConfig``: ``path`` by the harness's keyword, the rest by a workload's dict
+    or the demo's keywords."""
+    paths = _config_paths()
+    assert ROOT / "perfbench" / "workloads.py" in paths
+    assert _fields_no_caller_sets(paths, "InstanceSpec") == []
 
 
 def test_the_guard_sees_a_field_only_tests_set(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "import dataclasses\nfrom dataclasses import dataclass\n\n@dataclass\nclass SolverConfig:\n"
-        "    named: int = 0\n    replaced: int = 0\n    probe: int = 0\n\n\n"
+        "    named: int = 0\n    replaced: int = 0\n    probe: int = 0\n"
+        "    in_dict: int = 0\n    in_plain_dict: int = 0\n\n\n"
         "def run(kwargs):\n    cfg = SolverConfig(named=1, **kwargs)\n"
-        "    return dataclasses.replace(cfg, replaced=2).probe\n",
+        "    spec = {'kind': 'probe', 'in_dict': 3}\n    other = {'in_plain_dict': 4}\n"
+        "    return dataclasses.replace(cfg, replaced=2).probe, spec, other\n",
         encoding="utf-8",
     )
-    assert _fields_no_caller_sets([probe], "SolverConfig") == ["probe"]
+    assert _fields_no_caller_sets([probe], "SolverConfig") == ["in_plain_dict", "probe"]
 
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():

@@ -752,6 +752,18 @@ _H2_CASES = [
 ]
 
 
+def _iters_for_two_epochs(problem, constants, variant):
+    """max_iters of 2000, or for rapdpro room for its first epoch to run to its budget and a second
+    to start: the iterations a one-epoch run takes, which end at the first step j >= N_0. On
+    small_graph, with r = sqrt(min degree), that is 2376 (epoch_budgets[0] = 2375)."""
+    if variant != "rapdpro":
+        return 2000
+    first = rapdpro(problem, constants, SolverConfig(variant="rapdpro", max_iters=10**6),
+                    np.zeros(problem.n), np.zeros(problem.m))
+    assert first.termination == "completed" and first.state.k >= first.epoch_budgets[0]
+    return max(2000, first.state.k)
+
+
 def _h2_instance(request, instance):
     """``_instance``'s (problem, constants); a name ending in ``_rho_lb_0`` sets rho_lb = 0."""
     if instance.endswith("_rho_lb_0"):
@@ -767,7 +779,7 @@ def test_h2_reads_the_jacobian_at_x_bar(request, instance, variant, runner):
     the running average J_bar. Every run evaluates it but for the pairs in _H2_NEVER_EVALUATED."""
     problem, constants = _h2_instance(request, instance)
     snaps = []
-    cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=1)
+    cfg = SolverConfig(variant=variant, max_iters=_iters_for_two_epochs(problem, constants, variant), max_epochs=1)
     runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
     assert len({sn.epoch for sn in snaps}) == (1 if variant == "apdpro" else 2)
     rel = 0.0 if problem.quadratic is None else 1e-10
@@ -812,7 +824,8 @@ def test_the_loop_hands_its_kernels_the_values_they_assume(request, instance, va
     never empty. rapdpro seeds rho_hat afresh at each epoch's first step."""
     problem, constants = _instance(request, instance)
     snaps = []
-    cfg = SolverConfig(variant=variant, max_iters=2000, max_epochs=3, restart_period=40)
+    max_iters = _iters_for_two_epochs(problem, constants, variant)
+    cfg = SolverConfig(variant=variant, max_iters=max_iters, max_epochs=3, restart_period=40)
     runner(problem, constants, cfg, np.zeros(problem.n), np.zeros(problem.m), observer=snaps.append)
     assert snaps
     cap = constants.mu_lb * constants.c_bar
