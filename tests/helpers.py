@@ -1,6 +1,8 @@
 """Small shared test utilities: graph files, random partitions, slope fits, trace comparison."""
 
 import math
+import pathlib
+import sys
 
 import numpy as np
 
@@ -27,6 +29,37 @@ def blocky_problem():
         jacobian=lambda x: (x - c).reshape(n, 1),
         mu=np.ones(1), L_X=1.0, r=1.0, strict_point=c,
     )
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH_MODULES = ("harness", "hostspeed", "tracing", "workloads")
+
+
+class NoProbe:
+    """Stands in for the benchmark's host probe: a round's traces do not depend on the host's speed."""
+
+    def sample(self) -> float:
+        return 0.0
+
+
+def import_perfbench():
+    """(harness, workloads), imported from the benchmark directory and dropped from sys.modules after.
+
+    The directory is loaded read-only: no bytecode is written there.
+    """
+    saved_modules = {name: sys.modules.pop(name) for name in PERFBENCH_MODULES if name in sys.modules}
+    saved_path, saved_bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True  # leave the benchmark directory untouched
+    try:
+        import harness
+        import workloads
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved_path, saved_bytecode
+        for name in PERFBENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved_modules)
+    return harness, workloads
 
 
 def q_times(problem, v):

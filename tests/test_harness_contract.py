@@ -3,48 +3,23 @@
 ``perfbench/harness.py`` calls the library directly: ``make_recorder`` with
 five positional arguments, ``get_reference``, the entry points with
 ``recorder=`` and ``f_star=``, ``result.state.k``, ``write_csv`` and
-``kkt_residual``. Nothing else in tier-1 runs it, so a change to any of
-these would first show as a failed benchmark. This test runs one untraced
-round on two small instances and its correctness gate. The benchmark
-directory is loaded read-only: no bytecode is written there.
+``kkt_residual``. Without a tier-1 run of it, a change to any of these
+would first show as a failed benchmark. This test runs one untraced round
+on two small instances and its correctness gate; ``test_iteration_counts``
+runs the workloads' own rounds. The benchmark directory is loaded
+read-only: no bytecode is written there.
 """
-
-import pathlib
-import sys
 
 import numpy as np
 import pytest
 
 from apdpro.pagerank import build_ppr_problem, load_graph
-from helpers import chorded_path_edges, write_edge_list
-
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-MODULES = ("harness", "hostspeed", "tracing", "workloads")
-
-
-class _NoProbe:
-    """Stands in for the host probe: the gate does not depend on the host's speed."""
-
-    def sample(self) -> float:
-        return 0.0
+from helpers import NoProbe, chorded_path_edges, import_perfbench, write_edge_list
 
 
 @pytest.fixture(scope="module")
 def perfbench():
-    """(harness, workloads), imported from the benchmark directory and dropped from sys.modules after."""
-    saved_modules = {name: sys.modules.pop(name) for name in MODULES if name in sys.modules}
-    saved_path, saved_bytecode = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True  # leave the benchmark directory untouched
-    try:
-        import harness
-        import workloads
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved_path, saved_bytecode
-        for name in MODULES:
-            sys.modules.pop(name, None)
-        sys.modules.update(saved_modules)
-    return harness, workloads
+    return import_perfbench()
 
 
 def test_one_benchmark_round_passes_its_gate(perfbench, tmp_path):
@@ -61,7 +36,7 @@ def test_one_benchmark_round_passes_its_gate(perfbench, tmp_path):
     )
     workdir = tmp_path / "round"
     workdir.mkdir()
-    rr = harness.run_round([canonical, graph], str(workdir), None, _NoProbe())
+    rr = harness.run_round([canonical, graph], str(workdir), None, NoProbe())
     harness.check_round(rr, None)
     assert rr.failures == []
     solved = [(s.label, s.variant, s.termination) for s in rr.solves]
