@@ -1,7 +1,7 @@
 """Adaptive accelerated primal-dual solvers for sparse problems with
 strongly convex functional constraints.
 
-The pieces: block-norm problems and their derived constants (``problem``),
+The pieces: weighted-l1 problems and their derived constants (``problem``),
 proximal and projection operators (``prox``), the strong-convexity
 estimator (``estimator``), the solver family (``solvers``), sparse
 personalized-PageRank instances (``pagerank``), and the experiment driver

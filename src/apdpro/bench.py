@@ -165,7 +165,7 @@ def _solve_reference(bundle: InstanceBundle):
     ``_REFERENCE_EPOCHS``; ``how`` names the method (and the active-set
     steps) for the cache."""
     problem = bundle.problem
-    if problem.quadratic is not None and problem.m == 1 and len(problem.objective.blocks) == problem.n:
+    if problem.quadratic is not None and problem.m == 1:
         try:
             exact = _active_set_kkt(problem)
         except NumericalError:

@@ -320,7 +320,7 @@ def build_ppr_problem(
     lam_max = min(1.0, _ritz_bound(qmatvec, n))
     x_tilde = cg_solve(qmatvec, q_lin, tol=1e-12)
     weights = np.sqrt(graph.degrees)
-    objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=weights)
+    objective = BlockNormObjective(weights)
     r = float(graph.degrees.min()) if r_rule == "degree" else float(weights.min())
 
     def constraints(x):
@@ -393,7 +393,7 @@ def make_synthetic_instance(n: int, center, level: float):
     def jacobian(x):
         return (x - c).reshape(n, 1)
 
-    objective = BlockNormObjective(blocks=np.stack([np.arange(n), np.ones(n, np.intp)], axis=1), weights=np.ones(n))
+    objective = BlockNormObjective(np.ones(n))
     problem = ConstrainedProblem(
         objective=objective,
         constraints=constraints,

@@ -1,5 +1,7 @@
 """Exact proximal and projection oracles used by every solver step.
 
+The prox is that of the weighted l1 norm f(x) = sum_i w_i |x_i| restricted
+to the primal ball; the projection is onto the cut dual set.
 ``prox_f_over_ball``, ``block_soft_threshold`` (defined in ``problem``) and
 ``project_dual_set`` are the loop's kernels: they take the driver's float64
 vectors and scalars as given and check nothing, so their preconditions are
@@ -44,7 +46,7 @@ def prox_f_over_ball(
     eta : float
         Step size, > 0: the driver's tau (see ``solvers.stepsize_update``).
     objective : BlockNormObjective
-        Defines f.
+        Defines f by its weights w.
     ball : (center, radius)
         The primal ball X: the problem's float64 ``strict_point``
         (``ConstrainedProblem`` converts it) and ``derive_constants``'
@@ -64,25 +66,25 @@ def prox_f_over_ball(
 
     Notes
     -----
-    A scalar multiplier lam >= 0 enforces the ball: x(lam) is the block
-    soft-threshold of w(lam) = (v/eta + lam*center)/(1/eta + lam) at the
+    A scalar multiplier lam >= 0 enforces the ball: x(lam) is the soft
+    threshold of u(lam) = (v/eta + lam*center)/(1/eta + lam) at the
     effective step 1/(1/eta + lam), and ||x(lam) - center|| falls as lam
     grows. lam = 0 when the unconstrained prox is already feasible.
     Otherwise lam is solved for until ||x(lam) - center|| lies in
     [(1 - 1e-14) R, R], and the last trial inside the ball is returned.
 
-    - With singleton blocks, each step first tries the multiplier's closed
-      form on the active set A of the last trial (its nonzero coordinates,
-      signs s): on A, x - center is (v/eta - s p - center/eta)/(1/eta + lam),
-      and off A it is -center, so the trial's own distance on A, rescaled,
-      gives the root. Once A stands, that step lands on it: counting the
+    - Each step first tries the multiplier's closed form on the active set
+      A of the last trial (its nonzero coordinates, signs s): on A,
+      x - center is (v/eta - s w - center/eta)/(1/eta + lam), and off A it
+      is -center, so the trial's own distance on A, rescaled, gives the
+      root. Once A stands, that step lands on it: counting the
       unconstrained trial, a binding call costs 2 to 6 soft thresholds on
       the benchmark's workloads (README).
-    - Otherwise, and whenever that step leaves the bracket, the bracket
-      gives the step. Its upper end comes in closed form: w(lam) - center
-      is (v - center)/(eta (1/eta + lam)), and each block moves at most
-      p_i/(1/eta + lam) from w(lam), so the radius is met by lam_hi =
-      (||v - center||/eta + ||p||)/R - 1/eta. lam_hi is doubled should
+    - Whenever that step leaves the bracket, the bracket gives the step.
+      Its upper end comes in closed form: u(lam) - center is
+      (v - center)/(eta (1/eta + lam)), and each coordinate moves at most
+      w_i/(1/eta + lam) from u(lam), so the radius is met by lam_hi =
+      (||v - center||/eta + ||w||)/R - 1/eta. lam_hi is doubled should
       rounding leave x(lam_hi) outside. Within the bracket the step is
       Illinois's (regula falsi that halves the stale end's residual).
     """
@@ -111,13 +113,12 @@ def prox_f_over_ball(
         room = target * target - (dd.sum() - on)
         return (inv_eta + lam) * math.sqrt(on / room) - inv_eta if room > 0.0 else math.nan
 
-    singletons = objective._singletons
     lam = 0.0
     lo, f_lo = 0.0, dist - target
     hi, f_hi, x_hi = math.inf, -math.inf, None
     last_side = 0
     for _ in range(_ROOT_STEPS):
-        lam = active_set_root(x, d, lam) if singletons else math.nan
+        lam = active_set_root(x, d, lam)
         if not lo < lam < hi:
             if x_hi is None:  # nothing inside the ball yet: the bound, doubled should rounding defeat it
                 bound = (_norm(v - center) * inv_eta + _norm(objective.weights)) / target - inv_eta

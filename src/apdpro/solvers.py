@@ -216,15 +216,15 @@ def _metrics_recorder(problem: ConstrainedProblem, reference, threshold: float =
 
     ``reference`` is (x*, f*) or None. rel_gap needs f* != 0 and
     active_set_acc needs x*, else they stay None (empty CSV fields). x*'s
-    zero pattern (block norms under ``threshold``) is computed once, here;
-    each record takes its iterate's block norms once, for f (bitwise
-    problem.f) and the accuracy, the fraction of blocks whose zero status
-    matches x*'s.
+    zero pattern (|x*_i| under ``threshold``) is computed once, here; each
+    record takes its iterate's |x_i| once, for f (bitwise problem.f) and
+    the accuracy, the fraction of coordinates whose zero status matches
+    x*'s.
     """
     obj = problem.objective
-    weights, blocks = obj.weights, len(obj.blocks)
+    weights, n = obj.weights, problem.n
     x_ref, f_ref = (None, 0.0) if reference is None else reference
-    if x_ref is not None and not (math.isfinite(threshold) and threshold > 0):  # nan or inf: every block would match x*
+    if x_ref is not None and not (math.isfinite(threshold) and threshold > 0):  # nan or inf: every coordinate would match x*
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     ref_zero = None if x_ref is None else obj.block_norms(x_ref) < threshold
 
@@ -232,7 +232,7 @@ def _metrics_recorder(problem: ConstrainedProblem, reference, threshold: float =
         norms = obj.block_norms(ri.x)
         fv = float(weights.dot(norms))  # dot, not matmul: bitwise, at about half the dispatch cost
         rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
-        acc = None if x_ref is None else float(np.count_nonzero((norms < threshold) == ref_zero) / blocks)
+        acc = None if x_ref is None else float(np.count_nonzero((norms < threshold) == ref_zero) / n)
         feas = _norm(np.maximum(ri.g, 0.0))
         return IterateRecord(ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
 

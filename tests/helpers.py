@@ -1,4 +1,4 @@
-"""Small shared test utilities: graph files, random partitions, slope fits, trace comparison."""
+"""Small shared test utilities: graph files, the benchmark loader, slope fits, trace comparison."""
 
 import math
 import pathlib
@@ -20,11 +20,11 @@ class NdarraySubclass(np.ndarray):
     """An ndarray subclass: input checks convert it to a plain ndarray, never pass it through."""
 
 
-def blocky_problem():
-    """n = 6 in blocks of 2, 1 and 3 under one ball constraint, strict point its center."""
+def unequal_weights_problem():
+    """n = 6 under unequal weights, one of them zero, and one ball constraint, strict point its center."""
     n, c = 6, np.array([1.0, -0.5, 2.0, 0.3, 0.0, -1.0])
     return ConstrainedProblem(
-        objective=BlockNormObjective(blocks=((0, 2), (2, 1), (3, 3)), weights=(1.0, 0.5, 2.0)),
+        objective=BlockNormObjective((1.0, 0.0, 0.5, 2.0, 2.0, 1.5)),
         constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - 1.0]),
         jacobian=lambda x: (x - c).reshape(n, 1),
         mu=np.ones(1), L_X=1.0, r=1.0, strict_point=c,
@@ -91,16 +91,6 @@ def chorded_path_edges(n, chords, seed):
     """A path on n nodes plus up to ``chords`` random edges (self-loops dropped)."""
     rng = np.random.default_rng(seed)
     return path_edges(n) + [tuple(map(int, e)) for e in rng.integers(0, n, size=(chords, 2)) if e[0] != e[1]]
-
-
-def random_partition(rng, n):
-    """Random contiguous (start, length) block partition of range(n)."""
-    if n == 1:
-        return ((0, 1),)
-    size = int(rng.integers(0, n))
-    cuts = sorted(rng.choice(np.arange(1, n), size=size, replace=False))
-    edges = [0, *cuts, n]
-    return tuple((edges[i], edges[i + 1] - edges[i]) for i in range(len(edges) - 1))
 
 
 def loglog_slope(ks, vals, lo, hi, floor=1e-300):

@@ -3,14 +3,14 @@
 Nothing here calls into the package's operator implementations. The prox
 oracle is a dense scan (literal in 1-D) whose higher-dimensional refinement
 is Douglas-Rachford splitting built from two textbook pieces written out
-here: the block soft threshold and the Euclidean ball projection. The dual
+here: the weighted soft threshold and the Euclidean ball projection. The dual
 projection oracle enumerates KKT active sets. The synthetic family's
 multiplier is found by bisection. The PageRank KKT check builds Q as a
 dense matrix from the edge list. rapdpro's rate coefficients and epoch
 budgets are recomputed from an epoch's certified rho values. msapd's
 rho_lb along the segment to p is the best of a plain grid of certified
-points. The Lagrangian and the active-set accuracy take block norms here,
-one block at a time. The trace-record oracle is the exception that proves the
+points. The Lagrangian and the active-set accuracy take |x_i| here, one
+coordinate at a time. The trace-record oracle is the exception that proves the
 recorder's shortcuts: it takes f and G from the problem's own ``f`` and
 ``g``, whose values the recorder must reproduce bitwise, and assembles the
 rest here. Slow and simple on purpose.
@@ -25,33 +25,29 @@ from fractions import Fraction
 import numpy as np
 
 
-def _f_value(x, blocks, weights):
+def _f_value(x, weights):
+    """The weighted l1 norm sum_i w_i |x_i|, one coordinate at a time."""
     total = 0.0
-    for (s, ln), w in zip(blocks, weights):
-        total += w * np.linalg.norm(x[s : s + ln])
+    for xi, w in zip(x, weights):
+        total += w * abs(xi)
     return total
 
 
 def lagrangian_oracle(problem, x, y):
-    """L(x, y) = f(x) + <y, G(x)>, with f summed here block by block and G from the problem's
+    """L(x, y) = f(x) + <y, G(x)>, with f summed here coordinate by coordinate and G from the problem's
     raw ``constraints`` callable. No sign condition on y."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     g = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
-    return float(_f_value(x, problem.objective.blocks, problem.objective.weights) + y @ g)
+    return float(_f_value(x, problem.objective.weights) + y @ g)
 
 
-def active_set_oracle(x, x_ref, threshold, blocks):
-    """Fraction of blocks whose zero status matches the reference's: (|A ^ A*| + |A^c ^ A*^c|)/B.
+def active_set_oracle(x, x_ref, threshold):
+    """Fraction of coordinates whose zero status matches the reference's: (|A ^ A*| + |A^c ^ A*^c|)/n.
 
-    ``blocks`` holds (start, length) pairs; a block counts as zero when its
-    norm (``np.linalg.norm`` of its slice) falls below ``threshold`` > 0.
+    A coordinate counts as zero when its magnitude falls below ``threshold`` > 0.
     """
-    x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
-    same = sum(
-        (np.linalg.norm(x[s : s + ln]) < threshold) == (np.linalg.norm(x_ref[s : s + ln]) < threshold)
-        for s, ln in blocks
-    )
-    return float(same / len(blocks))
+    same = sum((abs(float(a)) < threshold) == (abs(float(b)) < threshold) for a, b in zip(x, x_ref))
+    return float(same / len(x))
 
 
 def record_oracle(problem, ri, reference, threshold):
@@ -68,42 +64,39 @@ def record_oracle(problem, ri, reference, threshold):
     if reference is not None:
         x_ref, f_ref = reference
         rel = abs(fv - f_ref) / abs(f_ref) if f_ref != 0.0 else None
-        acc = None if x_ref is None else active_set_oracle(ri.x, x_ref, threshold, problem.objective.blocks)
+        acc = None if x_ref is None else active_set_oracle(ri.x, x_ref, threshold)
     feas = float(np.linalg.norm(np.maximum(problem.g(ri.x), 0.0)))
     return (ri.iter, ri.epoch, fv, rel, feas, ri.rho, ri.tau, ri.sigma, acc, ri.elapsed_s)
 
 
-def soft_threshold_blocks(z, blocks, weights, step):
-    """The prox of step*f: each block scaled by max(0, 1 - step*w/||block||), zero at or under
-    the threshold. The block norm is math.hypot's, which neither underflows nor overflows."""
+def soft_threshold_oracle(z, weights, step):
+    """The prox of step*f: each coordinate scaled by max(0, 1 - step*w_i/|z_i|), zero at or under
+    the threshold step*w_i."""
     out = z.copy()
-    for (s, ln), w in zip(blocks, weights):
-        blk = z[s : s + ln]
-        nb = math.hypot(*blk)
-        t = step * w
-        out[s : s + ln] = 0.0 if nb <= t else blk * (1.0 - t / nb)
+    for i, w in enumerate(weights):
+        a, t = abs(float(z[i])), step * w
+        out[i] = 0.0 if a <= t else z[i] * (1.0 - t / a)
     return out
 
 
-def prox_oracle(v, eta, blocks, weights, center, radius):
+def prox_oracle(v, eta, weights, center, radius):
     """argmin f(x) + ||x - v||^2/(2 eta) over the ball, independently.
 
     1-D: literal dense scan at 1e-6 step over the ball segment. Higher
     dimensions: a coarse vectorized grid localizes the minimum, then
     Douglas-Rachford splitting between F = f + ||x-v||^2/(2 eta) (closed-form
-    prox: a shifted block soft threshold) and the ball indicator (prox:
+    prox: a shifted soft threshold) and the ball indicator (prox:
     projection) polishes it; F's strong convexity makes the split contract
     linearly. The result must beat every grid point, which cross-checks the
     two stages against each other.
     """
     v = np.asarray(v, dtype=float)
     center = np.asarray(center, dtype=float)
-    blocks = tuple(blocks)
     weights = np.asarray(weights, dtype=float)
     n = v.size
 
     def objective(x):
-        return _f_value(x, blocks, weights) + np.dot(x - v, x - v) / (2.0 * eta)
+        return _f_value(x, weights) + np.dot(x - v, x - v) / (2.0 * eta)
 
     def project_ball(z):
         d = z - center
@@ -129,9 +122,7 @@ def prox_oracle(v, eta, blocks, weights, center, radius):
     nd = np.linalg.norm(d, axis=1)
     outside = nd > radius
     pts[outside] = center + d[outside] * (radius / nd[outside])[:, None]
-    fvals = np.zeros(len(pts))
-    for (s, ln), w in zip(blocks, weights):
-        fvals += w * np.linalg.norm(pts[:, s : s + ln], axis=1)
+    fvals = np.abs(pts) @ weights
     fvals += np.einsum("ij,ij->i", pts - v, pts - v) / (2.0 * eta)
     grid_best_val = float(fvals.min())
 
@@ -142,7 +133,7 @@ def prox_oracle(v, eta, blocks, weights, center, radius):
 
     def prox_f_quad(z):
         u = h * (v / eta + z / t)
-        return soft_threshold_blocks(u, blocks, weights, h)
+        return soft_threshold_oracle(u, weights, h)
 
     z = v.copy()
     xg = project_ball(z)
@@ -245,7 +236,7 @@ def segment_rho_lb_oracle(problem, lb, p):
     """The best certified mu_lb ||y*||_1 lower bound on the grid s = 0.95 j/200, j = 1..200.
 
     Weak duality at x = s p: f* >= lb (1 - 1e-9) gives ||y*||_1 >= (lb (1 - 1e-9) - f(x))/max_i
-    g_i(x) where both are positive. f is summed here block by block and G comes from the problem's
+    g_i(x) where both are positive. f is summed here coordinate by coordinate and G comes from the problem's
     raw ``constraints``; a point where G is not finite certifies nothing. 0 when no point certifies.
     """
     p = np.asarray(p, dtype=float)
@@ -253,7 +244,7 @@ def segment_rho_lb_oracle(problem, lb, p):
     for j in range(1, 201):
         x = 0.95 * j / 200 * p
         g = np.asarray(problem.constraints(x), dtype=float).reshape(-1)
-        gap = low - _f_value(x, problem.objective.blocks, problem.objective.weights)
+        gap = low - _f_value(x, problem.objective.weights)
         if np.isfinite(g).all() and g.max() > 0.0 and gap > 0.0:
             best = max(best, gap / float(g.max()))
     return float(problem.mu.min()) * best

@@ -25,7 +25,7 @@ from apdpro.pagerank import build_ppr_problem, load_graph
 from apdpro.problem import BlockNormObjective
 from apdpro.prox import project_dual_set, prox_f_over_ball
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
-from helpers import q_times, random_partition, star_edges, write_edge_list
+from helpers import q_times, star_edges, write_edge_list
 from oracles import lagrangian_oracle, ppr_q_dense, project_oracle, prox_oracle
 
 
@@ -57,16 +57,14 @@ def test_criterion_1_prox_matches_dense_scan_oracle():
         worst = 0.0
         for _ in range(200):
             n = int(rng.integers(1, 6))
-            blocks = random_partition(rng, n)
-            weights = np.where(rng.random(len(blocks)) < 0.15, 0.0,
-                               rng.uniform(0.05, 2.0, len(blocks)))
-            obj = BlockNormObjective(blocks=blocks, weights=tuple(weights))
+            weights = np.where(rng.random(n) < 0.15, 0.0, rng.uniform(0.05, 2.0, n))
+            obj = BlockNormObjective(weights)
             center = rng.normal(scale=1.0, size=n)
             radius = float(rng.uniform(0.3, 1.5))
             v = center + rng.normal(scale=radius, size=n)
             eta = float(10.0 ** rng.uniform(-2.5, 1.0))
             got = prox_f_over_ball(v, eta, obj, (center, radius))
-            want = prox_oracle(v, eta, blocks, tuple(weights), center, radius)
+            want = prox_oracle(v, eta, weights, center, radius)
             worst = max(worst, float(np.max(np.abs(got - want))))
         elapsed = time.monotonic() - start
         assert worst <= 1e-5

@@ -35,7 +35,7 @@ from apdpro.solvers import (
     _metrics_recorder,
     rapdpro,
 )
-from helpers import blocky_problem, chorded_path_edges, path_edges, star_edges, write_edge_list
+from helpers import chorded_path_edges, star_edges, unequal_weights_problem, write_edge_list
 from oracles import ppr_kkt_oracle, record_oracle
 
 
@@ -58,12 +58,12 @@ def _synthetic_config(**overrides):
     return ExperimentConfig(**kw)
 
 
-def _accuracy(blocks, x, x_ref, threshold=1e-8):
-    """The recorder's active_set_acc of x against x* for this block partition (the problem
-    around it, a unit ball constraint, plays no part)."""
-    n = int(sum(length for _, length in blocks))
+def _accuracy(x, x_ref, threshold=1e-8):
+    """The recorder's active_set_acc of x against x* (the problem around them, unit weights and a
+    unit ball constraint, plays no part)."""
+    n = len(x)
     problem = ConstrainedProblem(
-        objective=BlockNormObjective(blocks=blocks, weights=np.ones(len(blocks))),
+        objective=BlockNormObjective(np.ones(n)),
         constraints=lambda x: np.array([0.5 * (x @ x) - 1.0]), jacobian=lambda x: x.reshape(n, 1),
         mu=np.ones(1), L_X=1.0, r=1.0, strict_point=np.zeros(n),
     )
@@ -72,19 +72,12 @@ def _accuracy(blocks, x, x_ref, threshold=1e-8):
 
 
 def test_active_set_accuracy_examples():
-    singletons = ((0, 1), (1, 1), (2, 1))
-    assert _accuracy(singletons, [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0
-    assert _accuracy(singletons, [1e-9, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0  # under the threshold: zero
-    assert _accuracy(singletons, [0.5, 1.0, 0.0], [0.0, 2.0, 0.0]) == pytest.approx(2.0 / 3.0)
+    assert _accuracy([0.0, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0
+    assert _accuracy([1e-9, 1.0, 0.0], [0.0, 2.0, 0.0]) == 1.0  # under the threshold: zero
+    assert _accuracy([0.5, 1.0, 0.0], [0.0, 2.0, 0.0]) == pytest.approx(2.0 / 3.0)
+    assert _accuracy([0.0, 0.3, 0.0], [1.0, 0.0, 0.0]) == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError, match="threshold must be positive"):
-        _accuracy(((0, 1),), [0.0], [0.0], threshold=0.0)
-
-
-def test_active_set_accuracy_blockwise():
-    blocks = ((0, 2), (2, 1))
-    # first block is nonzero through its second coordinate only
-    assert _accuracy(blocks, [0.0, 0.3, 0.0], [1.0, 0.0, 0.0]) == 1.0
-    assert _accuracy(blocks, [0.0, 0.3, 0.0], [0.0, 0.0, 2.0]) == 0.0
+        _accuracy([0.0], [0.0], threshold=0.0)
 
 
 def test_compute_metrics_values(canonical):
@@ -110,8 +103,8 @@ def test_run_recorder_matches_compute_metrics_bitwise(canonical):
     """One recorder per run (x*'s zero pattern cached) gives the oracle's record, field for field."""
     rng = np.random.default_rng(23)
     five, x_five, _ = make_synthetic_instance(5, np.array([1.5, -0.7, 2.0, 0.6, -1.2]), 0.9)
-    blocky = blocky_problem()
-    cases = ((canonical[0], canonical[2]), (five, x_five), (blocky, np.array([0.0, 0.0, 1.5, 0.2, -0.1, 0.0])))
+    unequal = unequal_weights_problem()
+    cases = ((canonical[0], canonical[2]), (five, x_five), (unequal, np.array([0.0, 0.0, 1.5, 0.2, -0.1, 0.0])))
     for problem, x_ref in cases:
         f_ref = problem.f(x_ref)
         points = [x_ref.copy()]

@@ -1,7 +1,7 @@
 """Every derived constant the docs call certified is a bound, on generated instances.
 
 One derandomized property covers synthetic instances (n 1..8), the same
-family under blocks of unequal weights, a diagonal quadratic whose model
+family under unequal weights, a diagonal quadratic whose model
 ball holds the origin though its feasible set does not (so the lower bound
 on f* behind c_bar is 0), small connected graphs (paths, even cycles, stars
 and complete bipartite graphs, which are bipartite, and chorded paths, which
@@ -46,7 +46,7 @@ from apdpro.problem import (
     kkt_residual,
 )
 from apdpro.solvers import SolverConfig, apd_baseline, apdpro, msapd, rapdpro
-from helpers import cycle_edges, path_edges, random_partition, star_edges
+from helpers import cycle_edges, path_edges, star_edges
 from oracles import ppr_q_dense, segment_rho_lb_oracle
 
 RUN_ITERS = 60
@@ -85,27 +85,26 @@ def _synthetic_case(n, rng, frac):
     return problem, x_star, y_star, boundary, []
 
 
-def _block_case(n, rng, frac):
-    """f = sum_b w_b ||x_b|| with unequal weights, g = ||x - c||^2/2 - level^2: x* is the block soft
-    threshold of c at t = 1/y*, where t solves sum_b min(||c_b||, t w_b)^2 = 2 level^2, in closed form
-    on the interval between consecutive ratios ||c_b||/w_b that holds it."""
-    blocks = random_partition(rng, n)
-    w = rng.uniform(0.5, 2.0, size=len(blocks))
-    objective = BlockNormObjective(blocks=blocks, weights=w)
+def _weighted_case(n, rng, frac):
+    """f = sum_i w_i |x_i| with unequal weights, g = ||x - c||^2/2 - level^2: x* is the soft threshold
+    of c at t = 1/y*, where t solves sum_i min(|c_i|, t w_i)^2 = 2 level^2, in closed form on the
+    interval between consecutive ratios |c_i|/w_i that holds it."""
+    w = rng.uniform(0.5, 2.0, size=n)
+    objective = BlockNormObjective(w)
     c = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
     level = frac * float(np.linalg.norm(c)) / math.sqrt(2.0)
     problem = ConstrainedProblem(
         objective=objective, constraints=lambda x: np.array([0.5 * (x - c) @ (x - c) - level**2]),
         jacobian=lambda x: (x - c).reshape(n, 1), mu=np.ones(1), L_X=1.0, r=float(w.min()), strict_point=c.copy(),
-    )  # r: a nonzero block of x* has a subgradient of norm w_b
-    a = objective.block_norms(c)
+    )  # r: a nonzero coordinate of x* has a subgradient of magnitude w_i
+    a = np.abs(c)
     ratios = np.sort(a / w)
-    for k in range(len(w)):  # blocks with a_b/w_b < ratios[k] are held at a_b, the rest at t w_b
+    for k in range(n):  # coordinates with a_i/w_i < ratios[k] are held at a_i, the rest at t w_i
         held = a / w < ratios[k]
         t = math.sqrt((2.0 * level**2 - float(a[held] @ a[held])) / float(w[~held] @ w[~held]))
         if t <= ratios[k]:
             break
-    x_star = objective.expand(np.maximum(0.0, 1.0 - t * w / a)) * c
+    x_star = np.maximum(0.0, 1.0 - t * w / a) * c
 
     def boundary(u):
         return c + math.sqrt(2.0) * level * u
@@ -122,7 +121,7 @@ def _origin_in_ball_case(n, rng, frac):
     c = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
     two_l = float(c @ c) + frac * float(c @ (d * c) - c @ c)
     problem = ConstrainedProblem(
-        objective=BlockNormObjective(blocks=[(j, 1) for j in range(n)], weights=np.ones(n)),
+        objective=BlockNormObjective(np.ones(n)),
         constraints=lambda x: np.array([0.5 * (x - c) @ (d * (x - c)) - 0.5 * two_l]),
         jacobian=lambda x: (d * (x - c)).reshape(n, 1), mu=np.ones(1), L_X=float(d.max()), r=1.0,
         strict_point=c.copy(),
@@ -179,7 +178,7 @@ def _two_ball_case(height, swap):
         return 0.5 * np.einsum("ij,ij->i", d, d) - 1.0
 
     problem = ConstrainedProblem(
-        objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)),
+        objective=BlockNormObjective(np.ones(2)),
         constraints=constraints, jacobian=lambda x: (x - centers).T, mu=np.ones(2), L_X=math.sqrt(2.0),
         r=1.0, strict_point=np.array([2.0, height]),
     )
@@ -196,10 +195,10 @@ def _two_ball_case(height, swap):
 
 @st.composite
 def certification_cases(draw):
-    kind = draw(st.sampled_from(["synthetic", "blocks", "origin-in-ball", "graph", "two-ball"]))
+    kind = draw(st.sampled_from(["synthetic", "weighted", "origin-in-ball", "graph", "two-ball"]))
     seed = draw(st.integers(0, 2**32 - 1))
     frac = draw(st.floats(0.05, 0.95))
-    if kind in ("synthetic", "blocks", "origin-in-ball"):
+    if kind in ("synthetic", "weighted", "origin-in-ball"):
         return kind, (draw(st.integers(1 if kind == "synthetic" else 2, 8)), seed, frac)
     if kind == "graph":
         family = draw(st.sampled_from(["path", "even-cycle", "star", "complete-bipartite", "chorded-path"]))
@@ -210,9 +209,9 @@ def certification_cases(draw):
 
 
 def _build(kind, args):
-    if kind in ("synthetic", "blocks", "origin-in-ball"):
+    if kind in ("synthetic", "weighted", "origin-in-ball"):
         n, seed, frac = args
-        case = {"synthetic": _synthetic_case, "blocks": _block_case, "origin-in-ball": _origin_in_ball_case}[kind]
+        case = {"synthetic": _synthetic_case, "weighted": _weighted_case, "origin-in-ball": _origin_in_ball_case}[kind]
         return case(n, np.random.default_rng(seed), frac)
     if kind == "graph":
         family, n, seed, frac, alpha, r_rule, teleport = args
@@ -289,7 +288,7 @@ def test_derived_constants_are_certified_property(case):
 def test_rho_lb_is_zero_where_the_origin_is_feasible():
     """f = |x|, g = (x - 1)^2/2 - 1: G(0) = -1/2, so weak duality at the origin bounds nothing."""
     problem = ConstrainedProblem(
-        objective=BlockNormObjective(blocks=((0, 1),), weights=np.ones(1)),
+        objective=BlockNormObjective(np.ones(1)),
         constraints=lambda x: np.array([0.5 * (x[0] - 1.0) ** 2 - 1.0]), jacobian=lambda x: (x - 1.0).reshape(1, 1),
         mu=np.ones(1), L_X=1.0, r=1.0, strict_point=np.ones(1),
     )

@@ -24,7 +24,7 @@ SEED = 0
 
 def solve_counts(workdir) -> dict:
     """{workload: {"label/variant": {"iters": k, "termination": reason}}} of one seed-``SEED`` round each."""
-    from helpers import NoProbe, import_perfbench
+    from helpers import NoProbe, import_perfbench  # here, so that the script can put src/ on the path first
 
     harness, workloads = import_perfbench()
     counts = {}
@@ -66,8 +66,7 @@ def test_iteration_counts_are_pinned(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    here = pathlib.Path(__file__).resolve().parent
-    sys.path[:0] = [str(here.parent / "src"), str(here)]
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         counts = solve_counts(tmp)
     DATA.parent.mkdir(exist_ok=True)

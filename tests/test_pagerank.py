@@ -399,7 +399,7 @@ def test_objective_weights_are_sqrt_degrees(tmp_path):
     g = load_graph(write_edge_list(tmp_path / "star5.txt", star_edges(5)))
     problem = build_ppr_problem(g, alpha=0.5, b=-1e-12)
     assert np.allclose(problem.objective.weights, [2.0, 1.0, 1.0, 1.0, 1.0])
-    assert np.array_equal(problem.objective.blocks, [(i, 1) for i in range(5)])
+    assert problem.objective.n == problem.n == 5
 
 
 def test_r_rule_choices(tmp_path):

@@ -1,4 +1,4 @@
-"""Problem model: block-norm objective, derived constants, KKT."""
+"""Problem model: weighted l1 objective, derived constants, KKT."""
 
 import dataclasses
 import re
@@ -14,8 +14,7 @@ from apdpro.problem import (
     jacobian_operator_norm,
     kkt_residual,
 )
-from apdpro.prox import prox_f_over_ball
-from helpers import CANONICAL_C_BAR, NdarraySubclass, random_partition
+from helpers import CANONICAL_C_BAR, NdarraySubclass
 
 SQRT2 = np.sqrt(2.0)
 
@@ -23,7 +22,7 @@ SQRT2 = np.sqrt(2.0)
 def _toy_problem(m=1, jac=None):
     """Minimal two-constraint-capable problem; only the fields a test exercises matter."""
     n = 3
-    obj = BlockNormObjective(blocks=((0, 1), (1, 2)), weights=(1.0, 2.0))
+    obj = BlockNormObjective((1.0, 2.0, 2.0))
     center = np.array([1.0, 0.0, 0.0])
 
     def constraints(x):
@@ -40,83 +39,40 @@ def _toy_problem(m=1, jac=None):
     )
 
 
-def test_block_partition_validation():
-    """The same message for a bad partition given as (start, length) pairs or as a (B, 2) array."""
-    partition = "blocks must be contiguous, ascending, and partition the space"
-    cases = (
-        (((0, 2), (3, 1)), (1.0, 1.0), partition),  # gap at 2
-        (((0, 2),), (1.0, 1.0), "need exactly one weight per block"),
-        (((0, 1),), (-0.5,), "block weights must be nonnegative"),
-        (((0, 0),), (1.0,), partition),  # empty block
-    )
-    for blocks, weights, message in cases:
-        for given in (blocks, np.array(blocks)):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                BlockNormObjective(blocks=given, weights=weights)
-
-
-def test_block_partition_is_a_read_only_copy():
-    given = np.array([[0, 2], [2, 1]])
-    obj = BlockNormObjective(blocks=given, weights=(1.0, 1.0))
-    given[1, 1] = 5
-    assert obj.blocks.dtype == np.intp and np.array_equal(obj.blocks, [[0, 2], [2, 1]])
-    for view in (obj.blocks, obj._starts, obj._lengths):
-        with pytest.raises(ValueError, match="read-only"):
-            view[0] = 1
+@pytest.mark.parametrize("weights, message", [
+    ((1.0, np.nan), "weights must be finite, got a nan or inf entry"),
+    ((np.inf, 1.0), "weights must be finite, got a nan or inf entry"),
+    ((1.0, -np.inf), "weights must be finite, got a nan or inf entry"),
+    ((1.0, -0.5), "weights must be nonnegative, got a negative entry"),
+    (np.ones((2, 2)), "weights must be a non-empty 1-D array, got shape (2, 2)"),
+    (1.0, "weights must be a non-empty 1-D array, got shape ()"),
+    ((), "weights must be a non-empty 1-D array, got shape (0,)"),
+], ids=["nan", "inf", "-inf", "negative", "2-D", "scalar", "empty"])
+def test_bad_weights_are_rejected_at_construction(weights, message):
+    """A weight that would fail deep in a run (a nan at the prox, an inf in Delta_XY) fails here, named,
+    before any problem or constant is built from it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlockNormObjective(weights)
 
 
 def test_objectives_compare_and_hash_by_identity():
-    a = BlockNormObjective(blocks=((0, 1), (1, 2)), weights=(1.0, 2.0))
-    b = BlockNormObjective(blocks=((0, 1), (1, 2)), weights=(1.0, 2.0))
+    a = BlockNormObjective((1.0, 2.0, 2.0))
+    b = BlockNormObjective((1.0, 2.0, 2.0))
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
-
-
-def test_tuple_and_array_partitions_agree_bitwise():
-    rng = np.random.default_rng(5)
-    for n in (3, 9, 40):
-        blocks = random_partition(rng, n)
-        while len(blocks) in (1, n):  # a non-singleton path with more than one block
-            blocks = random_partition(rng, n)
-        w = rng.uniform(0.0, 3.0, size=len(blocks))
-        pair = BlockNormObjective(blocks=blocks, weights=w)
-        arr = BlockNormObjective(blocks=np.array(blocks), weights=w)
-        x = rng.normal(size=n)
-        per_block = rng.normal(size=len(blocks))
-        center, radius = rng.normal(size=n), 2.0
-        assert np.array_equal(pair.block_norms(x), arr.block_norms(x))
-        assert np.array_equal(pair.expand(per_block), arr.expand(per_block))
-        assert pair.value(x) == arr.value(x)
-        for eta in (0.1, 1.0, 10.0):
-            assert np.array_equal(prox_f_over_ball(x, eta, pair, (center, radius)),
-                                  prox_f_over_ball(x, eta, arr, (center, radius)))
 
 
 def test_objective_value_matches_direct_sum():
     rng = np.random.default_rng(3)
     for _ in range(60):
         n = int(rng.integers(1, 12))
-        blocks = random_partition(rng, n)
-        w = rng.uniform(0.0, 3.0, size=len(blocks))
-        obj = BlockNormObjective(blocks=blocks, weights=w)
+        w = rng.uniform(0.0, 3.0, size=n)
+        obj = BlockNormObjective(w)
+        assert obj.n == n
         x = rng.normal(size=n)
-        direct = sum(wi * np.linalg.norm(x[s:s + ln]) for (s, ln), wi in zip(blocks, w))
+        direct = sum(wi * abs(xi) for xi, wi in zip(x, w))
         assert obj.value(x) == pytest.approx(direct, abs=1e-12)
         assert obj.value(np.zeros(n)) == 0.0
-
-
-def test_expand_broadcasts_per_block():
-    obj = BlockNormObjective(blocks=((0, 2), (2, 1)), weights=(1.0, 1.0))
-    assert np.array_equal(obj.expand(np.array([5.0, 7.0])), [5.0, 5.0, 7.0])
-
-
-def test_singleton_blocks_match_the_general_path_bitwise():
-    rng = np.random.default_rng(4)
-    for n in (1, 2, 7, 500):
-        obj = BlockNormObjective(blocks=[(i, 1) for i in range(n)], weights=np.ones(n))
-        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
-        assert np.array_equal(obj.block_norms(x), np.sqrt(np.add.reduceat(x * x, np.arange(n))))
-        assert np.array_equal(obj.expand(x), np.repeat(x, np.ones(n, dtype=np.intp)))
 
 
 def test_dual_radius_bound_canonical(canonical):
@@ -419,7 +375,7 @@ def test_vec_converts_rejects_and_passes_float64_through():
 
 def _returning(m, g_out, j_out, n=3):
     """A problem on n coordinates whose oracle hands back the given objects."""
-    obj = BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=np.ones(n))
+    obj = BlockNormObjective(np.ones(n))
     return ConstrainedProblem(
         objective=obj, constraints=lambda x: g_out, jacobian=lambda x: j_out,
         mu=np.ones(m), L_X=1.0, r=1.0, strict_point=np.zeros(n),

@@ -14,12 +14,11 @@ from apdpro.prox import (
     project_dual_set,
     prox_f_over_ball,
 )
-from helpers import random_partition
-from oracles import project_oracle, prox_oracle, soft_threshold_blocks
+from oracles import project_oracle, prox_oracle, soft_threshold_oracle
 
 
 def _l1(n):
-    return BlockNormObjective(blocks=tuple((i, 1) for i in range(n)), weights=np.ones(n))
+    return BlockNormObjective(np.ones(n))
 
 
 def test_soft_threshold_scalar_shrinkage():
@@ -33,19 +32,13 @@ def test_soft_threshold_tiny_step_is_identity_limit():
     assert np.allclose(out, v, atol=1e-11)
 
 
-def test_soft_threshold_block_formula():
-    obj = BlockNormObjective(blocks=((0, 2),), weights=(1.0,))
-    out = block_soft_threshold(np.array([3.0, 4.0]), obj, 1.0)  # norm 5
-    assert np.allclose(out, [2.4, 3.2], atol=1e-15)
-
-
 def test_prox_unconstrained_when_ball_is_huge():
     out = prox_f_over_ball(np.array([3.0, -0.5]), 1.0, _l1(2), (np.zeros(2), 100.0))
     assert np.array_equal(out, [2.0, 0.0])
 
 
 def test_prox_zero_objective_is_ball_projection():
-    obj = BlockNormObjective(blocks=((0, 1), (1, 1)), weights=(0.0, 0.0))
+    obj = BlockNormObjective((0.0, 0.0))
     out = prox_f_over_ball(np.array([3.0, 0.0]), 1.0, obj, (np.zeros(2), 1.0))
     assert np.allclose(out, [1.0, 0.0], atol=1e-10)
 
@@ -60,8 +53,7 @@ def test_prox_stays_in_ball():
     rng = np.random.default_rng(5)
     for _ in range(500):
         n = int(rng.integers(1, 7))
-        blocks = random_partition(rng, n)
-        obj = BlockNormObjective(blocks=blocks, weights=rng.uniform(0.0, 2.0, size=len(blocks)))
+        obj = BlockNormObjective(rng.uniform(0.0, 2.0, size=n))
         center = rng.normal(size=n)
         radius = float(rng.uniform(0.2, 3.0))
         v = center + rng.normal(scale=2.0, size=n)
@@ -73,8 +65,7 @@ def test_prox_beats_random_feasible_perturbations():
     rng = np.random.default_rng(6)
     for _ in range(5):
         n = int(rng.integers(1, 6))
-        blocks = random_partition(rng, n)
-        obj = BlockNormObjective(blocks=blocks, weights=rng.uniform(0.0, 2.0, size=len(blocks)))
+        obj = BlockNormObjective(rng.uniform(0.0, 2.0, size=n))
         center = rng.normal(size=n)
         radius = float(rng.uniform(0.5, 2.0))
         eta = float(rng.uniform(0.1, 2.0))
@@ -98,15 +89,14 @@ def test_prox_matches_independent_oracle():
     rng = np.random.default_rng(17)
     for _ in range(20):
         n = int(rng.integers(1, 6))
-        blocks = random_partition(rng, n)
-        weights = rng.uniform(0.0, 2.0, size=len(blocks))
-        obj = BlockNormObjective(blocks=blocks, weights=weights)
+        weights = rng.uniform(0.0, 2.0, size=n)
+        obj = BlockNormObjective(weights)
         center = rng.normal(size=n)
         radius = float(rng.uniform(0.5, 2.0))
         v = center + rng.normal(scale=1.5, size=n)
         eta = float(rng.uniform(0.05, 2.0))
         mine = prox_f_over_ball(v, eta, obj, (center, radius))
-        ref = prox_oracle(v, eta, blocks, weights, center, radius)
+        ref = prox_oracle(v, eta, weights, center, radius)
         assert np.max(np.abs(mine - ref)) <= 1e-5
 
 
@@ -115,8 +105,7 @@ def test_prox_multiplier_path_is_monotone():
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(1, 6))
-        blocks = random_partition(rng, n)
-        obj = BlockNormObjective(blocks=blocks, weights=rng.uniform(0.0, 2.0, size=len(blocks)))
+        obj = BlockNormObjective(rng.uniform(0.0, 2.0, size=n))
         center = rng.normal(size=n)
         v = center + rng.normal(scale=2.0, size=n)
         eta = float(rng.uniform(0.1, 2.0))
@@ -232,70 +221,65 @@ def _floats(lo, hi):
 
 @st.composite
 def prox_cases(draw):
-    """Random blocks, weights, step and ball; v near the ball or far outside it."""
+    """Random weights, step and ball; v near the ball or far outside it."""
     n = draw(st.integers(1, 4))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-    edges = [0, *cuts, n]
-    blocks = tuple((a, b - a) for a, b in zip(edges, edges[1:]))
-    weights = np.array(draw(st.lists(_floats(0.0, 2.0), min_size=len(blocks), max_size=len(blocks))))
+    weights = np.array(draw(st.lists(_floats(0.0, 2.0), min_size=n, max_size=n)))
     center = np.array(draw(st.lists(_floats(-2.0, 2.0), min_size=n, max_size=n)))
     scale = draw(st.sampled_from([0.3, 1.5, 6.0]))
     v = center + scale * np.array(draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
     radius = draw(_floats(0.2, 1.5) if n == 1 else _floats(0.2, 3.0))  # the 1-D oracle scans the ball at 1e-6
-    return v, draw(_floats(0.05, 2.0)), blocks, weights, center, radius
+    return v, draw(_floats(0.05, 2.0)), weights, center, radius
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=prox_cases())
 def test_prox_matches_the_oracle_property(case):
-    v, eta, blocks, weights, center, radius = case
-    mine = prox_f_over_ball(v, eta, BlockNormObjective(blocks=blocks, weights=weights), (center, radius))
+    v, eta, weights, center, radius = case
+    mine = prox_f_over_ball(v, eta, BlockNormObjective(weights), (center, radius))
     assert np.linalg.norm(mine - center) <= radius + 1e-10
-    assert np.max(np.abs(mine - prox_oracle(v, eta, blocks, weights, center, radius))) <= 1e-5
+    assert np.max(np.abs(mine - prox_oracle(v, eta, weights, center, radius))) <= 1e-5
 
 
 @st.composite
 def binding_prox_cases(draw):
-    """A prox the ball binds: random blocks (singletons or not), weights, step and center, v outside,
-    and a radius below the unconstrained prox's distance from the center."""
+    """A prox the ball binds: random weights, step and center, v outside, and a radius below the
+    unconstrained prox's distance from the center."""
     n = draw(st.integers(1, 5))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-    edges = [0, *cuts, n]
-    blocks = tuple((a, b - a) for a, b in zip(edges, edges[1:]))
-    weights = np.array(draw(st.lists(_floats(0.0, 2.0), min_size=len(blocks), max_size=len(blocks))))
+    weights = np.array(draw(st.lists(_floats(0.0, 2.0), min_size=n, max_size=n)))
     center = np.array(draw(st.lists(_floats(-2.0, 2.0), min_size=n, max_size=n)))
     v = center + draw(st.sampled_from([0.5, 2.0, 8.0])) * np.array(
         draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n)))
     eta = draw(_floats(0.05, 2.0))
-    reach = float(np.linalg.norm(soft_threshold_blocks(v, blocks, weights, eta) - center))
+    reach = float(np.linalg.norm(soft_threshold_oracle(v, weights, eta) - center))
     assume(reach > 0.05)
     radius = min(draw(_floats(0.1, 0.99)) * reach, 1.5)  # the 1-D oracle scans the ball at 1e-6
-    return v, eta, blocks, weights, center, radius
+    return v, eta, weights, center, radius
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=binding_prox_cases())
 def test_prox_where_the_ball_binds_matches_the_oracle_property(case):
     """The point lies on the sphere to 1e-13 relative, never outside it, and agrees with the oracle."""
-    v, eta, blocks, weights, center, radius = case
-    mine = prox_f_over_ball(v, eta, BlockNormObjective(blocks=blocks, weights=weights), (center, radius))
+    v, eta, weights, center, radius = case
+    mine = prox_f_over_ball(v, eta, BlockNormObjective(weights), (center, radius))
     assert (1.0 - 1e-13) * radius <= np.linalg.norm(mine - center) <= radius
-    assert np.max(np.abs(mine - prox_oracle(v, eta, blocks, weights, center, radius))) <= 1e-5
+    assert np.max(np.abs(mine - prox_oracle(v, eta, weights, center, radius))) <= 1e-5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("blocks", [((0, 1), (1, 1), (2, 1)), ((0, 2), (2, 1))], ids=["singletons", "blocks"])
-def test_prox_of_a_non_finite_v_is_non_finite_and_does_not_raise(bad, blocks):
+# The ids are the names these cases had under block partitions: unit weights, and unequal ones with a zero.
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (2.0, 0.0, 0.5)], ids=["singletons", "blocks"])
+def test_prox_of_a_non_finite_v_is_non_finite_and_does_not_raise(bad, weights):
     """The solver checks x_{k+1} finite and names the layer that went non-finite first; the prox
-    only passes the bad value on, whether or not the ball would bind."""
-    obj = BlockNormObjective(blocks=blocks, weights=np.ones(len(blocks)))
+    only passes the bad value on, whether or not the ball would bind, under unit or unequal weights."""
+    obj = BlockNormObjective(weights)
     for radius in (0.1, 100.0):
         out = prox_f_over_ball(np.array([3.0, bad, -1.0]), 0.5, obj, (np.zeros(3), radius))
         assert not np.isfinite(out).all()
 
 
 @st.composite
-def singleton_cases(draw):
+def soft_threshold_cases(draw):
     """l1 weights (zeros included), a step, and v mixing any value, zeros, +-1e-160 and +-t exactly."""
     n = draw(st.integers(1, 6))
     weights = np.array(draw(st.lists(st.one_of(st.just(0.0), _floats(0.0, 10.0)), min_size=n, max_size=n)))
@@ -309,13 +293,12 @@ def singleton_cases(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=singleton_cases())
-def test_singleton_soft_threshold_matches_the_block_oracle_property(case):
-    """v - clip(v, -t, t) against the per-block formula: one unit in the last place of v."""
+@given(case=soft_threshold_cases())
+def test_soft_threshold_matches_the_oracle_property(case):
+    """v - clip(v, -t, t) against the scaling formula v (1 - t/|v|): one unit in the last place of v."""
     v, eta, weights = case
-    blocks = tuple((i, 1) for i in range(v.size))
-    mine = block_soft_threshold(v, BlockNormObjective(blocks=blocks, weights=weights), eta)
-    ref = soft_threshold_blocks(v, blocks, weights, eta)
+    mine = block_soft_threshold(v, BlockNormObjective(weights), eta)
+    ref = soft_threshold_oracle(v, weights, eta)
     assert np.all(np.abs(mine - ref) <= np.spacing(np.abs(v))), (mine, ref)
 
 

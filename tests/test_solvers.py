@@ -15,7 +15,7 @@ from apdpro.estimator import h1, h2
 from apdpro.linalg import NumericalError
 from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import BlockNormObjective, ConstrainedProblem, derive_constants, jacobian_operator_norm
-from helpers import CANONICAL_C_BAR, blocky_problem
+from helpers import CANONICAL_C_BAR, unequal_weights_problem
 from oracles import epoch_budget_oracle, rho_hat_oracle
 from apdpro.solvers import (
     VARIANTS,
@@ -216,8 +216,8 @@ def test_the_dual_cut_binds_from_the_strict_point(canonical, variant, runner, in
     the strict point it binds at step 1, where ||y_2||_1 = rho_1/mu_lb to rounding."""
     if instance == "canonical":
         problem = canonical[0]
-    elif instance == "blocks":
-        problem = blocky_problem()
+    elif instance == "blocks":  # the id predates weighted l1: helpers.unequal_weights_problem
+        problem = unequal_weights_problem()
     else:
         problem = make_synthetic_instance(3, np.array([2.0, -1.0, 0.5]), 1.0)[0]
     constants = derive_constants(problem)
@@ -703,7 +703,7 @@ def _two_ball_problem():
 
     # L_X = sqrt(2): J(x) - J(x') has the column x - x' twice.
     problem = ConstrainedProblem(
-        objective=BlockNormObjective(blocks=((0, 1), (1, 1)), weights=np.ones(2)),
+        objective=BlockNormObjective(np.ones(2)),
         constraints=constraints, jacobian=jacobian, mu=np.ones(2), L_X=math.sqrt(2.0),
         r=1.0, strict_point=np.array([2.0, 0.5]),
     )
@@ -711,13 +711,14 @@ def _two_ball_problem():
 
 
 def _instance(request, instance):
-    """(problem, constants) of a fixture, of the m = 2 generic problem, of the n = 6 problem in
-    blocks of 2, 1 and 3, of the 30-node graph without its quadratic structure, or of the
-    canonical instance with a narrower feasible set (level 0.5)."""
+    """(problem, constants) of a fixture, of the m = 2 generic problem, of the n = 6 problem under
+    unequal weights with a zero ("blocks", its id from before weighted l1), of the 30-node graph
+    without its quadratic structure, or of the canonical instance with a narrower feasible set
+    (level 0.5)."""
     if instance == "two_ball":
         return _two_ball_problem()
     if instance == "blocks":
-        problem = blocky_problem()
+        problem = unequal_weights_problem()
         return problem, derive_constants(problem)
     if instance == "narrow":
         problem = make_synthetic_instance(1, 2.0, 0.5)[0]
