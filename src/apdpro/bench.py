@@ -44,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "InstanceSpec",
     "InstanceBundle",
-    "ReferenceUnconvergedError",
     "load_experiment_config",
     "build_instance",
     "get_reference",
@@ -72,10 +71,6 @@ _ACTIVE_SET_STEPS = 50
 # The long run's budget: iterations in all, and epochs.
 _REFERENCE_ITERS = 200_000
 _REFERENCE_EPOCHS = 60
-
-
-class ReferenceUnconvergedError(RuntimeError):
-    """Long-run reference exhausted its budget before the target residual."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,8 @@ def _solve_reference(bundle: InstanceBundle):
     """(x*, y*, KKT residual, how): the exact solve where it applies and
     passes the KKT check, else the long run within ``_REFERENCE_ITERS`` and
     ``_REFERENCE_EPOCHS``; ``how`` names the method (and the active-set
-    steps) for the cache."""
+    steps) for the cache. A long run that misses the KKT target warns, at
+    the frame that called ``get_reference``, and returns None."""
     problem = bundle.problem
     if problem.quadratic is not None and problem.m == 1:
         try:
@@ -184,10 +180,12 @@ def _solve_reference(bundle: InstanceBundle):
     res = rapdpro(problem, bundle.constants, cfg, np.zeros(problem.n), np.zeros(problem.m))
     resid = kkt_residual(problem, res.x, res.y).max()
     if resid > _REFERENCE_KKT:
-        raise ReferenceUnconvergedError(
-            f"long-run reference stopped at KKT residual {resid:.3g} "
-            f"(termination: {res.termination})"
+        warnings.warn(
+            f"reference unavailable: long-run reference stopped at KKT residual {resid:.3g} "
+            f"(termination: {res.termination})",
+            stacklevel=3,
         )
+        return None
     return res.x, res.y, resid, {"method": "long-run"}
 
 
@@ -270,15 +268,16 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     of a long-run solve, which it computes and writes on a miss.
 
     Returns None for mode 'none', and for a long run that does not converge
-    (reported as a warning; the metrics stay unavailable). The long-run
-    mode first solves the KKT system exactly on the identified support
-    when the problem allows it (quadratic structure, m = 1 and a weighted
-    l1 objective; see ``_active_set_kkt``). Otherwise, or when that solve
-    fails or misses KKT residual 1e-10, it drives the restarted solver to
-    KKT residual 1e-10 within ``_REFERENCE_ITERS`` iterations and
-    ``_REFERENCE_EPOCHS`` epochs (``_solve_reference``). The cache sits next
-    to a graph's file, else next to ``config.output_path``, else in the
-    working directory (``_cache_path``).
+    (``_solve_reference`` warns; the metrics stay unavailable, and nothing
+    is cached). The long-run mode first solves the KKT system exactly on
+    the identified support when the problem allows it (quadratic
+    structure, m = 1 and a weighted l1 objective; see ``_active_set_kkt``).
+    Otherwise, or when that solve fails or misses KKT residual 1e-10, it
+    drives the restarted solver to KKT residual 1e-10 within
+    ``_REFERENCE_ITERS`` iterations and ``_REFERENCE_EPOCHS`` epochs
+    (``_solve_reference``). The cache sits next to a graph's file, else
+    next to ``config.output_path``, else in the working directory
+    (``_cache_path``).
     """
     mode = config.reference_mode
     if mode == "none":
@@ -292,11 +291,10 @@ def get_reference(bundle: InstanceBundle, config: ExperimentConfig):
     cached = _read_cache(cache, bundle.identity, bundle.problem.n, bundle.problem.m)
     if cached is not None:
         return cached["x"], cached["y"], cached["f"]
-    try:
-        x, y, kkt, how = _solve_reference(bundle)
-    except ReferenceUnconvergedError as exc:
-        warnings.warn(f"reference unavailable: {exc}", stacklevel=2)
+    solved = _solve_reference(bundle)
+    if solved is None:
         return None
+    x, y, kkt, how = solved
     f = bundle.problem.f(x)
     payload = {"identity": bundle.identity, "x": _encode(x), "y": _encode(y), "f": f, "kkt": float(kkt), **how}
     _write_cache(cache, payload)
@@ -461,11 +459,12 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
     Sections [instance], [solver], [reference], [output]. [instance] and
     [solver] take the fields of InstanceSpec and SolverConfig by name
-    (``kind`` defaults to synthetic); [solver] also takes ``variants``,
-    [reference] takes ``mode`` and [output] ``path``. Unknown sections or
-    keys are errors so typos fail loudly. A
-    ``;`` after whitespace starts a comment. A file configparser cannot
-    read, such as one with a repeated key or section, raises ValueError.
+    (``kind`` defaults to synthetic); [solver] also takes ``variants``, in
+    place of ``variant`` (a file that sets both is an error), [reference]
+    takes ``mode`` and [output] ``path``. Unknown sections or keys are
+    errors so typos fail loudly. A ``;`` after whitespace starts a comment.
+    A file configparser cannot read, such as one with a repeated key or
+    section, raises ValueError.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     with open(path, encoding="utf-8") as fh:
@@ -488,6 +487,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
                 raise ValueError(f"{path}: [{section}] {key} = {raw!r}: expected {kind.__name__}") from None
     if "instance" not in parser:
         raise ValueError(f"{path}: missing [instance] section")
+    if parser.has_option("solver", "variant") and parser.has_option("solver", "variants"):
+        raise ValueError(f"{path}: [solver] sets both 'variant' and 'variants'; set one of them")
     return ExperimentConfig(
         instance=InstanceSpec(**kwargs[InstanceSpec]),
         solver=SolverConfig(**kwargs[SolverConfig]),

@@ -380,7 +380,8 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     Raises
     ------
     ValueError
-        If G(x_tilde) < 0 fails componentwise, or L_G is not finite and positive.
+        If G(x_tilde) < 0 fails componentwise, or L_G is not finite and
+        positive, or L_G^2 is not finite.
     """
     x_tilde = problem.strict_point
     g_tilde = problem.g(x_tilde).tolist()
@@ -401,6 +402,8 @@ def derive_constants(problem: ConstrainedProblem) -> ProblemConstants:
     l_g = _operator_norm(jac_tilde, problem.m) + problem.L_X * radius
     if not (math.isfinite(l_g) and l_g > 0.0):
         raise ValueError(f"L_G must be finite and positive, got {l_g!r}")
+    if not math.isfinite(l_g * l_g):  # the step sizes divide by L_G^2
+        raise ValueError(f"L_G^2 overflows: L_G = {l_g:.6g} (L_X = {problem.L_X:.6g}, R = {radius:.6g})")
     lb = max(lb, 0.0)
     c_bar = (problem.f(x_tilde) - lb) / -max(g_tilde)
     s = _SEGMENT_CAP

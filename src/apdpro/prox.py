@@ -81,12 +81,12 @@ def prox_f_over_ball(
       unconstrained trial, a binding call costs 2 to 6 soft thresholds on
       the benchmark's workloads (README).
     - Whenever that step leaves the bracket, the bracket gives the step.
-      Its upper end comes in closed form: u(lam) - center is
-      (v - center)/(eta (1/eta + lam)), and each coordinate moves at most
-      w_i/(1/eta + lam) from u(lam), so the radius is met by lam_hi =
-      (||v - center||/eta + ||w||)/R - 1/eta. lam_hi is doubled should
-      rounding leave x(lam_hi) outside. Within the bracket the step is
-      Illinois's (regula falsi that halves the stale end's residual).
+      Until a trial lands inside the ball, its upper end comes in closed
+      form: u(lam) - center is (v - center)/(eta (1/eta + lam)), and each
+      coordinate moves at most w_i/(1/eta + lam) from u(lam), so the radius
+      is met by lam_hi = (||v - center||/eta + ||w||)/R - 1/eta. lam_hi is
+      doubled should rounding leave x(lam_hi) outside. Once the bracket is
+      closed the step is its midpoint.
     """
     center, radius = ball
     x = block_soft_threshold(v, objective, eta)
@@ -114,9 +114,7 @@ def prox_f_over_ball(
         return (inv_eta + lam) * math.sqrt(on / room) - inv_eta if room > 0.0 else math.nan
 
     lam = 0.0
-    lo, f_lo = 0.0, dist - target
-    hi, f_hi, x_hi = math.inf, -math.inf, None
-    last_side = 0
+    lo, hi, x_hi = 0.0, math.inf, None
     for _ in range(_ROOT_STEPS):
         lam = active_set_root(x, d, lam)
         if not lo < lam < hi:
@@ -124,9 +122,7 @@ def prox_f_over_ball(
                 bound = (_norm(v - center) * inv_eta + _norm(objective.weights)) / target - inv_eta
                 lam = bound if bound > lo else 2.0 * max(lo, inv_eta)
             else:
-                lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-                if not lo < lam < hi:
-                    lam = 0.5 * (lo + hi)
+                lam = 0.5 * (lo + hi)
         x = trial(lam)
         d = x - center
         f = _norm(d) - target
@@ -135,20 +131,14 @@ def prox_f_over_ball(
         if not math.isfinite(f):
             raise NumericalError(f"ball multiplier not bracketed: radius residual {f} at lam = {lam:.6g}")
         if f > 0.0:
-            lo, f_lo = lam, f
-            if last_side > 0:
-                f_hi *= 0.5
-            last_side = 1
+            lo = lam
         else:
-            hi, f_hi, x_hi = lam, f, x
-            if last_side < 0:
-                f_lo *= 0.5
-            last_side = -1
+            hi, x_hi = lam, x
         if x_hi is not None and hi - lo <= 4.0 * _EPS * hi:
             break
     if x_hi is None:
         raise NumericalError(f"ball multiplier not bracketed within {_ROOT_STEPS} steps")
-    return x_hi  # f_hi <= 0: inside the ball
+    return x_hi  # inside the ball
 
 
 def project_dual_set(u, lower: float, upper: float) -> np.ndarray:

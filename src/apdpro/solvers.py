@@ -14,9 +14,9 @@ Variants
     previous ergodic pair.
 ``apd`` / ``apd_restart``
     The non-adaptive baseline: apdpro's single-run path with the Improve
-    step off and rho fixed at 0 (so the cut is the whole dual set and the
-    step sizes never move), optionally re-centering the averages every
-    ``restart_period`` iterations.
+    step off, projecting onto the whole dual set with constant steps,
+    optionally re-centering the averages every ``restart_period``
+    iterations.
 
 Every entry point builds one ``_Driver``, which owns the run, and calls
 ``segment`` once per segment, epoch or stage with that segment's start steps
@@ -26,7 +26,8 @@ only by their row of ``_RULES``: the Improve rule (off, "alg1" for the
 adaptive runs, "alg3" for msapd's stages), the budget rule (none, "epoch"
 for rapdpro, "stage" for msapd), the iterate they report at, and the
 divisor of the primal term of Delta_XY. The dual cut and the step-size
-recursion are on unless the Improve rule is "alg3".
+recursion run under "alg1" only; the other rules project onto the whole
+dual set with constant steps.
 
 The divisor keeps the listings' two conventions, which intentionally
 differ: the single-run loop and msapd's stages use Delta_XY =
@@ -300,16 +301,14 @@ class RunResult:
 def stepsize_update(tau: float, sigma: float, rho_next: float):
     """Advance (tau, sigma) one step: tau' = tau/sqrt(1 + rho_next*tau).
 
-    Returns (tau', sigma') with sigma' = sigma*tau/tau'. rho_next = 0
-    returns the inputs unchanged (exact identity, so constant-step
-    baselines never accumulate rounding drift); the product tau*sigma is
-    preserved. Precondition: tau, sigma > 0 and rho_next >= 0, as the
-    driver's are: its steps start from positive constants
-    (``derive_constants``) and only this update moves them, and rho starts
-    at 0 or rho_lb >= 0 and ``RhoEstimate.advance`` keeps it nondecreasing.
+    Returns (tau', sigma') with sigma' = sigma*tau/tau', so the product
+    tau*sigma is preserved. Only the adaptive runs (``apdpro``, ``rapdpro``)
+    call it; the other variants keep constant steps. Precondition: tau,
+    sigma > 0 and rho_next >= 0, as the driver's are: its steps start from
+    positive constants (``derive_constants``) and only this update moves
+    them, and rho starts at 0 and ``RhoEstimate.advance`` keeps it
+    nondecreasing.
     """
-    if rho_next == 0.0:
-        return tau, sigma
     tau_new = tau / math.sqrt(1.0 + rho_next * tau)
     return tau_new, sigma * (tau / tau_new)
 
@@ -498,13 +497,14 @@ class _Driver:
         step) or 'alg3' (msapd's stage estimate, which the driver starts at
         min(rho_lb, rho_cap) rather than 0: it only sizes N_s here, while under
         'alg1' rho also cuts the dual set and shrinks the steps, and starting
-        there made apdpro and rapdpro slower). Except under 'alg3', the
-        dual set is cut at rho/mu_lb and (tau, sigma) follow stepsize_update;
-        'alg3' projects onto the whole dual set with constant steps. rho
-        never exceeds ``rho_cap``, where Improve caps it, so the cut is never
-        empty. The averaging weight t_k = sigma_k/sigma0_s is formed here in
-        both cases. Budget rule: None (max_inner only), 'epoch' (rapdpro's
-        N_s refresh from rho_hat) or 'stage' (msapd's N_s rule from rho).
+        there made apdpro and rapdpro slower). Under 'alg1' only, the dual
+        set is cut at rho/mu_lb and (tau, sigma) follow stepsize_update;
+        None and 'alg3' project onto the whole dual set with constant steps.
+        rho never exceeds ``rho_cap``, where Improve caps it, so the cut is
+        never empty. The averaging weight t_k = sigma_k/sigma0_s is formed
+        here in every case. Budget rule: None (max_inner only), 'epoch'
+        (rapdpro's N_s refresh from rho_hat) or 'stage' (msapd's N_s rule
+        from rho).
 
         G and its Jacobian are evaluated once per new iterate (``move``) and
         shared by the dual extrapolation, the primal step, h1, the recorder
@@ -540,7 +540,7 @@ class _Driver:
         est = st.rho_est
         improve_rule, budget_rule, ergodic = self.improve_rule, self.budget_rule, self.ergodic
         k1, k2 = improve_caps(prob.r, prob.L_X, c.mu_lb)
-        adaptive = improve_rule != "alg3"
+        adaptive = improve_rule == "alg1"
         n_budget = math.inf
         gx_prev = self.gx  # G(x_{-1}) := G(x_0): the extrapolation restarts with the averages
         T = 0.0

@@ -548,8 +548,10 @@ def test_get_reference_unconverged_warns_and_returns_none(tmp_path, monkeypatch)
     config = ExperimentConfig(instance=spec, solver=SolverConfig(variant="rapdpro"), reference_mode="long-run")
     monkeypatch.setattr(bench, "_REFERENCE_ITERS", 5)
     monkeypatch.setattr(bench, "_REFERENCE_EPOCHS", 1)
-    with pytest.warns(UserWarning, match="reference unavailable"):
+    with pytest.warns(UserWarning, match="^reference unavailable: long-run reference stopped") as record:
         assert get_reference(bundle, config) is None
+    assert [w.filename for w in record] == [__file__]  # blamed on get_reference's caller
+    assert not list(tmp_path.glob(".ref-*.json"))
 
 
 def _ppr_case(tmp_path, edges, alpha, level, s="uniform"):
@@ -676,7 +678,7 @@ def test_load_experiment_config_full(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(
         "[instance]\nkind = synthetic\nn = 2\ncenter = 1.5\nlevel = 0.5\n"
-        "[solver]\nvariant = rapdpro\nvariants = apdpro, apd\nmax_iters = 300\n"
+        "[solver]\nvariants = apdpro, apd\nmax_iters = 300\n"
         "max_epochs = 4\nrestart_period = inf\n"
         "[reference]\nmode = oracle\n"
         "[output]\npath = out.csv\n",
@@ -685,12 +687,15 @@ def test_load_experiment_config_full(tmp_path):
     cfg = load_experiment_config(str(path))
     assert cfg.instance.kind == "synthetic" and cfg.instance.n == 2
     assert cfg.instance.center == 1.5 and cfg.instance.level == 0.5
-    assert cfg.solver.variant == "rapdpro" and cfg.solver.max_iters == 300
+    assert cfg.solver.variant == "apdpro" and cfg.solver.max_iters == 300  # the default
     assert cfg.solver.max_epochs == 4
     assert cfg.solver.restart_period == float("inf")
     assert cfg.variants == ("apdpro", "apd")
     assert cfg.reference_mode == "oracle"
     assert cfg.output_path == "out.csv"
+    path.write_text("[instance]\n[solver]\nvariant = rapdpro\n", encoding="utf-8")  # variant alone
+    cfg = load_experiment_config(str(path))
+    assert cfg.solver.variant == "rapdpro" and cfg.variants == ("rapdpro",)
 
 
 def test_load_experiment_config_rejects_typos(tmp_path):
@@ -728,6 +733,9 @@ def test_load_experiment_config_rejects_typos(tmp_path):
     # A repeated variant would run twice and write its CSV twice.
     with pytest.raises(ValueError, match="^variant 'apd' is listed twice in variants$"):
         load("[instance]\n[solver]\nvariants = apd, apdpro, apd\n")
+    # Both keys name what runs; neither may silently drop the other.
+    with pytest.raises(ValueError, match=r"bad\.ini: \[solver\] sets both 'variant' and 'variants'; set one of them$"):
+        load("[instance]\n[solver]\nvariant = msapd\nvariants = apdpro\n")
     # A file configparser cannot read is one line naming the file and the line, not its traceback.
     for text, line in (
         ("[instance]\nkind = synthetic\nkind = graph\n", 3),  # a repeated key

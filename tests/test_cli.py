@@ -38,7 +38,7 @@ def test_compare_writes_one_csv_per_variant(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     cfg = _write_config(tmp_path, (
         "[instance]\nkind = synthetic\n"
-        "[solver]\nvariant = apdpro\nvariants = apdpro, apd\nmax_iters = 200\n"
+        "[solver]\nvariants = apdpro, apd\nmax_iters = 200\n"
         "[reference]\nmode = oracle\n"
         f"[output]\npath = {out}\n"
     ))

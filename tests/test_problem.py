@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from apdpro.pagerank import make_synthetic_instance
 from apdpro.problem import (
     BlockNormObjective,
     ConstrainedProblem,
@@ -274,6 +275,15 @@ def test_problem_constants_are_validated_at_construction(canonical, name, bad):
             derive_constants(_problem_whose_L_G_is(bad))
         else:
             dataclasses.replace(problem, **{name: bad})
+
+
+def test_an_L_G_whose_square_overflows_is_rejected():
+    """The step sizes divide by L_G^2 (``default_step_sizes``): an L_G that is finite but whose
+    square is not once passed derive_constants, and every variant then raised OverflowError
+    before its first iteration. The error names L_G and the L_X and R it came from."""
+    problem = dataclasses.replace(make_synthetic_instance(3, 2.0, 1.0)[0], L_X=1e300)
+    with pytest.raises(ValueError, match=r"^L_G\^2 overflows: L_G = 1\.69706e\+300 \(L_X = 1e\+300, R = 1\.69706\)$"):
+        derive_constants(problem)
 
 
 def test_an_L_X_below_the_largest_mu_is_rejected(canonical):

@@ -266,6 +266,20 @@ def test_prox_where_the_ball_binds_matches_the_oracle_property(case):
     assert np.max(np.abs(mine - prox_oracle(v, eta, weights, center, radius))) <= 1e-5
 
 
+def test_prox_whose_active_set_root_leaves_the_bracket_bisects():
+    """A binding prox on which the active-set root falls outside (lo, hi) after a trial inside the
+    ball, so the bracket's midpoint gives the step: one of the draws above, pinned so the
+    fallback stays tested whatever Hypothesis draws."""
+    v = np.array([-0.5821162028150046, 0.07500000000000001, 0.07500000000000001])
+    eta = 0.05
+    weights = np.array([0.6310440197421353, 0.05, 1.6616180831895702])
+    center = np.array([-0.38807746854333647, 0.05, 0.05])
+    radius = 0.017148796896235868
+    mine = prox_f_over_ball(v, eta, BlockNormObjective(weights), (center, radius))
+    assert (1.0 - 1e-13) * radius <= np.linalg.norm(mine - center) <= radius
+    assert np.max(np.abs(mine - prox_oracle(v, eta, weights, center, radius))) <= 1e-5
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 # The ids are the names these cases had under block partitions: unit weights, and unequal ones with a zero.
 @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (2.0, 0.0, 0.5)], ids=["singletons", "blocks"])
