@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .linalg import NumericalError, cg_solve
 from .linalg import power_iteration  # noqa: F401  (unused here; perfbench/tracing.py wraps this name)
@@ -90,7 +90,7 @@ def _parse_fast(text: str):
     starts = np.flatnonzero(first)
     if starts.size and np.max(np.flatnonzero(last) - starts) >= _MAX_ID_DIGITS:
         return None
-    per_line = np.bincount(np.cumsum(newline)[starts])
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), starts))  # line of each id
     if np.any((per_line != 0) & (per_line != 2)):
         return None
     ids = np.fromstring(text, dtype=np.int64, sep=" ") if starts.size else np.empty(0, np.int64)
@@ -190,36 +190,62 @@ def load_graph(path) -> Graph:
 
 
 _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a Ritz bound
-# eigsh's relative-residual stop. The bound adds the residual back, so it stays
-# certified and exceeds lambda_max by under 1e-6 relative: too little to move an
-# iteration count (at 1e-5 one did). Each further decade costs ARPACK a restart
-# cycle, about 20 Q mat-vecs on a 5k-node graph.
-_RITZ_TOL = 1e-6
+# Lanczos stops once its residual estimate beta_k |s_k| is below this times the
+# Ritz value. The bound adds the residual back, so it stays certified and
+# exceeds lambda_max by about 1e-7 relative at most (9.4e-8 measured on 60
+# graphs of 21 to 400 nodes). A stop at 1e-6 overshot by 5.2e-7 on a
+# 300-node graph. Each decade costs about 15 to 20 Q mat-vecs on a 5k-node graph.
+_RITZ_TOL = 1e-7
+_RITZ_CHECK = 5  # steps between convergence checks on T_k
+_LANCZOS_STEPS = 1000  # step cap; a 5k-node benchmark graph takes 150 to 180 steps
 
 
 def _ritz_bound(qmatvec, n: int) -> float:
     """An upper bound on the largest eigenvalue of a symmetric operator, by Lanczos.
 
-    ``eigsh`` ("LA", k = 1) runs from a fixed seeded start, so the result is
-    the same on every call, and stops at relative residual ``_RITZ_TOL``
-    (1e-6). For the returned Ritz pair (theta, v), some eigenvalue lies
-    within ||Qv - theta v|| / ||v|| of theta; that eigenvalue is the largest
-    once Lanczos has converged to the top of the spectrum, so theta moved up
-    by that residual (plus a few units of rounding in theta and the
-    residual) bounds it. The stopping tolerance sets only the slack, under
-    1e-6 relative.
+    A plain three-term Lanczos recurrence, without reorthogonalization, runs
+    from a fixed seeded start, so the result is the same on every call.
+    Every ``_RITZ_CHECK`` steps it takes the top eigenpair (theta, s) of the
+    tridiagonal T_k and stops once beta_k |s_k| <= ``_RITZ_TOL`` theta, or
+    at once on breakdown (beta_k ~ 0). Orthogonality is lost only as Ritz
+    pairs converge (Paige 1980), so the extreme Ritz value still converges.
+
+    For the Ritz vector v formed from the basis, some eigenvalue lies within
+    ||Qv - theta v|| / ||v|| of theta, with the residual computed explicitly
+    by one more mat-vec, whatever the basis's orthogonality. That
+    eigenvalue is the largest once Lanczos has converged to the top of the
+    spectrum, so theta moved up by that residual (plus a few units of
+    rounding in theta and the residual) bounds it. The stop sets only the
+    slack, under about 1e-7 relative. Raises ``NumericalError`` when
+    ``_LANCZOS_STEPS`` steps do not reach the stop.
     """
-    if n == 1:  # ARPACK needs n >= 2; a 1-by-1 operator is its own eigenvalue
-        return float(qmatvec(np.ones(1))[0])
-    op = LinearOperator((n, n), matvec=qmatvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        w, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=_RITZ_TOL)
-    except ArpackNoConvergence:
-        raise NumericalError(f"Lanczos (LA) did not converge on the {n}-by-{n} operator") from None
-    theta, v = float(w[0]), vecs[:, 0]
-    resid = float(np.linalg.norm(qmatvec(v) - theta * v) / np.linalg.norm(v))
-    return theta + (resid + _ROUNDING * max(1.0, abs(theta)))
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis, alphas, betas = [q], [], []
+    beta = 0.0
+    for k in range(1, _LANCZOS_STEPS + 1):
+        w = qmatvec(q)  # may be q itself or the operator's own storage: never updated in place
+        alpha = float(q @ w)
+        r = w - alpha * q
+        if k > 1:
+            r -= beta * basis[-2]
+        scale = abs(alpha) + beta  # the size of what the step subtracted
+        beta = float(np.linalg.norm(r))
+        alphas.append(alpha)
+        betas.append(beta)
+        breakdown = beta <= _ROUNDING * scale
+        if breakdown or k % _RITZ_CHECK == 0:
+            top, s = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(k - 1, k - 1))
+            theta, s = float(top[0]), s[:, 0]
+            if breakdown or beta * abs(s[-1]) <= _RITZ_TOL * abs(theta):
+                v = s[0] * basis[0]
+                for s_i, q_i in zip(s[1:], basis[1:]):
+                    v += s_i * q_i
+                resid = float(np.linalg.norm(qmatvec(v) - theta * v) / np.linalg.norm(v))
+                return theta + (resid + _ROUNDING * max(1.0, abs(theta)))
+        q = r / beta
+        basis.append(q)
+    raise NumericalError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps on the {n}-by-{n} operator")
 
 
 def _resolve_teleport(s, n: int) -> np.ndarray:
@@ -279,14 +305,16 @@ def build_ppr_problem(
     D^{-1/2} A D^{-1/2} for its largest eigenvalue 1 (Fountoulakis et al.,
     "A variational perspective on local graph clustering", Math. Prog.
     2019), as ``graph.degrees`` are the adjacency's row sums.
-    The same fact gives lambda_max(Q) <= 1. L_X = lambda_max is the Lanczos
-    Ritz value of Q moved up by its residual norm and capped at 1, a
-    certified upper bound once Lanczos has found the top of the spectrum; no
-    power iteration runs. Lanczos stops at relative residual 1e-6, so L_X
-    may exceed lambda_max by up to about 1e-6 relative (at most 9.98e-7
+    The same fact gives lambda_max(Q) <= 1. L_X = lambda_max is the Ritz
+    value of a plain Lanczos recurrence on Q (``_ritz_bound``), moved up by
+    the explicitly computed residual norm of its Ritz vector and capped at
+    1: a certified upper bound once Lanczos has found the top of the
+    spectrum, however much orthogonality the basis has lost. No power
+    iteration runs. Lanczos stops at residual estimate 1e-7 relative, so L_X
+    may exceed lambda_max by up to about 1e-7 relative (at most 9.4e-8
     measured). L_X is used only in the step sizes and the Improve bounds,
-    where that slack moves no iteration count, and the last four decades of
-    residual would cost about 100 Q mat-vecs on a 5k-node graph. Together mu
+    where that slack moves no iteration count, and each further decade of
+    residual would cost 15 to 20 Q mat-vecs on a 5k-node graph. Together mu
     and L_X bracket x'Qx / ||x||^2 for every x.
 
     The strict point is the unconstrained minimizer of g (CG on
