@@ -13,6 +13,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,19 +197,43 @@ _ROUNDING = 64.0 * np.finfo(float).eps  # relative allowance for rounding in a R
 # graphs of 21 to 400 nodes). A stop at 1e-6 overshot by 5.2e-7 on a
 # 300-node graph. Each decade costs about 15 to 20 Q mat-vecs on a 5k-node graph.
 _RITZ_TOL = 1e-7
-_RITZ_CHECK = 5  # steps between convergence checks on T_k
-_LANCZOS_STEPS = 1000  # step cap; a 5k-node benchmark graph takes 150 to 180 steps
+_RITZ_CHECK = 5  # steps between convergence checks on T_k, widened to k / 50 past step 250
+# Step cap per node. Without reorthogonalization the recurrence may run past n
+# steps. Long paths and cycles, whose top gap shrinks as 1/n^2, take the most:
+# 2,000 to 3,800 steps at 4,000 nodes.
+_LANCZOS_STEPS_PER_NODE = 10
+_BASIS_BYTES = 32 * 2**20  # the most the stored Lanczos basis may take
+
+
+def _lanczos(qmatvec, n: int):
+    """Yield (q_k, alpha_k, beta_k, breakdown) for k = 1, 2, ... of a plain
+    three-term Lanczos recurrence from the seeded start, without
+    reorthogonalization. The recurrence is deterministic, so a second run
+    regenerates the same vectors."""
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    q_prev, beta = None, 0.0
+    while True:
+        w = qmatvec(q)  # may be q itself or the operator's own storage: never updated in place
+        alpha = float(q @ w)
+        r = w - alpha * q
+        if q_prev is not None:
+            r -= beta * q_prev
+        scale = abs(alpha) + beta  # the size of what the step subtracted
+        beta = float(np.linalg.norm(r))
+        yield q, alpha, beta, beta <= _ROUNDING * scale
+        q_prev, q = q, r / beta
 
 
 def _ritz_bound(qmatvec, n: int) -> float:
     """An upper bound on the largest eigenvalue of a symmetric operator, by Lanczos.
 
-    A plain three-term Lanczos recurrence, without reorthogonalization, runs
-    from a fixed seeded start, so the result is the same on every call.
-    Every ``_RITZ_CHECK`` steps it takes the top eigenpair (theta, s) of the
-    tridiagonal T_k and stops once beta_k |s_k| <= ``_RITZ_TOL`` theta, or
-    at once on breakdown (beta_k ~ 0). Orthogonality is lost only as Ritz
-    pairs converge (Paige 1980), so the extreme Ritz value still converges.
+    ``_lanczos`` runs from a fixed seeded start, so the result is the same
+    on every call. Every ``_RITZ_CHECK`` steps (every k / 50 past step 250)
+    it takes the top eigenpair (theta, s) of the tridiagonal T_k and stops
+    once beta_k |s_k| <= ``_RITZ_TOL`` theta, or at once on breakdown
+    (beta_k ~ 0). Orthogonality is lost only as Ritz pairs converge (Paige
+    1980), so the extreme Ritz value still converges.
 
     For the Ritz vector v formed from the basis, some eigenvalue lies within
     ||Qv - theta v|| / ||v|| of theta, with the residual computed explicitly
@@ -217,35 +242,36 @@ def _ritz_bound(qmatvec, n: int) -> float:
     spectrum, so theta moved up by that residual (plus a few units of
     rounding in theta and the residual) bounds it. The stop sets only the
     slack, under about 1e-7 relative. Raises ``NumericalError`` when
-    ``_LANCZOS_STEPS`` steps do not reach the stop.
+    ``_LANCZOS_STEPS_PER_NODE`` n steps do not reach the stop.
+
+    Memory is O(k n) for k steps while the basis fits in ``_BASIS_BYTES``
+    (32 MB: every step of a 5k-node graph). Past that the basis is dropped
+    and a second run of the recurrence forms v, so memory stays O(n) at
+    twice the mat-vecs.
     """
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis, alphas, betas = [q], [], []
-    beta = 0.0
-    for k in range(1, _LANCZOS_STEPS + 1):
-        w = qmatvec(q)  # may be q itself or the operator's own storage: never updated in place
-        alpha = float(q @ w)
-        r = w - alpha * q
-        if k > 1:
-            r -= beta * basis[-2]
-        scale = abs(alpha) + beta  # the size of what the step subtracted
-        beta = float(np.linalg.norm(r))
+    max_steps = int(_LANCZOS_STEPS_PER_NODE * n)
+    keep = _BASIS_BYTES // (8 * n)  # basis vectors that fit the budget
+    basis, alphas, betas = [], [], []
+    check = _RITZ_CHECK
+    for k, (q, alpha, beta, breakdown) in enumerate(islice(_lanczos(qmatvec, n), max_steps), 1):
+        if k <= keep:
+            basis.append(q)
+        elif basis:
+            basis.clear()
         alphas.append(alpha)
         betas.append(beta)
-        breakdown = beta <= _ROUNDING * scale
-        if breakdown or k % _RITZ_CHECK == 0:
+        if breakdown or k == check:
+            check += max(_RITZ_CHECK, k // 50)
             top, s = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(k - 1, k - 1))
             theta, s = float(top[0]), s[:, 0]
             if breakdown or beta * abs(s[-1]) <= _RITZ_TOL * abs(theta):
-                v = s[0] * basis[0]
-                for s_i, q_i in zip(s[1:], basis[1:]):
+                vectors = basis if k <= keep else (q_i for q_i, *_ in _lanczos(qmatvec, n))
+                v = np.zeros(n)
+                for s_i, q_i in zip(s, vectors):  # s first: the second run stops after k steps
                     v += s_i * q_i
                 resid = float(np.linalg.norm(qmatvec(v) - theta * v) / np.linalg.norm(v))
                 return theta + (resid + _ROUNDING * max(1.0, abs(theta)))
-        q = r / beta
-        basis.append(q)
-    raise NumericalError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps on the {n}-by-{n} operator")
+    raise NumericalError(f"Lanczos did not converge in {max_steps} steps on the {n}-by-{n} operator")
 
 
 def _resolve_teleport(s, n: int) -> np.ndarray:

@@ -410,9 +410,28 @@ def test_lanczos_matvecs_on_the_benchmark_graphs_are_pinned(tmp_path, monkeypatc
 def test_lanczos_step_cap_raises_numerical_error(tmp_path, monkeypatch):
     edges = path_edges(60) + [tuple(map(int, e)) for e in np.random.default_rng(3).integers(0, 60, size=(120, 2))]
     g = load_graph(write_edge_list(tmp_path / "g60.txt", edges))
-    monkeypatch.setattr(pagerank, "_LANCZOS_STEPS", 4)
-    with pytest.raises(NumericalError, match="Lanczos did not converge in 4 steps on the 60-by-60 operator"):
+    monkeypatch.setattr(pagerank, "_LANCZOS_STEPS_PER_NODE", 0.1)
+    with pytest.raises(NumericalError, match="Lanczos did not converge in 6 steps on the 60-by-60 operator"):
         build_ppr_problem(g, 0.15, b=-1e-12)
+
+
+def test_lambda_max_bound_on_a_long_odd_cycle(tmp_path):
+    """A cycle on 4001 nodes: Q's top gap is about 1e-6, so the recurrence runs about 2000 steps,
+    past the stored basis's budget, and forms the Ritz vector in a second run. lambda_max(Q) is
+    1 - (1 - alpha)/2 (1 - cos(pi / n)) in closed form."""
+    n, alpha = 4001, 0.15
+    g = load_graph(write_edge_list(tmp_path / "c4001.txt", cycle_edges(n)))
+    top = 1.0 - 0.5 * (1.0 - alpha) * (1.0 - np.cos(np.pi / n))
+    assert top <= build_ppr_problem(g, alpha, b=-1e-12).L_X <= top * (1.0 + 1e-7)
+
+
+def test_ritz_bound_is_the_same_when_the_basis_is_regenerated(tmp_path, monkeypatch):
+    """With no room for the basis, the second run of the recurrence forms the same Ritz vector."""
+    rng = np.random.default_rng(21)
+    g = _random_connected_graph(rng, tmp_path, 200, tag="regen")
+    problem = build_ppr_problem(g, 0.15, b=-1e-12)
+    monkeypatch.setattr(pagerank, "_BASIS_BYTES", 0)
+    assert build_ppr_problem(g, 0.15, b=-1e-12).L_X == problem.L_X
 
 
 def test_gradient_matches_finite_differences(tmp_path):

@@ -60,26 +60,3 @@ def test_compare_gates_only_the_listed_variants(tmp_path, capsys):
     assert "g/msapd: 1 iterations vs 2" in out
     assert "msapd iterations 1 -> 2" in out
     assert compare(["compare", a, b, "--variants", "msapd"]) == 1
-
-
-def test_compare_gates_only_the_listed_workloads(tmp_path, capsys):
-    """A run of a workload left out of --workloads may differ; one of a listed workload may not."""
-    compare = _trace_gate().main
-    rows = [["1", "0", "1.5", "0.25"]]
-
-    def dump(name, objective):
-        moved = [["1", "0", objective, "0.25"]]
-        runs = {"w seed 0": {"workload": "w", "solves": {"g/apd": {"iters": 1, "rows": rows}}},
-                "v seed 0": {"workload": "v", "solves": {"g/apd": {"iters": 1, "rows": moved}}}}
-        data = {"columns": ["iter", "epoch", "objective", "rel_gap"], "runs": runs}
-        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
-        return str(tmp_path / name)
-
-    a, b = dump("a.json", "1.5"), dump("b.json", "1.75")
-    assert compare(["compare", a, b, "--workloads", "w", "x"]) == 0
-    out = capsys.readouterr().out
-    assert "w            1 solves, 0 with a different" in out
-    assert "v            " not in out  # --workloads filters the report
-    assert compare(["compare", a, b]) == 1
-    assert "v seed 0 g/apd objective: 1.5 vs 1.75" in capsys.readouterr().out
-    assert compare(["compare", a, b, "--workloads", "v"]) == 1

@@ -5,7 +5,6 @@ Usage, from the root of a checkout:
     python3 tools/trace_gate.py dump --seeds 0 4242 OUT.json
     python3 tools/trace_gate.py compare A.json B.json --rel 1e-12
     python3 tools/trace_gate.py compare A.json B.json --rel 0 --variants apdpro rapdpro apd
-    python3 tools/trace_gate.py compare A.json B.json --rel 0 --workloads synth-10k synth-batch
 
 ``dump`` runs one untraced ``perfbench/harness.run_round`` per workload and
 seed, with the library from this checkout's ``src/`` and the workloads from
@@ -21,9 +20,8 @@ exits 1 when a solve is missing, its iteration count or row count differs,
 or a field differs by more than ``--rel`` times max(1, |a|, |b|). That is
 a relative bound for values above 1 and an absolute one below. Fields that
 are not both numbers differ by infinity unless their text is equal. With
-``--variants`` it compares only the solves of those variants, and with
-``--workloads`` only the runs of those workloads, so a change meant to move
-one variant or workload can gate the others bitwise.
+``--variants`` it compares only the solves of those variants, so a change
+meant to move one variant can gate the others bitwise.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ def _difference(a: str, b: str) -> tuple[float, float, float]:
     return d, d / scale if scale else 0.0, d / max(1.0, scale)
 
 
-def compare(path_a: str, path_b: str, rel: float, variants=None, workloads=None) -> int:
+def compare(path_a: str, path_b: str, rel: float, variants=None) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
@@ -114,13 +112,11 @@ def compare(path_a: str, path_b: str, rel: float, variants=None, workloads=None)
     solves = {}  # workload -> [solves compared, iteration counts that differ]
     iters = {}  # workload -> variant -> [iterations in A, iterations in B]
     for run in sorted(a["runs"].keys() | b["runs"].keys()):
-        workload = (a["runs"].get(run) or b["runs"][run])["workload"]
-        if workloads is not None and workload not in workloads:
-            continue
         if run not in a["runs"] or run not in b["runs"]:
             bad.append(f"{run}: only in {path_a if run in a['runs'] else path_b}")
             continue
         sa, sb = a["runs"][run]["solves"], b["runs"][run]["solves"]
+        workload = a["runs"][run]["workload"]
         for solve in sorted(sa.keys() | sb.keys()):
             variant = solve.rsplit("/", 1)[1]  # solves are "label/variant"
             if variants is not None and variant not in variants:
@@ -150,9 +146,8 @@ def compare(path_a: str, path_b: str, rel: float, variants=None, workloads=None)
                     entry[1], entry[2] = max(entry[1], d_abs), max(entry[2], d_rel)
                     if gated > rel:
                         bad.append(f"{run} {solve} {column}: {fa} vs {fb}")
-    for workload in sorted({r["workload"] for r in a["runs"].values()}):
-        if workloads is not None and workload not in workloads:
-            continue
+    workloads = sorted({r["workload"] for r in a["runs"].values()})
+    for workload in workloads:
         compared, differ = solves.get(workload, (0, 0))
         print(f"{workload:12s} {compared} solves, {differ} with a different iteration count")
         for variant, (ta, tb) in sorted(iters.get(workload, {}).items()):
@@ -181,7 +176,6 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--rel", type=float, default=0.0,
                        help="largest allowed |a - b| / max(1, |a|, |b|) per field (default 0: bitwise)")
     p_cmp.add_argument("--variants", nargs="+", metavar="V", help="compare only the solves of these variants")
-    p_cmp.add_argument("--workloads", nargs="+", metavar="W", help="compare only the runs of these workloads")
     args = parser.parse_args(argv)
     if args.command == "dump":
         if args.out is None and len(args.seeds) > 1:
@@ -189,7 +183,7 @@ def main(argv=None) -> int:
         if args.out is None or not all(seed.lstrip("-").isdigit() for seed in args.seeds):
             parser.error("dump needs integer seeds and an output path: dump --seeds 0 4242 OUT")
         return dump([int(seed) for seed in args.seeds], args.out)
-    return compare(args.a, args.b, args.rel, args.variants, args.workloads)
+    return compare(args.a, args.b, args.rel, args.variants)
 
 
 if __name__ == "__main__":
